@@ -1,9 +1,9 @@
 GO ?= go
 
 # make bench writes this PR's benchmark record; the gate diffs a fresh run
-# against the committed baseline of the previous PR.
-BENCH_OUT ?= BENCH_10.json
-BENCH_BASELINE ?= BENCH_9.json
+# against the committed baseline of the last PR that recorded one.
+BENCH_OUT ?= BENCH_13.json
+BENCH_BASELINE ?= BENCH_10.json
 
 # cluster-demo knobs.
 CLUSTER_DURATION ?= 5s
@@ -21,7 +21,7 @@ FUZZTIME ?= 15s
 
 .PHONY: check ci fmtcheck build vet test race bench benchsmoke bench-gate \
 	experiments cluster-demo cover staticcheck govulncheck lint fuzz \
-	docs-check metricsdoc api-check apidoc
+	docs-check metricsdoc api-check apidoc bench-e2e benchmark-tests
 
 check: build vet race
 
@@ -30,7 +30,7 @@ check: build vet race
 # job (smoke + regression gate against the committed baseline). The linters
 # need network access to fetch their pinned versions; on an air-gapped box
 # run the individual targets you can.
-ci: fmtcheck build vet lint race cover benchsmoke bench-gate docs-check api-check
+ci: fmtcheck build vet lint race cover benchmark-tests benchsmoke bench-gate docs-check api-check
 
 fmtcheck:
 	@out=$$(gofmt -l .); \
@@ -81,6 +81,19 @@ benchsmoke:
 bench-gate:
 	@mkdir -p bin
 	$(GO) run ./cmd/benchjson -out bin/BENCH_ci.json -baseline $(BENCH_BASELINE)
+
+# bench-e2e runs the end-to-end benchmark BENCHMARK.json declares: real
+# server processes, four RUBiS workloads, the gated end-to-end metrics (see
+# benchmark/README.md). Minutes, not seconds — not part of `make ci`.
+bench-e2e:
+	bash benchmark/run.sh
+
+# benchmark-tests runs the tests of the nested benchmark/ module. It imports
+# internal/cache, internal/weave and internal/serverutil but is invisible to
+# the root `go test ./...`, so without this target a refactor of those
+# packages can break the benchmark unnoticed.
+benchmark-tests:
+	cd benchmark && $(GO) test ./...
 
 # fuzz runs every native fuzz target for $(FUZZTIME) each: the SQL-template
 # parser, the query analyzer's never-too-narrow soundness contract, and the

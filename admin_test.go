@@ -43,7 +43,7 @@ func scrapeAdmin(t *testing.T, admin *autowebcache.Admin) *telemetry.Scrape {
 // /statsz serves the same numbers as JSON, /healthz answers.
 func TestAdminEndpoints(t *testing.T) {
 	db := newDB(t)
-	rt, err := autowebcache.New(db, autowebcache.Config{QueryCache: true})
+	rt, err := autowebcache.New(db, autowebcache.Config{QueryResults: autowebcache.QueryCacheConfig{Enabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

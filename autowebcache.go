@@ -231,8 +231,7 @@ type ServeConfig struct {
 }
 
 // Config configures a Runtime. Capacity, query-cache and serving knobs live
-// in the PageCache, QueryResults and Serve groups; the flat fields beneath
-// them are deprecated aliases kept so existing callers keep compiling.
+// in the PageCache, QueryResults and Serve groups.
 type Config struct {
 	// Strategy is the invalidation strategy; defaults to ExtraQuery.
 	Strategy Strategy
@@ -254,58 +253,18 @@ type Config struct {
 	QueryResults QueryCacheConfig
 	// Serve configures content-encoding variants and ETag validators.
 	Serve ServeConfig
-
-	// Deprecated: set PageCache.MaxEntries. Applies only when the grouped
-	// field is unset.
-	MaxEntries int
-	// Deprecated: set PageCache.MaxBytes.
-	MaxBytes int64
-	// Deprecated: set PageCache.Replacement.
-	Replacement Replacement
-	// Deprecated: set PageCache.Shards.
-	Shards int
-	// Deprecated: set QueryResults.Enabled.
-	QueryCache bool
-	// Deprecated: set QueryResults.MaxEntries.
-	QueryCacheEntries int
-	// Deprecated: set QueryResults.MaxBytes.
-	QueryCacheBytes int64
 }
 
-// normalized folds the deprecated flat aliases into the grouped fields —
-// each alias applies only when its grouped field is unset, so callers
-// mixing old and new spellings get the new one — and validates the Serve
-// group.
-func (cfg Config) normalized() (Config, error) {
-	if cfg.PageCache.MaxEntries == 0 {
-		cfg.PageCache.MaxEntries = cfg.MaxEntries
-	}
-	if cfg.PageCache.MaxBytes == 0 {
-		cfg.PageCache.MaxBytes = cfg.MaxBytes
-	}
-	if cfg.PageCache.Replacement == 0 {
-		cfg.PageCache.Replacement = cfg.Replacement
-	}
-	if cfg.PageCache.Shards == 0 {
-		cfg.PageCache.Shards = cfg.Shards
-	}
-	if !cfg.QueryResults.Enabled {
-		cfg.QueryResults.Enabled = cfg.QueryCache
-	}
-	if cfg.QueryResults.MaxEntries == 0 {
-		cfg.QueryResults.MaxEntries = cfg.QueryCacheEntries
-	}
-	if cfg.QueryResults.MaxBytes == 0 {
-		cfg.QueryResults.MaxBytes = cfg.QueryCacheBytes
-	}
+// validate checks the Serve group.
+func (cfg Config) validate() error {
 	for _, enc := range cfg.Serve.Encodings {
 		switch strings.ToLower(strings.TrimSpace(enc)) {
 		case "identity", "gzip":
 		default:
-			return cfg, fmt.Errorf("autowebcache: unknown content-encoding %q (identity, gzip)", enc)
+			return fmt.Errorf("autowebcache: unknown content-encoding %q (identity, gzip)", enc)
 		}
 	}
-	return cfg, nil
+	return nil
 }
 
 // gzipEnabled reports whether the Serve group asks for gzip variants.
@@ -361,8 +320,7 @@ func NewFromConn(conn Conn, cfg Config) (*Runtime, error) {
 	if conn == nil {
 		return nil, fmt.Errorf("autowebcache: nil connection")
 	}
-	cfg, err := cfg.normalized()
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Strategy == 0 {
@@ -385,7 +343,7 @@ func NewFromConn(conn Conn, cfg Config) (*Runtime, error) {
 	}
 	base := conn
 	if cfg.QueryResults.Enabled {
-		rt.qcache, err = qrcache.NewWithOptions(conn, engine, qrcache.Options{
+		rt.qcache, err = qrcache.New(conn, engine, qrcache.Options{
 			MaxEntries: cfg.QueryResults.MaxEntries,
 			MaxBytes:   cfg.QueryResults.MaxBytes,
 			Admission:  cfg.Admission && cfg.QueryResults.MaxBytes > 0,

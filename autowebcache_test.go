@@ -74,8 +74,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if first.Body.String() != second.Body.String() {
 		t.Fatal("cached page differs")
 	}
-	if rt.Cache().Stats().Hits != 1 {
-		t.Fatalf("cache stats: %+v", rt.Cache().Stats())
+	if rt.Cache().Snapshot().Hits != 1 {
+		t.Fatalf("cache stats: %+v", rt.Cache().Snapshot())
 	}
 	get(t, h, "/add?note=world")
 	third := get(t, h, "/list")
@@ -111,14 +111,14 @@ func TestFacadeValidation(t *testing.T) {
 		t.Fatal("expected error for nil db")
 	}
 	db := newDB(t)
-	if _, err := autowebcache.New(db, autowebcache.Config{MaxEntries: -1}); err == nil {
+	if _, err := autowebcache.New(db, autowebcache.Config{PageCache: autowebcache.PageCacheConfig{MaxEntries: -1}}); err == nil {
 		t.Fatal("expected error for negative capacity")
 	}
 }
 
 func TestFacadeQueryCache(t *testing.T) {
 	db := newDB(t)
-	rt, err := autowebcache.New(db, autowebcache.Config{QueryCache: true})
+	rt, err := autowebcache.New(db, autowebcache.Config{QueryResults: autowebcache.QueryCacheConfig{Enabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFacadeQueryCache(t *testing.T) {
 	if want := "1: a\n2: b\n"; third.Body.String() != want {
 		t.Fatalf("stale page through stacked caches: %q", third.Body.String())
 	}
-	qs := rt.QueryCache().Stats()
+	qs := rt.QueryCache().Snapshot()
 	if qs.Misses == 0 {
 		t.Fatalf("query cache unused: %+v", qs)
 	}
@@ -144,7 +144,7 @@ func TestFacadeQueryCache(t *testing.T) {
 
 func TestFacadeBoundedCache(t *testing.T) {
 	db := newDB(t)
-	rt, err := autowebcache.New(db, autowebcache.Config{MaxEntries: 2, Replacement: autowebcache.FIFO})
+	rt, err := autowebcache.New(db, autowebcache.Config{PageCache: autowebcache.PageCacheConfig{MaxEntries: 2, Replacement: autowebcache.FIFO}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +164,9 @@ func TestFacadeBoundedCache(t *testing.T) {
 func TestFacadeByteGovernance(t *testing.T) {
 	db := newDB(t)
 	rt, err := autowebcache.New(db, autowebcache.Config{
-		MaxBytes:        4096,
-		Admission:       true,
-		QueryCache:      true,
-		QueryCacheBytes: 4096,
+		PageCache:    autowebcache.PageCacheConfig{MaxBytes: 4096},
+		QueryResults: autowebcache.QueryCacheConfig{Enabled: true, MaxBytes: 4096},
+		Admission:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,11 +179,11 @@ func TestFacadeByteGovernance(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		get(t, h, fmt.Sprintf("/list?v=%d", i))
 	}
-	cs := rt.Cache().Stats()
+	cs := rt.Cache().Snapshot()
 	if cs.Bytes <= 0 || cs.Bytes > 4096 {
 		t.Fatalf("page cache bytes %d outside (0, 4096]: %+v", cs.Bytes, cs)
 	}
-	qs := rt.QueryCache().Stats()
+	qs := rt.QueryCache().Snapshot()
 	if qs.Bytes < 0 || qs.Bytes > 4096 {
 		t.Fatalf("query cache bytes %d outside [0, 4096]: %+v", qs.Bytes, qs)
 	}
@@ -196,7 +195,7 @@ func TestFacadeByteGovernance(t *testing.T) {
 	// Admission scoped to the one governed tier is fine: here only the
 	// query cache has a budget.
 	if _, err := autowebcache.New(db, autowebcache.Config{
-		QueryCache: true, QueryCacheBytes: 4096, Admission: true,
+		QueryResults: autowebcache.QueryCacheConfig{Enabled: true, MaxBytes: 4096}, Admission: true,
 	}); err != nil {
 		t.Fatalf("query-cache-only admission rejected: %v", err)
 	}
@@ -390,7 +389,7 @@ func TestFacadeTieredWarmRestart(t *testing.T) {
 	if rr.Body.String() != warmBody {
 		t.Fatalf("warm body %q, want %q", rr.Body.String(), warmBody)
 	}
-	st := rt2.Cache().Stats()
+	st := rt2.Cache().Snapshot()
 	if st.Promotions == 0 || st.L2.RestoredEntries == 0 {
 		t.Fatalf("warm serve did not come through the store: %+v", st)
 	}

@@ -331,7 +331,7 @@ func BenchmarkQrcacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	qc, err := qrcache.New(db, eng, 0)
+	qc, err := qrcache.New(db, eng, qrcache.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

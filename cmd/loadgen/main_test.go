@@ -91,7 +91,7 @@ func TestConcurrencyFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := autowebcache.New(db, autowebcache.Config{Shards: 8})
+	rt, err := autowebcache.New(db, autowebcache.Config{PageCache: autowebcache.PageCacheConfig{Shards: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

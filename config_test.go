@@ -27,20 +27,11 @@ func exercise(t *testing.T, rt *autowebcache.Runtime) {
 	}
 }
 
-// TestConfigFlatAliasesEquivalent proves the deprecated flat Config fields
-// and the grouped sub-structs build identical runtimes: same tiers present,
-// same bounds enforced, same cache occupancy after identical traffic.
-func TestConfigFlatAliasesEquivalent(t *testing.T) {
-	flat := autowebcache.Config{
-		MaxEntries:        2,
-		MaxBytes:          1 << 20,
-		Replacement:       autowebcache.LFU,
-		Shards:            4,
-		QueryCache:        true,
-		QueryCacheEntries: 8,
-		QueryCacheBytes:   1 << 16,
-	}
-	grouped := autowebcache.Config{
+// TestConfigGroupsWireBothTiers proves the grouped sub-structs reach the
+// tiers they name: the query-result cache is built, and the page cache's
+// bounds are enforced under traffic.
+func TestConfigGroupsWireBothTiers(t *testing.T) {
+	rt, err := autowebcache.New(newDB(t), autowebcache.Config{
 		PageCache: autowebcache.PageCacheConfig{
 			MaxEntries:  2,
 			MaxBytes:    1 << 20,
@@ -52,45 +43,20 @@ func TestConfigFlatAliasesEquivalent(t *testing.T) {
 			MaxEntries: 8,
 			MaxBytes:   1 << 16,
 		},
-	}
-	rtFlat, err := autowebcache.New(newDB(t), flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtGrouped, err := autowebcache.New(newDB(t), grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exercise(t, rtFlat)
-	exercise(t, rtGrouped)
-	if rtFlat.QueryCache() == nil || rtGrouped.QueryCache() == nil {
-		t.Fatal("query-result cache missing under one spelling")
-	}
-	sf, sg := rtFlat.Cache().Snapshot(), rtGrouped.Cache().Snapshot()
-	if sf != sg {
-		t.Fatalf("identical traffic, different cache stats:\nflat:    %+v\ngrouped: %+v", sf, sg)
-	}
-	if sf.Entries > 2 {
-		t.Fatalf("MaxEntries=2 not enforced: %d entries", sf.Entries)
-	}
-	if sf.Evictions == 0 {
-		t.Fatal("bounded cache saw 4 pages but evicted nothing")
-	}
-}
-
-// TestConfigGroupedFieldWinsOverAlias: when both spellings are set, the
-// grouped field is authoritative.
-func TestConfigGroupedFieldWinsOverAlias(t *testing.T) {
-	rt, err := autowebcache.New(newDB(t), autowebcache.Config{
-		MaxEntries: 1,
-		PageCache:  autowebcache.PageCacheConfig{MaxEntries: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exercise(t, rt)
-	if s := rt.Cache().Snapshot(); s.Entries != 4 || s.Evictions != 0 {
-		t.Fatalf("grouped MaxEntries=100 lost to alias 1: %+v", s)
+	if rt.QueryCache() == nil {
+		t.Fatal("query-result cache missing")
+	}
+	st := rt.Cache().Snapshot()
+	if st.Entries > 2 {
+		t.Fatalf("MaxEntries=2 not enforced: %d entries", st.Entries)
+	}
+	if st.Evictions == 0 {
+		t.Fatal("bounded cache saw 4 pages but evicted nothing")
 	}
 }
 

@@ -146,6 +146,6 @@ func main() {
 	fmt.Printf("\nnode-C read after write: %-10s %s", outcome, body)
 
 	for _, n := range nodes {
-		fmt.Printf("%s cluster stats: %+v\n", n.name, n.peer.Stats())
+		fmt.Printf("%s cluster stats: %+v\n", n.name, n.peer.Snapshot())
 	}
 }

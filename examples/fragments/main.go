@@ -116,7 +116,7 @@ func main() {
 	show("/product?id=1&user=carol") // assembled: details from cache, reviews regenerated
 	show("/product?id=1&user=dave")  // fragment-hit again
 
-	st := rt.Cache().Stats()
+	st := rt.Cache().Snapshot()
 	fmt.Printf("\ncache: %d entries, %d hits, %d inserts, %d invalidations\n",
 		st.Entries, st.Hits, st.Inserts, st.Invalidations)
 }

@@ -88,5 +88,5 @@ func main() {
 	// page survives (the AC-extraQuery precision).
 	fmt.Println("ada's page after her write:", get("/guestbook?author=ada"))   // miss
 	fmt.Println("bob's page after ada's write:", get("/guestbook?author=bob")) // hit
-	fmt.Printf("cache stats: %+v\n", rt.Cache().Stats())
+	fmt.Printf("cache stats: %+v\n", rt.Cache().Snapshot())
 }

@@ -210,7 +210,7 @@ func (d *deployment) buildConn(cfg SystemConfig) (memdb.Conn, error) {
 	var conn memdb.Conn = d.db
 	var err error
 	if cfg.QueryCache {
-		d.qc, err = qrcache.New(d.db, d.eng, 0)
+		d.qc, err = qrcache.New(d.db, d.eng, qrcache.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -291,7 +291,7 @@ func AblationStrategies(p Params) (*Table, error) {
 			return nil, err
 		}
 		res := d.run(p, clients)
-		cst := d.cache.Stats()
+		cst := d.cache.Snapshot()
 		est := d.eng.Stats()
 		perWrite := 0.0
 		if cst.WritesSeen > 0 {
@@ -322,7 +322,7 @@ func AblationReplacement(p Params) (*Table, error) {
 				return nil, err
 			}
 			res := d.run(p, clients)
-			cst := d.cache.Stats()
+			cst := d.cache.Snapshot()
 			t.AddRow(capEntries, pol.String(), pct(res.Totals.HitRate()), cst.Evictions)
 		}
 	}
@@ -359,7 +359,7 @@ func AblationComposition(p Params) (*Table, error) {
 		after := d.db.Stats()
 		qcRate := "-"
 		if d.qc != nil {
-			st := d.qc.Stats()
+			st := d.qc.Snapshot()
 			if st.Hits+st.Misses > 0 {
 				qcRate = pct(float64(st.Hits) / float64(st.Hits+st.Misses))
 			}

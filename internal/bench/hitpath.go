@@ -101,7 +101,7 @@ func newQrHitFixture() (*qrcache.Conn, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	qr, err := qrcache.New(db, eng, 0)
+	qr, err := qrcache.New(db, eng, qrcache.Options{})
 	if err != nil {
 		return nil, "", err
 	}
@@ -155,7 +155,7 @@ func newQrSqliteFixture(maxEntries int) (*qrcache.Conn, string, func(), error) {
 		cleanup()
 		return nil, "", nil, err
 	}
-	qr, err := qrcache.New(conn, eng, maxEntries)
+	qr, err := qrcache.New(conn, eng, qrcache.Options{MaxEntries: maxEntries})
 	if err != nil {
 		cleanup()
 		return nil, "", nil, err

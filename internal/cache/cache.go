@@ -14,56 +14,29 @@
 // (LRU, LFU, FIFO) and time-lagged (TTL) weak consistency, which also
 // realises the TPC-W BestSellers 30-second semantic window of §4.3.
 //
-// Both tables are lock-striped: the page table over power-of-two shards
-// keyed by an FNV hash of the page key, and the dependency table over
-// shards keyed by a hash of the read-query template, so concurrent lookups
-// and inserts on distinct keys never contend and a write only locks the
-// dependency shards it scans, one at a time. Counters are atomics. The
-// paper's strong-consistency contract is preserved: InvalidateWrite returns
-// only after every dependent page fully inserted before the call has been
-// removed, so the writer's response is released strictly after the
-// invalidation (§3.2). Lock order is always page shard -> dependency shard,
-// never the reverse, and no two shards of the same stripe are held at once.
+// The package has two layers. Store (store.go) is the payload-agnostic
+// governed store — both tables, the budgets, eviction, admission, expiry,
+// the write sweep and the epoch ring — shared with the query-result cache
+// (internal/qrcache), which is a second instantiation of it. Cache, in this
+// file, is the page layer above one Store: the once-per-insert body copy,
+// the gzip/ETag variants (variants.go), the Page/View/Export views, the
+// RemoteInvalidator fan-out to cluster peers, and the disk tier (l2tier.go),
+// which reaches the store only through its lower-tier seam.
+//
+// The paper's strong-consistency contract is preserved: InvalidateWrite
+// returns only after every dependent page fully inserted before the call has
+// been removed, so the writer's response is released strictly after the
+// invalidation (§3.2).
 package cache
 
 import (
-	"container/list"
 	"errors"
-	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache/l2"
-	"autowebcache/internal/datasource"
-	"autowebcache/internal/stripe"
-	"autowebcache/internal/tinylfu"
 )
-
-// ReplacementPolicy selects the eviction order under bounded capacity.
-type ReplacementPolicy int
-
-// Replacement policies. Start at 1 so the zero value selects the default in
-// Options (LRU).
-const (
-	LRU ReplacementPolicy = iota + 1
-	LFU
-	FIFO
-)
-
-func (p ReplacementPolicy) String() string {
-	switch p {
-	case LRU:
-		return "LRU"
-	case LFU:
-		return "LFU"
-	case FIFO:
-		return "FIFO"
-	}
-	return "INVALID"
-}
 
 // Options configures a Cache.
 type Options struct {
@@ -162,41 +135,11 @@ type Page struct {
 	GzipLen string
 }
 
-// Entry is one cached page together with its dependency information.
-type Entry struct {
-	Key         string
-	Body        []byte
-	ContentType string
-	// Deps are the read-query instances whose results the page was
-	// generated from (template + value vector, §3.1 "dependency info").
-	Deps       []analysis.Query
-	InsertedAt time.Time
-	// ExpiresAt, when non-zero, makes the entry invisible after this time —
-	// used for TTL (weak) consistency and semantic windows.
-	ExpiresAt time.Time
-	// Gzip and ETag are the serve-path variants built once at insert (see
-	// variants.go); immutable like Body for the entry's lifetime.
-	Gzip []byte
-	ETag string
-
-	// bodyLen / gzipLen are the precomputed Content-Length strings of the
-	// identity and gzip representations ("" when variants are off).
-	bodyLen string
-	gzipLen string
-
-	hits uint64
-	// seq is the entry's position in the global replacement order: assigned
-	// from the cache-wide sequence at insert, and refreshed on every hit
-	// under LRU. The globally-minimal seq is the LRU/FIFO victim, and the
-	// LFU tie-break, even though each shard keeps its own list.
-	seq uint64
-	// cost is the entry's accounted size in bytes (see entryCost), charged
-	// against Options.MaxBytes for the entry's lifetime.
-	cost int64
-	// protected marks the entry's segment under byte governance: false =
-	// probation (new insert, first eviction tier), true = protected
-	// (promoted on first hit, evicted only when probation is empty).
-	protected bool
+// pageVal is what the store holds per page: the caller-facing view itself
+// (so a hit hands it out without assembling anything) plus the disk-tier
+// bookkeeping.
+type pageVal struct {
+	Page
 	// l2lsn, when non-zero, is the LSN of the disk-tier record this entry
 	// was promoted from. If the record is still current at demotion time
 	// the body need not be rewritten to disk.
@@ -276,28 +219,13 @@ var ErrPeerUnreachable = errors.New("peer unreachable during invalidation broadc
 // concrete type).
 type remoteBox struct{ r RemoteInvalidator }
 
-// Stats are cumulative cache counters.
+// Stats are cumulative cache counters: the store's, plus the page layer's.
 type Stats struct {
-	Hits             uint64
-	Misses           uint64
-	Inserts          uint64
-	Invalidations    uint64 // pages removed by write invalidation
-	Evictions        uint64 // pages removed by capacity pressure
-	Expirations      uint64 // pages removed because their TTL passed
-	WritesSeen       uint64 // InvalidateWrite calls
-	AdmissionRejects uint64 // inserts refused by the TinyLFU admission filter
-	OversizeRejects  uint64 // inserts refused because one entry exceeds MaxBytes
+	StoreStats
 	// GzipCompressions counts gzip compressor runs — exactly one per
 	// variant-building insert, never per request (the once-per-insert
 	// contract of Options.Gzip).
 	GzipCompressions uint64
-	Entries          int // current page count
-	DepTemplates     int // current dependency-table template count
-	DepInstances     int // current dependency-table (template, vector) count
-	// Bytes is the accounted memory charged against MaxBytes: every linked
-	// entry's cost plus in-flight insert reservations. With MaxBytes set it
-	// never exceeds the budget.
-	Bytes int64
 	// VariantBytes is the resident gzip-variant payload (a subset of
 	// Bytes): what the content-encoding variants currently cost on top of
 	// the identity bodies.
@@ -309,183 +237,16 @@ type Stats struct {
 	PromoteAborts uint64 // promotions abandoned because an invalidation raced them
 	// L2 is the attached disk tier's own counters (zero without one).
 	L2 l2.Stats
-
-	// Per-segment occupancy and eviction splits. Under segmented eviction
-	// (byte governance with LRU/LFU) entries start in probation and move to
-	// protected on first reuse; an unsegmented cache reports everything as
-	// probation. A growing EvictionsProtected with a cold probation segment
-	// is the operator's signal that MaxBytes is undersized for the working
-	// set (see docs/OPERATIONS.md).
-	ProbationEntries   int
-	ProtectedEntries   int
-	ProbationBytes     int64 // linked entry cost only (reservations excluded)
-	ProtectedBytes     int64
-	EvictionsProbation uint64
-	EvictionsProtected uint64
-}
-
-// depInstance is one row of the dependency table's value-vector level: a
-// concrete read-query instance and the pages built from it.
-type depInstance struct {
-	query analysis.Query
-	pages map[string]bool
-}
-
-// depTemplate groups the instances of one read-query template, with a probe
-// index per table: instances keyed by the value their `table.col = ?`
-// predicate binds. A write whose effect on that column is bounded only
-// needs to test the matching instances — the result-caching optimisation
-// the paper relies on for near-zero run-time analysis overhead (§7).
-type depTemplate struct {
-	info      *analysis.TemplateInfo // nil when the template is unparseable
-	instances map[string]*depInstance
-	// probeIdx: table -> probe key -> argsKey -> instance.
-	probeIdx map[string]map[string]map[string]*depInstance
-}
-
-func newDepTemplate(info *analysis.TemplateInfo) *depTemplate {
-	return &depTemplate{
-		info:      info,
-		instances: make(map[string]*depInstance),
-		probeIdx:  make(map[string]map[string]map[string]*depInstance),
-	}
-}
-
-// probeKeyFor returns the probe key of an instance for one table's probe,
-// or ok=false when the instance has no value at the probed argument.
-func probeKeyFor(p analysis.Probe, args []datasource.Value) (string, bool) {
-	if p.ArgIndex < 0 || p.ArgIndex >= len(args) {
-		return "", false
-	}
-	return analysis.ProbeKey(args[p.ArgIndex]), true
-}
-
-// addInstance registers an instance in the probe indexes.
-func (dt *depTemplate) addInstance(argsKey string, inst *depInstance) {
-	dt.instances[argsKey] = inst
-	if dt.info == nil {
-		return
-	}
-	for table, p := range dt.info.Probes {
-		key, ok := probeKeyFor(p, inst.query.Args)
-		if !ok {
-			continue
-		}
-		byKey := dt.probeIdx[table]
-		if byKey == nil {
-			byKey = make(map[string]map[string]*depInstance)
-			dt.probeIdx[table] = byKey
-		}
-		byArgs := byKey[key]
-		if byArgs == nil {
-			byArgs = make(map[string]*depInstance)
-			byKey[key] = byArgs
-		}
-		byArgs[argsKey] = inst
-	}
-}
-
-// removeInstance unregisters an instance from the probe indexes.
-func (dt *depTemplate) removeInstance(argsKey string, inst *depInstance) {
-	delete(dt.instances, argsKey)
-	if dt.info == nil {
-		return
-	}
-	for table, p := range dt.info.Probes {
-		key, ok := probeKeyFor(p, inst.query.Args)
-		if !ok {
-			continue
-		}
-		if byArgs := dt.probeIdx[table][key]; byArgs != nil {
-			delete(byArgs, argsKey)
-			if len(byArgs) == 0 {
-				delete(dt.probeIdx[table], key)
-			}
-		}
-	}
-}
-
-// pageShard is one stripe of the page table with its replacement lists.
-type pageShard struct {
-	mu    sync.Mutex
-	pages map[string]*list.Element // key -> element holding *Entry
-	order *list.List               // probation segment: front = next victim
-	// prot is the protected segment, populated only under byte governance:
-	// entries move here on their first hit and are evicted only when every
-	// probation segment is empty.
-	prot *list.List
-	// bytes is this shard's share of the accounted memory: the summed cost
-	// of the entries currently linked into the shard (in-flight insert
-	// reservations are carried by the cache-wide counter only); protBytes
-	// is the subset linked into the protected segment.
-	bytes     atomic.Int64
-	protBytes atomic.Int64
-}
-
-// depShard is one stripe of the dependency table.
-type depShard struct {
-	mu sync.Mutex
-	// deps: template SQL -> template group (instances + probe indexes).
-	deps map[string]*depTemplate
 }
 
 // Cache is the page cache. It is safe for concurrent use.
 type Cache struct {
-	opts Options
-	mask uint32 // shard count - 1 (power of two)
-
-	pageShards []pageShard
-	depShards  []depShard
-
-	// seq orders entries globally for replacement; entries counts pages
-	// across all shards (including slots reserved by in-flight inserts),
-	// so the MaxEntries bound is never exceeded.
-	seq     atomic.Uint64
-	entries atomic.Int64
-
-	// bytesUsed is the byte-budget authority: the summed cost of linked
-	// entries plus in-flight insert reservations, CAS-reserved before an
-	// entry is built into the tables so the MaxBytes bound is never
-	// exceeded, even transiently.
-	bytesUsed atomic.Int64
-
-	// epoch counts invalidation events (write invalidations and flushes,
-	// local or peer-applied). It is bumped BEFORE the sweep starts, so an
-	// inserter that observes an unchanged epoch across its generate+insert
-	// window knows no sweep it could have raced has run yet — any later
-	// sweep will see the inserted entry. The weave's single-flight uses this
-	// to keep the §3.2 guarantee across the insert-after-read window: a
-	// page (or fragment) inserted while an invalidation swept is discarded
-	// instead of shared.
-	epoch atomic.Uint64
-
-	// recent retains the prepared write behind each recent epoch (nil for a
-	// flush) so StaleSince can test an inserter's dependency set against
-	// exactly the sweeps that raced its window, instead of discarding on
-	// every concurrent write.
-	recentMu sync.Mutex
-	recent   [recentWriteWindow]recentWrite
-
-	// admit is the TinyLFU admission filter (nil unless Options.Admission):
-	// touched on every lookup, consulted when a reservation needs to evict.
-	admit *tinylfu.Filter
+	opts  Options
+	store *Store[*pageVal]
 
 	// gzipCompressions counts compressor runs (once per variant-building
-	// insert); variantBytes tracks resident gzip payload, added when an
-	// entry links and credited when it unlinks.
+	// insert).
 	gzipCompressions atomic.Uint64
-	variantBytes     atomic.Int64
-
-	hits             atomic.Uint64
-	misses           atomic.Uint64
-	inserts          atomic.Uint64
-	invalidations    atomic.Uint64
-	evictions        atomic.Uint64
-	evictionsProt    atomic.Uint64 // subset of evictions taken from the protected segment
-	expirations      atomic.Uint64
-	writesSeen       atomic.Uint64
-	admissionRejects atomic.Uint64
-	oversizeRejects  atomic.Uint64
 	demotions        atomic.Uint64
 	promotions       atomic.Uint64
 	promoteAborts    atomic.Uint64
@@ -502,87 +263,28 @@ type Cache struct {
 
 // New creates a cache. Options.Engine must be set.
 func New(opts Options) (*Cache, error) {
-	if opts.Engine == nil {
-		return nil, fmt.Errorf("cache: Options.Engine is required")
+	store, err := NewStore[*pageVal](StoreOptions{
+		Governance: Governance{
+			MaxEntries: opts.MaxEntries,
+			MaxBytes:   opts.MaxBytes,
+			Admission:  opts.Admission,
+			Shards:     opts.Shards,
+		},
+		Engine:      opts.Engine,
+		Replacement: opts.Replacement,
+		Clock:       opts.Clock,
+		ForceMiss:   opts.ForceMiss,
+		// Assume a small page when only the byte bound is known.
+		AssumedEntryBytes: 4096,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
-	if opts.Replacement == 0 {
-		opts.Replacement = LRU
-	}
-	switch opts.Replacement {
-	case LRU, LFU, FIFO:
-	default:
-		return nil, fmt.Errorf("cache: invalid replacement policy %d", int(opts.Replacement))
-	}
-	if opts.MaxEntries < 0 {
-		return nil, fmt.Errorf("cache: negative MaxEntries")
-	}
-	if opts.MaxBytes < 0 {
-		return nil, fmt.Errorf("cache: negative MaxBytes")
-	}
-	if opts.Admission && opts.MaxBytes <= 0 {
-		return nil, fmt.Errorf("cache: Admission requires MaxBytes (the filter gates byte-budget pressure)")
-	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("cache: negative Shards")
-	}
-	n := stripe.Count(opts.Shards)
-	c := &Cache{
-		opts:       opts,
-		mask:       uint32(n - 1),
-		pageShards: make([]pageShard, n),
-		depShards:  make([]depShard, n),
-	}
-	if opts.Admission {
-		c.admit = tinylfu.New(admissionCounters(opts))
-	}
-	for i := range c.pageShards {
-		c.pageShards[i].pages = make(map[string]*list.Element)
-		c.pageShards[i].order = list.New()
-		c.pageShards[i].prot = list.New()
-	}
-	for i := range c.depShards {
-		c.depShards[i].deps = make(map[string]*depTemplate)
-	}
+	c := &Cache{opts: opts, store: store}
 	if opts.L2 != nil {
-		// Rebuild the dependency links for disk-resident pages restored by
-		// the store's warm boot, so a write arriving before any promotion
-		// still finds and invalidates them. New() is single-threaded, so
-		// taking dependency shard locks directly is safe here.
-		opts.L2.Range(func(key string, deps []analysis.Query) {
-			for _, d := range deps {
-				c.addDepLocked(d, key)
-			}
-		})
+		c.attachL2()
 	}
 	return c, nil
-}
-
-// admissionCounters sizes the TinyLFU filter: track roughly as many keys as
-// the governed cache can plausibly hold, assuming a small page when only the
-// byte bound is known.
-func admissionCounters(opts Options) int {
-	if opts.MaxEntries > 0 {
-		return opts.MaxEntries
-	}
-	const assumedPage = 4096
-	return int(min(opts.MaxBytes/assumedPage, 1<<20))
-}
-
-// segmented reports whether probation/protected eviction is active: byte
-// governance is on and the policy has a notion of reuse to promote on.
-func (c *Cache) segmented() bool {
-	return c.opts.MaxBytes > 0 && c.opts.Replacement != FIFO
-}
-
-func (c *Cache) pageShard(key string) *pageShard {
-	return &c.pageShards[stripe.Hash(key)&c.mask]
-}
-
-func (c *Cache) depShard(tmpl string) *depShard {
-	return &c.depShards[stripe.Hash(tmpl)&c.mask]
 }
 
 // Engine returns the cache's analysis engine.
@@ -593,9 +295,6 @@ func (c *Cache) Engine() *analysis.Engine { return c.opts.Engine }
 // optimisations — like single-flight miss coalescing — that would skip the
 // handler executions the mode exists to measure.
 func (c *Cache) ForceMiss() bool { return c.opts.ForceMiss }
-
-// Shards returns the lock-stripe count.
-func (c *Cache) Shards() int { return len(c.pageShards) }
 
 // SetRemote attaches the cluster peer tier: from now on InvalidateWrite and
 // Flush also broadcast to peers (a nil r detaches). Peers applying a
@@ -613,97 +312,29 @@ func (c *Cache) loadRemote() RemoteInvalidator {
 	return nil
 }
 
-// hitEntry is the shared hit path behind Lookup and Export: find the live
-// entry, expire it if its TTL passed, bump the hit count and recency, and
-// maintain the counters. The returned entry is read-only for the caller —
-// its Body, ContentType, Deps and ExpiresAt are immutable after insert, so
-// reading them outside the shard lock is safe.
-func (c *Cache) hitEntry(key string) (*Entry, bool) {
-	// Every lookup — hit or miss — feeds the admission filter's frequency
-	// estimate, so a page's popularity is known before it is ever inserted.
-	if c.admit != nil {
-		c.admit.Touch(tinylfu.HashString(key))
-	}
-	now := c.opts.Clock()
-	s := c.pageShard(key)
-	s.mu.Lock()
-	el, present := s.pages[key]
-	if !present || c.opts.ForceMiss {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	e := el.Value.(*Entry)
-	if !e.ExpiresAt.IsZero() && now.After(e.ExpiresAt) {
-		c.removeEntryLocked(s, el)
-		s.mu.Unlock()
-		c.expirations.Add(1)
-		c.misses.Add(1)
-		return nil, false
-	}
-	e.hits++
-	// Recency only matters when eviction can happen; on an unbounded cache
-	// the list order is never consulted, so skip the global-sequence tick.
-	evictable := c.opts.MaxEntries > 0 || c.opts.MaxBytes > 0
-	if c.segmented() && !e.protected {
-		// First reuse: promote out of probation. The new list element is a
-		// one-time cost per entry; steady-state hits stay allocation-free.
-		s.order.Remove(el)
-		el = s.prot.PushBack(e)
-		s.pages[key] = el
-		e.protected = true
-		s.protBytes.Add(e.cost)
-		if c.opts.Replacement == LRU {
-			e.seq = c.seq.Add(1)
-		}
-	} else if c.opts.Replacement == LRU && evictable {
-		if e.protected {
-			s.prot.MoveToBack(el)
-		} else {
-			s.order.MoveToBack(el)
-		}
-		e.seq = c.seq.Add(1)
-	}
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return e, true
-}
-
 // Lookup returns the cached page for key, if present and not expired
 // (§3.1 "cache checks"). The returned Page is a zero-copy view of the
 // stored entry: its body is shared and immutable (see Page), so the hit
 // path performs no allocation.
 func (c *Cache) Lookup(key string) (Page, bool) {
-	e, ok := c.lookupEntry(key)
+	it, ok := c.lookup(key)
 	if !ok {
 		return Page{}, false
 	}
-	return e.page(), true
+	return it.Val.Page, true
 }
 
-// lookupEntry is hitEntry extended with the disk tier: an L1 miss probes
+// lookup is the store's Get extended with the disk tier: an L1 miss probes
 // L2 and promotes a hit back into L1 (see promote). The L1 hit path is
 // untouched — with or without a store attached it stays allocation-free.
 // A promoted serve still counts as an L1 miss; the store's own hit counter
 // records the tier that answered.
-func (c *Cache) lookupEntry(key string) (*Entry, bool) {
-	e, ok := c.hitEntry(key)
+func (c *Cache) lookup(key string) (*Item[*pageVal], bool) {
+	it, ok := c.store.Get(key)
 	if !ok && c.opts.L2 != nil && !c.opts.ForceMiss {
 		return c.promote(key)
 	}
-	return e, ok
-}
-
-// page is the zero-copy caller-facing view of the entry, variants included.
-func (e *Entry) page() Page {
-	return Page{
-		Body:        e.Body,
-		ContentType: e.ContentType,
-		Gzip:        e.Gzip,
-		ETag:        e.ETag,
-		BodyLen:     e.bodyLen,
-		GzipLen:     e.gzipLen,
-	}
+	return it, ok
 }
 
 // Export returns the full stored entry for key — page, dependency info and
@@ -712,13 +343,13 @@ func (e *Entry) page() Page {
 // like Lookup. The returned View shares the stored immutable slices; see
 // View for the ownership contract.
 func (c *Cache) Export(key string) (View, bool) {
-	e, ok := c.lookupEntry(key)
+	it, ok := c.lookup(key)
 	if !ok {
 		return View{}, false
 	}
-	v := View{Page: e.page(), Deps: e.Deps}
-	if !e.ExpiresAt.IsZero() {
-		v.TTL = e.ExpiresAt.Sub(c.opts.Clock())
+	v := View{Page: it.Val.Page, Deps: it.Deps}
+	if !it.ExpiresAt.IsZero() {
+		v.TTL = it.ExpiresAt.Sub(c.store.opts.Clock())
 	}
 	return v, true
 }
@@ -751,206 +382,28 @@ func (c *Cache) Insert(key string, body []byte, contentType string, deps []analy
 // regardless — the page just will not be found by later lookups. (The
 // cluster tier uses the flag to refuse replica offers it has no room for.)
 func (c *Cache) TryInsert(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) (Page, bool) {
-	now := c.opts.Clock()
-	e := &Entry{
-		Key:         key,
-		Body:        append([]byte(nil), body...),
-		ContentType: contentType,
-		Deps:        deps,
-		InsertedAt:  now,
-	}
-	// Variants are built on the private copy before costing, so the gzip
-	// payload and validator strings are charged against MaxBytes with the
-	// rest of the entry.
-	c.buildVariants(e)
-	e.cost = entryCost(key, body, deps) + variantCost(e)
+	v := &pageVal{Page: Page{Body: append([]byte(nil), body...), ContentType: contentType}}
+	var expiresAt time.Time
 	if ttl > 0 {
-		e.ExpiresAt = now.Add(ttl)
+		expiresAt = c.store.opts.Clock().Add(ttl)
 	}
-	stored := e.page()
-	s := c.pageShard(key)
-	// Replacing a resident key happens atomically under the shard lock,
-	// reusing the old entry's capacity slot AND its byte budget: only the
-	// cost delta is charged (before the old entry is unlinked, so at no
-	// instant is the key's budget released for a concurrent reservation to
-	// steal), the page never transiently vanishes for concurrent lookups,
-	// and a same-size regeneration at full budget needs no eviction, no
-	// admission duel, no innocent victim.
-	s.mu.Lock()
-	if old, exists := s.pages[key]; exists {
-		delta := e.cost - old.Value.(*Entry).cost
-		if delta <= 0 || c.chargeBytes(delta) {
-			c.unlinkEntryLocked(s, old)
-			if delta < 0 {
-				c.bytesUsed.Add(delta)
-			}
-			c.insertEntryLocked(s, e)
-			c.dropStaleL2Locked(key)
-			s.mu.Unlock()
-			c.inserts.Add(1)
-			return stored, true
-		}
-		// The replacement outgrows the resident entry plus the free budget
-		// and needs eviction (or is oversize): release the old entry and
-		// its slot, then take the slow path. The old entry staying gone is
-		// correct — it held the content this call is replacing.
-		c.detachEntryLocked(s, old)
-		c.entries.Add(-1)
-	}
-	s.mu.Unlock()
-	// Slow path: the byte reservation happens before any table is touched,
-	// so the accounted total can never exceed MaxBytes, even transiently.
-	if !c.reserveBytes(e.cost, key) {
-		return stored, false
-	}
-	c.reserveSlot()
-	s.mu.Lock()
-	if cur, exists := s.pages[key]; exists {
-		// A concurrent insert of the same key won the race; take over its
-		// slot and give back the one we reserved.
-		c.detachEntryLocked(s, cur)
-		c.entries.Add(-1)
-	}
-	c.insertEntryLocked(s, e)
-	c.dropStaleL2Locked(key)
-	s.mu.Unlock()
-	c.inserts.Add(1)
-	return stored, true
+	stored := c.store.Insert(c.item(key, v, deps, expiresAt))
+	return v.Page, stored
 }
 
-// chargeBytes claims cost bytes of the budget only if they fit without
-// eviction, reporting success. Safe to call while holding a shard lock —
-// it touches nothing but the atomic counter (unlike reserveBytes, whose
-// eviction scan locks shards).
-func (c *Cache) chargeBytes(cost int64) bool {
-	max := c.opts.MaxBytes
-	if max <= 0 {
-		c.bytesUsed.Add(cost)
-		return true
+// item builds the store entry for a page. Variants are built on the private
+// body copy before costing, so the gzip payload and validator strings are
+// charged against MaxBytes with the rest of the entry.
+func (c *Cache) item(key string, v *pageVal, deps []analysis.Query, expiresAt time.Time) Item[*pageVal] {
+	c.buildVariants(&v.Page)
+	return Item[*pageVal]{
+		Key:       key,
+		Val:       v,
+		Deps:      deps,
+		ExpiresAt: expiresAt,
+		Cost:      entryCost(key, v.Body, deps) + variantCost(&v.Page),
+		Extra:     int64(len(v.Gzip)),
 	}
-	for {
-		n := c.bytesUsed.Load()
-		if n+cost > max {
-			return false
-		}
-		if c.bytesUsed.CompareAndSwap(n, n+cost) {
-			return true
-		}
-	}
-}
-
-// insertEntryLocked links a fully-built entry (whose capacity slot and byte
-// cost are already accounted) into the shard and the dependency table. New
-// entries always start in the probation segment. The caller holds s.mu.
-func (c *Cache) insertEntryLocked(s *pageShard, e *Entry) {
-	e.seq = c.seq.Add(1)
-	s.pages[e.Key] = s.order.PushBack(e)
-	s.bytes.Add(e.cost)
-	if e.Gzip != nil {
-		c.variantBytes.Add(int64(len(e.Gzip)))
-	}
-	for _, d := range e.Deps {
-		c.addDepLocked(d, e.Key)
-	}
-}
-
-// reserveSlot claims one unit of capacity, evicting until a slot is free.
-// The claimed unit is released by removeEntryLocked when the entry (or, on
-// a replacement race, its predecessor) is removed.
-func (c *Cache) reserveSlot() {
-	max := int64(c.opts.MaxEntries)
-	if max <= 0 {
-		c.entries.Add(1)
-		return
-	}
-	for {
-		n := c.entries.Load()
-		if n < max {
-			if c.entries.CompareAndSwap(n, n+1) {
-				return
-			}
-			continue
-		}
-		if !c.evictOne() {
-			// Every slot is reserved by an in-flight insert; let them land.
-			runtime.Gosched()
-		}
-	}
-}
-
-// reserveBytes claims cost bytes of the MaxBytes budget for key's entry,
-// evicting replacement victims until the reservation fits. The CAS reserve
-// happens before the entry touches any table, so the accounted total never
-// exceeds the budget, even transiently. It returns false — and holds no
-// reservation — when the entry can never fit (cost > MaxBytes) or when the
-// admission filter sides with a victim: the candidate must beat every
-// victim it would displace, so one-hit wonders cannot churn the hot set.
-// The claimed bytes are credited back by detachEntryLocked at removal.
-func (c *Cache) reserveBytes(cost int64, key string) bool {
-	max := c.opts.MaxBytes
-	if max <= 0 {
-		c.bytesUsed.Add(cost)
-		return true
-	}
-	if cost > max {
-		c.oversizeRejects.Add(1)
-		return false
-	}
-	var keyHash uint64
-	hashed := false
-	for {
-		n := c.bytesUsed.Load()
-		if n+cost <= max {
-			if c.bytesUsed.CompareAndSwap(n, n+cost) {
-				return true
-			}
-			continue
-		}
-		v := c.pickVictim()
-		if v == nil {
-			// Every accounted byte belongs to an in-flight insert; let them
-			// link so victims exist.
-			runtime.Gosched()
-			continue
-		}
-		if c.admit != nil {
-			if !hashed {
-				keyHash = tinylfu.HashString(key)
-				hashed = true
-			}
-			if !c.admit.Admit(keyHash, tinylfu.HashString(v.key)) {
-				c.admissionRejects.Add(1)
-				return false
-			}
-		}
-		c.evictPick(v)
-	}
-}
-
-// addDepLocked registers one (template, vector) -> page link. The caller
-// holds the page's shard lock; the dependency shard lock nests inside it.
-func (c *Cache) addDepLocked(d analysis.Query, pageKey string) {
-	ds := c.depShard(d.SQL)
-	ds.mu.Lock()
-	dt := ds.deps[d.SQL]
-	if dt == nil {
-		// The template info (and its probe predicates) is memoised in
-		// the engine; an unparseable template degrades to unindexed.
-		info, err := c.opts.Engine.Template(d.SQL)
-		if err != nil {
-			info = nil
-		}
-		dt = newDepTemplate(info)
-		ds.deps[d.SQL] = dt
-	}
-	ak := argsKey(d.Args)
-	inst := dt.instances[ak]
-	if inst == nil {
-		inst = &depInstance{query: d, pages: make(map[string]bool)}
-		dt.addInstance(ak, inst)
-	}
-	inst.pages[pageKey] = true
-	ds.mu.Unlock()
 }
 
 // InvalidateWrite removes every cached page whose dependency set intersects
@@ -960,16 +413,14 @@ func (c *Cache) addDepLocked(d analysis.Query, pageKey string) {
 // returns the number of pages invalidated locally. The write should have
 // been captured with Engine.CaptureWrite before the write executed.
 func (c *Cache) InvalidateWrite(w analysis.WriteCapture) (int, error) {
-	n, err := c.InvalidateWriteLocal(w)
+	n, err := c.store.InvalidateWrite(w)
 	if err != nil {
 		return n, err
 	}
 	if r := c.loadRemote(); r != nil {
-		if berr := r.BroadcastWrite(w); berr != nil {
-			// The local sweep already ran; the error (strict cluster mode)
-			// names the peers that missed the broadcast.
-			return n, berr
-		}
+		// The local sweep already ran; an error here (strict cluster mode)
+		// names the peers that missed the broadcast.
+		return n, r.BroadcastWrite(w)
 	}
 	return n, nil
 }
@@ -979,156 +430,17 @@ func (c *Cache) InvalidateWrite(w analysis.WriteCapture) (int, error) {
 // arrive FROM a peer (broadcasting those again would echo forever) and for
 // callers that manage fan-out themselves.
 func (c *Cache) InvalidateWriteLocal(w analysis.WriteCapture) (int, error) {
-	// Snapshot the dependency instances shard by shard, then run the
-	// (potentially extra-query-backed) intersection tests outside all locks
-	// so concurrent lookups are not serialised behind the analysis.
-	type candidate struct {
-		query analysis.Query
-		pages []string
-	}
-	pw, err := c.opts.Engine.PrepareWrite(w)
-	if err != nil {
-		return 0, err
-	}
-	c.writesSeen.Add(1)
-	// The epoch bump precedes the sweep (see the epoch field): an inserter
-	// whose post-insert epoch check sees no change is guaranteed this sweep
-	// had not started when it checked, so the sweep covers its entry. The
-	// prepared write is retained so StaleSince can test raced inserts
-	// precisely.
-	c.recordEvent(c.epoch.Add(1), pw)
-	// ColumnOnly deliberately ignores bound values, so the value-based
-	// probe index must not narrow its candidate set.
-	useProbes := c.opts.Engine.Strategy() != analysis.StrategyColumnOnly
-
-	var candidates []candidate
-	for i := range c.depShards {
-		ds := &c.depShards[i]
-		ds.mu.Lock()
-		for tmpl, dt := range ds.deps {
-			dep, derr := c.opts.Engine.PossiblyDependent(tmpl, w.SQL)
-			if derr != nil {
-				ds.mu.Unlock()
-				return 0, derr
-			}
-			if !dep {
-				continue
-			}
-			collect := func(inst *depInstance) {
-				cand := candidate{query: inst.query, pages: make([]string, 0, len(inst.pages))}
-				for page := range inst.pages {
-					cand.pages = append(cand.pages, page)
-				}
-				candidates = append(candidates, cand)
-			}
-			probed := false
-			if useProbes && dt.info != nil {
-				if p, hasProbe := dt.info.Probes[pw.Table()]; hasProbe {
-					if keys, bounded := pw.ProbeKeys(p.Col); bounded {
-						seen := make(map[*depInstance]bool)
-						for _, key := range keys {
-							for _, inst := range dt.probeIdx[pw.Table()][key] {
-								if !seen[inst] {
-									seen[inst] = true
-									collect(inst)
-								}
-							}
-						}
-						probed = true
-					}
-				}
-			}
-			if !probed {
-				for _, inst := range dt.instances {
-					collect(inst)
-				}
-			}
-		}
-		ds.mu.Unlock()
-	}
-
-	victims := make(map[string]bool)
-	for _, cand := range candidates {
-		hit, err := pw.Intersects(cand.query)
-		if err != nil {
-			return 0, err
-		}
-		if !hit {
-			continue
-		}
-		for _, page := range cand.pages {
-			victims[page] = true
-		}
-	}
-
-	n := 0
-	for key := range victims {
-		s := c.pageShard(key)
-		s.mu.Lock()
-		el, inL1 := s.pages[key]
-		if inL1 {
-			c.removeEntryLocked(s, el)
-			c.invalidations.Add(1)
-			n++
-		}
-		if c.opts.L2 != nil {
-			// Tombstone the disk copy under the same shard lock that removed
-			// the L1 entry, so a racing promotion's locked recheck cannot
-			// slip a stale body back in between the two removals.
-			if deps, was := c.opts.L2.Remove(key); was && !inL1 {
-				c.unlinkDeps(key, deps)
-				c.invalidations.Add(1)
-				n++
-			}
-		}
-		s.mu.Unlock()
-	}
-	if c.opts.L2 != nil {
-		// §3.2 across restarts: the tombstones must be durable before the
-		// writer's response is released, or a crash could resurrect the
-		// swept pages at the next boot.
-		if err := c.opts.L2.Sync(); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return c.store.InvalidateWrite(w)
 }
 
 // InvalidateKey removes a single page, if present. It returns true when a
 // page was removed. This is the developer-facing escape hatch the paper's
 // §8 describes for externally-driven invalidation (e.g. database triggers).
-func (c *Cache) InvalidateKey(key string) bool {
-	s := c.pageShard(key)
-	s.mu.Lock()
-	el, inL1 := s.pages[key]
-	if inL1 {
-		c.removeEntryLocked(s, el)
-	}
-	removed := inL1
-	if c.opts.L2 != nil {
-		if deps, was := c.opts.L2.Remove(key); was {
-			if !inL1 {
-				c.unlinkDeps(key, deps)
-			}
-			removed = true
-		}
-	}
-	s.mu.Unlock()
-	if !removed {
-		return false
-	}
-	if c.opts.L2 != nil {
-		_ = c.opts.L2.Sync()
-	}
-	c.invalidations.Add(1)
-	return true
-}
+func (c *Cache) InvalidateKey(key string) bool { return c.store.Remove(key) }
 
 // Flush empties the cache, then broadcasts the flush to the attached
-// cluster peers, if any. Entries are removed shard by shard through the
-// regular removal path, so the dependency table stays consistent; pages
-// inserted concurrently with the flush may survive, as they would had they
-// been inserted just after it.
+// cluster peers, if any. Pages inserted concurrently with the flush may
+// survive, as they would had they been inserted just after it.
 func (c *Cache) Flush() {
 	c.FlushLocal()
 	if r := c.loadRemote(); r != nil {
@@ -1142,7 +454,6 @@ func (c *Cache) Flush() {
 // FlushLocal empties this process's cache without broadcasting — the entry
 // point for flushes arriving from a peer.
 func (c *Cache) FlushLocal() {
-	c.recordEvent(c.epoch.Add(1), nil)
 	// The flushing flag closes the tier-crossing races for the duration of
 	// the two-phase sweep: an eviction demoting a pre-flush page after the
 	// store flush, or a promotion re-linking a disk copy into an
@@ -1153,370 +464,59 @@ func (c *Cache) FlushLocal() {
 	// whichever phase comes after it.
 	c.flushing.Add(1)
 	defer c.flushing.Add(-1)
-	for i := range c.pageShards {
-		s := &c.pageShards[i]
-		s.mu.Lock()
-		for s.order.Front() != nil {
-			c.removeEntryLocked(s, s.order.Front())
-		}
-		for s.prot.Front() != nil {
-			c.removeEntryLocked(s, s.prot.Front())
-		}
-		s.mu.Unlock()
-	}
+	c.store.Flush()
 	if c.opts.L2 != nil {
 		// Disk tier second: any demotion that slipped in ahead of the flag
 		// left its L1 entry removed above and its disk copy dies here, with
 		// the flush marker made durable before FlushAll returns.
 		if dropped, err := c.opts.L2.FlushAll(); err == nil {
-			for _, d := range dropped {
-				s := c.pageShard(d.Key)
-				s.mu.Lock()
-				if _, inL1 := s.pages[d.Key]; !inL1 {
-					c.unlinkDeps(d.Key, d.Deps)
-				}
-				s.mu.Unlock()
-			}
+			c.store.forget(dropped)
 		}
 	}
 }
 
-// Epoch returns the invalidation-event counter: it advances at the start of
-// every write-invalidation sweep and flush (local or peer-applied; single-key
-// InvalidateKey removals do not count — they cannot make an unrelated
-// in-flight page stale). An inserter that reads the epoch before generating
-// an entry and sees it unchanged after inserting knows no sweep overlapped
-// its window; on a change, StaleSince decides whether any raced sweep
-// actually intersects the entry's dependencies.
-func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
-
-// recentWriteWindow is how many recent invalidation events the cache
-// retains for StaleSince. Deeper than any plausible number of writes racing
-// one page generation; an inserter whose window outlived the ring is judged
-// stale conservatively.
-const recentWriteWindow = 256
-
-// recentWrite is one retained invalidation event: the sweep's prepared
-// write, or nil for a flush (stale for every dependency set).
-type recentWrite struct {
-	epoch uint64
-	pw    *analysis.PreparedWrite
-}
-
-// recordEvent retains one invalidation event under its (already bumped)
-// epoch. pw == nil marks a flush.
-func (c *Cache) recordEvent(epoch uint64, pw *analysis.PreparedWrite) {
-	c.recentMu.Lock()
-	c.recent[epoch%recentWriteWindow] = recentWrite{epoch: epoch, pw: pw}
-	c.recentMu.Unlock()
-}
+// Epoch returns the invalidation-event counter (see Store.Epoch). The
+// weave's single-flight reads it before generating a page (or fragment) and
+// asks StaleSince after inserting, so an entry inserted while an
+// invalidation swept is discarded instead of shared.
+func (c *Cache) Epoch() uint64 { return c.store.Epoch() }
 
 // StaleSince reports whether an entry whose generate+insert window started
-// at epoch0 (and whose insert has completed) may have escaped an
-// invalidation sweep it depended on: it tests deps against the prepared
-// write of every epoch in (epoch0, now]. Sweeps that start after the insert
-// see the entry in the tables, so only that interval matters. Unknown
-// territory — a flush, an evicted ring slot, an analysis error — reports
-// stale; over-invalidation is always sound (§3.2).
+// at epoch0 may have escaped an invalidation sweep it depended on (see
+// Store.StaleSince).
 func (c *Cache) StaleSince(epoch0 uint64, deps []analysis.Query) bool {
-	cur := c.epoch.Load()
-	if cur == epoch0 {
-		return false
-	}
-	if cur-epoch0 > recentWriteWindow {
-		return true
-	}
-	raced := make([]*analysis.PreparedWrite, 0, cur-epoch0)
-	c.recentMu.Lock()
-	for e := epoch0 + 1; e <= cur; e++ {
-		rw := c.recent[e%recentWriteWindow]
-		if rw.epoch != e || rw.pw == nil {
-			c.recentMu.Unlock()
-			return true
-		}
-		raced = append(raced, rw.pw)
-	}
-	c.recentMu.Unlock()
-	for _, pw := range raced {
-		for _, d := range deps {
-			hit, err := pw.Intersects(d)
-			if err != nil || hit {
-				return true
-			}
-		}
-	}
-	return false
+	return c.store.StaleSince(epoch0, deps)
 }
 
 // Len returns the current number of cached pages.
-func (c *Cache) Len() int {
-	return int(c.entries.Load())
-}
+func (c *Cache) Len() int { return c.store.Len() }
 
 // Bytes returns the accounted memory currently charged against MaxBytes:
 // every linked entry's cost plus in-flight insert reservations.
-func (c *Cache) Bytes() int64 {
-	return c.bytesUsed.Load()
-}
+func (c *Cache) Bytes() int64 { return c.store.Bytes() }
 
-// ShardBytes returns the per-shard accounted byte counters — the summed
-// cost of the entries linked into each shard (in-flight reservations are
-// carried only by the cache-wide counter, so the slice sums to at most
-// Bytes). Diagnostic: a skewed distribution means a hot key-space region.
-func (c *Cache) ShardBytes() []int64 {
-	out := make([]int64, len(c.pageShards))
-	for i := range c.pageShards {
-		out[i] = c.pageShards[i].bytes.Load()
-	}
-	return out
-}
+// ShardBytes returns the per-shard accounted byte counters (see
+// Store.ShardBytes).
+func (c *Cache) ShardBytes() []int64 { return c.store.ShardBytes() }
 
 // Contains reports whether key is cached (without touching recency state or
 // hit/miss counters). Expired entries report false.
-func (c *Cache) Contains(key string) bool {
-	now := c.opts.Clock()
-	s := c.pageShard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.pages[key]
-	if !ok {
-		return false
-	}
-	e := el.Value.(*Entry)
-	return e.ExpiresAt.IsZero() || !now.After(e.ExpiresAt)
-}
+func (c *Cache) Contains(key string) bool { return c.store.Contains(key) }
 
 // Snapshot returns a point-in-time copy of the cache counters — the
 // canonical stats accessor shared by every layer (weave, cache, qrcache,
 // cluster all expose Snapshot()); the telemetry collectors consume it.
 func (c *Cache) Snapshot() Stats {
 	st := Stats{
-		Hits:               c.hits.Load(),
-		Misses:             c.misses.Load(),
-		Inserts:            c.inserts.Load(),
-		Invalidations:      c.invalidations.Load(),
-		Evictions:          c.evictions.Load(),
-		EvictionsProtected: c.evictionsProt.Load(),
-		Expirations:        c.expirations.Load(),
-		WritesSeen:         c.writesSeen.Load(),
-		AdmissionRejects:   c.admissionRejects.Load(),
-		OversizeRejects:    c.oversizeRejects.Load(),
-		GzipCompressions:   c.gzipCompressions.Load(),
-		Demotions:          c.demotions.Load(),
-		Promotions:         c.promotions.Load(),
-		PromoteAborts:      c.promoteAborts.Load(),
-		Entries:            int(c.entries.Load()),
-		Bytes:              c.bytesUsed.Load(),
-		VariantBytes:       c.variantBytes.Load(),
+		StoreStats:       c.store.Snapshot(),
+		GzipCompressions: c.gzipCompressions.Load(),
+		VariantBytes:     c.store.extra.Load(),
+		Demotions:        c.demotions.Load(),
+		Promotions:       c.promotions.Load(),
+		PromoteAborts:    c.promoteAborts.Load(),
 	}
 	if c.opts.L2 != nil {
 		st.L2 = c.opts.L2.Snapshot()
 	}
-	st.EvictionsProbation = st.Evictions - st.EvictionsProtected
-	for i := range c.pageShards {
-		s := &c.pageShards[i]
-		s.mu.Lock()
-		st.ProbationEntries += s.order.Len()
-		st.ProtectedEntries += s.prot.Len()
-		pb := s.protBytes.Load()
-		st.ProtectedBytes += pb
-		st.ProbationBytes += s.bytes.Load() - pb
-		s.mu.Unlock()
-	}
-	for i := range c.depShards {
-		ds := &c.depShards[i]
-		ds.mu.Lock()
-		st.DepTemplates += len(ds.deps)
-		for _, dt := range ds.deps {
-			st.DepInstances += len(dt.instances)
-		}
-		ds.mu.Unlock()
-	}
 	return st
 }
-
-// Stats is Snapshot under its historical name.
-func (c *Cache) Stats() Stats { return c.Snapshot() }
-
-// removeEntryLocked unlinks an entry from its shard's page table and order
-// list, releases its capacity slot, and clears its dependency links. The
-// caller holds s.mu; dependency shard locks nest inside it.
-func (c *Cache) removeEntryLocked(s *pageShard, el *list.Element) {
-	c.detachEntryLocked(s, el)
-	c.entries.Add(-1)
-}
-
-// detachEntryLocked is removeEntryLocked without releasing the capacity
-// slot, crediting the entry's byte cost back to the budget.
-func (c *Cache) detachEntryLocked(s *pageShard, el *list.Element) {
-	c.unlinkEntryLocked(s, el)
-	c.bytesUsed.Add(-el.Value.(*Entry).cost)
-}
-
-// unlinkEntryLocked removes an entry from the shard's lists, page map and
-// dependency table WITHOUT touching the cache-wide byte counter — the
-// replacement fast path uses it to hand the old entry's budget directly to
-// its successor. All other removals go through detachEntryLocked.
-func (c *Cache) unlinkEntryLocked(s *pageShard, el *list.Element) {
-	e := el.Value.(*Entry)
-	c.unlinkShardLocked(s, el, e)
-	c.unlinkDeps(e.Key, e.Deps)
-}
-
-// unlinkShardLocked is the shard-local half of unlinkEntryLocked: lists,
-// page map and per-shard byte counters, leaving the dependency table alone.
-// Demotion uses it directly — the disk copy keeps its dependency links, so
-// the dependency table stays the single source of truth for both tiers.
-func (c *Cache) unlinkShardLocked(s *pageShard, el *list.Element, e *Entry) {
-	if e.protected {
-		s.prot.Remove(el)
-		s.protBytes.Add(-e.cost)
-	} else {
-		s.order.Remove(el)
-	}
-	s.bytes.Add(-e.cost)
-	if e.Gzip != nil {
-		c.variantBytes.Add(-int64(len(e.Gzip)))
-	}
-	delete(s.pages, e.Key)
-}
-
-// unlinkDeps clears key's links from the given dependency instances,
-// dropping instances (and templates) that no longer back any page. Called
-// with a page shard lock held (dependency shard locks nest inside) or, for
-// keys resident in neither tier, with no page lock at all.
-func (c *Cache) unlinkDeps(key string, deps []analysis.Query) {
-	for _, d := range deps {
-		ds := c.depShard(d.SQL)
-		ds.mu.Lock()
-		if dt := ds.deps[d.SQL]; dt != nil {
-			ak := argsKey(d.Args)
-			if inst := dt.instances[ak]; inst != nil {
-				delete(inst.pages, key)
-				if len(inst.pages) == 0 {
-					dt.removeInstance(ak, inst)
-				}
-				if len(dt.instances) == 0 {
-					delete(ds.deps, d.SQL)
-				}
-			}
-		}
-		ds.mu.Unlock()
-	}
-}
-
-// pick identifies one eviction candidate found by a cross-shard scan.
-type pick struct {
-	shard *pageShard
-	key   string
-	hits  uint64
-	seq   uint64
-}
-
-// evictOne removes the globally-best victim under the replacement policy.
-// It reports whether a page was removed.
-func (c *Cache) evictOne() bool {
-	v := c.pickVictim()
-	if v == nil {
-		return false
-	}
-	return c.evictPick(v)
-}
-
-// pickVictim scans for the globally-best victim under the replacement
-// policy, locking one shard at a time: list fronts (LRU/FIFO) or full scans
-// (LFU) pick the candidate. Under segmented eviction the probation segment
-// is exhausted cluster-of-shards-wide before any protected entry is
-// considered, so pages with proven reuse survive one-hit churn. nil means
-// no linked entry exists anywhere.
-func (c *Cache) pickVictim() *pick {
-	if v := c.scanSegment(false); v != nil {
-		return v
-	}
-	if c.segmented() {
-		return c.scanSegment(true)
-	}
-	return nil
-}
-
-// scanSegment finds the best victim within one segment (probation or
-// protected) across all shards.
-func (c *Cache) scanSegment(protected bool) *pick {
-	var best *pick
-	better := func(p pick) bool {
-		if best == nil {
-			return true
-		}
-		if c.opts.Replacement == LFU && p.hits != best.hits {
-			return p.hits < best.hits
-		}
-		return p.seq < best.seq
-	}
-	for i := range c.pageShards {
-		s := &c.pageShards[i]
-		l := s.order
-		if protected {
-			l = s.prot
-		}
-		s.mu.Lock()
-		switch c.opts.Replacement {
-		case LRU, FIFO:
-			// LRU keeps each list in recency order (MoveToBack on hit
-			// refreshes seq; promotion re-sequences into the protected
-			// list's back); FIFO never reorders or promotes. Either way the
-			// list front carries the shard-minimal seq for its segment.
-			if el := l.Front(); el != nil {
-				e := el.Value.(*Entry)
-				if p := (pick{shard: s, key: e.Key, seq: e.seq}); better(p) {
-					best = &p
-				}
-			}
-		case LFU:
-			for el := l.Front(); el != nil; el = el.Next() {
-				e := el.Value.(*Entry)
-				if p := (pick{shard: s, key: e.Key, hits: e.hits, seq: e.seq}); better(p) {
-					best = &p
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	return best
-}
-
-// evictPick re-locks the picked shard and evicts the victim — demoting it
-// into the disk tier when one is attached. It reports whether a page was
-// removed.
-func (c *Cache) evictPick(best *pick) bool {
-	s := best.shard
-	s.mu.Lock()
-	// The victim may have been removed (or, for LRU, touched) since the
-	// scan; evicting whatever entry now holds the key is still sound — any
-	// resident entry is a valid victim — but a vanished key means retry.
-	el, ok := s.pages[best.key]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	e := el.Value.(*Entry)
-	fromProtected := e.protected
-	var dropped []l2.Dropped
-	if c.opts.L2 != nil {
-		dropped = c.demoteLocked(s, el, e)
-	} else {
-		c.removeEntryLocked(s, el)
-	}
-	c.evictions.Add(1)
-	if fromProtected {
-		c.evictionsProt.Add(1)
-	}
-	s.mu.Unlock()
-	// Keys the disk tier's byte budget pushed out ride back here; their
-	// dependency unlinking locks other page shards, so it must happen
-	// after this shard's lock is released.
-	c.processDropped(dropped)
-	return true
-}
-
-// argsKey renders a value vector as a map key.
-func argsKey(args []datasource.Value) string { return datasource.KeyOfValues(args) }

@@ -44,7 +44,7 @@ func TestLookupMissThenHit(t *testing.T) {
 	if !ok || string(pg.Body) != "<html>1</html>" || pg.ContentType != "text/html" {
 		t.Fatalf("hit: %v %q %q", ok, pg.Body, pg.ContentType)
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 || st.Entries != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -96,7 +96,7 @@ func TestInvalidateByWrite(t *testing.T) {
 	if !c.Contains("/view?b=2") {
 		t.Fatal("page b=2 should survive")
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Invalidations != 1 || st.WritesSeen != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -146,7 +146,7 @@ func TestPageWithMultipleDeps(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("n = %d", n)
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.DepTemplates != 0 || st.DepInstances != 0 {
 		t.Fatalf("dependency table not cleaned: %+v", st)
 	}
@@ -185,7 +185,7 @@ func TestTTLExpiry(t *testing.T) {
 	if _, ok := c.Lookup("/k"); ok {
 		t.Fatal("expected miss after expiry")
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Expirations != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -223,7 +223,7 @@ func TestFlush(t *testing.T) {
 	c.Insert("/a", []byte("1"), "text/html", []analysis.Query{dep("SELECT a FROM T WHERE b = ?", int64(1))}, 0)
 	c.Insert("/b", []byte("2"), "text/html", nil, 0)
 	c.Flush()
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Entries != 0 || st.DepTemplates != 0 {
 		t.Fatalf("stats after flush: %+v", st)
 	}
@@ -245,7 +245,7 @@ func TestCapacityLRU(t *testing.T) {
 	if !c.Contains("/p0") || !c.Contains("/p2") || !c.Contains("/p3") {
 		t.Fatal("wrong eviction victim")
 	}
-	if st := c.Stats(); st.Evictions != 1 || st.Entries != 3 {
+	if st := c.Snapshot(); st.Evictions != 1 || st.Entries != 3 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -307,6 +307,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Engine: e, Replacement: ReplacementPolicy(99)}); err == nil {
 		t.Error("expected error for bad policy")
 	}
+	if _, err := New(Options{Engine: e, Admission: true}); err == nil {
+		t.Error("expected error for Admission without MaxBytes")
+	}
 }
 
 func TestPolicyStrings(t *testing.T) {
@@ -344,7 +347,7 @@ func TestDepTableTracksInstances(t *testing.T) {
 	c := newTestCache(t, Options{})
 	c.Insert("/p1", []byte("1"), "text/html", []analysis.Query{dep("SELECT a FROM T WHERE b = ?", int64(1))}, 0)
 	c.Insert("/p2", []byte("2"), "text/html", []analysis.Query{dep("SELECT a FROM T WHERE b = ?", int64(2))}, 0)
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.DepTemplates != 1 {
 		t.Fatalf("templates: %d", st.DepTemplates)
 	}

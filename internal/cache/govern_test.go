@@ -1,11 +1,11 @@
 package cache
 
+// The page cache's own governance tests. The budget, segment, admission and
+// drain contracts are the store's and run once, in store_test.go.
+
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/memdb"
@@ -31,51 +31,15 @@ func depOn(i int) []analysis.Query {
 	return []analysis.Query{{SQL: "SELECT a FROM t WHERE b = ?", Args: []memdb.Value{int64(i)}}}
 }
 
-func TestAdmissionRequiresMaxBytes(t *testing.T) {
-	eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Options{Engine: eng, Admission: true}); err == nil {
-		t.Fatal("Admission without MaxBytes must be rejected")
-	}
-}
-
-func TestBytesAccounting(t *testing.T) {
+// TestPageCostIsCharged: what the page layer charges the store is entryCost —
+// body, key and dependency info — and a replacement swaps it.
+func TestPageCostIsCharged(t *testing.T) {
 	c := governedCache(t, Options{})
-	if c.Bytes() != 0 {
-		t.Fatalf("fresh cache bytes = %d", c.Bytes())
-	}
-	body := make([]byte, 1000)
-	c.Insert("/a", body, "text/html", depOn(1), 0)
-	want := entryCost("/a", body, depOn(1))
-	if got := c.Bytes(); got != want {
-		t.Fatalf("bytes after insert = %d, want %d", got, want)
-	}
-	if st := c.Stats(); st.Bytes != want {
-		t.Fatalf("Stats.Bytes = %d, want %d", st.Bytes, want)
-	}
-	// Replacement swaps the accounted cost, not accumulates it.
-	body2 := make([]byte, 500)
-	c.Insert("/a", body2, "text/html", depOn(1), 0)
-	want = entryCost("/a", body2, depOn(1))
-	if got := c.Bytes(); got != want {
-		t.Fatalf("bytes after replacement = %d, want %d", got, want)
-	}
-	// Removal credits everything back.
-	c.InvalidateKey("/a")
-	if got := c.Bytes(); got != 0 {
-		t.Fatalf("bytes after removal = %d, want 0", got)
-	}
-	// Per-shard counters sum to the linked total.
-	c.Insert("/a", body, "text/html", depOn(1), 0)
-	c.Insert("/b", body2, "text/html", depOn(2), 0)
-	var sum int64
-	for _, b := range c.ShardBytes() {
-		sum += b
-	}
-	if sum != c.Bytes() {
-		t.Fatalf("shard bytes sum %d != total %d", sum, c.Bytes())
+	for _, body := range [][]byte{make([]byte, 1000), make([]byte, 500)} {
+		c.Insert("/a", body, "text/html", depOn(1), 0)
+		if got, want := c.Bytes(), entryCost("/a", body, depOn(1)); got != want {
+			t.Fatalf("bytes after inserting %d-byte body = %d, want %d", len(body), got, want)
+		}
 	}
 }
 
@@ -111,7 +75,7 @@ func TestOversizeEntryServedNotCached(t *testing.T) {
 	if _, ok := c.Lookup("/big"); ok {
 		t.Fatal("oversize entry found in cache")
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.OversizeRejects != 1 {
 		t.Fatalf("OversizeRejects = %d, want 1", st.OversizeRejects)
 	}
@@ -123,88 +87,6 @@ func TestOversizeEntryServedNotCached(t *testing.T) {
 	big[0] = 'x'
 	if pg.Body[0] == 'x' {
 		t.Fatal("returned view aliases the caller's buffer")
-	}
-}
-
-func TestEvictionByBytesKeepsBudget(t *testing.T) {
-	const budget = 8192
-	c := governedCache(t, Options{MaxBytes: budget})
-	body := make([]byte, 1024)
-	for i := 0; i < 64; i++ {
-		c.Insert(fmt.Sprintf("/p?i=%d", i), body, "text/html", depOn(i), 0)
-		if got := c.Bytes(); got > budget {
-			t.Fatalf("insert %d: bytes %d exceed budget %d", i, got, budget)
-		}
-	}
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("no evictions under byte pressure")
-	}
-	if st.Entries == 0 {
-		t.Fatal("cache emptied itself")
-	}
-}
-
-func TestSegmentedEvictionProtectsReusedPages(t *testing.T) {
-	// Budget fits ~4 pages. Two pages get hits (promoted to protected);
-	// a stream of one-shot inserts must evict other probation pages, not
-	// the promoted ones.
-	body := make([]byte, 1024)
-	cost := entryCost("/hot?i=0", body, nil)
-	c := governedCache(t, Options{MaxBytes: 4 * cost, Replacement: LRU})
-	c.Insert("/hot?i=0", body, "text/html", nil, 0)
-	c.Insert("/hot?i=1", body, "text/html", nil, 0)
-	for i := 0; i < 3; i++ {
-		c.Lookup("/hot?i=0")
-		c.Lookup("/hot?i=1")
-	}
-	for i := 0; i < 20; i++ {
-		c.Insert(fmt.Sprintf("/cold?i=%d", i), body, "text/html", nil, 0)
-	}
-	for i := 0; i < 2; i++ {
-		if _, ok := c.Lookup(fmt.Sprintf("/hot?i=%d", i)); !ok {
-			t.Fatalf("protected page /hot?i=%d evicted by one-hit churn", i)
-		}
-	}
-}
-
-func TestAdmissionFilterRejectsColdCandidate(t *testing.T) {
-	body := make([]byte, 1024)
-	cost := entryCost("/hot?i=0", body, nil)
-	c := governedCache(t, Options{MaxBytes: 2 * cost, Admission: true, Replacement: LRU})
-	// Make two pages hot: repeated lookups feed the filter's sketch.
-	for i := 0; i < 2; i++ {
-		key := fmt.Sprintf("/hot?i=%d", i)
-		for j := 0; j < 8; j++ {
-			c.Lookup(key)
-		}
-		if _, stored := c.TryInsert(key, body, "text/html", nil, 0); !stored {
-			t.Fatalf("hot page %s rejected", key)
-		}
-	}
-	// A page never seen before must lose the admission duel at full budget.
-	pg, stored := c.TryInsert("/cold", body, "text/html", nil, 0)
-	if stored {
-		t.Fatal("one-hit wonder admitted over hot victims")
-	}
-	if len(pg.Body) != len(body) {
-		t.Fatal("rejected page not servable")
-	}
-	if st := c.Stats(); st.AdmissionRejects == 0 {
-		t.Fatalf("AdmissionRejects = 0: %+v", st)
-	}
-	for i := 0; i < 2; i++ {
-		if _, ok := c.Lookup(fmt.Sprintf("/hot?i=%d", i)); !ok {
-			t.Fatalf("hot page %d displaced", i)
-		}
-	}
-	// Once the cold page has been requested often enough, it out-scores a
-	// victim and gets in.
-	for j := 0; j < 32; j++ {
-		c.Lookup("/cold")
-	}
-	if _, stored := c.TryInsert("/cold", body, "text/html", nil, 0); !stored {
-		t.Fatal("now-hot page still rejected")
 	}
 }
 
@@ -225,198 +107,5 @@ func TestGovernedHitPathZeroAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Fatalf("governed hit path allocated %.2f/op, want 0", n)
-	}
-}
-
-// TestByteBudgetChurnStress is the tentpole invariant: under concurrent
-// insert/lookup/invalidate churn with byte governance and admission on, the
-// accounted bytes never exceed the budget at any observable instant, and
-// the books balance exactly when the dust settles.
-func TestByteBudgetChurnStress(t *testing.T) {
-	const budget = 64 << 10
-	c := governedCache(t, Options{MaxBytes: budget, Admission: true, Shards: 8, Replacement: LRU})
-	var over atomic.Int64
-	stop := make(chan struct{})
-	var watcher sync.WaitGroup
-	watcher.Add(1)
-	go func() {
-		defer watcher.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if b := c.Bytes(); b > budget {
-				over.Store(b)
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			body := make([]byte, 512+g*257)
-			for i := 0; i < 800; i++ {
-				k := (g*31 + i) % 200
-				key := fmt.Sprintf("/p?i=%d", k)
-				switch i % 5 {
-				case 0:
-					c.Insert(key, body, "text/html", depOn(k), 0)
-				case 1:
-					wcap := analysis.WriteCapture{Query: analysis.Query{
-						SQL:  "UPDATE t SET a = ? WHERE b = ?",
-						Args: []memdb.Value{int64(1), int64(k)},
-					}}
-					if _, err := c.InvalidateWrite(wcap); err != nil {
-						t.Error(err)
-						return
-					}
-				case 2:
-					c.InvalidateKey(key)
-				default:
-					c.Lookup(key)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	watcher.Wait()
-	if b := over.Load(); b > 0 {
-		t.Fatalf("accounted bytes %d exceeded budget %d during churn", b, budget)
-	}
-	if b := c.Bytes(); b > budget || b < 0 {
-		t.Fatalf("final bytes %d outside [0, %d]", b, budget)
-	}
-	// With no inserts in flight, the global counter must equal the summed
-	// shard counters (every reservation either linked or was credited back),
-	// and the budget respected per the books.
-	var sum int64
-	for _, b := range c.ShardBytes() {
-		sum += b
-	}
-	if sum != c.Bytes() {
-		t.Fatalf("books out of balance: shards sum %d, global %d", sum, c.Bytes())
-	}
-	c.FlushLocal()
-	if b := c.Bytes(); b != 0 {
-		t.Fatalf("bytes after flush = %d, want 0", b)
-	}
-}
-
-// TestByteAndEntryBoundsCompose checks both limits hold simultaneously.
-func TestByteAndEntryBoundsCompose(t *testing.T) {
-	body := make([]byte, 256)
-	cost := entryCost("/p?i=0", body, nil)
-	c := governedCache(t, Options{MaxEntries: 4, MaxBytes: 10 * cost})
-	for i := 0; i < 32; i++ {
-		c.Insert(fmt.Sprintf("/p?i=%d", i), body, "text/html", nil, 0)
-		if c.Len() > 4 {
-			t.Fatalf("entries %d exceed MaxEntries", c.Len())
-		}
-		if c.Bytes() > 10*cost {
-			t.Fatalf("bytes %d exceed MaxBytes", c.Bytes())
-		}
-	}
-}
-
-func TestFIFOSkipsSegmentation(t *testing.T) {
-	body := make([]byte, 512)
-	cost := entryCost("/p?i=0", body, nil)
-	c := governedCache(t, Options{MaxBytes: 3 * cost, Replacement: FIFO})
-	c.Insert("/p?i=0", body, "text/html", nil, 0)
-	c.Insert("/p?i=1", body, "text/html", nil, 0)
-	c.Insert("/p?i=2", body, "text/html", nil, 0)
-	// Hits must not shield the oldest page under FIFO.
-	c.Lookup("/p?i=0")
-	c.Lookup("/p?i=0")
-	c.Insert("/p?i=3", body, "text/html", nil, 0)
-	if _, ok := c.Lookup("/p?i=0"); ok {
-		t.Fatal("FIFO victim survived despite hits")
-	}
-	if _, ok := c.Lookup("/p?i=1"); !ok {
-		t.Fatal("wrong FIFO victim")
-	}
-}
-
-func TestTTLExpiryCreditsBytes(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := governedCache(t, Options{MaxBytes: 1 << 20, Clock: clock})
-	c.Insert("/ttl", make([]byte, 128), "text/html", nil, time.Second)
-	if c.Bytes() == 0 {
-		t.Fatal("no bytes accounted")
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Lookup("/ttl"); ok {
-		t.Fatal("expired entry served")
-	}
-	if b := c.Bytes(); b != 0 {
-		t.Fatalf("expired entry left %d accounted bytes", b)
-	}
-}
-
-// TestReplacementAtFullBudgetNeedsNoVictim: regenerating a resident key at
-// full budget reuses the old entry's freed bytes — no eviction of innocent
-// pages, and no admission duel the key could lose against itself.
-func TestReplacementAtFullBudgetNeedsNoVictim(t *testing.T) {
-	body := make([]byte, 1024)
-	cost := entryCost("/p?i=0", body, nil)
-	const n = 4
-	c := governedCache(t, Options{MaxBytes: n * cost, Admission: true, Replacement: LRU})
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("/p?i=%d", i)
-		if _, stored := c.TryInsert(key, body, "text/html", nil, 0); !stored {
-			t.Fatalf("initial insert %s rejected", key)
-		}
-	}
-	if c.Bytes() != n*cost {
-		t.Fatalf("budget not exactly full: %d != %d", c.Bytes(), n*cost)
-	}
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("/p?i=%d", i)
-		if _, stored := c.TryInsert(key, body, "text/html", nil, 0); !stored {
-			t.Fatalf("same-size replacement of %s rejected at full budget", key)
-		}
-	}
-	st := c.Stats()
-	if st.Evictions != 0 || st.AdmissionRejects != 0 || st.OversizeRejects != 0 {
-		t.Fatalf("replacement caused evictions/rejections: %+v", st)
-	}
-	if st.Entries != n || st.Bytes != n*cost {
-		t.Fatalf("accounting after replacements: %+v", st)
-	}
-	for i := 0; i < n; i++ {
-		if _, ok := c.Lookup(fmt.Sprintf("/p?i=%d", i)); !ok {
-			t.Fatalf("page %d lost during replacement", i)
-		}
-	}
-}
-
-// TestReplacementGrowingPastBudget: a replacement that outgrows the freed
-// budget takes the eviction path, and the accounted total stays bounded.
-func TestReplacementGrowingPastBudget(t *testing.T) {
-	small := make([]byte, 256)
-	big := make([]byte, 1024)
-	cost := entryCost("/p?i=0", small, nil)
-	const n = 4
-	c := governedCache(t, Options{MaxBytes: n * cost, Replacement: LRU})
-	for i := 0; i < n; i++ {
-		c.Insert(fmt.Sprintf("/p?i=%d", i), small, "text/html", nil, 0)
-	}
-	// Growing one entry forces others out, but never past the budget.
-	c.Insert("/p?i=0", big, "text/html", nil, 0)
-	if b := c.Bytes(); b > n*cost {
-		t.Fatalf("grown replacement exceeded budget: %d > %d", b, n*cost)
-	}
-	if _, ok := c.Lookup("/p?i=0"); !ok {
-		t.Fatal("grown replacement not stored")
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("growth fitted without eviction despite a full budget")
 	}
 }

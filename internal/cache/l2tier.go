@@ -1,177 +1,108 @@
 // Disk-tier (L2) movement for the page cache: demotion on eviction,
 // promotion on L1 miss, and the spill-on-shutdown path that makes a clean
-// restart warm.
+// restart warm. The tier reaches the governed store only through its
+// lower-tier seam (Store.tier/demote, Store.adopt, Store.forget — see store.go);
+// this file is the page-shaped half of that seam.
 //
-// Consistency across the tiers leans on two invariants:
+// Consistency across the tiers leans on two invariants, both kept by the
+// store:
 //
 //  1. The dependency table is the single source of truth for both tiers.
 //     Demotion keeps the entry's dependency links; an invalidation sweep
 //     finds disk-only keys through the same candidate scan as L1 keys and
-//     removes them from the store before the writer's response is released.
-//  2. Every transition for a key happens under that key's page shard lock:
-//     the sweep removes the L1 entry and tombstones the disk copy in one
-//     critical section, and a promotion re-checks the store (Contains)
+//     removes them from the disk store before the writer's response is
+//     released.
+//  2. Every transition for a key happens under that key's shard lock: the
+//     sweep removes the L1 entry and tombstones the disk copy in one
+//     critical section, and a promotion re-checks the disk record's LSN
 //     inside the same lock before linking into L1. A promotion racing a
 //     sweep therefore either linked early enough for the sweep to remove
 //     it, or observes the tombstone and aborts — a stale body can never
 //     slip back in behind a completed invalidation.
 //
-// Serving (without caching) a body read from the store needs no such
+// Serving (without caching) a body read from the disk store needs no such
 // recheck: the store's Get observed the record live, so any invalidation
 // of it had not yet returned to its writer when this lookup began — the
 // ordering §3.2 requires.
 package cache
 
 import (
-	"container/list"
-
+	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache/l2"
 )
+
+// attachL2 hangs the disk tier under the store and rebuilds the dependency
+// links for the disk-resident pages restored by its warm boot, so a write
+// arriving before any promotion still finds and invalidates them. Called
+// from New only: single-threaded, so no key shard lock is needed.
+func (c *Cache) attachL2() {
+	c.store.tier, c.store.demote = c.opts.L2, c.demote
+	c.opts.L2.Range(func(key string, deps []analysis.Query) {
+		for _, d := range deps {
+			c.store.addDep(d, key)
+		}
+	})
+}
+
+// demote moves an eviction victim into the disk tier instead of discarding
+// it. On any store refusal (oversize for the tier, store closed) it reports
+// kept=false and the store falls back to a plain removal. Called with the
+// key's shard lock held.
+func (c *Cache) demote(it *Item[*pageVal]) (kept bool, dropped []l2.Dropped) {
+	if c.flushing.Load() > 0 {
+		// A flush sweep is in progress: demoting now could land this page
+		// in the store after the flush has already emptied it, carrying a
+		// pre-flush body past the flush. Discard instead — the flush wanted
+		// every resident page gone anyway.
+		return false, nil
+	}
+	// When the record this entry was promoted from is still the store's
+	// newest for the key, no bytes need rewriting.
+	if it.Val.l2lsn == 0 || c.opts.L2.LSN(it.Key) != it.Val.l2lsn {
+		var err error
+		dropped, err = c.opts.L2.Put(it.Key, it.Val.Body, it.Val.ContentType, it.Deps, it.ExpiresAt)
+		if err != nil {
+			return false, nil
+		}
+	}
+	c.demotions.Add(1)
+	return true, dropped
+}
 
 // promote serves an L1 miss from the disk tier: read the record, rebuild
 // the entry (variants are derived locally, exactly like a cluster replica
 // fetch), and admit it into L1 under the same budget rules as any insert.
 // The promoted record stays live in the store; if the entry is later
-// demoted unchanged, the existing disk record is reused (Entry.l2lsn).
-func (c *Cache) promote(key string) (*Entry, bool) {
+// demoted unchanged, the existing disk record is reused (pageVal.l2lsn).
+func (c *Cache) promote(key string) (*Item[*pageVal], bool) {
 	rec, ok := c.opts.L2.Get(key)
 	if !ok {
 		if rec.Deps != nil {
 			// The probe itself retired a resident record (expired TTL or an
 			// unreadable body); clear its dependency links if the key is now
 			// resident in neither tier.
-			c.processDropped([]l2.Dropped{{Key: key, Deps: rec.Deps}})
+			c.store.forget([]l2.Dropped{{Key: key, Deps: rec.Deps}})
 		}
 		return nil, false
 	}
-	now := c.opts.Clock()
-	e := &Entry{
-		Key:         key,
-		Body:        rec.Body,
-		ContentType: rec.ContentType,
-		Deps:        rec.Deps,
-		InsertedAt:  now,
-		ExpiresAt:   rec.ExpiresAt,
-		l2lsn:       rec.LSN,
-	}
-	c.buildVariants(e)
-	e.cost = entryCost(key, e.Body, e.Deps) + variantCost(e)
-
-	s := c.pageShard(key)
-	s.mu.Lock()
-	if el, exists := s.pages[key]; exists {
-		// A concurrent insert or promotion landed first; its entry is at
-		// least as fresh as the record just read.
-		resident := el.Value.(*Entry)
-		s.mu.Unlock()
-		return resident, true
-	}
-	s.mu.Unlock()
-	if !c.reserveBytes(e.cost, key) {
-		// The byte budget (or admission filter) refused the promotion: the
-		// body is still served, it just stays disk-resident — the same
-		// serve-but-don't-store contract as TryInsert.
-		return e, true
-	}
-	c.reserveSlot()
-	s.mu.Lock()
-	if el, exists := s.pages[key]; exists {
-		resident := el.Value.(*Entry)
-		c.bytesUsed.Add(-e.cost)
-		c.entries.Add(-1)
-		s.mu.Unlock()
-		return resident, true
-	}
-	if c.opts.L2.LSN(key) != rec.LSN || c.flushing.Load() > 0 {
-		// The record Get read is no longer the store's current one for the
-		// key — an invalidation, flush or segment drop retired it (LSN 0),
-		// or it was superseded by a fresh insert's demotion (newer LSN; a
-		// bare existence check would wrongly pass). Either way, linking the
-		// body now could resurrect it behind a completed sweep, so the
-		// promotion aborts; the lookup reports a miss and the caller
-		// regenerates. A flush in progress aborts for the same reason: this
-		// shard may already have been swept.
-		c.bytesUsed.Add(-e.cost)
-		c.entries.Add(-1)
-		s.mu.Unlock()
+	v := &pageVal{Page: Page{Body: rec.Body, ContentType: rec.ContentType}, l2lsn: rec.LSN}
+	// The record Get read may stop being the store's current one for the key
+	// before the entry links — an invalidation, flush or segment drop retired
+	// it (LSN 0), or a fresh insert's demotion superseded it (newer LSN; a
+	// bare existence check would wrongly pass). Linking the body then could
+	// resurrect it behind a completed sweep, so the promotion aborts; the
+	// lookup reports a miss and the caller regenerates. A flush in progress
+	// aborts for the same reason: this shard may already have been swept.
+	serve, linked := c.store.adopt(c.item(key, v, rec.Deps, rec.ExpiresAt), func() bool {
+		return c.opts.L2.LSN(key) == rec.LSN && c.flushing.Load() == 0
+	})
+	switch {
+	case serve == nil:
 		c.promoteAborts.Add(1)
-		return nil, false
+	case linked:
+		c.promotions.Add(1)
 	}
-	c.insertEntryLocked(s, e)
-	s.mu.Unlock()
-	c.promotions.Add(1)
-	return e, true
-}
-
-// demoteLocked moves an eviction victim into the disk tier instead of
-// discarding it, keeping its dependency links. On any store refusal
-// (oversize for the tier, store closed) it falls back to a plain removal.
-// The caller holds s.mu; the returned budget-dropped keys must be processed
-// after the lock is released.
-func (c *Cache) demoteLocked(s *pageShard, el *list.Element, e *Entry) []l2.Dropped {
-	if c.flushing.Load() > 0 {
-		// A flush sweep is in progress: demoting now could land this page
-		// in the store after the flush has already emptied it, carrying a
-		// pre-flush body past the flush. Discard instead — the flush wanted
-		// every resident page gone anyway.
-		c.removeEntryLocked(s, el)
-		return nil
-	}
-	if e.l2lsn != 0 && c.opts.L2.LSN(e.Key) == e.l2lsn {
-		// The record this entry was promoted from is still the store's
-		// newest for the key: no bytes need rewriting.
-		c.detachKeepDepsLocked(s, el, e)
-		c.demotions.Add(1)
-		return nil
-	}
-	dropped, err := c.opts.L2.Put(e.Key, e.Body, e.ContentType, e.Deps, e.ExpiresAt)
-	if err != nil {
-		c.removeEntryLocked(s, el)
-		return nil
-	}
-	c.detachKeepDepsLocked(s, el, e)
-	c.demotions.Add(1)
-	return dropped
-}
-
-// detachKeepDepsLocked releases an entry's L1 residence — lists, page map,
-// byte budget, capacity slot — while leaving its dependency links in place
-// for the disk copy. The caller holds s.mu.
-func (c *Cache) detachKeepDepsLocked(s *pageShard, el *list.Element, e *Entry) {
-	c.unlinkShardLocked(s, el, e)
-	c.bytesUsed.Add(-e.cost)
-	c.entries.Add(-1)
-}
-
-// processDropped clears the dependency links of keys the disk tier evicted
-// as a side effect (oldest-segment drop, expiry, unreadable record) — but
-// only when the key is resident in neither tier, which is re-checked under
-// the key's shard lock because the key may have been re-inserted or
-// re-demoted since the drop was reported. Must be called without any page
-// shard lock held.
-func (c *Cache) processDropped(dropped []l2.Dropped) {
-	for _, d := range dropped {
-		s := c.pageShard(d.Key)
-		s.mu.Lock()
-		_, inL1 := s.pages[d.Key]
-		if !inL1 && !c.opts.L2.Contains(d.Key) {
-			c.unlinkDeps(d.Key, d.Deps)
-		}
-		s.mu.Unlock()
-	}
-}
-
-// dropStaleL2Locked retires the disk record for a key that just got a
-// fresh L1 entry, so a crash before the new entry is ever demoted cannot
-// roll the key back to the older body at the next boot. The tombstone is
-// buffered (not fsync'd): losing it in a crash merely re-exposes a body
-// that was never invalidated. The caller holds the key's shard lock with
-// the new entry linked, so no dependency unlinking happens here.
-func (c *Cache) dropStaleL2Locked(key string) {
-	if c.opts.L2 == nil {
-		return
-	}
-	c.opts.L2.Remove(key)
+	return serve, serve != nil
 }
 
 // Close spills every resident L1 page into the disk tier and closes the
@@ -183,18 +114,6 @@ func (c *Cache) Close() error {
 	if c.opts.L2 == nil {
 		return nil
 	}
-	var dropped []l2.Dropped
-	for i := range c.pageShards {
-		s := &c.pageShards[i]
-		s.mu.Lock()
-		for _, l := range []*list.List{s.order, s.prot} {
-			for l.Front() != nil {
-				el := l.Front()
-				dropped = append(dropped, c.demoteLocked(s, el, el.Value.(*Entry))...)
-			}
-		}
-		s.mu.Unlock()
-	}
-	c.processDropped(dropped)
+	c.store.clear(true)
 	return c.opts.L2.Close()
 }

@@ -40,7 +40,7 @@ func TestL2DemoteAndPromote(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.Insert(l2Key(i), l2Body(i), "text/html", []analysis.Query{l2Dep(i)}, 0)
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Demotions == 0 {
 		t.Fatalf("byte pressure produced no demotions: %+v", st)
 	}
@@ -63,7 +63,7 @@ func TestL2DemoteAndPromote(t *testing.T) {
 	if !ok || !bytes.Equal(pg.Body, l2Body(victim)) {
 		t.Fatalf("disk-tier serve: ok=%v", ok)
 	}
-	st = c.Stats()
+	st = c.Snapshot()
 	if st.L2.Hits == 0 {
 		t.Fatalf("store answered but counted no hit: %+v", st.L2)
 	}
@@ -111,7 +111,7 @@ func TestL2InvalidateWriteSweepsDiskTier(t *testing.T) {
 		t.Fatal("invalidated page served from some tier")
 	}
 	// The dependency table must be clean for the swept key.
-	if st := c.Stats(); st.Invalidations == 0 {
+	if st := c.Snapshot(); st.Invalidations == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -143,7 +143,7 @@ func TestL2WarmRestartNoResurrection(t *testing.T) {
 			t.Fatalf("warm lookup %d: ok=%v", i, ok)
 		}
 	}
-	if st := c.Stats(); st.Promotions == 0 {
+	if st := c.Snapshot(); st.Promotions == 0 {
 		t.Fatalf("warm hits promoted nothing: %+v", st)
 	}
 
@@ -176,7 +176,7 @@ func TestL2FlushSweepsBothTiers(t *testing.T) {
 		c.Insert(l2Key(i), l2Body(i), "text/html", []analysis.Query{l2Dep(i)}, 0)
 	}
 	c.Flush()
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Entries != 0 || st.L2.Entries != 0 {
 		t.Fatalf("flush left residents: %+v", st)
 	}
@@ -221,14 +221,14 @@ func TestL2DrainBalancesToZero(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Demotions == 0 || st.GzipCompressions == 0 {
 		t.Fatalf("churn did not exercise the paths under audit: %+v", st)
 	}
 
 	// Drain: flush both tiers, then verify the ledger is exactly balanced.
 	c.Flush()
-	st = c.Stats()
+	st = c.Snapshot()
 	if st.Bytes != 0 {
 		t.Fatalf("Bytes leaked: %d after full drain", st.Bytes)
 	}
@@ -261,7 +261,7 @@ func TestCacheCloseSpillsWithoutPressure(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Insert(l2Key(i), l2Body(i), "text/html", []analysis.Query{l2Dep(i)}, 0)
 	}
-	if st := c.Stats(); st.Demotions != 0 {
+	if st := c.Snapshot(); st.Demotions != 0 {
 		t.Fatalf("premature demotions: %+v", st)
 	}
 	if err := c.Close(); err != nil {
@@ -277,7 +277,7 @@ func TestCacheCloseSpillsWithoutPressure(t *testing.T) {
 			t.Fatalf("spilled page %d not served warm: ok=%v", i, ok)
 		}
 	}
-	if st := c.Stats(); st.Promotions != 3 {
+	if st := c.Snapshot(); st.Promotions != 3 {
 		t.Fatalf("want 3 promotions, got %+v", st)
 	}
 }
@@ -330,7 +330,7 @@ func TestL2HitPathZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("L1 hit with a disk tier attached allocates %.1f/op, want 0", allocs)
 	}
-	if st := c.Stats(); st.L2.Hits+st.L2.Misses != 0 {
+	if st := c.Snapshot(); st.L2.Hits+st.L2.Misses != 0 {
 		t.Fatalf("hit path touched the store: %+v", st.L2)
 	}
 }

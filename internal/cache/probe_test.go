@@ -101,7 +101,7 @@ func TestForceMiss(t *testing.T) {
 	if _, ok := c.Lookup("/k"); ok {
 		t.Fatal("ForceMiss cache must never hit")
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -121,7 +121,7 @@ func TestProbeIndexCleanupOnRemoval(t *testing.T) {
 	dep := analysis.Query{SQL: "SELECT a FROM T WHERE b = ?", Args: []memdb.Value{int64(1)}}
 	c.Insert("/k", []byte("v"), "text/html", []analysis.Query{dep}, 0)
 	c.InvalidateKey("/k")
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.DepTemplates != 0 || st.DepInstances != 0 {
 		t.Fatalf("dependency table not cleaned: %+v", st)
 	}

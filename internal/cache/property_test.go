@@ -295,7 +295,7 @@ func runPropertyHarness(t *testing.T, opts Options, seed int64, writes int) (*Ca
 	close(stop)
 	wg.Wait()
 
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Hits == 0 || st.WritesSeen == 0 {
 		t.Fatalf("degenerate run: %+v", st)
 	}
@@ -347,7 +347,7 @@ func TestPropertyConsistencyTiered(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, u := runPropertyHarness(t, Options{MaxBytes: 8 << 10, L2: store}, seed, propWriteCount(t))
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Demotions == 0 || st.L2.Hits == 0 {
 		t.Fatalf("tiered run never exercised the disk tier: %+v", st)
 	}

@@ -1,0 +1,504 @@
+package cache
+
+// The governance contract, run once against the store both caches are built
+// on. The value type is a plain int: nothing here may depend on what is
+// stored. The page cache and the query-result cache keep only the tests of
+// what is their own (variants, tiers and views; canonicalisation and the
+// Conn interposition).
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"autowebcache/internal/analysis"
+	"autowebcache/internal/memdb"
+)
+
+func newStore(t *testing.T, opts StoreOptions) *Store[int] {
+	t.Helper()
+	if opts.Engine == nil {
+		eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Engine = eng
+	}
+	s, err := NewStore[int](opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// put inserts key at the given cost, depending on row k of table t.
+func put(s *Store[int], key string, cost int64, k int) bool {
+	return s.Insert(Item[int]{Key: key, Val: k, Cost: cost, Deps: depOn(k)})
+}
+
+func writeRow(k int) analysis.WriteCapture {
+	return analysis.WriteCapture{Query: analysis.Query{
+		SQL:  "UPDATE t SET a = ? WHERE b = ?",
+		Args: []memdb.Value{int64(1), int64(k)},
+	}}
+}
+
+func sumShards(s *Store[int]) int64 {
+	var sum int64
+	for _, b := range s.ShardBytes() {
+		sum += b
+	}
+	return sum
+}
+
+// governed is the table the contract runs over: every bound, alone and
+// composed, under every replacement policy.
+var governed = []struct {
+	name string
+	opts StoreOptions
+}{
+	{"bytes-lru", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 4}}},
+	{"bytes-lfu", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 4}, Replacement: LFU}},
+	{"bytes-fifo", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 4}, Replacement: FIFO}},
+	{"entries", StoreOptions{Governance: Governance{MaxEntries: 6, Shards: 4}}},
+	{"bytes+entries", StoreOptions{Governance: Governance{MaxEntries: 4, MaxBytes: 8 << 10, Shards: 4}}},
+	{"bytes+admission", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Admission: true, Shards: 4}, AssumedEntryBytes: 512}},
+	{"one-shard", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 1}}},
+}
+
+// checkBounds fails when either budget is exceeded.
+func checkBounds(t *testing.T, s *Store[int], when string) {
+	t.Helper()
+	if max := s.opts.MaxBytes; max > 0 && s.Bytes() > max {
+		t.Fatalf("%s: bytes %d exceed MaxBytes %d", when, s.Bytes(), max)
+	}
+	if max := s.opts.MaxEntries; max > 0 && s.Len() > max {
+		t.Fatalf("%s: entries %d exceed MaxEntries %d", when, s.Len(), max)
+	}
+}
+
+func TestStoreValidation(t *testing.T) {
+	eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]StoreOptions{
+		"no engine":                  {},
+		"negative MaxEntries":        {Engine: eng, Governance: Governance{MaxEntries: -1}},
+		"negative MaxBytes":          {Engine: eng, Governance: Governance{MaxBytes: -1}},
+		"negative Shards":            {Engine: eng, Governance: Governance{Shards: -1}},
+		"Admission without MaxBytes": {Engine: eng, Governance: Governance{Admission: true}},
+		"Admission with MaxEntries":  {Engine: eng, Governance: Governance{Admission: true, MaxEntries: 8}},
+		"unknown replacement policy": {Engine: eng, Replacement: ReplacementPolicy(99)},
+	} {
+		if _, err := NewStore[int](opts); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := NewStore[int](StoreOptions{Engine: eng}); err != nil {
+		t.Fatalf("zero governance rejected: %v", err)
+	}
+}
+
+// TestStoreAccounting: every transition moves exactly the entry's cost —
+// insert charges it, replacement swaps it, removal credits it — and the
+// per-shard books sum to the store-wide figure.
+func TestStoreAccounting(t *testing.T) {
+	s := newStore(t, StoreOptions{Governance: Governance{Shards: 4}})
+	if s.Bytes() != 0 || s.Len() != 0 {
+		t.Fatalf("fresh store: bytes=%d len=%d", s.Bytes(), s.Len())
+	}
+	put(s, "/a", 1000, 1)
+	if st := s.Snapshot(); st.Bytes != 1000 || st.Entries != 1 || st.Inserts != 1 {
+		t.Fatalf("after insert: %+v", st)
+	}
+	// A hit charges nothing further.
+	if it, ok := s.Get("/a"); !ok || it.Val != 1 {
+		t.Fatalf("get = %+v, %v", it, ok)
+	}
+	if s.Bytes() != 1000 {
+		t.Fatalf("hit changed accounted bytes to %d", s.Bytes())
+	}
+	// Replacement swaps the accounted cost, not accumulates it.
+	put(s, "/a", 500, 1)
+	if s.Bytes() != 500 || s.Len() != 1 {
+		t.Fatalf("after replacement: bytes=%d len=%d", s.Bytes(), s.Len())
+	}
+	put(s, "/b", 300, 2)
+	if sum := sumShards(s); sum != s.Bytes() {
+		t.Fatalf("shard bytes sum %d != total %d", sum, s.Bytes())
+	}
+	// Removal — by key, by write — credits everything back.
+	if !s.Remove("/a") || s.Remove("/a") {
+		t.Fatal("Remove must report exactly the first removal")
+	}
+	if n, err := s.InvalidateWrite(writeRow(2)); err != nil || n != 1 {
+		t.Fatalf("sweep removed %d, %v; want 1", n, err)
+	}
+	st := s.Snapshot()
+	if st.Bytes != 0 || st.Entries != 0 || st.DepTemplates != 0 || st.DepInstances != 0 {
+		t.Fatalf("store not drained: %+v", st)
+	}
+	if st.Invalidations != 2 || st.WritesSeen != 1 {
+		t.Fatalf("counters: %+v", st)
+	}
+}
+
+// TestStoreBudgetNeverExceeded is the tentpole invariant, for every row of
+// the governance table: neither bound is exceeded at any observable instant
+// — sequentially, through the two-phase Reserve/Commit path, and under
+// concurrent insert/lookup/sweep/remove churn — and when the dust settles
+// the books balance and a flush drains the store to zero.
+func TestStoreBudgetNeverExceeded(t *testing.T) {
+	for _, g := range governed {
+		t.Run(g.name, func(t *testing.T) {
+			s := newStore(t, g.opts)
+			for i := 0; i < 64; i++ {
+				put(s, fmt.Sprintf("/p?i=%d", i), 1024, i)
+				checkBounds(t, s, fmt.Sprintf("insert %d", i))
+			}
+			for i := 64; i < 128; i++ {
+				key := fmt.Sprintf("/p?i=%d", i)
+				if s.Reserve(key, 1024) {
+					checkBounds(t, s, fmt.Sprintf("reserve %d", i))
+					s.Commit(Item[int]{Key: key, Cost: 1024, Deps: depOn(i)})
+				}
+				checkBounds(t, s, fmt.Sprintf("commit %d", i))
+			}
+			st := s.Snapshot()
+			if st.Evictions+st.AdmissionRejects == 0 {
+				t.Fatal("no evictions or admission rejects under pressure")
+			}
+			if st.Entries == 0 {
+				t.Fatal("store emptied itself")
+			}
+
+			var over atomic.Int64
+			stop := make(chan struct{})
+			var watcher sync.WaitGroup
+			watcher.Add(1)
+			go func() {
+				defer watcher.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if max := s.opts.MaxBytes; max > 0 && s.Bytes() > max {
+						over.Store(s.Bytes())
+						return
+					}
+					if max := s.opts.MaxEntries; max > 0 && s.Len() > max {
+						over.Store(int64(s.Len()))
+						return
+					}
+				}
+			}()
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					cost := int64(512 + w*257)
+					for i := 0; i < 600; i++ {
+						k := (w*31 + i) % 200
+						key := fmt.Sprintf("/p?i=%d", k)
+						switch i % 5 {
+						case 0:
+							put(s, key, cost, k)
+						case 1:
+							if _, err := s.InvalidateWrite(writeRow(k)); err != nil {
+								t.Error(err)
+								return
+							}
+						case 2:
+							s.Remove(key)
+						default:
+							s.Get(key)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(stop)
+			watcher.Wait()
+			if v := over.Load(); v > 0 {
+				t.Fatalf("a bound was exceeded during churn (observed %d)", v)
+			}
+			checkBounds(t, s, "after churn")
+			// With no inserts in flight, every reservation either linked or
+			// was credited back.
+			if sum := sumShards(s); sum != s.Bytes() {
+				t.Fatalf("books out of balance: shards sum %d, global %d", sum, s.Bytes())
+			}
+			st = s.Snapshot()
+			if st.ProbationEntries+st.ProtectedEntries != st.Entries {
+				t.Fatalf("segments hold %d+%d entries, store %d", st.ProbationEntries, st.ProtectedEntries, st.Entries)
+			}
+			if st.ProbationBytes+st.ProtectedBytes != st.Bytes {
+				t.Fatalf("segments hold %d+%d bytes, store %d", st.ProbationBytes, st.ProtectedBytes, st.Bytes)
+			}
+			if st.EvictionsProbation+st.EvictionsProtected != st.Evictions {
+				t.Fatalf("eviction split %d+%d != total %d", st.EvictionsProbation, st.EvictionsProtected, st.Evictions)
+			}
+			s.Flush()
+			st = s.Snapshot()
+			if st.Bytes != 0 || st.Entries != 0 || st.DepTemplates != 0 || st.DepInstances != 0 || sumShards(s) != 0 {
+				t.Fatalf("flush did not drain the store: %+v", st)
+			}
+		})
+	}
+}
+
+// TestStoreSegmentOrder: inserts land in probation, a first hit moves the
+// entry (and its bytes) to protected exactly once, eviction drains probation
+// across all shards before it touches a protected entry, and every eviction
+// is attributed to its segment. FIFO has no notion of reuse and must not
+// segment at all.
+func TestStoreSegmentOrder(t *testing.T) {
+	for _, policy := range []ReplacementPolicy{LRU, LFU} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/%d-shards", policy, shards), func(t *testing.T) {
+				s := newStore(t, StoreOptions{
+					Governance:  Governance{MaxBytes: 8 * 1024, Shards: shards},
+					Replacement: policy,
+				})
+				put(s, "/hot?i=0", 1024, 0)
+				put(s, "/hot?i=1", 1024, 1)
+				st := s.Snapshot()
+				if st.ProbationEntries != 2 || st.ProtectedEntries != 0 || st.ProbationBytes != st.Bytes {
+					t.Fatalf("after inserts: %+v", st)
+				}
+				s.Get("/hot?i=0")
+				st = s.Snapshot()
+				if st.ProbationEntries != 1 || st.ProtectedEntries != 1 || st.ProtectedBytes != 1024 {
+					t.Fatalf("after first hit: %+v", st)
+				}
+				// Promotion is one-time: further hits move no bytes.
+				for i := 0; i < 3; i++ {
+					s.Get("/hot?i=0")
+					s.Get("/hot?i=1")
+				}
+				if st = s.Snapshot(); st.ProtectedEntries != 2 || st.ProtectedBytes != 2048 {
+					t.Fatalf("after re-hits: %+v", st)
+				}
+				// One-hit churn must be absorbed by probation.
+				for i := 0; i < 64; i++ {
+					put(s, fmt.Sprintf("/cold?i=%d", i), 1024, i+2)
+				}
+				st = s.Snapshot()
+				if st.Evictions == 0 || st.EvictionsProbation != st.Evictions || st.EvictionsProtected != 0 {
+					t.Fatalf("churn must evict from probation only: %+v", st)
+				}
+				for i := 0; i < 2; i++ {
+					if !s.Contains(fmt.Sprintf("/hot?i=%d", i)) {
+						t.Fatalf("protected entry %d evicted by one-hit churn", i)
+					}
+				}
+				// Removal from the protected segment credits its counter.
+				s.Remove("/hot?i=0")
+				s.Remove("/hot?i=1")
+				if st = s.Snapshot(); st.ProtectedEntries != 0 || st.ProtectedBytes != 0 {
+					t.Fatalf("after removal: %+v", st)
+				}
+			})
+		}
+	}
+	t.Run("FIFO", func(t *testing.T) {
+		s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: 3 * 512}, Replacement: FIFO})
+		for i := 0; i < 3; i++ {
+			put(s, fmt.Sprintf("/p?i=%d", i), 512, i)
+		}
+		// Hits must not shield the oldest entry under FIFO.
+		s.Get("/p?i=0")
+		s.Get("/p?i=0")
+		put(s, "/p?i=3", 512, 3)
+		if s.Contains("/p?i=0") {
+			t.Fatal("FIFO victim survived despite hits")
+		}
+		if !s.Contains("/p?i=1") {
+			t.Fatal("wrong FIFO victim")
+		}
+		if st := s.Snapshot(); st.ProtectedEntries != 0 {
+			t.Fatalf("FIFO promoted an entry: %+v", st)
+		}
+	})
+}
+
+// TestStoreAdmissionDuel: at a full budget a never-seen key loses to hot
+// victims — refused, nothing displaced — until it has been requested often
+// enough to out-score one.
+func TestStoreAdmissionDuel(t *testing.T) {
+	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: 2 * 1024, Admission: true}})
+	for i := 0; i < 2; i++ {
+		key := fmt.Sprintf("/hot?i=%d", i)
+		// Lookups — even misses — feed the filter's sketch.
+		for j := 0; j < 8; j++ {
+			s.Get(key)
+		}
+		if !put(s, key, 1024, i) {
+			t.Fatalf("hot key %s rejected", key)
+		}
+	}
+	if put(s, "/cold", 1024, 9) {
+		t.Fatal("one-hit wonder admitted over hot victims")
+	}
+	if s.Reserve("/cold", 1024) {
+		t.Fatal("two-phase insert bypassed the admission duel")
+	}
+	st := s.Snapshot()
+	if st.AdmissionRejects != 2 || st.Evictions != 0 || st.Bytes != 2*1024 {
+		t.Fatalf("after lost duels: %+v", st)
+	}
+	for i := 0; i < 2; i++ {
+		if !s.Contains(fmt.Sprintf("/hot?i=%d", i)) {
+			t.Fatalf("hot key %d displaced", i)
+		}
+	}
+	for j := 0; j < 32; j++ {
+		s.Get("/cold")
+	}
+	if !put(s, "/cold", 1024, 9) {
+		t.Fatal("now-hot key still rejected")
+	}
+}
+
+// TestStoreOversizeReject: an entry that can never fit is refused by both
+// insert paths without evicting anything or leaking accounting.
+func TestStoreOversizeReject(t *testing.T) {
+	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: 1024}})
+	put(s, "/small", 512, 1)
+	if put(s, "/big", 4096, 2) {
+		t.Fatal("oversize entry claimed stored")
+	}
+	if s.Reserve("/big", 1025) {
+		t.Fatal("oversize reservation granted")
+	}
+	st := s.Snapshot()
+	if st.OversizeRejects != 2 || st.Evictions != 0 || st.Bytes != 512 || st.Entries != 1 {
+		t.Fatalf("oversize rejects leaked: %+v", st)
+	}
+	if s.Contains("/big") || !s.Contains("/small") {
+		t.Fatal("oversize reject disturbed the store")
+	}
+}
+
+// TestStoreReplacement: regenerating a resident key at full budget reuses
+// the old entry's bytes — no eviction of innocent entries, no admission duel
+// the key could lose against itself — while a replacement that outgrows the
+// freed budget takes the eviction path, never past the budget.
+func TestStoreReplacement(t *testing.T) {
+	const n = 4
+	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: n * 1024, Admission: true}})
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			if !put(s, fmt.Sprintf("/p?i=%d", i), 1024, i) {
+				t.Fatalf("round %d: insert %d rejected at full budget", round, i)
+			}
+		}
+	}
+	st := s.Snapshot()
+	if st.Evictions != 0 || st.AdmissionRejects != 0 || st.Entries != n || st.Bytes != n*1024 {
+		t.Fatalf("same-size replacement disturbed the store: %+v", st)
+	}
+	// Shrinking credits the difference.
+	put(s, "/p?i=0", 256, 0)
+	if s.Bytes() != (n-1)*1024+256 {
+		t.Fatalf("bytes after shrink = %d", s.Bytes())
+	}
+
+	g := newStore(t, StoreOptions{Governance: Governance{MaxBytes: n * 256}})
+	for i := 0; i < n; i++ {
+		put(g, fmt.Sprintf("/p?i=%d", i), 256, i)
+	}
+	if !put(g, "/p?i=0", 768, 0) {
+		t.Fatal("grown replacement not stored")
+	}
+	if st := g.Snapshot(); st.Bytes > n*256 || st.Evictions == 0 || !g.Contains("/p?i=0") {
+		t.Fatalf("grown replacement: %+v", st)
+	}
+}
+
+// TestStoreAdoptResidentEvictsNothing: a promotion that finds its key already
+// resident (an insert or another promotion landed first) serves the resident
+// entry without reserving, so no innocent victim is evicted at a full budget.
+func TestStoreAdoptResidentEvictsNothing(t *testing.T) {
+	const n = 4
+	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: n * 1024}})
+	for i := 0; i < n; i++ {
+		put(s, fmt.Sprintf("/p?i=%d", i), 1024, i)
+	}
+	serve, linked := s.adopt(Item[int]{Key: "/p?i=0", Val: -1, Cost: 1024, Deps: depOn(0)},
+		func() bool { t.Fatal("current() consulted for a resident key"); return false })
+	if linked || serve == nil || serve.Val != 0 {
+		t.Fatalf("adopt over a resident key: serve=%+v linked=%v", serve, linked)
+	}
+	if st := s.Snapshot(); st.Evictions != 0 || st.Entries != n || st.Bytes != n*1024 {
+		t.Fatalf("adopt over a resident key disturbed the store: %+v", st)
+	}
+}
+
+// TestStoreExpiry: an expired entry is invisible, and the lookup that finds
+// it expired removes it and credits its bytes.
+func TestStoreExpiry(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := newStore(t, StoreOptions{
+		Governance: Governance{MaxBytes: 1 << 20},
+		Clock:      func() time.Time { return now },
+	})
+	s.Insert(Item[int]{Key: "/ttl", Cost: 128, ExpiresAt: now.Add(time.Second)})
+	if !s.Contains("/ttl") || s.Bytes() != 128 {
+		t.Fatal("fresh entry not visible")
+	}
+	now = now.Add(2 * time.Second)
+	if s.Contains("/ttl") {
+		t.Fatal("expired entry reported present")
+	}
+	if _, ok := s.Get("/ttl"); ok {
+		t.Fatal("expired entry served")
+	}
+	if st := s.Snapshot(); st.Bytes != 0 || st.Entries != 0 || st.Expirations != 1 || st.Misses != 1 {
+		t.Fatalf("after expiry: %+v", st)
+	}
+}
+
+// TestStoreEpochGuard: the read->insert window. A sweep or flush between an
+// inserter's epoch read and its insert is visible to StaleSince exactly when
+// it could have touched the entry's dependencies.
+func TestStoreEpochGuard(t *testing.T) {
+	s := newStore(t, StoreOptions{})
+	e0 := s.Epoch()
+	if s.StaleSince(e0, depOn(1)) {
+		t.Fatal("stale with no event")
+	}
+	if _, err := s.InvalidateWrite(writeRow(2)); err != nil {
+		t.Fatal(err)
+	}
+	if s.StaleSince(e0, depOn(1)) {
+		t.Fatal("a write to another row made the entry stale")
+	}
+	if !s.StaleSince(e0, depOn(2)) {
+		t.Fatal("a write to the entry's row went unnoticed")
+	}
+	e1 := s.Epoch()
+	s.Remove("/nothing")
+	if s.Epoch() != e1 {
+		t.Fatal("a single-key removal opened an epoch")
+	}
+	s.Flush()
+	if !s.StaleSince(e1, nil) {
+		t.Fatal("a flush must make every raced insert stale")
+	}
+	e2 := s.Epoch()
+	for i := 0; i <= recentWriteWindow; i++ {
+		if _, err := s.InvalidateWrite(writeRow(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.StaleSince(e2, depOn(1)) {
+		t.Fatal("a window that outlived the ring must be judged stale")
+	}
+}

@@ -154,7 +154,7 @@ func TestStressBoundedCapacity(t *testing.T) {
 			// The dependency table must stay consistent with the page table:
 			// flushing through the removal path must leave both empty.
 			c.Flush()
-			st := c.Stats()
+			st := c.Snapshot()
 			if st.Entries != 0 || st.DepTemplates != 0 || st.DepInstances != 0 {
 				t.Fatalf("tables inconsistent after stress + flush: %+v", st)
 			}
@@ -200,7 +200,7 @@ func TestStressCrossShardInvalidation(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("%d stale pages survived", c.Len())
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.DepTemplates != 0 || st.DepInstances != 0 {
 		t.Fatalf("dependency table not cleaned: %+v", st)
 	}

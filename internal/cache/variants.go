@@ -95,41 +95,41 @@ func strongETag(body []byte) string {
 	return string(out)
 }
 
-// buildVariants attaches the serve-path metadata to a freshly built entry:
+// buildVariants attaches the serve-path metadata to a freshly built page:
 // the once-per-insert gzip variant, the strong ETag and the precomputed
 // Content-Length strings. It is skipped entirely when neither knob is on,
 // so the historical insert path gains no work and no allocations. The
-// caller charges variantCost(e) into the entry's accounted size.
-func (c *Cache) buildVariants(e *Entry) {
+// caller charges variantCost(p) into the entry's accounted size.
+func (c *Cache) buildVariants(p *Page) {
 	if !c.opts.Gzip && !c.opts.ETags {
 		return
 	}
 	if c.opts.ETags {
-		e.ETag = strongETag(e.Body)
+		p.ETag = strongETag(p.Body)
 	}
 	min := c.opts.GzipMinBytes
 	if min <= 0 {
 		min = defaultGzipMinBytes
 	}
-	if c.opts.Gzip && len(e.Body) >= min {
+	if c.opts.Gzip && len(p.Body) >= min {
 		// Counted per compressor run, whether or not the result is kept:
 		// the exactly-once-per-insert contract is pinned on this counter.
 		c.gzipCompressions.Add(1)
-		if gz := compressOnce(e.Body); gz != nil && len(gz) < len(e.Body) {
-			e.Gzip = gz
-			e.gzipLen = strconv.Itoa(len(gz))
+		if gz := compressOnce(p.Body); gz != nil && len(gz) < len(p.Body) {
+			p.Gzip = gz
+			p.GzipLen = strconv.Itoa(len(gz))
 		}
 	}
-	e.bodyLen = strconv.Itoa(len(e.Body))
+	p.BodyLen = strconv.Itoa(len(p.Body))
 }
 
-// variantCost is the accounted byte size of an entry's variant metadata,
+// variantCost is the accounted byte size of a page's variant metadata,
 // charged against MaxBytes alongside entryCost — a budget sized for bodies
 // must not silently overshoot by the compressed copies riding with them.
-func variantCost(e *Entry) int64 {
-	if e.Gzip == nil && e.ETag == "" && e.bodyLen == "" {
+func variantCost(p *Page) int64 {
+	if p.Gzip == nil && p.ETag == "" && p.BodyLen == "" {
 		return 0
 	}
-	return variantOverhead + int64(len(e.Gzip)) + int64(len(e.ETag)) +
-		int64(len(e.bodyLen)) + int64(len(e.gzipLen))
+	return variantOverhead + int64(len(p.Gzip)) + int64(len(p.ETag)) +
+		int64(len(p.BodyLen)) + int64(len(p.GzipLen))
 }

@@ -316,8 +316,8 @@ func TestClusterChaosConsistency(t *testing.T) {
 	hits := uint64(0)
 	var gapFlushes uint64
 	for i, c := range caches {
-		hits += c.Stats().Hits
-		gapFlushes += nodes[i].Stats().GapFlushes
+		hits += c.Snapshot().Hits
+		gapFlushes += nodes[i].Snapshot().GapFlushes
 	}
 	if hits == 0 {
 		t.Fatal("degenerate run: no hits anywhere")

@@ -59,7 +59,7 @@ func newTnode(t *testing.T, name string, cfg Config) *tnode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc, err := qrcache.New(db, eng, 0)
+	qc, err := qrcache.New(db, eng, qrcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +224,14 @@ func TestClusterQueryCacheInvalidation(t *testing.T) {
 	nodes := newCluster(t, 2, Config{})
 	// Prime node 1's query-result cache via its handler.
 	nodes[1].get(t, "/stock?product=p5")
-	before := nodes[1].qc.Stats()
+	before := nodes[1].qc.Snapshot()
 	if before.Entries == 0 {
 		t.Fatal("query-result cache not primed")
 	}
 	// Write on node 0: the broadcast must remove node 1's dependent result
 	// set, not just its page.
 	nodes[0].get(t, "/restock?product=p5&units=1")
-	after := nodes[1].qc.Stats()
+	after := nodes[1].qc.Snapshot()
 	if after.Invalidations <= before.Invalidations {
 		t.Fatalf("peer query-result cache untouched: before=%+v after=%+v", before, after)
 	}
@@ -273,11 +273,11 @@ func TestClusterRemoteFetch(t *testing.T) {
 	if _, outcome := nodes[0].get(t, key); outcome != string(weave.OutcomeHit) {
 		t.Fatalf("replica outcome %q, want hit", outcome)
 	}
-	st := nodes[0].node.Stats()
+	st := nodes[0].node.Snapshot()
 	if st.RemoteHits != 1 {
 		t.Fatalf("node0 remote hits = %d: %+v", st.RemoteHits, st)
 	}
-	if ost := owner.node.Stats(); ost.GetsServed == 0 {
+	if ost := owner.node.Snapshot(); ost.GetsServed == 0 {
 		t.Fatalf("owner served no gets: %+v", ost)
 	}
 }
@@ -374,7 +374,7 @@ func TestClusterUnreachablePeerDegrades(t *testing.T) {
 	if body == "" {
 		t.Fatal("empty body")
 	}
-	if st := nodes[0].node.Stats(); st.FetchErrors == 0 && st.RemoteMisses == 0 {
+	if st := nodes[0].node.Snapshot(); st.FetchErrors == 0 && st.RemoteMisses == 0 {
 		t.Fatalf("degradation not accounted: %+v", st)
 	}
 }
@@ -406,7 +406,7 @@ func TestClusterLocalMode(t *testing.T) {
 	if clustered.cache.Contains("/stock?product=p1") {
 		t.Fatal("stale page after local-mode write")
 	}
-	st := clustered.node.Stats()
+	st := clustered.node.Snapshot()
 	if st.RemoteHits != 0 || st.FetchErrors != 0 || st.InvSent != 0 || st.InvBroadcastFailures != 0 {
 		t.Fatalf("local mode touched the network: %+v", st)
 	}

@@ -67,26 +67,26 @@ func TestOfferRespectsOwnerBudget(t *testing.T) {
 	// A replica bigger than B's whole budget: must be refused outright.
 	big := make([]byte, budget+1)
 	a.Offer(key, big, "text/html", nil, 0)
-	if st := a.Stats(); st.OffersRejected != 1 || st.OffersSent != 0 {
+	if st := a.Snapshot(); st.OffersRejected != 1 || st.OffersSent != 0 {
 		t.Fatalf("offering node stats: %+v", st)
 	}
-	if st := b.Stats(); st.PutsRejected != 1 || st.PutsApplied != 0 {
+	if st := b.Snapshot(); st.PutsRejected != 1 || st.PutsApplied != 0 {
 		t.Fatalf("owner stats: %+v", st)
 	}
 	if cb.Len() != 0 || cb.Bytes() != 0 {
 		t.Fatalf("owner stored the oversize replica: len=%d bytes=%d", cb.Len(), cb.Bytes())
 	}
-	if st := cb.Stats(); st.OversizeRejects != 1 {
+	if st := cb.Snapshot(); st.OversizeRejects != 1 {
 		t.Fatalf("owner cache stats: %+v", st)
 	}
 
 	// A replica that fits is accepted and accounted.
 	small := make([]byte, 256)
 	a.Offer(key, small, "text/html", nil, 0)
-	if st := a.Stats(); st.OffersSent != 1 {
+	if st := a.Snapshot(); st.OffersSent != 1 {
 		t.Fatalf("offering node stats after small offer: %+v", st)
 	}
-	if st := b.Stats(); st.PutsApplied != 1 {
+	if st := b.Snapshot(); st.PutsApplied != 1 {
 		t.Fatalf("owner stats after small offer: %+v", st)
 	}
 	if cb.Len() != 1 || cb.Bytes() > budget {
@@ -120,7 +120,7 @@ func TestOfferRejectedByAdmission(t *testing.T) {
 	// the admission filter sides with the resident victims.
 	key := keyOwnedBy(t, a.Ring(), b.Addr())
 	a.Offer(key, body, "text/html", nil, 0)
-	if st := b.Stats(); st.PutsRejected == 0 {
+	if st := b.Snapshot(); st.PutsRejected == 0 {
 		t.Fatalf("cold offer was not rejected: %+v", st)
 	}
 	for _, k := range hot {

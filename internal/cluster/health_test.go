@@ -149,7 +149,7 @@ func TestBreakerFailFast(t *testing.T) {
 	if _, ok := a.Fetch(t.Context(), key); ok {
 		t.Fatal("unexpected remote hit")
 	}
-	if st := a.Stats(); st.PeersHealthy != 1 || st.PeersDown != 0 {
+	if st := a.Snapshot(); st.PeersHealthy != 1 || st.PeersDown != 0 {
 		t.Fatalf("gauges before kill: %+v", st)
 	}
 
@@ -159,14 +159,14 @@ func TestBreakerFailFast(t *testing.T) {
 	if states := a.PeerStates(); states[bAddr] != StateDown {
 		t.Fatalf("peer states after kill: %v", states)
 	}
-	if st := a.Stats(); st.PeersDown != 1 {
+	if st := a.Snapshot(); st.PeersDown != 1 {
 		t.Fatalf("down gauge: %+v", st)
 	}
 
 	// Fail-fast: with the breaker open the fetch path must not dial at
 	// all. Allow a generous margin for a loaded CI box — the regression
 	// being guarded against is the 200ms CallTimeout (or a 2s default).
-	before := a.Stats().BreakerSkips
+	before := a.Snapshot().BreakerSkips
 	start := time.Now()
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
@@ -178,7 +178,7 @@ func TestBreakerFailFast(t *testing.T) {
 	if avg := elapsed / rounds; avg > time.Millisecond {
 		t.Fatalf("breaker-open fetch averaged %v, want < 1ms", avg)
 	}
-	if got := a.Stats().BreakerSkips; got < before+rounds {
+	if got := a.Snapshot().BreakerSkips; got < before+rounds {
 		t.Fatalf("breaker skips %d, want >= %d", got, before+rounds)
 	}
 
@@ -272,7 +272,7 @@ func TestPoisonedConnNeverPooled(t *testing.T) {
 	if got := idleLen(); got != 0 {
 		t.Fatalf("poisoned conn returned to the pool: %d idle", got)
 	}
-	if st := a.Stats(); st.FetchErrors == 0 {
+	if st := a.Snapshot(); st.FetchErrors == 0 {
 		t.Fatalf("cut not recorded: %+v", st)
 	}
 
@@ -281,7 +281,7 @@ func TestPoisonedConnNeverPooled(t *testing.T) {
 	if _, ok := a.Fetch(t.Context(), key); ok {
 		t.Fatal("unexpected remote hit") // still a miss — but over a live pipe
 	}
-	if st := a.Stats(); st.RemoteMisses == 0 {
+	if st := a.Snapshot(); st.RemoteMisses == 0 {
 		t.Fatalf("healed fetch did not round-trip: %+v", st)
 	}
 	if got := idleLen(); got != 1 {
@@ -319,7 +319,7 @@ func TestStrictBroadcastReportsDownPeers(t *testing.T) {
 	if !errors.As(err, &pde) || len(pde.Peers) != 1 || pde.Peers[0] != bAddr {
 		t.Fatalf("PeerDownError peers: %v", err)
 	}
-	if st := a.Stats(); st.InvBroadcastFailures == 0 {
+	if st := a.Snapshot(); st.InvBroadcastFailures == 0 {
 		t.Fatalf("failure not counted: %+v", st)
 	}
 
@@ -332,7 +332,7 @@ func TestStrictBroadcastReportsDownPeers(t *testing.T) {
 	if err := c.BroadcastWrite(capW); err != nil {
 		t.Fatalf("lenient broadcast must not error: %v", err)
 	}
-	if st := c.Stats(); st.InvBroadcastFailures == 0 {
+	if st := c.Snapshot(); st.InvBroadcastFailures == 0 {
 		t.Fatalf("lenient failure not counted: %+v", st)
 	}
 }
@@ -372,7 +372,7 @@ func TestPartitionQuarantineOnRejoin(t *testing.T) {
 	if cb.Contains(key) {
 		t.Fatal("stale page survived rejoin: quarantine flush did not run")
 	}
-	if st := b.Stats(); st.GapFlushes != 1 {
+	if st := b.Snapshot(); st.GapFlushes != 1 {
 		t.Fatalf("gap flushes: %+v", st)
 	}
 
@@ -386,7 +386,7 @@ func TestPartitionQuarantineOnRejoin(t *testing.T) {
 	if !cb.Contains("/fresh?x=2") {
 		t.Fatal("non-overlapping page flushed: spurious quarantine after rejoin")
 	}
-	if st := b.Stats(); st.GapFlushes != 1 {
+	if st := b.Snapshot(); st.GapFlushes != 1 {
 		t.Fatalf("spurious gap flush: %+v", st)
 	}
 }
@@ -424,17 +424,17 @@ func TestStaleTransferRejection(t *testing.T) {
 	if _, ok := a.Fetch(t.Context(), key); ok {
 		t.Fatal("fetched a stale page from a gapped peer")
 	}
-	if st := a.Stats(); st.StaleFetchRejects != 1 {
+	if st := a.Snapshot(); st.StaleFetchRejects != 1 {
 		t.Fatalf("stale fetch not rejected: %+v", st)
 	}
 
 	// The offer direction: B (still gapped) replicates to A; A refuses.
 	keyA := keyOwnedBy(t, b.Ring(), a.Addr())
 	b.Offer(keyA, []byte("maybe-stale"), "text/html", deps, 0)
-	if st := a.Stats(); st.StalePutRejects != 1 {
+	if st := a.Snapshot(); st.StalePutRejects != 1 {
 		t.Fatalf("stale offer not rejected: %+v", st)
 	}
-	if st := b.Stats(); st.OffersRejected != 1 {
+	if st := b.Snapshot(); st.OffersRejected != 1 {
 		t.Fatalf("offerer did not record the rejection: %+v", st)
 	}
 }
@@ -496,7 +496,7 @@ func TestClusterWriterSurvivesPeerDeathMidBroadcast(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("write blocked %v on a dead peer", elapsed)
 	}
-	if st := nodes[0].node.Stats(); st.InvBroadcastFailures == 0 {
+	if st := nodes[0].node.Snapshot(); st.InvBroadcastFailures == 0 {
 		t.Fatalf("broadcast failure not surfaced: %+v", st)
 	}
 	// The survivor applied the invalidation.

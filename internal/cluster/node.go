@@ -978,6 +978,3 @@ func (n *Node) Snapshot() Stats {
 	st.BroadcastLatency = n.bcastLat.Snapshot()
 	return st
 }
-
-// Stats is Snapshot under its historical name.
-func (n *Node) Stats() Stats { return n.Snapshot() }

@@ -231,7 +231,7 @@ func TestClusterPropertyConsistency(t *testing.T) {
 	// Sanity: the run exercised real traffic.
 	hits := uint64(0)
 	for _, c := range caches {
-		hits += c.Stats().Hits
+		hits += c.Snapshot().Hits
 	}
 	if hits == 0 {
 		t.Fatal("degenerate run: no hits anywhere")

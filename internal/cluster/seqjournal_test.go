@@ -91,7 +91,7 @@ func TestSeqJournalWarmRejoin(t *testing.T) {
 	if !cb2.Contains("/warm?x=2") {
 		t.Fatal("journaled rejoin still quarantined: warm state flushed")
 	}
-	if st := b2.Stats(); st.GapFlushes != 0 {
+	if st := b2.Snapshot(); st.GapFlushes != 0 {
 		t.Fatalf("spurious gap flush on journaled rejoin: %+v", st)
 	}
 
@@ -109,13 +109,13 @@ func TestSeqJournalWarmRejoin(t *testing.T) {
 	if cb3.Contains("/stale?x=3") {
 		t.Fatal("gap survived journaled restart: stale state not flushed")
 	}
-	if st := b3.Stats(); st.GapFlushes != 1 {
+	if st := b3.Snapshot(); st.GapFlushes != 1 {
 		t.Fatalf("gap flushes: %+v", st)
 	}
 	// The quarantine advanced and journaled the counter: the next probe is
 	// quiet, and a restart from here would again be warm.
 	a.probePeers(time.Now().Add(2 * time.Hour))
-	if st := b3.Stats(); st.GapFlushes != 1 {
+	if st := b3.Snapshot(); st.GapFlushes != 1 {
 		t.Fatalf("quarantine did not settle the journal: %+v", st)
 	}
 	if got := journal.appliedFor(a.Addr()); got != 2 {

@@ -152,33 +152,45 @@ func Equal(a, b Value) bool {
 // KeyString renders a value as a map key. Numeric values that are integral
 // collapse to the same key regardless of int/float representation.
 func KeyString(v Value) string {
+	var buf [32]byte
+	return string(appendKey(buf[:0], v))
+}
+
+func appendKey(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		return "\x00N"
+		return append(dst, "\x00N"...)
 	case int64:
-		return "i" + strconv.FormatInt(x, 10)
+		return strconv.AppendInt(append(dst, 'i'), x, 10)
 	case float64:
 		if x == math.Trunc(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e15 {
-			return "i" + strconv.FormatInt(int64(x), 10)
+			return strconv.AppendInt(append(dst, 'i'), int64(x), 10)
 		}
-		return "f" + strconv.FormatFloat(x, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), x, 'g', -1, 64)
 	case string:
-		return "s" + x
+		return append(append(dst, 's'), x...)
 	default:
-		return "?" + fmt.Sprint(v)
+		return append(append(dst, '?'), fmt.Sprint(v)...)
 	}
 }
 
 // KeyOfValues renders a composite key for a value tuple.
 func KeyOfValues(vs []Value) string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(AppendKeyOfValues(buf[:0], vs))
+}
+
+// AppendKeyOfValues appends KeyOfValues(vs) to dst, so a caller composing a
+// larger key (or holding a stack buffer) renders it in one allocation.
+func AppendKeyOfValues(dst []byte, vs []Value) []byte {
+	var buf [32]byte
 	for _, v := range vs {
-		s := KeyString(v)
-		b.WriteString(strconv.Itoa(len(s)))
-		b.WriteByte(':')
-		b.WriteString(s)
+		k := appendKey(buf[:0], v)
+		dst = strconv.AppendInt(dst, int64(len(k)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, k...)
 	}
-	return b.String()
+	return dst
 }
 
 // IsTruthy reports whether a value counts as true in a WHERE context.

@@ -1,0 +1,24 @@
+package datasource
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestKeyOfValuesRendering pins the composite-key format (length-prefixed
+// KeyString per value) across the buffer sizes the renderer switches on, and
+// that the append form composes to the same bytes.
+func TestKeyOfValuesRendering(t *testing.T) {
+	long := strings.Repeat("x", 100)
+	vs := []Value{int64(5), 5.0, 2.5, "a:b", nil, long}
+	want := "2:i5" + "2:i5" + "4:f2.5" + "4:sa:b" + "2:\x00N" + "101:s" + long
+	if got := KeyOfValues(vs); got != want {
+		t.Fatalf("KeyOfValues = %q, want %q", got, want)
+	}
+	if got := string(AppendKeyOfValues([]byte("tmpl\x00"), vs)); got != "tmpl\x00"+want {
+		t.Fatalf("AppendKeyOfValues = %q", got)
+	}
+	if KeyOfValues(nil) != "" {
+		t.Fatal("empty tuple must render empty")
+	}
+}

@@ -1,10 +1,11 @@
 package qrcache
 
+// The result cache's own governance tests: what a result set costs and that
+// a refused one is still served. The budget, segment, admission and drain
+// contracts are the store's and run once, in internal/cache/store_test.go.
+
 import (
 	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"autowebcache/internal/analysis"
@@ -39,7 +40,7 @@ func governFixture(t *testing.T, opts Options, groups, rowsPerGroup int) (*memdb
 	if err != nil {
 		t.Fatal(err)
 	}
-	qr, err := NewWithOptions(db, eng, opts)
+	qr, err := New(db, eng, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,43 +48,6 @@ func governFixture(t *testing.T, opts Options, groups, rowsPerGroup int) (*memdb
 }
 
 const groupSQL = "SELECT id, val FROM t WHERE grp = ?"
-
-func TestQrAdmissionRequiresMaxBytes(t *testing.T) {
-	db := memdb.New()
-	eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewWithOptions(db, eng, Options{Admission: true}); err == nil {
-		t.Fatal("Admission without MaxBytes must be rejected")
-	}
-}
-
-func TestQrBytesAccounting(t *testing.T) {
-	_, qr := governFixture(t, Options{}, 4, 10)
-	ctx := context.Background()
-	if _, err := qr.Query(ctx, groupSQL, 0); err != nil {
-		t.Fatal(err)
-	}
-	st := qr.Stats()
-	if st.Bytes <= 0 || st.Entries != 1 {
-		t.Fatalf("stats after one cached query: %+v", st)
-	}
-	// A hit charges nothing further.
-	if _, err := qr.Query(ctx, groupSQL, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := qr.Bytes(); got != st.Bytes {
-		t.Fatalf("hit changed accounted bytes %d -> %d", st.Bytes, got)
-	}
-	// Invalidation credits everything back.
-	if _, err := qr.Exec(ctx, "UPDATE t SET val = ? WHERE grp = ?", "x", 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := qr.Bytes(); got != 0 {
-		t.Fatalf("bytes after invalidation = %d, want 0", got)
-	}
-}
 
 func TestQrZeroRowResultIsCached(t *testing.T) {
 	_, qr := governFixture(t, Options{MaxBytes: 1 << 16}, 1, 5)
@@ -94,13 +58,13 @@ func TestQrZeroRowResultIsCached(t *testing.T) {
 	if err != nil || rows.Len() != 0 {
 		t.Fatalf("rows=%v err=%v", rows, err)
 	}
-	if st := qr.Stats(); st.Entries != 1 || st.Bytes < entryOverhead {
+	if st := qr.Snapshot(); st.Entries != 1 || st.Bytes < entryOverhead {
 		t.Fatalf("empty result not accounted: %+v", st)
 	}
 	if _, err := qr.Query(ctx, groupSQL, 99); err != nil {
 		t.Fatal(err)
 	}
-	if st := qr.Stats(); st.Hits != 1 {
+	if st := qr.Snapshot(); st.Hits != 1 {
 		t.Fatalf("empty result not served from cache: %+v", st)
 	}
 }
@@ -112,141 +76,11 @@ func TestQrOversizeResultServedNotCached(t *testing.T) {
 	if err != nil || rows.Len() != 50 {
 		t.Fatalf("rows=%d err=%v", rows.Len(), err)
 	}
-	st := qr.Stats()
+	st := qr.Snapshot()
 	if st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("oversize result leaked into cache: %+v", st)
 	}
 	if st.OversizeRejects != 1 {
 		t.Fatalf("OversizeRejects = %d, want 1", st.OversizeRejects)
-	}
-}
-
-func TestQrAdmissionRejectsColdQuery(t *testing.T) {
-	db, qr := governFixture(t, Options{MaxBytes: 4096, Admission: true}, 16, 20)
-	ctx := context.Background()
-	// Heat up group 0 so its frequency dominates.
-	for i := 0; i < 16; i++ {
-		if _, err := qr.Query(ctx, groupSQL, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Fill the budget with whatever fits.
-	for g := 1; g < 16; g++ {
-		if _, err := qr.Query(ctx, groupSQL, g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := qr.Stats()
-	if st.Bytes > 4096 {
-		t.Fatalf("budget exceeded: %+v", st)
-	}
-	if st.AdmissionRejects == 0 {
-		t.Fatalf("no admission rejects under pressure: %+v", st)
-	}
-	// The hot group must still be cached: a one-shot query cannot evict it.
-	before := db.Stats().Queries
-	if _, err := qr.Query(ctx, groupSQL, 0); err != nil {
-		t.Fatal(err)
-	}
-	if after := db.Stats().Queries; after != before {
-		t.Fatalf("hot result set was displaced (db queries %d -> %d)", before, after)
-	}
-}
-
-func TestQrByteBudgetChurnStress(t *testing.T) {
-	const budget = 32 << 10
-	_, qr := governFixture(t, Options{MaxBytes: budget, Admission: true, Shards: 4}, 64, 8)
-	ctx := context.Background()
-	var over atomic.Int64
-	stop := make(chan struct{})
-	var watcher sync.WaitGroup
-	watcher.Add(1)
-	go func() {
-		defer watcher.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if b := qr.Bytes(); b > budget {
-				over.Store(b)
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				grp := (g*13 + i) % 64
-				if i%7 == 3 {
-					if _, err := qr.Exec(ctx, "UPDATE t SET val = ? WHERE grp = ?",
-						fmt.Sprintf("v%d", i), grp); err != nil {
-						t.Error(err)
-						return
-					}
-					continue
-				}
-				if _, err := qr.Query(ctx, groupSQL, grp); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	watcher.Wait()
-	if b := over.Load(); b > 0 {
-		t.Fatalf("accounted bytes %d exceeded budget %d during churn", b, budget)
-	}
-	if b := qr.Bytes(); b > budget || b < 0 {
-		t.Fatalf("final bytes %d outside [0, %d]", b, budget)
-	}
-	// With no inserts in flight, the per-shard counters must sum to the
-	// global figure: every reservation either linked or was credited back.
-	var sum int64
-	for _, b := range qr.ShardBytes() {
-		sum += b
-	}
-	if sum != qr.Bytes() {
-		t.Fatalf("books out of balance: shards sum %d, global %d", sum, qr.Bytes())
-	}
-	qr.Flush()
-	if b := qr.Bytes(); b != 0 {
-		t.Fatalf("bytes after flush = %d, want 0", b)
-	}
-}
-
-func TestQrSegmentedEvictionProtectsReused(t *testing.T) {
-	// Budget fits a handful of result sets; group 0 is hit repeatedly
-	// (promoted), then a sweep of cold groups applies pressure.
-	db, qr := governFixture(t, Options{MaxBytes: 3000}, 32, 4)
-	ctx := context.Background()
-	if _, err := qr.Query(ctx, groupSQL, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := qr.Query(ctx, groupSQL, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for g := 1; g < 32; g++ {
-		if _, err := qr.Query(ctx, groupSQL, g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if qr.Stats().Evictions == 0 {
-		t.Fatal("no eviction pressure generated")
-	}
-	before := db.Stats().Queries
-	if _, err := qr.Query(ctx, groupSQL, 0); err != nil {
-		t.Fatal(err)
-	}
-	if after := db.Stats().Queries; after != before {
-		t.Fatal("promoted result set was evicted by one-hit churn")
 	}
 }

@@ -7,74 +7,37 @@
 // analysis instead of a compiler.
 //
 // It composes with the weave package: stack it under the RecordingConn
-// (weave.NewConn(qrcache.New(db, engine, n), engine)) so pages that the
+// (weave.NewConn(qrcache.New(db, engine, opts), engine)) so pages that the
 // front-end cache cannot hold still skip the database on repeated queries.
 //
-// Like the page cache, the instance map is lock-striped over power-of-two
-// shards keyed by an FNV hash of the (template, vector) key, and the
-// per-template probe index over shards keyed by the template, so concurrent
-// queries on distinct keys never contend. Lock order is always entry shard
-// -> template shard, never the reverse.
+// A cached result set is simply a page whose only dependency is itself, so
+// the cache is a thin instantiation of the governed store the page cache is
+// built on (cache.Store): the value is the snapshotted *datasource.Rows,
+// the dependency set is the one query, the cost is resultCost. Budgets,
+// eviction, admission, the write sweep and the epoch ring are the store's;
+// this package adds canonicalisation and the Conn interposition.
 package qrcache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"autowebcache/internal/analysis"
+	"autowebcache/internal/cache"
 	"autowebcache/internal/datasource"
 	"autowebcache/internal/sqlparser"
-	"autowebcache/internal/stripe"
-	"autowebcache/internal/tinylfu"
 )
 
-// Stats are cumulative counters of the result cache.
-type Stats struct {
-	Hits             uint64
-	Misses           uint64
-	Invalidations    uint64 // result sets removed by writes
-	Evictions        uint64
-	AdmissionRejects uint64 // inserts refused by the TinyLFU admission filter
-	OversizeRejects  uint64 // inserts refused because one result set exceeds MaxBytes
-	Entries          int
-	// Bytes is the accounted memory charged against Options.MaxBytes: every
-	// cached result set's cost plus in-flight insert reservations.
-	Bytes int64
+// Stats are the result cache's counters: the store's own.
+type Stats = cache.StoreStats
 
-	// Per-segment occupancy and eviction splits under byte governance
-	// (probation = not yet reused, protected = promoted on first hit). An
-	// ungoverned cache reports everything as probation.
-	ProbationEntries   int
-	ProtectedEntries   int
-	ProbationBytes     int64 // linked entry cost only (reservations excluded)
-	ProtectedBytes     int64
-	EvictionsProbation uint64
-	EvictionsProtected uint64
-}
-
-// entry is one cached result set.
-type entry struct {
-	key   string // full cache key: template + "\x00" + argsKey
-	query analysis.Query
-	rows  *datasource.Rows
-	el    *list.Element // position in the owning shard's segment list
-	// seq is the entry's position in the global LRU order (refreshed on
-	// every hit); the globally-minimal seq is the eviction victim.
-	seq uint64
-	// cost is the accounted byte size (see resultCost), charged against
-	// Options.MaxBytes for the entry's lifetime.
-	cost int64
-	// protected marks the segment under byte governance: promoted out of
-	// probation on first hit, evicted only when probation is empty.
-	protected bool
-}
+// Options bounds a Conn: the store's governance options (entry and byte
+// bounds, admission filtering, stripe count). Replacement is always LRU.
+type Options = cache.Governance
 
 // entryOverhead approximates the bookkeeping cost of one cached result set
-// beyond its payload: entry struct, map slots, list element, probe-index
+// beyond its payload: entry struct, map slots, dependency and probe-index
 // slots.
 const entryOverhead = 256
 
@@ -84,213 +47,34 @@ func resultCost(key string, rows *datasource.Rows) int64 {
 	return entryOverhead + int64(len(key)) + rows.ByteSize()
 }
 
-// tmplGroup groups a template's cached instances with a per-table probe
-// index (same scheme as the page cache's dependency table): instances keyed
-// by the value their `table.col = ?` predicate binds, so a write whose
-// effect on that column is bounded only tests the matching instances.
-type tmplGroup struct {
-	info      *analysis.TemplateInfo // nil when unparseable
-	instances map[string]*entry      // argsKey -> entry
-	probeIdx  map[string]map[string]map[string]*entry
-}
-
-func newTmplGroup(info *analysis.TemplateInfo) *tmplGroup {
-	return &tmplGroup{
-		info:      info,
-		instances: make(map[string]*entry),
-		probeIdx:  make(map[string]map[string]map[string]*entry),
-	}
-}
-
-func (g *tmplGroup) add(argsKey string, e *entry) {
-	g.instances[argsKey] = e
-	if g.info == nil {
-		return
-	}
-	for table, p := range g.info.Probes {
-		if p.ArgIndex < 0 || p.ArgIndex >= len(e.query.Args) {
-			continue
-		}
-		key := analysis.ProbeKey(e.query.Args[p.ArgIndex])
-		byKey := g.probeIdx[table]
-		if byKey == nil {
-			byKey = make(map[string]map[string]*entry)
-			g.probeIdx[table] = byKey
-		}
-		byArgs := byKey[key]
-		if byArgs == nil {
-			byArgs = make(map[string]*entry)
-			byKey[key] = byArgs
-		}
-		byArgs[argsKey] = e
-	}
-}
-
-func (g *tmplGroup) remove(argsKey string, e *entry) {
-	delete(g.instances, argsKey)
-	if g.info == nil {
-		return
-	}
-	for table, p := range g.info.Probes {
-		if p.ArgIndex < 0 || p.ArgIndex >= len(e.query.Args) {
-			continue
-		}
-		key := analysis.ProbeKey(e.query.Args[p.ArgIndex])
-		if byArgs := g.probeIdx[table][key]; byArgs != nil {
-			delete(byArgs, argsKey)
-			if len(byArgs) == 0 {
-				delete(g.probeIdx[table], key)
-			}
-		}
-	}
-}
-
-// qrShard is one stripe of the instance map with its slice of the LRU list.
-type qrShard struct {
-	mu      sync.Mutex
-	entries map[string]*entry // full key -> entry
-	lru     *list.List        // probation segment: front = shard's LRU entry
-	// prot is the protected segment, populated only under byte governance:
-	// entries move here on their first hit and are evicted only when every
-	// probation segment is empty.
-	prot *list.List
-	// bytes is this shard's share of the accounted memory (linked entries
-	// only; in-flight reservations live in the cache-wide counter);
-	// protBytes is the subset linked into the protected segment.
-	bytes     atomic.Int64
-	protBytes atomic.Int64
-}
-
-// tmplShard is one stripe of the template -> instances index.
-type tmplShard struct {
-	mu     sync.Mutex
-	groups map[string]*tmplGroup
-}
-
-// Options configures a Conn's bounds (the governance mirror of the page
-// cache's Options).
-type Options struct {
-	// MaxEntries bounds the number of cached result sets; 0 = unbounded.
-	MaxEntries int
-	// MaxBytes bounds the accounted memory of cached result sets (key +
-	// snapshotted rows + bookkeeping overhead); 0 = unbounded. Setting it
-	// also enables segmented (probation/protected) eviction. A single
-	// result set costing more than MaxBytes is served but never cached.
-	MaxBytes int64
-	// Admission gates inserts under byte-budget pressure with a TinyLFU
-	// filter: at MaxBytes, a result set is admitted only when its estimated
-	// query frequency strictly beats the eviction victim's. Requires
-	// MaxBytes > 0.
-	Admission bool
-	// Shards is the lock-stripe count, rounded up to a power of two
-	// (0 picks GOMAXPROCS rounded likewise).
-	Shards int
-}
-
 // Conn is a caching connection. It is safe for concurrent use.
 type Conn struct {
 	base   datasource.Conn
 	engine *analysis.Engine
-	opts   Options
-	mask   uint32
+	store  *cache.Store[*datasource.Rows]
 
 	parse sqlparser.Cache
 	canon sync.Map // raw SQL -> canonical template text
-
-	shards     []qrShard
-	tmplShards []tmplShard
-
-	seq   atomic.Uint64
-	count atomic.Int64
-
-	// bytesUsed is the byte-budget authority: linked entry costs plus
-	// in-flight insert reservations, CAS-reserved so MaxBytes is never
-	// exceeded, even transiently.
-	bytesUsed atomic.Int64
-
-	// admit is the TinyLFU admission filter (nil unless Options.Admission).
-	admit *tinylfu.Filter
-
-	hits             atomic.Uint64
-	misses           atomic.Uint64
-	invalidations    atomic.Uint64
-	evictions        atomic.Uint64
-	evictionsProt    atomic.Uint64 // subset of evictions taken from the protected segment
-	admissionRejects atomic.Uint64
-	oversizeRejects  atomic.Uint64
 }
 
 var _ datasource.Conn = (*Conn)(nil)
 
-// New wraps base with a result cache of at most maxEntries result sets
-// (0 = unbounded). The engine decides write/read intersections. The stripe
-// count defaults to GOMAXPROCS rounded to a power of two; use
-// NewWithOptions to pin it or to set a byte budget.
-func New(base datasource.Conn, engine *analysis.Engine, maxEntries int) (*Conn, error) {
-	return NewWithOptions(base, engine, Options{MaxEntries: maxEntries})
-}
-
-// NewWithShards is New with an explicit lock-stripe count (rounded up to a
-// power of two; 0 picks GOMAXPROCS rounded likewise).
-func NewWithShards(base datasource.Conn, engine *analysis.Engine, maxEntries, shards int) (*Conn, error) {
-	return NewWithOptions(base, engine, Options{MaxEntries: maxEntries, Shards: shards})
-}
-
-// NewWithOptions is the full constructor: entry and byte bounds, admission
-// filtering and the stripe count.
-func NewWithOptions(base datasource.Conn, engine *analysis.Engine, opts Options) (*Conn, error) {
+// New wraps base with a result cache bounded by opts (the zero Options is
+// unbounded). The engine decides write/read intersections.
+func New(base datasource.Conn, engine *analysis.Engine, opts Options) (*Conn, error) {
 	if base == nil || engine == nil {
 		return nil, fmt.Errorf("qrcache: base connection and engine are required")
 	}
-	if opts.MaxEntries < 0 {
-		return nil, fmt.Errorf("qrcache: negative MaxEntries")
+	store, err := cache.NewStore[*datasource.Rows](cache.StoreOptions{
+		Governance: opts,
+		Engine:     engine,
+		// Assume modest result sets when only the byte bound is known.
+		AssumedEntryBytes: 1024,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if opts.MaxBytes < 0 {
-		return nil, fmt.Errorf("qrcache: negative MaxBytes")
-	}
-	if opts.Admission && opts.MaxBytes <= 0 {
-		return nil, fmt.Errorf("qrcache: Admission requires MaxBytes (the filter gates byte-budget pressure)")
-	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("qrcache: negative Shards")
-	}
-	n := stripe.Count(opts.Shards)
-	c := &Conn{
-		base:       base,
-		engine:     engine,
-		opts:       opts,
-		mask:       uint32(n - 1),
-		shards:     make([]qrShard, n),
-		tmplShards: make([]tmplShard, n),
-	}
-	if opts.Admission {
-		counters := opts.MaxEntries
-		if counters == 0 {
-			// Assume modest result sets when only the byte bound is known.
-			counters = int(min(opts.MaxBytes/1024, 1<<20))
-		}
-		c.admit = tinylfu.New(counters)
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*entry)
-		c.shards[i].lru = list.New()
-		c.shards[i].prot = list.New()
-	}
-	for i := range c.tmplShards {
-		c.tmplShards[i].groups = make(map[string]*tmplGroup)
-	}
-	return c, nil
-}
-
-// segmented reports whether probation/protected eviction is active.
-func (c *Conn) segmented() bool { return c.opts.MaxBytes > 0 }
-
-func (c *Conn) shard(key string) *qrShard {
-	return &c.shards[stripe.Hash(key)&c.mask]
-}
-
-func (c *Conn) tmplShard(tmpl string) *tmplShard {
-	return &c.tmplShards[stripe.Hash(tmpl)&c.mask]
+	return &Conn{base: base, engine: engine, store: store}, nil
 }
 
 // canonicalize maps raw SQL to canonical template text.
@@ -331,44 +115,18 @@ func (c *Conn) Query(ctx context.Context, sql string, args ...any) (*datasource.
 	if err != nil {
 		return nil, err
 	}
-	ak := datasource.KeyOfValues(vals)
-	key := tmpl + "\x00" + ak
-
-	// Every lookup — hit or miss — feeds the admission filter's frequency
-	// estimate, so a query's popularity is known before its result set is
-	// ever cached.
-	if c.admit != nil {
-		c.admit.Touch(tinylfu.HashString(key))
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		// Recency only matters when eviction can happen; an unbounded cache
-		// never consults the list order.
-		if c.segmented() && !e.protected {
-			// First reuse: promote out of probation (one-time list element).
-			s.lru.Remove(e.el)
-			e.el = s.prot.PushBack(e)
-			e.protected = true
-			s.protBytes.Add(e.cost)
-			e.seq = c.seq.Add(1)
-		} else if c.opts.MaxEntries > 0 || c.opts.MaxBytes > 0 {
-			if e.protected {
-				s.prot.MoveToBack(e.el)
-			} else {
-				s.lru.MoveToBack(e.el)
-			}
-			e.seq = c.seq.Add(1)
-		}
-		rows := e.rows
-		s.mu.Unlock()
-		c.hits.Add(1)
+	// The full key — template, NUL, value vector — is rendered into a stack
+	// buffer, so a lookup allocates it exactly once.
+	var buf [128]byte
+	key := string(datasource.AppendKeyOfValues(append(append(buf[:0], tmpl...), 0), vals))
+	if it, ok := c.store.Get(key); ok {
 		// Zero-copy hit: hand out the stored immutable snapshot.
-		return rows, nil
+		return it.Val, nil
 	}
-	s.mu.Unlock()
-	c.misses.Add(1)
-
+	// The epoch is read before the database is: a write whose sweep starts
+	// after this point is visible to the re-check below (§3.2 across the
+	// read->insert window, exactly as the weave guards page inserts).
+	epoch0 := c.store.Epoch()
 	rows, err := c.base.Query(ctx, sql, args...)
 	if err != nil {
 		return nil, err
@@ -376,115 +134,33 @@ func (c *Conn) Query(ctx context.Context, sql string, args ...any) (*datasource.
 	if ctx.Value(noStoreKey{}) != nil {
 		return rows, nil
 	}
-	// The byte reservation precedes the snapshot copy: a result set the
-	// budget refuses (oversize, or colder than every victim) is returned
-	// to the caller uncopied and simply not cached.
+	// The epoch guard, in two halves, as the weave guards page inserts.
+	// Pre-insert: a write this result depends on completed its sweep during
+	// the database read, so the rows are known-stale — never link them (no
+	// reader may see them, no victim pays for them). The caller still gets
+	// the rows: its read preceded the write.
+	deps := []analysis.Query{{SQL: tmpl, Args: vals}}
+	if c.store.StaleSince(epoch0, deps) {
+		return rows, nil
+	}
+	// The reservation precedes the snapshot copy: a result set the budget
+	// refuses (oversize, or colder than every victim) is returned to the
+	// caller uncopied and simply not cached.
 	cost := resultCost(key, rows)
-	if !c.reserveBytes(cost, key) {
+	if !c.store.Reserve(key, cost) {
 		return rows, nil
 	}
 	// Snapshot once at insert; the snapshot is both what the cache stores
 	// and what this (missing) caller receives, so hits and the originating
 	// miss all share the same immutable data.
 	rows = rows.Snapshot()
-	e := &entry{key: key, query: analysis.Query{SQL: tmpl, Args: vals}, rows: rows, cost: cost}
-	c.reserveSlot()
-	s.mu.Lock()
-	if cur, exists := s.entries[key]; exists {
-		// A concurrent query cached the same instance first; replace it so
-		// the reserved slot is accounted to ours.
-		c.removeLocked(s, cur)
+	c.store.Commit(cache.Item[*datasource.Rows]{Key: key, Val: rows, Deps: deps, Cost: cost})
+	if c.store.StaleSince(epoch0, deps) {
+		// Post-insert: a sweep that raced the insert itself may have scanned
+		// before the entry linked: drop it (over-invalidation is sound).
+		c.store.Remove(key)
 	}
-	e.seq = c.seq.Add(1)
-	e.el = s.lru.PushBack(e)
-	s.entries[key] = e
-	s.bytes.Add(e.cost)
-	c.addToGroupLocked(tmpl, ak, e)
-	s.mu.Unlock()
 	return rows, nil
-}
-
-// reserveSlot claims one unit of capacity, evicting until a slot is free.
-func (c *Conn) reserveSlot() {
-	max := int64(c.opts.MaxEntries)
-	if max <= 0 {
-		c.count.Add(1)
-		return
-	}
-	for {
-		n := c.count.Load()
-		if n < max {
-			if c.count.CompareAndSwap(n, n+1) {
-				return
-			}
-			continue
-		}
-		if !c.evictOne() {
-			runtime.Gosched() // slots held by in-flight inserts; let them land
-		}
-	}
-}
-
-// reserveBytes claims cost bytes of the MaxBytes budget, evicting LRU
-// victims (probation first) until the reservation fits. Returns false —
-// holding no reservation — when the result set can never fit or the
-// admission filter sides with a victim. The claimed bytes are credited
-// back by removeLocked at removal.
-func (c *Conn) reserveBytes(cost int64, key string) bool {
-	max := c.opts.MaxBytes
-	if max <= 0 {
-		c.bytesUsed.Add(cost)
-		return true
-	}
-	if cost > max {
-		c.oversizeRejects.Add(1)
-		return false
-	}
-	var keyHash uint64
-	hashed := false
-	for {
-		n := c.bytesUsed.Load()
-		if n+cost <= max {
-			if c.bytesUsed.CompareAndSwap(n, n+cost) {
-				return true
-			}
-			continue
-		}
-		v, ok := c.pickVictim()
-		if !ok {
-			runtime.Gosched() // all bytes held by in-flight inserts
-			continue
-		}
-		if c.admit != nil {
-			if !hashed {
-				keyHash = tinylfu.HashString(key)
-				hashed = true
-			}
-			if !c.admit.Admit(keyHash, tinylfu.HashString(v.key)) {
-				c.admissionRejects.Add(1)
-				return false
-			}
-		}
-		c.evictPick(v)
-	}
-}
-
-// addToGroupLocked links an entry into its template group. The caller holds
-// the entry's shard lock; the template shard lock nests inside it.
-func (c *Conn) addToGroupLocked(tmpl, ak string, e *entry) {
-	ts := c.tmplShard(tmpl)
-	ts.mu.Lock()
-	g := ts.groups[tmpl]
-	if g == nil {
-		info, ierr := c.engine.Template(tmpl)
-		if ierr != nil {
-			info = nil
-		}
-		g = newTmplGroup(info)
-		ts.groups[tmpl] = g
-	}
-	g.add(ak, e)
-	ts.mu.Unlock()
 }
 
 // Exec forwards a write and invalidates every cached result set the write
@@ -511,12 +187,10 @@ func (c *Conn) Exec(ctx context.Context, sql string, args ...any) (datasource.Re
 		return res, err
 	}
 	if !captured {
-		c.flush() // unanalysable write: never serve stale results
+		c.store.Flush() // unanalysable write: never serve stale results
 		return res, nil
 	}
-	if _, ierr := c.invalidate(capture); ierr != nil {
-		c.flush()
-	}
+	c.InvalidateCapture(capture)
 	return res, nil
 }
 
@@ -528,250 +202,18 @@ func (c *Conn) Exec(ctx context.Context, sql string, args ...any) (datasource.Re
 // is always sound. It returns the number of result sets removed (the whole
 // cache's worth on a flush).
 func (c *Conn) InvalidateCapture(w analysis.WriteCapture) int {
-	n, err := c.invalidate(w)
+	n, err := c.store.InvalidateWrite(w)
 	if err != nil {
-		n = int(c.count.Load())
-		c.flush()
+		n = c.store.Len()
+		c.store.Flush()
 	}
 	return n
 }
 
 // Flush drops every cached result set — the remote-flush entry point.
-func (c *Conn) Flush() { c.flush() }
-
-// invalidate removes the result sets the write intersects.
-func (c *Conn) invalidate(w analysis.WriteCapture) (int, error) {
-	pw, err := c.engine.PrepareWrite(w)
-	if err != nil {
-		return 0, err
-	}
-	type cand struct {
-		key   string
-		query analysis.Query
-	}
-	// ColumnOnly ignores bound values; the probe index must not narrow it.
-	useProbes := c.engine.Strategy() != analysis.StrategyColumnOnly
-	var candidates []cand
-	for i := range c.tmplShards {
-		ts := &c.tmplShards[i]
-		ts.mu.Lock()
-		for tmpl, g := range ts.groups {
-			dep, derr := c.engine.PossiblyDependent(tmpl, w.SQL)
-			if derr != nil {
-				ts.mu.Unlock()
-				return 0, derr
-			}
-			if !dep {
-				continue
-			}
-			collect := func(ak string, e *entry) {
-				candidates = append(candidates, cand{key: tmpl + "\x00" + ak, query: e.query})
-			}
-			probed := false
-			if useProbes && g.info != nil {
-				if p, hasProbe := g.info.Probes[pw.Table()]; hasProbe {
-					if keys, bounded := pw.ProbeKeys(p.Col); bounded {
-						seen := make(map[string]bool)
-						for _, key := range keys {
-							for ak, e := range g.probeIdx[pw.Table()][key] {
-								if !seen[ak] {
-									seen[ak] = true
-									collect(ak, e)
-								}
-							}
-						}
-						probed = true
-					}
-				}
-			}
-			if !probed {
-				for ak, e := range g.instances {
-					collect(ak, e)
-				}
-			}
-		}
-		ts.mu.Unlock()
-	}
-
-	var victims []string
-	for _, cd := range candidates {
-		hit, err := pw.Intersects(cd.query)
-		if err != nil {
-			return 0, err
-		}
-		if hit {
-			victims = append(victims, cd.key)
-		}
-	}
-	n := 0
-	for _, key := range victims {
-		s := c.shard(key)
-		s.mu.Lock()
-		if e, ok := s.entries[key]; ok {
-			c.removeLocked(s, e)
-			c.invalidations.Add(1)
-			n++
-		}
-		s.mu.Unlock()
-	}
-	return n, nil
-}
-
-// removeLocked unlinks one entry from its shard and template group,
-// releasing its capacity slot and crediting its byte cost. The caller holds
-// s.mu; the template shard lock nests inside it.
-func (c *Conn) removeLocked(s *qrShard, e *entry) {
-	delete(s.entries, e.key)
-	if e.protected {
-		s.prot.Remove(e.el)
-		s.protBytes.Add(-e.cost)
-	} else {
-		s.lru.Remove(e.el)
-	}
-	s.bytes.Add(-e.cost)
-	c.bytesUsed.Add(-e.cost)
-	c.count.Add(-1)
-	tmpl := e.query.SQL
-	ts := c.tmplShard(tmpl)
-	ts.mu.Lock()
-	if g := ts.groups[tmpl]; g != nil {
-		g.remove(datasource.KeyOfValues(e.query.Args), e)
-		if len(g.instances) == 0 {
-			delete(ts.groups, tmpl)
-		}
-	}
-	ts.mu.Unlock()
-}
-
-// victim identifies one eviction candidate found by a cross-shard scan.
-type victim struct {
-	shard *qrShard
-	key   string
-	seq   uint64
-}
-
-// evictOne removes the result set with the globally-minimal LRU sequence.
-// It reports whether an entry was removed.
-func (c *Conn) evictOne() bool {
-	v, ok := c.pickVictim()
-	if !ok {
-		return false
-	}
-	return c.evictPick(v)
-}
-
-// pickVictim scans for the globally-minimal-seq entry, locking one shard at
-// a time. Under segmented eviction the probation segments are exhausted
-// before any protected entry is considered.
-func (c *Conn) pickVictim() (victim, bool) {
-	if v, ok := c.scanSegment(false); ok {
-		return v, true
-	}
-	if c.segmented() {
-		return c.scanSegment(true)
-	}
-	return victim{}, false
-}
-
-// scanSegment finds the minimal-seq entry within one segment across shards.
-func (c *Conn) scanSegment(protected bool) (victim, bool) {
-	var best victim
-	found := false
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		l := s.lru
-		if protected {
-			l = s.prot
-		}
-		if front := l.Front(); front != nil {
-			e := front.Value.(*entry)
-			if !found || e.seq < best.seq {
-				found, best = true, victim{shard: s, key: e.key, seq: e.seq}
-			}
-		}
-		s.mu.Unlock()
-	}
-	return best, found
-}
-
-// evictPick re-locks the picked shard and evicts the victim. It reports
-// whether an entry was removed.
-func (c *Conn) evictPick(v victim) bool {
-	v.shard.mu.Lock()
-	defer v.shard.mu.Unlock()
-	e, ok := v.shard.entries[v.key]
-	if !ok {
-		return false // vanished since the scan; caller retries
-	}
-	fromProtected := e.protected
-	c.removeLocked(v.shard, e)
-	c.evictions.Add(1)
-	if fromProtected {
-		c.evictionsProt.Add(1)
-	}
-	return true
-}
-
-// flush drops every cached result set, shard by shard through the regular
-// removal path so the template index stays consistent.
-func (c *Conn) flush() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for s.lru.Front() != nil {
-			c.removeLocked(s, s.lru.Front().Value.(*entry))
-		}
-		for s.prot.Front() != nil {
-			c.removeLocked(s, s.prot.Front().Value.(*entry))
-		}
-		s.mu.Unlock()
-	}
-}
-
-// Bytes returns the accounted memory currently charged against MaxBytes.
-func (c *Conn) Bytes() int64 { return c.bytesUsed.Load() }
-
-// ShardBytes returns the per-shard accounted byte counters — the summed
-// cost of the entries linked into each shard (in-flight reservations are
-// carried only by the cache-wide counter, so the slice sums to at most
-// Bytes). Diagnostic: a skewed distribution means a hot template region.
-func (c *Conn) ShardBytes() []int64 {
-	out := make([]int64, len(c.shards))
-	for i := range c.shards {
-		out[i] = c.shards[i].bytes.Load()
-	}
-	return out
-}
+func (c *Conn) Flush() { c.store.Flush() }
 
 // Snapshot returns a point-in-time copy of the counters — the canonical
 // stats accessor shared by every layer; the telemetry collectors consume
 // it.
-func (c *Conn) Snapshot() Stats {
-	st := Stats{
-		Hits:               c.hits.Load(),
-		Misses:             c.misses.Load(),
-		Invalidations:      c.invalidations.Load(),
-		Evictions:          c.evictions.Load(),
-		EvictionsProtected: c.evictionsProt.Load(),
-		AdmissionRejects:   c.admissionRejects.Load(),
-		OversizeRejects:    c.oversizeRejects.Load(),
-		Entries:            int(c.count.Load()),
-		Bytes:              c.bytesUsed.Load(),
-	}
-	st.EvictionsProbation = st.Evictions - st.EvictionsProtected
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.ProbationEntries += s.lru.Len()
-		st.ProtectedEntries += s.prot.Len()
-		pb := s.protBytes.Load()
-		st.ProtectedBytes += pb
-		st.ProbationBytes += s.bytes.Load() - pb
-		s.mu.Unlock()
-	}
-	return st
-}
-
-// Stats is Snapshot under its historical name.
-func (c *Conn) Stats() Stats { return c.Snapshot() }
+func (c *Conn) Snapshot() Stats { return c.store.Snapshot() }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"autowebcache/internal/analysis"
+	"autowebcache/internal/datasource"
 	"autowebcache/internal/memdb"
 )
 
@@ -35,7 +36,7 @@ func newFixture(t *testing.T, maxEntries int) (*memdb.DB, *Conn) {
 	}
 	// Pin 8 stripes so the cross-shard paths are exercised even when the
 	// test host has GOMAXPROCS=1.
-	c, err := NewWithShards(db, engine, maxEntries, 8)
+	c, err := New(db, engine, Options{MaxEntries: maxEntries, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +46,17 @@ func newFixture(t *testing.T, maxEntries int) (*memdb.DB, *Conn) {
 func TestValidation(t *testing.T) {
 	db := memdb.New()
 	engine, _ := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
-	if _, err := New(nil, engine, 0); err == nil {
+	if _, err := New(nil, engine, Options{}); err == nil {
 		t.Error("expected error for nil base")
 	}
-	if _, err := New(db, nil, 0); err == nil {
+	if _, err := New(db, nil, Options{}); err == nil {
 		t.Error("expected error for nil engine")
 	}
-	if _, err := New(db, engine, -1); err == nil {
-		t.Error("expected error for negative capacity")
-	}
-	if _, err := NewWithShards(db, engine, 0, -1); err == nil {
-		t.Error("expected error for negative shards")
+	// The governance rules are the store's; its error must surface here.
+	for _, opts := range []Options{{MaxEntries: -1}, {MaxBytes: -1}, {Shards: -1}, {Admission: true}} {
+		if _, err := New(db, engine, opts); err == nil {
+			t.Errorf("expected error for %+v", opts)
+		}
 	}
 }
 
@@ -78,7 +79,7 @@ func TestHitServesCachedResult(t *testing.T) {
 	if after.Queries != before.Queries+1 {
 		t.Fatalf("base executed %d queries, want 1", after.Queries-before.Queries)
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -135,7 +136,7 @@ func TestWriteInvalidatesIntersecting(t *testing.T) {
 	if _, err := c.Exec(ctx, "UPDATE t SET val = val + 100 WHERE grp = ?", 1); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Invalidations != 1 || st.Entries != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -157,7 +158,7 @@ func TestCapacityEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.Stats()
+	st := c.Snapshot()
 	if st.Entries > 3 {
 		t.Fatalf("capacity exceeded: %+v", st)
 	}
@@ -209,7 +210,7 @@ func TestConsistencyProperty(t *testing.T) {
 			t.Fatalf("iteration %d: stale result for %q(%d):\n got %v\nwant %v", i, sql, arg, got.Data, want.Data)
 		}
 	}
-	if st := c.Stats(); st.Hits == 0 {
+	if st := c.Snapshot(); st.Hits == 0 {
 		t.Fatal("no hits; property not exercised")
 	}
 }
@@ -235,11 +236,11 @@ func ExampleConn() {
 	})
 	ctx := context.Background()
 	engine, _ := analysis.NewEngine(analysis.StrategyExtraQuery, db)
-	c, _ := New(db, engine, 0)
+	c, _ := New(db, engine, Options{})
 	_, _ = c.Exec(ctx, "INSERT INTO kv (v) VALUES ('a')")
 	_, _ = c.Query(ctx, "SELECT v FROM kv WHERE id = ?", 1) // miss
 	_, _ = c.Query(ctx, "SELECT v FROM kv WHERE id = ?", 1) // hit
-	st := c.Stats()
+	st := c.Snapshot()
 	fmt.Println(st.Hits, st.Misses)
 	// Output: 1 1
 }
@@ -250,13 +251,75 @@ func ExampleConn() {
 func TestCaptureDoesNotPolluteCache(t *testing.T) {
 	_, c := newFixture(t, 0)
 	ctx := context.Background()
-	before := c.Stats()
+	before := c.Snapshot()
 	// An UPDATE under AC-extraQuery triggers a capture SELECT.
 	if _, err := c.Exec(ctx, "UPDATE t SET val = ? WHERE grp = ?", 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	after := c.Stats()
+	after := c.Snapshot()
 	if after.Entries != before.Entries {
 		t.Fatalf("capture query was stored: %+v -> %+v", before, after)
+	}
+}
+
+// overtakenConn is a datasource.Conn whose first Query, once it has read the
+// database, lets a write run before it returns — the deterministic form of a
+// read overtaken by a write between the base read and the cache insert.
+type overtakenConn struct {
+	datasource.Conn
+	write func()
+}
+
+func (o *overtakenConn) Query(ctx context.Context, sql string, args ...any) (*datasource.Rows, error) {
+	rows, err := o.Conn.Query(ctx, sql, args...)
+	if write := o.write; write != nil && err == nil {
+		o.write = nil
+		rows = rows.Snapshot() // freeze the pre-write rows
+		write()
+	}
+	return rows, err
+}
+
+// TestQueryInsertAfterWriteIsNotServed pins §3.2 across the read->insert
+// window: a Query that reads the database, is overtaken by an Exec (whose
+// sweep finds nothing to remove yet) and only then inserts must not leave
+// the pre-write rows in the cache.
+func TestQueryInsertAfterWriteIsNotServed(t *testing.T) {
+	db, _ := newFixture(t, 0)
+	engine, err := analysis.NewEngine(analysis.StrategyExtraQuery, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := &overtakenConn{Conn: db}
+	c, err := New(base, engine, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const read = "SELECT val FROM t WHERE grp = ? ORDER BY id ASC"
+	base.write = func() {
+		if _, err := c.Exec(ctx, "UPDATE t SET val = ? WHERE grp = ?", -999, 1); err != nil {
+			t.Error(err)
+		}
+	}
+	overtaken, err := c.Query(ctx, read, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if overtaken.Int(0, 0) == -999 {
+		t.Fatal("fixture broken: the first read must see the pre-write rows")
+	}
+	// The write completed before the insert, so the known-stale rows must
+	// never have been linked (no window in which a reader could hit them).
+	if st := c.Snapshot(); st.Inserts != 0 || st.Entries != 0 {
+		t.Fatalf("known-stale rows were linked: %+v", st)
+	}
+	after, err := c.Query(ctx, read, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Int(0, 0) != -999 {
+		t.Fatalf("read after the write returned pre-write rows %v: the overtaken insert was served (%+v)",
+			after.Data, c.Snapshot())
 	}
 }

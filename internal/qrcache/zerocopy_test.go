@@ -48,7 +48,7 @@ func TestHitPathDoesNotScaleAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(db, engine, 0)
+	c, err := New(db, engine, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -482,7 +482,7 @@ func testConsistencyUnderBiddingMix(t *testing.T, strategy analysis.Strategy) {
 			t.Fatalf("iteration %d: stale %s page for %s", i, name, target)
 		}
 	}
-	if st := c.Stats(); st.Hits == 0 {
+	if st := c.Snapshot(); st.Hits == 0 {
 		t.Fatal("workload produced no cache hits; test not meaningful")
 	}
 }

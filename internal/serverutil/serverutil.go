@@ -199,10 +199,10 @@ func (f *Flags) Serve(rt *autowebcache.Runtime, handler *autowebcache.Woven, ban
 		}
 	}
 	if c := rt.Cache(); c != nil {
-		log.Printf("cache stats at exit: %+v", c.Stats())
+		log.Printf("cache stats at exit: %+v", c.Snapshot())
 	}
 	if node != nil {
-		log.Printf("cluster stats at exit: %+v", node.Stats())
+		log.Printf("cluster stats at exit: %+v", node.Snapshot())
 	}
 	// Detach the peer tier before spilling: a peer invalidation landing
 	// mid-spill would race the store shutdown. Node.Close is idempotent, so

@@ -381,7 +381,7 @@ func testConsistencyUnderShoppingMix(t *testing.T, strategy analysis.Strategy) {
 			t.Fatalf("iteration %d: stale %s page for %s", i, name, target)
 		}
 	}
-	if st := c.Stats(); st.Hits == 0 {
+	if st := c.Snapshot(); st.Hits == 0 {
 		t.Fatal("no cache hits; test not meaningful")
 	}
 }

@@ -28,10 +28,9 @@ func MetricsReference() (string, error) {
 		return "", err
 	}
 	rt, err := New(db, Config{
-		QueryCache:      true,
-		MaxBytes:        1 << 20,
-		QueryCacheBytes: 1 << 20,
-		Admission:       true,
+		PageCache:    PageCacheConfig{MaxBytes: 1 << 20},
+		QueryResults: QueryCacheConfig{Enabled: true, MaxBytes: 1 << 20},
+		Admission:    true,
 	})
 	if err != nil {
 		return "", err
