@@ -21,7 +21,7 @@ FUZZTIME ?= 15s
 
 .PHONY: check ci fmtcheck build vet test race bench benchsmoke bench-gate \
 	experiments cluster-demo cover staticcheck govulncheck lint fuzz \
-	docs-check metricsdoc api-check apidoc bench-e2e benchmark-tests
+	docs-check metricsdoc api-check apidoc bench-e2e benchmark-tests flake
 
 check: build vet race
 
@@ -47,6 +47,19 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./...
+
+# flake repeats the tests whose verdicts could depend on goroutine
+# interleaving — the TPC-W figure claims, the histogram scraped while
+# observed, and the packages holding the miss protocol, the epoch guard and
+# the shared-file driver — plain and under the race detector. `go test`
+# judges counts, bytes, allocations and invariants, never timing, so a
+# failure here is a bug, not noise.
+flake:
+	for race in "" -race; do \
+	  $(GO) test $$race -count=20 -run 'TestFig14CacheWins|TestFig15SemanticsHelps' ./internal/bench && \
+	  $(GO) test $$race -count=200 -run TestConcurrentUseWithScrapes ./internal/telemetry && \
+	  $(GO) test $$race -count=5 ./internal/weave ./internal/cache/... ./internal/qrcache ./internal/datasource/... || exit 1; \
+	done
 
 # cover writes cover.out for ./internal/... and fails when total statement
 # coverage drops below $(COVER_FLOOR)%. CI uploads cover.out as an artifact.

@@ -88,6 +88,9 @@ type Engine struct {
 	mu        sync.RWMutex
 	templates map[string]*TemplateInfo
 	pairs     map[string]bool // template-level possible-dependency results
+	// canon memoises raw SQL -> canonical template text; a sync.Map keeps
+	// the per-query hot path lock-free once a statement has been seen.
+	canon sync.Map
 
 	pairHits      atomic.Uint64
 	pairMisses    atomic.Uint64
@@ -114,6 +117,23 @@ func NewEngine(strategy Strategy, schema Schema) (*Engine, error) {
 
 // Strategy returns the engine's configured strategy.
 func (e *Engine) Strategy() Strategy { return e.strategy }
+
+// Canonical maps raw SQL to the canonical template text that keys the
+// dependency tables, so equivalent spellings share one template row. The
+// memo belongs to the engine, so every layer built on one engine — a page
+// cache stacked over a query-result cache — parses each statement once.
+func (e *Engine) Canonical(sql string) (string, error) {
+	if got, ok := e.canon.Load(sql); ok {
+		return got.(string), nil
+	}
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return "", err
+	}
+	text := stmt.String()
+	e.canon.Store(sql, text)
+	return text, nil
+}
 
 // Template returns the memoised template metadata for sql.
 func (e *Engine) Template(sql string) (*TemplateInfo, error) {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"autowebcache/internal/weave"
 )
 
 // tiny returns parameters small enough for unit tests.
@@ -101,49 +103,91 @@ func TestFig13CacheWins(t *testing.T) {
 	}
 	// The figure itself must still render.
 	tbl, err := Fig13(p)
+	renders(t, tbl, err, 2)
+}
+
+// tpcwLoad runs one TPC-W deployment for the fixed request volume of p and
+// returns the database queries it executed and its outcome totals — the
+// scheduling-independent quantities the Fig. 14/15 claims are judged on
+// (timing is awcbench's and the micro gate's to judge, never go test's).
+func tpcwLoad(t *testing.T, p Params, cfg SystemConfig) (uint64, weave.InteractionStats) {
+	t.Helper()
+	d, err := newTpcw(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := d.run(p, 8)
+	if res.Totals.Requests == 0 {
+		t.Fatal("no requests measured")
+	}
+	return d.db.Stats().Queries, res.Totals
+}
+
+// renders checks that a response-time figure still renders and that its
+// latency cells (columns 1..n) parse.
+func renders(t *testing.T, tbl *Table, err error, latencyCols int) {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tbl.Rows) == 0 {
-		t.Fatal("empty fig13 table")
+		t.Fatalf("empty %s table", tbl.ID)
 	}
 	for _, row := range tbl.Rows {
-		parseMs(t, row[1])
-		parseMs(t, row[2])
+		for _, cell := range row[1 : 1+latencyCols] {
+			parseMs(t, cell)
+		}
 	}
 }
 
+// TestFig14CacheWins asserts the figure's two claims as counts: the cached
+// TPC-W deployment issues materially fewer database queries than NoCache,
+// and the forced-miss configuration (which isolates the lookup overhead)
+// saves none — every page is still generated.
 func TestFig14CacheWins(t *testing.T) {
-	tbl, err := Fig14(tiny(t))
-	if err != nil {
-		t.Fatal(err)
+	p := tiny(t)
+	noCache, _ := tpcwLoad(t, p, SystemConfig{Cached: false})
+	forced, forcedTotals := tpcwLoad(t, p, SystemConfig{Cached: true, ForceMiss: true})
+	cached, cachedTotals := tpcwLoad(t, p, SystemConfig{Cached: true})
+	if cachedTotals.Hits == 0 {
+		t.Fatalf("cached deployment recorded no hits: %+v", cachedTotals)
 	}
-	if len(tbl.Columns) != 6 {
+	// The paper reports a 43% hit rate on the shopping mix; demand at
+	// minimum that caching cuts database query volume by a tenth.
+	if cached >= noCache-noCache/10 {
+		t.Errorf("caching saved too little db load: %d queries cached vs %d uncached", cached, noCache)
+	}
+	if forcedTotals.Hits != 0 || forced < noCache {
+		t.Errorf("forced-miss served from the cache: %d hits, %d queries vs %d uncached",
+			forcedTotals.Hits, forced, noCache)
+	}
+	tbl, err := Fig14(p)
+	if err == nil && len(tbl.Columns) != 6 {
 		t.Fatalf("columns: %v", tbl.Columns)
 	}
-	for _, row := range tbl.Rows {
-		noCache := parseMs(t, row[1])
-		awc := parseMs(t, row[3])
-		if awc > noCache {
-			t.Errorf("clients=%s: AutoWebCache slower than NoCache", row[0])
-		}
-	}
+	renders(t, tbl, err, 3)
 }
 
+// TestFig15SemanticsHelps asserts the application-semantics claim as counts:
+// the BestSellers window produces semantic hits where plain AutoWebCache
+// produces none, and does not raise database query volume.
 func TestFig15SemanticsHelps(t *testing.T) {
-	tbl, err := Fig15(tiny(t))
-	if err != nil {
-		t.Fatal(err)
+	p := tiny(t)
+	plain, plainTotals := tpcwLoad(t, p, SystemConfig{Cached: true})
+	sem, semTotals := tpcwLoad(t, p, SystemConfig{Cached: true, BestSellerWindow: 30 * time.Second})
+	if plainTotals.SemanticHits != 0 {
+		t.Errorf("plain AutoWebCache recorded %d semantic hits", plainTotals.SemanticHits)
 	}
-	for _, row := range tbl.Rows {
-		plain := parseMs(t, row[2])
-		sem := parseMs(t, row[3])
-		// The semantic window should not be slower than plain AutoWebCache
-		// by more than noise; allow 50% slack for tiny runs.
-		if sem > plain*1.5 {
-			t.Errorf("clients=%s: semantics (%.3f) much slower than plain (%.3f)", row[0], sem, plain)
-		}
+	if semTotals.SemanticHits == 0 {
+		t.Errorf("the BestSellers window produced no semantic hits: %+v", semTotals)
 	}
+	// Which pages a run caches varies a little with client interleaving;
+	// 5% covers that without admitting a window that costs queries.
+	if sem > plain+plain/20 {
+		t.Errorf("the BestSellers window raised db load: %d queries vs %d plain", sem, plain)
+	}
+	tbl, err := Fig15(p)
+	renders(t, tbl, err, 3)
 }
 
 func TestFig16Breakdown(t *testing.T) {

@@ -475,17 +475,27 @@ func (c *Cache) FlushLocal() {
 	}
 }
 
-// Epoch returns the invalidation-event counter (see Store.Epoch). The
-// weave's single-flight reads it before generating a page (or fragment) and
-// asks StaleSince after inserting, so an entry inserted while an
-// invalidation swept is discarded instead of shared.
+// Epoch returns the invalidation-event counter (see Store.Epoch). An inserter
+// reads it before generating a page (or fragment) and hands it to
+// InsertSince, so an entry generated or inserted while an invalidation swept
+// is discarded instead of shared.
 func (c *Cache) Epoch() uint64 { return c.store.Epoch() }
 
-// StaleSince reports whether an entry whose generate+insert window started
-// at epoch0 may have escaped an invalidation sweep it depended on (see
-// Store.StaleSince).
-func (c *Cache) StaleSince(epoch0 uint64, deps []analysis.Query) bool {
-	return c.store.StaleSince(epoch0, deps)
+// InsertSince is Insert under the §3.2 read→insert guard (see
+// Store.InsertSince) for a page whose generation began at epoch0. fresh=false
+// means an invalidation the page depends on raced the generation or the
+// insert: the page is not in the cache and must not be shared or replicated,
+// only served to the request that generated it. Semantic-window pages
+// (ttl > 0) are exempt — they carry no dependencies and tolerate staleness
+// by contract.
+func (c *Cache) InsertSince(epoch0 uint64, key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) (pg Page, fresh bool) {
+	if ttl > 0 {
+		return c.Insert(key, body, contentType, deps, ttl), true
+	}
+	fresh = c.store.InsertSince(epoch0, key, deps, func() {
+		pg = c.Insert(key, body, contentType, deps, ttl)
+	})
+	return pg, fresh
 }
 
 // Len returns the current number of cached pages.

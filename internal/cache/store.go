@@ -352,7 +352,7 @@ type Store[V any] struct {
 	epoch atomic.Uint64
 
 	// recent retains the prepared write behind each recent epoch (nil for a
-	// flush) so StaleSince can test an inserter's dependency set against
+	// flush) so staleSince can test an inserter's dependency set against
 	// exactly the sweeps that raced its window, instead of discarding on
 	// every concurrent write.
 	recentMu sync.Mutex
@@ -786,7 +786,7 @@ func (s *Store[V]) InvalidateWrite(w analysis.WriteCapture) (int, error) {
 	}
 	s.writesSeen.Add(1)
 	// The epoch bump precedes the sweep (see the epoch field); the prepared
-	// write is retained so StaleSince can test raced inserts precisely.
+	// write is retained so staleSince can test raced inserts precisely.
 	s.recordEvent(pw)
 	// ColumnOnly deliberately ignores bound values, so the value-based
 	// probe index must not narrow its candidate set.
@@ -955,13 +955,13 @@ func (s *Store[V]) forget(dropped []l2.Dropped) {
 // every write sweep and flush (single-key Remove calls do not count — they
 // cannot make an unrelated in-flight entry stale). An inserter that reads
 // the epoch before generating an entry and sees it unchanged after
-// inserting knows no sweep overlapped its window; on a change, StaleSince
+// inserting knows no sweep overlapped its window; on a change, staleSince
 // decides whether any raced sweep actually intersects the entry's
-// dependencies.
+// dependencies — the protocol InsertSince packages.
 func (s *Store[V]) Epoch() uint64 { return s.epoch.Load() }
 
 // recentWriteWindow is how many recent invalidation events the store
-// retains for StaleSince. Deeper than any plausible number of writes racing
+// retains for staleSince. Deeper than any plausible number of writes racing
 // one generation; an inserter whose window outlived the ring is judged
 // stale conservatively.
 const recentWriteWindow = 256
@@ -982,14 +982,36 @@ func (s *Store[V]) recordEvent(pw *analysis.PreparedWrite) {
 	s.recentMu.Unlock()
 }
 
-// StaleSince reports whether an entry whose generate+insert window started
+// InsertSince runs insert — the caller's Insert, or Reserve+Commit, of key —
+// under the §3.2 read→insert guard, for an entry built from reads that began
+// at epoch0 (read from Epoch before the first of them) and depend on deps.
+// It reports whether the entry may be served to others. Pre-insert: a sweep
+// intersecting deps already ran during the reads, so the entry is known-stale
+// and insert is never called — no reader sees it, no eviction victim pays
+// for it. Post-insert: a sweep racing the insert itself may have scanned
+// before the entry linked, so the key is removed again (over-invalidation is
+// sound; Remove is a no-op when the budget refused the insert). Either way
+// the caller keeps what it read — its read preceded the write.
+func (s *Store[V]) InsertSince(epoch0 uint64, key string, deps []analysis.Query, insert func()) bool {
+	if s.staleSince(epoch0, deps) {
+		return false
+	}
+	insert()
+	if s.staleSince(epoch0, deps) {
+		s.Remove(key)
+		return false
+	}
+	return true
+}
+
+// staleSince reports whether an entry whose generate+insert window started
 // at epoch0 (and whose insert has completed) may have escaped an
 // invalidation sweep it depended on: it tests deps against the prepared
 // write of every epoch in (epoch0, now]. Sweeps that start after the insert
 // see the entry in the tables, so only that interval matters. Unknown
 // territory — a flush, an evicted ring slot, an analysis error — reports
 // stale; over-invalidation is always sound (§3.2).
-func (s *Store[V]) StaleSince(epoch0 uint64, deps []analysis.Query) bool {
+func (s *Store[V]) staleSince(epoch0 uint64, deps []analysis.Query) bool {
 	cur := s.epoch.Load()
 	if cur == epoch0 {
 		return false

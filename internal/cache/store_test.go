@@ -466,21 +466,21 @@ func TestStoreExpiry(t *testing.T) {
 }
 
 // TestStoreEpochGuard: the read->insert window. A sweep or flush between an
-// inserter's epoch read and its insert is visible to StaleSince exactly when
+// inserter's epoch read and its insert is visible to staleSince exactly when
 // it could have touched the entry's dependencies.
 func TestStoreEpochGuard(t *testing.T) {
 	s := newStore(t, StoreOptions{})
 	e0 := s.Epoch()
-	if s.StaleSince(e0, depOn(1)) {
+	if s.staleSince(e0, depOn(1)) {
 		t.Fatal("stale with no event")
 	}
 	if _, err := s.InvalidateWrite(writeRow(2)); err != nil {
 		t.Fatal(err)
 	}
-	if s.StaleSince(e0, depOn(1)) {
+	if s.staleSince(e0, depOn(1)) {
 		t.Fatal("a write to another row made the entry stale")
 	}
-	if !s.StaleSince(e0, depOn(2)) {
+	if !s.staleSince(e0, depOn(2)) {
 		t.Fatal("a write to the entry's row went unnoticed")
 	}
 	e1 := s.Epoch()
@@ -489,7 +489,7 @@ func TestStoreEpochGuard(t *testing.T) {
 		t.Fatal("a single-key removal opened an epoch")
 	}
 	s.Flush()
-	if !s.StaleSince(e1, nil) {
+	if !s.staleSince(e1, nil) {
 		t.Fatal("a flush must make every raced insert stale")
 	}
 	e2 := s.Epoch()
@@ -498,7 +498,7 @@ func TestStoreEpochGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.StaleSince(e2, depOn(1)) {
+	if !s.staleSince(e2, depOn(1)) {
 		t.Fatal("a window that outlived the ring must be judged stale")
 	}
 }

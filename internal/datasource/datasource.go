@@ -17,9 +17,10 @@
 //     invalidation.
 //
 // Two drivers ship with the repository: memdb (the embedded in-memory
-// engine) and the database/sql wrapper in sqldriver (with the file-backed
-// "sqlite" driver as its default backend). Register/Open connect a DSN of
-// the form "memdb" or "scheme:rest" to the right driver.
+// engine) and sqlite (a file several processes share). Each implements this
+// contract directly and is checked by the conformance package; a further
+// backend would do the same. Register/Open connect a DSN of the form "memdb"
+// or "scheme:rest" to the right driver.
 package datasource
 
 import "context"

@@ -1,14 +1,13 @@
-// Package sqlite provides a file-backed SQL driver registered with
-// database/sql under the name "sqlite", plus the "sqlite:<path>" datasource
-// scheme built on it.
+// Package sqlite is the shared-file datasource driver registered under the
+// "sqlite:<path>" scheme: a database several processes can open at once.
 //
-// It is a self-contained stand-in for a cgo-free SQLite module such as
-// modernc.org/sqlite: this repository vendors no external dependencies, so
-// the driver persists to an append-only statement log replayed into the
-// embedded memdb engine. The database/sql surface (driver.Conn with
-// QueryerContext/ExecerContext, Rows, Result) and the datasource semantics
-// are the ones a real SQLite driver would provide; swapping one in is a
-// registration change in this package, not in any consumer.
+// It is a stand-in, not SQLite: this repository vendors no external
+// dependencies, so the driver persists to an append-only statement log
+// replayed into the embedded memdb engine. It implements the datasource
+// contract (Conn, SchemaReporter, Bootstrapper, Closer) directly — there is
+// no database/sql layer in between. A real backend would do the same:
+// implement the datasource contract, register a scheme, and run
+// internal/datasource/conformance.
 //
 // Storage model: every committed write statement is appended to the database
 // file as one JSON line {"sql": ..., "args": [...]}, integers encoded as
@@ -24,7 +23,6 @@ package sqlite
 import (
 	"bytes"
 	"context"
-	"database/sql"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -33,22 +31,20 @@ import (
 	"sync"
 
 	"autowebcache/internal/datasource"
-	"autowebcache/internal/datasource/sqldriver"
 	"autowebcache/internal/memdb"
 )
 
 func init() {
-	sql.Register("sqlite", driverImpl{})
 	datasource.Register("sqlite", func(rest string) (datasource.Conn, error) {
 		if rest == "" {
 			return nil, fmt.Errorf("sqlite: DSN needs a file path (sqlite:<path>)")
 		}
-		return sqldriver.Open("sqlite", rest)
+		return openFileDB(rest)
 	})
 }
 
-// fileDB is the per-path shared state: one per database file per process,
-// shared by every driver connection the pool opens.
+// fileDB is the connection: one per database file per process, shared by
+// every Open of the same path.
 type fileDB struct {
 	mu   sync.Mutex
 	path string
@@ -59,6 +55,11 @@ type fileDB struct {
 }
 
 var (
+	_ datasource.Conn           = (*fileDB)(nil)
+	_ datasource.SchemaReporter = (*fileDB)(nil)
+	_ datasource.Bootstrapper   = (*fileDB)(nil)
+	_ datasource.Closer         = (*fileDB)(nil)
+
 	filesMu sync.Mutex
 	files   = map[string]*fileDB{}
 )
@@ -188,8 +189,11 @@ func (d *fileDB) replayLocked(ctx context.Context) error {
 	return nil
 }
 
-// query runs a SELECT against the replica after catching up on the log.
-func (d *fileDB) query(ctx context.Context, sqlText string, args []any) (*datasource.Rows, error) {
+// Query runs a SELECT against the replica after catching up on the log.
+func (d *fileDB) Query(ctx context.Context, sqlText string, args ...any) (*datasource.Rows, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := flockShared(d.f); err != nil {
@@ -202,8 +206,11 @@ func (d *fileDB) query(ctx context.Context, sqlText string, args []any) (*dataso
 	return d.mem.Query(ctx, sqlText, args...)
 }
 
-// exec runs a write under the exclusive lock: catch up, execute, append.
-func (d *fileDB) exec(ctx context.Context, sqlText string, args []any) (datasource.Result, error) {
+// Exec runs a write under the exclusive lock: catch up, execute, append.
+func (d *fileDB) Exec(ctx context.Context, sqlText string, args ...any) (datasource.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return datasource.Result{}, err
+	}
 	vals, err := datasource.NormalizeAll(args)
 	if err != nil {
 		return datasource.Result{}, fmt.Errorf("sqlite: %w", err)
@@ -239,9 +246,9 @@ func (d *fileDB) exec(ctx context.Context, sqlText string, args []any) (datasour
 	return res, nil
 }
 
-// columnNames reports the replica's schema after catching up, so DDL applied
+// ColumnNames reports the replica's schema after catching up, so DDL applied
 // by another process is visible.
-func (d *fileDB) columnNames(table string) ([]string, error) {
+func (d *fileDB) ColumnNames(table string) ([]string, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := flockShared(d.f); err != nil {
@@ -254,7 +261,10 @@ func (d *fileDB) columnNames(table string) ([]string, error) {
 	return d.mem.ColumnNames(table)
 }
 
-func (d *fileDB) autoIncrementColumn(table string) (string, bool) {
+// AutoIncrementColumn reports a table's auto-increment column, likewise
+// after catching up; ok=false when the lock or the replay fails (the
+// analysis then takes its conservative path).
+func (d *fileDB) AutoIncrementColumn(table string) (string, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := flockShared(d.f); err != nil {
@@ -267,24 +277,26 @@ func (d *fileDB) autoIncrementColumn(table string) (string, bool) {
 	return d.mem.AutoIncrementColumn(table)
 }
 
-// bootstrapLock takes the cross-process bootstrap lock: an exclusive flock
-// on a sibling ".lock" file. A separate file is essential — holding the
-// database-file lock across the callback would deadlock the callback's own
-// statements, which take it per-statement.
-func (d *fileDB) bootstrapLock(ctx context.Context) (unlock func(), err error) {
+// Bootstrap runs fn under the cross-process bootstrap lock: an exclusive
+// flock on a sibling ".lock" file. A separate file is essential — holding
+// the database-file lock across fn would deadlock fn's own statements, which
+// take it per-statement.
+func (d *fileDB) Bootstrap(ctx context.Context, fn func(datasource.Conn) error) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	lf, err := os.OpenFile(d.path+".lock", os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("sqlite: %w", err)
+		return fmt.Errorf("sqlite: %w", err)
 	}
+	defer lf.Close()
 	if err := flockExclusive(lf); err != nil {
-		lf.Close()
-		return nil, fmt.Errorf("sqlite: bootstrap lock %s: %w", d.path, err)
+		return fmt.Errorf("sqlite: bootstrap lock %s: %w", d.path, err)
 	}
-	return func() {
-		funlock(lf)
-		lf.Close()
-	}, nil
+	defer funlock(lf)
+	return fn(d)
 }
+
+// Close is a no-op: the instance is the process-wide singleton for its path,
+// shared with every other Open of it, and lives as long as the process.
+func (d *fileDB) Close() error { return nil }

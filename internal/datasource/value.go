@@ -50,7 +50,7 @@ func Normalize(v any) (Value, error) {
 	case string:
 		return x, nil
 	case []byte:
-		// database/sql drivers commonly surface TEXT columns as []byte.
+		// Text often reaches callers as []byte (I/O and encoding layers).
 		return string(x), nil
 	default:
 		return nil, fmt.Errorf("datasource: unsupported value type %T", v)

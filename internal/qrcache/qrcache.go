@@ -21,12 +21,10 @@ package qrcache
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
 	"autowebcache/internal/datasource"
-	"autowebcache/internal/sqlparser"
 )
 
 // Stats are the result cache's counters: the store's own.
@@ -52,9 +50,6 @@ type Conn struct {
 	base   datasource.Conn
 	engine *analysis.Engine
 	store  *cache.Store[*datasource.Rows]
-
-	parse sqlparser.Cache
-	canon sync.Map // raw SQL -> canonical template text
 }
 
 var _ datasource.Conn = (*Conn)(nil)
@@ -77,20 +72,6 @@ func New(base datasource.Conn, engine *analysis.Engine, opts Options) (*Conn, er
 	return &Conn{base: base, engine: engine, store: store}, nil
 }
 
-// canonicalize maps raw SQL to canonical template text.
-func (c *Conn) canonicalize(sql string) (string, error) {
-	if got, ok := c.canon.Load(sql); ok {
-		return got.(string), nil
-	}
-	stmt, err := c.parse.Get(sql)
-	if err != nil {
-		return "", err
-	}
-	text := stmt.String()
-	c.canon.Store(sql, text)
-	return text, nil
-}
-
 // noStoreKey marks contexts whose queries may be served from the cache but
 // must not be inserted — used for the engine's own pre-write extra queries,
 // whose results are invalidated moments later by the very write that
@@ -107,7 +88,7 @@ type noStoreKey struct{}
 // entries and never rewrites rows in place, so a view obtained before an
 // invalidation stays valid and self-consistent for as long as it is held.
 func (c *Conn) Query(ctx context.Context, sql string, args ...any) (*datasource.Rows, error) {
-	tmpl, err := c.canonicalize(sql)
+	tmpl, err := c.engine.Canonical(sql)
 	if err != nil {
 		return c.base.Query(ctx, sql, args...) // let the base report the error
 	}
@@ -124,7 +105,7 @@ func (c *Conn) Query(ctx context.Context, sql string, args ...any) (*datasource.
 		return it.Val, nil
 	}
 	// The epoch is read before the database is: a write whose sweep starts
-	// after this point is visible to the re-check below (§3.2 across the
+	// after this point is visible to InsertSince below (§3.2 across the
 	// read->insert window, exactly as the weave guards page inserts).
 	epoch0 := c.store.Epoch()
 	rows, err := c.base.Query(ctx, sql, args...)
@@ -134,32 +115,24 @@ func (c *Conn) Query(ctx context.Context, sql string, args ...any) (*datasource.
 	if ctx.Value(noStoreKey{}) != nil {
 		return rows, nil
 	}
-	// The epoch guard, in two halves, as the weave guards page inserts.
-	// Pre-insert: a write this result depends on completed its sweep during
-	// the database read, so the rows are known-stale — never link them (no
-	// reader may see them, no victim pays for them). The caller still gets
-	// the rows: its read preceded the write.
+	// The store's guard refuses rows a write overtook during the database
+	// read or the insert; the caller still gets them — its read preceded the
+	// write.
 	deps := []analysis.Query{{SQL: tmpl, Args: vals}}
-	if c.store.StaleSince(epoch0, deps) {
-		return rows, nil
-	}
-	// The reservation precedes the snapshot copy: a result set the budget
-	// refuses (oversize, or colder than every victim) is returned to the
-	// caller uncopied and simply not cached.
-	cost := resultCost(key, rows)
-	if !c.store.Reserve(key, cost) {
-		return rows, nil
-	}
-	// Snapshot once at insert; the snapshot is both what the cache stores
-	// and what this (missing) caller receives, so hits and the originating
-	// miss all share the same immutable data.
-	rows = rows.Snapshot()
-	c.store.Commit(cache.Item[*datasource.Rows]{Key: key, Val: rows, Deps: deps, Cost: cost})
-	if c.store.StaleSince(epoch0, deps) {
-		// Post-insert: a sweep that raced the insert itself may have scanned
-		// before the entry linked: drop it (over-invalidation is sound).
-		c.store.Remove(key)
-	}
+	c.store.InsertSince(epoch0, key, deps, func() {
+		// The reservation precedes the snapshot copy: a result set the budget
+		// refuses (oversize, or colder than every victim) is returned to the
+		// caller uncopied and simply not cached.
+		cost := resultCost(key, rows)
+		if !c.store.Reserve(key, cost) {
+			return
+		}
+		// Snapshot once at insert; the snapshot is both what the cache stores
+		// and what this (missing) caller receives, so hits and the originating
+		// miss all share the same immutable data.
+		rows = rows.Snapshot()
+		c.store.Commit(cache.Item[*datasource.Rows]{Key: key, Val: rows, Deps: deps, Cost: cost})
+	})
 	return rows, nil
 }
 
@@ -167,7 +140,7 @@ func (c *Conn) Query(ctx context.Context, sql string, args ...any) (*datasource.
 // intersects. The capture runs before the write, as the extra-query
 // strategy requires.
 func (c *Conn) Exec(ctx context.Context, sql string, args ...any) (datasource.Result, error) {
-	tmpl, cerr := c.canonicalize(sql)
+	tmpl, cerr := c.engine.Canonical(sql)
 	var capture analysis.WriteCapture
 	captured := false
 	if cerr == nil {

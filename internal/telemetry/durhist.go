@@ -49,7 +49,6 @@ const DurationBucketCount = len(durationBoundsNs)
 // The zero value is ready to use.
 type DurationHist struct {
 	buckets [DurationBucketCount + 1]atomic.Uint64
-	count   atomic.Uint64
 	sumNs   atomic.Int64
 }
 
@@ -61,21 +60,32 @@ func (h *DurationHist) Observe(d time.Duration) {
 		i++
 	}
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	h.sumNs.Add(ns)
 }
 
-// Empty reports whether the histogram has recorded nothing.
-func (h *DurationHist) Empty() bool { return h.count.Load() == 0 }
+// Empty reports whether the histogram has recorded nothing. Runs off the
+// hot path (at scrape time), so it reads the buckets rather than make every
+// Observe maintain a separate count.
+func (h *DurationHist) Empty() bool {
+	for i := range h.buckets {
+		if h.buckets[i].Load() != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // Snapshot returns the histogram's state with bounds converted to seconds,
 // ready for Gatherer.Histo. Runs off the hot path; it allocates.
 func (h *DurationHist) Snapshot() HistSnapshot {
 	s := HistSnapshot{Bounds: durationBoundsSec, Buckets: make([]uint64, len(h.buckets))}
+	// Count is the sum of the buckets just read, never a separately loaded
+	// counter: an Observe landing between two loads would otherwise render a
+	// +Inf bucket below the last finite one.
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
-	s.Count = h.count.Load()
 	s.Sum = float64(h.sumNs.Load()) / 1e9
 	return s
 }
@@ -86,6 +96,5 @@ func (h *DurationHist) Reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
 	}
-	h.count.Store(0)
 	h.sumNs.Store(0)
 }

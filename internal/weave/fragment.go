@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"autowebcache/internal/analysis"
 	"autowebcache/internal/servlet"
 )
 
@@ -89,17 +88,6 @@ func (a *assembly) vector() [][]byte {
 	return a.parts
 }
 
-// segResult is one segment's rendered output within an assembly.
-type segResult struct {
-	body []byte
-	// fromCache marks bytes served from the cache (local fragment hit,
-	// coalesced flight share, or a cluster peer's copy).
-	fromCache bool
-	// status is the segment's reported HTTP status; 0 means the client went
-	// away mid-flight and nothing should be written.
-	status int
-}
-
 // fragmentAdvice assembles a page from its segments: cacheable fragments
 // are looked up (and, missing, generated under the single-flight and
 // inserted with their own dependency sets); holes always run. The response
@@ -159,18 +147,35 @@ func (w *Woven) fragmentAdvice(h servlet.HandlerInfo) http.Handler {
 				cachedBytes += len(pg.Body)
 				continue
 			}
-			res := w.fragmentMiss(r, h, seg, key)
-			if res.status == 0 {
+			ttl := seg.TTL
+			if ttl == 0 {
+				ttl = h.TTL
+			}
+			m := w.resolveMiss(r, key, ttl, seg.Gen)
+			if m.outcome == "" {
 				return // client gone mid-flight; nothing to write
 			}
-			page.addView(res.body)
-			if res.status != http.StatusOK {
-				status = res.status
-				break
-			}
-			if res.fromCache {
+			if m.rb == nil {
+				// A local re-check hit, a coalesced flight share, or a cluster
+				// peer's copy: bytes from the cache.
+				page.addView(m.page.Body)
 				hits++
-				cachedBytes += len(res.body)
+				cachedBytes += len(m.page.Body)
+				continue
+			}
+			// Generated this request: the stored view when the fragment was
+			// inserted, else a private copy — the capture buffer dies here.
+			body := m.page.Body
+			if body == nil {
+				body = append([]byte(nil), m.rb.body.Bytes()...)
+			}
+			page.addView(body)
+			invalidated += m.invalidated
+			segStatus := m.rb.status
+			m.rb.release()
+			if segStatus != http.StatusOK {
+				status = segStatus
+				break
 			}
 		}
 		if status != http.StatusOK {
@@ -223,124 +228,4 @@ func (w *Woven) runHole(page *responseBuffer, r *http.Request, seg *servlet.Segm
 		return n
 	}
 	return 0
-}
-
-// fragmentMiss produces a missing fragment's body, coalescing concurrent
-// generations of the same fragment key onto one leader — the page-level
-// single-flight machinery reused at fragment granularity. Followers that
-// wake to a changed invalidation epoch re-check the cache instead of
-// serving the flight's view, so they always observe post-invalidation
-// state.
-func (w *Woven) fragmentMiss(r *http.Request, h servlet.HandlerInfo, seg *servlet.Segment, key string) segResult {
-	if w.cache.ForceMiss() {
-		// Forced-miss measurement mode: every generator must execute.
-		return w.generateFragment(r, h, seg, key, nil)
-	}
-	for {
-		epoch0 := w.cache.Epoch()
-		w.flightMu.Lock()
-		f, inflight := w.flights[key]
-		if !inflight {
-			f = &flight{done: make(chan struct{}), epoch: epoch0}
-			w.flights[key] = f
-			w.flightMu.Unlock()
-			// A rival flight may have just inserted the fragment.
-			if w.cache.Contains(key) {
-				if pg, ok := w.cache.Lookup(key); ok {
-					w.publishFlight(f, key, pg)
-					return segResult{body: pg.Body, fromCache: true, status: http.StatusOK}
-				}
-			}
-			// Fragments ride the cluster tier by key, protocol unchanged:
-			// the leader pays the owner fetch once for the whole herd.
-			if w.remote != nil {
-				if pg, ok := w.remote.Fetch(r.Context(), key); ok {
-					w.publishFlight(f, key, pg)
-					return segResult{body: pg.Body, fromCache: true, status: http.StatusOK}
-				}
-			}
-			return w.generateFragment(r, h, seg, key, f)
-		}
-		w.flightMu.Unlock()
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			return segResult{} // client gone; the leader cleans up on its own
-		}
-		if f.shared && w.cache.Epoch() == f.epoch {
-			return segResult{body: f.page.Body, fromCache: true, status: http.StatusOK}
-		}
-		// Not shareable, or an invalidation swept since the leader inserted:
-		// re-check the cache, then compete to lead a fresh flight.
-		if pg, ok := w.cache.Lookup(key); ok {
-			return segResult{body: pg.Body, fromCache: true, status: http.StatusOK}
-		}
-	}
-}
-
-// generateFragment runs one fragment's generator as the flight leader (or
-// uncoalesced when f is nil), inserting the result with the fragment's OWN
-// dependency set — scoped by a per-fragment recorder, so a write
-// invalidates exactly the fragments whose reads it intersects.
-func (w *Woven) generateFragment(r *http.Request, h servlet.HandlerInfo, seg *servlet.Segment, key string, f *flight) segResult {
-	if f != nil {
-		defer func() {
-			w.flightMu.Lock()
-			delete(w.flights, key)
-			w.flightMu.Unlock()
-			close(f.done)
-		}()
-	}
-	epoch0 := w.cache.Epoch()
-	if f != nil {
-		epoch0 = f.epoch
-	}
-	ctx, rec := WithRecorder(r.Context())
-	rb := newResponseBuffer()
-	defer rb.release()
-	seg.Gen(rb, r.WithContext(ctx))
-	if rb.status != http.StatusOK {
-		return segResult{body: append([]byte(nil), rb.body.Bytes()...), status: rb.status}
-	}
-	if rec.ReadFailed() || len(rec.Writes()) > 0 {
-		// Aborted read (§4.2) or an interleaved write: serve, don't cache.
-		if len(rec.Writes()) > 0 {
-			w.applyInvalidations(rec)
-		}
-		return segResult{body: append([]byte(nil), rb.body.Bytes()...), status: http.StatusOK}
-	}
-	ttl := seg.TTL
-	if ttl == 0 {
-		ttl = h.TTL
-	}
-	deps := analysis.DedupQueries(rec.Reads())
-	if ttl > 0 {
-		// Per-fragment semantic window: valid for the window regardless of
-		// writes, so no dependency information (§4.3, fragment-scoped).
-		deps = nil
-	}
-	// The epoch guard, as in leadMiss: a sweep intersecting this fragment's
-	// dependencies that completed during generation means the fragment is
-	// known-stale — serve it to this requester but never insert it; a sweep
-	// racing the insert itself is caught by the post-insert check and the
-	// entry discarded. Either way the flight is not shared, so followers
-	// re-check the cache and observe post-invalidation state.
-	if ttl == 0 && w.cache.StaleSince(epoch0, deps) {
-		w.flightAborts.Add(1)
-		return segResult{body: append([]byte(nil), rb.body.Bytes()...), status: http.StatusOK}
-	}
-	stored := w.cache.Insert(key, rb.body.Bytes(), rb.contentType(), deps, ttl)
-	if ttl == 0 && w.cache.StaleSince(epoch0, deps) {
-		w.cache.InvalidateKey(key)
-		w.flightAborts.Add(1)
-		return segResult{body: stored.Body, status: http.StatusOK}
-	}
-	if f != nil {
-		f.page = stored
-		f.shared = true
-	}
-	if w.remote != nil {
-		w.remote.Offer(key, stored.Body, stored.ContentType, deps, ttl)
-	}
-	return segResult{body: stored.Body, status: http.StatusOK}
 }

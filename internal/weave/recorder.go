@@ -100,10 +100,6 @@ func RecorderFrom(ctx context.Context) (*Recorder, bool) {
 type RecordingConn struct {
 	base   datasource.Conn
 	engine *analysis.Engine
-	parse  sqlparser.Cache
-	// canon memoises raw SQL -> canonical template text; a sync.Map keeps
-	// the per-query hot path lock-free once a statement has been seen.
-	canon sync.Map
 }
 
 var _ datasource.Conn = (*RecordingConn)(nil)
@@ -117,21 +113,6 @@ func NewConn(base datasource.Conn, engine *analysis.Engine) *RecordingConn {
 // Base returns the wrapped connection.
 func (c *RecordingConn) Base() datasource.Conn { return c.base }
 
-// canonicalize maps raw SQL to the canonical template text used as the
-// dependency-table key, so equivalent spellings share one template row.
-func (c *RecordingConn) canonicalize(sql string) (string, error) {
-	if got, ok := c.canon.Load(sql); ok {
-		return got.(string), nil
-	}
-	stmt, err := c.parse.Get(sql)
-	if err != nil {
-		return "", err
-	}
-	text := stmt.String()
-	c.canon.Store(sql, text)
-	return text, nil
-}
-
 // Query executes a read query, recording its (template, value vector) as
 // dependency information when the context carries a Recorder.
 func (c *RecordingConn) Query(ctx context.Context, sql string, args ...any) (*datasource.Rows, error) {
@@ -144,7 +125,7 @@ func (c *RecordingConn) Query(ctx context.Context, sql string, args ...any) (*da
 		rec.markReadError()
 		return rows, err
 	}
-	tmpl, cerr := c.canonicalize(sql)
+	tmpl, cerr := c.engine.Canonical(sql)
 	if cerr != nil {
 		// The base connection accepted what we cannot parse; treat the page
 		// as uncacheable rather than fail the request.
@@ -169,7 +150,7 @@ func (c *RecordingConn) Exec(ctx context.Context, sql string, args ...any) (data
 	if !recording {
 		return c.base.Exec(ctx, sql, args...)
 	}
-	tmpl, cerr := c.canonicalize(sql)
+	tmpl, cerr := c.engine.Canonical(sql)
 	var capture analysis.WriteCapture
 	captured := false
 	if cerr == nil {

@@ -19,7 +19,7 @@ package weave
 //
 // Negotiation happens strictly AFTER the epoch-guarded cache decision: the
 // weave first resolves WHICH immutable entry answers the request (lookup,
-// single-flight, epoch re-check — see weave.go), and only then resolves HOW
+// single-flight, epoch re-check — see miss.go), and only then resolves HOW
 // that entry's bytes go out. Variants are views of one entry, so a 304 or a
 // gzip body can never be fresher or staler than the identity body of the
 // same response.

@@ -86,34 +86,14 @@ type Woven struct {
 	// generated page to the key's owners.
 	remote Remote
 
-	// flights coalesces concurrent misses on one page or fragment key: the
-	// first request (the leader) runs the generator; followers wait and
-	// share the leader's inserted result instead of re-executing it.
+	// flights coalesces concurrent misses on one page or fragment key (see
+	// resolveMiss).
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
 	// flightAborts counts flights whose freshly inserted page was discarded
 	// because an invalidation sweep raced the generation (the epoch guard).
 	flightAborts atomic.Uint64
-}
-
-// flight is one in-progress miss computation. done is closed when the
-// leader finishes; page/shared/epoch are valid only after that.
-type flight struct {
-	done chan struct{}
-	// page is the immutable stored view the leader inserted; shared is
-	// false when the leader's response was not cacheable (error status,
-	// failed read, an interleaved write, or an invalidation sweep that
-	// raced the generation), in which case followers fall back to executing
-	// the handler themselves.
-	page   cache.Page
-	shared bool
-	// epoch is the cache's invalidation epoch the shared page is valid
-	// under. A follower that wakes to a later epoch must not serve the
-	// flight's page blindly — an invalidation may have removed it between
-	// the leader's insert and now — and re-checks the cache instead, so
-	// followers always observe post-invalidation state (§3.2).
-	epoch uint64
 }
 
 // pageKey computes a request's cache identity, including rule-named cookies.
@@ -298,15 +278,9 @@ func (rb *responseBuffer) contentType() string {
 
 // aroundAdvice implements Fig. 10: surround a read interaction with a cache
 // check, bypassing the handler on a hit and inserting the page (with its
-// dependency information) on a miss.
-//
-// Concurrent misses on one key are coalesced: the first request becomes the
-// flight leader and runs the handler; the others wait and are served the
-// leader's inserted page (outcome "coalesced"), so a thundering herd on a
-// cold page executes the handler exactly once. A follower whose context is
-// cancelled simply stops waiting; a leader whose response turns out not to
-// be shareable unblocks the followers, which re-check the cache and elect a
-// fresh leader — a failed flight never poisons the key.
+// dependency information) on a miss. The miss itself — coalescing, remote
+// fetch, generation, guarded insert — is resolveMiss's; this advice only
+// decides how each resolution is served and accounted.
 func (w *Woven) aroundAdvice(h servlet.HandlerInfo) http.Handler {
 	hitOutcome := OutcomeHit
 	if h.TTL > 0 {
@@ -320,194 +294,51 @@ func (w *Woven) aroundAdvice(h servlet.HandlerInfo) http.Handler {
 			w.recordServe(h.Name, sv, time.Since(start), true)
 			return
 		}
-		if w.cache.ForceMiss() {
-			// The forced-miss measurement mode exists to time the handler on
-			// every request (§6); coalescing would skip exactly those
-			// executions, so misses run uncoalesced.
-			w.leadMiss(rw, r, h, key, nil, start)
-			return
-		}
-		for {
-			// Captured before flight creation: any invalidation sweep that
-			// starts after this point is visible as an epoch change to both
-			// the leader's post-insert check and the followers' serve check.
-			epoch0 := w.cache.Epoch()
-			w.flightMu.Lock()
-			f, inflight := w.flights[key]
-			if !inflight {
-				f = &flight{done: make(chan struct{}), epoch: epoch0}
-				w.flights[key] = f
-				w.flightMu.Unlock()
-				// A flight that completed between our miss and taking
-				// leadership may have just inserted the page; serve it
-				// instead of re-executing the handler. (Contains first: it
-				// leaves the hit/miss counters untouched on the common
-				// genuinely-cold path.)
-				if w.cache.Contains(key) {
-					if pg, ok := w.cache.Lookup(key); ok {
-						w.publishFlight(f, key, pg)
-						sv := w.servePage(rw, r, pg, hitOutcome)
-						w.recordServe(h.Name, sv, time.Since(start), true)
-						return
-					}
-				}
-				// The remote hop rides inside the flight: the leader pays the
-				// network round trip once and its followers share the fetched
-				// page, so a thundering herd on a remotely-owned key costs one
-				// peer call, not N.
-				if w.remote != nil {
-					if pg, ok := w.remote.Fetch(r.Context(), key); ok {
-						w.publishFlight(f, key, pg)
-						sv := w.servePage(rw, r, pg, OutcomeRemoteHit)
-						w.recordServe(h.Name, sv, time.Since(start), true)
-						return
-					}
-				}
-				w.leadMiss(rw, r, h, key, f, start)
+		m := w.resolveMiss(r, key, h.TTL, h.Fn)
+		switch m.outcome {
+		case "":
+			// The client went away while waiting on a flight.
+		case OutcomeHit, OutcomeRemoteHit:
+			if m.outcome == OutcomeHit {
+				m.outcome = hitOutcome
+			}
+			sv := w.servePage(rw, r, m.page, m.outcome)
+			w.recordServe(h.Name, sv, time.Since(start), true)
+		case OutcomeCoalesced:
+			sv := w.servePage(rw, r, m.page, OutcomeCoalesced)
+			switch {
+			case sv.err != nil:
+				w.stats.RecordSendFailure(h.Name)
+			case sv.outcome == OutcomeNotModified:
+				// The follower's conditional request revalidated against
+				// the flight's page: a 304, not a coalesced body serve.
+				w.stats.RecordServed(h.Name, OutcomeNotModified, time.Since(start), 0, 0, 0)
+			default:
+				w.stats.RecordCoalesced(h.Name, h.TTL > 0, time.Since(start), sv.bytes)
+			}
+		default:
+			// This request ran the handler: replay its captured response.
+			// m.page, when the generation was inserted and survived the epoch
+			// guard, is the stored entry: the choke point serves the first
+			// response with the entry's validator and negotiated encoding, so
+			// clients can revalidate (and caches vary) from the very first
+			// transfer.
+			sv := w.serveCaptured(rw, r, m.rb, m.outcome, m.page)
+			m.rb.release()
+			if sv.err != nil {
+				w.stats.RecordSendFailure(h.Name)
 				return
 			}
-			w.flightMu.Unlock()
-			select {
-			case <-f.done:
-			case <-r.Context().Done():
-				// The client is gone. Abandoning the wait cannot poison the
-				// flight: the leader finishes and cleans up on its own.
-				return
+			// Byte accounting covers cache-governed 200s only (as in the
+			// fragment path): error responses would skew the cached-byte
+			// fraction.
+			bytesOut := sv.bytes
+			if m.outcome == OutcomeError {
+				bytesOut = 0
 			}
-			if f.shared && w.cache.Epoch() == f.epoch {
-				sv := w.servePage(rw, r, f.page, OutcomeCoalesced)
-				switch {
-				case sv.err != nil:
-					w.stats.RecordSendFailure(h.Name)
-				case sv.outcome == OutcomeNotModified:
-					// The follower's conditional request revalidated against
-					// the flight's page: a 304, not a coalesced body serve.
-					w.stats.RecordServed(h.Name, OutcomeNotModified, time.Since(start), 0, 0, 0)
-				default:
-					w.stats.RecordCoalesced(h.Name, h.TTL > 0, time.Since(start), sv.bytes)
-				}
-				return
-			}
-			// The leader's response was not shareable (error, failed read,
-			// interleaved write), or an invalidation sweep ran since it was
-			// inserted — the flight's view may predate pages the sweep
-			// removed, and a follower must observe post-invalidation state.
-			// Re-check the cache, then compete to lead a fresh flight.
-			if pg, ok := w.cache.Lookup(key); ok {
-				sv := w.servePage(rw, r, pg, hitOutcome)
-				w.recordServe(h.Name, sv, time.Since(start), true)
-				return
-			}
+			w.stats.RecordServed(h.Name, m.outcome, time.Since(start), m.invalidated, bytesOut, 0)
 		}
 	})
-}
-
-// publishFlight resolves a flight with a page obtained without running the
-// handler (a just-completed rival flight's insert, or a remote fetch) and
-// unblocks its followers. The flight's creation-time epoch stands: if an
-// invalidation swept since, followers re-check the cache instead of serving
-// the flight's view.
-func (w *Woven) publishFlight(f *flight, key string, pg cache.Page) {
-	f.page, f.shared = pg, true
-	w.flightMu.Lock()
-	delete(w.flights, key)
-	w.flightMu.Unlock()
-	close(f.done)
-}
-
-// leadMiss runs the handler as the flight leader for key and publishes the
-// result to the flight's followers. A nil flight runs the same miss path
-// uncoalesced (forced-miss mode).
-func (w *Woven) leadMiss(rw http.ResponseWriter, r *http.Request, h servlet.HandlerInfo, key string, f *flight, start time.Time) {
-	if f != nil {
-		defer func() {
-			// Unwind the flight even if the handler panics: remove the key
-			// so new arrivals start fresh, then unblock waiting followers.
-			w.flightMu.Lock()
-			delete(w.flights, key)
-			w.flightMu.Unlock()
-			close(f.done)
-		}()
-	}
-	// The invalidation epoch the generation starts under: a flight carries
-	// its creation-time epoch; the uncoalesced (forced-miss) path captures
-	// its own before the handler's first read.
-	epoch0 := w.cache.Epoch()
-	if f != nil {
-		epoch0 = f.epoch
-	}
-	ctx, rec := WithRecorder(r.Context())
-	rb := newResponseBuffer()
-	defer rb.release()
-	h.Fn(rb, r.WithContext(ctx))
-	outcome := OutcomeMiss
-	// storedPg, when the generation was inserted and survived the epoch
-	// guard, is the stored entry: the choke point serves the first response
-	// with the entry's validator and negotiated encoding, so clients can
-	// revalidate (and caches vary) from the very first transfer.
-	var storedPg cache.Page
-	if rb.status != http.StatusOK {
-		outcome = OutcomeError
-	} else if !rec.ReadFailed() && len(rec.Writes()) == 0 {
-		deps := analysis.DedupQueries(rec.Reads())
-		if h.TTL > 0 {
-			// Semantic windows replace invalidation-based consistency:
-			// the page is valid for the full window regardless of
-			// writes (§4.3 — "the best seller pages were marked
-			// cacheable for a full 30 second window"), so it carries no
-			// dependency information.
-			deps = nil
-		}
-		// The epoch guard, in two halves. Pre-insert: a sweep intersecting
-		// this page's dependencies already ran during generation, so the
-		// page is known-stale — never insert it (the leader still serves its
-		// own bytes, like any read that raced a write). Post-insert: a sweep
-		// that raced the insert itself may have scanned before the entry
-		// linked; discard the entry (over-invalidation is sound). The serve
-		// window is only the insert-to-discard instants of that second,
-		// truly concurrent case — the pre-check keeps a completed sweep from
-		// ever seeing a knowingly stale insert. (Semantic-window pages are
-		// exempt: they carry no dependencies and tolerate staleness by
-		// contract.)
-		if h.TTL == 0 && w.cache.StaleSince(epoch0, deps) {
-			w.flightAborts.Add(1)
-		} else {
-			// The stored immutable view doubles as the flight's shared
-			// result, so followers serve the same bytes the cache now holds.
-			stored := w.cache.Insert(key, rb.body.Bytes(), rb.contentType(), deps, h.TTL)
-			if h.TTL == 0 && w.cache.StaleSince(epoch0, deps) {
-				w.cache.InvalidateKey(key)
-				w.flightAborts.Add(1)
-			} else {
-				storedPg = stored
-				if f != nil {
-					f.page = stored
-					f.shared = true
-				}
-				// Replicate to the key's owner nodes (no-op when this node
-				// owns the key). The stored immutable body goes out, never
-				// the pooled buffer.
-				if w.remote != nil {
-					w.remote.Offer(key, stored.Body, stored.ContentType, deps, h.TTL)
-				}
-			}
-		}
-	}
-	// A "read" handler that wrote must still invalidate (defensive: the
-	// weaving rules misclassified it).
-	invalidated, _ := w.applyInvalidations(rec)
-	sv := w.serveCaptured(rw, r, rb, outcome, storedPg)
-	if sv.err != nil {
-		w.stats.RecordSendFailure(h.Name)
-		return
-	}
-	// Byte accounting covers cache-governed 200s only (as in the fragment
-	// path): error responses would skew the cached-byte fraction.
-	bytesOut := sv.bytes
-	if outcome == OutcomeError {
-		bytesOut = 0
-	}
-	w.stats.RecordServed(h.Name, outcome, time.Since(start), invalidated, bytesOut, 0)
 }
 
 // afterAdvice implements Fig. 11: run the write interaction, then use its
