@@ -102,10 +102,6 @@ func NewAdmin() *Admin {
 	return a
 }
 
-// Registry returns the underlying telemetry registry, for callers that
-// want to add their own series next to the cache's.
-func (a *Admin) Registry() *telemetry.Registry { return a.reg }
-
 // Handler returns the admin HTTP handler (metrics + statsz + healthz +
 // pprof).
 func (a *Admin) Handler() http.Handler { return a.mux }

@@ -372,6 +372,13 @@ func fetch(ctx context.Context, client *http.Client, url string) (fetchResult, e
 	return res, nil
 }
 
+// localHits counts the requests the local cache served without running the
+// handler — the outcomes the server counts as Hits or SemanticHits. With
+// remote-hit they make up the hit rate, as in the server's HitRate.
+func (s *outcomeStats) localHits() int {
+	return s.outcomes["hit"] + s.outcomes["semantic-hit"] + s.outcomes["coalesced"] + s.outcomes["not-modified"]
+}
+
 func report(out io.Writer, stats map[string]*outcomeStats) {
 	names := make([]string, 0, len(stats))
 	totalReq := 0
@@ -382,7 +389,7 @@ func report(out io.Writer, stats map[string]*outcomeStats) {
 		names = append(names, name)
 		totalReq += s.count
 		totalDur += s.total
-		hits += s.outcomes["hit"] + s.outcomes["semantic-hit"] + s.outcomes["remote-hit"] + s.outcomes["not-modified"]
+		hits += s.localHits() + s.outcomes["remote-hit"]
 		bytesOut += s.bytesOut
 		bytesCached += s.bytesCached
 	}
@@ -397,7 +404,7 @@ func report(out io.Writer, stats map[string]*outcomeStats) {
 		}
 		fmt.Fprintf(out, "%-26s %8d %12v %6d %6d %6d %6d %6d %6d %6d\n",
 			name, s.count, mean.Round(time.Microsecond),
-			s.outcomes["hit"]+s.outcomes["semantic-hit"], s.outcomes["remote-hit"],
+			s.localHits(), s.outcomes["remote-hit"],
 			s.outcomes["fragment-hit"], s.outcomes["assembled"],
 			s.outcomes["miss"],
 			// A write-degraded response is still a completed write (the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"autowebcache"
 	"autowebcache/internal/rubis"
@@ -151,6 +152,32 @@ func TestFragmentReportAttribution(t *testing.T) {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}
+	}
+}
+
+// TestReportCountsCoalesced: coalesced serves (and 304s) are hits, as on
+// the server (awc_hits_total, HitRate) and in awcbench's hit_ratio — both
+// in the per-row hit column and in the total hit rate.
+func TestReportCountsCoalesced(t *testing.T) {
+	stats := map[string]*outcomeStats{"ViewItem": {
+		count: 10, total: 10 * time.Millisecond,
+		outcomes: map[string]int{"hit": 2, "semantic-hit": 1, "coalesced": 3,
+			"not-modified": 1, "remote-hit": 1, "miss": 2},
+	}}
+	var out strings.Builder
+	report(&out, stats)
+	var row []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "ViewItem" {
+			row = f
+		}
+	}
+	// interaction requests mean hit remote frag asm miss write errs
+	if len(row) != 10 || row[3] != "7" || row[4] != "1" || row[7] != "2" {
+		t.Fatalf("row = %q, want hit 7, remote 1, miss 2:\n%s", row, out.String())
+	}
+	if !strings.Contains(out.String(), "hit rate 80.0%") {
+		t.Fatalf("want hit rate 80.0%% (7 local + 1 remote of 10):\n%s", out.String())
 	}
 }
 

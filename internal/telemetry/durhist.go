@@ -44,7 +44,10 @@ const DurationBucketCount = len(durationBoundsNs)
 // array of atomic buckets, integer-only arithmetic. Observe performs zero
 // allocations — it is embedded by value inside the per-handler stats
 // counters on the governed page-hit path, which carries an AllocsPerRun==0
-// guard. Use HistogramVec for anything off the hot path.
+// guard. Its bucket counts and sum are a complete record of what it
+// observed: the weave derives its per-outcome request counts and times from
+// them rather than keep counters beside it. Its owner exports it through a
+// collector (Gatherer.Histo of Snapshot).
 //
 // The zero value is ready to use.
 type DurationHist struct {
@@ -88,13 +91,4 @@ func (h *DurationHist) Snapshot() HistSnapshot {
 	}
 	s.Sum = float64(h.sumNs.Load()) / 1e9
 	return s
-}
-
-// Reset zeroes the histogram (mirrors the Stats.Reset convention; not
-// atomic with respect to concurrent Observes).
-func (h *DurationHist) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.sumNs.Store(0)
 }

@@ -16,8 +16,7 @@ import (
 // metadata it carries — type, help, label names — is what Families and the
 // docs generator see, so it must be complete.
 type Gatherer struct {
-	fams  map[string]*family
-	order []string
+	fams map[string]*family
 }
 
 // Declare registers a family for this scrape. Declaring the same name twice
@@ -46,7 +45,6 @@ func (g *Gatherer) Declare(name string, typ Type, help string, labelNames ...str
 	g.fams[name] = &family{name: name, help: help, typ: typ,
 		labelNames: append([]string(nil), labelNames...),
 		series:     make(map[string]*series)}
-	g.order = append(g.order, name)
 }
 
 func (g *Gatherer) mustFamily(name string) *family {
@@ -63,12 +61,7 @@ func (g *Gatherer) Value(name string, v float64, labelValues ...string) {
 	if f.typ == TypeHistogram {
 		panic(fmt.Sprintf("telemetry: Value on histogram family %q", name))
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := f.addSeries(labelValues)
-	gg := &Gauge{}
-	gg.Set(v)
-	s.gauge = gg
+	f.addSeries(labelValues).value = v
 }
 
 // Histo emits one histogram sample from a snapshot.
@@ -77,60 +70,42 @@ func (g *Gatherer) Histo(name string, snap HistSnapshot, labelValues ...string) 
 	if f.typ != TypeHistogram {
 		panic(fmt.Sprintf("telemetry: Histo on non-histogram family %q", name))
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := f.addSeries(labelValues)
-	s.snap = &snap
+	for i := 1; i < len(snap.Bounds); i++ {
+		if snap.Bounds[i] <= snap.Bounds[i-1] {
+			panic(fmt.Sprintf("telemetry: metric %s: bucket bounds not ascending", name))
+		}
+	}
+	f.addSeries(labelValues).hist = &snap
 }
 
-// WriteText renders every family — static instruments plus one collector
-// pass — in the Prometheus text exposition format, families and series in
-// deterministic (sorted) order.
+// WriteText renders every family of one collector pass in the Prometheus
+// text exposition format, families and series in deterministic (sorted)
+// order.
 func (r *Registry) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range r.gather() {
-		if err := f.render(bw); err != nil {
-			return err
-		}
+		f.render(bw)
 	}
 	return bw.Flush()
 }
 
-func (f *family) render(w *bufio.Writer) error {
+func (f *family) render(w *bufio.Writer) {
 	if f.help != "" {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	}
 	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
-	// Snapshot the series under the family lock: a static family can gain
-	// series (and instruments) from concurrent Vec.With calls mid-scrape.
-	f.mu.Lock()
 	keys := make([]string, 0, len(f.series))
 	for k := range f.series {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	snaps := make([]*series, len(keys))
-	for i, k := range keys {
-		snaps[i] = f.series[k]
-	}
-	f.mu.Unlock()
-	for i, k := range keys {
-		s := snaps[i]
-		switch {
-		case s.hist != nil:
-			snap := s.hist.Snapshot()
-			renderHist(w, f.name, f.labelNames, k, snap)
-		case s.snap != nil:
-			renderHist(w, f.name, f.labelNames, k, *s.snap)
-		case s.counter != nil:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatUint(s.counter.Value()))
-		case s.fn != nil:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(s.fn()))
-		case s.gauge != nil:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(s.gauge.Value()))
+	for _, k := range keys {
+		if s := f.series[k]; s.hist != nil {
+			renderHist(w, f.name, f.labelNames, k, *s.hist)
+		} else {
+			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(s.value))
 		}
 	}
-	return nil
 }
 
 // renderHist writes the _bucket/_sum/_count triplet with cumulative le

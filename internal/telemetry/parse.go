@@ -16,9 +16,6 @@ type Sample struct {
 	Value  float64
 }
 
-// Label returns the value of one label ("" if absent).
-func (s Sample) Label(name string) string { return s.Labels[name] }
-
 // ParsedFamily is one family as read back from a text exposition.
 type ParsedFamily struct {
 	Name    string
@@ -32,9 +29,6 @@ type Scrape struct {
 	Families map[string]*ParsedFamily
 	order    []string
 }
-
-// Names returns the family names in document order.
-func (s *Scrape) Names() []string { return s.order }
 
 // Value returns the sample value for name with exactly the given labels
 // (as "k=v" pairs); ok reports whether such a sample exists. Histogram

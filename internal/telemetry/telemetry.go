@@ -2,19 +2,17 @@
 // Prometheus text exposition format (version 0.0.4) — the production
 // observability substrate under both servers' /metrics endpoints.
 //
-// It exists because this repository must not pull external modules: the
-// registry implements the subset of a Prometheus client that the cache
-// middleware needs — counters, gauges and histograms, with labels — plus
-// two things a stock client does not give us cheaply:
+// It exists because this repository must not pull external modules. It
+// exports metrics one way only: snapshot collectors (Registry.Collect). A
+// layer keeps its own atomic counters as the single source of truth, and a
+// collector reads a snapshot of them at scrape time and declares and emits
+// every family from it — instrumentation without a second set of books. A
+// series holds either one value (counter or gauge) or one HistSnapshot.
 //
-//   - DurationHist, a fixed-bucket, integer-nanosecond, atomics-only
-//     histogram the request hot paths can observe into with zero
-//     allocations and no label lookups (the series are pre-registered at
-//     wire-up, never per request);
-//   - snapshot collectors (Registry.Collect), which let a layer keep its
-//     existing atomic Stats counters as the single source of truth and
-//     export them by reading a snapshot at scrape time — instrumentation
-//     without a second set of books.
+// DurationHist is the one instrument the package provides: a fixed-bucket,
+// integer-nanosecond, atomics-only histogram the request hot paths can
+// observe into with zero allocations and no label lookups. Its owner
+// exports it through a collector like any other counter.
 //
 // ParseText is the matching validator/parser: tests round-trip every scrape
 // through it, the load generator uses it to fold a /metrics scrape into its
@@ -24,11 +22,9 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Type classifies a metric family.
@@ -54,75 +50,6 @@ func (t Type) String() string {
 	return "untyped"
 }
 
-// Counter is a monotonically increasing cumulative count. All methods are
-// safe for concurrent use and allocation-free.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down. All methods are safe for
-// concurrent use and allocation-free.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (CAS loop; d may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a cumulative histogram over float64 observations (typically
-// seconds). Observe is safe for concurrent use and allocation-free.
-type Histogram struct {
-	bounds  []float64 // upper bounds, ascending; +Inf implicit
-	buckets []atomic.Uint64
-	count   atomic.Uint64
-	sumBits atomic.Uint64
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// Snapshot returns the histogram's current state.
-func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{Bounds: h.bounds, Buckets: make([]uint64, len(h.buckets))}
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	s.Count = h.count.Load()
-	s.Sum = math.Float64frombits(h.sumBits.Load())
-	return s
-}
-
 // HistSnapshot is a point-in-time copy of a histogram: per-bucket
 // (non-cumulative) counts aligned with Bounds, plus the bucket beyond the
 // last bound (the +Inf bucket), the total count and the sum of
@@ -134,9 +61,9 @@ type HistSnapshot struct {
 	Sum     float64
 }
 
-// merge adds o's buckets into s (for totals across handlers). Both must
+// Merge adds o's buckets into s (for totals across handlers). Both must
 // share the same bounds; a zero-value s adopts o's shape.
-func (s *HistSnapshot) merge(o HistSnapshot) {
+func (s *HistSnapshot) Merge(o HistSnapshot) {
 	if s.Buckets == nil {
 		s.Bounds = o.Bounds
 		s.Buckets = append([]uint64(nil), o.Buckets...)
@@ -153,51 +80,35 @@ func (s *HistSnapshot) merge(o HistSnapshot) {
 	s.Sum += o.Sum
 }
 
-// Merge is merge exported for stats-aggregation call sites outside the
-// package (weave totals).
-func (s *HistSnapshot) Merge(o HistSnapshot) { s.merge(o) }
-
-// series is one labelled sample stream within a family.
+// series is one labelled sample stream within a family: a counter or gauge
+// value, or (hist != nil) a histogram snapshot.
 type series struct {
 	labels string // pre-rendered {k="v",...}, "" for none
-	sort   string // sort key (label values joined)
-
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	snap    *HistSnapshot
-	fn      func() float64
+	value  float64
+	hist   *HistSnapshot
 }
 
-// family is one metric family: a name, help, type and its series.
+// family is one metric family: a name, help, type and its series. A family
+// lives for one scrape and is only touched by the goroutine gathering it.
 type family struct {
 	name       string
 	help       string
 	typ        Type
 	labelNames []string
-
-	// mu guards series and the instrument pointers inside each series:
-	// a static family can gain a series from a late Vec.With while a
-	// scrape renders it, after Registry.gather has dropped the registry
-	// lock.
-	mu     sync.Mutex
-	series map[string]*series
+	series     map[string]*series // by label values joined with \xff
 }
 
-// Registry holds metric families and renders them in the Prometheus text
-// format. Registration methods panic on programmer error (invalid or
-// duplicate names, label arity mismatches) — wiring happens once at
-// startup, and a bad wiring must fail loudly, not at scrape time.
+// Registry holds the snapshot collectors and renders their families in the
+// Prometheus text format. The Gatherer methods a collector calls panic on
+// programmer error (invalid names, conflicting re-declarations, label arity
+// mismatches) — a bad wiring must fail loudly, at the first scrape.
 type Registry struct {
 	mu         sync.Mutex
-	fams       map[string]*family
 	collectors []func(*Gatherer)
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*family)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 var (
 	nameRe  = mustMatcher(isNameStart, isNameRune)
@@ -229,29 +140,8 @@ func (m matcher) ok(s string) bool {
 	return true
 }
 
-// register creates a family, panicking on invalid input or a conflicting
-// re-registration. Caller holds r.mu.
-func (r *Registry) register(name, help string, typ Type, labelNames []string) *family {
-	if !nameRe.ok(name) {
-		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
-	}
-	for _, l := range labelNames {
-		if !labelRe.ok(l) {
-			panic(fmt.Sprintf("telemetry: metric %s: invalid label name %q", name, l))
-		}
-	}
-	if _, dup := r.fams[name]; dup {
-		panic(fmt.Sprintf("telemetry: metric %q registered twice", name))
-	}
-	f := &family{name: name, help: help, typ: typ,
-		labelNames: append([]string(nil), labelNames...),
-		series:     make(map[string]*series)}
-	r.fams[name] = f
-	return f
-}
-
 // addSeries returns (creating if needed) the series for one label-value
-// set. Caller must hold f.mu.
+// set.
 func (f *family) addSeries(labelValues []string) *series {
 	if len(labelValues) != len(f.labelNames) {
 		panic(fmt.Sprintf("telemetry: metric %s: %d label values for %d label names",
@@ -261,7 +151,7 @@ func (f *family) addSeries(labelValues []string) *series {
 	if s, ok := f.series[key]; ok {
 		return s
 	}
-	s := &series{labels: renderLabels(f.labelNames, labelValues), sort: key}
+	s := &series{labels: renderLabels(f.labelNames, labelValues)}
 	f.series[key] = s
 	return s
 }
@@ -302,114 +192,9 @@ func escapeHelp(v string) string {
 	return r.Replace(v)
 }
 
-// Counter registers and returns an unlabelled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.CounterVec(name, help).With()
-}
-
-// CounterVec registers a counter family with label dimensions. Call With
-// once per label set at wire-up time; the returned Counter is then
-// allocation-free to update.
-func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &CounterVec{r: r, f: r.register(name, help, TypeCounter, labelNames)}
-}
-
-// CounterVec is a labelled counter family.
-type CounterVec struct {
-	r *Registry
-	f *family
-}
-
-// With returns (creating if needed) the counter for one label-value set.
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	s := v.f.addSeries(labelValues)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
-}
-
-// Gauge registers and returns an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeVec(name, help).With()
-}
-
-// GaugeVec registers a gauge family with label dimensions.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &GaugeVec{r: r, f: r.register(name, help, TypeGauge, labelNames)}
-}
-
-// GaugeVec is a labelled gauge family.
-type GaugeVec struct {
-	r *Registry
-	f *family
-}
-
-// With returns (creating if needed) the gauge for one label-value set.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	s := v.f.addSeries(labelValues)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
-// GaugeFunc registers a gauge whose value is read by calling fn at scrape
-// time — for cheap point-in-time reads (goroutine counts, list lengths).
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.mu.Lock()
-	f := r.register(name, help, TypeGauge, nil)
-	r.mu.Unlock()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := f.addSeries(nil)
-	s.fn = fn
-}
-
-// HistogramVec registers a histogram family with explicit bucket upper
-// bounds (ascending; +Inf is implicit) and label dimensions.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labelNames ...string) *HistogramVec {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("telemetry: metric %s: bucket bounds not ascending", name))
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.register(name, help, TypeHistogram, labelNames)
-	return &HistogramVec{r: r, f: f, bounds: append([]float64(nil), bounds...)}
-}
-
-// HistogramVec is a labelled histogram family.
-type HistogramVec struct {
-	r      *Registry
-	f      *family
-	bounds []float64
-}
-
-// With returns (creating if needed) the histogram for one label-value set.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	s := v.f.addSeries(labelValues)
-	if s.hist == nil {
-		s.hist = &Histogram{bounds: v.bounds, buckets: make([]atomic.Uint64, len(v.bounds)+1)}
-	}
-	return s.hist
-}
-
 // Collect registers a snapshot collector: fn runs at every scrape and
 // declares + emits families from a point-in-time snapshot of some layer's
-// own counters. Collected families live only for the scrape; they must not
-// collide with statically registered ones.
+// own counters. Collected families live only for the scrape.
 func (r *Registry) Collect(fn func(*Gatherer)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -424,41 +209,30 @@ type FamilyMeta struct {
 	Labels []string
 }
 
-// Families returns every family the registry would expose — static and
-// collector-declared — sorted by name. It runs the collectors.
+// Families returns every family the registry would expose, sorted by name.
+// It runs the collectors.
 func (r *Registry) Families() []FamilyMeta {
 	fams := r.gather()
 	out := make([]FamilyMeta, 0, len(fams))
 	for _, f := range fams {
-		out = append(out, FamilyMeta{Name: f.name, Type: f.typ, Help: f.help,
-			Labels: append([]string(nil), f.labelNames...)})
+		out = append(out, FamilyMeta{Name: f.name, Type: f.typ, Help: f.help, Labels: f.labelNames})
 	}
 	return out
 }
 
-// gather merges the static families with one collector pass, returning the
-// merged set sorted by name.
+// gather runs one collector pass, returning its families sorted by name.
 func (r *Registry) gather() []*family {
-	g := &Gatherer{fams: make(map[string]*family)}
 	r.mu.Lock()
 	collectors := append([]func(*Gatherer){}, r.collectors...)
-	static := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		static = append(static, f)
-	}
 	r.mu.Unlock()
+	g := &Gatherer{fams: make(map[string]*family)}
 	for _, fn := range collectors {
 		fn(g)
 	}
-	merged := make([]*family, 0, len(static)+len(g.order))
-	merged = append(merged, static...)
-	for _, name := range g.order {
-		f := g.fams[name]
-		if _, dup := r.fams[f.name]; dup {
-			panic(fmt.Sprintf("telemetry: collector family %q collides with a static metric", f.name))
-		}
-		merged = append(merged, f)
+	fams := make([]*family, 0, len(g.fams))
+	for _, f := range g.fams {
+		fams = append(fams, f)
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].name < merged[j].name })
-	return merged
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	return fams
 }

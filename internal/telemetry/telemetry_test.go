@@ -5,50 +5,62 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
+// collect returns a registry whose single collector is fn.
+func collect(fn func(g *Gatherer)) *Registry {
 	r := NewRegistry()
-	c := r.Counter("reqs_total", "requests")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	g := r.Gauge("temp", "temperature")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
-	}
+	r.Collect(fn)
+	return r
 }
 
-func TestVecSameSeriesReturned(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("hits_total", "hits", "handler")
-	a := v.With("search")
-	b := v.With("search")
-	if a != b {
-		t.Fatal("With twice with same labels must return the same counter")
+func scrapeText(t *testing.T, r *Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
 	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Fatal("shared series did not share state")
-	}
+	return sb.String()
 }
 
+// TestRegistryPanicsOnBadWiring: every wiring mistake a collector can make
+// panics at the first scrape instead of rendering an invalid exposition.
 func TestRegistryPanicsOnBadWiring(t *testing.T) {
 	cases := []struct {
 		name string
-		fn   func(r *Registry)
+		fn   func(g *Gatherer)
 	}{
-		{"invalid name", func(r *Registry) { r.Counter("9bad", "") }},
-		{"invalid label", func(r *Registry) { r.CounterVec("ok_total", "", "le-bad") }},
-		{"duplicate", func(r *Registry) { r.Counter("dup", ""); r.Gauge("dup", "") }},
-		{"arity", func(r *Registry) { r.CounterVec("v_total", "", "a").With("x", "y") }},
-		{"descending bounds", func(r *Registry) { r.HistogramVec("h", "", []float64{2, 1}) }},
+		{"invalid name", func(g *Gatherer) { g.Declare("9bad", TypeCounter, "") }},
+		{"invalid label", func(g *Gatherer) { g.Declare("ok_total", TypeCounter, "", "le-bad") }},
+		{"duplicate", func(g *Gatherer) {
+			g.Declare("dup", TypeCounter, "")
+			g.Declare("dup", TypeGauge, "")
+		}},
+		{"redeclared labels", func(g *Gatherer) {
+			g.Declare("dup_total", TypeCounter, "", "a")
+			g.Declare("dup_total", TypeCounter, "", "b")
+		}},
+		{"arity", func(g *Gatherer) {
+			g.Declare("v_total", TypeCounter, "", "a")
+			g.Value("v_total", 1, "x", "y")
+		}},
+		{"undeclared", func(g *Gatherer) { g.Value("nobody_total", 1) }},
+		{"value on histogram", func(g *Gatherer) {
+			g.Declare("h_seconds", TypeHistogram, "")
+			g.Value("h_seconds", 1)
+		}},
+		{"histo on counter", func(g *Gatherer) {
+			g.Declare("c_total", TypeCounter, "")
+			var d DurationHist
+			g.Histo("c_total", d.Snapshot())
+		}},
+		{"descending bounds", func(g *Gatherer) {
+			g.Declare("h_seconds", TypeHistogram, "")
+			g.Histo("h_seconds", HistSnapshot{Bounds: []float64{2, 1}, Buckets: make([]uint64, 3)})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,37 +69,42 @@ func TestRegistryPanicsOnBadWiring(t *testing.T) {
 					t.Fatalf("%s: expected panic", tc.name)
 				}
 			}()
-			tc.fn(NewRegistry())
+			_ = collect(tc.fn).WriteText(&strings.Builder{})
 		})
+	}
+	// Re-declaring identical metadata is allowed: collectors for N cluster
+	// nodes in one process share family names.
+	r := collect(func(g *Gatherer) {
+		g.Declare("shared_total", TypeCounter, "", "node")
+		g.Declare("shared_total", TypeCounter, "", "node")
+		g.Value("shared_total", 1, "a")
+	})
+	if _, err := ParseText(strings.NewReader(scrapeText(t, r))); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestWriteTextRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	hits := r.CounterVec("awc_hits_total", "Cache hits by handler.", "handler")
-	hits.With("search").Add(7)
-	hits.With("view\"item\n\\x").Add(3) // escaping stress
-	r.Gauge("awc_entries", "Entries resident.").Set(42)
-	h := r.HistogramVec("awc_latency_seconds", "Latency.", []float64{0.001, 0.01, 0.1}, "outcome")
-	h.With("hit").Observe(0.0005)
-	h.With("hit").Observe(0.05)
-	h.With("hit").Observe(5) // lands in +Inf
-	r.GaugeFunc("awc_up", "Always one.", func() float64 { return 1 })
-	r.Collect(func(g *Gatherer) {
+	var d DurationHist
+	d.Observe(500 * time.Nanosecond)
+	d.Observe(2 * time.Millisecond)
+	r := collect(func(g *Gatherer) {
+		g.Declare("awc_hits_total", TypeCounter, "Cache hits by handler.", "handler")
+		g.Value("awc_hits_total", 7, "search")
+		g.Value("awc_hits_total", 3, "view\"item\n\\x") // escaping stress
+		g.Declare("awc_entries", TypeGauge, "Entries resident.")
+		g.Value("awc_entries", 42)
 		g.Declare("awc_peer_state", TypeGauge, "Peer state one-hot.", "peer", "state")
 		g.Value("awc_peer_state", 1, "127.0.0.1:9091", "healthy")
+		g.Declare("awc_latency_seconds", TypeHistogram, "Latency.", "outcome")
+		// Non-cumulative buckets: 0.0005, 0.05 and 5 (the +Inf bucket).
+		g.Histo("awc_latency_seconds", HistSnapshot{Bounds: []float64{0.001, 0.01, 0.1},
+			Buckets: []uint64{1, 0, 1, 1}, Count: 3, Sum: 5.0505}, "hit")
 		g.Declare("awc_fetch_seconds", TypeHistogram, "Fetch latency.")
-		var d DurationHist
-		d.Observe(500 * time.Nanosecond)
-		d.Observe(2 * time.Millisecond)
 		g.Histo("awc_fetch_seconds", d.Snapshot())
 	})
 
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	text := scrapeText(t, r)
 	sc, err := ParseText(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("round-trip parse failed: %v\n%s", err, text)
@@ -101,9 +118,6 @@ func TestWriteTextRoundTrip(t *testing.T) {
 	}
 	if v, ok := sc.Value("awc_entries"); !ok || v != 42 {
 		t.Fatalf("entries = %v,%v", v, ok)
-	}
-	if v, ok := sc.Value("awc_up"); !ok || v != 1 {
-		t.Fatalf("gaugefunc = %v,%v", v, ok)
 	}
 	if v, ok := sc.Value("awc_peer_state", "peer=127.0.0.1:9091", "state=healthy"); !ok || v != 1 {
 		t.Fatalf("collected peer state = %v,%v", v, ok)
@@ -127,23 +141,29 @@ func TestWriteTextRoundTrip(t *testing.T) {
 	if v, ok := sc.Value("awc_fetch_seconds_count"); !ok || v != 2 {
 		t.Fatalf("collected hist count = %v,%v want 2", v, ok)
 	}
-	if fam := sc.Families["awc_latency_seconds"]; fam == nil || fam.Type != "histogram" {
+	if fam := sc.Families["awc_latency_seconds"]; fam == nil || fam.Type != "histogram" || fam.Help != "Latency." {
 		t.Fatalf("histogram family type lost: %+v", fam)
+	}
+	// Families reports the declared metadata the docs generator renders.
+	fams := r.Families()
+	if len(fams) != 5 {
+		t.Fatalf("families = %+v, want 5", fams)
+	}
+	if f := fams[len(fams)-1]; f.Name != "awc_peer_state" || f.Type != TypeGauge ||
+		len(f.Labels) != 2 || f.Labels[0] != "peer" || f.Labels[1] != "state" {
+		t.Fatalf("family meta wrong: %+v", f)
 	}
 }
 
 func TestWriteTextDeterministic(t *testing.T) {
 	build := func() string {
-		r := NewRegistry()
-		v := r.CounterVec("z_total", "", "l")
-		v.With("b").Inc()
-		v.With("a").Inc()
-		r.Counter("a_total", "").Inc()
-		var sb strings.Builder
-		if err := r.WriteText(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
+		return scrapeText(t, collect(func(g *Gatherer) {
+			g.Declare("z_total", TypeCounter, "", "l")
+			g.Value("z_total", 1, "b")
+			g.Value("z_total", 1, "a")
+			g.Declare("a_total", TypeCounter, "")
+			g.Value("a_total", 1)
+		}))
 	}
 	one := build()
 	for i := 0; i < 5; i++ {
@@ -154,42 +174,9 @@ func TestWriteTextDeterministic(t *testing.T) {
 	if strings.Index(one, "a_total") > strings.Index(one, "z_total") {
 		t.Fatal("families not name-sorted")
 	}
-}
-
-func TestFamiliesIncludesCollectors(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("static_total", "a static one")
-	r.Collect(func(g *Gatherer) {
-		g.Declare("dynamic", TypeGauge, "a collected one", "peer")
-		g.Value("dynamic", 1, "x")
-	})
-	fams := r.Families()
-	byName := map[string]FamilyMeta{}
-	for _, f := range fams {
-		byName[f.Name] = f
+	if strings.Index(one, `z_total{l="a"}`) > strings.Index(one, `z_total{l="b"}`) {
+		t.Fatal("series not label-sorted")
 	}
-	if _, ok := byName["static_total"]; !ok {
-		t.Fatal("static family missing")
-	}
-	d, ok := byName["dynamic"]
-	if !ok || d.Type != TypeGauge || len(d.Labels) != 1 || d.Labels[0] != "peer" {
-		t.Fatalf("collector family meta wrong: %+v ok=%v", d, ok)
-	}
-}
-
-func TestCollectorCollisionPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x_total", "")
-	r.Collect(func(g *Gatherer) {
-		g.Declare("x_total", TypeCounter, "")
-		g.Value("x_total", 1)
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected collision panic")
-		}
-	}()
-	_ = r.WriteText(&strings.Builder{})
 }
 
 func TestDurationHist(t *testing.T) {
@@ -215,10 +202,6 @@ func TestDurationHist(t *testing.T) {
 	if len(s.Bounds) != DurationBucketCount || len(s.Buckets) != DurationBucketCount+1 {
 		t.Fatalf("shape: %d bounds, %d buckets", len(s.Bounds), len(s.Buckets))
 	}
-	h.Reset()
-	if !h.Empty() {
-		t.Fatal("Reset did not empty")
-	}
 }
 
 func TestHistSnapshotMerge(t *testing.T) {
@@ -238,31 +221,29 @@ func TestHistSnapshotMerge(t *testing.T) {
 	}
 }
 
+// TestHotPathZeroAlloc: DurationHist.Observe — the one instrument the
+// request paths update — never allocates.
 func TestHotPathZeroAlloc(t *testing.T) {
-	r := NewRegistry()
-	c := r.CounterVec("hits_total", "", "handler").With("search")
-	g := r.Gauge("entries", "")
 	var d DurationHist
-	h := r.HistogramVec("lat_seconds", "", []float64{0.001, 0.1}).With()
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
-		g.Set(3)
-		g.Add(1)
 		d.Observe(420 * time.Nanosecond)
-		h.Observe(0.05)
+		d.Observe(5 * time.Millisecond)
 	})
 	if allocs != 0 {
-		t.Fatalf("hot-path instrument updates allocated %v allocs/op, want 0", allocs)
+		t.Fatalf("DurationHist.Observe allocated %v allocs/op, want 0", allocs)
 	}
 }
 
+// TestConcurrentUseWithScrapes: scrapes taken while writers observe into
+// the collected DurationHist and counters — and while another collector is
+// registered — always render a valid exposition.
 func TestConcurrentUseWithScrapes(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("ops_total", "", "kind")
-	h := r.HistogramVec("lat_seconds", "", []float64{0.001})
 	var d DurationHist
-	r.Collect(func(g *Gatherer) {
+	var ops [2]atomic.Uint64
+	r := collect(func(g *Gatherer) {
+		g.Declare("ops_total", TypeCounter, "", "kind")
+		g.Value("ops_total", float64(ops[0].Load()), "a")
+		g.Value("ops_total", float64(ops[1].Load()), "b")
 		g.Declare("d_seconds", TypeHistogram, "")
 		g.Histo("d_seconds", d.Snapshot())
 	})
@@ -272,21 +253,25 @@ func TestConcurrentUseWithScrapes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			kind := []string{"a", "b"}[i%2]
-			c := v.With(kind)
-			hh := h.With()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					c.Inc()
-					hh.Observe(0.01)
-					d.Observe(time.Microsecond)
+					ops[i%2].Add(1)
+					d.Observe(time.Duration(i+1) * time.Microsecond)
 				}
 			}
 		}(i)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r.Collect(func(g *Gatherer) {
+			g.Declare("late", TypeGauge, "")
+			g.Value("late", 1)
+		})
+	}()
 	for i := 0; i < 20; i++ {
 		var sb strings.Builder
 		if err := r.WriteText(&sb); err != nil {
@@ -301,8 +286,10 @@ func TestConcurrentUseWithScrapes(t *testing.T) {
 }
 
 func TestHandlerServesMetrics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x_total", "help").Add(9)
+	r := collect(func(g *Gatherer) {
+		g.Declare("x_total", TypeCounter, "help")
+		g.Value("x_total", 9)
+	})
 	RegisterRuntimeMetrics(r)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
@@ -321,8 +308,11 @@ func TestHandlerServesMetrics(t *testing.T) {
 	if v, ok := sc.Value("x_total"); !ok || v != 9 {
 		t.Fatalf("x_total = %v,%v", v, ok)
 	}
-	if _, ok := sc.Value("go_goroutines"); !ok {
-		t.Fatal("runtime metrics missing")
+	if v, ok := sc.Value("go_goroutines"); !ok || v < 1 {
+		t.Fatalf("go_goroutines = %v,%v", v, ok)
+	}
+	if f := sc.Families["process_start_time_seconds"]; f == nil || f.Type != "gauge" || len(f.Samples) != 1 || f.Samples[0].Value <= 0 {
+		t.Fatalf("process_start_time_seconds = %+v", f)
 	}
 	if v, ok := sc.Value("go_memstats_heap_alloc_bytes"); !ok || v <= 0 {
 		t.Fatalf("heap gauge = %v,%v", v, ok)

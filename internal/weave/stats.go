@@ -1,6 +1,7 @@
 package weave
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -169,169 +170,181 @@ func (s *InteractionStats) CachedByteFraction() float64 {
 	return float64(s.BytesCached) / float64(s.BytesOut)
 }
 
-// mergeLatencies folds o's per-outcome histograms into s's (for totals).
-func (s *InteractionStats) mergeLatencies(o *InteractionStats) {
-	for _, ol := range o.Latencies {
-		found := false
-		for i := range s.Latencies {
-			if s.Latencies[i].Outcome == ol.Outcome {
-				s.Latencies[i].Latency.Merge(ol.Latency)
-				found = true
-				break
-			}
-		}
-		if !found {
-			merged := OutcomeLatency{Outcome: ol.Outcome}
-			merged.Latency.Merge(ol.Latency)
-			s.Latencies = append(s.Latencies, merged)
-		}
-	}
-	sort.Slice(s.Latencies, func(i, j int) bool { return s.Latencies[i].Outcome < s.Latencies[j].Outcome })
-}
-
-// add merges o into s (for totals).
-func (s *InteractionStats) add(o *InteractionStats) {
-	s.Requests += o.Requests
-	s.Hits += o.Hits
-	s.SemanticHits += o.SemanticHits
-	s.NotModified += o.NotModified
-	s.SendFailures += o.SendFailures
-	s.Coalesced += o.Coalesced
-	s.RemoteHits += o.RemoteHits
-	s.FragmentHits += o.FragmentHits
-	s.Assembled += o.Assembled
-	s.FragmentsServed += o.FragmentsServed
-	s.FragmentsTotal += o.FragmentsTotal
-	s.BytesOut += o.BytesOut
-	s.BytesCached += o.BytesCached
-	s.Misses += o.Misses
-	s.Writes += o.Writes
-	s.DegradedWrites += o.DegradedWrites
-	s.Uncacheable += o.Uncacheable
-	s.Errors += o.Errors
-	s.TotalTime += o.TotalTime
-	s.HitTime += o.HitTime
-	s.MissTime += o.MissTime
-	s.PagesInvalidated += o.PagesInvalidated
-	s.mergeLatencies(o)
-}
-
 // outcomeClasses enumerates the outcomes that carry a latency histogram, in
-// the order their histograms sit inside counters.lat. nocache shares
-// uncacheable's accounting but keeps its own distribution — an unwoven
+// the order their histograms sit inside counters.lat. The order is by name,
+// which is the order Latencies reports them in, so a snapshot never sorts.
+// nocache counts as uncacheable but keeps its own distribution — an unwoven
 // baseline's latency is a different population than a rule bypass.
 var outcomeClasses = [...]Outcome{
-	OutcomeHit, OutcomeSemanticHit, OutcomeCoalesced, OutcomeRemoteHit,
-	OutcomeFragmentHit, OutcomeAssembled, OutcomeMiss, OutcomeWrite,
-	OutcomeWriteDegraded, OutcomeUncacheable, OutcomeNoCache, OutcomeError,
-	OutcomeNotModified,
+	OutcomeAssembled, OutcomeCoalesced, OutcomeError, OutcomeFragmentHit,
+	OutcomeHit, OutcomeMiss, OutcomeNoCache, OutcomeNotModified,
+	OutcomeRemoteHit, OutcomeSemanticHit, OutcomeUncacheable, OutcomeWrite,
+	OutcomeWriteDegraded,
 }
 
 // classIndex maps an outcome to its histogram slot. A switch, not a map:
 // it runs on the zero-alloc page-hit path and must stay branch-only.
 func classIndex(o Outcome) int {
 	switch o {
-	case OutcomeHit:
-		return 0
-	case OutcomeSemanticHit:
-		return 1
-	case OutcomeCoalesced:
-		return 2
-	case OutcomeRemoteHit:
-		return 3
-	case OutcomeFragmentHit:
-		return 4
 	case OutcomeAssembled:
-		return 5
+		return 0
+	case OutcomeCoalesced:
+		return 1
+	case OutcomeFragmentHit:
+		return 3
+	case OutcomeHit:
+		return 4
 	case OutcomeMiss:
-		return 6
-	case OutcomeWrite:
-		return 7
-	case OutcomeWriteDegraded:
-		return 8
-	case OutcomeUncacheable:
-		return 9
+		return 5
 	case OutcomeNoCache:
-		return 10
+		return 6
 	case OutcomeNotModified:
+		return 7
+	case OutcomeRemoteHit:
+		return 8
+	case OutcomeSemanticHit:
+		return 9
+	case OutcomeUncacheable:
+		return 10
+	case OutcomeWrite:
+		return 11
+	case OutcomeWriteDegraded:
 		return 12
 	default:
-		return 11 // OutcomeError and anything unrecognised
+		return 2 // OutcomeError and anything unrecognised
 	}
 }
 
 // counters is the lock-free accumulator behind one interaction's stats:
 // every field is an atomic so the per-request hot path never takes a lock.
+//
+// Each served request is recorded once, in its outcome's latency histogram,
+// whose bucket counts and sum already are that outcome's count and time;
+// every outcome count and time in InteractionStats is derived from them at
+// snapshot time (tally.stats). The counters kept beside the histograms carry
+// what no histogram can. A recorder adds a "whole" before its "part"
+// (the coalesced histogram before semanticCoalesced, fragsTotal before
+// fragsServed, bytesOut before bytesCached) and read loads each part before
+// its whole, so no snapshot sees a part exceed its whole.
 type counters struct {
-	requests       atomic.Uint64
-	hits           atomic.Uint64
-	semanticHits   atomic.Uint64
-	notModified    atomic.Uint64
-	sendFailures   atomic.Uint64
-	coalesced      atomic.Uint64
-	remoteHits     atomic.Uint64
-	fragmentHits   atomic.Uint64
-	assembled      atomic.Uint64
-	misses         atomic.Uint64
-	writes         atomic.Uint64
-	degradedWrites atomic.Uint64
-	uncacheable    atomic.Uint64
-	errors         atomic.Uint64
-
-	fragsServed atomic.Uint64
-	fragsTotal  atomic.Uint64
-	bytesOut    atomic.Uint64
-	bytesCached atomic.Uint64
-
-	totalNs atomic.Int64
-	hitNs   atomic.Int64
-	missNs  atomic.Int64
-
-	pagesInvalidated atomic.Uint64
-
 	// lat holds one fixed-bucket latency histogram per outcome class.
 	// DurationHist.Observe is atomics-only, keeping Record* allocation-free.
 	lat [len(outcomeClasses)]telemetry.DurationHist
+
+	// semanticCoalesced counts the coalesced serves of semantic-window
+	// interactions: they sit in the coalesced histogram but count as
+	// SemanticHits, not Hits.
+	semanticCoalesced atomic.Uint64
+	sendFailures      atomic.Uint64
+	fragsServed       atomic.Uint64
+	fragsTotal        atomic.Uint64
+	bytesOut          atomic.Uint64
+	bytesCached       atomic.Uint64
+	pagesInvalidated  atomic.Uint64
 }
 
-// snapshot materialises the counters as an InteractionStats value. The
-// fields are loaded individually, so a snapshot taken concurrently with
-// recording is per-field (not cross-field) consistent — same as any
-// monitoring read of live counters.
-func (c *counters) snapshot(name string) InteractionStats {
-	var lats []OutcomeLatency
+// tally is one point-in-time read of a counters value, or the sum of
+// several (Totals): the raw material every InteractionStats is derived from.
+type tally struct {
+	lat               [len(outcomeClasses)]telemetry.HistSnapshot
+	semanticCoalesced uint64
+	sendFailures      uint64
+	fragsServed       uint64
+	fragsTotal        uint64
+	bytesOut          uint64
+	bytesCached       uint64
+	pagesInvalidated  uint64
+}
+
+// read loads c, each part before its whole (see counters). Empty histograms
+// are left zero, so an idle outcome costs no snapshot allocation.
+func (c *counters) read() tally {
+	// A composite literal evaluates its loads in lexical order: parts first.
+	t := tally{
+		semanticCoalesced: c.semanticCoalesced.Load(),
+		fragsServed:       c.fragsServed.Load(),
+		fragsTotal:        c.fragsTotal.Load(),
+		bytesCached:       c.bytesCached.Load(),
+		bytesOut:          c.bytesOut.Load(),
+		sendFailures:      c.sendFailures.Load(),
+		pagesInvalidated:  c.pagesInvalidated.Load(),
+	}
 	for i := range c.lat {
 		if !c.lat[i].Empty() {
-			lats = append(lats, OutcomeLatency{Outcome: outcomeClasses[i], Latency: c.lat[i].Snapshot()})
+			t.lat[i] = c.lat[i].Snapshot()
 		}
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i].Outcome < lats[j].Outcome })
-	return InteractionStats{
-		Name:             name,
-		Requests:         c.requests.Load(),
-		Hits:             c.hits.Load(),
-		SemanticHits:     c.semanticHits.Load(),
-		NotModified:      c.notModified.Load(),
-		SendFailures:     c.sendFailures.Load(),
-		Coalesced:        c.coalesced.Load(),
-		RemoteHits:       c.remoteHits.Load(),
-		FragmentHits:     c.fragmentHits.Load(),
-		Assembled:        c.assembled.Load(),
-		FragmentsServed:  c.fragsServed.Load(),
-		FragmentsTotal:   c.fragsTotal.Load(),
-		BytesOut:         c.bytesOut.Load(),
-		BytesCached:      c.bytesCached.Load(),
-		Misses:           c.misses.Load(),
-		Writes:           c.writes.Load(),
-		DegradedWrites:   c.degradedWrites.Load(),
-		Uncacheable:      c.uncacheable.Load(),
-		Errors:           c.errors.Load(),
-		TotalTime:        time.Duration(c.totalNs.Load()),
-		HitTime:          time.Duration(c.hitNs.Load()),
-		MissTime:         time.Duration(c.missNs.Load()),
-		PagesInvalidated: c.pagesInvalidated.Load(),
-		Latencies:        lats,
+	return t
+}
+
+// add sums o into t (for Totals).
+func (t *tally) add(o *tally) {
+	for i := range t.lat {
+		t.lat[i].Merge(o.lat[i])
 	}
+	t.semanticCoalesced += o.semanticCoalesced
+	t.sendFailures += o.sendFailures
+	t.fragsServed += o.fragsServed
+	t.fragsTotal += o.fragsTotal
+	t.bytesOut += o.bytesOut
+	t.bytesCached += o.bytesCached
+	t.pagesInvalidated += o.pagesInvalidated
+}
+
+// stats derives the InteractionStats record from t — the one derivation
+// behind both Snapshot and Totals. Every count comes from the same read of
+// the histograms, so Hits, SemanticHits and RemoteHits never sum past
+// Requests.
+func (t *tally) stats(name string) InteractionStats {
+	n := func(o Outcome) uint64 { return t.lat[classIndex(o)].Count }
+	s := InteractionStats{
+		Name:             name,
+		Requests:         t.sendFailures,
+		SemanticHits:     n(OutcomeSemanticHit) + t.semanticCoalesced,
+		NotModified:      n(OutcomeNotModified),
+		Coalesced:        n(OutcomeCoalesced),
+		RemoteHits:       n(OutcomeRemoteHit),
+		FragmentHits:     n(OutcomeFragmentHit),
+		Assembled:        n(OutcomeAssembled),
+		Misses:           n(OutcomeMiss),
+		Writes:           n(OutcomeWrite) + n(OutcomeWriteDegraded),
+		DegradedWrites:   n(OutcomeWriteDegraded),
+		Uncacheable:      n(OutcomeUncacheable) + n(OutcomeNoCache),
+		Errors:           n(OutcomeError),
+		SendFailures:     t.sendFailures,
+		FragmentsServed:  t.fragsServed,
+		FragmentsTotal:   t.fragsTotal,
+		BytesOut:         t.bytesOut,
+		BytesCached:      t.bytesCached,
+		PagesInvalidated: t.pagesInvalidated,
+	}
+	// Coalesced and 304 serves are strong hits; a semantic-window
+	// coalesced serve is a semantic hit instead.
+	s.Hits = n(OutcomeHit) + s.Coalesced - t.semanticCoalesced + s.NotModified
+	for i, o := range outcomeClasses {
+		h := t.lat[i]
+		if h.Count == 0 {
+			continue
+		}
+		s.Requests += h.Count
+		// The histogram sum is float seconds of an integer nanosecond total;
+		// rounding recovers the nanoseconds exactly while a sum stays below
+		// 2^52 ns (about 52 days of request time).
+		d := time.Duration(math.Round(h.Sum * 1e9))
+		s.TotalTime += d
+		// Writes, bypasses, errors and partial assemblies count in TotalTime
+		// only: an assembly paid some generators but not all, and MeanMiss's
+		// denominator counts only true misses.
+		switch o {
+		case OutcomeHit, OutcomeSemanticHit, OutcomeCoalesced, OutcomeRemoteHit,
+			OutcomeFragmentHit, OutcomeNotModified:
+			s.HitTime += d
+		case OutcomeMiss:
+			s.MissTime += d
+		}
+		s.Latencies = append(s.Latencies, OutcomeLatency{Outcome: o, Latency: h})
+	}
+	return s
 }
 
 // Stats collects per-interaction statistics. It is safe for concurrent use;
@@ -362,70 +375,23 @@ func (s *Stats) Record(name string, outcome Outcome, d time.Duration, invalidate
 // RecordServed is Record with response-byte accounting: bytesOut is the
 // response body size and bytesCached the subset served from the cache (for
 // a whole-page hit the two are equal; for a miss bytesCached is 0).
+// invalidated counts only for write outcomes.
 func (s *Stats) RecordServed(name string, outcome Outcome, d time.Duration, invalidated, bytesOut, bytesCached int) {
 	c := s.get(name)
-	c.requests.Add(1)
-	c.totalNs.Add(int64(d))
 	c.lat[classIndex(outcome)].Observe(d)
+	if invalidated > 0 && (outcome == OutcomeWrite || outcome == OutcomeWriteDegraded) {
+		c.pagesInvalidated.Add(uint64(invalidated))
+	}
+	c.addBytes(bytesOut, bytesCached)
+}
+
+// addBytes accounts response bytes, the whole before the part.
+func (c *counters) addBytes(bytesOut, bytesCached int) {
 	if bytesOut > 0 {
 		c.bytesOut.Add(uint64(bytesOut))
 	}
 	if bytesCached > 0 {
 		c.bytesCached.Add(uint64(bytesCached))
-	}
-	switch outcome {
-	case OutcomeHit:
-		c.hits.Add(1)
-		c.hitNs.Add(int64(d))
-	case OutcomeSemanticHit:
-		c.semanticHits.Add(1)
-		c.hitNs.Add(int64(d))
-	case OutcomeCoalesced:
-		// A coalesced miss is served from the cache layer without handler
-		// execution, so it counts as a hit, and is tracked separately too.
-		// (The weave uses RecordCoalesced so semantic-window interactions
-		// land in the right bucket; this case covers direct callers.)
-		c.hits.Add(1)
-		c.coalesced.Add(1)
-		c.hitNs.Add(int64(d))
-	case OutcomeRemoteHit:
-		// A remote hit skipped the handler: the page came from a peer's
-		// cache. It counts towards HitRate via its own bucket.
-		c.remoteHits.Add(1)
-		c.hitNs.Add(int64(d))
-	case OutcomeFragmentHit:
-		// Every cacheable fragment came from the cache; only holes ran.
-		c.fragmentHits.Add(1)
-		c.hitNs.Add(int64(d))
-	case OutcomeAssembled:
-		// A partial assembly paid some generators but not all: its time
-		// belongs to neither the hit nor the miss bucket (adding it to
-		// MissTime would inflate MeanMiss, whose denominator counts only
-		// true misses). It contributes to TotalTime/MeanResponse only.
-		c.assembled.Add(1)
-	case OutcomeMiss:
-		c.misses.Add(1)
-		c.missNs.Add(int64(d))
-	case OutcomeWrite:
-		c.writes.Add(1)
-		c.pagesInvalidated.Add(uint64(invalidated))
-	case OutcomeWriteDegraded:
-		// The write and local invalidation succeeded; only the strict-mode
-		// broadcast was partial. It is a write, plus the degraded marker.
-		c.writes.Add(1)
-		c.degradedWrites.Add(1)
-		c.pagesInvalidated.Add(uint64(invalidated))
-	case OutcomeUncacheable, OutcomeNoCache:
-		c.uncacheable.Add(1)
-	case OutcomeError:
-		c.errors.Add(1)
-	case OutcomeNotModified:
-		// A 304 is a hit whose transfer was elided by revalidation: it
-		// counts towards HitRate and keeps its own bucket/latency series so
-		// the 304-vs-body-hit cost split is visible.
-		c.hits.Add(1)
-		c.notModified.Add(1)
-		c.hitNs.Add(int64(d))
 	}
 }
 
@@ -435,32 +401,22 @@ func (s *Stats) RecordServed(name string, outcome Outcome, d time.Duration, inva
 // measures the client's death, not service time, and must not skew the
 // percentiles the latency records report.
 func (s *Stats) RecordSendFailure(name string) {
-	c := s.get(name)
-	c.requests.Add(1)
-	c.sendFailures.Add(1)
+	s.get(name).sendFailures.Add(1)
 }
 
 // RecordCoalesced accounts a miss that was served by a concurrent flight's
-// result: it lands in the interaction's usual hit bucket (strong or
-// semantic, matching what a plain cache hit would have recorded) and in the
-// Coalesced counter. bytes is the served body size — the page came from the
-// cache layer, so it counts fully towards the cached-byte fraction.
+// result: it lands in the coalesced histogram and counts as the hit a plain
+// cache hit would have recorded (semantic for a semantic-window
+// interaction, strong otherwise). bytes is the served body size — the page
+// came from the cache layer, so it counts fully towards the cached-byte
+// fraction.
 func (s *Stats) RecordCoalesced(name string, semantic bool, d time.Duration, bytes int) {
 	c := s.get(name)
-	c.requests.Add(1)
-	c.totalNs.Add(int64(d))
-	c.hitNs.Add(int64(d))
-	c.coalesced.Add(1)
 	c.lat[classIndex(OutcomeCoalesced)].Observe(d)
-	if bytes > 0 {
-		c.bytesOut.Add(uint64(bytes))
-		c.bytesCached.Add(uint64(bytes))
-	}
 	if semantic {
-		c.semanticHits.Add(1)
-	} else {
-		c.hits.Add(1)
+		c.semanticCoalesced.Add(1)
 	}
+	c.addBytes(bytes, bytes)
 }
 
 // RecordFragments accounts one fragment-assembled response: the page-level
@@ -469,30 +425,32 @@ func (s *Stats) RecordCoalesced(name string, semantic bool, d time.Duration, byt
 func (s *Stats) RecordFragments(name string, outcome Outcome, d time.Duration, served, total, bytesOut, bytesCached int) {
 	s.RecordServed(name, outcome, d, 0, bytesOut, bytesCached)
 	c := s.get(name)
-	c.fragsServed.Add(uint64(served))
 	c.fragsTotal.Add(uint64(total))
+	c.fragsServed.Add(uint64(served))
 }
 
 // Snapshot returns a copy of the per-interaction statistics, sorted by name.
 func (s *Stats) Snapshot() []InteractionStats {
 	var out []InteractionStats
 	s.m.Range(func(k, v any) bool {
-		out = append(out, v.(*counters).snapshot(k.(string)))
+		t := v.(*counters).read()
+		out = append(out, t.stats(k.(string)))
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// Totals aggregates all interactions into one record named "TOTAL".
+// Totals aggregates all interactions into one record named "TOTAL": it sums
+// the raw reads, then derives once.
 func (s *Stats) Totals() InteractionStats {
-	total := InteractionStats{Name: "TOTAL"}
-	s.m.Range(func(k, v any) bool {
-		is := v.(*counters).snapshot(k.(string))
-		total.add(&is)
+	var total tally
+	s.m.Range(func(_, v any) bool {
+		t := v.(*counters).read()
+		total.add(&t)
 		return true
 	})
-	return total
+	return total.stats("TOTAL")
 }
 
 // Reset clears all statistics (used between the warm-up and measurement
