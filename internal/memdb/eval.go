@@ -14,22 +14,49 @@ type boundTable struct {
 	tbl *table
 }
 
-// env is the evaluation environment for one (joined) row.
+// env is the evaluation environment of one statement execution, pointed at
+// one (joined) row at a time.
 type env struct {
 	tables []boundTable
 	rows   [][]Value // current row per table; nil for unmatched LEFT JOIN
 	args   []Value
-	// aggValues supplies computed aggregate results during projection of
-	// grouped queries, keyed by the aggregate expression's String().
-	aggValues map[string]Value
+	// slots memoises column resolution. The tables are fixed once the env is
+	// set up, so each reference resolves once per execution, not per row.
+	// The AST is shared through the parse cache, so bindings live here and
+	// never in AST nodes.
+	slots map[*sqlparser.ColumnRef]colSlot
+	// aggSlot maps every aggregate call of a grouped SELECT to its index in
+	// aggValues, which holds the current group's results during projection
+	// and is nil outside it.
+	aggSlot   map[*sqlparser.FuncExpr]int
+	aggValues []Value
 	// subq holds the pre-computed first-column value lists of uncorrelated
 	// IN-subqueries. Subqueries run before any outer table lock is taken
 	// (see resolveSubqueries), so evaluation here is a pure membership test.
 	subq map[*sqlparser.InExpr][]Value
 }
 
+// colSlot is a resolved column reference: table index, column index.
+type colSlot struct{ ti, ci int }
+
 // resolve finds the (table index, column index) for a column reference.
 func (e *env) resolve(c *sqlparser.ColumnRef) (int, int, error) {
+	if s, ok := e.slots[c]; ok {
+		return s.ti, s.ci, nil
+	}
+	ti, ci, err := e.lookup(c)
+	if err != nil {
+		return 0, 0, err
+	}
+	if e.slots == nil {
+		e.slots = make(map[*sqlparser.ColumnRef]colSlot)
+	}
+	e.slots[c] = colSlot{ti, ci}
+	return ti, ci, nil
+}
+
+// lookup resolves a column reference against the bound tables by name.
+func (e *env) lookup(c *sqlparser.ColumnRef) (int, int, error) {
 	if c.Table != "" {
 		for ti := range e.tables {
 			if e.tables[ti].ref == c.Table {
@@ -76,7 +103,7 @@ func isAggregate(e sqlparser.Expr) bool {
 	return agg
 }
 
-// eval evaluates an expression to a value. Aggregate calls are resolved via
+// eval evaluates an expression to a value. Aggregate calls read
 // env.aggValues; evaluating an aggregate without that scope is an error.
 func (e *env) eval(x sqlparser.Expr) (Value, error) {
 	switch v := x.(type) {
@@ -197,8 +224,8 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 	case *sqlparser.FuncExpr:
 		if aggregateNames[v.Name] {
 			if e.aggValues != nil {
-				if val, ok := e.aggValues[v.String()]; ok {
-					return val, nil
+				if i, ok := e.aggSlot[v]; ok {
+					return e.aggValues[i], nil
 				}
 			}
 			return nil, fmt.Errorf("memdb: aggregate %s used outside aggregation context", v.Name)

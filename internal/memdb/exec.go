@@ -384,6 +384,10 @@ func (db *DB) project(sel *sqlparser.SelectStmt, ev *env, joined [][][]Value) (*
 		names[i] = cols[i].name
 	}
 	res := &Rows{Columns: names}
+	p := &projection{ev: ev, cols: cols, order: sel.OrderBy, orderCol: make([]int, len(sel.OrderBy))}
+	for i := range sel.OrderBy {
+		p.orderCol[i] = orderColumn(sel.OrderBy[i].Expr, cols)
+	}
 
 	grouped := len(sel.GroupBy) > 0
 	if !grouped {
@@ -398,150 +402,93 @@ func (db *DB) project(sel *sqlparser.SelectStmt, ev *env, joined [][][]Value) (*
 		}
 	}
 
+	// The candidates are the joined rows or, for an aggregate query, the
+	// groups; bind(i) points env at candidate i.
+	n := len(joined)
+	bind := func(i int) { ev.rows = joined[i] }
+	var having sqlparser.Expr
+	if grouped {
+		groups, aggs, err := groupRows(sel, ev, joined)
+		if err != nil {
+			return nil, err
+		}
+		n = len(groups)
+		ev.aggValues = make([]Value, len(aggs))
+		bind = func(i int) {
+			g := groups[i]
+			ev.rows = g.firstRow
+			for j, ae := range aggs {
+				ev.aggValues[j] = g.accs[j].resultFor(ae.Name)
+			}
+		}
+		having = sel.Having
+	}
+
+	// Top-k: with ORDER BY and a LIMIT known before any row is read, keep
+	// only the offset+count first candidates and build output rows only for
+	// them. DISTINCT needs every output row, so it takes the full sort.
+	var top *topK
+	var offset int
+	if len(sel.OrderBy) > 0 && sel.Limit != nil && !sel.Distinct &&
+		rowFree(sel.Limit.Count) && rowFree(sel.Limit.Offset) {
+		count, off, err := evalLimit(sel.Limit, ev)
+		if err == nil && count >= 0 && count < n && off >= 0 && off < n-count {
+			top, offset = newTopK(sel.OrderBy, off+count), off
+		}
+	}
+
 	type sortableRow struct {
 		out  []Value
 		keys []Value
 	}
 	var rows []sortableRow
-
-	// orderKey computes the ORDER BY key values for the current env state
-	// and output row.
-	orderKey := func(out []Value) ([]Value, error) {
-		if len(sel.OrderBy) == 0 {
-			return nil, nil
-		}
-		keys := make([]Value, len(sel.OrderBy))
-		for i := range sel.OrderBy {
-			oe := sel.OrderBy[i].Expr
-			// An unqualified column naming an output alias/column uses the
-			// output value (SQL alias visibility in ORDER BY).
-			if c, ok := oe.(*sqlparser.ColumnRef); ok && c.Table == "" {
-				found := false
-				for j := range cols {
-					if cols[j].name == c.Name && !cols[j].isStar {
-						keys[i] = out[j]
-						found = true
-						break
-					}
-				}
-				if found {
-					continue
-				}
-			}
-			// An expression textually matching a select item uses its value
-			// (covers ORDER BY MAX(x) with SELECT MAX(x)).
-			matched := false
-			for j := range cols {
-				if cols[j].expr != nil && cols[j].expr.String() == oe.String() {
-					keys[i] = out[j]
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-			v, err := ev.eval(oe)
+	for i := 0; i < n; i++ {
+		bind(i)
+		if having != nil {
+			v, err := ev.eval(having)
 			if err != nil {
 				return nil, err
 			}
-			keys[i] = v
-		}
-		return keys, nil
-	}
-
-	emit := func() error {
-		out := make([]Value, len(cols))
-		for i := range cols {
-			if cols[i].isStar {
-				r := ev.rows[cols[i].star.ti]
-				if r == nil {
-					out[i] = nil
-				} else {
-					out[i] = r[cols[i].star.ci]
-				}
+			if !IsTruthy(v) {
 				continue
 			}
-			v, err := ev.eval(cols[i].expr)
-			if err != nil {
-				return err
-			}
-			out[i] = v
 		}
-		keys, err := orderKey(out)
+		if top != nil {
+			if err := p.keys(top.next, nil); err != nil {
+				return nil, err
+			}
+			top.offer(i)
+			continue
+		}
+		out, err := p.row()
 		if err != nil {
-			return err
+			return nil, err
+		}
+		var keys []Value
+		if len(sel.OrderBy) > 0 {
+			keys = make([]Value, len(sel.OrderBy))
+			if err := p.keys(keys, out); err != nil {
+				return nil, err
+			}
 		}
 		rows = append(rows, sortableRow{out: out, keys: keys})
-		return nil
 	}
 
-	if grouped {
-		aggExprs := collectAggregates(sel)
-		groups := make(map[string]*groupState)
-		var order []string
-		for _, jr := range joined {
-			ev.rows = jr
-			key := ""
-			if len(sel.GroupBy) > 0 {
-				kv := make([]Value, len(sel.GroupBy))
-				for i, g := range sel.GroupBy {
-					v, err := ev.eval(g)
-					if err != nil {
-						return nil, err
-					}
-					kv[i] = v
-				}
-				key = KeyOfValues(kv)
-			}
-			g, ok := groups[key]
-			if !ok {
-				g = newGroupState(jr, aggExprs)
-				groups[key] = g
-				order = append(order, key)
-			}
-			for i, ae := range aggExprs {
-				if err := g.accs[i].observe(ev, ae); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// An aggregate query with no GROUP BY and no rows still yields one
-		// (empty-group) row: COUNT(*) = 0, MIN/MAX/SUM/AVG = NULL.
-		if len(groups) == 0 && len(sel.GroupBy) == 0 {
-			g := newGroupState(make([][]Value, len(ev.tables)), aggExprs)
-			groups[""] = g
-			order = append(order, "")
-		}
-		for _, key := range order {
-			g := groups[key]
-			ev.rows = g.firstRow
-			ev.aggValues = make(map[string]Value, len(aggExprs))
-			for i, ae := range aggExprs {
-				ev.aggValues[ae.String()] = g.accs[i].resultFor(ae.Name)
-			}
-			if sel.Having != nil {
-				v, err := ev.eval(sel.Having)
-				if err != nil {
-					return nil, err
-				}
-				if !IsTruthy(v) {
-					continue
-				}
-			}
-			if err := emit(); err != nil {
+	if top != nil {
+		best := top.sorted()
+		best = best[min(offset, len(best)):]
+		res.Data = make([][]Value, 0, len(best))
+		for _, r := range best {
+			bind(r.seq)
+			out, err := p.row()
+			if err != nil {
 				return nil, err
 			}
+			res.Data = append(res.Data, out)
 		}
-		ev.aggValues = nil
-	} else {
-		for _, jr := range joined {
-			ev.rows = jr
-			if err := emit(); err != nil {
-				return nil, err
-			}
-		}
+		return res, nil
 	}
+	ev.aggValues = nil
 
 	if sel.Distinct {
 		seen := make(map[string]bool, len(rows))
@@ -558,17 +505,7 @@ func (db *DB) project(sel *sqlparser.SelectStmt, ev *env, joined [][][]Value) (*
 
 	if len(sel.OrderBy) > 0 {
 		sort.SliceStable(rows, func(i, j int) bool {
-			for k := range sel.OrderBy {
-				c := Compare(rows[i].keys[k], rows[j].keys[k])
-				if c == 0 {
-					continue
-				}
-				if sel.OrderBy[k].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
+			return compareKeys(sel.OrderBy, rows[i].keys, rows[j].keys) < 0
 		})
 	}
 
@@ -612,18 +549,249 @@ func evalLimit(l *sqlparser.Limit, ev *env) (count, offset int, err error) {
 	return count, offset, nil
 }
 
+// rowFree reports whether e, if present, is a literal or a placeholder, so
+// its value is known before any row is read.
+func rowFree(e sqlparser.Expr) bool {
+	switch e.(type) {
+	case nil, *sqlparser.Literal, *sqlparser.Placeholder:
+		return true
+	}
+	return false
+}
+
+// projection is the output side of a SELECT, bound once per statement.
+type projection struct {
+	ev    *env
+	cols  []outputColumn
+	order []sqlparser.OrderItem
+	// orderCol[i] is the output column ORDER BY item i reads, or -1 when
+	// the item is evaluated against the row.
+	orderCol []int
+}
+
+// orderColumn returns the output column an ORDER BY expression reads, or -1.
+func orderColumn(oe sqlparser.Expr, cols []outputColumn) int {
+	// An unqualified column naming an output alias/column uses the output
+	// value (SQL alias visibility in ORDER BY).
+	if c, ok := oe.(*sqlparser.ColumnRef); ok && c.Table == "" {
+		for j := range cols {
+			if cols[j].name == c.Name && !cols[j].isStar {
+				return j
+			}
+		}
+	}
+	// An expression textually matching a select item uses its value (covers
+	// ORDER BY MAX(x) with SELECT MAX(x)).
+	text := oe.String()
+	for j := range cols {
+		if cols[j].expr != nil && cols[j].expr.String() == text {
+			return j
+		}
+	}
+	return -1
+}
+
+// value evaluates the column for the row ev is pointed at.
+func (c *outputColumn) value(ev *env) (Value, error) {
+	if !c.isStar {
+		return ev.eval(c.expr)
+	}
+	if r := ev.rows[c.star.ti]; r != nil {
+		return r[c.star.ci], nil
+	}
+	return nil, nil // unmatched LEFT JOIN side
+}
+
+// row builds the output row of the candidate env is pointed at.
+func (p *projection) row() ([]Value, error) {
+	out := make([]Value, len(p.cols))
+	for i := range p.cols {
+		v, err := p.cols[i].value(p.ev)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// keys fills dst with the ORDER BY keys of the candidate env is pointed at.
+// out is its output row, or nil when none was built; a key bound to an
+// output column then evaluates that column alone.
+func (p *projection) keys(dst, out []Value) error {
+	for i, j := range p.orderCol {
+		var v Value
+		var err error
+		switch {
+		case j < 0:
+			v, err = p.ev.eval(p.order[i].Expr)
+		case out != nil:
+			v = out[j]
+		default:
+			v, err = p.cols[j].value(p.ev)
+		}
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
+}
+
+// compareKeys orders two ORDER BY key tuples.
+func compareKeys(order []sqlparser.OrderItem, a, b []Value) int {
+	for i := range order {
+		if c := Compare(a[i], b[i]); c != 0 {
+			if order[i].Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// topK keeps the first k candidates in (ORDER BY keys, arrival) order —
+// the rows a stable sort of all of them would start with. It is a max-heap
+// rooted at the last survivor, so a candidate that does not displace the
+// root costs one comparison and no allocation.
+type topK struct {
+	order []sqlparser.OrderItem
+	k     int
+	heap  []ranked
+	slab  []Value // key storage, one slot of len(order) values per survivor
+	next  []Value // keys of the candidate about to be offered
+}
+
+// ranked is a survivor: its sort keys and its arrival index.
+type ranked struct {
+	keys []Value
+	seq  int
+}
+
+func newTopK(order []sqlparser.OrderItem, k int) *topK {
+	return &topK{
+		order: order,
+		k:     k,
+		heap:  make([]ranked, 0, k),
+		slab:  make([]Value, k*len(order)),
+		next:  make([]Value, len(order)),
+	}
+}
+
+// after reports whether survivor i sorts after survivor j; the arrival
+// index breaks ties as a stable sort would.
+func (t *topK) after(i, j int) bool {
+	c := compareKeys(t.order, t.heap[i].keys, t.heap[j].keys)
+	return c > 0 || c == 0 && t.heap[i].seq > t.heap[j].seq
+}
+
+// offer considers candidate seq, whose keys are in t.next. Candidates must
+// arrive in increasing seq order.
+func (t *topK) offer(seq int) {
+	if n := len(t.heap); n < t.k {
+		keys := t.slab[n*len(t.order) : (n+1)*len(t.order)]
+		copy(keys, t.next)
+		t.heap = append(t.heap, ranked{keys: keys, seq: seq})
+		for i := n; i > 0; {
+			parent := (i - 1) / 2
+			if !t.after(i, parent) {
+				break
+			}
+			t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
+			i = parent
+		}
+		return
+	}
+	// A later arrival with equal keys sorts after the root, so only
+	// strictly smaller keys displace it.
+	if t.k == 0 || compareKeys(t.order, t.next, t.heap[0].keys) >= 0 {
+		return
+	}
+	copy(t.heap[0].keys, t.next)
+	t.heap[0].seq = seq
+	for i := 0; ; {
+		last := i
+		if c := 2*i + 1; c < len(t.heap) && t.after(c, last) {
+			last = c
+		}
+		if c := 2*i + 2; c < len(t.heap) && t.after(c, last) {
+			last = c
+		}
+		if last == i {
+			return
+		}
+		t.heap[i], t.heap[last] = t.heap[last], t.heap[i]
+		i = last
+	}
+}
+
+// sorted returns the survivors in (keys, arrival) order.
+func (t *topK) sorted() []ranked {
+	sort.Slice(t.heap, func(i, j int) bool { return t.after(j, i) })
+	return t.heap
+}
+
+// groupRows folds the joined rows into groups, in order of first
+// appearance, feeding every aggregate of the statement. It also binds the
+// statement's aggregate calls to their result slots on ev.
+func groupRows(sel *sqlparser.SelectStmt, ev *env, joined [][][]Value) ([]*groupState, []*sqlparser.FuncExpr, error) {
+	aggs, slot := collectAggregates(sel)
+	ev.aggSlot = slot
+	byKey := make(map[string]*groupState)
+	var groups []*groupState
+	kv := make([]Value, len(sel.GroupBy))
+	for _, jr := range joined {
+		ev.rows = jr
+		key := ""
+		if len(sel.GroupBy) > 0 {
+			for i, g := range sel.GroupBy {
+				v, err := ev.eval(g)
+				if err != nil {
+					return nil, nil, err
+				}
+				kv[i] = v
+			}
+			key = KeyOfValues(kv)
+		}
+		g, ok := byKey[key]
+		if !ok {
+			g = newGroupState(jr, aggs)
+			byKey[key] = g
+			groups = append(groups, g)
+		}
+		for i, ae := range aggs {
+			if err := g.accs[i].observe(ev, ae); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	// An aggregate query with no GROUP BY and no rows still yields one
+	// (empty-group) row: COUNT(*) = 0, MIN/MAX/SUM/AVG = NULL.
+	if len(groups) == 0 && len(sel.GroupBy) == 0 {
+		groups = append(groups, newGroupState(make([][]Value, len(ev.tables)), aggs))
+	}
+	return groups, aggs, nil
+}
+
 // collectAggregates gathers the distinct aggregate expressions appearing in
-// the select list, HAVING and ORDER BY.
-func collectAggregates(sel *sqlparser.SelectStmt) []*sqlparser.FuncExpr {
+// the select list, HAVING and ORDER BY, and maps every occurrence to the
+// index of its distinct expression.
+func collectAggregates(sel *sqlparser.SelectStmt) ([]*sqlparser.FuncExpr, map[*sqlparser.FuncExpr]int) {
 	var out []*sqlparser.FuncExpr
-	seen := make(map[string]bool)
+	slot := make(map[*sqlparser.FuncExpr]int)
+	byText := make(map[string]int)
 	add := func(e sqlparser.Expr) {
 		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
 			if f, ok := x.(*sqlparser.FuncExpr); ok && aggregateNames[f.Name] {
-				if !seen[f.String()] {
-					seen[f.String()] = true
+				text := f.String()
+				i, seen := byText[text]
+				if !seen {
+					i = len(out)
+					byText[text] = i
 					out = append(out, f)
 				}
+				slot[f] = i
 				return false
 			}
 			return true
@@ -640,7 +808,7 @@ func collectAggregates(sel *sqlparser.SelectStmt) []*sqlparser.FuncExpr {
 	for i := range sel.OrderBy {
 		add(sel.OrderBy[i].Expr)
 	}
-	return out
+	return out, slot
 }
 
 type groupState struct {

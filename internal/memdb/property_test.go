@@ -4,7 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -335,5 +339,161 @@ func TestRandomMutationsKeepIndexConsistent(t *testing.T) {
 				t.Fatalf("grp %d row %d differs", g, i)
 			}
 		}
+	}
+}
+
+// propSeed returns the seed of a randomized test: fixed so failures
+// reproduce; override with AWC_PROP_SEED to explore.
+func propSeed(t *testing.T) int64 {
+	t.Helper()
+	if s := os.Getenv("AWC_PROP_SEED"); s != "" {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatalf("bad AWC_PROP_SEED %q: %v", s, err)
+		}
+		return v
+	}
+	return 0x5EED0
+}
+
+// buildSortDB creates two joinable tables whose sort columns repeat a
+// handful of values (and hold some NULLs), so most ORDER BY lists leave
+// ties that only arrival order settles.
+func buildSortDB(t *testing.T, rng *rand.Rand) *DB {
+	t.Helper()
+	db := New()
+	db.MustCreateTable(TableSpec{Name: "a", Columns: []Column{
+		{Name: "id", Type: TypeInt, AutoIncrement: true},
+		{Name: "g", Type: TypeInt},
+		{Name: "k1", Type: TypeInt},
+		{Name: "k2", Type: TypeString},
+		{Name: "v", Type: TypeFloat},
+	}})
+	db.MustCreateTable(TableSpec{Name: "b", Columns: []Column{
+		{Name: "id", Type: TypeInt, AutoIncrement: true},
+		{Name: "a_id", Type: TypeInt},
+		{Name: "w", Type: TypeInt},
+	}, Indexed: []string{"a_id"}})
+	ctx := context.Background()
+	const rowsA = 120
+	for i := 0; i < rowsA; i++ {
+		var k1 any = rng.Intn(4)
+		if rng.Intn(10) == 0 {
+			k1 = nil
+		}
+		if _, err := db.Exec(ctx, "INSERT INTO a (g, k1, k2, v) VALUES (?, ?, ?, ?)",
+			rng.Intn(10), k1, string(rune('x'+rng.Intn(3))), float64(rng.Intn(5))/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*rowsA; i++ {
+		if _, err := db.Exec(ctx, "INSERT INTO b (a_id, w) VALUES (?, ?)", 1+rng.Intn(rowsA+10), rng.Intn(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestOrderLimitMatchesFullSort checks that `… LIMIT k OFFSET o` returns
+// exactly rows [o:o+k] of the same statement without LIMIT, over random
+// ASC/DESC key lists with many ties: plain, aliased, non-selected and
+// qualified keys, joins, grouping with aggregate keys, HAVING and DISTINCT,
+// including k = 0 and offsets past the end.
+func TestOrderLimitMatchesFullSort(t *testing.T) {
+	seed := propSeed(t)
+	t.Logf("seed %d (override with AWC_PROP_SEED)", seed)
+	rng := rand.New(rand.NewSource(seed))
+	db := buildSortDB(t, rng)
+	ctx := context.Background()
+	statements := []struct {
+		sql  string
+		args []any
+		keys []string // ORDER BY candidates
+	}{
+		{"SELECT id, k1, k2 AS label FROM a WHERE g < ?", []any{7},
+			[]string{"k1", "label", "v", "a.k2", "g", "k1 + g"}},
+		{"SELECT a.id, b.id AS bid, b.w, a.k1 FROM a JOIN b ON b.a_id = a.id", nil,
+			[]string{"b.w", "a.k1", "a.v", "bid", "a.k2"}},
+		{"SELECT * FROM a LEFT JOIN b ON b.a_id = a.id WHERE a.g >= ?", []any{2},
+			[]string{"b.w", "a.k1", "a.k2", "b.id"}},
+		{"SELECT k1, COUNT(*) AS n, SUM(v) AS total, MAX(k2) FROM a GROUP BY k1", nil,
+			[]string{"n", "total", "COUNT(*)", "MAX(k2)", "k1", "MIN(v)"}},
+		{"SELECT g, COUNT(b.id) AS nb, SUM(a.v) FROM a LEFT JOIN b ON b.a_id = a.id GROUP BY g HAVING COUNT(*) > ?", []any{22},
+			[]string{"nb", "g", "SUM(a.v)", "COUNT(*)"}},
+		{"SELECT DISTINCT k1, k2 FROM a", nil,
+			[]string{"k1", "k2"}},
+	}
+	for iter := 0; iter < 400; iter++ {
+		st := statements[rng.Intn(len(statements))]
+		var order []string
+		for _, i := range rng.Perm(len(st.keys))[:1+rng.Intn(min(3, len(st.keys)))] {
+			dir := " ASC"
+			if rng.Intn(2) == 0 {
+				dir = " DESC"
+			}
+			order = append(order, st.keys[i]+dir)
+		}
+		sql := st.sql + " ORDER BY " + strings.Join(order, ", ")
+		full, err := db.Query(ctx, sql, st.args...)
+		if err != nil {
+			t.Fatalf("iter %d: %q: %v", iter, sql, err)
+		}
+		n := full.Len()
+		k, o := rng.Intn(n+3), rng.Intn(n+3)
+		if rng.Intn(8) == 0 {
+			k = 0
+		}
+		limited := sql + fmt.Sprintf(" LIMIT %d OFFSET %d", k, o)
+		args := st.args
+		switch rng.Intn(3) {
+		case 0:
+			limited = sql + " LIMIT ? OFFSET ?"
+			args = append(append([]any{}, st.args...), k, o)
+		case 1:
+			limited = sql + fmt.Sprintf(" LIMIT %d, %d", o, k)
+		}
+		got, err := db.Query(ctx, limited, args...)
+		if err != nil {
+			t.Fatalf("iter %d: %q: %v", iter, limited, err)
+		}
+		lo := min(o, n)
+		want := full.Data[lo:min(lo+k, n)]
+		if !reflect.DeepEqual(got.Columns, full.Columns) || len(got.Data) != len(want) ||
+			(len(want) > 0 && !reflect.DeepEqual(got.Data, want)) {
+			t.Fatalf("iter %d: %q args=%v\n got %v %v\nwant %v %v", iter, limited, args, got.Columns, got.Data, full.Columns, want)
+		}
+	}
+}
+
+// TestLimitVisitsSameRows pins the row-visit accounting SetRowCost charges:
+// a LIMIT changes which rows are returned, not which rows are visited.
+func TestLimitVisitsSameRows(t *testing.T) {
+	db := buildSortDB(t, rand.New(rand.NewSource(3)))
+	ctx := context.Background()
+	const sql = "SELECT a.id, b.w FROM a JOIN b ON b.a_id = a.id WHERE a.g < ? ORDER BY b.w DESC, a.k2 ASC"
+	visit := func(q string, args ...any) Stats {
+		t.Helper()
+		before := db.Stats()
+		rows, err := db.Query(ctx, q, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows.Len() == 0 {
+			t.Fatalf("%q returned no rows", q)
+		}
+		after := db.Stats()
+		return Stats{
+			Queries:     after.Queries - before.Queries,
+			Execs:       after.Execs - before.Execs,
+			RowsScanned: after.RowsScanned - before.RowsScanned,
+		}
+	}
+	full := visit(sql, 8)
+	limited := visit(sql+" LIMIT 5", 8)
+	if full.RowsScanned <= 5 {
+		t.Fatalf("full query visited only %d rows", full.RowsScanned)
+	}
+	if limited != full || full.Queries != 1 || full.Execs != 0 {
+		t.Fatalf("LIMIT 5 counted %+v, without LIMIT %+v", limited, full)
 	}
 }

@@ -10,6 +10,18 @@
 // block all concurrent access to the table they touch. This coarse locking
 // is deliberate — it reproduces the contention profile that makes dynamic
 // page generation expensive under load and caching effective.
+//
+// A SELECT does its per-statement work once per execution, never per row:
+// each column reference resolves to its (table, column) slot on first use,
+// each ORDER BY item is bound to the output column it reads or else to its
+// own expression, and each aggregate call to its result slot. With ORDER BY
+// and a LIMIT whose count and offset are literals or placeholders, and no
+// DISTINCT, the executor keeps a bounded max-heap of the offset+count first
+// candidates ordered by (sort keys, arrival), which returns exactly the rows
+// a stable sort of all candidates sliced by the LIMIT would; the select
+// list is evaluated only for the rows returned. Every matching row is still
+// visited and counted in Stats.RowsScanned, so the simulated service time
+// of SetRowCost does not depend on the LIMIT.
 package memdb
 
 import "autowebcache/internal/datasource"
