@@ -88,7 +88,7 @@ bench:
 
 benchsmoke:
 	$(GO) test -bench 'Cache|Parallel|Coalesced|Qrcache' -run '^$$' -benchtime 100x -benchmem .
-	$(GO) test -bench SelectOrderLimit -run '^$$' -benchtime 100x -benchmem ./internal/memdb
+	$(GO) test -bench 'SelectOrderLimit|SelectIn' -run '^$$' -benchtime 100x -benchmem ./internal/memdb
 
 # bench-gate re-runs the hit-path benchmarks and fails when any tracked
 # benchmark regresses >25% ns/op or allocates more per op than the

@@ -87,7 +87,7 @@ type Engine struct {
 
 	mu        sync.RWMutex
 	templates map[string]*TemplateInfo
-	pairs     map[string]bool // template-level possible-dependency results
+	pairs     map[[2]string]bool // template-level possible-dependency results, keyed by {read, write}
 	// canon memoises raw SQL -> canonical template text; a sync.Map keeps
 	// the per-query hot path lock-free once a statement has been seen.
 	canon sync.Map
@@ -111,7 +111,7 @@ func NewEngine(strategy Strategy, schema Schema) (*Engine, error) {
 		strategy:  strategy,
 		schema:    schema,
 		templates: make(map[string]*TemplateInfo),
-		pairs:     make(map[string]bool),
+		pairs:     make(map[[2]string]bool),
 	}, nil
 }
 
@@ -163,7 +163,7 @@ func (e *Engine) Template(sql string) (*TemplateInfo, error) {
 // PossiblyDependent performs the template-level dependency test (shared
 // table with overlapping columns), memoised in the pair cache.
 func (e *Engine) PossiblyDependent(readSQL, writeSQL string) (bool, error) {
-	key := PairKey(readSQL, writeSQL)
+	key := [2]string{readSQL, writeSQL}
 	e.mu.RLock()
 	dep, ok := e.pairs[key]
 	e.mu.RUnlock()

@@ -272,6 +272,25 @@ func TestPairCacheMemoises(t *testing.T) {
 	}
 }
 
+// TestPossiblyDependentZeroAlloc pins the pair-cache hit, which the
+// invalidation sweep takes once per dependency template on every write: it
+// must not build a key string.
+func TestPossiblyDependentZeroAlloc(t *testing.T) {
+	e := newEngine(t, StrategyColumnOnly, nil)
+	const read, write = "SELECT a FROM T WHERE b = ?", "UPDATE T SET a = ? WHERE b = ?"
+	if _, err := e.PossiblyDependent(read, write); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.PossiblyDependent(read, write); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cached PossiblyDependent allocates %.1f times, want 0", allocs)
+	}
+}
+
 func TestTemplateCanonicalisation(t *testing.T) {
 	e := newEngine(t, StrategyColumnOnly, nil)
 	a, err := e.Template("select a from T where b = ?")

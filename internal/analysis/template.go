@@ -19,7 +19,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"autowebcache/internal/datasource"
 	"autowebcache/internal/sqlparser"
@@ -454,14 +453,4 @@ func ColumnsOverlap(read, write *TemplateInfo) bool {
 		}
 	}
 	return false
-}
-
-// PairKey builds the memoisation key for a (read, write) template pair.
-func PairKey(readSQL, writeSQL string) string {
-	var b strings.Builder
-	b.Grow(len(readSQL) + len(writeSQL) + 1)
-	b.WriteString(readSQL)
-	b.WriteByte('|')
-	b.WriteString(writeSQL)
-	return b.String()
 }

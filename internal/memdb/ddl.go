@@ -51,10 +51,10 @@ func (db *DB) execCreateIndex(s *sqlparser.CreateIndexStmt) (Result, error) {
 		if _, exists := t.indexes[ci]; exists {
 			continue
 		}
-		ix := &hashIndex{m: make(map[string][]int)}
+		ix := newHashIndex(t.spec.Columns[ci].Type)
 		for rowID, row := range t.rows {
 			if row != nil {
-				ix.add(KeyString(row[ci]), rowID)
+				ix.add(row[ci], rowID)
 			}
 		}
 		t.indexes[ci] = ix

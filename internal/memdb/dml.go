@@ -59,79 +59,36 @@ func (db *DB) execInsert(ins *sqlparser.InsertStmt, args []Value) (Result, error
 }
 
 // matchRowsLocked returns the row ids of t matching the WHERE clause, using
-// an index probe when possible. The caller holds at least a read lock on t.
+// an exact index probe when one applies, as a SELECT's first table does.
+// The caller holds at least a read lock on t.
 func (db *DB) matchRowsLocked(t *table, ref string, where sqlparser.Expr, ev *env) ([]int, error) {
 	ev.tables = []boundTable{{ref: ref, tbl: t}}
 	ev.rows = make([][]Value, 1)
-
-	conjuncts := splitConjuncts(where, nil)
-	// Index probe: find `col = constExpr` with an indexed col.
-	var probeIDs []int
-	probed := false
-	for _, c := range conjuncts {
-		b, ok := c.(*sqlparser.BinaryExpr)
-		if !ok || b.Op != sqlparser.OpEq {
-			continue
+	p := newPlan(ev)
+	for _, c := range splitConjuncts(where, nil) {
+		p.addCond(0, c)
+	}
+	defer func() { db.rowsScanned.Add(uint64(p.scanned)) }()
+	probed, skip, scan, err := p.candidates(0)
+	if err != nil {
+		return nil, err
+	}
+	n := len(probed)
+	if scan {
+		n = len(t.rows)
+	}
+	var ids []int
+	for i := 0; i < n; i++ {
+		id := i
+		if !scan {
+			id = probed[i]
 		}
-		colSide, valSide := b.Left, b.Right
-		col, ok := colSide.(*sqlparser.ColumnRef)
-		if !ok {
-			col, ok = valSide.(*sqlparser.ColumnRef)
-			if !ok {
-				continue
-			}
-			valSide = b.Left
-		}
-		ci, exists := t.colIdx[col.Name]
-		if !exists || (col.Table != "" && col.Table != ref) {
-			continue
-		}
-		ix, indexed := t.indexes[ci]
-		if !indexed {
-			continue
-		}
-		if lvl, err := maxTableIndex(valSide, ev); err != nil || lvl >= 0 {
-			continue // value side references columns; not a constant probe
-		}
-		v, err := ev.eval(valSide)
+		ok, err := p.match(0, skip, t.rows[id])
 		if err != nil {
 			return nil, err
 		}
-		probeIDs = ix.m[KeyString(v)]
-		probed = true
-		break
-	}
-
-	var ids []int
-	check := func(rowID int, row []Value) error {
-		if row == nil {
-			return nil
-		}
-		db.rowsScanned.Add(1)
-		ev.rows[0] = row
-		if where != nil {
-			v, err := ev.eval(where)
-			if err != nil {
-				return err
-			}
-			if !IsTruthy(v) {
-				return nil
-			}
-		}
-		ids = append(ids, rowID)
-		return nil
-	}
-	if probed {
-		for _, id := range probeIDs {
-			if err := check(id, t.rows[id]); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for id, row := range t.rows {
-			if err := check(id, row); err != nil {
-				return nil, err
-			}
+		if ok {
+			ids = append(ids, id)
 		}
 	}
 	return ids, nil

@@ -1,9 +1,13 @@
 package memdb
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
+	"autowebcache/internal/datasource"
 	"autowebcache/internal/sqlparser"
 )
 
@@ -43,24 +47,45 @@ func maxTableIndex(e sqlparser.Expr, ev *env) (int, error) {
 	return maxIdx, walkErr
 }
 
-// eqLookup describes an equality usable for an index probe at one join
-// level: table ti's column ci must equal the value of expr (which references
-// only earlier tables or constants).
-type eqLookup struct {
-	ci   int
-	expr sqlparser.Expr
+// indexProbe is an index lookup that can stand in for one conjunct of a
+// join level: `col = eq` or `col IN (…)`, where col is an indexed column of
+// the level's table and the other side references only earlier tables.
+type indexProbe struct {
+	ix   *hashIndex
+	cond int            // the conjunct's position in its level's conds
+	eq   sqlparser.Expr // the value side of `col = eq`, or nil
+	in   *sqlparser.InExpr
 }
 
-// selectPlan is the per-level execution plan for a select.
+// selectPlan is the per-level execution plan of a SELECT, or of the WHERE
+// clause of an UPDATE or DELETE (one level).
 type selectPlan struct {
 	ev *env
 	// conds[k] holds the conjuncts whose highest referenced table is k; they
 	// are checked as soon as table k is bound.
 	conds [][]sqlparser.Expr
-	// lookups[k] holds index-probe candidates for table k.
-	lookups  [][]eqLookup
-	leftJoin []bool // is table k the right side of a LEFT JOIN
-	scanned  int    // rows visited during execution
+	// probes[k] holds the index probes that can replace a scan of table k.
+	probes   [][]indexProbe
+	leftJoin []bool  // is table k the right side of a LEFT JOIN
+	union    [][]int // per-level scratch for the row ids of IN probes, if any
+	out      *projection
+	// reverse visits the first table's candidates last to first.
+	reverse bool
+	// first and sub are the arrival of the joined row being built: the
+	// forward position of its first-table row among that table's
+	// candidates, and how many joined rows that row produced before it.
+	first, sub int
+	scanned    int // rows visited during execution
+}
+
+func newPlan(ev *env) *selectPlan {
+	n := len(ev.tables)
+	return &selectPlan{
+		ev:       ev,
+		conds:    make([][]sqlparser.Expr, n),
+		probes:   make([][]indexProbe, n),
+		leftJoin: make([]bool, n),
+	}
 }
 
 // resolveSubqueries pre-executes every uncorrelated IN-subquery reachable
@@ -115,7 +140,6 @@ func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, e
 		}
 		ev.tables = append(ev.tables, boundTable{ref: sel.From[i].RefName(), tbl: t})
 	}
-	leftJoin := make([]bool, len(sel.From))
 	onConds := make([]sqlparser.Expr, len(sel.From)) // nil for FROM tables
 	for i := range sel.Joins {
 		j := &sel.Joins[i]
@@ -124,11 +148,9 @@ func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, e
 			return nil, 0, err
 		}
 		ev.tables = append(ev.tables, boundTable{ref: j.Table.RefName(), tbl: t})
-		leftJoin = append(leftJoin, j.Kind == sqlparser.JoinLeft)
 		onConds = append(onConds, j.On)
 	}
-	n := len(ev.tables)
-	ev.rows = make([][]Value, n)
+	ev.rows = make([][]Value, len(ev.tables))
 
 	// IN-subqueries run first, before any outer lock is taken.
 	subClauses := append([]sqlparser.Expr{sel.Where, sel.Having}, onConds...)
@@ -137,16 +159,11 @@ func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, e
 		return nil, subScanned, err
 	}
 
-	plan := &selectPlan{
-		ev:       ev,
-		conds:    make([][]sqlparser.Expr, n),
-		lookups:  make([][]eqLookup, n),
-		leftJoin: leftJoin,
+	plan := newPlan(ev)
+	for i := range sel.Joins {
+		plan.leftJoin[len(sel.From)+i] = sel.Joins[i].Kind == sqlparser.JoinLeft
 	}
-
 	// Distribute conjuncts from WHERE and JOIN ... ON clauses.
-	var conjuncts []sqlparser.Expr
-	conjuncts = splitConjuncts(sel.Where, conjuncts)
 	for k, on := range onConds {
 		for _, c := range splitConjuncts(on, nil) {
 			level, err := maxTableIndex(c, ev)
@@ -155,15 +172,11 @@ func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, e
 			}
 			// ON conditions belong to their join level even if they only
 			// reference earlier tables.
-			if level < k {
-				level = k
-			}
-			plan.conds[level] = append(plan.conds[level], c)
-			plan.addLookup(level, c)
+			plan.addCond(max(level, k), c)
 		}
 	}
 	var constConds []sqlparser.Expr
-	for _, c := range conjuncts {
+	for _, c := range splitConjuncts(sel.Where, nil) {
 		level, err := maxTableIndex(c, ev)
 		if err != nil {
 			return nil, 0, err
@@ -172,10 +185,13 @@ func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, e
 			constConds = append(constConds, c)
 			continue
 		}
-		plan.conds[level] = append(plan.conds[level], c)
-		plan.addLookup(level, c)
+		plan.addCond(level, c)
 	}
 
+	out, err := newProjection(sel, ev)
+	if err != nil {
+		return nil, 0, err
+	}
 	// Constant-only conjuncts (e.g. `WHERE 1 = 0`) gate the whole query.
 	for _, c := range constConds {
 		v, err := ev.eval(c)
@@ -183,57 +199,174 @@ func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, e
 			return nil, 0, err
 		}
 		if !IsTruthy(v) {
-			rows, err := db.project(sel, ev, nil)
+			rows, err := out.finish()
 			return rows, subScanned, err
 		}
 	}
 
 	// Lock all involved tables for read in a canonical order. Writers take a
 	// single table's write lock, so ordering readers by name prevents
-	// deadlock.
+	// deadlock. The projection reads the rows it kept until it finishes.
 	locked := lockTablesRead(ev.tables)
 	defer unlockTablesRead(locked)
 
 	// Enumerate joined rows via recursive nested loops with index probes.
-	var joined [][][]Value
-	if err := db.joinLevel(plan, 0, &joined); err != nil {
+	// When the projection keeps the first rows of a DESC ordering, the
+	// first table is visited last to first: rows stored oldest first then
+	// arrive newest first, and a later row rarely displaces a kept one.
+	plan.out = out
+	plan.reverse = out.top != nil && out.groups == nil && sel.OrderBy[0].Desc
+	err = plan.joinLevel(0)
+	db.rowsScanned.Add(uint64(plan.scanned))
+	if err != nil {
 		return nil, 0, err
 	}
-	rows, err := db.project(sel, ev, joined)
+	rows, err := out.finish()
 	return rows, plan.scanned + subScanned, err
 }
 
-// addLookup registers c as an index-probe candidate at the given level when
-// it is an equality between a column of that level's table and an expression
-// referencing only earlier tables.
-func (p *selectPlan) addLookup(level int, c sqlparser.Expr) {
-	b, ok := c.(*sqlparser.BinaryExpr)
-	if !ok || b.Op != sqlparser.OpEq {
+// addCond files conjunct c at the given level, and registers it as an index
+// probe when it is an equality or a positive IN on one of the level's
+// indexed columns whose other side references only earlier tables.
+func (p *selectPlan) addCond(level int, c sqlparser.Expr) {
+	p.conds[level] = append(p.conds[level], c)
+	pr := indexProbe{cond: len(p.conds[level]) - 1}
+	switch x := c.(type) {
+	case *sqlparser.BinaryExpr:
+		if x.Op != sqlparser.OpEq {
+			return
+		}
+		if pr.ix = p.index(level, x.Left); pr.ix != nil && p.bound(level, x.Right) {
+			pr.eq = x.Right
+		} else if pr.ix = p.index(level, x.Right); pr.ix != nil && p.bound(level, x.Left) {
+			pr.eq = x.Left
+		} else {
+			return
+		}
+	case *sqlparser.InExpr:
+		if x.Not {
+			return
+		}
+		if pr.ix = p.index(level, x.Left); pr.ix == nil {
+			return
+		}
+		for _, e := range x.List {
+			if !p.bound(level, e) {
+				return
+			}
+		}
+		pr.in = x
+	default:
 		return
 	}
-	try := func(colSide, valSide sqlparser.Expr) bool {
-		col, ok := colSide.(*sqlparser.ColumnRef)
-		if !ok {
-			return false
-		}
-		ti, ci, err := p.ev.resolve(col)
-		if err != nil || ti != level {
-			return false
-		}
-		if _, indexed := p.ev.tables[ti].tbl.indexes[ci]; !indexed {
-			return false
-		}
-		vLevel, err := maxTableIndex(valSide, p.ev)
-		if err != nil || vLevel >= level {
-			return false
-		}
-		p.lookups[level] = append(p.lookups[level], eqLookup{ci: ci, expr: valSide})
-		return true
+	p.probes[level] = append(p.probes[level], pr)
+}
+
+// index returns the index on e when e is an indexed column of table level.
+func (p *selectPlan) index(level int, e sqlparser.Expr) *hashIndex {
+	col, ok := e.(*sqlparser.ColumnRef)
+	if !ok {
+		return nil
 	}
-	if try(b.Left, b.Right) {
-		return
+	ti, ci, err := p.ev.resolve(col)
+	if err != nil || ti != level {
+		return nil
 	}
-	try(b.Right, b.Left)
+	return p.ev.tables[ti].tbl.indexes[ci]
+}
+
+// bound reports whether e references only tables bound before level.
+func (p *selectPlan) bound(level int, e sqlparser.Expr) bool {
+	l, err := maxTableIndex(e, p.ev)
+	return err == nil && l < level
+}
+
+// candidates returns table k's candidate row ids from its first exact
+// probe, and that probe's conjunct, which those rows satisfy by
+// construction. scan is true when no probe is exact: the level then visits
+// every row and checks every conjunct.
+func (p *selectPlan) candidates(k int) (ids []int, skip int, scan bool, err error) {
+	for i := range p.probes[k] {
+		pr := &p.probes[k][i]
+		ids, ok, err := p.lookup(k, pr)
+		if err != nil {
+			return nil, -1, false, err
+		}
+		if ok {
+			return ids, pr.cond, false, nil
+		}
+	}
+	return nil, -1, true, nil
+}
+
+// lookup runs one probe of table k; ok is false when some value has no
+// exact bucket. An IN probe returns the union of its values' buckets in
+// ascending row id, the order a scan visits.
+func (p *selectPlan) lookup(k int, pr *indexProbe) (ids []int, ok bool, err error) {
+	ev := p.ev
+	if pr.in == nil {
+		v, err := ev.eval(pr.eq)
+		if err != nil {
+			return nil, false, err
+		}
+		ids, ok := pr.ix.probe(v)
+		return ids, ok, nil
+	}
+	if p.union == nil {
+		p.union = make([][]int, len(p.conds))
+	}
+	union := p.union[k][:0]
+	add := func(v Value) bool {
+		ids, ok := pr.ix.probe(v)
+		union = append(union, ids...)
+		return ok
+	}
+	if pr.in.Select != nil {
+		vals, resolved := ev.subq[pr.in]
+		if !resolved {
+			return nil, false, nil // the scan reports the error
+		}
+		for _, v := range vals {
+			if !add(v) {
+				return nil, false, nil
+			}
+		}
+	} else {
+		for _, e := range pr.in.List {
+			v, err := ev.eval(e)
+			if err != nil {
+				return nil, false, err
+			}
+			if !add(v) {
+				return nil, false, nil
+			}
+		}
+	}
+	slices.Sort(union)
+	union = slices.Compact(union)
+	p.union[k] = union
+	return union, true, nil
+}
+
+// match binds row to table k and reports whether it passes the level's
+// conjuncts other than skip. A deleted slot (nil) is not a row and is not
+// counted as visited.
+func (p *selectPlan) match(k, skip int, row []Value) (bool, error) {
+	if row == nil {
+		return false, nil
+	}
+	p.scanned++
+	p.ev.rows[k] = row
+	for i, c := range p.conds[k] {
+		if i == skip {
+			continue
+		}
+		v, err := p.ev.eval(c)
+		if err != nil || !IsTruthy(v) {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // lockTablesRead read-locks the distinct tables in name order and returns
@@ -260,70 +393,54 @@ func unlockTablesRead(ts []*table) {
 	}
 }
 
-// joinLevel binds table k to each candidate row and recurses. Joined row
-// snapshots are appended to out.
-func (db *DB) joinLevel(p *selectPlan, k int, out *[][][]Value) error {
+// joinLevel binds table k to each of its candidate rows and recurses. Past
+// the last table, ev.rows is one complete joined row, which goes straight
+// to the projection.
+func (p *selectPlan) joinLevel(k int) error {
 	ev := p.ev
 	if k == len(ev.tables) {
-		snapshot := make([][]Value, len(ev.rows))
-		copy(snapshot, ev.rows)
-		*out = append(*out, snapshot)
-		return nil
+		err := p.out.add(p.first, p.sub)
+		p.sub++
+		return err
 	}
 	t := ev.tables[k].tbl
-
-	matched := false
-	tryRow := func(row []Value) (bool, error) {
-		if row == nil {
-			return false, nil
-		}
-		db.rowsScanned.Add(1)
-		p.scanned++
-		ev.rows[k] = row
-		for _, c := range p.conds[k] {
-			v, err := ev.eval(c)
-			if err != nil {
-				ev.rows[k] = nil
-				return false, err
-			}
-			if !IsTruthy(v) {
-				ev.rows[k] = nil
-				return false, nil
-			}
-		}
-		matched = true
-		err := db.joinLevel(p, k+1, out)
-		ev.rows[k] = nil
-		return true, err
+	ids, skip, scan, err := p.candidates(k)
+	if err != nil {
+		return err
 	}
-
-	// Prefer an index probe when available.
-	if len(p.lookups[k]) > 0 {
-		lk := p.lookups[k][0]
-		val, err := ev.eval(lk.expr)
+	n := len(ids)
+	if scan {
+		n = len(t.rows)
+	}
+	matched := false
+	for i := 0; i < n; i++ {
+		pos := i
+		if k == 0 && p.reverse {
+			pos = n - 1 - i
+		}
+		id := pos
+		if !scan {
+			id = ids[pos]
+		}
+		ok, err := p.match(k, skip, t.rows[id])
 		if err != nil {
 			return err
 		}
-		ix := t.indexes[lk.ci]
-		for _, rowID := range ix.m[KeyString(val)] {
-			if _, err := tryRow(t.rows[rowID]); err != nil {
-				return err
-			}
+		if !ok {
+			continue
 		}
-	} else {
-		for _, row := range t.rows {
-			if _, err := tryRow(row); err != nil {
-				return err
-			}
+		matched = true
+		if k == 0 {
+			p.first, p.sub = pos, 0
 		}
-	}
-
-	if !matched && p.leftJoin[k] {
-		// LEFT JOIN with no match: bind a NULL row and continue.
-		ev.rows[k] = nil
-		if err := db.joinLevel(p, k+1, out); err != nil {
+		if err := p.joinLevel(k + 1); err != nil {
 			return err
 		}
+	}
+	ev.rows[k] = nil
+	if !matched && p.leftJoin[k] {
+		// LEFT JOIN with no match: continue with the NULL row.
+		return p.joinLevel(k + 1)
 	}
 	return nil
 }
@@ -372,114 +489,129 @@ func expandItems(sel *sqlparser.SelectStmt, ev *env) ([]outputColumn, error) {
 	return out, nil
 }
 
-// project applies aggregation/grouping, HAVING, DISTINCT, ORDER BY and LIMIT
-// to the joined rows and produces the final result.
-func (db *DB) project(sel *sqlparser.SelectStmt, ev *env, joined [][][]Value) (*Rows, error) {
+// projection is the output side of a SELECT, bound once per statement. It
+// consumes joined rows as the join produces them and applies aggregation,
+// HAVING, DISTINCT, ORDER BY and LIMIT.
+type projection struct {
+	ev   *env
+	sel  *sqlparser.SelectStmt
+	cols []outputColumn
+	// orderCol[i] is the output column ORDER BY item i reads, or -1 when
+	// the item is evaluated against the row.
+	orderCol []int
+	groups   *grouping // nil unless the statement aggregates
+	// top keeps the offset+count first candidates when the statement has an
+	// ORDER BY, a LIMIT known before any row is read, and no DISTINCT
+	// (which needs every output row). Otherwise every candidate's output
+	// row is built into rows for a full stable sort.
+	top    *topK
+	offset int
+	rows   []sortableRow
+}
+
+type sortableRow struct {
+	out  []Value
+	keys []Value
+}
+
+func newProjection(sel *sqlparser.SelectStmt, ev *env) (*projection, error) {
 	cols, err := expandItems(sel, ev)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(cols))
-	for i := range cols {
-		names[i] = cols[i].name
-	}
-	res := &Rows{Columns: names}
-	p := &projection{ev: ev, cols: cols, order: sel.OrderBy, orderCol: make([]int, len(sel.OrderBy))}
+	p := &projection{ev: ev, sel: sel, cols: cols, orderCol: make([]int, len(sel.OrderBy))}
 	for i := range sel.OrderBy {
 		p.orderCol[i] = orderColumn(sel.OrderBy[i].Expr, cols)
 	}
-
-	grouped := len(sel.GroupBy) > 0
-	if !grouped {
-		for i := range cols {
-			if cols[i].expr != nil && isAggregate(cols[i].expr) {
-				grouped = true
-				break
-			}
-		}
-		if sel.Having != nil && isAggregate(sel.Having) {
-			grouped = true
-		}
+	grouped := len(sel.GroupBy) > 0 || sel.Having != nil && isAggregate(sel.Having)
+	for i := range cols {
+		grouped = grouped || cols[i].expr != nil && isAggregate(cols[i].expr)
 	}
-
-	// The candidates are the joined rows or, for an aggregate query, the
-	// groups; bind(i) points env at candidate i.
-	n := len(joined)
-	bind := func(i int) { ev.rows = joined[i] }
-	var having sqlparser.Expr
 	if grouped {
-		groups, aggs, err := groupRows(sel, ev, joined)
-		if err != nil {
-			return nil, err
-		}
-		n = len(groups)
-		ev.aggValues = make([]Value, len(aggs))
-		bind = func(i int) {
-			g := groups[i]
-			ev.rows = g.firstRow
-			for j, ae := range aggs {
-				ev.aggValues[j] = g.accs[j].resultFor(ae.Name)
-			}
-		}
-		having = sel.Having
+		p.groups = newGrouping(sel, ev)
 	}
-
-	// Top-k: with ORDER BY and a LIMIT known before any row is read, keep
-	// only the offset+count first candidates and build output rows only for
-	// them. DISTINCT needs every output row, so it takes the full sort.
-	var top *topK
-	var offset int
 	if len(sel.OrderBy) > 0 && sel.Limit != nil && !sel.Distinct &&
 		rowFree(sel.Limit.Count) && rowFree(sel.Limit.Offset) {
+		// A bad LIMIT takes the full path, which reports it.
 		count, off, err := evalLimit(sel.Limit, ev)
-		if err == nil && count >= 0 && count < n && off >= 0 && off < n-count {
-			top, offset = newTopK(sel.OrderBy, off+count), off
+		if err == nil && off <= math.MaxInt-count {
+			p.top, p.offset = newTopK(sel.OrderBy, off+count), off
 		}
 	}
+	return p, nil
+}
 
-	type sortableRow struct {
-		out  []Value
-		keys []Value
+// add consumes the joined row ev points at; first and sub are its arrival.
+func (p *projection) add(first, sub int) error {
+	if p.groups != nil {
+		return p.groups.add(p.ev)
 	}
-	var rows []sortableRow
-	for i := 0; i < n; i++ {
-		bind(i)
-		if having != nil {
-			v, err := ev.eval(having)
-			if err != nil {
-				return nil, err
-			}
-			if !IsTruthy(v) {
-				continue
-			}
-		}
-		if top != nil {
-			if err := p.keys(top.next, nil); err != nil {
-				return nil, err
-			}
-			top.offer(i)
-			continue
-		}
-		out, err := p.row()
-		if err != nil {
-			return nil, err
-		}
-		var keys []Value
-		if len(sel.OrderBy) > 0 {
-			keys = make([]Value, len(sel.OrderBy))
-			if err := p.keys(keys, out); err != nil {
-				return nil, err
-			}
-		}
-		rows = append(rows, sortableRow{out: out, keys: keys})
-	}
+	return p.candidate(first, sub, p.ev.rows)
+}
 
-	if top != nil {
-		best := top.sorted()
-		best = best[min(offset, len(best)):]
+// candidate takes the candidate ev points at — a joined row, or a bound
+// group — with the given arrival. rows is the joined row to keep should
+// top-k keep the candidate, or nil for a group.
+func (p *projection) candidate(first, sub int, rows [][]Value) error {
+	if p.top != nil {
+		if err := p.keys(p.top.next, nil); err != nil {
+			return err
+		}
+		p.top.offer(first, sub, rows)
+		return nil
+	}
+	out, err := p.row()
+	if err != nil {
+		return err
+	}
+	var keys []Value
+	if len(p.orderCol) > 0 {
+		keys = make([]Value, len(p.orderCol))
+		if err := p.keys(keys, out); err != nil {
+			return err
+		}
+	}
+	p.rows = append(p.rows, sortableRow{out: out, keys: keys})
+	return nil
+}
+
+// finish produces the result once every joined row has been added.
+func (p *projection) finish() (*Rows, error) {
+	ev, sel := p.ev, p.sel
+	if g := p.groups; g != nil {
+		groups := g.done(ev)
+		for i, gs := range groups {
+			g.bind(ev, gs)
+			if sel.Having != nil {
+				v, err := ev.eval(sel.Having)
+				if err != nil {
+					return nil, err
+				}
+				if !IsTruthy(v) {
+					continue
+				}
+			}
+			if err := p.candidate(i, 0, nil); err != nil {
+				return nil, err
+			}
+		}
+	}
+	names := make([]string, len(p.cols))
+	for i := range p.cols {
+		names[i] = p.cols[i].name
+	}
+	res := &Rows{Columns: names}
+
+	if p.top != nil {
+		best := p.top.sorted()
+		best = best[min(p.offset, len(best)):]
 		res.Data = make([][]Value, 0, len(best))
 		for _, r := range best {
-			bind(r.seq)
+			if p.groups != nil {
+				p.groups.bind(ev, p.groups.list[r.first])
+			} else {
+				ev.rows = r.rows
+			}
 			out, err := p.row()
 			if err != nil {
 				return nil, err
@@ -490,6 +622,7 @@ func (db *DB) project(sel *sqlparser.SelectStmt, ev *env, joined [][][]Value) (*
 	}
 	ev.aggValues = nil
 
+	rows := p.rows
 	if sel.Distinct {
 		seen := make(map[string]bool, len(rows))
 		dst := rows[:0]
@@ -516,7 +649,7 @@ func (db *DB) project(sel *sqlparser.SelectStmt, ev *env, joined [][][]Value) (*
 			return nil, err
 		}
 		lo = min(offset, len(rows))
-		hi = min(lo+count, len(rows))
+		hi = lo + min(count, len(rows)-lo)
 	}
 	res.Data = make([][]Value, 0, hi-lo)
 	for _, r := range rows[lo:hi] {
@@ -530,23 +663,27 @@ func evalLimit(l *sqlparser.Limit, ev *env) (count, offset int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	cf, ok := ToFloat(cv)
-	if !ok || cf < 0 {
-		return 0, 0, fmt.Errorf("memdb: bad LIMIT count %v", cv)
+	if count, err = limitInt(cv, "count"); err != nil || l.Offset == nil {
+		return count, 0, err
 	}
-	count = int(cf)
-	if l.Offset != nil {
-		ov, err := ev.eval(l.Offset)
-		if err != nil {
-			return 0, 0, err
-		}
-		of, ok := ToFloat(ov)
-		if !ok || of < 0 {
-			return 0, 0, fmt.Errorf("memdb: bad LIMIT offset %v", ov)
-		}
-		offset = int(of)
+	ov, err := ev.eval(l.Offset)
+	if err != nil {
+		return 0, 0, err
 	}
-	return count, offset, nil
+	offset, err = limitInt(ov, "offset")
+	return count, offset, err
+}
+
+// limitInt converts a LIMIT count or offset, saturating at math.MaxInt.
+func limitInt(v Value, what string) (int, error) {
+	f, ok := ToFloat(v)
+	if !ok || !(f >= 0) {
+		return 0, fmt.Errorf("memdb: bad LIMIT %s %v", what, v)
+	}
+	if f >= math.MaxInt {
+		return math.MaxInt, nil
+	}
+	return int(f), nil
 }
 
 // rowFree reports whether e, if present, is a literal or a placeholder, so
@@ -557,16 +694,6 @@ func rowFree(e sqlparser.Expr) bool {
 		return true
 	}
 	return false
-}
-
-// projection is the output side of a SELECT, bound once per statement.
-type projection struct {
-	ev    *env
-	cols  []outputColumn
-	order []sqlparser.OrderItem
-	// orderCol[i] is the output column ORDER BY item i reads, or -1 when
-	// the item is evaluated against the row.
-	orderCol []int
 }
 
 // orderColumn returns the output column an ORDER BY expression reads, or -1.
@@ -624,7 +751,7 @@ func (p *projection) keys(dst, out []Value) error {
 		var err error
 		switch {
 		case j < 0:
-			v, err = p.ev.eval(p.order[i].Expr)
+			v, err = p.ev.eval(p.sel.OrderBy[i].Expr)
 		case out != nil:
 			v = out[j]
 		default:
@@ -652,50 +779,60 @@ func compareKeys(order []sqlparser.OrderItem, a, b []Value) int {
 }
 
 // topK keeps the first k candidates in (ORDER BY keys, arrival) order —
-// the rows a stable sort of all of them would start with. It is a max-heap
-// rooted at the last survivor, so a candidate that does not displace the
-// root costs one comparison and no allocation.
+// the rows a stable sort of all of them in arrival order would start with,
+// whatever order they are offered in. It is a max-heap rooted at the last
+// survivor, so a candidate that does not displace the root costs one
+// comparison and no allocation. Storage grows with the survivors, never
+// beyond the candidates offered.
 type topK struct {
-	order []sqlparser.OrderItem
-	k     int
-	heap  []ranked
-	slab  []Value // key storage, one slot of len(order) values per survivor
-	next  []Value // keys of the candidate about to be offered
+	order   []sqlparser.OrderItem
+	k       int
+	heap    []ranked
+	keySlab []Value   // survivors' keys, len(order) values each
+	rowSlab [][]Value // survivors' joined rows
+	next    []Value   // keys of the candidate about to be offered
 }
 
-// ranked is a survivor: its sort keys and its arrival index.
+// ranked is a survivor: its sort keys, its joined row (nil for a group)
+// and its arrival.
 type ranked struct {
-	keys []Value
-	seq  int
+	keys       []Value
+	rows       [][]Value
+	first, sub int
 }
 
 func newTopK(order []sqlparser.OrderItem, k int) *topK {
-	return &topK{
-		order: order,
-		k:     k,
-		heap:  make([]ranked, 0, k),
-		slab:  make([]Value, k*len(order)),
-		next:  make([]Value, len(order)),
+	return &topK{order: order, k: k, next: make([]Value, len(order))}
+}
+
+// compare orders two candidates by keys, then by arrival.
+func (t *topK) compare(a, b *ranked) int {
+	if c := compareKeys(t.order, a.keys, b.keys); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(a.first, b.first); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.sub, b.sub)
 }
 
-// after reports whether survivor i sorts after survivor j; the arrival
-// index breaks ties as a stable sort would.
-func (t *topK) after(i, j int) bool {
-	c := compareKeys(t.order, t.heap[i].keys, t.heap[j].keys)
-	return c > 0 || c == 0 && t.heap[i].seq > t.heap[j].seq
-}
-
-// offer considers candidate seq, whose keys are in t.next. Candidates must
-// arrive in increasing seq order.
-func (t *topK) offer(seq int) {
+// offer considers the candidate with keys t.next, the given arrival and
+// joined row, copying the row only if the candidate is kept.
+func (t *topK) offer(first, sub int, rows [][]Value) {
+	c := ranked{keys: t.next, first: first, sub: sub}
 	if n := len(t.heap); n < t.k {
-		keys := t.slab[n*len(t.order) : (n+1)*len(t.order)]
-		copy(keys, t.next)
-		t.heap = append(t.heap, ranked{keys: keys, seq: seq})
+		w := len(t.next)
+		t.keySlab = append(t.keySlab, t.next...)
+		c.keys = t.keySlab[n*w : (n+1)*w : (n+1)*w]
+		if rows != nil {
+			w := len(rows)
+			t.rowSlab = append(t.rowSlab, rows...)
+			c.rows = t.rowSlab[n*w : (n+1)*w : (n+1)*w]
+		}
+		t.heap = append(t.heap, c)
 		for i := n; i > 0; {
 			parent := (i - 1) / 2
-			if !t.after(i, parent) {
+			if t.compare(&t.heap[i], &t.heap[parent]) <= 0 {
 				break
 			}
 			t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
@@ -703,19 +840,19 @@ func (t *topK) offer(seq int) {
 		}
 		return
 	}
-	// A later arrival with equal keys sorts after the root, so only
-	// strictly smaller keys displace it.
-	if t.k == 0 || compareKeys(t.order, t.next, t.heap[0].keys) >= 0 {
+	if t.k == 0 || t.compare(&c, &t.heap[0]) >= 0 {
 		return
 	}
-	copy(t.heap[0].keys, t.next)
-	t.heap[0].seq = seq
+	root := &t.heap[0]
+	copy(root.keys, t.next)
+	copy(root.rows, rows)
+	root.first, root.sub = first, sub
 	for i := 0; ; {
 		last := i
-		if c := 2*i + 1; c < len(t.heap) && t.after(c, last) {
+		if c := 2*i + 1; c < len(t.heap) && t.compare(&t.heap[c], &t.heap[last]) > 0 {
 			last = c
 		}
-		if c := 2*i + 2; c < len(t.heap) && t.after(c, last) {
+		if c := 2*i + 2; c < len(t.heap) && t.compare(&t.heap[c], &t.heap[last]) > 0 {
 			last = c
 		}
 		if last == i {
@@ -728,50 +865,77 @@ func (t *topK) offer(seq int) {
 
 // sorted returns the survivors in (keys, arrival) order.
 func (t *topK) sorted() []ranked {
-	sort.Slice(t.heap, func(i, j int) bool { return t.after(j, i) })
+	slices.SortFunc(t.heap, func(a, b ranked) int { return t.compare(&a, &b) })
 	return t.heap
 }
 
-// groupRows folds the joined rows into groups, in order of first
-// appearance, feeding every aggregate of the statement. It also binds the
-// statement's aggregate calls to their result slots on ev.
-func groupRows(sel *sqlparser.SelectStmt, ev *env, joined [][][]Value) ([]*groupState, []*sqlparser.FuncExpr, error) {
+// grouping folds joined rows into groups, in order of first appearance,
+// feeding every aggregate of the statement.
+type grouping struct {
+	by    []sqlparser.Expr
+	aggs  []*sqlparser.FuncExpr
+	byKey map[string]int // group key -> index in list
+	list  []*groupState
+	kv    []Value
+	key   []byte
+}
+
+// newGrouping also binds the statement's aggregate calls to their result
+// slots on ev.
+func newGrouping(sel *sqlparser.SelectStmt, ev *env) *grouping {
 	aggs, slot := collectAggregates(sel)
 	ev.aggSlot = slot
-	byKey := make(map[string]*groupState)
-	var groups []*groupState
-	kv := make([]Value, len(sel.GroupBy))
-	for _, jr := range joined {
-		ev.rows = jr
-		key := ""
-		if len(sel.GroupBy) > 0 {
-			for i, g := range sel.GroupBy {
-				v, err := ev.eval(g)
-				if err != nil {
-					return nil, nil, err
-				}
-				kv[i] = v
-			}
-			key = KeyOfValues(kv)
+	return &grouping{
+		by:    sel.GroupBy,
+		aggs:  aggs,
+		byKey: make(map[string]int),
+		kv:    make([]Value, len(sel.GroupBy)),
+	}
+}
+
+// add folds the joined row ev points at into its group; only a new group
+// copies the row.
+func (g *grouping) add(ev *env) error {
+	for i, e := range g.by {
+		v, err := ev.eval(e)
+		if err != nil {
+			return err
 		}
-		g, ok := byKey[key]
-		if !ok {
-			g = newGroupState(jr, aggs)
-			byKey[key] = g
-			groups = append(groups, g)
-		}
-		for i, ae := range aggs {
-			if err := g.accs[i].observe(ev, ae); err != nil {
-				return nil, nil, err
-			}
+		g.kv[i] = v
+	}
+	g.key = datasource.AppendKeyOfValues(g.key[:0], g.kv)
+	i, ok := g.byKey[string(g.key)]
+	if !ok {
+		i = len(g.list)
+		g.byKey[string(g.key)] = i
+		g.list = append(g.list, newGroupState(slices.Clone(ev.rows), len(g.aggs)))
+	}
+	gs := g.list[i]
+	for j, ae := range g.aggs {
+		if err := gs.accs[j].observe(ev, ae); err != nil {
+			return err
 		}
 	}
-	// An aggregate query with no GROUP BY and no rows still yields one
-	// (empty-group) row: COUNT(*) = 0, MIN/MAX/SUM/AVG = NULL.
-	if len(groups) == 0 && len(sel.GroupBy) == 0 {
-		groups = append(groups, newGroupState(make([][]Value, len(ev.tables)), aggs))
+	return nil
+}
+
+// done returns the groups and readies ev for bind. An aggregate query with
+// no GROUP BY and no rows still yields one (empty-group) row: COUNT(*) = 0,
+// MIN/MAX/SUM/AVG = NULL.
+func (g *grouping) done(ev *env) []*groupState {
+	if len(g.list) == 0 && len(g.by) == 0 {
+		g.list = append(g.list, newGroupState(make([][]Value, len(ev.tables)), len(g.aggs)))
 	}
-	return groups, aggs, nil
+	ev.aggValues = make([]Value, len(g.aggs))
+	return g.list
+}
+
+// bind points ev at a group: its first row and its aggregate results.
+func (g *grouping) bind(ev *env, gs *groupState) {
+	ev.rows = gs.firstRow
+	for j, ae := range g.aggs {
+		ev.aggValues[j] = gs.accs[j].resultFor(ae.Name)
+	}
 }
 
 // collectAggregates gathers the distinct aggregate expressions appearing in
@@ -813,15 +977,11 @@ func collectAggregates(sel *sqlparser.SelectStmt) ([]*sqlparser.FuncExpr, map[*s
 
 type groupState struct {
 	firstRow [][]Value
-	accs     []*aggAcc
+	accs     []aggAcc
 }
 
-func newGroupState(firstRow [][]Value, aggExprs []*sqlparser.FuncExpr) *groupState {
-	g := &groupState{firstRow: firstRow, accs: make([]*aggAcc, len(aggExprs))}
-	for i := range g.accs {
-		g.accs[i] = &aggAcc{}
-	}
-	return g
+func newGroupState(firstRow [][]Value, aggs int) *groupState {
+	return &groupState{firstRow: firstRow, accs: make([]aggAcc, aggs)}
 }
 
 // aggAcc accumulates one aggregate over a group.

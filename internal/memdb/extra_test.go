@@ -2,6 +2,7 @@ package memdb
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 )
@@ -161,6 +162,17 @@ func TestLimitWithPlaceholder(t *testing.T) {
 	}
 	if _, err := db.Query(context.Background(), "SELECT id FROM users LIMIT ?", -1); err == nil {
 		t.Fatal("expected error for negative limit")
+	}
+	// A count at the top of the int range means "all rows", on the full
+	// sort (no ORDER BY) and on top-k, where offset+count would overflow.
+	for _, sql := range []string{"SELECT id FROM users LIMIT ? OFFSET ?", "SELECT id FROM users ORDER BY id DESC LIMIT ? OFFSET ?"} {
+		rows, err = db.Query(context.Background(), sql, int64(math.MaxInt64), 1)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if rows.Len() != 4 {
+			t.Fatalf("%q: %d rows, want 4: %+v", sql, rows.Len(), rows.Data)
+		}
 	}
 }
 

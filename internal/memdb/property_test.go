@@ -397,7 +397,8 @@ func buildSortDB(t *testing.T, rng *rand.Rand) *DB {
 // TestOrderLimitMatchesFullSort checks that `… LIMIT k OFFSET o` returns
 // exactly rows [o:o+k] of the same statement without LIMIT, over random
 // ASC/DESC key lists with many ties: plain, aliased, non-selected and
-// qualified keys, joins, grouping with aggregate keys, HAVING and DISTINCT,
+// qualified keys, joins, grouping with aggregate keys, HAVING, DISTINCT and
+// IN probes (lists and subqueries, on the first and on a joined table),
 // including k = 0 and offsets past the end.
 func TestOrderLimitMatchesFullSort(t *testing.T) {
 	seed := propSeed(t)
@@ -422,13 +423,25 @@ func TestOrderLimitMatchesFullSort(t *testing.T) {
 			[]string{"nb", "g", "SUM(a.v)", "COUNT(*)"}},
 		{"SELECT DISTINCT k1, k2 FROM a", nil,
 			[]string{"k1", "k2"}},
+		// IN probes: on the first table (list and subquery), and on a
+		// joined table, where each outer row probes again.
+		{"SELECT b.id, b.w, a.k1, a.k2 FROM b JOIN a ON a.id = b.a_id WHERE b.a_id IN (?, ?, ?)", []any{5, nil, 17},
+			[]string{"b.w", "a.k1", "a.k2", "b.id"}},
+		{"SELECT id, k1, k2, g FROM a WHERE id IN (SELECT a_id FROM b WHERE w = ?)", []any{1},
+			[]string{"k1", "k2", "g", "v", "id"}},
+		{"SELECT b.id AS bid, b.w, a.k1 FROM b JOIN a ON a.id = b.a_id WHERE b.a_id IN (SELECT id FROM a WHERE g < ?)", []any{5},
+			[]string{"b.w", "a.k1", "a.k2", "bid"}},
+		{"SELECT a.id, b.id AS bid, b.w FROM a JOIN b ON b.a_id IN (?, ?, ?) AND b.w = a.k1 WHERE a.g < ?", []any{3, 8, 8, 6},
+			[]string{"b.w", "a.k2", "bid", "a.id"}},
 	}
 	for iter := 0; iter < 400; iter++ {
 		st := statements[rng.Intn(len(statements))]
 		var order []string
-		for _, i := range rng.Perm(len(st.keys))[:1+rng.Intn(min(3, len(st.keys)))] {
+		for n, i := range rng.Perm(len(st.keys))[:1+rng.Intn(min(3, len(st.keys)))] {
+			// The first key is DESC three times in four: that is when
+			// top-k visits the first table last to first.
 			dir := " ASC"
-			if rng.Intn(2) == 0 {
+			if rng.Intn(2) == 0 || n == 0 && rng.Intn(2) == 0 {
 				dir = " DESC"
 			}
 			order = append(order, st.keys[i]+dir)

@@ -2,6 +2,7 @@ package memdb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,17 +44,102 @@ type table struct {
 	autoinc int64
 }
 
-// hashIndex maps a column value key to the row ids holding that value.
+// hashIndex maps a column's values to the ids of the rows holding them. It
+// is keyed by the column's own type (coerce guarantees every stored value
+// has it), so filing and probing a value never formats a key. NULLs are not
+// filed: no equality matches them.
 type hashIndex struct {
-	m map[string][]int
+	ints   buckets[int64]   // INT columns
+	floats buckets[float64] // FLOAT columns, except NaN
+	strs   buckets[string]  // TEXT columns
+	// nans counts FLOAT rows holding NaN, which compares equal to every
+	// number and so belongs to every bucket; while any exist, no float
+	// probe is exact.
+	nans int
 }
 
-func (ix *hashIndex) add(key string, rowID int) {
-	ix.m[key] = append(ix.m[key], rowID)
+func newHashIndex(typ ColType) *hashIndex {
+	switch typ {
+	case TypeInt:
+		return &hashIndex{ints: buckets[int64]{}}
+	case TypeFloat:
+		return &hashIndex{floats: buckets[float64]{}}
+	}
+	return &hashIndex{strs: buckets[string]{}}
 }
 
-func (ix *hashIndex) remove(key string, rowID int) {
-	ids := ix.m[key]
+func (ix *hashIndex) add(v Value, rowID int) {
+	switch x := v.(type) {
+	case int64:
+		ix.ints.add(x, rowID)
+	case float64:
+		if math.IsNaN(x) {
+			ix.nans++
+			return
+		}
+		ix.floats.add(x, rowID)
+	case string:
+		ix.strs.add(x, rowID)
+	}
+}
+
+func (ix *hashIndex) remove(v Value, rowID int) {
+	switch x := v.(type) {
+	case int64:
+		ix.ints.remove(x, rowID)
+	case float64:
+		if math.IsNaN(x) {
+			ix.nans--
+			return
+		}
+		ix.floats.remove(x, rowID)
+	case string:
+		ix.strs.remove(x, rowID)
+	}
+}
+
+// probe returns the ids of the rows whose value equals v under
+// datasource.Equal. It reports false when no bucket holds exactly those
+// rows — a TEXT column against a number, a fractional or out-of-range
+// number against an INT column, a non-numeric or NaN argument against a
+// FLOAT column — and the caller must scan instead.
+func (ix *hashIndex) probe(v Value) ([]int, bool) {
+	if v == nil {
+		return nil, true
+	}
+	switch {
+	case ix.strs != nil:
+		s, ok := v.(string)
+		return ix.strs[s], ok
+	case ix.ints != nil:
+		if i, ok := v.(int64); ok {
+			return ix.ints[i], true
+		}
+		// Integers compare with a float as float64(i) does, which is
+		// one-to-one only below 2^53.
+		f, ok := ToFloat(v)
+		if !ok || f != math.Trunc(f) || math.Abs(f) >= 1<<53 {
+			return nil, false
+		}
+		return ix.ints[int64(f)], true
+	default:
+		f, ok := ToFloat(v)
+		if !ok || math.IsNaN(f) || ix.nans > 0 {
+			return nil, false
+		}
+		return ix.floats[f], true
+	}
+}
+
+// buckets maps one key type to row ids.
+type buckets[K comparable] map[K][]int
+
+func (b buckets[K]) add(k K, rowID int) {
+	b[k] = append(b[k], rowID)
+}
+
+func (b buckets[K]) remove(k K, rowID int) {
+	ids := b[k]
 	for i, id := range ids {
 		if id == rowID {
 			ids[i] = ids[len(ids)-1]
@@ -62,9 +148,9 @@ func (ix *hashIndex) remove(key string, rowID int) {
 		}
 	}
 	if len(ids) == 0 {
-		delete(ix.m, key)
+		delete(b, k)
 	} else {
-		ix.m[key] = ids
+		b[k] = ids
 	}
 }
 
@@ -104,11 +190,11 @@ func newTable(spec TableSpec) (*table, error) {
 		if !ok {
 			return nil, fmt.Errorf("memdb: table %s indexes unknown column %s", spec.Name, name)
 		}
-		t.indexes[ci] = &hashIndex{m: make(map[string][]int)}
+		t.indexes[ci] = newHashIndex(spec.Columns[ci].Type)
 	}
 	if t.autoCol >= 0 {
 		if _, ok := t.indexes[t.autoCol]; !ok {
-			t.indexes[t.autoCol] = &hashIndex{m: make(map[string][]int)}
+			t.indexes[t.autoCol] = newHashIndex(TypeInt)
 		}
 	}
 	return t, nil
@@ -187,7 +273,7 @@ func (t *table) insertRowLocked(row []Value) (rowID int, lastID int64) {
 	}
 	t.live++
 	for ci, ix := range t.indexes {
-		ix.add(KeyString(row[ci]), rowID)
+		ix.add(row[ci], rowID)
 	}
 	return rowID, lastID
 }
@@ -199,7 +285,7 @@ func (t *table) deleteRowLocked(rowID int) {
 		return
 	}
 	for ci, ix := range t.indexes {
-		ix.remove(KeyString(row[ci]), rowID)
+		ix.remove(row[ci], rowID)
 	}
 	t.rows[rowID] = nil
 	t.free = append(t.free, rowID)
@@ -212,8 +298,8 @@ func (t *table) updateColLocked(rowID, ci int, v Value) {
 	row := t.rows[rowID]
 	old := row[ci]
 	if ix, ok := t.indexes[ci]; ok {
-		ix.remove(KeyString(old), rowID)
-		ix.add(KeyString(v), rowID)
+		ix.remove(old, rowID)
+		ix.add(v, rowID)
 	}
 	row[ci] = v
 }

@@ -14,14 +14,33 @@
 // A SELECT does its per-statement work once per execution, never per row:
 // each column reference resolves to its (table, column) slot on first use,
 // each ORDER BY item is bound to the output column it reads or else to its
-// own expression, and each aggregate call to its result slot. With ORDER BY
-// and a LIMIT whose count and offset are literals or placeholders, and no
-// DISTINCT, the executor keeps a bounded max-heap of the offset+count first
-// candidates ordered by (sort keys, arrival), which returns exactly the rows
-// a stable sort of all candidates sliced by the LIMIT would; the select
-// list is evaluated only for the rows returned. Every matching row is still
-// visited and counted in Stats.RowsScanned, so the simulated service time
-// of SetRowCost does not depend on the LIMIT.
+// own expression, and each aggregate call to its result slot.
+//
+// The join is a nested loop that streams each complete joined row straight
+// into the projection; nothing is materialised per row except what the
+// projection keeps. A join level reads its table through a hash index when
+// one of its conjuncts is `col = v` or `col IN (…)` (a value list or an
+// uncorrelated subquery) on an indexed column, and only when the index
+// answers exactly: the bucket must hold precisely the rows datasource.Equal
+// matches, so an INT column takes integers (and integral numbers below
+// 2^53), a TEXT column takes strings, and a FLOAT column takes numbers; any
+// other pairing scans the table instead. The conjunct a probe answered is
+// not evaluated again. An IN probe visits the union of its buckets in
+// ascending row id, the order a scan visits. UPDATE and DELETE locate their
+// rows by the same rule.
+//
+// With ORDER BY and a LIMIT whose count and offset are literals or
+// placeholders, and no DISTINCT, the executor keeps a max-heap of the
+// offset+count first candidates ordered by (sort keys, arrival), which
+// returns exactly the rows a stable sort of all candidates sliced by the
+// LIMIT would; it copies a joined row only when the heap keeps it, and the
+// select list is evaluated only for the rows returned. When the statement
+// is not grouped and its first ORDER BY item is DESC, the first table's
+// candidates are visited last to first, so rows stored oldest first arrive
+// newest first and rarely displace a kept row; arrival is still the forward
+// position, so ties break as before. A LIMIT never changes the rows
+// visited: every matching row is visited and counted in Stats.RowsScanned,
+// so the simulated service time of SetRowCost does not depend on it.
 package memdb
 
 import "autowebcache/internal/datasource"
