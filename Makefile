@@ -51,8 +51,9 @@ race:
 # flake repeats the tests whose verdicts could depend on goroutine
 # interleaving — the TPC-W figure claims, the histogram scraped while
 # observed, the weave stats snapshotted while recorded, and the packages
-# holding the miss protocol, the epoch guard and the shared-file driver —
-# plain and under the race detector. `go test` judges counts, bytes,
+# holding the miss protocol, the epoch guard, the shared-file driver and the
+# peer transport under the cluster's chaos and property harnesses — plain
+# and under the race detector. `go test` judges counts, bytes,
 # allocations and invariants, never timing, so a failure here is a bug, not
 # noise.
 flake:
@@ -60,7 +61,7 @@ flake:
 	  $(GO) test $$race -count=20 -run 'TestFig14CacheWins|TestFig15SemanticsHelps' ./internal/bench && \
 	  $(GO) test $$race -count=200 -run TestConcurrentUseWithScrapes ./internal/telemetry && \
 	  $(GO) test $$race -count=20 -run TestSnapshotRatiosNeverExceedOne ./internal/weave && \
-	  $(GO) test $$race -count=5 ./internal/weave ./internal/cache/... ./internal/qrcache ./internal/datasource/... || exit 1; \
+	  $(GO) test $$race -count=5 ./internal/weave ./internal/cache/... ./internal/qrcache ./internal/datasource/... ./internal/cluster/... || exit 1; \
 	done
 
 # cover writes cover.out for ./internal/... and fails when total statement
@@ -89,6 +90,7 @@ bench:
 benchsmoke:
 	$(GO) test -bench 'Cache|Parallel|Coalesced|Qrcache' -run '^$$' -benchtime 100x -benchmem .
 	$(GO) test -bench 'SelectOrderLimit|SelectIn' -run '^$$' -benchtime 100x -benchmem ./internal/memdb
+	$(GO) test -bench 'PeerFrame' -run '^$$' -benchtime 100x -benchmem ./internal/cluster
 
 # bench-gate re-runs the hit-path benchmarks and fails when any tracked
 # benchmark regresses >25% ns/op or allocates more per op than the

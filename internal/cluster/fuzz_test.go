@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -11,91 +12,86 @@ import (
 )
 
 // encodeFrame renders one frame via the production writer.
-func encodeFrame(t testing.TB, typ byte, meta any, body []byte) []byte {
+func encodeFrame(t testing.TB, typ byte, m meta, body []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, typ, meta, body); err != nil {
-		t.Fatalf("writeFrame(%d): %v", typ, err)
+	if err := writeFrame(&buf, typ, m, body); err != nil {
+		t.Fatalf("writeFrame(%#x): %v", typ, err)
 	}
 	return buf.Bytes()
 }
+
+// frameReader buffers b the way a peer connection is read.
+func frameReader(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
 
 // seedFrames builds a corpus of real peer-protocol messages: get/put/inv/
 // flush requests and their responses, with deps, TTLs, bodies and an
 // extra-query row snapshot — everything the wire can carry.
 func seedFrames(t testing.TB) [][]byte {
 	t.Helper()
-	deps := toWireQueries([]analysis.Query{
+	deps := []analysis.Query{
 		{SQL: "SELECT a FROM t WHERE b = ?", Args: []memdb.Value{int64(7)}},
 		{SQL: "SELECT x FROM u WHERE y = ? AND z = ?", Args: []memdb.Value{"s", 1.5}},
-	})
-	capture := toWireCapture(analysis.WriteCapture{
+	}
+	capture := analysis.WriteCapture{
 		Query: analysis.Query{SQL: "UPDATE t SET a = ? WHERE b = ?", Args: []memdb.Value{int64(1), int64(7)}},
 		Affected: &memdb.Rows{
 			Columns: []string{"a", "b"},
 			Data:    [][]memdb.Value{{int64(1), int64(7)}, {nil, "x"}},
 		},
 		AutoID: 42, HasAutoID: true,
-	})
+	}
 	body := bytes.Repeat([]byte("<html>frag</html>"), 8)
 	vector := map[string]uint64{"10.0.0.1:9091": 17, "10.0.0.2:9091": 3}
 	return [][]byte{
-		encodeFrame(t, msgGet, getMeta{Key: "/page?x=1"}, nil),
-		encodeFrame(t, msgGet, getMeta{Key: "/page#frag?x=1"}, nil),
-		encodeFrame(t, msgGetResp, getRespMeta{Found: false}, nil),
-		encodeFrame(t, msgGetResp, getRespMeta{Found: true, ContentType: "text/html", TTLNanos: int64(30 * time.Second), Deps: deps, Applied: vector}, body),
-		encodeFrame(t, msgPut, putMeta{Key: "/k", ContentType: "text/html", Deps: deps, Applied: vector}, body),
-		encodeFrame(t, msgPutResp, putRespMeta{OK: true}, nil),
-		encodeFrame(t, msgInv, invMeta{Capture: capture, Origin: "10.0.0.1:9091", Seq: 18}, nil),
-		encodeFrame(t, msgInvResp, invRespMeta{Pages: 3, Results: 2}, nil),
-		encodeFrame(t, msgFlush, flushMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil),
-		encodeFrame(t, msgFlushResp, flushRespMeta{OK: true}, nil),
-		encodeFrame(t, msgPing, pingMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil),
-		encodeFrame(t, msgPong, pongMeta{OK: true, Applied: 19}, nil),
+		encodeFrame(t, msgGet, &getMeta{Key: "/page?x=1"}, nil),
+		encodeFrame(t, msgGet, &getMeta{Key: "/page#frag?x=1"}, nil),
+		encodeFrame(t, msgGetResp, &getRespMeta{Found: false}, nil),
+		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, ContentType: "text/html", TTLNanos: int64(30 * time.Second), Deps: deps, Applied: vector}, body),
+		encodeFrame(t, msgPut, &putMeta{Key: "/k", ContentType: "text/html", Deps: deps, Applied: vector}, body),
+		encodeFrame(t, msgPutResp, &putRespMeta{OK: true}, nil),
+		encodeFrame(t, msgInv, &invMeta{Capture: capture, Origin: "10.0.0.1:9091", Seq: 18}, nil),
+		encodeFrame(t, msgInvResp, &invRespMeta{Pages: 3, Results: 2}, nil),
+		encodeFrame(t, msgFlush, &flushMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil),
+		encodeFrame(t, msgFlushResp, &flushRespMeta{OK: true}, nil),
+		encodeFrame(t, msgPing, &pingMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil),
+		encodeFrame(t, msgPong, &pongMeta{OK: true, Applied: 19}, nil),
 	}
 }
 
-// decodeMetaFor routes a frame's meta JSON through the same decode the
-// server and client sides perform, so the fuzzer exercises the full parse.
-func decodeMetaFor(typ byte, meta []byte) {
+// metaFor returns an empty meta of the kind a frame of type typ carries —
+// what the server and client sides decode into — or nil for an unknown type.
+func metaFor(typ byte) meta {
 	switch typ {
 	case msgGet:
-		var m getMeta
-		_ = decodeMeta(typ, meta, &m)
+		return &getMeta{}
 	case msgGetResp:
-		var m getRespMeta
-		if decodeMeta(typ, meta, &m) == nil {
-			fromWireQueries(m.Deps)
-			ttlFromNanos(m.TTLNanos)
-		}
+		return &getRespMeta{}
 	case msgPut:
-		var m putMeta
-		if decodeMeta(typ, meta, &m) == nil {
-			fromWireQueries(m.Deps)
-		}
+		return &putMeta{}
 	case msgPutResp:
-		var m putRespMeta
-		_ = decodeMeta(typ, meta, &m)
+		return &putRespMeta{}
 	case msgInv:
-		var m invMeta
-		if decodeMeta(typ, meta, &m) == nil {
-			m.Capture.capture()
-		}
+		return &invMeta{}
 	case msgInvResp:
-		var m invRespMeta
-		_ = decodeMeta(typ, meta, &m)
+		return &invRespMeta{}
 	case msgFlush:
-		var m flushMeta
-		_ = decodeMeta(typ, meta, &m)
+		return &flushMeta{}
 	case msgFlushResp:
-		var m flushRespMeta
-		_ = decodeMeta(typ, meta, &m)
+		return &flushRespMeta{}
 	case msgPing:
-		var m pingMeta
-		_ = decodeMeta(typ, meta, &m)
+		return &pingMeta{}
 	case msgPong:
-		var m pongMeta
-		_ = decodeMeta(typ, meta, &m)
+		return &pongMeta{}
+	}
+	return nil
+}
+
+// decodeMetaFor routes a frame's meta through the same decode the server
+// and client sides perform, so the fuzzer exercises the full parse.
+func decodeMetaFor(typ byte, raw []byte) {
+	if m := metaFor(typ); m != nil {
+		_ = decodeMeta(typ, raw, m) // garbage is refused; only a panic fails
 	}
 }
 
@@ -118,23 +114,23 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame+1))
-	f.Add(append(binary.BigEndian.AppendUint32(nil, 10), 1, 0xff, 0xff, 0xff, 0xff, 'x', 'y', 'z', 'w', 'v'))
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 10), msgGet, 0xff, 0xff, 0xff, 0xff, 'x', 'y', 'z', 'w', 'v'))
 
-	sentinel := encodeFrame(f, msgFlush, struct{}{}, nil)
+	sentinel := encodeFrame(f, msgFlush, &flushMeta{}, nil)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 1. Raw decode: whatever the bytes, never panic, never accept a
 		// frame beyond the cap, always consume forward.
-		r := bytes.NewReader(data)
+		r := frameReader(data)
 		for i := 0; i < 64; i++ {
-			typ, meta, body, err := readFrame(r)
+			typ, raw, body, err := readFrame(r)
 			if err != nil {
 				break
 			}
-			if len(meta)+len(body)+5 > maxFrame {
-				t.Fatalf("decoder retained %d bytes, beyond the %d cap", len(meta)+len(body), maxFrame)
+			if len(raw)+len(body)+5 > maxFrame {
+				t.Fatalf("decoder retained %d bytes, beyond the %d cap", len(raw)+len(body), maxFrame)
 			}
-			decodeMetaFor(typ, meta)
+			decodeMetaFor(typ, raw)
 		}
 
 		// 2. Framing integrity: wrap the fuzz bytes as a well-framed
@@ -158,21 +154,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		stream.Write(bodyPart)
 		stream.Write(sentinel)
 
-		sr := bytes.NewReader(stream.Bytes())
-		typ, meta, body, err := readFrame(sr)
+		sr := frameReader(stream.Bytes())
+		typ, raw, body, err := readFrame(sr)
 		if err != nil {
 			t.Fatalf("well-framed garbage rejected: %v", err)
 		}
-		if typ != msgInv || !bytes.Equal(meta, metaPart) || !bytes.Equal(body, bodyPart) {
-			t.Fatalf("frame payload mangled: typ=%d meta=%d body=%d bytes", typ, len(meta), len(body))
+		if typ != msgInv || !bytes.Equal(raw, metaPart) || !bytes.Equal(body, bodyPart) {
+			t.Fatalf("frame payload mangled: typ=%#x meta=%d body=%d bytes", typ, len(raw), len(body))
 		}
-		decodeMetaFor(typ, meta) // must not panic on garbage JSON either
+		decodeMetaFor(typ, raw) // must not panic on a garbage meta either
 		styp, smeta, sbody, err := readFrame(sr)
 		if err != nil {
 			t.Fatalf("stream desynchronised after garbage frame: %v", err)
 		}
 		if styp != msgFlush || len(sbody) != 0 {
-			t.Fatalf("sentinel mis-framed: typ=%d meta=%q body=%d bytes", styp, smeta, len(sbody))
+			t.Fatalf("sentinel mis-framed: typ=%#x meta=%q body=%d bytes", styp, smeta, len(sbody))
 		}
 	})
 }
@@ -181,13 +177,16 @@ func FuzzDecodeFrame(f *testing.F) {
 // prefix beyond maxFrame is refused before any payload is read.
 func TestReadFrameRejectsOversized(t *testing.T) {
 	hdr := binary.BigEndian.AppendUint32(nil, maxFrame+1)
-	if _, _, _, err := readFrame(bytes.NewReader(hdr)); err == nil {
+	if _, _, _, err := readFrame(frameReader(hdr)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// And writeFrame refuses to produce one.
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgPut, putMeta{Key: "k"}, make([]byte, maxFrame)); err == nil {
+	if err := writeFrame(&buf, msgPut, &putMeta{Key: "k"}, make([]byte, maxFrame)); err == nil {
 		t.Fatal("writeFrame produced an over-cap frame")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a refused frame wrote %d bytes", buf.Len())
 	}
 }
 
@@ -197,7 +196,7 @@ func TestReadFrameRejectsBadMetaLength(t *testing.T) {
 	frame := append(binary.BigEndian.AppendUint32(nil, 10), msgGet)
 	frame = binary.BigEndian.AppendUint32(frame, 9999)
 	frame = append(frame, make([]byte, 5)...)
-	if _, _, _, err := readFrame(bytes.NewReader(frame)); err == nil {
+	if _, _, _, err := readFrame(frameReader(frame)); err == nil {
 		t.Fatal("meta length past frame end accepted")
 	}
 }

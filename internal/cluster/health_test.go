@@ -126,7 +126,7 @@ func driveDown(t *testing.T, n *Node, addr string) {
 		if p.health.snapshot() == StateDown {
 			return
 		}
-		_, _ = p.call(msgPing, pingMeta{}, nil, nil)
+		_, _ = p.call(msgPing, &pingMeta{}, nil, nil)
 	}
 	if p.health.snapshot() != StateDown {
 		t.Fatalf("peer %s never went down: %v", addr, p.health.snapshot())
@@ -217,7 +217,7 @@ func TestPeerTransitionsLoggedOnce(t *testing.T) {
 
 	p := a.peerFor(bAddr)
 	for i := 0; i < 10; i++ { // far more calls than transitions
-		_, _ = p.call(msgPing, pingMeta{}, nil, nil)
+		_, _ = p.call(msgPing, &pingMeta{}, nil, nil)
 	}
 	mu.Lock()
 	defer mu.Unlock()

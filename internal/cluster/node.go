@@ -473,8 +473,8 @@ func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
 			start = time.Now()
 		}
 		epoch := n.invEpoch.Load()
-		var meta getRespMeta
-		body, err := p.call(msgGet, getMeta{Key: key}, nil, &meta)
+		var resp getRespMeta
+		body, err := p.call(msgGet, &getMeta{Key: key}, nil, &resp)
 		if err != nil {
 			if err == errBreakerOpen {
 				// The breaker opened between the pre-check above and the
@@ -485,10 +485,10 @@ func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
 			}
 			continue
 		}
-		if !meta.Found {
+		if !resp.Found {
 			continue
 		}
-		if n.behindUs(meta.Applied) {
+		if n.behindUs(resp.Applied) {
 			// The exporter has missed an invalidation this node already
 			// applied — its copy may predate that write. Treat as a miss.
 			n.staleFetchRejects.Add(1)
@@ -509,8 +509,8 @@ func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
 		// local cache's own Options rather than trusting the exporter's —
 		// nodes may disagree on -encodings/-etag without trading stale or
 		// mismatched variants.
-		stored := n.cfg.Cache.Insert(key, body, meta.ContentType,
-			fromWireQueries(meta.Deps), ttlFromNanos(meta.TTLNanos))
+		stored := n.cfg.Cache.Insert(key, body, resp.ContentType,
+			resp.Deps, ttlFromNanos(resp.TTLNanos))
 		n.remoteHits.Add(1)
 		return stored, true
 	}
@@ -531,8 +531,7 @@ func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
 func (n *Node) Offer(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) {
 	start := time.Now()
 	defer func() { n.offerLat.Observe(time.Since(start)) }()
-	var wireDeps []wireQuery
-	var vector map[string]uint64
+	var req *putMeta
 	for _, owner := range n.owners(key) {
 		if owner == n.self {
 			continue
@@ -541,13 +540,11 @@ func (n *Node) Offer(key string, body []byte, contentType string, deps []analysi
 		if p == nil {
 			continue
 		}
-		if wireDeps == nil {
-			wireDeps = toWireQueries(deps)
-			vector = n.appliedVector()
+		if req == nil {
+			req = &putMeta{Key: key, ContentType: contentType, TTLNanos: int64(ttl), Deps: deps, Applied: n.appliedVector()}
 		}
-		meta := putMeta{Key: key, ContentType: contentType, TTLNanos: int64(ttl), Deps: wireDeps, Applied: vector}
 		var resp putRespMeta
-		if _, err := p.call(msgPut, meta, body, &resp); err == nil {
+		if _, err := p.call(msgPut, req, body, &resp); err == nil {
 			if resp.OK {
 				n.offersSent.Add(1)
 			} else {
@@ -570,8 +567,10 @@ func (n *Node) Offer(key string, body []byte, contentType string, deps []analysi
 // the peers that missed the broadcast, not a failure to invalidate.
 func (n *Node) BroadcastWrite(w analysis.WriteCapture) error {
 	n.invEpoch.Add(1)
-	wire := toWireCapture(w)
-	mk := func(seq uint64) any { return invMeta{Capture: wire, Origin: n.self, Seq: seq} }
+	// w is encoded when each frame is sent — in Async mode after this
+	// returns — so it is shared, not copied: a capture is immutable once
+	// taken.
+	mk := func(seq uint64) meta { return &invMeta{Capture: w, Origin: n.self, Seq: seq} }
 	if n.cfg.Async {
 		go n.broadcast(msgInv, mk, "invalidate")
 		return nil
@@ -584,7 +583,7 @@ func (n *Node) BroadcastWrite(w analysis.WriteCapture) error {
 // cluster-wide too or peers would keep serving pages the origin dropped).
 func (n *Node) BroadcastFlush() error {
 	n.invEpoch.Add(1)
-	mk := func(seq uint64) any { return flushMeta{Origin: n.self, Seq: seq} }
+	mk := func(seq uint64) meta { return &flushMeta{Origin: n.self, Seq: seq} }
 	if n.cfg.Async {
 		go n.broadcast(msgFlush, mk, "flush")
 		return nil
@@ -599,7 +598,7 @@ func (n *Node) BroadcastFlush() error {
 // reached (down, timed out, breaker open) is counted; it cannot serve
 // stale state on rejoin because its sequence gap forces a quarantine
 // flush, so strong mode stays honest even when this returns nil.
-func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) any, op string) error {
+func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) meta, op string) error {
 	start := time.Now()
 	defer func() { n.bcastLat.Observe(time.Since(start)) }()
 	n.bcastMu.Lock()
@@ -621,7 +620,7 @@ func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) any, op string) error
 	if len(peers) == 0 {
 		return nil
 	}
-	meta := mkMeta(seq)
+	req := mkMeta(seq)
 	var (
 		wg     sync.WaitGroup
 		failMu sync.Mutex
@@ -631,7 +630,7 @@ func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) any, op string) error
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			if _, err := p.call(typ, meta, nil, nil); err != nil {
+			if _, err := p.call(typ, req, nil, nil); err != nil {
 				n.invBcastFailures.Add(1)
 				if err == errBreakerOpen {
 					n.breakerSkips.Add(1)
@@ -739,32 +738,32 @@ func (n *Node) behindUs(remote map[string]uint64) bool {
 }
 
 // handleFrame serves one peer request (the server side of the protocol).
-func (n *Node) handleFrame(typ byte, meta, body []byte) (byte, any, []byte, error) {
+func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, error) {
 	switch typ {
 	case msgGet:
 		var m getMeta
-		if err := decodeMeta(typ, meta, &m); err != nil {
+		if err := decodeMeta(typ, raw, &m); err != nil {
 			return 0, nil, nil, err
 		}
 		n.getsServed.Add(1)
 		v, ok := n.cfg.Cache.Export(m.Key)
 		if !ok {
-			return msgGetResp, getRespMeta{Found: false}, nil, nil
+			return msgGetResp, &getRespMeta{Found: false}, nil, nil
 		}
 		// v.Body is the identity representation — the canonical page on the
 		// wire. Gzip variants and ETags are never shipped: the requester
 		// re-derives them at insert under its own serve configuration.
-		return msgGetResp, getRespMeta{
+		return msgGetResp, &getRespMeta{
 			Found:       true,
 			ContentType: v.ContentType,
 			TTLNanos:    int64(v.TTL),
-			Deps:        toWireQueries(v.Deps),
+			Deps:        v.Deps,
 			Applied:     n.appliedVector(),
 		}, v.Body, nil
 
 	case msgPut:
 		var m putMeta
-		if err := decodeMeta(typ, meta, &m); err != nil {
+		if err := decodeMeta(typ, raw, &m); err != nil {
 			return 0, nil, nil, err
 		}
 		if n.behindUs(m.Applied) {
@@ -772,7 +771,7 @@ func (n *Node) handleFrame(typ byte, meta, body []byte) (byte, any, []byte, erro
 			// applied; its page may be stale. Refuse the replica.
 			n.stalePutRejects.Add(1)
 			n.putsRejected.Add(1)
-			return msgPutResp, putRespMeta{OK: false}, nil, nil
+			return msgPutResp, &putRespMeta{OK: false}, nil, nil
 		}
 		// The local byte budget governs replicas exactly like local inserts:
 		// an owner at MaxBytes refuses the offer (or its admission filter
@@ -780,17 +779,17 @@ func (n *Node) handleFrame(typ byte, meta, body []byte) (byte, any, []byte, erro
 		// push it over budget. The rejection is reported so the offering
 		// node's counters tell the truth.
 		_, stored := n.cfg.Cache.TryInsert(m.Key, body, m.ContentType,
-			fromWireQueries(m.Deps), ttlFromNanos(m.TTLNanos))
+			m.Deps, ttlFromNanos(m.TTLNanos))
 		if !stored {
 			n.putsRejected.Add(1)
-			return msgPutResp, putRespMeta{OK: false}, nil, nil
+			return msgPutResp, &putRespMeta{OK: false}, nil, nil
 		}
 		n.putsApplied.Add(1)
-		return msgPutResp, putRespMeta{OK: true}, nil, nil
+		return msgPutResp, &putRespMeta{OK: true}, nil, nil
 
 	case msgInv:
 		var m invMeta
-		if err := decodeMeta(typ, meta, &m); err != nil {
+		if err := decodeMeta(typ, raw, &m); err != nil {
 			return 0, nil, nil, err
 		}
 		n.invEpoch.Add(1)
@@ -803,9 +802,9 @@ func (n *Node) handleFrame(typ byte, meta, body []byte) (byte, any, []byte, erro
 			n.recordApplied(m.Origin, m.Seq)
 			n.invApplied.Add(1)
 			n.pagesRemoved.Add(uint64(pages))
-			return msgInvResp, invRespMeta{Pages: pages}, nil, nil
+			return msgInvResp, &invRespMeta{Pages: pages}, nil, nil
 		}
-		w := m.Capture.capture()
+		w := m.Capture
 		// Local-only application: re-broadcasting a received invalidation
 		// would echo around the cluster forever.
 		pages, err := n.cfg.Cache.InvalidateWriteLocal(w)
@@ -822,11 +821,11 @@ func (n *Node) handleFrame(typ byte, meta, body []byte) (byte, any, []byte, erro
 		n.invApplied.Add(1)
 		n.pagesRemoved.Add(uint64(pages))
 		n.resultsRemoved.Add(uint64(results))
-		return msgInvResp, invRespMeta{Pages: pages, Results: results}, nil, nil
+		return msgInvResp, &invRespMeta{Pages: pages, Results: results}, nil, nil
 
 	case msgFlush:
 		var m flushMeta
-		if err := decodeMeta(typ, meta, &m); err != nil {
+		if err := decodeMeta(typ, raw, &m); err != nil {
 			return 0, nil, nil, err
 		}
 		// A flush drops everything, so it covers any gap by itself — just
@@ -839,11 +838,11 @@ func (n *Node) handleFrame(typ byte, meta, body []byte) (byte, any, []byte, erro
 		}
 		n.recordApplied(m.Origin, m.Seq)
 		n.flushApplied.Add(1)
-		return msgFlushResp, flushRespMeta{OK: true}, nil, nil
+		return msgFlushResp, &flushRespMeta{OK: true}, nil, nil
 
 	case msgPing:
 		var m pingMeta
-		if err := decodeMeta(typ, meta, &m); err != nil {
+		if err := decodeMeta(typ, raw, &m); err != nil {
 			return 0, nil, nil, err
 		}
 		// The ping carries the sender's completed-broadcast watermark: if
@@ -862,9 +861,9 @@ func (n *Node) handleFrame(typ byte, meta, body []byte) (byte, any, []byte, erro
 			applied = n.applied[m.Origin]
 			n.seqMu.Unlock()
 		}
-		return msgPong, pongMeta{OK: true, Applied: applied}, nil, nil
+		return msgPong, &pongMeta{OK: true, Applied: applied}, nil, nil
 	}
-	return 0, nil, nil, fmt.Errorf("cluster: unknown message type %d", typ)
+	return 0, nil, nil, fmt.Errorf("cluster: unknown message type %#x", typ)
 }
 
 // probeLoop pings peers on a ticker until Close.
@@ -899,7 +898,7 @@ func (n *Node) probePeers(now time.Time) {
 		peers = append(peers, p)
 	}
 	n.mu.Unlock()
-	meta := pingMeta{Origin: n.self, Seq: n.seqDone.Load()}
+	ping := &pingMeta{Origin: n.self, Seq: n.seqDone.Load()}
 	var wg sync.WaitGroup
 	for _, p := range peers {
 		if !p.health.probeDue(now) {
@@ -909,7 +908,7 @@ func (n *Node) probePeers(now time.Time) {
 		go func(p *peer) {
 			defer wg.Done()
 			var pong pongMeta
-			if err := p.probe(msgPing, meta, &pong); err != nil {
+			if err := p.probe(msgPing, ping, &pong); err != nil {
 				n.pingFailures.Add(1)
 			}
 		}(p)

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bufio"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -9,7 +11,7 @@ import (
 // frameHandler serves one decoded request frame and returns the response
 // frame. Node implements it.
 type frameHandler interface {
-	handleFrame(typ byte, meta, body []byte) (respTyp byte, respMeta any, respBody []byte, err error)
+	handleFrame(typ byte, raw, body []byte) (respTyp byte, resp meta, respBody []byte, err error)
 }
 
 // server accepts peer connections and serves request/response frames.
@@ -57,16 +59,17 @@ func (s *server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	r := bufio.NewReader(conn)
 	for {
-		typ, meta, body, err := readFrame(conn)
+		typ, raw, body, err := readFrame(r)
 		if err != nil {
 			return // EOF, peer gone, or garbage: drop the connection
 		}
-		respTyp, respMeta, respBody, err := s.h.handleFrame(typ, meta, body)
+		respTyp, resp, respBody, err := s.h.handleFrame(typ, raw, body)
 		if err != nil {
 			return
 		}
-		if err := writeFrame(conn, respTyp, respMeta, respBody); err != nil {
+		if err := writeFrame(conn, respTyp, resp, respBody); err != nil {
 			return
 		}
 	}
@@ -114,8 +117,16 @@ type peer struct {
 	onChange func(addr string, from, to PeerState)
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []peerConn
 	closed bool
+}
+
+// peerConn is a pooled client connection with its read buffer. Requests and
+// responses alternate strictly, so a pooled connection never has a frame
+// left in its buffer.
+type peerConn struct {
+	net.Conn
+	r *bufio.Reader
 }
 
 func newPeer(addr string, dialTimeout, callTimeout time.Duration, dial dialFunc, h *health) *peer {
@@ -125,15 +136,15 @@ func newPeer(addr string, dialTimeout, callTimeout time.Duration, dial dialFunc,
 	return &peer{addr: addr, dialTimeout: dialTimeout, callTimeout: callTimeout, dial: dial, health: h}
 }
 
-// call performs one round trip, decoding the response meta into respMeta
+// call performs one round trip, decoding the response meta into resp
 // (when non-nil) and returning the raw response body. A down peer fails
 // instantly with errBreakerOpen — no dial, no CallTimeout; every real
 // outcome feeds the health state machine.
-func (p *peer) call(typ byte, meta any, body []byte, respMeta any) ([]byte, error) {
+func (p *peer) call(typ byte, req meta, body []byte, resp meta) ([]byte, error) {
 	if !p.health.allow() {
 		return nil, errBreakerOpen
 	}
-	b, err := p.roundTrip(typ, meta, body, respMeta)
+	b, err := p.roundTrip(typ, req, body, resp)
 	if err != nil {
 		p.noteFailure()
 		return nil, err
@@ -145,8 +156,8 @@ func (p *peer) call(typ byte, meta any, body []byte, respMeta any) ([]byte, erro
 // probe is call for the health loop: it bypasses an open breaker — it IS
 // the down peer's half-open trial — and feeds the state machine like any
 // other call.
-func (p *peer) probe(typ byte, meta any, respMeta any) error {
-	if _, err := p.roundTrip(typ, meta, nil, respMeta); err != nil {
+func (p *peer) probe(typ byte, req, resp meta) error {
+	if _, err := p.roundTrip(typ, req, nil, resp); err != nil {
 		p.noteFailure()
 		return err
 	}
@@ -169,7 +180,7 @@ func (p *peer) noteFailure() {
 // roundTrip is the raw frame exchange. Any transport error discards the
 // connection; the caller treats errors as a miss or a best-effort failure,
 // never retries into the same broken pipe.
-func (p *peer) roundTrip(typ byte, meta any, body []byte, respMeta any) ([]byte, error) {
+func (p *peer) roundTrip(typ byte, req meta, body []byte, resp meta) ([]byte, error) {
 	conn, err := p.get()
 	if err != nil {
 		return nil, err
@@ -179,11 +190,11 @@ func (p *peer) roundTrip(typ byte, meta any, body []byte, respMeta any) ([]byte,
 		conn.Close()
 		return nil, err
 	}
-	if err := writeFrame(conn, typ, meta, body); err != nil {
+	if err := writeFrame(conn, typ, req, body); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	gotTyp, gotMeta, gotBody, err := readFrame(conn)
+	gotTyp, gotMeta, gotBody, err := readFrame(conn.r)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -192,8 +203,8 @@ func (p *peer) roundTrip(typ byte, meta any, body []byte, respMeta any) ([]byte,
 		conn.Close()
 		return nil, errUnexpectedResponse(gotTyp, typ+1)
 	}
-	if respMeta != nil {
-		if err := decodeMeta(gotTyp, gotMeta, respMeta); err != nil {
+	if resp != nil {
+		if err := decodeMeta(gotTyp, gotMeta, resp); err != nil {
 			conn.Close()
 			return nil, err
 		}
@@ -207,15 +218,15 @@ type errUnexpected struct{ got, want byte }
 func errUnexpectedResponse(got, want byte) error { return errUnexpected{got, want} }
 
 func (e errUnexpected) Error() string {
-	return "cluster: unexpected response type " + string('0'+e.got) + " (want " + string('0'+e.want) + ")"
+	return fmt.Sprintf("cluster: unexpected response type %#x (want %#x)", e.got, e.want)
 }
 
 // get pops an idle connection or dials a new one.
-func (p *peer) get() (net.Conn, error) {
+func (p *peer) get() (peerConn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, net.ErrClosed
+		return peerConn{}, net.ErrClosed
 	}
 	if n := len(p.idle); n > 0 {
 		c := p.idle[n-1]
@@ -224,13 +235,17 @@ func (p *peer) get() (net.Conn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	return p.dial(p.addr, p.dialTimeout)
+	c, err := p.dial(p.addr, p.dialTimeout)
+	if err != nil {
+		return peerConn{}, err
+	}
+	return peerConn{Conn: c, r: bufio.NewReader(c)}, nil
 }
 
 // put returns a healthy connection to the pool. A connection whose
 // deadline cannot be cleared is dead or dying; pooling it would hand a
 // later call a poisoned pipe, so it is closed instead.
-func (p *peer) put(c net.Conn) {
+func (p *peer) put(c peerConn) {
 	if err := c.SetDeadline(time.Time{}); err != nil {
 		c.Close()
 		return

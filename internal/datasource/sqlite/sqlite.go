@@ -11,13 +11,16 @@
 //
 // Storage model: every committed write statement is appended to the database
 // file as one JSON line {"sql": ..., "args": [...]}, integers encoded as
-// strings so 64-bit keys survive JSON. Each process keeps a memdb replica
-// and, before every statement, replays the log suffix it has not applied
-// yet — under a shared (reads) or exclusive (writes) flock on the database
-// file. The exclusive lock covers replay + execute + append, which is what
-// gives N cluster processes sharing one database file sequentially
+// strings so 64-bit keys survive JSON. Each process keeps a memdb replica.
+// A write takes an exclusive flock on the database file, which covers replay
+// of the log suffix the replica has not applied yet + execute + append; that
+// is what gives N cluster processes sharing one database file sequentially
 // consistent writes and read-your-write visibility through the database, as
-// the paper assumes of its shared MySQL server.
+// the paper assumes of its shared MySQL server. A read first compares the
+// file's size with what the replica has applied: only when the log grew
+// does it replay the suffix, under a shared flock. The statement itself runs
+// outside both the flock and the process lock, under memdb's own table
+// locks.
 package sqlite
 
 import (
@@ -29,6 +32,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"autowebcache/internal/datasource"
 	"autowebcache/internal/memdb"
@@ -46,12 +50,17 @@ func init() {
 // fileDB is the connection: one per database file per process, shared by
 // every Open of the same path.
 type fileDB struct {
+	// mu serialises replay and writes within the process; the flock on f
+	// does the same across processes.
 	mu   sync.Mutex
 	path string
 	f    *os.File
-	mem  *memdb.DB
-	// applied is the byte offset into the log already replayed into mem.
-	applied int64
+	// mem is the replica and applied the byte offset into the log already
+	// replayed into it. Both change only under mu and a flock; reads of a
+	// caught-up replica load them with neither held. applied advances only
+	// after the statements it covers are in mem.
+	mem     atomic.Pointer[memdb.DB]
+	applied atomic.Int64
 }
 
 var (
@@ -80,7 +89,8 @@ func openFileDB(path string) (*fileDB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sqlite: %w", err)
 	}
-	d := &fileDB{path: abs, f: f, mem: memdb.New()}
+	d := &fileDB{path: abs, f: f}
+	d.mem.Store(memdb.New())
 	files[abs] = d
 	return d, nil
 }
@@ -148,19 +158,21 @@ func (d *fileDB) replayLocked(ctx context.Context) error {
 		return err
 	}
 	size := st.Size()
-	if size < d.applied {
+	if size < d.applied.Load() {
 		// The file shrank: someone recreated the database. Rebuild from
 		// scratch.
-		d.mem = memdb.New()
-		d.applied = 0
+		d.mem.Store(memdb.New())
+		d.applied.Store(0)
 	}
-	if size == d.applied {
+	off := d.applied.Load()
+	if size == off {
 		return nil
 	}
-	buf := make([]byte, size-d.applied)
-	if _, err := d.f.ReadAt(buf, d.applied); err != nil {
+	buf := make([]byte, size-off)
+	if _, err := d.f.ReadAt(buf, off); err != nil {
 		return err
 	}
+	mem := d.mem.Load()
 	for len(buf) > 0 {
 		nl := bytes.IndexByte(buf, '\n')
 		if nl < 0 {
@@ -168,31 +180,52 @@ func (d *fileDB) replayLocked(ctx context.Context) error {
 			// next exclusive-lock holder to overwrite.
 			break
 		}
-		line := buf[:nl]
+		err := d.apply(ctx, mem, buf[:nl])
 		buf = buf[nl+1:]
-		d.applied += int64(nl) + 1
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec logRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("sqlite: corrupt log %s: %w", d.path, err)
-		}
-		args := make([]any, len(rec.Args))
-		for i := range rec.Args {
-			args[i] = rec.Args[i].v
-		}
-		if _, err := d.mem.Exec(ctx, rec.SQL, args...); err != nil {
-			return fmt.Errorf("sqlite: replaying %s: %w", d.path, err)
+		// The line is consumed even when it fails, so a bad record is
+		// reported once, not on every later statement.
+		off += int64(nl) + 1
+		d.applied.Store(off)
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Query runs a SELECT against the replica after catching up on the log.
-func (d *fileDB) Query(ctx context.Context, sqlText string, args ...any) (*datasource.Rows, error) {
-	if err := ctx.Err(); err != nil {
+// apply replays one log line into mem.
+func (d *fileDB) apply(ctx context.Context, mem *memdb.DB, line []byte) error {
+	if len(bytes.TrimSpace(line)) == 0 {
+		return nil
+	}
+	var rec logRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return fmt.Errorf("sqlite: corrupt log %s: %w", d.path, err)
+	}
+	args := make([]any, len(rec.Args))
+	for i := range rec.Args {
+		args[i] = rec.Args[i].v
+	}
+	if _, err := mem.Exec(ctx, rec.SQL, args...); err != nil {
+		return fmt.Errorf("sqlite: replaying %s: %w", d.path, err)
+	}
+	return nil
+}
+
+// replica returns the memdb replica, caught up with the log. A writer's
+// append has finished, growing the file, before its Exec returns, so when
+// the file's size equals what the replica has applied, every write that
+// completed before this call is already in it: no lock is needed. Otherwise
+// — the log grew, shrank, or ends in a torn line — the suffix is replayed
+// under d.mu and a shared flock. The caller runs its statement on the
+// returned replica outside both locks.
+func (d *fileDB) replica(ctx context.Context) (*memdb.DB, error) {
+	st, err := d.f.Stat()
+	if err != nil {
 		return nil, err
+	}
+	if st.Size() == d.applied.Load() {
+		return d.mem.Load(), nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -203,7 +236,19 @@ func (d *fileDB) Query(ctx context.Context, sqlText string, args ...any) (*datas
 	if err := d.replayLocked(ctx); err != nil {
 		return nil, err
 	}
-	return d.mem.Query(ctx, sqlText, args...)
+	return d.mem.Load(), nil
+}
+
+// Query runs a SELECT against the replica after catching up on the log.
+func (d *fileDB) Query(ctx context.Context, sqlText string, args ...any) (*datasource.Rows, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	mem, err := d.replica(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return mem.Query(ctx, sqlText, args...)
 }
 
 // Exec runs a write under the exclusive lock: catch up, execute, append.
@@ -224,7 +269,7 @@ func (d *fileDB) Exec(ctx context.Context, sqlText string, args ...any) (datasou
 	if err := d.replayLocked(ctx); err != nil {
 		return datasource.Result{}, err
 	}
-	res, err := d.mem.Exec(ctx, sqlText, vals...)
+	res, err := d.mem.Load().Exec(ctx, sqlText, vals...)
 	if err != nil {
 		// Failed statements are not logged: replicas replay only committed
 		// writes.
@@ -239,42 +284,32 @@ func (d *fileDB) Exec(ctx context.Context, sqlText string, args ...any) (datasou
 		return res, fmt.Errorf("sqlite: logging %s: %w", d.path, err)
 	}
 	line = append(line, '\n')
-	if _, err := d.f.WriteAt(line, d.applied); err != nil {
+	if _, err := d.f.WriteAt(line, d.applied.Load()); err != nil {
 		return res, fmt.Errorf("sqlite: appending to %s: %w", d.path, err)
 	}
-	d.applied += int64(len(line))
+	d.applied.Add(int64(len(line)))
 	return res, nil
 }
 
 // ColumnNames reports the replica's schema after catching up, so DDL applied
 // by another process is visible.
 func (d *fileDB) ColumnNames(table string) ([]string, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := flockShared(d.f); err != nil {
-		return nil, fmt.Errorf("sqlite: lock %s: %w", d.path, err)
-	}
-	defer funlock(d.f)
-	if err := d.replayLocked(context.Background()); err != nil {
+	mem, err := d.replica(context.Background())
+	if err != nil {
 		return nil, err
 	}
-	return d.mem.ColumnNames(table)
+	return mem.ColumnNames(table)
 }
 
 // AutoIncrementColumn reports a table's auto-increment column, likewise
 // after catching up; ok=false when the lock or the replay fails (the
 // analysis then takes its conservative path).
 func (d *fileDB) AutoIncrementColumn(table string) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := flockShared(d.f); err != nil {
+	mem, err := d.replica(context.Background())
+	if err != nil {
 		return "", false
 	}
-	defer funlock(d.f)
-	if err := d.replayLocked(context.Background()); err != nil {
-		return "", false
-	}
-	return d.mem.AutoIncrementColumn(table)
+	return mem.AutoIncrementColumn(table)
 }
 
 // Bootstrap runs fn under the cross-process bootstrap lock: an exclusive
