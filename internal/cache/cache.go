@@ -349,7 +349,11 @@ func (c *Cache) Export(key string) (View, bool) {
 	}
 	v := View{Page: it.Val.Page, Deps: it.Deps}
 	if !it.ExpiresAt.IsZero() {
-		v.TTL = it.ExpiresAt.Sub(c.store.opts.Clock())
+		// At the expiry instant the entry is still visible, but a TTL of 0
+		// would read as "never expires" on the fetching node: report a miss.
+		if v.TTL = it.ExpiresAt.Sub(c.store.opts.Clock()); v.TTL <= 0 {
+			return View{}, false
+		}
 	}
 	return v, true
 }
@@ -379,8 +383,7 @@ func (c *Cache) Insert(key string, body []byte, contentType string, deps []analy
 // MaxBytes, or the admission filter judged it colder than every eviction
 // victim it would displace. The returned Page wraps this call's private
 // immutable copy of body in that case, so it is servable and shareable
-// regardless — the page just will not be found by later lookups. (The
-// cluster tier uses the flag to refuse replica offers it has no room for.)
+// regardless — the page just will not be found by later lookups.
 func (c *Cache) TryInsert(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) (Page, bool) {
 	v := &pageVal{Page: Page{Body: append([]byte(nil), body...), ContentType: contentType}}
 	var expiresAt time.Time
@@ -409,20 +412,20 @@ func (c *Cache) item(key string, v *pageVal, deps []analysis.Query, expiresAt ti
 // InvalidateWrite removes every cached page whose dependency set intersects
 // the write (§3.1 "cache invalidations"), then broadcasts the capture to
 // the attached cluster peers, if any (§3.2 cluster-wide: in strong mode the
-// call returns only after every reachable peer has also invalidated). It
-// returns the number of pages invalidated locally. The write should have
-// been captured with Engine.CaptureWrite before the write executed.
+// call returns only after every reachable peer has also invalidated). The
+// write stays open until the broadcast returns: until peers have applied
+// it, the cache refuses every insert it intersects — a generated page, a
+// replica fetched from a peer that has not applied it yet, or one offered by
+// such a peer. It returns the number of pages invalidated locally. The write
+// should have been captured with Engine.CaptureWrite before it executed.
 func (c *Cache) InvalidateWrite(w analysis.WriteCapture) (int, error) {
-	n, err := c.store.InvalidateWrite(w)
-	if err != nil {
-		return n, err
+	r := c.loadRemote()
+	if r == nil {
+		return c.store.InvalidateWrite(w)
 	}
-	if r := c.loadRemote(); r != nil {
-		// The local sweep already ran; an error here (strict cluster mode)
-		// names the peers that missed the broadcast.
-		return n, r.BroadcastWrite(w)
-	}
-	return n, nil
+	// The local sweep runs first; an error from the broadcast (strict
+	// cluster mode) names the peers that missed it.
+	return c.store.invalidateThen(w, func() error { return r.BroadcastWrite(w) })
 }
 
 // InvalidateWriteLocal is InvalidateWrite restricted to this process's
@@ -439,21 +442,19 @@ func (c *Cache) InvalidateWriteLocal(w analysis.WriteCapture) (int, error) {
 func (c *Cache) InvalidateKey(key string) bool { return c.store.Remove(key) }
 
 // Flush empties the cache, then broadcasts the flush to the attached
-// cluster peers, if any. Pages inserted concurrently with the flush may
-// survive, as they would had they been inserted just after it.
-func (c *Cache) Flush() {
-	c.FlushLocal()
-	if r := c.loadRemote(); r != nil {
-		// Peers a strict broadcast reports as missed need no action here:
-		// the local flush succeeded and the missed peers quarantine-flush
-		// on rejoin, so the signature stays simple for Flush's many callers.
-		_ = r.BroadcastFlush()
-	}
-}
+// cluster peers, if any. The flush stays open until the broadcast returns,
+// refusing every guarded insert until peers have applied it. Pages inserted
+// by unguarded calls concurrently with the flush may survive, as they would
+// had they been inserted just after it.
+func (c *Cache) Flush() { c.flush(c.loadRemote()) }
 
 // FlushLocal empties this process's cache without broadcasting — the entry
 // point for flushes arriving from a peer.
-func (c *Cache) FlushLocal() {
+func (c *Cache) FlushLocal() { c.flush(nil) }
+
+// flush empties both tiers, then broadcasts to r, if any, with the flush's
+// event still open.
+func (c *Cache) flush(r RemoteInvalidator) {
 	// The flushing flag closes the tier-crossing races for the duration of
 	// the two-phase sweep: an eviction demoting a pre-flush page after the
 	// store flush, or a promotion re-linking a disk copy into an
@@ -464,7 +465,8 @@ func (c *Cache) FlushLocal() {
 	// whichever phase comes after it.
 	c.flushing.Add(1)
 	defer c.flushing.Add(-1)
-	c.store.Flush()
+	defer c.store.closeEvent(c.store.openEvent(nil))
+	c.store.clear(false)
 	if c.opts.L2 != nil {
 		// Disk tier second: any demotion that slipped in ahead of the flag
 		// left its L1 entry removed above and its disk copy dies here, with
@@ -472,6 +474,12 @@ func (c *Cache) FlushLocal() {
 		if dropped, err := c.opts.L2.FlushAll(); err == nil {
 			c.store.forget(dropped)
 		}
+	}
+	if r != nil {
+		// Peers a strict broadcast reports as missed need no action here:
+		// the local flush succeeded and the missed peers quarantine-flush
+		// on rejoin, so the signature stays simple for Flush's many callers.
+		_ = r.BroadcastFlush()
 	}
 }
 
@@ -481,21 +489,27 @@ func (c *Cache) FlushLocal() {
 // is discarded instead of shared.
 func (c *Cache) Epoch() uint64 { return c.store.Epoch() }
 
-// InsertSince is Insert under the §3.2 read→insert guard (see
-// Store.InsertSince) for a page whose generation began at epoch0. fresh=false
-// means an invalidation the page depends on raced the generation or the
-// insert: the page is not in the cache and must not be shared or replicated,
-// only served to the request that generated it. Semantic-window pages
+// InsertSince is TryInsert under the §3.2 read→insert guard (see
+// Store.InsertSince) for a page whose generation — or, for a replica, whose
+// peer round trip — began at epoch0. It is the one freshness check for
+// every page the cache takes: generated pages and fragments, replicas
+// fetched from a peer and replicas a peer offers. fresh=false means an
+// invalidation the page depends on raced the generation or the insert, or is
+// still open: the page is not in the cache and must not be shared or
+// replicated, only served to the request that generated it (pg is zero when
+// the guard refused before inserting). stored reports that the page is in
+// the cache: fresh and not refused by the byte budget. Semantic-window pages
 // (ttl > 0) are exempt — they carry no dependencies and tolerate staleness
 // by contract.
-func (c *Cache) InsertSince(epoch0 uint64, key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) (pg Page, fresh bool) {
+func (c *Cache) InsertSince(epoch0 uint64, key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) (pg Page, stored, fresh bool) {
 	if ttl > 0 {
-		return c.Insert(key, body, contentType, deps, ttl), true
+		pg, stored = c.TryInsert(key, body, contentType, deps, ttl)
+		return pg, stored, true
 	}
 	fresh = c.store.InsertSince(epoch0, key, deps, func() {
-		pg = c.Insert(key, body, contentType, deps, ttl)
+		pg, stored = c.TryInsert(key, body, contentType, deps, ttl)
 	})
-	return pg, fresh
+	return pg, stored && fresh, fresh
 }
 
 // Len returns the current number of cached pages.

@@ -207,6 +207,19 @@ func TestContainsRespectsExpiry(t *testing.T) {
 	}
 }
 
+// TestExportAtExpiryInstant: at the exact expiry instant the entry is still
+// visible, but a peer reads an exported TTL of 0 as "never expires". Export
+// must ship a positive TTL or report a miss.
+func TestExportAtExpiryInstant(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c := newTestCache(t, Options{Clock: func() time.Time { return now }})
+	c.Insert("/k", []byte("v"), "text/html", nil, 30*time.Second)
+	now = now.Add(30 * time.Second)
+	if v, ok := c.Export("/k"); ok && v.TTL <= 0 {
+		t.Fatalf("Export at the expiry instant: ok=%v TTL=%v", ok, v.TTL)
+	}
+}
+
 func TestInvalidateKey(t *testing.T) {
 	c := newTestCache(t, Options{})
 	c.Insert("/k", []byte("v"), "text/html", nil, 0)

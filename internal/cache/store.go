@@ -354,9 +354,13 @@ type Store[V any] struct {
 	// recent retains the prepared write behind each recent epoch (nil for a
 	// flush) so staleSince can test an inserter's dependency set against
 	// exactly the sweeps that raced its window, instead of discarding on
-	// every concurrent write.
+	// every concurrent write. open holds the events whose callers have not
+	// closed them yet (a write whose peer broadcast is still in flight),
+	// keyed by epoch; openN counts them for the lock-free fast path.
 	recentMu sync.Mutex
 	recent   [recentWriteWindow]recentWrite
+	open     map[uint64]*analysis.PreparedWrite
+	openN    atomic.Int64
 
 	// admit is the TinyLFU admission filter (nil unless Admission): touched
 	// on every lookup, consulted when a reservation needs to evict.
@@ -409,6 +413,7 @@ func NewStore[V any](opts StoreOptions) (*Store[V], error) {
 		mask:      uint32(n - 1),
 		shards:    make([]shard[V], n),
 		depShards: make([]depShard, n),
+		open:      make(map[uint64]*analysis.PreparedWrite),
 	}
 	if opts.Admission {
 		// Track roughly as many keys as the store can plausibly hold.
@@ -780,6 +785,14 @@ func (s *Store[V]) unlinkDeps(key string, deps []analysis.Query) {
 // strictly after the invalidation (§3.2). The write should have been
 // captured with Engine.CaptureWrite before it executed.
 func (s *Store[V]) InvalidateWrite(w analysis.WriteCapture) (int, error) {
+	return s.invalidateThen(w, nil)
+}
+
+// invalidateThen is InvalidateWrite running then — the caller's peer
+// broadcast — after a successful sweep, with the write's event still open:
+// until then returns, staleSince refuses every insert the write intersects,
+// whenever its epoch was read.
+func (s *Store[V]) invalidateThen(w analysis.WriteCapture, then func() error) (int, error) {
 	pw, err := s.opts.Engine.PrepareWrite(w)
 	if err != nil {
 		return 0, err
@@ -787,7 +800,7 @@ func (s *Store[V]) InvalidateWrite(w analysis.WriteCapture) (int, error) {
 	s.writesSeen.Add(1)
 	// The epoch bump precedes the sweep (see the epoch field); the prepared
 	// write is retained so staleSince can test raced inserts precisely.
-	s.recordEvent(pw)
+	defer s.closeEvent(s.openEvent(pw))
 	// ColumnOnly deliberately ignores bound values, so the value-based
 	// probe index must not narrow its candidate set.
 	useProbes := s.opts.Engine.Strategy() != analysis.StrategyColumnOnly
@@ -864,6 +877,9 @@ func (s *Store[V]) InvalidateWrite(w analysis.WriteCapture) (int, error) {
 			return n, err
 		}
 	}
+	if then != nil {
+		return n, then()
+	}
 	return n, nil
 }
 
@@ -908,7 +924,7 @@ func (s *Store[V]) Remove(key string) bool {
 // concurrently with the flush may survive, as they would had they been
 // inserted just after it.
 func (s *Store[V]) Flush() {
-	s.recordEvent(nil)
+	defer s.closeEvent(s.openEvent(nil))
 	s.clear(false)
 }
 
@@ -951,34 +967,54 @@ func (s *Store[V]) forget(dropped []l2.Dropped) {
 	}
 }
 
-// Epoch returns the invalidation-event counter: it advances at the start of
-// every write sweep and flush (single-key Remove calls do not count — they
-// cannot make an unrelated in-flight entry stale). An inserter that reads
-// the epoch before generating an entry and sees it unchanged after
-// inserting knows no sweep overlapped its window; on a change, staleSince
-// decides whether any raced sweep actually intersects the entry's
-// dependencies — the protocol InsertSince packages.
+// Epoch returns the invalidation-event counter: it advances when every
+// write sweep and flush opens and again when it closes (single-key Remove
+// calls do not count — they cannot make an unrelated in-flight entry
+// stale). An inserter that reads the epoch before generating an entry and
+// sees it unchanged, with no event open, after inserting knows no sweep
+// overlapped its window; otherwise staleSince decides whether any raced or
+// open event actually intersects the entry's dependencies — the protocol
+// InsertSince packages.
 func (s *Store[V]) Epoch() uint64 { return s.epoch.Load() }
 
-// recentWriteWindow is how many recent invalidation events the store
-// retains for staleSince. Deeper than any plausible number of writes racing
-// one generation; an inserter whose window outlived the ring is judged
-// stale conservatively.
+// recentWriteWindow is how many recent epochs (two per invalidation event)
+// the store retains for staleSince. Deeper than any plausible number of
+// writes racing one generation; an inserter whose window outlived the ring
+// is judged stale conservatively.
 const recentWriteWindow = 256
 
-// recentWrite is one retained invalidation event: the sweep's prepared
-// write, or nil for a flush (stale for every dependency set).
+// recentWrite is one retained epoch — an invalidation event's open or
+// close: the sweep's prepared write, or nil for a flush (stale for every
+// dependency set).
 type recentWrite struct {
 	epoch uint64
 	pw    *analysis.PreparedWrite
 }
 
-// recordEvent opens a new epoch and retains its event. pw == nil marks a
-// flush.
-func (s *Store[V]) recordEvent(pw *analysis.PreparedWrite) {
-	epoch := s.epoch.Add(1)
+// openEvent opens a new epoch, retains its event and marks it open until
+// closeEvent(epoch). pw == nil marks a flush. The event is registered before
+// its sweep starts, so an insert that missed it here is seen by the sweep.
+func (s *Store[V]) openEvent(pw *analysis.PreparedWrite) (epoch uint64) {
 	s.recentMu.Lock()
+	epoch = s.epoch.Add(1)
 	s.recent[epoch%recentWriteWindow] = recentWrite{epoch: epoch, pw: pw}
+	s.open[epoch] = pw
+	s.openN.Add(1)
+	s.recentMu.Unlock()
+	return epoch
+}
+
+// closeEvent closes the event opened at epoch. Closing retains the event
+// again under an epoch of its own, so an inserter whose window saw the event
+// open — even one that read its epoch after the sweep — still tests against
+// it once it has closed. The epoch moves before openN drops, and staleSince's
+// fast path loads them in the other order, so it cannot miss both.
+func (s *Store[V]) closeEvent(epoch uint64) {
+	s.recentMu.Lock()
+	e := s.epoch.Add(1)
+	s.recent[e%recentWriteWindow] = recentWrite{epoch: e, pw: s.open[epoch]}
+	delete(s.open, epoch)
+	s.openN.Add(-1)
 	s.recentMu.Unlock()
 }
 
@@ -1006,31 +1042,39 @@ func (s *Store[V]) InsertSince(epoch0 uint64, key string, deps []analysis.Query,
 
 // staleSince reports whether an entry whose generate+insert window started
 // at epoch0 (and whose insert has completed) may have escaped an
-// invalidation sweep it depended on: it tests deps against the prepared
-// write of every epoch in (epoch0, now]. Sweeps that start after the insert
-// see the entry in the tables, so only that interval matters. Unknown
-// territory — a flush, an evicted ring slot, an analysis error — reports
-// stale; over-invalidation is always sound (§3.2).
+// invalidation it depended on: it tests deps against the prepared write of
+// every epoch in (epoch0, now] — each event's open and close — and of every
+// event still open, whatever its epoch. Sweeps that start after the insert
+// see the entry in the tables, so only those matter. Unknown territory — a
+// flush, an evicted ring slot, an analysis error — reports stale;
+// over-invalidation is always sound (§3.2).
 func (s *Store[V]) staleSince(epoch0 uint64, deps []analysis.Query) bool {
-	cur := s.epoch.Load()
-	if cur == epoch0 {
+	if s.openN.Load() == 0 && s.epoch.Load() == epoch0 {
 		return false
 	}
+	s.recentMu.Lock()
+	cur := s.epoch.Load()
 	if cur-epoch0 > recentWriteWindow {
+		s.recentMu.Unlock()
 		return true
 	}
-	raced := make([]*analysis.PreparedWrite, 0, cur-epoch0)
-	s.recentMu.Lock()
+	raced := make([]*analysis.PreparedWrite, 0, cur-epoch0+uint64(len(s.open)))
 	for e := epoch0 + 1; e <= cur; e++ {
 		rw := s.recent[e%recentWriteWindow]
-		if rw.epoch != e || rw.pw == nil {
+		if rw.epoch != e {
 			s.recentMu.Unlock()
 			return true
 		}
 		raced = append(raced, rw.pw)
 	}
+	for _, pw := range s.open {
+		raced = append(raced, pw)
+	}
 	s.recentMu.Unlock()
 	for _, pw := range raced {
+		if pw == nil {
+			return true // a flush
+		}
 		for _, d := range deps {
 			hit, err := pw.Intersects(d)
 			if err != nil || hit {

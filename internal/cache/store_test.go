@@ -502,3 +502,42 @@ func TestStoreEpochGuard(t *testing.T) {
 		t.Fatal("a window that outlived the ring must be judged stale")
 	}
 }
+
+// TestStoreOpenEvents: while an invalidation is open (its caller's callback
+// still running), an insert it intersects is refused even when its epoch was
+// read after the sweep; an unrelated insert is not. Closing the event lifts
+// the refusal. An open flush refuses every insert.
+func TestStoreOpenEvents(t *testing.T) {
+	s := newStore(t, StoreOptions{})
+	insertSince := func(epoch0 uint64, key string, k int) bool {
+		return s.InsertSince(epoch0, key, depOn(k), func() { put(s, key, 64, k) })
+	}
+	var during uint64
+	if _, err := s.invalidateThen(writeRow(2), func() error {
+		during = s.Epoch()
+		if insertSince(during, "/two", 2) {
+			t.Error("an insert overlapping the open write was accepted")
+		}
+		if !insertSince(during, "/one", 1) {
+			t.Error("an insert unrelated to the open write was refused")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A window that began while the write was open still raced it.
+	if insertSince(during, "/two", 2) {
+		t.Fatal("an insert whose window saw the write open was accepted after it closed")
+	}
+	if !insertSince(s.Epoch(), "/two", 2) {
+		t.Fatal("the write stayed open after invalidateThen returned")
+	}
+	flush := s.openEvent(nil)
+	if insertSince(s.Epoch(), "/three", 3) {
+		t.Error("an insert was accepted while a flush was open")
+	}
+	s.closeEvent(flush)
+	if !insertSince(s.Epoch(), "/three", 3) {
+		t.Fatal("the flush stayed open after it closed")
+	}
+}

@@ -9,14 +9,17 @@ import (
 )
 
 // newGovNode builds one bare cluster member (no HTTP layer) whose page
-// cache uses the given governance options.
+// cache uses the given governance options (and a schema-less WhereMatch
+// engine unless opts.Engine is set).
 func newGovNode(t *testing.T, opts cache.Options) (*cache.Cache, *Node) {
 	t.Helper()
-	eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
-	if err != nil {
-		t.Fatal(err)
+	if opts.Engine == nil {
+		eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Engine = eng
 	}
-	opts.Engine = eng
 	opts.Shards = 2
 	c, err := cache.New(opts)
 	if err != nil {

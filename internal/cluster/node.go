@@ -48,8 +48,12 @@ type Config struct {
 	// Async switches invalidation broadcasts to best-effort fire-and-forget:
 	// InvalidateWrite returns without waiting for peers, so remote replicas
 	// may serve stale pages for the propagation delay — the time-lagged
-	// consistency trade of §8, cluster-flavoured. Default false (strong:
-	// the write blocks until every reachable peer has invalidated, §3.2).
+	// consistency trade of §8, cluster-flavoured. An async write also closes
+	// as soon as its broadcast is launched, so the local cache may take a
+	// replica of a page the write changed from a peer that has not applied
+	// it yet: async mode keeps the §8 propagation lag on every node. Default
+	// false (strong: the write blocks until every reachable peer has
+	// invalidated, §3.2).
 	Async bool
 	// VNodes is the virtual-node count per node (0 = DefaultVNodes).
 	VNodes int
@@ -130,7 +134,7 @@ const (
 type Stats struct {
 	RemoteHits           uint64 // fetches served by a peer
 	RemoteMisses         uint64 // fetches no peer could serve
-	FetchAborts          uint64 // fetched pages discarded: an invalidation raced the fetch
+	FetchAborts          uint64 // fetched pages discarded: a write intersecting the page raced the fetch or was still open
 	FetchErrors          uint64 // peer calls that failed mid-fetch
 	OffersSent           uint64 // pages replicated to owners
 	OffersRejected       uint64 // offers an owner's byte budget refused
@@ -143,7 +147,7 @@ type Stats struct {
 	StalePutRejects      uint64 // replica offers refused: the offerer had missed invalidations we applied
 	GetsServed           uint64 // peer fetches this node answered (found or not)
 	PutsApplied          uint64 // replica pages this node accepted
-	PutsRejected         uint64 // replica pages this node refused (over budget or stale)
+	PutsRejected         uint64 // replica pages this node refused (over budget, stale, or overlapping an open write)
 	InvApplied           uint64 // peer invalidations this node applied
 	FlushApplied         uint64 // peer flushes this node applied
 	PagesRemoved         uint64 // pages removed by peer invalidations
@@ -195,13 +199,6 @@ type Node struct {
 
 	srv *server
 
-	// invEpoch counts invalidation events applied to this node (local
-	// writes, peer broadcasts, flushes). A fetch whose network round trip
-	// straddles an epoch change is discarded instead of inserted: the page
-	// may predate an invalidation that already swept this cache, and
-	// caching it would outlive the §3.2 guarantee.
-	invEpoch atomic.Uint64
-
 	// bcastMu serializes this node's invalidation broadcasts end to end, so
 	// every peer observes this origin's sequence numbers strictly in order:
 	// a receiver-side gap can only mean a genuinely missed broadcast, never
@@ -212,9 +209,14 @@ type Node struct {
 	bcastMu sync.Mutex
 	seqDone atomic.Uint64
 
-	// applied tracks, per origin node, the last broadcast seq this node has
-	// applied (or been flushed past). Guarded by seqMu.
+	// started tracks, per origin node, the last broadcast seq this node has
+	// begun to apply (or been flushed past); applied, the last one it has
+	// finished applying. A transfer from a peer is judged against started —
+	// a peer that has not finished what this node began may hold a page it
+	// removes — and this node's own transfers advertise applied. Both are
+	// guarded by seqMu.
 	seqMu   sync.Mutex
+	started map[string]uint64
 	applied map[string]uint64
 
 	logf      func(format string, args ...any)
@@ -284,6 +286,7 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		peers:     make(map[string]*peer),
+		started:   make(map[string]uint64),
 		applied:   make(map[string]uint64),
 		logf:      logf,
 		stopProbe: make(chan struct{}),
@@ -295,7 +298,7 @@ func New(cfg Config) (*Node, error) {
 		// journal proves were applied are skipped.
 		applied, own := cfg.SeqJournal.RestoreSeqs()
 		for origin, seq := range applied {
-			n.applied[origin] = seq
+			n.started[origin], n.applied[origin] = seq, seq
 		}
 		n.seqNext = own
 		n.seqDone.Store(own)
@@ -439,9 +442,12 @@ func (n *Node) owners(key string) []string {
 // (in ring order, skipping self) for the page. On success the page is
 // inserted into the local cache with its dependency information — a replica
 // that later local lookups hit directly and that invalidation broadcasts
-// keep consistent — and the stored view is returned. ok=false means no
-// peer had the page (or all were unreachable): the caller falls back to
-// executing the handler.
+// keep consistent — and the stored view is returned. The insert goes
+// through the cache's epoch guard (cache.InsertSince) with the epoch read
+// before the round trip: a replica that a write it depends on raced, or
+// that overlaps a write still open on this node, is discarded
+// (FetchAborts). ok=false means no peer had the page, all were unreachable,
+// or the guard refused it: the caller falls back to executing the handler.
 func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
 	// start is taken lazily, before the first peer actually dialed: a walk
 	// that only meets open breakers must stay clock-free (the fail-fast
@@ -472,7 +478,7 @@ func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
 		if start.IsZero() {
 			start = time.Now()
 		}
-		epoch := n.invEpoch.Load()
+		epoch0 := n.cfg.Cache.Epoch()
 		var resp getRespMeta
 		body, err := p.call(msgGet, &getMeta{Key: key}, nil, &resp)
 		if err != nil {
@@ -494,25 +500,23 @@ func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
 			n.staleFetchRejects.Add(1)
 			continue
 		}
-		if n.invEpoch.Load() != epoch {
-			// An invalidation swept this cache while the page was in
-			// flight; it may predate the write, and the sweep that would
-			// have removed it has already run. Discard and regenerate.
+		// If the local byte budget refuses the replica, the returned view
+		// is still this fetch's servable copy — the page just stays
+		// remote-only and the next miss re-fetches. The wire carries the
+		// identity body only: variants (gzip, ETag) are derived state, so
+		// the insert recomputes them under the local cache's own Options
+		// rather than trusting the exporter's — nodes may disagree on
+		// -encodings/-etag without trading stale or mismatched variants.
+		pg, _, fresh := n.cfg.Cache.InsertSince(epoch0, key, body, resp.ContentType,
+			resp.Deps, ttlFromNanos(resp.TTLNanos))
+		if !fresh {
+			// The page may predate a write that already swept this cache or
+			// that peers are still applying. Discard and regenerate.
 			n.fetchAborts.Add(1)
 			break
 		}
-		// Insert (not TryInsert): if the local byte budget refuses the
-		// replica, the returned view is still this fetch's servable copy —
-		// the page just stays remote-only and the next miss re-fetches.
-		// The wire carries the identity body only: variants (gzip, ETag)
-		// are derived state, so this Insert recomputes them under the
-		// local cache's own Options rather than trusting the exporter's —
-		// nodes may disagree on -encodings/-etag without trading stale or
-		// mismatched variants.
-		stored := n.cfg.Cache.Insert(key, body, resp.ContentType,
-			resp.Deps, ttlFromNanos(resp.TTLNanos))
 		n.remoteHits.Add(1)
-		return stored, true
+		return pg, true
 	}
 	n.remoteMisses.Add(1)
 	return cache.Page{}, false
@@ -566,7 +570,6 @@ func (n *Node) Offer(key string, body []byte, contentType string, deps []analysi
 // invalidation and every reachable peer's have been applied: it reports
 // the peers that missed the broadcast, not a failure to invalidate.
 func (n *Node) BroadcastWrite(w analysis.WriteCapture) error {
-	n.invEpoch.Add(1)
 	// w is encoded when each frame is sent — in Async mode after this
 	// returns — so it is shared, not copied: a capture is immutable once
 	// taken.
@@ -582,7 +585,6 @@ func (n *Node) BroadcastWrite(w analysis.WriteCapture) error {
 // (unanalysable writes fall back to flushing; the fallback must be
 // cluster-wide too or peers would keep serving pages the origin dropped).
 func (n *Node) BroadcastFlush() error {
-	n.invEpoch.Add(1)
 	mk := func(seq uint64) meta { return &flushMeta{Origin: n.self, Seq: seq} }
 	if n.cfg.Async {
 		go n.broadcast(msgFlush, mk, "flush")
@@ -651,20 +653,20 @@ func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) meta, op string) erro
 	return nil
 }
 
-// advanceApplied records a seq observed from origin and reports whether it
-// exposes a gap: broadcasts this node provably missed while down or
-// partitioned. watermark=true for ping watermarks (everything <= seq has
-// been broadcast, so our counter must already be there), false for
-// inv/flush messages (seq is the message's own number; the previous one
+// startApplied records, before it is applied, a seq observed from origin and
+// reports whether it exposes a gap: broadcasts this node provably missed
+// while down or partitioned. watermark=true for ping watermarks (everything
+// <= seq has been broadcast, so our counter must already be there), false
+// for inv/flush messages (seq is the message's own number; the previous one
 // must have been applied). The counter always advances to seq — after the
 // caller's quarantine flush the node is clean through seq by construction.
-func (n *Node) advanceApplied(origin string, seq uint64, watermark bool) (gap bool) {
+func (n *Node) startApplied(origin string, seq uint64, watermark bool) (gap bool) {
 	if origin == "" || origin == n.self || seq == 0 {
 		return false
 	}
 	n.seqMu.Lock()
 	defer n.seqMu.Unlock()
-	last := n.applied[origin]
+	last := n.started[origin]
 	if seq <= last {
 		return false // duplicate delivery or an already-covered watermark
 	}
@@ -673,19 +675,26 @@ func (n *Node) advanceApplied(origin string, seq uint64, watermark bool) (gap bo
 	} else {
 		gap = seq > last+1
 	}
-	n.applied[origin] = seq
+	n.started[origin] = seq
 	return gap
 }
 
-// recordApplied persists an applied-counter advance to the sequence
-// journal, after the corresponding invalidation (or covering flush) has
-// been applied locally — journaling first would let a crash between the
-// two claim an application that never happened.
-func (n *Node) recordApplied(origin string, seq uint64) {
-	if n.cfg.SeqJournal == nil || origin == "" || origin == n.self || seq == 0 {
+// markApplied advances origin's applied counter to seq and journals it,
+// after the invalidation (or covering flush) has been applied locally: the
+// counter is what this node's applied vector advertises — advancing it
+// first would vouch for a page the sweep was about to remove — and
+// journaling first would let a crash claim an application that never
+// happened.
+func (n *Node) markApplied(origin string, seq uint64) {
+	if origin == "" || origin == n.self || seq == 0 {
 		return
 	}
-	n.cfg.SeqJournal.RecordApplied(origin, seq)
+	n.seqMu.Lock()
+	n.applied[origin] = max(n.applied[origin], seq)
+	n.seqMu.Unlock()
+	if n.cfg.SeqJournal != nil {
+		n.cfg.SeqJournal.RecordApplied(origin, seq)
+	}
 }
 
 // quarantine drops every cached page and result set: a sequence gap from
@@ -721,15 +730,15 @@ func (n *Node) appliedVector() map[string]uint64 {
 }
 
 // behindUs reports whether remote's vector is missing an invalidation this
-// node has already applied (some origin where our counter is ahead; a
-// missing entry counts as zero). A page from such a peer may predate that
-// invalidation, so transfer paths refuse it — the counterpart to
-// quarantine: a gapped peer can neither serve nor export stale state into
-// healthy nodes.
+// node has already started to apply (some origin where our counter is
+// ahead; a missing entry counts as zero). A page from such a peer may
+// predate that invalidation, so transfer paths refuse it — the counterpart
+// to quarantine: a gapped peer can neither serve nor export stale state
+// into healthy nodes.
 func (n *Node) behindUs(remote map[string]uint64) bool {
 	n.seqMu.Lock()
 	defer n.seqMu.Unlock()
-	for o, s := range n.applied {
+	for o, s := range n.started {
 		if remote[o] < s {
 			return true
 		}
@@ -746,6 +755,9 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 			return 0, nil, nil, err
 		}
 		n.getsServed.Add(1)
+		// The vector is taken before the page: it may vouch only for
+		// invalidations whose sweep finished before the page was read.
+		applied := n.appliedVector()
 		v, ok := n.cfg.Cache.Export(m.Key)
 		if !ok {
 			return msgGetResp, &getRespMeta{Found: false}, nil, nil
@@ -758,7 +770,7 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 			ContentType: v.ContentType,
 			TTLNanos:    int64(v.TTL),
 			Deps:        v.Deps,
-			Applied:     n.appliedVector(),
+			Applied:     applied,
 		}, v.Body, nil
 
 	case msgPut:
@@ -773,12 +785,14 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 			n.putsRejected.Add(1)
 			return msgPutResp, &putRespMeta{OK: false}, nil, nil
 		}
-		// The local byte budget governs replicas exactly like local inserts:
-		// an owner at MaxBytes refuses the offer (or its admission filter
-		// sides with a hotter victim) instead of letting replication traffic
-		// push it over budget. The rejection is reported so the offering
-		// node's counters tell the truth.
-		_, stored := n.cfg.Cache.TryInsert(m.Key, body, m.ContentType,
+		// The epoch guard refuses a replica that overlaps a write still open
+		// here (swept locally, broadcast in flight), and the local byte
+		// budget governs replicas exactly like local inserts: an owner at
+		// MaxBytes refuses the offer (or its admission filter sides with a
+		// hotter victim) instead of letting replication traffic push it
+		// over budget. A rejection is reported so the offering node's
+		// counters tell the truth.
+		_, stored, _ := n.cfg.Cache.InsertSince(n.cfg.Cache.Epoch(), m.Key, body, m.ContentType,
 			m.Deps, ttlFromNanos(m.TTLNanos))
 		if !stored {
 			n.putsRejected.Add(1)
@@ -792,32 +806,27 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 		if err := decodeMeta(typ, raw, &m); err != nil {
 			return 0, nil, nil, err
 		}
-		n.invEpoch.Add(1)
-		if n.advanceApplied(m.Origin, m.Seq, false) {
+		pages, results := 0, 0
+		if n.startApplied(m.Origin, m.Seq, false) {
 			// The seq jumped past last+1: broadcasts were missed while this
-			// node was unreachable. The targeted sweep below cannot undo
-			// the missed ones, so quarantine — and the flush subsumes this
+			// node was unreachable. The targeted sweep cannot undo the
+			// missed ones, so quarantine — and the flush subsumes this
 			// capture's own sweep.
-			pages := n.quarantine(m.Origin, m.Seq)
-			n.recordApplied(m.Origin, m.Seq)
-			n.invApplied.Add(1)
-			n.pagesRemoved.Add(uint64(pages))
-			return msgInvResp, &invRespMeta{Pages: pages}, nil, nil
+			pages = n.quarantine(m.Origin, m.Seq)
+		} else {
+			// Local-only application: re-broadcasting a received
+			// invalidation would echo around the cluster forever.
+			var err error
+			if pages, err = n.cfg.Cache.InvalidateWriteLocal(m.Capture); err != nil {
+				// Unanalysable here: flush, the always-sound fallback.
+				pages = n.cfg.Cache.Len()
+				n.cfg.Cache.FlushLocal()
+			}
+			if n.cfg.QueryCache != nil {
+				results = n.cfg.QueryCache.InvalidateCapture(m.Capture)
+			}
 		}
-		w := m.Capture
-		// Local-only application: re-broadcasting a received invalidation
-		// would echo around the cluster forever.
-		pages, err := n.cfg.Cache.InvalidateWriteLocal(w)
-		if err != nil {
-			// Unanalysable here: flush, the always-sound fallback.
-			pages = n.cfg.Cache.Len()
-			n.cfg.Cache.FlushLocal()
-		}
-		results := 0
-		if n.cfg.QueryCache != nil {
-			results = n.cfg.QueryCache.InvalidateCapture(w)
-		}
-		n.recordApplied(m.Origin, m.Seq)
+		n.markApplied(m.Origin, m.Seq)
 		n.invApplied.Add(1)
 		n.pagesRemoved.Add(uint64(pages))
 		n.resultsRemoved.Add(uint64(results))
@@ -830,13 +839,12 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 		}
 		// A flush drops everything, so it covers any gap by itself — just
 		// advance the counter.
-		n.advanceApplied(m.Origin, m.Seq, false)
-		n.invEpoch.Add(1)
+		n.startApplied(m.Origin, m.Seq, false)
 		n.cfg.Cache.FlushLocal()
 		if n.cfg.QueryCache != nil {
 			n.cfg.QueryCache.Flush()
 		}
-		n.recordApplied(m.Origin, m.Seq)
+		n.markApplied(m.Origin, m.Seq)
 		n.flushApplied.Add(1)
 		return msgFlushResp, &flushRespMeta{OK: true}, nil, nil
 
@@ -850,10 +858,9 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 		// missed (down, partitioned, or restarted cold with prior state) —
 		// quarantine now, before any request can hit a stale entry. This is
 		// the rejoin path: the first probe after heal cleans the node.
-		if n.advanceApplied(m.Origin, m.Seq, true) {
-			n.invEpoch.Add(1)
+		if n.startApplied(m.Origin, m.Seq, true) {
 			n.quarantine(m.Origin, m.Seq)
-			n.recordApplied(m.Origin, m.Seq)
+			n.markApplied(m.Origin, m.Seq)
 		}
 		var applied uint64
 		if m.Origin != "" {

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,13 +18,14 @@ import (
 )
 
 // Cluster variant of the cache's property-based consistency harness
-// (internal/cache/property_test.go): randomized inserts spread across a
-// real 3-node loopback-TCP cluster while a writer fires strong-mode
-// InvalidateWrite calls on random nodes, asserting the paper's §3.2
-// invariant cluster-wide — after the call returns, NO node serves a page
-// (whole-page or fragment-shaped key alike) whose dependencies overlap the
-// write and whose insert completed before the call began. The seed is fixed
-// (override with AWC_PROP_SEED) so failures reproduce.
+// (internal/cache/property_test.go): randomized inserts, offers and fetches
+// spread across a real 3-node loopback-TCP cluster while a writer fires
+// strong-mode InvalidateWrite calls on random nodes, asserting the paper's
+// §3.2 invariant cluster-wide — after the call returns, NO node serves a
+// page (whole-page or fragment-shaped key alike) whose dependencies overlap
+// the write and whose insert completed before the call began, whether it
+// holds its own copy or a replica. The seed is fixed (override with
+// AWC_PROP_SEED) so failures reproduce.
 
 func clusterPropSeed(t *testing.T) int64 {
 	if s := os.Getenv("AWC_PROP_SEED"); s != "" {
@@ -72,9 +75,10 @@ func cpOverlaps(d cpDep, w cpWrite) bool {
 }
 
 // newPropCluster builds n bare cache+Node members (no woven app — the
-// harness drives the caches directly; the peer tier under test is the
-// strong invalidation broadcast).
-func newPropCluster(t *testing.T, n int) []*cache.Cache {
+// harness drives the caches and the nodes' Fetch and Offer directly; the
+// peer tier under test is the strong invalidation broadcast and the two
+// replica paths).
+func newPropCluster(t *testing.T, n int) ([]*cache.Cache, []*Node) {
 	t.Helper()
 	caches := make([]*cache.Cache, n)
 	nodes := make([]*Node, n)
@@ -107,7 +111,7 @@ func newPropCluster(t *testing.T, n int) []*cache.Cache {
 		}
 		node.SetPeers(peers)
 	}
-	return caches
+	return caches, nodes
 }
 
 func TestClusterPropertyConsistency(t *testing.T) {
@@ -116,7 +120,7 @@ func TestClusterPropertyConsistency(t *testing.T) {
 	}
 	seed := clusterPropSeed(t)
 	t.Logf("seed %d (override with AWC_PROP_SEED)", seed)
-	caches := newPropCluster(t, 3)
+	caches, nodes := newPropCluster(t, 3)
 
 	const nKeys = 16
 	setupRng := rand.New(rand.NewSource(seed))
@@ -138,14 +142,22 @@ func TestClusterPropertyConsistency(t *testing.T) {
 		}
 		deps[i] = ds
 	}
-	insert := func(c *cache.Cache, i int) {
+	// insert stores a new generation of key i on node ci and, with offer,
+	// replicates it to the key's owners. A generation is settled only once
+	// every copy has landed: an offer that lands after a write which began
+	// later is the applied-vector question of Node.Offer, not this harness's.
+	insert := func(ci, i int, offer bool) {
 		mu[i].Lock()
 		g := gen[i].Add(1)
 		qs := make([]analysis.Query, len(deps[i]))
 		for j, d := range deps[i] {
 			qs[j] = d.query()
 		}
-		c.Insert(keys[i], []byte(fmt.Sprintf("k=%d g=%d", i, g)), "text/html", qs, 0)
+		body := []byte(fmt.Sprintf("k=%d g=%d", i, g))
+		caches[ci].Insert(keys[i], body, "text/html", qs, 0)
+		if offer {
+			nodes[ci].Offer(keys[i], body, "text/html", qs, 0)
+		}
 		settled[i].Store(g)
 		mu[i].Unlock()
 	}
@@ -160,28 +172,33 @@ func TestClusterPropertyConsistency(t *testing.T) {
 
 	// Seed every key on a random node.
 	for i := 0; i < nKeys; i++ {
-		insert(caches[setupRng.Intn(len(caches))], i)
+		insert(setupRng.Intn(len(caches)), i, false)
 	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var ops atomic.Int64
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(id)*104729))
-			for {
+			for ; ; ops.Add(1) {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				i := rng.Intn(nKeys)
-				c := caches[rng.Intn(len(caches))]
-				if rng.Intn(10) < 6 {
-					c.Lookup(keys[i])
-				} else {
-					insert(c, i)
+				i, ci := rng.Intn(nKeys), rng.Intn(len(caches))
+				switch r := rng.Intn(10); {
+				case r < 4:
+					caches[ci].Lookup(keys[i])
+				case r < 6:
+					// A replica fetched from the key's owner, possibly in
+					// the middle of a write on this node or the owner.
+					nodes[ci].Fetch(context.Background(), keys[i])
+				default:
+					insert(ci, i, r >= 8)
 				}
 			}
 		}(g)
@@ -193,6 +210,11 @@ func TestClusterPropertyConsistency(t *testing.T) {
 		writes = 15
 	}
 	for n := 0; n < writes; n++ {
+		// Pace the writer on the readers, so every run interleaves a fixed
+		// minimum of lookups, inserts, offers and fetches with the writes.
+		for ops.Load() < int64(8*(n+1)) {
+			runtime.Gosched()
+		}
 		w := cpWrite{table: writerRng.Intn(cpTables), b: writerRng.Intn(cpVals), unbounded: writerRng.Intn(5) == 0}
 		var g0 [nKeys]int64
 		for i := range keys {
@@ -229,11 +251,14 @@ func TestClusterPropertyConsistency(t *testing.T) {
 	wg.Wait()
 
 	// Sanity: the run exercised real traffic.
-	hits := uint64(0)
-	for _, c := range caches {
+	var hits, remoteHits, puts uint64
+	for i, c := range caches {
 		hits += c.Snapshot().Hits
+		st := nodes[i].Snapshot()
+		remoteHits += st.RemoteHits
+		puts += st.PutsApplied
 	}
-	if hits == 0 {
-		t.Fatal("degenerate run: no hits anywhere")
+	if hits == 0 || remoteHits == 0 || puts == 0 {
+		t.Fatalf("degenerate run: hits %d, remote hits %d, puts applied %d", hits, remoteHits, puts)
 	}
 }

@@ -162,7 +162,7 @@ func (w *Woven) resolveMiss(r *http.Request, key string, ttl time.Duration, gen 
 		// this node owns the key) — never the pooled buffer. An entry the
 		// epoch guard refused is served to this requester only: the flight
 		// stays unshared, so followers observe post-invalidation state.
-		if pg, fresh := w.cache.InsertSince(epoch0, key, m.rb.body.Bytes(), m.rb.contentType(), deps, ttl); fresh {
+		if pg, _, fresh := w.cache.InsertSince(epoch0, key, m.rb.body.Bytes(), m.rb.contentType(), deps, ttl); fresh {
 			m.page = pg
 			if f != nil {
 				f.page, f.shared = pg, true
