@@ -21,8 +21,7 @@ type (
 	// their aggregate, and the epoch guard's abort count.
 	AppStats = weave.AppStats
 	// InteractionStats aggregates the outcomes of one interaction type,
-	// including the PR-7 DegradedWrites counter and per-outcome latency
-	// histograms.
+	// including the send-failure count and per-outcome latency histograms.
 	InteractionStats = weave.InteractionStats
 	// CacheStats are the page cache's counters, including the per-segment
 	// (probation/protected) occupancy and eviction splits.

@@ -455,15 +455,8 @@ type ClusterConfig struct {
 	// reachable peer has invalidated, §3.2 cluster-wide) or "async"
 	// (best-effort fire-and-forget, time-lagged peers — the §8 trade).
 	Invalidation string
-	// VNodes is the ring's virtual-node count per node (0 = 64).
-	VNodes int
 	// Replication is how many owner nodes hold each key (0 = 1).
 	Replication int
-	// StrictBroadcast surfaces unreachable peers on strong-mode writes as a
-	// "write-degraded" outcome (the write still succeeds and invalidates
-	// locally; the missed peers quarantine-flush on rejoin). Default false:
-	// failures are only counted in the node stats.
-	StrictBroadcast bool
 	// ProbeInterval is the peer health-probe cadence (0 = 250ms, negative
 	// disables); down peers redial on a jittered exponential backoff.
 	ProbeInterval time.Duration
@@ -507,9 +500,7 @@ func (rt *Runtime) Cluster(handler *Woven, cfg ClusterConfig) (*ClusterNode, err
 		Cache:            rt.cache,
 		QueryCache:       rt.qcache,
 		Async:            async,
-		VNodes:           cfg.VNodes,
 		Replication:      cfg.Replication,
-		StrictBroadcast:  cfg.StrictBroadcast,
 		ProbeInterval:    cfg.ProbeInterval,
 		FailureThreshold: cfg.FailureThreshold,
 	}

@@ -307,11 +307,11 @@ func scrapeNode(out io.Writer, client *http.Client, base string) error {
 		}
 		return total
 	}
-	fmt.Fprintf(out, "node %-38s %6.0f requests: %.0f hit, %.0f remote, %.0f miss, %.0f write (%.0f degraded)\n",
+	fmt.Fprintf(out, "node %-38s %6.0f requests: %.0f hit, %.0f remote, %.0f miss, %.0f write\n",
 		base, sum("awc_requests_total"),
 		sum("awc_hits_total")+sum("awc_semantic_hits_total"),
 		sum("awc_remote_hits_total"), sum("awc_misses_total"),
-		sum("awc_writes_total"), sum("awc_degraded_writes_total"))
+		sum("awc_writes_total"))
 	fmt.Fprintf(out, "     %-38s cache %.0f entries / %.0f bytes; peers %.0f healthy, %.0f suspect, %.0f down; %.0f gap flushes\n",
 		"", sum("awc_cache_entries", "cache=page"), sum("awc_cache_bytes", "cache=page"),
 		sum("awc_cluster_peers", "state=healthy"), sum("awc_cluster_peers", "state=suspect"),
@@ -406,10 +406,7 @@ func report(out io.Writer, stats map[string]*outcomeStats) {
 			name, s.count, mean.Round(time.Microsecond),
 			s.localHits(), s.outcomes["remote-hit"],
 			s.outcomes["fragment-hit"], s.outcomes["assembled"],
-			s.outcomes["miss"],
-			// A write-degraded response is still a completed write (the
-			// strict-mode cluster broadcast just missed a down peer).
-			s.outcomes["write"]+s.outcomes["write-degraded"], s.errors)
+			s.outcomes["miss"], s.outcomes["write"], s.errors)
 	}
 	if totalReq > 0 {
 		fmt.Fprintf(out, "\ntotal %d requests, mean %v, hit rate %.1f%%",

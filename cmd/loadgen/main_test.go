@@ -181,6 +181,36 @@ func TestReportCountsCoalesced(t *testing.T) {
 	}
 }
 
+// TestScrapeNodeSummary: the -scrape line reports the node's own outcome
+// counts, summed across handlers, with writes as one plain column.
+func TestScrapeNodeSummary(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
+		_, _ = w.Write([]byte(`# TYPE awc_requests_total counter
+awc_requests_total{handler="ViewItem"} 7
+awc_requests_total{handler="StoreBid"} 3
+# TYPE awc_hits_total counter
+awc_hits_total{handler="ViewItem"} 4
+# TYPE awc_misses_total counter
+awc_misses_total{handler="ViewItem"} 3
+# TYPE awc_writes_total counter
+awc_writes_total{handler="StoreBid"} 3
+`))
+	}))
+	defer srv.Close()
+	var out strings.Builder
+	if err := scrapeNode(&out, srv.Client(), srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(out.String(), "\n")
+	if !strings.HasSuffix(first, "10 requests: 4 hit, 0 remote, 3 miss, 3 write") {
+		t.Fatalf("summary line %q", first)
+	}
+}
+
 func TestFetchResultCachedBytes(t *testing.T) {
 	cases := []struct {
 		res  fetchResult

@@ -46,8 +46,6 @@ var appCounters = []appCounter{
 		func(s *InteractionStats) uint64 { return s.Misses }},
 	{"awc_writes_total", "Write interactions (each invalidates dependent pages). Mirrors weave.InteractionStats.Writes.",
 		func(s *InteractionStats) uint64 { return s.Writes }},
-	{"awc_degraded_writes_total", "Writes whose strict-mode cluster broadcast missed a peer (subset of writes). Mirrors weave.InteractionStats.DegradedWrites.",
-		func(s *InteractionStats) uint64 { return s.DegradedWrites }},
 	{"awc_uncacheable_total", "Requests that bypassed the cache by rule (or ran unwoven). Mirrors weave.InteractionStats.Uncacheable.",
 		func(s *InteractionStats) uint64 { return s.Uncacheable }},
 	{"awc_errors_total", "Handler responses with a non-200 status. Mirrors weave.InteractionStats.Errors.",

@@ -30,7 +30,6 @@
 package cache
 
 import (
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -194,26 +193,16 @@ type View struct {
 // (best-effort, time-lagged — the weak-consistency trade of §8).
 type RemoteInvalidator interface {
 	// BroadcastWrite forwards a locally applied write capture to peers.
-	// A nil return does not always mean every peer applied it: lenient
-	// implementations count unreachable peers and rely on quarantine-on-
-	// rejoin instead. A strict implementation returns an error wrapping
-	// ErrPeerUnreachable naming the peers that missed the broadcast — by
-	// then the local invalidation and every reachable peer's have already
-	// been applied.
+	// The cache ignores the returned error: by the time the broadcast runs
+	// the local invalidation has succeeded, and a peer that missed it
+	// cannot be helped by the writer — the implementation must heal it
+	// instead (the cluster tier counts the miss and quarantine-flushes the
+	// peer on rejoin).
 	BroadcastWrite(w analysis.WriteCapture) error
 	// BroadcastFlush forwards a full cache flush to peers, with the same
 	// error contract as BroadcastWrite.
 	BroadcastFlush() error
 }
-
-// ErrPeerUnreachable marks an invalidation broadcast that could not reach
-// every peer. It lives here — not in the cluster package — so the weave
-// layer can errors.Is a degraded write without importing the cluster.
-// When a returned error wraps it, the write's local invalidation has
-// succeeded; re-flushing locally would not help the unreachable peers
-// (they quarantine-flush on rejoin), so callers should surface the
-// degradation rather than retry or flush.
-var ErrPeerUnreachable = errors.New("peer unreachable during invalidation broadcast")
 
 // remoteBox wraps the interface for atomic.Value (which needs a consistent
 // concrete type).
@@ -423,9 +412,9 @@ func (c *Cache) InvalidateWrite(w analysis.WriteCapture) (int, error) {
 	if r == nil {
 		return c.store.InvalidateWrite(w)
 	}
-	// The local sweep runs first; an error from the broadcast (strict
-	// cluster mode) names the peers that missed it.
-	return c.store.invalidateThen(w, func() error { return r.BroadcastWrite(w) })
+	// The local sweep runs first; the broadcast's error is ignored, as
+	// RemoteInvalidator allows.
+	return c.store.invalidateThen(w, func() { _ = r.BroadcastWrite(w) })
 }
 
 // InvalidateWriteLocal is InvalidateWrite restricted to this process's
@@ -476,10 +465,7 @@ func (c *Cache) flush(r RemoteInvalidator) {
 		}
 	}
 	if r != nil {
-		// Peers a strict broadcast reports as missed need no action here:
-		// the local flush succeeded and the missed peers quarantine-flush
-		// on rejoin, so the signature stays simple for Flush's many callers.
-		_ = r.BroadcastFlush()
+		_ = r.BroadcastFlush() // ignored, as RemoteInvalidator allows
 	}
 }
 

@@ -792,7 +792,7 @@ func (s *Store[V]) InvalidateWrite(w analysis.WriteCapture) (int, error) {
 // broadcast — after a successful sweep, with the write's event still open:
 // until then returns, staleSince refuses every insert the write intersects,
 // whenever its epoch was read.
-func (s *Store[V]) invalidateThen(w analysis.WriteCapture, then func() error) (int, error) {
+func (s *Store[V]) invalidateThen(w analysis.WriteCapture, then func()) (int, error) {
 	pw, err := s.opts.Engine.PrepareWrite(w)
 	if err != nil {
 		return 0, err
@@ -878,7 +878,7 @@ func (s *Store[V]) invalidateThen(w analysis.WriteCapture, then func() error) (i
 		}
 	}
 	if then != nil {
-		return n, then()
+		then()
 	}
 	return n, nil
 }

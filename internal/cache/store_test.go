@@ -513,7 +513,7 @@ func TestStoreOpenEvents(t *testing.T) {
 		return s.InsertSince(epoch0, key, depOn(k), func() { put(s, key, 64, k) })
 	}
 	var during uint64
-	if _, err := s.invalidateThen(writeRow(2), func() error {
+	if _, err := s.invalidateThen(writeRow(2), func() {
 		during = s.Epoch()
 		if insertSince(during, "/two", 2) {
 			t.Error("an insert overlapping the open write was accepted")
@@ -521,7 +521,6 @@ func TestStoreOpenEvents(t *testing.T) {
 		if !insertSince(during, "/one", 1) {
 			t.Error("an insert unrelated to the open write was refused")
 		}
-		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}

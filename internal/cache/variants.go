@@ -1,7 +1,7 @@
 package cache
 
-// Content-encoding variants and validators (ROADMAP item 2: full-stack
-// request-path speed). A real response pays more than the cache probe: body
+// Content-encoding variants and validators (insert-time serve
+// precomputation). A real response pays more than the cache probe: body
 // transfer and revalidation dominate once the lookup is nanoseconds. Both
 // costs are moved to insert time, where they are paid once per generation
 // instead of once per request:

@@ -237,6 +237,39 @@ func TestClusterQueryCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestBroadcastFlush: a flush broadcast empties the peer's page and
+// query-result caches before it returns, and it is sequenced like an
+// invalidation — the origin's next write applies on the peer as a targeted
+// sweep, not a gap flush.
+func TestBroadcastFlush(t *testing.T) {
+	nodes := newCluster(t, 2, Config{ProbeInterval: -1})
+	a, b := nodes[0], nodes[1]
+	b.get(t, "/stock?product=p5")
+	if b.cache.Len() == 0 || b.qc.Snapshot().Entries == 0 {
+		t.Fatal("peer caches not primed")
+	}
+	if err := a.node.BroadcastFlush(); err != nil {
+		t.Fatal(err)
+	}
+	if n, qn := b.cache.Len(), b.qc.Snapshot().Entries; n != 0 || qn != 0 {
+		t.Fatalf("after the flush broadcast returned, the peer holds %d pages and %d result sets", n, qn)
+	}
+
+	b.get(t, "/stock?product=p5")
+	b.get(t, "/stock?product=p7")
+	a.get(t, "/restock?product=p5&units=1")
+	if b.cache.Contains("/stock?product=p5") {
+		t.Fatal("the write after the flush did not reach the peer")
+	}
+	if !b.cache.Contains("/stock?product=p7") {
+		t.Fatal("the write after the flush removed an unrelated page on the peer")
+	}
+	if st := b.node.Snapshot(); st.FlushApplied != 1 || st.InvApplied != 1 || st.GapFlushes != 0 {
+		t.Fatalf("peer: %d flushes, %d invalidations, %d gap flushes applied; want 1, 1, 0",
+			st.FlushApplied, st.InvApplied, st.GapFlushes)
+	}
+}
+
 // TestClusterRemoteFetch pins the remote hop: a page generated on its owner
 // is served to another node as a remote hit, which then becomes a local
 // replica served as a plain hit.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -289,51 +288,24 @@ func TestPoisonedConnNeverPooled(t *testing.T) {
 	}
 }
 
-// TestStrictBroadcastReportsDownPeers: with StrictBroadcast, a strong-mode
-// write whose broadcast misses a dead peer returns a *PeerDownError
-// wrapping cache.ErrPeerUnreachable and naming the peer; without it, the
-// failure is only counted.
-func TestStrictBroadcastReportsDownPeers(t *testing.T) {
+// TestBroadcastToDownPeerIsCounted: a strong-mode write whose broadcast
+// misses a dead peer still returns nil — the writer has nothing to act on —
+// and the miss is counted, for the operator and for the peer's quarantine
+// on rejoin.
+func TestBroadcastToDownPeerIsCounted(t *testing.T) {
 	quiet := func(string, ...any) {}
 	capW := analysis.WriteCapture{Query: analysis.Query{
 		SQL: "UPDATE ct0 SET a = ? WHERE b = ?", Args: []memdb.Value{int64(1), int64(2)}}}
-
-	_, a := bareNode(t, Config{ProbeInterval: -1, Logf: quiet, StrictBroadcast: true,
-		DialTimeout: 200 * time.Millisecond, CallTimeout: 200 * time.Millisecond})
-	_, b := bareNode(t, Config{ProbeInterval: -1, Logf: quiet})
-	join(a, b)
-	bAddr := b.Addr()
-
-	if err := a.BroadcastWrite(capW); err != nil {
-		t.Fatalf("healthy strict broadcast: %v", err)
-	}
-	b.Close()
-	err := a.BroadcastWrite(capW)
-	if err == nil {
-		t.Fatal("strict broadcast to a dead peer returned nil")
-	}
-	if !errors.Is(err, cache.ErrPeerUnreachable) {
-		t.Fatalf("error does not wrap ErrPeerUnreachable: %v", err)
-	}
-	var pde *PeerDownError
-	if !errors.As(err, &pde) || len(pde.Peers) != 1 || pde.Peers[0] != bAddr {
-		t.Fatalf("PeerDownError peers: %v", err)
-	}
-	if st := a.Snapshot(); st.InvBroadcastFailures == 0 {
-		t.Fatalf("failure not counted: %+v", st)
-	}
-
-	// Lenient mode: same situation, nil error, counted failure.
 	_, c := bareNode(t, Config{ProbeInterval: -1, Logf: quiet,
 		DialTimeout: 200 * time.Millisecond, CallTimeout: 200 * time.Millisecond})
 	_, d := bareNode(t, Config{ProbeInterval: -1, Logf: quiet})
 	join(c, d)
 	d.Close()
 	if err := c.BroadcastWrite(capW); err != nil {
-		t.Fatalf("lenient broadcast must not error: %v", err)
+		t.Fatalf("broadcast to a dead peer must not error: %v", err)
 	}
 	if st := c.Snapshot(); st.InvBroadcastFailures == 0 {
-		t.Fatalf("lenient failure not counted: %+v", st)
+		t.Fatalf("failure not counted: %+v", st)
 	}
 }
 
@@ -360,7 +332,7 @@ func TestPartitionQuarantineOnRejoin(t *testing.T) {
 	w := analysis.WriteCapture{Query: analysis.Query{
 		SQL: "UPDATE ct0 SET a = ? WHERE b = ?", Args: []memdb.Value{int64(9), int64(2)}}}
 	if err := a.BroadcastWrite(w); err != nil {
-		t.Fatalf("lenient broadcast: %v", err)
+		t.Fatalf("broadcast: %v", err)
 	}
 	if !cb.Contains(key) {
 		t.Fatal("partitioned node cannot have applied the invalidation yet")
@@ -439,20 +411,16 @@ func TestStaleTransferRejection(t *testing.T) {
 	}
 }
 
-// TestClusterWriteDegradedOutcome: end-to-end through the weave, a strict
-// strong-mode write whose peer died mid-run still returns HTTP 200 — as
-// outcome "write-degraded", counted in the interaction stats.
-func TestClusterWriteDegradedOutcome(t *testing.T) {
+// TestClusterWriteWithDeadPeerOutcome: end-to-end through the weave, a
+// strong-mode write whose peer died mid-run returns HTTP 200 with outcome
+// "write", and its local invalidation still ran.
+func TestClusterWriteWithDeadPeerOutcome(t *testing.T) {
 	quiet := func(string, ...any) {}
-	nodes := newCluster(t, 2, Config{StrictBroadcast: true, ProbeInterval: -1, Logf: quiet,
+	nodes := newCluster(t, 2, Config{ProbeInterval: -1, Logf: quiet,
 		DialTimeout: 200 * time.Millisecond, CallTimeout: 200 * time.Millisecond})
 
-	// Healthy strict write: plain "write".
-	if _, outcome := nodes[0].get(t, "/restock?product=p1&units=5"); outcome != string(weave.OutcomeWrite) {
-		t.Fatalf("healthy strict write outcome %q", outcome)
-	}
-	// Warm the writer's local cache so the degraded write has a dependent
-	// page to invalidate locally.
+	// Warm the writer's local cache so the write has a dependent page to
+	// invalidate locally.
 	nodes[0].get(t, "/stock?product=p1")
 	if !nodes[0].cache.Contains("/stock?product=p1") {
 		t.Fatal("warm-up page not cached")
@@ -460,23 +428,20 @@ func TestClusterWriteDegradedOutcome(t *testing.T) {
 
 	nodes[1].node.Close()
 	_, outcome := nodes[0].get(t, "/restock?product=p1&units=6") // get fails the test on non-200
-	if outcome != string(weave.OutcomeWriteDegraded) {
-		t.Fatalf("write with a dead peer: outcome %q, want %q", outcome, weave.OutcomeWriteDegraded)
+	if outcome != string(weave.OutcomeWrite) {
+		t.Fatalf("write with a dead peer: outcome %q, want %q", outcome, weave.OutcomeWrite)
 	}
-	totals := nodes[0].woven.Stats().Totals()
-	if totals.DegradedWrites != 1 || totals.Writes != 2 {
-		t.Fatalf("stats: writes=%d degraded=%d", totals.Writes, totals.DegradedWrites)
+	if totals := nodes[0].woven.Stats().Totals(); totals.Writes != 1 {
+		t.Fatalf("stats: writes=%d, want 1", totals.Writes)
 	}
-	// The local invalidation still ran: the local cache must not serve the
-	// pre-write page.
 	if nodes[0].cache.Contains("/stock?product=p1") {
-		t.Fatal("degraded write left the local cache stale")
+		t.Fatal("write with a dead peer left the local cache stale")
 	}
 }
 
-// TestClusterWriterSurvivesPeerDeathMidBroadcast: in default (lenient)
-// mode a peer dying under a write costs the writer nothing — HTTP 200,
-// outcome "write", the failure surfaced only in the node stats.
+// TestClusterWriterSurvivesPeerDeathMidBroadcast: a peer dying under a
+// write costs the writer nothing — HTTP 200, outcome "write", the failure
+// surfaced only in the node stats.
 func TestClusterWriterSurvivesPeerDeathMidBroadcast(t *testing.T) {
 	quiet := func(string, ...any) {}
 	nodes := newCluster(t, 3, Config{ProbeInterval: -1, Logf: quiet,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,8 +54,6 @@ type Config struct {
 	// false (strong: the write blocks until every reachable peer has
 	// invalidated, §3.2).
 	Async bool
-	// VNodes is the virtual-node count per node (0 = DefaultVNodes).
-	VNodes int
 	// Replication is how many ring-successor nodes hold each key (0 = 1).
 	// Fetches try the owners in ring order; offers replicate to all of them.
 	Replication int
@@ -66,14 +63,6 @@ type Config struct {
 	// failure detector marks it down, ~0 (breaker open, no dial).
 	DialTimeout time.Duration
 	CallTimeout time.Duration
-	// StrictBroadcast makes strong-mode invalidation broadcasts return a
-	// *PeerDownError (wrapping cache.ErrPeerUnreachable) when any peer
-	// missed the invalidation, so the write path can surface the degraded
-	// guarantee per request. Default false: failures are counted
-	// (Stats.InvBroadcastFailures) and the gapped peer quarantine-flushes
-	// on rejoin, but the writer's response is not failed. Ignored in Async
-	// mode, which never waits for peers.
-	StrictBroadcast bool
 	// FailureThreshold is the consecutive-failure count at which a peer is
 	// marked down and its breaker opens (0 = 3; first failure always marks
 	// it suspect).
@@ -167,21 +156,6 @@ type Stats struct {
 	OfferLatency     telemetry.HistSnapshot
 	BroadcastLatency telemetry.HistSnapshot
 }
-
-// PeerDownError reports the peers a strict strong-mode broadcast could not
-// reach. It wraps cache.ErrPeerUnreachable so the weave layer can detect
-// the degraded write with errors.Is without importing this package.
-type PeerDownError struct {
-	Op    string   // "invalidate" or "flush"
-	Peers []string // unreachable peer addresses, sorted
-}
-
-func (e *PeerDownError) Error() string {
-	return fmt.Sprintf("cluster: %s broadcast missed %d peer(s) %v: %v",
-		e.Op, len(e.Peers), e.Peers, cache.ErrPeerUnreachable)
-}
-
-func (e *PeerDownError) Unwrap() error { return cache.ErrPeerUnreachable }
 
 // Node is one member of the cache cluster. It implements the weave's
 // Remote (Fetch/Offer) and the cache's RemoteInvalidator
@@ -415,7 +389,7 @@ func (n *Node) SetPeers(peers []string) {
 		members = append(members, addr)
 	}
 	n.mu.Unlock()
-	n.ring.Store(NewRing(members, n.cfg.VNodes))
+	n.ring.Store(NewRing(members, DefaultVNodes))
 	for _, p := range dropped {
 		p.close()
 	}
@@ -565,32 +539,34 @@ func (n *Node) Offer(key string, body []byte, contentType string, deps []analysi
 // (bounded by CallTimeout each, in parallel) before returning, so the
 // caller's InvalidateWrite — and therefore the writer's HTTP response —
 // is released only after the invalidation has been applied cluster-wide.
-// Async mode returns immediately (and always nil). A non-nil error is
-// returned only under Config.StrictBroadcast, and only after the local
-// invalidation and every reachable peer's have been applied: it reports
-// the peers that missed the broadcast, not a failure to invalidate.
+// Async mode returns immediately. The error is always nil: a peer that
+// missed the broadcast is counted (Stats.InvBroadcastFailures) and
+// quarantine-flushes on rejoin, so the writer has nothing to act on.
 func (n *Node) BroadcastWrite(w analysis.WriteCapture) error {
 	// w is encoded when each frame is sent — in Async mode after this
 	// returns — so it is shared, not copied: a capture is immutable once
 	// taken.
 	mk := func(seq uint64) meta { return &invMeta{Capture: w, Origin: n.self, Seq: seq} }
 	if n.cfg.Async {
-		go n.broadcast(msgInv, mk, "invalidate")
-		return nil
+		go n.broadcast(msgInv, mk)
+	} else {
+		n.broadcast(msgInv, mk)
 	}
-	return n.broadcast(msgInv, mk, "invalidate")
+	return nil
 }
 
 // BroadcastFlush implements cache.RemoteInvalidator for full flushes
 // (unanalysable writes fall back to flushing; the fallback must be
 // cluster-wide too or peers would keep serving pages the origin dropped).
+// The error is always nil, as for BroadcastWrite.
 func (n *Node) BroadcastFlush() error {
 	mk := func(seq uint64) meta { return &flushMeta{Origin: n.self, Seq: seq} }
 	if n.cfg.Async {
-		go n.broadcast(msgFlush, mk, "flush")
-		return nil
+		go n.broadcast(msgFlush, mk)
+	} else {
+		n.broadcast(msgFlush, mk)
 	}
-	return n.broadcast(msgFlush, mk, "flush")
+	return nil
 }
 
 // broadcast sends one sequenced message to every peer in parallel and
@@ -599,8 +575,8 @@ func (n *Node) BroadcastFlush() error {
 // receiver-side gap is proof of a missed message. A peer that cannot be
 // reached (down, timed out, breaker open) is counted; it cannot serve
 // stale state on rejoin because its sequence gap forces a quarantine
-// flush, so strong mode stays honest even when this returns nil.
-func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) meta, op string) error {
+// flush, so strong mode stays honest without failing the write.
+func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) meta) {
 	start := time.Now()
 	defer func() { n.bcastLat.Observe(time.Since(start)) }()
 	n.bcastMu.Lock()
@@ -620,14 +596,10 @@ func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) meta, op string) erro
 	}
 	n.mu.Unlock()
 	if len(peers) == 0 {
-		return nil
+		return
 	}
 	req := mkMeta(seq)
-	var (
-		wg     sync.WaitGroup
-		failMu sync.Mutex
-		failed []string
-	)
+	var wg sync.WaitGroup
 	for _, p := range peers {
 		wg.Add(1)
 		go func(p *peer) {
@@ -637,20 +609,12 @@ func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) meta, op string) erro
 				if err == errBreakerOpen {
 					n.breakerSkips.Add(1)
 				}
-				failMu.Lock()
-				failed = append(failed, p.addr)
-				failMu.Unlock()
 				return
 			}
 			n.invSent.Add(1)
 		}(p)
 	}
 	wg.Wait()
-	if n.cfg.StrictBroadcast && !n.cfg.Async && len(failed) > 0 {
-		sort.Strings(failed)
-		return &PeerDownError{Op: op, Peers: failed}
-	}
-	return nil
 }
 
 // startApplied records, before it is applied, a seq observed from origin and

@@ -49,9 +49,11 @@ type Ring struct {
 	points []ringPoint
 }
 
-// DefaultVNodes is the virtual-node count per physical node when Config
-// leaves it zero. 64 points per node keeps the maximal keyspace imbalance
-// across a handful of nodes within a few percent.
+// DefaultVNodes is the virtual-node count per physical node of every Node's
+// ring. It is a constant, not a setting: two peers with different counts
+// would disagree on key ownership with no error anywhere. 64 points per node
+// keeps the maximal keyspace imbalance across a handful of nodes within a
+// few percent.
 const DefaultVNodes = 64
 
 // NewRing builds a ring over the given node IDs (duplicates are collapsed)

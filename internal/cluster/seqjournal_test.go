@@ -100,7 +100,7 @@ func TestSeqJournalWarmRejoin(t *testing.T) {
 	// quarantine exactly as an unjournaled one would.
 	b2.Close()
 	if err := a.BroadcastWrite(w); err != nil {
-		t.Fatalf("broadcast to downed peer (lenient): %v", err)
+		t.Fatalf("broadcast to downed peer: %v", err)
 	}
 	cb3, b3 := bareNode(t, Config{ProbeInterval: -1, Logf: quiet, SeqJournal: journal})
 	join(a, b3)

@@ -47,7 +47,6 @@ type Flags struct {
 	Peers            *string
 	Invalidation     *string
 	Replication      *int
-	StrictBroadcast  *bool
 	ProbeInterval    *time.Duration
 	FailureThreshold *int
 
@@ -72,7 +71,6 @@ func Register(fs *flag.FlagSet, defaultAddr string) *Flags {
 		Peers:            fs.String("peers", "", "comma-separated peer addresses of the other cluster nodes"),
 		Invalidation:     fs.String("invalidation", "strong", "cluster invalidation mode: strong or async"),
 		Replication:      fs.Int("replication", 1, "cluster ring replication factor (owner nodes per key)"),
-		StrictBroadcast:  fs.Bool("strict-broadcast", false, "report strong-mode writes that missed a down peer as write-degraded"),
 		ProbeInterval:    fs.Duration("probe-interval", 0, "cluster peer health-probe cadence (0 = 250ms, negative disables)"),
 		FailureThreshold: fs.Int("failure-threshold", 0, "consecutive peer-call failures before the circuit breaker opens (0 = 3)"),
 
@@ -116,7 +114,6 @@ func (f *Flags) ClusterConfig() autowebcache.ClusterConfig {
 		Peers:            cluster.ParsePeerList(*f.Peers),
 		Invalidation:     *f.Invalidation,
 		Replication:      *f.Replication,
-		StrictBroadcast:  *f.StrictBroadcast,
 		ProbeInterval:    *f.ProbeInterval,
 		FailureThreshold: *f.FailureThreshold,
 	}

@@ -124,15 +124,17 @@ func (w *Woven) fragmentAdvice(h servlet.HandlerInfo) http.Handler {
 		start := time.Now()
 		page := newAssembly()
 		defer page.release()
-		hits, cachedBytes, invalidated := 0, 0, 0
+		hits, cachedBytes := 0, 0
 		status := http.StatusOK
 		for i := range segs {
 			seg := &segs[i]
 			if !seg.Cacheable() {
 				// Holes render straight into the assembly's generated-span
 				// buffer: no intermediate buffer, no copy, on the warm path.
+				// Their reads are per-request state, never dependencies; a
+				// hole that (against its contract) writes still invalidates.
 				from := page.gen.body.Len()
-				invalidated += w.runHole(page.gen, r, seg)
+				w.run(seg.Gen, page.gen, r)
 				page.markGen(from)
 				if page.gen.status != http.StatusOK {
 					status = page.gen.status
@@ -170,7 +172,6 @@ func (w *Woven) fragmentAdvice(h servlet.HandlerInfo) http.Handler {
 				body = append([]byte(nil), m.rb.body.Bytes()...)
 			}
 			page.addView(body)
-			invalidated += m.invalidated
 			segStatus := m.rb.status
 			m.rb.release()
 			if segStatus != http.StatusOK {
@@ -189,7 +190,7 @@ func (w *Woven) fragmentAdvice(h servlet.HandlerInfo) http.Handler {
 				w.stats.RecordSendFailure(h.Name)
 				return
 			}
-			w.stats.Record(h.Name, OutcomeError, time.Since(start), invalidated)
+			w.stats.Record(h.Name, OutcomeError, time.Since(start), 0)
 			return
 		}
 		outcome := OutcomeMiss
@@ -213,19 +214,4 @@ func (w *Woven) fragmentAdvice(h servlet.HandlerInfo) http.Handler {
 		}
 		w.stats.RecordFragments(h.Name, outcome, time.Since(start), hits, cacheable, sv.bytes, cachedBytes)
 	})
-}
-
-// runHole executes an uncacheable hole directly into the assembly buffer
-// (the caller reads page.status for the outcome). Its reads are per-request
-// state and are NOT recorded as dependencies; a hole that (against its
-// contract) writes still invalidates defensively, like a misclassified read
-// handler. Returns the defensive invalidation count.
-func (w *Woven) runHole(page *responseBuffer, r *http.Request, seg *servlet.Segment) int {
-	ctx, rec := WithRecorder(r.Context())
-	seg.Gen(page, r.WithContext(ctx))
-	if len(rec.Writes()) > 0 {
-		n, _ := w.applyInvalidations(rec)
-		return n
-	}
-	return 0
 }

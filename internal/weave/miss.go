@@ -13,7 +13,7 @@ import (
 // fixed sequence (§3.2 across the read→insert window):
 //
 //	capture epoch → elect a flight leader → re-check the cache →
-//	remote fetch → generate under a fresh Recorder → guarded insert
+//	remote fetch → generate (Woven.run) → guarded insert
 //	(cache.InsertSince) → publish the flight → offer to the key's owners
 //
 // The advice functions differ only in what they do with the resolution:
@@ -54,10 +54,6 @@ type miss struct {
 	outcome Outcome
 	page    cache.Page
 	rb      *responseBuffer
-	// invalidated counts entries removed by writes the generator issued —
-	// a "read" that wrote must still invalidate (defensive: the weaving
-	// rules misclassified it).
-	invalidated int
 }
 
 // resolveMiss resolves a local miss on key, whose entries live for ttl
@@ -139,9 +135,8 @@ func (w *Woven) resolveMiss(r *http.Request, key string, ttl time.Duration, gen 
 			}
 		}
 	}
-	ctx, rec := WithRecorder(r.Context())
 	m := miss{outcome: OutcomeMiss, rb: newResponseBuffer()}
-	gen(m.rb, r.WithContext(ctx))
+	rec, _ := w.run(gen, m.rb, r)
 	if m.rb.status != http.StatusOK {
 		m.outcome = OutcomeError
 	} else if !rec.ReadFailed() && len(rec.Writes()) == 0 {
@@ -174,6 +169,5 @@ func (w *Woven) resolveMiss(r *http.Request, key string, ttl time.Duration, gen 
 			w.flightAborts.Add(1)
 		}
 	}
-	m.invalidated, _ = w.applyInvalidations(rec)
 	return m
 }

@@ -23,14 +23,9 @@ const (
 	OutcomeAssembled   Outcome = "assembled"    // page assembled from a mix of fragment hits and generations
 	OutcomeMiss        Outcome = "miss"         // generated, then inserted
 	OutcomeWrite       Outcome = "write"        // write interaction (invalidates)
-	// OutcomeWriteDegraded is a write that invalidated locally but whose
-	// strict-mode cluster broadcast missed one or more peers (down or
-	// partitioned). The write itself succeeded (HTTP 200); the missed peers
-	// quarantine-flush before serving again.
-	OutcomeWriteDegraded Outcome = "write-degraded"
-	OutcomeUncacheable   Outcome = "uncacheable" // bypassed the cache by rule
-	OutcomeNoCache       Outcome = "nocache"     // served by an unwoven (baseline) app
-	OutcomeError         Outcome = "error"       // handler returned a non-200 status
+	OutcomeUncacheable Outcome = "uncacheable"  // bypassed the cache by rule
+	OutcomeNoCache     Outcome = "nocache"      // served by an unwoven (baseline) app
+	OutcomeError       Outcome = "error"        // handler returned a non-200 status
 	// OutcomeNotModified is a conditional request answered 304 from the
 	// cache: the client's If-None-Match matched the entry's precomputed
 	// ETag, so the hit transferred zero body bytes. It counts as a hit
@@ -71,11 +66,8 @@ type InteractionStats struct {
 	Assembled    uint64 // pages assembled from a mix of fragment hits and generations
 	Misses       uint64
 	Writes       uint64
-	// DegradedWrites are writes whose strict-mode cluster broadcast missed
-	// at least one peer (subset of Writes).
-	DegradedWrites uint64
-	Uncacheable    uint64
-	Errors         uint64
+	Uncacheable  uint64
+	Errors       uint64
 	// SendFailures counts requests whose response could not be fully
 	// written to the client (reset connection, gone peer). They are in
 	// Requests and here, but in no outcome bucket and no latency series:
@@ -179,7 +171,6 @@ var outcomeClasses = [...]Outcome{
 	OutcomeAssembled, OutcomeCoalesced, OutcomeError, OutcomeFragmentHit,
 	OutcomeHit, OutcomeMiss, OutcomeNoCache, OutcomeNotModified,
 	OutcomeRemoteHit, OutcomeSemanticHit, OutcomeUncacheable, OutcomeWrite,
-	OutcomeWriteDegraded,
 }
 
 // classIndex maps an outcome to its histogram slot. A switch, not a map:
@@ -208,8 +199,6 @@ func classIndex(o Outcome) int {
 		return 10
 	case OutcomeWrite:
 		return 11
-	case OutcomeWriteDegraded:
-		return 12
 	default:
 		return 2 // OutcomeError and anything unrecognised
 	}
@@ -307,8 +296,7 @@ func (t *tally) stats(name string) InteractionStats {
 		FragmentHits:     n(OutcomeFragmentHit),
 		Assembled:        n(OutcomeAssembled),
 		Misses:           n(OutcomeMiss),
-		Writes:           n(OutcomeWrite) + n(OutcomeWriteDegraded),
-		DegradedWrites:   n(OutcomeWriteDegraded),
+		Writes:           n(OutcomeWrite),
 		Uncacheable:      n(OutcomeUncacheable) + n(OutcomeNoCache),
 		Errors:           n(OutcomeError),
 		SendFailures:     t.sendFailures,
@@ -379,7 +367,7 @@ func (s *Stats) Record(name string, outcome Outcome, d time.Duration, invalidate
 func (s *Stats) RecordServed(name string, outcome Outcome, d time.Duration, invalidated, bytesOut, bytesCached int) {
 	c := s.get(name)
 	c.lat[classIndex(outcome)].Observe(d)
-	if invalidated > 0 && (outcome == OutcomeWrite || outcome == OutcomeWriteDegraded) {
+	if invalidated > 0 && outcome == OutcomeWrite {
 		c.pagesInvalidated.Add(uint64(invalidated))
 	}
 	c.addBytes(bytesOut, bytesCached)

@@ -100,8 +100,6 @@ func TestStatsLatencyHistograms(t *testing.T) {
 			InteractionStats{Misses: 1, BytesOut: 80}},
 		{"write", served(OutcomeWrite, 2, 0, 0), OutcomeWrite, 0,
 			InteractionStats{Writes: 1, PagesInvalidated: 2}},
-		{"write-degraded", served(OutcomeWriteDegraded, 3, 0, 0), OutcomeWriteDegraded, 0,
-			InteractionStats{Writes: 1, DegradedWrites: 1, PagesInvalidated: 3}},
 		{"uncacheable", served(OutcomeUncacheable, 0, 0, 0), OutcomeUncacheable, 0,
 			InteractionStats{Uncacheable: 1}},
 		{"nocache", served(OutcomeNoCache, 0, 0, 0), OutcomeNoCache, 0,

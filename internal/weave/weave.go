@@ -3,7 +3,6 @@ package weave
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -339,7 +338,7 @@ func (w *Woven) aroundAdvice(h servlet.HandlerInfo) http.Handler {
 			if m.outcome == OutcomeError {
 				bytesOut = 0
 			}
-			w.stats.RecordServed(h.Name, m.outcome, time.Since(start), m.invalidated, bytesOut, 0)
+			w.stats.RecordServed(h.Name, m.outcome, time.Since(start), 0, bytesOut, 0)
 		}
 	})
 }
@@ -349,20 +348,12 @@ func (w *Woven) aroundAdvice(h servlet.HandlerInfo) http.Handler {
 func (w *Woven) afterAdvice(h servlet.HandlerInfo) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ctx, rec := WithRecorder(r.Context())
 		rb := newResponseBuffer()
 		defer rb.release()
-		h.Fn(rb, r.WithContext(ctx))
+		_, invalidated := w.run(h.Fn, rb, r)
 		outcome := OutcomeWrite
 		if rb.status != http.StatusOK {
 			outcome = OutcomeError
-		}
-		invalidated, degraded := w.applyInvalidations(rec)
-		if degraded && outcome == OutcomeWrite {
-			// The write and its local invalidation succeeded, but a strict
-			// cluster broadcast missed one or more peers: surface the §8
-			// availability trade per request instead of hiding it.
-			outcome = OutcomeWriteDegraded
 		}
 		sv := w.serveCaptured(rw, r, rb, outcome, cache.Page{})
 		if sv.err != nil {
@@ -373,36 +364,40 @@ func (w *Woven) afterAdvice(h servlet.HandlerInfo) http.Handler {
 	})
 }
 
+// run executes a handler or fragment generator under a fresh Recorder — the
+// JDBC-capture join point — and applies the write captures it recorded on
+// the way out, whether fn returns or panics. A statement commits inside
+// RecordingConn.Exec, so its invalidation must not depend on the rest of the
+// handler running (§3.2: the failure mode is a miss, never a stale hit).
+// Every woven handler runs through here, so a read that writes — a
+// misclassified interaction, an Uncacheable bypass, a fragment hole —
+// invalidates exactly like a write interaction. It returns the recorder, for
+// the caller's caching decision, and how many entries the writes removed.
+func (w *Woven) run(fn http.HandlerFunc, rw http.ResponseWriter, r *http.Request) (rec *Recorder, invalidated int) {
+	ctx, rec := WithRecorder(r.Context())
+	defer func() { invalidated = w.applyInvalidations(rec) }()
+	fn(rw, r.WithContext(ctx))
+	return rec, 0
+}
+
 // applyInvalidations processes the recorder's write captures against the
-// cache. An empty capture (a write the engine could not analyse) flushes the
-// whole cache — over-invalidation is always sound. degraded reports that a
-// strict cluster broadcast missed at least one peer.
-func (w *Woven) applyInvalidations(rec *Recorder) (total int, degraded bool) {
+// cache and returns how many entries they removed. A capture the engine could
+// not analyse, or a sweep that failed (analysis error, or a disk tier that
+// could not make the removals durable), flushes the whole cache instead —
+// over-invalidation is always sound.
+func (w *Woven) applyInvalidations(rec *Recorder) int {
+	total := 0
 	for _, wc := range rec.Writes() {
-		if wc.SQL == "" {
-			n := w.cache.Len()
-			w.cache.Flush()
-			total += n
-			continue
-		}
-		n, err := w.cache.InvalidateWrite(wc)
-		if err != nil {
-			if errors.Is(err, cache.ErrPeerUnreachable) {
-				// The local sweep ran; only unreachable peers missed the
-				// broadcast. Flushing here would not help them — they
-				// quarantine-flush on rejoin — so keep the count and mark
-				// the write degraded.
+		if wc.SQL != "" {
+			if n, err := w.cache.InvalidateWrite(wc); err == nil {
 				total += n
-				degraded = true
 				continue
 			}
-			// Analysis failure: fall back to flushing (sound, never stale).
-			n = w.cache.Len()
-			w.cache.Flush()
 		}
-		total += n
+		total += w.cache.Len()
+		w.cache.Flush()
 	}
-	return total, degraded
+	return total
 }
 
 // uncacheable serves a read interaction directly, bypassing the cache — the
@@ -411,7 +406,7 @@ func (w *Woven) uncacheable(h servlet.HandlerInfo) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rw.Header().Set(HeaderOutcome, string(OutcomeUncacheable))
-		h.Fn(rw, r)
+		w.run(h.Fn, rw, r)
 		w.stats.Record(h.Name, OutcomeUncacheable, time.Since(start), 0)
 	})
 }
