@@ -93,6 +93,7 @@ benchsmoke:
 	$(GO) test -bench 'Cache|Parallel|Coalesced|Qrcache' -run '^$$' -benchtime 100x -benchmem .
 	$(GO) test -bench 'SelectOrderLimit|SelectIn' -run '^$$' -benchtime 100x -benchmem ./internal/memdb
 	$(GO) test -bench 'PeerFrame' -run '^$$' -benchtime 100x -benchmem ./internal/cluster
+	$(GO) test -bench 'StatementLog' -run '^$$' -benchtime 100x -benchmem ./internal/datasource/sqlite
 
 # bench-gate re-runs the hit-path benchmarks and fails when any tracked
 # benchmark regresses >25% ns/op or allocates more per op than the
@@ -116,13 +117,16 @@ benchmark-tests:
 	cd benchmark && $(GO) test ./...
 
 # fuzz runs every native fuzz target for $(FUZZTIME) each: the SQL-template
-# parser, the query analyzer's never-too-narrow soundness contract, and the
-# cluster peer-protocol frame decoder. Seed corpora also run as plain tests
-# on every `go test`.
+# parser, the query analyzer's never-too-narrow soundness contract, the
+# cluster peer-protocol frame decoder, the disk tier's record decoders and
+# the shared-file statement log's replay. Seed corpora also run as plain
+# tests on every `go test`.
 fuzz:
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis -run '^$$' -fuzz FuzzAnalyze -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache/l2 -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/datasource/sqlite -run '^$$' -fuzz FuzzReplayLog -fuzztime $(FUZZTIME)
 
 experiments:
 	$(GO) run ./cmd/experiments -fast

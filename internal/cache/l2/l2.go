@@ -10,6 +10,11 @@
 //	                     and cluster-watermark records
 //	snapshot.l2s         periodic index snapshot (written via tmp+rename)
 //
+// Every file is a sequence of codec frames, each holding one typed record
+// (record.go). At boot a frame cut off or failing its checksum is a torn
+// tail and is truncated; a complete frame whose record does not decode
+// discards the tier (recover.go).
+//
 // Durability contract: tombstones and flush markers are fsync'd before the
 // invalidating write returns (Sync / FlushAll), so an acknowledged
 // invalidation can never resurrect after a crash. Demoted page bodies are
@@ -27,6 +32,7 @@
 package l2
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -37,6 +43,7 @@ import (
 	"time"
 
 	"autowebcache/internal/analysis"
+	"autowebcache/internal/codec"
 )
 
 // Default knobs. segTargetDivisor splits the byte budget into enough
@@ -270,16 +277,21 @@ func (s *Store) Get(key string) (Record, bool) {
 	if _, err := seg.r.ReadAt(buf, off); err != nil {
 		return s.discardUnreadable(key, lsn, err)
 	}
-	payload, ok := verifyFrame(buf)
-	if !ok {
-		return s.discardUnreadable(key, lsn, errors.New("frame checksum mismatch"))
+	// buf holds the whole frame: ReadFrame checks it and leaves the payload
+	// where it is, and the body handed out is that payload's tail.
+	payload, err := codec.ReadFrame(bytes.NewReader(buf), buf[codec.FrameOverhead:])
+	if err != nil {
+		return s.discardUnreadable(key, lsn, err)
 	}
-	rec, err := decodeEntry(payload)
-	if err != nil || rec.key != key {
-		return s.discardUnreadable(key, lsn, fmt.Errorf("decode: %v", err))
+	rec, body, err := decodeEntry(payload)
+	if err == nil && rec.key != key {
+		err = fmt.Errorf("record holds key %q", rec.key)
+	}
+	if err != nil {
+		return s.discardUnreadable(key, lsn, err)
 	}
 	s.hits.Add(1)
-	out := Record{Body: rec.body, ContentType: rec.ct, Deps: rec.deps, LSN: lsn}
+	out := Record{Body: body, ContentType: rec.ct, Deps: rec.deps, LSN: lsn}
 	if rec.expiresAt != 0 {
 		out.ExpiresAt = time.Unix(0, rec.expiresAt)
 	}
@@ -361,12 +373,10 @@ func (s *Store) Put(key string, body []byte, contentType string, deps []analysis
 		return nil, errClosed
 	}
 	lsn := s.lsn + 1
-	s.scratch = appendEntry(s.scratch[:0], segRec{
-		lsn: lsn, expiresAt: exp, key: key, ct: contentType, deps: deps, body: body,
-	})
-	s.framebuf = appendFrame(s.framebuf[:0], s.scratch)
+	s.framebuf, s.scratch = appendEntry(s.framebuf[:0], s.scratch,
+		segRec{lsn: lsn, expiresAt: exp, key: key, ct: contentType, deps: deps}, body)
 	size := int64(len(s.framebuf))
-	if len(s.scratch) > maxRecord || (s.maxBytes > 0 && size > s.maxBytes) {
+	if size > codec.FrameOverhead+codec.MaxFrame || (s.maxBytes > 0 && size > s.maxBytes) {
 		s.mu.Unlock()
 		return nil, ErrOversize
 	}
@@ -493,12 +503,7 @@ func (s *Store) Remove(key string) ([]analysis.Query, bool) {
 	}
 	s.dropIndexLocked(key, r)
 	s.lsn++
-	p := append(s.scratch[:0], recTombstone)
-	p = appendU64(p, s.lsn)
-	p = appendU32(p, 1)
-	p = appendStr(p, key)
-	s.scratch = p
-	s.journalAppendLocked(p)
+	s.journalAppendLocked(journalRec{typ: recTombstone, lsn: s.lsn, key: key})
 	s.mu.Unlock()
 	s.removes.Add(1)
 	return r.deps, true
@@ -515,10 +520,7 @@ func (s *Store) FlushAll() ([]Dropped, error) {
 		return nil, errClosed
 	}
 	s.lsn++
-	p := append(s.scratch[:0], recFlush)
-	p = appendU64(p, s.lsn)
-	s.scratch = p
-	s.journalAppendLocked(p)
+	s.journalAppendLocked(journalRec{typ: recFlush, lsn: s.lsn})
 	if err := s.syncJournalLocked(); err != nil {
 		s.mu.Unlock()
 		return nil, err
@@ -551,11 +553,12 @@ func (s *Store) Sync() error {
 	return s.syncJournalLocked()
 }
 
-// journalAppendLocked frames p into the in-memory journal buffer. Records
+// journalAppendLocked frames r into the in-memory journal buffer. Records
 // batch there until a flush, so one invalidation sweep costs one write (and
 // one fsync from Sync), not one per key.
-func (s *Store) journalAppendLocked(p []byte) {
-	s.journalBuf = appendFrame(s.journalBuf, p)
+func (s *Store) journalAppendLocked(r journalRec) {
+	s.scratch = r.appendTo(s.scratch[:0])
+	s.journalBuf = codec.AppendFrame(s.journalBuf, s.scratch)
 }
 
 func (s *Store) flushJournalLocked() error {
@@ -598,11 +601,7 @@ func (s *Store) RecordApplied(origin string, seq uint64) {
 		return
 	}
 	s.applied[origin] = seq
-	p := append(s.scratch[:0], recApplied)
-	p = appendStr(p, origin)
-	p = appendU64(p, seq)
-	s.scratch = p
-	s.journalAppendLocked(p)
+	s.journalAppendLocked(journalRec{typ: recApplied, key: origin, seq: seq})
 }
 
 // RecordBroadcast journals this node's own completed-broadcast watermark.
@@ -613,10 +612,7 @@ func (s *Store) RecordBroadcast(seq uint64) {
 		return
 	}
 	s.ownSeq = seq
-	p := append(s.scratch[:0], recOwnSeq)
-	p = appendU64(p, seq)
-	s.scratch = p
-	s.journalAppendLocked(p)
+	s.journalAppendLocked(journalRec{typ: recOwnSeq, seq: seq})
 }
 
 // RestoreSeqs returns the cluster watermarks recovered at boot: the applied

@@ -1,336 +1,204 @@
-// On-disk encoding for the L2 tier. Every byte that reaches a file —
-// segment records, journal records, snapshot sections — travels inside one
-// CRC-framed record:
+// On-disk records of the L2 tier. Every byte that reaches a file — segment
+// entries, journal records, snapshot sections — is the payload of one
+// codec frame ([length][CRC-32C][payload]), so a reader can always tell a
+// complete record from a torn or corrupted one. A payload is a type byte,
+// then the record's fields in the codec encoding.
 //
-//	[4B payload length][4B CRC-32C of payload][payload]
+// A segment entry is [type][meta as a byte string][body]. Only the meta goes
+// through the decoder, whose strings are slices of one copy of its input:
+// the key, content type and dependency SQL are therefore never slices of a
+// page body and never pin one, and the body itself is read without a copy.
 //
-// so a reader can always tell a complete record from a torn or corrupted
-// one: a crash mid-append leaves a frame whose length header, payload or
-// checksum does not add up, and the scanner discards everything from the
-// first bad frame on (the torn tail) instead of trusting it. Values inside
-// payloads use the same normalised dynamic types as the cluster wire format
-// (nil, int64, float64, string), encoded with an explicit kind byte so an
-// int64 never decays on the round trip.
+// The type codes version the format. Codes 1–8 belonged to an earlier
+// fixed-width encoding; such a record does not decode, and at boot a
+// record that does not decode discards the tier (see recover.go).
 package l2
 
 import (
 	"bufio"
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"autowebcache/internal/analysis"
-	"autowebcache/internal/datasource"
+	"autowebcache/internal/codec"
 )
 
-// maxRecord bounds one framed payload so a corrupted length prefix cannot
-// make the scanner allocate unboundedly. Cached pages are HTML; 64 MiB is
-// generous.
-const maxRecord = 64 << 20
-
-// frameOverhead is the framing cost per record: length + CRC.
-const frameOverhead = 8
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Record types, shared across segment files and the journal so a scanner
-// can never mistake one for the other.
+// Record types, shared across segment files, the journal and the snapshot
+// so a scanner can never mistake one for another.
 const (
-	recEntry     byte = 1 // segment files: one demoted page
-	recTombstone byte = 2 // journal: keys removed by write invalidation
-	recFlush     byte = 3 // journal: full-cache flush watermark
-	recApplied   byte = 4 // journal: cluster applied-seq watermark (origin, seq)
-	recOwnSeq    byte = 5 // journal: this node's completed-broadcast watermark
-	recSnapMeta  byte = 6 // snapshot: store-wide metadata section
-	recSnapEntry byte = 7 // snapshot: one live index entry
-	recSnapDone  byte = 8 // snapshot: completeness trailer (entry count)
+	recEntry     byte = 0x11 // segment files: one demoted page
+	recTombstone byte = 0x12 // journal: a key removed by write invalidation
+	recFlush     byte = 0x13 // journal: full-cache flush watermark
+	recApplied   byte = 0x14 // journal: cluster applied-seq watermark (origin, seq)
+	recOwnSeq    byte = 0x15 // journal: this node's completed-broadcast watermark
+	recSnapMeta  byte = 0x16 // snapshot: store-wide metadata section
+	recSnapEntry byte = 0x17 // snapshot: one live index entry
+	recSnapDone  byte = 0x18 // snapshot: completeness trailer (entry count)
 )
 
-// appendFrame wraps payload in the length+CRC frame.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
-}
+// --- segment entry -------------------------------------------------------
 
-// --- payload writers -----------------------------------------------------
-
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func appendI64(b []byte, v int64) []byte  { return binary.BigEndian.AppendUint64(b, uint64(v)) }
-
-func be32(b []byte) uint32  { return binary.BigEndian.Uint32(b) }
-func crcOf(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-// Value kinds for dependency argument vectors.
-const (
-	valNil    byte = 0
-	valInt    byte = 1
-	valFloat  byte = 2
-	valString byte = 3
-)
-
-func appendValue(b []byte, v datasource.Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(b, valNil)
-	case int64:
-		b = append(b, valInt)
-		return appendI64(b, x)
-	case float64:
-		b = append(b, valFloat)
-		return appendU64(b, math.Float64bits(x))
-	case string:
-		b = append(b, valString)
-		return appendStr(b, x)
-	default:
-		// Unreachable for normalised values; stringify rather than drop.
-		b = append(b, valString)
-		return appendStr(b, fmt.Sprint(x))
-	}
-}
-
-func appendDeps(b []byte, deps []analysis.Query) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(deps)))
-	for _, d := range deps {
-		b = appendStr(b, d.SQL)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(d.Args)))
-		for _, a := range d.Args {
-			b = appendValue(b, a)
-		}
-	}
-	return b
-}
-
-// --- payload reader ------------------------------------------------------
-
-// reader is a cursor over one decoded payload. The first malformed field
-// latches err; every later read returns zero values, so decode functions
-// can read linearly and check err once.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("l2: truncated record payload at byte %d of %d", r.off, len(r.b))
-	}
-}
-
-func (r *reader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return ""
-	}
-	v := string(r.b[r.off : r.off+n])
-	r.off += n
-	return v
-}
-
-// bytes returns a private copy of a length-prefixed byte field (the scan
-// buffer is reused across frames, so aliasing it would corrupt the caller).
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := append([]byte(nil), r.b[r.off:r.off+n]...)
-	r.off += n
-	return v
-}
-
-func (r *reader) value() datasource.Value {
-	switch r.u8() {
-	case valNil:
-		return nil
-	case valInt:
-		return r.i64()
-	case valFloat:
-		return math.Float64frombits(r.u64())
-	case valString:
-		return r.str()
-	default:
-		r.fail()
-		return nil
-	}
-}
-
-func (r *reader) deps() []analysis.Query {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > maxRecord/8 {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]analysis.Query, n)
-	for i := range out {
-		out[i].SQL = r.str()
-		na := int(r.u32())
-		if r.err != nil || na < 0 || na > maxRecord/8 {
-			r.fail()
-			return nil
-		}
-		if na > 0 {
-			out[i].Args = make([]datasource.Value, na)
-			for j := range out[i].Args {
-				out[i].Args[j] = r.value()
-			}
-		}
-	}
-	return out
-}
-
-// --- segment entry record ------------------------------------------------
-
-// segRec is one decoded segment record: a demoted page with everything the
-// cache needs to re-insert it — identity body, content type, dependency
-// instances and absolute expiry. Variants (gzip, ETag) are derived state and
-// are never persisted; promotion rebuilds them under the cache's own
-// options, exactly like the cluster wire contract.
+// segRec is a segment entry's meta: everything the cache needs to re-insert
+// the page besides its body — key, content type, dependency instances and
+// absolute expiry. Variants (gzip, ETag) are derived state and are never
+// persisted; promotion rebuilds them under the cache's own options, exactly
+// like the cluster wire contract.
 type segRec struct {
 	lsn       uint64
 	expiresAt int64 // unix nanos; 0 = lives until invalidated
 	key       string
 	ct        string
 	deps      []analysis.Query
-	body      []byte
 }
 
-func appendEntry(b []byte, r segRec) []byte {
-	b = append(b, recEntry)
-	b = appendU64(b, r.lsn)
-	b = appendI64(b, r.expiresAt)
-	b = appendStr(b, r.key)
-	b = appendStr(b, r.ct)
-	b = appendDeps(b, r.deps)
-	return appendBytes(b, r.body)
+// appendEntry appends the frame of a segment entry to dst. It encodes the
+// meta into scratch and returns both buffers for reuse.
+func appendEntry(dst, scratch []byte, r segRec, body []byte) (frame, meta []byte) {
+	m := codec.AppendUvarint(scratch[:0], r.lsn)
+	m = codec.AppendVarint(m, r.expiresAt)
+	m = codec.AppendString(m, r.key)
+	m = codec.AppendString(m, r.ct)
+	m = codec.AppendQueries(m, r.deps)
+	n := len(m)
+	// The head (type, meta length) can only be written once the meta's
+	// length is known: it goes after the meta in scratch and is framed
+	// first.
+	m = codec.AppendUvarint(append(m, recEntry), uint64(n))
+	return codec.AppendFrame(dst, m[n:], m[:n], body), m
 }
 
-func decodeEntry(payload []byte) (segRec, error) {
-	r := reader{b: payload}
-	if t := r.u8(); t != recEntry {
-		return segRec{}, fmt.Errorf("l2: segment record type %d, want %d", t, recEntry)
+// decodeEntry decodes a segment entry payload. body aliases payload.
+func decodeEntry(payload []byte) (r segRec, body []byte, err error) {
+	d := codec.NewDecoder(payload)
+	if t := d.Byte(); t != recEntry {
+		return segRec{}, nil, fmt.Errorf("segment record type %#x, want %#x", t, recEntry)
 	}
-	rec := segRec{
-		lsn:       r.u64(),
-		expiresAt: r.i64(),
-		key:       r.str(),
-		ct:        r.str(),
-		deps:      r.deps(),
-		body:      r.bytes(),
+	m := codec.NewDecoder(d.Bytes())
+	body = d.Rest()
+	r = segRec{lsn: m.Uvarint(), expiresAt: m.Varint(), key: m.Str(), ct: m.Str(), deps: m.Queries()}
+	if err := cmp.Or(d.Err(), m.Finish()); err != nil {
+		return segRec{}, nil, fmt.Errorf("segment entry: %w", err)
 	}
-	return rec, r.err
+	return r, body, nil
 }
 
-// verifyFrame checks one complete framed record read back from a segment
-// and returns its payload. Any mismatch — short buffer, length header,
-// checksum — means the record cannot be trusted.
-func verifyFrame(buf []byte) ([]byte, bool) {
-	if len(buf) < frameOverhead {
-		return nil, false
+// --- journal record ------------------------------------------------------
+
+// journalRec is one journal record. Every type carries the same fields and
+// leaves the ones it does not use zero: a tombstone sets lsn and key, a
+// flush marker lsn, an applied watermark key (the origin) and seq, and the
+// own-broadcast watermark seq.
+type journalRec struct {
+	typ      byte
+	lsn, seq uint64
+	key      string
+}
+
+func (r journalRec) appendTo(b []byte) []byte {
+	b = codec.AppendUvarint(append(b, r.typ), r.lsn)
+	return codec.AppendUvarint(codec.AppendString(b, r.key), r.seq)
+}
+
+func decodeJournal(payload []byte) (journalRec, error) {
+	d := codec.NewDecoder(payload)
+	r := journalRec{typ: d.Byte(), lsn: d.Uvarint(), key: d.Str(), seq: d.Uvarint()}
+	if err := d.Finish(); err != nil {
+		return journalRec{}, fmt.Errorf("journal record: %w", err)
 	}
-	if be32(buf[0:4]) != uint32(len(buf)-frameOverhead) {
-		return nil, false
+	if r.typ < recTombstone || r.typ > recOwnSeq {
+		return journalRec{}, fmt.Errorf("journal record type %#x", r.typ)
 	}
-	payload := buf[frameOverhead:]
-	if crcOf(payload) != be32(buf[4:8]) {
-		return nil, false
+	return r, nil
+}
+
+// --- snapshot sections ---------------------------------------------------
+
+// appendSnapshot encodes the snapshot of the index: the meta section, one
+// frame per live entry, and the trailer counting them. The caller holds
+// s.mu; newGen is the journal generation the snapshot hands over to.
+func (s *Store) appendSnapshot(newGen uint64) []byte {
+	p := codec.AppendUvarint(append(s.scratch[:0], recSnapMeta), s.lsn)
+	p = codec.AppendUvarint(p, s.segNext)
+	p = codec.AppendUvarint(p, newGen)
+	p = codec.AppendUvarint(p, s.ownSeq)
+	p = codec.AppendVector(p, s.applied)
+	p = codec.AppendList(p, len(s.segs), false)
+	for _, seg := range s.segs {
+		p = codec.AppendVarint(codec.AppendUvarint(p, seg.id), seg.size)
 	}
-	return payload, true
+	buf := codec.AppendFrame(nil, p)
+	for key, r := range s.index {
+		p = codec.AppendString(append(p[:0], recSnapEntry), key)
+		p = codec.AppendUvarint(p, r.lsn)
+		p = codec.AppendUvarint(p, r.seg.id)
+		p = codec.AppendVarint(p, r.off)
+		p = codec.AppendVarint(p, r.size)
+		p = codec.AppendVarint(p, r.expiresAt)
+		p = codec.AppendQueries(p, r.deps)
+		buf = codec.AppendFrame(buf, p)
+	}
+	s.scratch = codec.AppendUvarint(append(p[:0], recSnapDone), uint64(len(s.index)))
+	return codec.AppendFrame(buf, s.scratch)
+}
+
+// add decodes one snapshot section into st, requiring the meta first, then
+// entries, then the trailer.
+func (st *bootState) addSnapshot(payload []byte) error {
+	d := codec.NewDecoder(payload)
+	switch t := d.Byte(); {
+	case t == recSnapMeta && !st.sawMeta:
+		st.lsn, st.segNext, st.journalGen, st.ownSeq = d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+		for o, seq := range d.Vector() {
+			st.applied[o] = seq
+		}
+		n, _ := d.List()
+		for i := 0; i < n; i++ {
+			id := d.Uvarint()
+			st.scanned[id] = d.Varint()
+		}
+		st.sawMeta = true
+	case t == recSnapEntry && st.sawMeta && !st.sawDone:
+		key := d.Str()
+		st.cands[key] = candidate{lsn: d.Uvarint(), segID: d.Uvarint(),
+			off: d.Varint(), size: d.Varint(), expiresAt: d.Varint(), deps: d.Queries()}
+		st.entries++
+	case t == recSnapDone && st.sawMeta && !st.sawDone:
+		st.count = d.Uvarint()
+		st.sawDone = true
+	default:
+		return fmt.Errorf("snapshot record type %#x out of order", t)
+	}
+	return d.Finish()
 }
 
 // --- frame scanning ------------------------------------------------------
 
-// scanFrames walks the CRC-framed records of f starting at offset from,
+// scanFrames walks the framed records of f starting at offset from,
 // invoking fn with each complete payload and its file position. The payload
 // buffer is reused between frames — fn must copy anything it keeps. It
 // returns the offset one past the last complete frame and whether trailing
-// bytes were discarded as a torn tail (truncated length header, short
-// payload, or checksum mismatch — the crash-mid-append shapes).
+// bytes were discarded as a torn tail: a frame cut off by the end of the
+// file or failing its checksum — the crash-mid-append shapes.
 func scanFrames(f *os.File, from int64, fn func(payload []byte, off, size int64) error) (validEnd int64, torn bool, err error) {
 	if _, err := f.Seek(from, io.SeekStart); err != nil {
 		return from, false, err
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
 	off := from
-	var hdr [frameOverhead]byte
-	var buf []byte
+	var payload []byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			// Clean EOF ends the scan; a partial header is a torn tail.
-			return off, err != io.EOF, nil
+		payload, err = codec.ReadFrame(br, payload)
+		if err == io.EOF {
+			return off, false, nil
 		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		sum := binary.BigEndian.Uint32(hdr[4:8])
-		if n > maxRecord {
+		if err != nil {
 			return off, true, nil
 		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return off, true, nil
-		}
-		if crc32.Checksum(buf, castagnoli) != sum {
-			return off, true, nil
-		}
-		size := int64(frameOverhead) + int64(n)
-		if fn != nil {
-			if err := fn(buf, off, size); err != nil {
-				return off, false, err
-			}
+		size := int64(codec.FrameOverhead + len(payload))
+		if err := fn(payload, off, size); err != nil {
+			return off, false, err
 		}
 		off += size
 	}

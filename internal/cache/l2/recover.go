@@ -16,14 +16,20 @@
 // fsync'd and renamed; old journal generations are deleted only after the
 // rename succeeds.
 //
-// Two boots refuse to trust the files: a snapshot that exists but does not
-// parse, and journal generations whose oldest is not generation zero while
-// no snapshot exists (a snapshot must have existed and deleted the earlier
-// generations — without it, replay could resurrect tombstoned entries).
-// Both cases discard the tier and start cold: safe, never stale.
+// One rule sorts every bad frame: a frame cut off by the end of its file or
+// failing its checksum is a torn tail, truncated as above; a complete,
+// checksum-valid frame that does not decode — an unknown record type
+// (including every record of an earlier format), malformed fields or
+// trailing bytes — discards the tier. Two more boots refuse to trust the
+// files: a snapshot that exists but is incomplete, and journal generations
+// whose oldest is not generation zero while no snapshot exists (a snapshot
+// must have existed and deleted the earlier generations — without it,
+// replay could resurrect tombstoned entries). Discarding the tier starts it
+// cold: safe, never stale.
 package l2
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,24 +40,29 @@ import (
 	"autowebcache/internal/analysis"
 )
 
-type snapEntry struct {
-	key       string
-	lsn       uint64
-	segID     uint64
-	off       int64
-	size      int64
-	expiresAt int64
-	deps      []analysis.Query
-}
-
-type snapState struct {
+// bootState is what boot recovery learns before it touches the store: the
+// snapshot's counters and index (when there is a snapshot), merged with
+// every segment record and journal generation read after it.
+type bootState struct {
 	lsn        uint64
 	segNext    uint64
 	journalGen uint64
 	ownSeq     uint64
 	applied    map[string]uint64
-	scanned    map[uint64]int64 // segment id → offset covered by the index
-	entries    []snapEntry
+	scanned    map[uint64]int64     // segment id → offset covered by the index
+	cands      map[string]candidate // newest record per key
+	tomb       map[string]uint64    // newest tombstone LSN per key
+	flushLSN   uint64
+
+	// Snapshot sections read: the meta, the entries, and the trailer with
+	// the count of entries written.
+	sawMeta, sawDone bool
+	entries, count   uint64
+}
+
+func newBootState() *bootState {
+	return &bootState{applied: map[string]uint64{}, scanned: map[uint64]int64{},
+		cands: map[string]candidate{}, tomb: map[string]uint64{}}
 }
 
 // candidate is the newest segment record seen for a key during recovery,
@@ -65,6 +76,11 @@ type candidate struct {
 	deps      []analysis.Query
 }
 
+// errUndecodable marks a complete, checksum-valid record that does not
+// decode: a record of another format or version, or corruption the
+// checksum missed. Boot cannot tell what it meant, so the tier starts cold.
+var errUndecodable = errors.New("undecodable record")
+
 func (s *Store) recover() error {
 	segIDs, genIDs, haveSnap, err := s.listFiles()
 	if err != nil {
@@ -72,10 +88,9 @@ func (s *Store) recover() error {
 	}
 	os.Remove(s.snapPath() + ".tmp") // stray temp from a crashed snapshot
 
-	var snap *snapState
+	st := newBootState()
 	if haveSnap {
-		snap, err = readSnapshot(s.snapPath())
-		if err != nil {
+		if st, err = readSnapshot(s.snapPath()); err != nil {
 			s.logf("l2: snapshot unreadable (%v): discarding tier, starting cold", err)
 			return s.coldStart(segIDs, genIDs)
 		}
@@ -84,62 +99,46 @@ func (s *Store) recover() error {
 		return s.coldStart(segIDs, genIDs)
 	}
 
-	cands := make(map[string]candidate)
-	scanned := map[uint64]int64{}
-	if snap != nil {
-		scanned = snap.scanned
-		for _, e := range snap.entries {
-			cands[e.key] = candidate{
-				lsn: e.lsn, segID: e.segID, off: e.off, size: e.size,
-				expiresAt: e.expiresAt, deps: e.deps,
-			}
-		}
-		s.lsn = snap.lsn
-		s.segNext = snap.segNext
-		s.journalGen = snap.journalGen
-		s.ownSeq = snap.ownSeq
-		for k, v := range snap.applied {
-			s.applied[k] = v
-		}
+	// Scan segment tails (everything past each snapshotted offset), then
+	// replay every journal generation in order.
+	sizes := make([]int64, len(segIDs))
+	for i := 0; i < len(segIDs) && err == nil; i++ {
+		sizes[i], err = s.scanSegment(segIDs[i], st)
+	}
+	for i := 0; i < len(genIDs) && err == nil; i++ {
+		err = s.replayJournal(genIDs[i], st)
+		st.journalGen = max(st.journalGen, genIDs[i]+1)
+	}
+	if errors.Is(err, errUndecodable) {
+		s.logf("%v: discarding tier, starting cold", err)
+		return s.coldStart(segIDs, genIDs)
+	}
+	if err != nil {
+		return err
 	}
 
-	// Scan segment tails (everything past each snapshotted offset).
+	s.lsn, s.segNext, s.journalGen, s.ownSeq = st.lsn, st.segNext, st.journalGen, st.ownSeq
+	for k, v := range st.applied {
+		s.applied[k] = v
+	}
 	segByID := make(map[uint64]*segment, len(segIDs))
-	for _, id := range segIDs {
-		size, err := s.scanSegment(id, scanned[id], cands)
-		if err != nil {
-			return err
-		}
+	for i, id := range segIDs {
 		r, err := os.Open(s.segPath(id))
 		if err != nil {
 			return fmt.Errorf("l2: reopen segment %d: %w", id, err)
 		}
-		seg := &segment{id: id, r: r, size: size}
+		seg := &segment{id: id, r: r, size: sizes[i]}
 		segByID[id] = seg
 		s.segs = append(s.segs, seg)
-		s.fileBytes += size
-		if id >= s.segNext {
-			s.segNext = id + 1
-		}
-	}
-
-	// Replay every journal generation in order.
-	tomb := make(map[string]uint64)
-	var flushLSN uint64
-	for _, gen := range genIDs {
-		if err := s.replayJournal(gen, tomb, &flushLSN); err != nil {
-			return err
-		}
-		if gen >= s.journalGen {
-			s.journalGen = gen + 1
-		}
+		s.fileBytes += seg.size
+		s.segNext = max(s.segNext, id+1)
 	}
 
 	// Materialise the index: newest record per key, minus tombstoned,
 	// flushed, expired and orphaned (segment gone) entries.
 	now := s.clock().UnixNano()
-	for key, c := range cands {
-		if tomb[key] > c.lsn || flushLSN > c.lsn {
+	for key, c := range st.cands {
+		if st.tomb[key] > c.lsn || st.flushLSN > c.lsn {
 			continue
 		}
 		seg, ok := segByID[c.segID]
@@ -165,31 +164,27 @@ func (s *Store) recover() error {
 	return s.openJournal()
 }
 
-// scanSegment walks one segment file from offset from, recording newest
-// candidates, and truncates a torn tail in place. Returns the valid size.
-func (s *Store) scanSegment(id uint64, from int64, cands map[string]candidate) (int64, error) {
+// scanSegment walks one segment file from the offset the snapshot covers,
+// recording newest candidates, and truncates a torn tail in place. Returns
+// the valid size.
+func (s *Store) scanSegment(id uint64, st *bootState) (int64, error) {
 	path := s.segPath(id)
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("l2: open segment %d: %w", id, err)
 	}
-	validEnd, torn, err := scanFrames(f, from, func(payload []byte, off, size int64) error {
-		rec, err := decodeEntry(payload)
+	validEnd, torn, err := scanFrames(f, st.scanned[id], func(payload []byte, off, size int64) error {
+		rec, _, err := decodeEntry(payload)
 		if err != nil {
-			// A complete, checksummed frame that does not decode is not a
-			// torn tail; skip it rather than dropping everything after it.
-			s.logf("l2: segment %d: undecodable record at %d: %v", id, off, err)
-			return nil
+			return fmt.Errorf("%w at %d: %v", errUndecodable, off, err)
 		}
-		if old, ok := cands[rec.key]; !ok || rec.lsn > old.lsn {
-			cands[rec.key] = candidate{
+		if old, ok := st.cands[rec.key]; !ok || rec.lsn > old.lsn {
+			st.cands[rec.key] = candidate{
 				lsn: rec.lsn, segID: id, off: off, size: size,
 				expiresAt: rec.expiresAt, deps: rec.deps,
 			}
 		}
-		if rec.lsn > s.lsn {
-			s.lsn = rec.lsn
-		}
+		st.lsn = max(st.lsn, rec.lsn)
 		return nil
 	})
 	f.Close()
@@ -206,54 +201,30 @@ func (s *Store) scanSegment(id uint64, from int64, cands map[string]candidate) (
 	return validEnd, nil
 }
 
-// replayJournal applies one journal generation to the recovery maps and
+// replayJournal applies one journal generation to the recovery state and
 // truncates its torn tail, if any.
-func (s *Store) replayJournal(gen uint64, tomb map[string]uint64, flushLSN *uint64) error {
+func (s *Store) replayJournal(gen uint64, st *bootState) error {
 	path := s.journalPath(gen)
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("l2: open journal %d: %w", gen, err)
 	}
 	validEnd, torn, err := scanFrames(f, 0, func(payload []byte, off, size int64) error {
-		r := reader{b: payload}
-		switch t := r.u8(); t {
+		r, err := decodeJournal(payload)
+		if err != nil {
+			return fmt.Errorf("%w at %d: %v", errUndecodable, off, err)
+		}
+		switch r.typ {
 		case recTombstone:
-			lsn := r.u64()
-			n := int(r.u32())
-			for i := 0; i < n && r.err == nil; i++ {
-				key := r.str()
-				if r.err == nil && lsn > tomb[key] {
-					tomb[key] = lsn
-				}
-			}
-			if lsn > s.lsn {
-				s.lsn = lsn
-			}
+			st.tomb[r.key] = max(st.tomb[r.key], r.lsn)
 		case recFlush:
-			if lsn := r.u64(); r.err == nil {
-				if lsn > *flushLSN {
-					*flushLSN = lsn
-				}
-				if lsn > s.lsn {
-					s.lsn = lsn
-				}
-			}
+			st.flushLSN = max(st.flushLSN, r.lsn)
 		case recApplied:
-			origin := r.str()
-			seq := r.u64()
-			if r.err == nil && seq > s.applied[origin] {
-				s.applied[origin] = seq
-			}
+			st.applied[r.key] = max(st.applied[r.key], r.seq)
 		case recOwnSeq:
-			if seq := r.u64(); r.err == nil && seq > s.ownSeq {
-				s.ownSeq = seq
-			}
-		default:
-			s.logf("l2: journal %d: unknown record type %d at %d", gen, t, off)
+			st.ownSeq = max(st.ownSeq, r.seq)
 		}
-		if r.err != nil {
-			s.logf("l2: journal %d: malformed record at %d: %v", gen, off, r.err)
-		}
+		st.lsn = max(st.lsn, r.lsn)
 		return nil
 	})
 	f.Close()
@@ -356,45 +327,7 @@ func (s *Store) WriteSnapshot() error {
 	s.journalGen = newGen
 	s.journalDirty = false
 
-	// Encode the index as of this instant.
-	p := []byte{recSnapMeta}
-	p = appendU64(p, s.lsn)
-	p = appendU64(p, s.segNext)
-	p = appendU64(p, newGen)
-	p = appendU64(p, s.ownSeq)
-	p = appendU32(p, uint32(len(s.applied)))
-	origins := make([]string, 0, len(s.applied))
-	for o := range s.applied {
-		origins = append(origins, o)
-	}
-	sort.Strings(origins)
-	for _, o := range origins {
-		p = appendStr(p, o)
-		p = appendU64(p, s.applied[o])
-	}
-	p = appendU32(p, uint32(len(s.segs)))
-	for _, seg := range s.segs {
-		p = appendU64(p, seg.id)
-		p = appendI64(p, seg.size)
-	}
-	buf := appendFrame(nil, p)
-	count := uint64(len(s.index))
-	for key, r := range s.index {
-		p = p[:0]
-		p = append(p, recSnapEntry)
-		p = appendStr(p, key)
-		p = appendU64(p, r.lsn)
-		p = appendU64(p, r.seg.id)
-		p = appendI64(p, r.off)
-		p = appendI64(p, r.size)
-		p = appendI64(p, r.expiresAt)
-		p = appendDeps(p, r.deps)
-		buf = appendFrame(buf, p)
-	}
-	p = p[:0]
-	p = append(p, recSnapDone)
-	p = appendU64(p, count)
-	buf = appendFrame(buf, p)
+	buf := s.appendSnapshot(newGen) // the index as of this instant
 	s.mu.Unlock()
 
 	oldJournal.Close()
@@ -432,59 +365,25 @@ func (s *Store) WriteSnapshot() error {
 // readSnapshot parses a snapshot file, requiring a meta section first and a
 // trailer whose count matches the entries read — anything less is treated
 // as corruption by the caller.
-func readSnapshot(path string) (*snapState, error) {
+func readSnapshot(path string) (*bootState, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	snap := &snapState{applied: map[string]uint64{}, scanned: map[uint64]int64{}}
-	sawMeta, sawDone := false, false
-	var doneCount uint64
+	st := newBootState()
 	_, torn, err := scanFrames(f, 0, func(payload []byte, off, size int64) error {
-		r := reader{b: payload}
-		switch t := r.u8(); {
-		case t == recSnapMeta && !sawMeta:
-			snap.lsn = r.u64()
-			snap.segNext = r.u64()
-			snap.journalGen = r.u64()
-			snap.ownSeq = r.u64()
-			for i, n := 0, int(r.u32()); i < n && r.err == nil; i++ {
-				o := r.str()
-				snap.applied[o] = r.u64()
-			}
-			for i, n := 0, int(r.u32()); i < n && r.err == nil; i++ {
-				id := r.u64()
-				snap.scanned[id] = r.i64()
-			}
-			sawMeta = true
-		case t == recSnapEntry && sawMeta && !sawDone:
-			e := snapEntry{
-				key:   r.str(),
-				lsn:   r.u64(),
-				segID: r.u64(),
-				off:   r.i64(),
-				size:  r.i64(),
-			}
-			e.expiresAt = r.i64()
-			e.deps = r.deps()
-			if r.err == nil {
-				snap.entries = append(snap.entries, e)
-			}
-		case t == recSnapDone && sawMeta && !sawDone:
-			doneCount = r.u64()
-			sawDone = true
-		default:
-			return fmt.Errorf("l2: snapshot record type %d out of order at %d", t, off)
+		if err := st.addSnapshot(payload); err != nil {
+			return fmt.Errorf("at %d: %w", off, err)
 		}
-		return r.err
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if torn || !sawMeta || !sawDone || doneCount != uint64(len(snap.entries)) {
+	if torn || !st.sawDone || st.count != st.entries {
 		return nil, fmt.Errorf("l2: snapshot incomplete (torn=%v meta=%v done=%v count=%d/%d)",
-			torn, sawMeta, sawDone, len(snap.entries), doneCount)
+			torn, st.sawMeta, st.sawDone, st.entries, st.count)
 	}
-	return snap, nil
+	return st, nil
 }

@@ -8,6 +8,9 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -279,6 +282,77 @@ func TestCacheCloseSpillsWithoutPressure(t *testing.T) {
 	}
 	if st := c.Snapshot(); st.Promotions != 3 {
 		t.Fatalf("want 3 promotions, got %+v", st)
+	}
+}
+
+// TestL2UnreadableRecordMissesAndUnlinks: a demoted page whose disk record
+// no longer reads back is a miss, counted by the tier, and its dependency
+// links go with it. Regenerated and demoted again, the page promotes back.
+func TestL2UnreadableRecordMissesAndUnlinks(t *testing.T) {
+	dir := t.TempDir()
+	store := newL2Store(t, dir, 0)
+	c := newTestCache(t, Options{MaxBytes: 4 << 10, L2: store})
+	defer c.Close()
+	const n = 12
+	for i := 0; i < n; i++ {
+		c.Insert(l2Key(i), l2Body(i), "text/html", []analysis.Query{l2Dep(i)}, 0)
+	}
+	victim := -1
+	for i := 0; i < n && victim < 0; i++ {
+		if !c.Contains(l2Key(i)) && store.Contains(l2Key(i)) {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no disk-only key")
+	}
+	// Flip one byte of the victim's body on disk.
+	seg, err := os.OpenFile(filepath.Join(dir, "seg-00000000.l2"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(b, l2Body(victim))
+	if at < 0 {
+		t.Fatal("victim body not found in the segment")
+	}
+	if _, err := seg.WriteAt([]byte{b[at+100] ^ 0xff}, int64(at+100)); err != nil {
+		t.Fatal(err)
+	}
+	seg.Close()
+
+	before := c.Snapshot()
+	if _, ok := c.Lookup(l2Key(victim)); ok {
+		t.Fatal("a corrupted disk record was served")
+	}
+	after := c.Snapshot()
+	if after.L2.Misses != before.L2.Misses+1 {
+		t.Fatalf("L2 misses %d -> %d, want one more", before.L2.Misses, after.L2.Misses)
+	}
+	if after.DepInstances != before.DepInstances-1 {
+		t.Fatalf("dependency instances %d -> %d, want the victim's unlinked", before.DepInstances, after.DepInstances)
+	}
+	if store.Contains(l2Key(victim)) {
+		t.Fatal("the unreadable record is still indexed")
+	}
+
+	// Regenerate the page and push it out of L1 again: the path still works.
+	c.Insert(l2Key(victim), l2Body(victim), "text/html", []analysis.Query{l2Dep(victim)}, 0)
+	for i := n; i < 2*n && c.Contains(l2Key(victim)); i++ {
+		c.Insert(l2Key(i), l2Body(i), "text/html", []analysis.Query{l2Dep(i)}, 0)
+	}
+	if c.Contains(l2Key(victim)) || !store.Contains(l2Key(victim)) {
+		t.Fatal("the regenerated page was not demoted")
+	}
+	promotions := c.Snapshot().Promotions
+	if pg, ok := c.Lookup(l2Key(victim)); !ok || !bytes.Equal(pg.Body, l2Body(victim)) {
+		t.Fatalf("regenerated page not served from disk: ok=%v", ok)
+	}
+	if st := c.Snapshot(); st.Promotions != promotions+1 {
+		t.Fatalf("promotions %d -> %d, want one more", promotions, st.Promotions)
 	}
 }
 

@@ -3,14 +3,13 @@ package cluster
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
 	"autowebcache/internal/analysis"
+	"autowebcache/internal/codec"
 	"autowebcache/internal/datasource"
 )
 
@@ -24,19 +23,8 @@ import (
 // Requests and responses alternate strictly on one connection; concurrency
 // comes from the per-peer connection pool, not from multiplexing.
 //
-// The meta is binary, each message type's fields in a fixed order:
-//
-//   - lengths, counts and unsigned integers are uvarints; signed integers
-//     are zigzag varints; a bool is one byte, 0 or 1;
-//   - a string is its uvarint length, then its bytes;
-//   - a value is a tag byte, then nothing (nil), a zigzag varint (int64),
-//     8 little-endian IEEE-754 bytes (float64) or a string;
-//   - a list or map that may be nil (query args, the applied vector, a
-//     captured row set's columns and rows) is its count plus one, 0 meaning
-//     nil, so nil and empty survive the round trip as themselves.
-//
-// The decoder checks every length and count against the bytes left before
-// it allocates, and rejects unknown tags and trailing bytes.
+// The meta is each message type's fields in a fixed order, in the binary
+// encoding of package codec; a meta with trailing bytes is refused.
 //
 // The type codes start at 0x11. Codes 1–10 carried JSON metas in an earlier
 // encoding; a node of either encoding refuses the other's frames as an
@@ -63,7 +51,7 @@ const maxFrame = 64 << 20
 // fixed order and decodes them in the same order.
 type meta interface {
 	appendTo(b []byte) []byte
-	decode(d *decoder)
+	decode(d *codec.Decoder)
 }
 
 // getMeta asks for one page.
@@ -71,8 +59,8 @@ type getMeta struct {
 	Key string
 }
 
-func (m *getMeta) appendTo(b []byte) []byte { return appendString(b, m.Key) }
-func (m *getMeta) decode(d *decoder)        { m.Key = d.string() }
+func (m *getMeta) appendTo(b []byte) []byte { return codec.AppendString(b, m.Key) }
+func (m *getMeta) decode(d *codec.Decoder)  { m.Key = d.Str() }
 
 // getRespMeta describes the fetched page; the body rides as frame body.
 // Deps carry the page's dependency information so the fetching node can
@@ -91,19 +79,19 @@ type getRespMeta struct {
 }
 
 func (m *getRespMeta) appendTo(b []byte) []byte {
-	b = appendBool(b, m.Found)
-	b = appendString(b, m.ContentType)
-	b = binary.AppendVarint(b, m.TTLNanos)
-	b = appendQueries(b, m.Deps)
-	return appendVector(b, m.Applied)
+	b = codec.AppendBool(b, m.Found)
+	b = codec.AppendString(b, m.ContentType)
+	b = codec.AppendVarint(b, m.TTLNanos)
+	b = codec.AppendQueries(b, m.Deps)
+	return codec.AppendVector(b, m.Applied)
 }
 
-func (m *getRespMeta) decode(d *decoder) {
-	m.Found = d.bool()
-	m.ContentType = d.string()
-	m.TTLNanos = d.varint()
-	m.Deps = d.queries()
-	m.Applied = d.vector()
+func (m *getRespMeta) decode(d *codec.Decoder) {
+	m.Found = d.Bool()
+	m.ContentType = d.Str()
+	m.TTLNanos = d.Varint()
+	m.Deps = d.Queries()
+	m.Applied = d.Vector()
 }
 
 // putMeta replicates a locally generated page to the key's owner.
@@ -119,27 +107,27 @@ type putMeta struct {
 }
 
 func (m *putMeta) appendTo(b []byte) []byte {
-	b = appendString(b, m.Key)
-	b = appendString(b, m.ContentType)
-	b = binary.AppendVarint(b, m.TTLNanos)
-	b = appendQueries(b, m.Deps)
-	return appendVector(b, m.Applied)
+	b = codec.AppendString(b, m.Key)
+	b = codec.AppendString(b, m.ContentType)
+	b = codec.AppendVarint(b, m.TTLNanos)
+	b = codec.AppendQueries(b, m.Deps)
+	return codec.AppendVector(b, m.Applied)
 }
 
-func (m *putMeta) decode(d *decoder) {
-	m.Key = d.string()
-	m.ContentType = d.string()
-	m.TTLNanos = d.varint()
-	m.Deps = d.queries()
-	m.Applied = d.vector()
+func (m *putMeta) decode(d *codec.Decoder) {
+	m.Key = d.Str()
+	m.ContentType = d.Str()
+	m.TTLNanos = d.Varint()
+	m.Deps = d.Queries()
+	m.Applied = d.Vector()
 }
 
 type putRespMeta struct {
 	OK bool
 }
 
-func (m *putRespMeta) appendTo(b []byte) []byte { return appendBool(b, m.OK) }
-func (m *putRespMeta) decode(d *decoder)        { m.OK = d.bool() }
+func (m *putRespMeta) appendTo(b []byte) []byte { return codec.AppendBool(b, m.OK) }
+func (m *putRespMeta) decode(d *codec.Decoder)  { m.OK = d.Bool() }
 
 // invMeta carries a write capture for remote invalidation. Flush is the
 // dedicated msgFlush, not an empty capture. Origin/Seq sequence the
@@ -155,49 +143,49 @@ type invMeta struct {
 
 func (m *invMeta) appendTo(b []byte) []byte {
 	w := &m.Capture
-	b = appendString(b, w.SQL)
-	b = appendValues(b, w.Args)
-	b = appendBool(b, w.Affected != nil)
+	b = codec.AppendString(b, w.SQL)
+	b = codec.AppendValues(b, w.Args)
+	b = codec.AppendBool(b, w.Affected != nil)
 	if w.Affected != nil {
-		b = appendList(b, len(w.Affected.Columns), w.Affected.Columns == nil)
+		b = codec.AppendList(b, len(w.Affected.Columns), w.Affected.Columns == nil)
 		for _, c := range w.Affected.Columns {
-			b = appendString(b, c)
+			b = codec.AppendString(b, c)
 		}
-		b = appendList(b, len(w.Affected.Data), w.Affected.Data == nil)
+		b = codec.AppendList(b, len(w.Affected.Data), w.Affected.Data == nil)
 		for _, row := range w.Affected.Data {
-			b = appendValues(b, row)
+			b = codec.AppendValues(b, row)
 		}
 	}
-	b = binary.AppendVarint(b, w.AutoID)
-	b = appendBool(b, w.HasAutoID)
-	b = appendString(b, m.Origin)
-	return binary.AppendUvarint(b, m.Seq)
+	b = codec.AppendVarint(b, w.AutoID)
+	b = codec.AppendBool(b, w.HasAutoID)
+	b = codec.AppendString(b, m.Origin)
+	return codec.AppendUvarint(b, m.Seq)
 }
 
-func (m *invMeta) decode(d *decoder) {
+func (m *invMeta) decode(d *codec.Decoder) {
 	w := &m.Capture
-	w.SQL = d.string()
-	w.Args = d.values()
-	if d.bool() {
+	w.SQL = d.Str()
+	w.Args = d.Values()
+	if d.Bool() {
 		rows := &datasource.Rows{}
-		if n, ok := d.list(); ok {
+		if n, ok := d.List(); ok {
 			rows.Columns = make([]string, n)
 			for i := range rows.Columns {
-				rows.Columns[i] = d.string()
+				rows.Columns[i] = d.Str()
 			}
 		}
-		if n, ok := d.list(); ok {
+		if n, ok := d.List(); ok {
 			rows.Data = make([][]datasource.Value, n)
 			for i := range rows.Data {
-				rows.Data[i] = d.values()
+				rows.Data[i] = d.Values()
 			}
 		}
 		w.Affected = rows
 	}
-	w.AutoID = d.varint()
-	w.HasAutoID = d.bool()
-	m.Origin = d.string()
-	m.Seq = d.uvarint()
+	w.AutoID = d.Varint()
+	w.HasAutoID = d.Bool()
+	m.Origin = d.Str()
+	m.Seq = d.Uvarint()
 }
 
 // invRespMeta reports how many pages and result sets the peer removed.
@@ -207,13 +195,13 @@ type invRespMeta struct {
 }
 
 func (m *invRespMeta) appendTo(b []byte) []byte {
-	b = binary.AppendVarint(b, int64(m.Pages))
-	return binary.AppendVarint(b, int64(m.Results))
+	b = codec.AppendVarint(b, int64(m.Pages))
+	return codec.AppendVarint(b, int64(m.Results))
 }
 
-func (m *invRespMeta) decode(d *decoder) {
-	m.Pages = int(d.varint())
-	m.Results = int(d.varint())
+func (m *invRespMeta) decode(d *codec.Decoder) {
+	m.Pages = int(d.Varint())
+	m.Results = int(d.Varint())
 }
 
 // flushMeta sequences a flush broadcast exactly like invMeta sequences a
@@ -224,20 +212,20 @@ type flushMeta struct {
 }
 
 func (m *flushMeta) appendTo(b []byte) []byte {
-	return binary.AppendUvarint(appendString(b, m.Origin), m.Seq)
+	return codec.AppendUvarint(codec.AppendString(b, m.Origin), m.Seq)
 }
 
-func (m *flushMeta) decode(d *decoder) {
-	m.Origin = d.string()
-	m.Seq = d.uvarint()
+func (m *flushMeta) decode(d *codec.Decoder) {
+	m.Origin = d.Str()
+	m.Seq = d.Uvarint()
 }
 
 type flushRespMeta struct {
 	OK bool
 }
 
-func (m *flushRespMeta) appendTo(b []byte) []byte { return appendBool(b, m.OK) }
-func (m *flushRespMeta) decode(d *decoder)        { m.OK = d.bool() }
+func (m *flushRespMeta) appendTo(b []byte) []byte { return codec.AppendBool(b, m.OK) }
+func (m *flushRespMeta) decode(d *codec.Decoder)  { m.OK = d.Bool() }
 
 // pingMeta is a health probe. Origin is the sender's ring identity and Seq
 // its completed-broadcast watermark: every invalidation the sender has
@@ -251,12 +239,12 @@ type pingMeta struct {
 }
 
 func (m *pingMeta) appendTo(b []byte) []byte {
-	return binary.AppendUvarint(appendString(b, m.Origin), m.Seq)
+	return codec.AppendUvarint(codec.AppendString(b, m.Origin), m.Seq)
 }
 
-func (m *pingMeta) decode(d *decoder) {
-	m.Origin = d.string()
-	m.Seq = d.uvarint()
+func (m *pingMeta) decode(d *codec.Decoder) {
+	m.Origin = d.Str()
+	m.Seq = d.Uvarint()
 }
 
 // pongMeta echoes the responder's last-applied seq for the pinger's origin
@@ -267,247 +255,12 @@ type pongMeta struct {
 }
 
 func (m *pongMeta) appendTo(b []byte) []byte {
-	return binary.AppendUvarint(appendBool(b, m.OK), m.Applied)
+	return codec.AppendUvarint(codec.AppendBool(b, m.OK), m.Applied)
 }
 
-func (m *pongMeta) decode(d *decoder) {
-	m.OK = d.bool()
-	m.Applied = d.uvarint()
-}
-
-// Value tags.
-const (
-	tagNil byte = iota
-	tagInt
-	tagFloat
-	tagString
-)
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-// appendList writes the count of a list that may be nil: count+1, 0 = nil.
-func appendList(b []byte, n int, isNil bool) []byte {
-	if isNil {
-		return append(b, 0)
-	}
-	return binary.AppendUvarint(b, uint64(n)+1)
-}
-
-func appendValue(b []byte, v datasource.Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(b, tagNil)
-	case int64:
-		return binary.AppendVarint(append(b, tagInt), x)
-	case float64:
-		return binary.LittleEndian.AppendUint64(append(b, tagFloat), math.Float64bits(x))
-	case string:
-		return appendString(append(b, tagString), x)
-	default:
-		// Unreachable for normalised values; stringify rather than drop.
-		return appendString(append(b, tagString), fmt.Sprint(x))
-	}
-}
-
-func appendValues(b []byte, vs []datasource.Value) []byte {
-	b = appendList(b, len(vs), vs == nil)
-	for _, v := range vs {
-		b = appendValue(b, v)
-	}
-	return b
-}
-
-func appendQueries(b []byte, qs []analysis.Query) []byte {
-	b = appendList(b, len(qs), qs == nil)
-	for _, q := range qs {
-		b = appendValues(appendString(b, q.SQL), q.Args)
-	}
-	return b
-}
-
-func appendVector(b []byte, v map[string]uint64) []byte {
-	b = appendList(b, len(v), v == nil)
-	for o, s := range v {
-		b = binary.AppendUvarint(appendString(b, o), s)
-	}
-	return b
-}
-
-// decoder reads a meta. The first error sticks: later reads return zero
-// values, and decodeMeta reports the error once the message is read.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-	// s is b as one string, made on the first non-empty string read;
-	// decoded strings are substrings of it, so a meta costs one string
-	// allocation however many strings it carries.
-	s string
-}
-
-var errTruncated = errors.New("truncated")
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *decoder) left() int { return len(d.b) - d.off }
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.left() < 1 {
-		d.fail(errTruncated)
-		return 0
-	}
-	c := d.b[d.off]
-	d.off++
-	return c
-}
-
-func (d *decoder) bool() bool {
-	switch c := d.byte(); c {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail(fmt.Errorf("bad bool byte %#x", c))
-		return false
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail(errors.New("bad uvarint"))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail(errors.New("bad varint"))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// size checks a decoded length or count against the bytes left: every byte
-// of a string and every element of a list takes at least one byte, so a
-// larger value is corrupt — refused before anything is sized by it.
-func (d *decoder) size(n uint64) int {
-	if n > uint64(d.left()) {
-		d.fail(fmt.Errorf("length %d exceeds the %d bytes left", n, d.left()))
-		return 0
-	}
-	return int(n)
-}
-
-// list reads the count of a list that may be nil; ok=false means nil (or a
-// decode error).
-func (d *decoder) list() (n int, ok bool) {
-	c := d.uvarint()
-	if c == 0 {
-		return 0, false
-	}
-	n = d.size(c - 1)
-	return n, d.err == nil
-}
-
-func (d *decoder) string() string {
-	n := d.size(d.uvarint())
-	if n == 0 {
-		return ""
-	}
-	if d.s == "" {
-		d.s = string(d.b)
-	}
-	s := d.s[d.off : d.off+n]
-	d.off += n
-	return s
-}
-
-func (d *decoder) value() datasource.Value {
-	switch tag := d.byte(); tag {
-	case tagNil:
-		return nil
-	case tagInt:
-		return d.varint()
-	case tagFloat:
-		if d.left() < 8 {
-			d.fail(errTruncated)
-			return nil
-		}
-		bits := binary.LittleEndian.Uint64(d.b[d.off:])
-		d.off += 8
-		return math.Float64frombits(bits)
-	case tagString:
-		return d.string()
-	default:
-		d.fail(fmt.Errorf("unknown value tag %#x", tag))
-		return nil
-	}
-}
-
-func (d *decoder) values() []datasource.Value {
-	n, ok := d.list()
-	if !ok {
-		return nil
-	}
-	vs := make([]datasource.Value, n)
-	for i := range vs {
-		vs[i] = d.value()
-	}
-	return vs
-}
-
-func (d *decoder) queries() []analysis.Query {
-	n, ok := d.list()
-	if !ok {
-		return nil
-	}
-	qs := make([]analysis.Query, n)
-	for i := range qs {
-		qs[i].SQL = d.string()
-		qs[i].Args = d.values()
-	}
-	return qs
-}
-
-func (d *decoder) vector() map[string]uint64 {
-	n, ok := d.list()
-	if !ok {
-		return nil
-	}
-	v := make(map[string]uint64, n)
-	for i := 0; i < n; i++ {
-		o := d.string()
-		v[o] = d.uvarint()
-	}
-	return v
+func (m *pongMeta) decode(d *codec.Decoder) {
+	m.OK = d.Bool()
+	m.Applied = d.Uvarint()
 }
 
 // ttlFromNanos converts a wire TTL, clamping negatives (a page that expired
@@ -576,13 +329,10 @@ func readFrame(r *bufio.Reader) (typ byte, meta, body []byte, err error) {
 
 // decodeMeta decodes a frame's meta into m, refusing trailing bytes.
 func decodeMeta(typ byte, raw []byte, m meta) error {
-	d := decoder{b: raw}
-	m.decode(&d)
-	if d.err == nil && d.off != len(raw) {
-		d.err = fmt.Errorf("%d trailing bytes", len(raw)-d.off)
-	}
-	if d.err != nil {
-		return fmt.Errorf("cluster: decode type-%#x meta: %w", typ, d.err)
+	d := codec.NewDecoder(raw)
+	m.decode(d)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("cluster: decode type-%#x meta: %w", typ, err)
 	}
 	return nil
 }

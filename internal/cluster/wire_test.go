@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"autowebcache/internal/analysis"
+	"autowebcache/internal/codec"
 	"autowebcache/internal/memdb"
 )
 
@@ -81,23 +82,6 @@ func sameBits(a, b reflect.Value) bool {
 		return true
 	}
 	return a.Equal(b)
-}
-
-func TestWireValueRoundTrip(t *testing.T) {
-	vals := []memdb.Value{nil, int64(42), int64(-7), 3.25, "hello", ""}
-	d := decoder{b: appendValues(nil, vals)}
-	got := d.values()
-	if d.err != nil || d.left() != 0 {
-		t.Fatalf("decode: err=%v, %d bytes left", d.err, d.left())
-	}
-	if !reflect.DeepEqual(got, vals) {
-		t.Fatalf("round trip: %#v != %#v", got, vals)
-	}
-	// int64 must stay int64 (memdb.Equal(int64, float64) holds, but
-	// KeyOfValues keys and probe indexes depend on canonical types).
-	if _, ok := got[1].(int64); !ok {
-		t.Fatalf("int64 decayed to %T", got[1])
-	}
 }
 
 func TestWireCaptureRoundTrip(t *testing.T) {
@@ -274,23 +258,23 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 func TestDecodeMetaRefuses(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<62)
 	// A put meta up to its deps: key "k", empty content type, TTL 0.
-	putPrefix := append(appendString(nil, "k"), 0, 0)
+	putPrefix := append(codec.AppendString(nil, "k"), 0, 0)
 	cases := []struct {
 		name string
 		typ  byte
 		raw  []byte
 		want string
 	}{
-		{"trailing bytes", msgGet, append(appendString(nil, "k"), 0), "trailing"},
-		{"unknown value tag", msgInv, append(appendString(nil, "DELETE FROM t WHERE a = ?"), 2, 0x7f), "tag"},
+		{"trailing bytes", msgGet, append(codec.AppendString(nil, "k"), 0), "trailing"},
+		{"unknown value tag", msgInv, append(codec.AppendString(nil, "DELETE FROM t WHERE a = ?"), 2, 0x7f), "tag"},
 		{"bad bool", msgPutResp, []byte{2}, "bool"},
-		{"truncated", msgPing, appendString(nil, "origin")[:3], "exceeds"},
-		{"truncated float", msgInv, append(appendString(nil, "x"), 2, tagFloat, 0, 0), "truncated"},
+		{"truncated", msgPing, codec.AppendString(nil, "origin")[:3], "exceeds"},
+		{"truncated float", msgInv, append(append(codec.AppendString(nil, "x"), 2), codec.AppendValue(nil, 1.5)[:3]...), "truncated"},
 		{"string length beyond bytes left", msgGet, append(huge, 'k'), "exceeds"},
 		{"deps count beyond bytes left", msgPut, append(putPrefix, huge...), "exceeds"},
-		{"args count beyond bytes left", msgInv, append(appendString(nil, "x"), huge...), "exceeds"},
+		{"args count beyond bytes left", msgInv, append(codec.AppendString(nil, "x"), huge...), "exceeds"},
 		{"vector count beyond bytes left", msgGetResp, append([]byte{1, 0, 0, 0}, huge...), "exceeds"},
-		{"affected rows beyond bytes left", msgInv, append(append(appendString(nil, "x"), 0, 1, 0), huge...), "exceeds"},
+		{"affected rows beyond bytes left", msgInv, append(append(codec.AppendString(nil, "x"), 0, 1, 0), huge...), "exceeds"},
 	}
 	for _, c := range cases {
 		err := decodeMeta(c.typ, c.raw, metaFor(c.typ))

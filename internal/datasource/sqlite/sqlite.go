@@ -10,8 +10,9 @@
 // internal/datasource/conformance.
 //
 // Storage model: every committed write statement is appended to the database
-// file as one JSON line {"sql": ..., "args": [...]}, integers encoded as
-// strings so 64-bit keys survive JSON. Each process keeps a memdb replica.
+// file as one codec frame ([length][CRC-32C][payload]) whose payload is the
+// SQL text, then the argument values, in the binary encoding of package
+// codec. Each process keeps a memdb replica.
 // A write takes an exclusive flock on the database file, which covers replay
 // of the log suffix the replica has not applied yet + execute + append; that
 // is what gives N cluster processes sharing one database file sequentially
@@ -21,19 +22,26 @@
 // does it replay the suffix, under a shared flock. The statement itself runs
 // outside both the flock and the process lock, under memdb's own table
 // locks.
+//
+// A frame cut off by the end of the file, or one failing its checksum that
+// ends exactly there, is the torn tail of a crashed writer: it is not
+// applied, and the next writer truncates it and writes over it. Any other
+// bad frame is corruption and is reported; so is a file in the JSON-lines
+// format of earlier versions, which is refused and left as it is.
 package sqlite
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"autowebcache/internal/codec"
 	"autowebcache/internal/datasource"
 	"autowebcache/internal/memdb"
 )
@@ -95,67 +103,25 @@ func openFileDB(path string) (*fileDB, error) {
 	return d, nil
 }
 
-// logRecord is one committed write statement.
-type logRecord struct {
-	SQL  string     `json:"sql"`
-	Args []logValue `json:"args"`
+// appendStatement appends the log frame of one committed statement.
+func appendStatement(b []byte, sqlText string, args []datasource.Value) []byte {
+	return codec.AppendFrame(b, codec.AppendValues(codec.AppendString(nil, sqlText), args))
 }
 
-// logValue serialises one canonical value. Integers are encoded as strings
-// because JSON numbers round-trip through float64 and would corrupt 64-bit
-// keys.
-type logValue struct{ v datasource.Value }
-
-func (lv logValue) MarshalJSON() ([]byte, error) {
-	switch x := lv.v.(type) {
-	case nil:
-		return []byte("null"), nil
-	case int64:
-		return json.Marshal(map[string]string{"i": strconv.FormatInt(x, 10)})
-	case float64:
-		return json.Marshal(map[string]float64{"f": x})
-	case string:
-		return json.Marshal(map[string]string{"s": x})
-	}
-	return nil, fmt.Errorf("sqlite: cannot log value of type %T", lv.v)
+// decodeStatement decodes the payload of one log frame.
+func decodeStatement(payload []byte) (string, []datasource.Value, error) {
+	d := codec.NewDecoder(payload)
+	sqlText, args := d.Str(), d.Values()
+	return sqlText, args, d.Finish()
 }
 
-func (lv *logValue) UnmarshalJSON(b []byte) error {
-	if bytes.Equal(bytes.TrimSpace(b), []byte("null")) {
-		lv.v = nil
-		return nil
-	}
-	var aux struct {
-		I *string  `json:"i"`
-		F *float64 `json:"f"`
-		S *string  `json:"s"`
-	}
-	if err := json.Unmarshal(b, &aux); err != nil {
-		return err
-	}
-	switch {
-	case aux.I != nil:
-		n, err := strconv.ParseInt(*aux.I, 10, 64)
-		if err != nil {
-			return fmt.Errorf("sqlite: bad int in log: %w", err)
-		}
-		lv.v = n
-	case aux.F != nil:
-		lv.v = *aux.F
-	case aux.S != nil:
-		lv.v = *aux.S
-	default:
-		return fmt.Errorf("sqlite: empty value in log")
-	}
-	return nil
-}
-
-// replayLocked applies the log suffix past d.applied to the memdb replica.
-// The caller holds d.mu and at least a shared flock on d.f.
-func (d *fileDB) replayLocked(ctx context.Context) error {
+// replayLocked applies the log suffix past d.applied to the memdb replica
+// and reports whether the log ends in a torn frame. The caller holds d.mu
+// and at least a shared flock on d.f.
+func (d *fileDB) replayLocked(ctx context.Context) (torn bool, err error) {
 	st, err := d.f.Stat()
 	if err != nil {
-		return err
+		return false, err
 	}
 	size := st.Size()
 	if size < d.applied.Load() {
@@ -166,47 +132,49 @@ func (d *fileDB) replayLocked(ctx context.Context) error {
 	}
 	off := d.applied.Load()
 	if size == off {
-		return nil
+		return false, nil
 	}
 	buf := make([]byte, size-off)
 	if _, err := d.f.ReadAt(buf, off); err != nil {
-		return err
+		return false, err
 	}
+	// No frame starts with '{': its length would exceed codec.MaxFrame.
+	if off == 0 && buf[0] == '{' {
+		return false, fmt.Errorf("sqlite: %s holds a JSON-lines statement log of an earlier version; recreate the database", d.path)
+	}
+	r := bytes.NewReader(buf)
 	mem := d.mem.Load()
-	for len(buf) > 0 {
-		nl := bytes.IndexByte(buf, '\n')
-		if nl < 0 {
-			// Torn trailing line from a crashed writer; leave it for the
-			// next exclusive-lock holder to overwrite.
-			break
+	var payload []byte
+	for {
+		payload, err = codec.ReadFrame(r, payload)
+		switch {
+		case err == io.EOF:
+			return false, nil
+		case errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, codec.ErrChecksum) && r.Len() == 0:
+			// A crashed writer's torn frame; the next exclusive-lock holder
+			// overwrites it.
+			return true, nil
+		case err != nil:
+			return false, fmt.Errorf("sqlite: corrupt log %s at byte %d: %w", d.path, off, err)
 		}
-		err := d.apply(ctx, mem, buf[:nl])
-		buf = buf[nl+1:]
-		// The line is consumed even when it fails, so a bad record is
+		err = d.apply(ctx, mem, payload)
+		// The frame is consumed even when it fails, so a bad record is
 		// reported once, not on every later statement.
-		off += int64(nl) + 1
+		off += int64(codec.FrameOverhead + len(payload))
 		d.applied.Store(off)
 		if err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
 }
 
-// apply replays one log line into mem.
-func (d *fileDB) apply(ctx context.Context, mem *memdb.DB, line []byte) error {
-	if len(bytes.TrimSpace(line)) == 0 {
-		return nil
-	}
-	var rec logRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
+// apply replays one logged statement into mem.
+func (d *fileDB) apply(ctx context.Context, mem *memdb.DB, payload []byte) error {
+	sqlText, args, err := decodeStatement(payload)
+	if err != nil {
 		return fmt.Errorf("sqlite: corrupt log %s: %w", d.path, err)
 	}
-	args := make([]any, len(rec.Args))
-	for i := range rec.Args {
-		args[i] = rec.Args[i].v
-	}
-	if _, err := mem.Exec(ctx, rec.SQL, args...); err != nil {
+	if _, err := mem.Exec(ctx, sqlText, args...); err != nil {
 		return fmt.Errorf("sqlite: replaying %s: %w", d.path, err)
 	}
 	return nil
@@ -233,7 +201,7 @@ func (d *fileDB) replica(ctx context.Context) (*memdb.DB, error) {
 		return nil, fmt.Errorf("sqlite: lock %s: %w", d.path, err)
 	}
 	defer funlock(d.f)
-	if err := d.replayLocked(ctx); err != nil {
+	if _, err := d.replayLocked(ctx); err != nil {
 		return nil, err
 	}
 	return d.mem.Load(), nil
@@ -266,7 +234,8 @@ func (d *fileDB) Exec(ctx context.Context, sqlText string, args ...any) (datasou
 		return datasource.Result{}, fmt.Errorf("sqlite: lock %s: %w", d.path, err)
 	}
 	defer funlock(d.f)
-	if err := d.replayLocked(ctx); err != nil {
+	torn, err := d.replayLocked(ctx)
+	if err != nil {
 		return datasource.Result{}, err
 	}
 	res, err := d.mem.Load().Exec(ctx, sqlText, vals...)
@@ -275,19 +244,19 @@ func (d *fileDB) Exec(ctx context.Context, sqlText string, args ...any) (datasou
 		// writes.
 		return res, err
 	}
-	wrapped := make([]logValue, len(vals))
-	for i, v := range vals {
-		wrapped[i] = logValue{v}
+	end := d.applied.Load()
+	if torn {
+		// Cut the torn frame off first: bytes of it left past a shorter
+		// frame would read as a corrupt frame in mid-log.
+		if err := d.f.Truncate(end); err != nil {
+			return res, fmt.Errorf("sqlite: truncating the torn tail of %s: %w", d.path, err)
+		}
 	}
-	line, err := json.Marshal(logRecord{SQL: sqlText, Args: wrapped})
-	if err != nil {
-		return res, fmt.Errorf("sqlite: logging %s: %w", d.path, err)
-	}
-	line = append(line, '\n')
-	if _, err := d.f.WriteAt(line, d.applied.Load()); err != nil {
+	frame := appendStatement(nil, sqlText, vals)
+	if _, err := d.f.WriteAt(frame, end); err != nil {
 		return res, fmt.Errorf("sqlite: appending to %s: %w", d.path, err)
 	}
-	d.applied.Add(int64(len(line)))
+	d.applied.Add(int64(len(frame)))
 	return res, nil
 }
 

@@ -3,16 +3,19 @@
 package sqlite_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"autowebcache/internal/codec"
 	"autowebcache/internal/datasource"
 
 	_ "autowebcache/internal/datasource/sqlite" // register "sqlite"
@@ -107,33 +110,95 @@ func TestReadYourWriteAcrossReplicas(t *testing.T) {
 	}
 }
 
-func TestTornTailSkippedThenOverwritten(t *testing.T) {
-	cs, path := replicas(t, 3)
-	a, b, late := cs[0], cs[1], cs[2]
-	mustExec(t, a, "CREATE TABLE t (id INTEGER, v TEXT)")
-	mustExec(t, a, "INSERT INTO t (id, v) VALUES (1, 'kept')")
-	// A writer that crashed mid-append leaves a line without its newline.
+// statementFrame is the log frame of one statement without arguments.
+func statementFrame(sql string) []byte {
+	return codec.AppendFrame(nil, codec.AppendValues(codec.AppendString(nil, sql), nil))
+}
+
+func appendBytes(t *testing.T, path string, b []byte) {
+	t.Helper()
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"sql":"INSERT INTO t (id, v) VAL`); err != nil {
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	if n := count(t, b); n != 1 {
-		t.Fatalf("reader past a torn tail sees %d rows, want 1", n)
+}
+
+// A crashed writer's frame, whether cut off mid-payload or whole but
+// failing its checksum at the end of the file, is a torn tail: replicas
+// skip it, and the next write replaces it — even with a shorter frame.
+func TestTornTailSkippedThenOverwritten(t *testing.T) {
+	torn := statementFrame("INSERT INTO t (id, v) VALUES (3, 'a torn statement, longer than the write that replaces it')")
+	badSum := append([]byte(nil), torn...)
+	badSum[len(badSum)-2] ^= 0x20
+	for name, tail := range map[string][]byte{
+		"cut mid-payload":       torn[:len(torn)-9],
+		"checksum fails at EOF": badSum,
+		"cut inside the header": torn[:5],
+	} {
+		t.Run(name, func(t *testing.T) {
+			cs, path := replicas(t, 3)
+			a, b, late := cs[0], cs[1], cs[2]
+			mustExec(t, a, "CREATE TABLE t (id INTEGER, v TEXT)")
+			mustExec(t, a, "INSERT INTO t (id, v) VALUES (1, 'kept')")
+			clean := fileSize(t, path)
+			appendBytes(t, path, tail)
+			if n := count(t, b); n != 1 {
+				t.Fatalf("reader past a torn tail sees %d rows, want 1", n)
+			}
+			// The next writer replaces the torn bytes with its own frame.
+			mustExec(t, b, "INSERT INTO t (id, v) VALUES (2, 'after')")
+			if got, want := fileSize(t, path), clean+int64(len(statementFrame("INSERT INTO t (id, v) VALUES (2, 'after')"))); got != want {
+				t.Fatalf("log is %d bytes after the overwrite, want %d", got, want)
+			}
+			for name, c := range map[string]datasource.Conn{"a": a, "b": b} {
+				if n := count(t, c); n != 2 {
+					t.Fatalf("replica %s sees %d rows after the overwrite, want 2", name, n)
+				}
+			}
+			// A replica that has applied nothing replays the whole file cleanly.
+			if n := count(t, late); n != 2 {
+				t.Fatalf("fresh replay sees %d rows, want 2", n)
+			}
+		})
 	}
-	// The next writer overwrites the torn bytes with its own record.
-	mustExec(t, b, "INSERT INTO t (id, v) VALUES (2, 'after-the-tear, and long enough to cover it')")
-	for name, c := range map[string]datasource.Conn{"a": a, "b": b} {
-		if n := count(t, c); n != 2 {
-			t.Fatalf("replica %s sees %d rows after the overwrite, want 2", name, n)
-		}
+}
+
+// A frame failing its checksum before the end of the log is not a torn
+// tail: replicas report corruption instead of skipping it.
+func TestChecksumFailureMidLogIsCorruption(t *testing.T) {
+	cs, path := replicas(t, 2)
+	a, b := cs[0], cs[1]
+	mustExec(t, a, "CREATE TABLE t (id INTEGER)")
+	bad := statementFrame("INSERT INTO t (id) VALUES (1)")
+	bad[len(bad)-1] ^= 0x01
+	appendBytes(t, path, append(bad, statementFrame("INSERT INTO t (id) VALUES (2)")...))
+	if _, err := b.Query(ctx, "SELECT COUNT(*) FROM t"); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("query over a mid-log checksum failure: %v, want a corruption error", err)
 	}
-	// A replica that has applied nothing replays the whole file cleanly.
-	if n := count(t, late); n != 2 {
-		t.Fatalf("fresh replay sees %d rows, want 2", n)
+}
+
+// A log written in the JSON-lines format of earlier versions is refused
+// with an error naming the format, and neither reads nor writes change it.
+func TestJSONLinesLogRefused(t *testing.T) {
+	cs, path := replicas(t, 1)
+	c := cs[0]
+	old := []byte(`{"sql":"CREATE TABLE t (id INTEGER)","args":[]}` + "\n" +
+		`{"sql":"INSERT INTO t (id) VALUES (?)","args":[{"i":"1"}]}` + "\n")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(ctx, "SELECT COUNT(*) FROM t"); err == nil || !strings.Contains(err.Error(), "JSON-lines") {
+		t.Fatalf("query over a JSON-lines log: %v, want an error naming the format", err)
+	}
+	if _, err := c.Exec(ctx, "INSERT INTO t (id) VALUES (2)"); err == nil || !strings.Contains(err.Error(), "JSON-lines") {
+		t.Fatalf("write to a JSON-lines log: %v, want an error naming the format", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the JSON-lines log changed: %q, %v", got, err)
 	}
 }
 
