@@ -178,10 +178,6 @@ type PageCacheConfig struct {
 	// Replacement picks the eviction policy for bounded caches (default
 	// LRU).
 	Replacement Replacement
-	// Shards is the page cache's lock-stripe count, rounded up to a power
-	// of two (0 picks GOMAXPROCS rounded likewise). Higher values reduce
-	// contention between concurrent request goroutines.
-	Shards int
 	// L2Path enables the disk (SSD) tier: a directory where pages evicted
 	// from the in-memory tier are demoted instead of discarded, and from
 	// which a restart recovers its working set warm. Invalidations sweep
@@ -221,9 +217,6 @@ type ServeConfig struct {
 	// alongside the identity bytes (kept only when strictly smaller).
 	// Empty means identity-only — the historical behaviour.
 	Encodings []string
-	// GzipMinBytes is the smallest body worth compressing (0 = 256).
-	// Negotiation of smaller pages falls back to identity.
-	GzipMinBytes int
 	// ETags precomputes a strong, content-derived validator per entry at
 	// insert; responses then carry it and If-None-Match revalidations are
 	// answered 304 with zero body bytes straight from the cache.
@@ -367,16 +360,14 @@ func NewFromConn(conn Conn, cfg Config) (*Runtime, error) {
 		}
 	}
 	rt.cache, err = cache.New(cache.Options{
-		Engine:       engine,
-		MaxEntries:   cfg.PageCache.MaxEntries,
-		MaxBytes:     cfg.PageCache.MaxBytes,
-		Admission:    cfg.Admission && cfg.PageCache.MaxBytes > 0,
-		Replacement:  cfg.PageCache.Replacement,
-		Shards:       cfg.PageCache.Shards,
-		Gzip:         cfg.Serve.gzipEnabled(),
-		GzipMinBytes: cfg.Serve.GzipMinBytes,
-		ETags:        cfg.Serve.ETags,
-		L2:           rt.l2,
+		Engine:      engine,
+		MaxEntries:  cfg.PageCache.MaxEntries,
+		MaxBytes:    cfg.PageCache.MaxBytes,
+		Admission:   cfg.Admission && cfg.PageCache.MaxBytes > 0,
+		Replacement: cfg.PageCache.Replacement,
+		Gzip:        cfg.Serve.gzipEnabled(),
+		ETags:       cfg.Serve.ETags,
+		L2:          rt.l2,
 	})
 	if err != nil {
 		if rt.l2 != nil {
@@ -451,12 +442,6 @@ type ClusterConfig struct {
 	Advertise string
 	// Peers are the OTHER nodes' peer addresses. Empty is pure local mode.
 	Peers []string
-	// Invalidation is "strong" (default: writes return only after every
-	// reachable peer has invalidated, §3.2 cluster-wide) or "async"
-	// (best-effort fire-and-forget, time-lagged peers — the §8 trade).
-	Invalidation string
-	// Replication is how many owner nodes hold each key (0 = 1).
-	Replication int
 	// ProbeInterval is the peer health-probe cadence (0 = 250ms, negative
 	// disables); down peers redial on a jittered exponential backoff.
 	ProbeInterval time.Duration
@@ -485,22 +470,12 @@ func (rt *Runtime) Cluster(handler *Woven, cfg ClusterConfig) (*ClusterNode, err
 	if rt.cache == nil {
 		return nil, fmt.Errorf("autowebcache: clustering requires the cache (Config.Disabled must be unset)")
 	}
-	var async bool
-	switch strings.ToLower(cfg.Invalidation) {
-	case "", "strong":
-	case "async":
-		async = true
-	default:
-		return nil, fmt.Errorf("autowebcache: unknown invalidation mode %q (strong, async)", cfg.Invalidation)
-	}
 	clcfg := cluster.Config{
 		Listen:           cfg.ListenPeer,
 		Advertise:        cfg.Advertise,
 		Peers:            cfg.Peers,
 		Cache:            rt.cache,
 		QueryCache:       rt.qcache,
-		Async:            async,
-		Replication:      cfg.Replication,
 		ProbeInterval:    cfg.ProbeInterval,
 		FailureThreshold: cfg.FailureThreshold,
 	}

@@ -258,13 +258,6 @@ func TestClusterConfigValidation(t *testing.T) {
 		t.Fatal("Peers without ListenPeer accepted")
 	}
 
-	// An unknown invalidation mode is rejected before any socket opens.
-	if _, err := rt.Cluster(h, autowebcache.ClusterConfig{
-		ListenPeer: "127.0.0.1:0", Invalidation: "eventually",
-	}); err == nil {
-		t.Fatal("bad invalidation mode accepted")
-	}
-
 	// The Disabled (baseline) configuration cannot cluster: there is no
 	// cache to keep consistent.
 	rtOff, err := autowebcache.New(newDB(t), autowebcache.Config{Disabled: true})

@@ -104,9 +104,7 @@ func run(args []string, out io.Writer) error {
 		"comma-separated base URLs of cluster nodes; clients round-robin across them (overrides -target)")
 	app := fs.String("app", "rubis", "application mix to use: rubis or tpcw")
 	mixName := fs.String("mix", "", "interaction mix (rubis: bidding, browsing, personalized; tpcw: shopping, browsing)")
-	clients := fs.Int("clients", 20, "concurrent emulated clients")
-	concurrency := fs.Int("concurrency", 0,
-		"parallel client goroutines (0 = use -clients); use with high values to stress the sharded caches")
+	clients := fs.Int("clients", 20, "concurrent emulated clients; use high values with -think 0s to stress the sharded caches")
 	duration := fs.Duration("duration", 10*time.Second, "measurement duration")
 	think := fs.Duration("think", 50*time.Millisecond, "mean client think time")
 	openloop := fs.Bool("openloop", false,
@@ -118,14 +116,8 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *concurrency < 0 {
-		return fmt.Errorf("-concurrency must be positive (0 means use -clients), got %d", *concurrency)
-	}
-	if *concurrency > 0 {
-		*clients = *concurrency
-	}
 	if *clients <= 0 {
-		return fmt.Errorf("need a positive -clients or -concurrency, got %d", *clients)
+		return fmt.Errorf("need a positive -clients, got %d", *clients)
 	}
 	if *mixName == "" {
 		if *app == "rubis" {

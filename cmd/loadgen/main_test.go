@@ -77,13 +77,10 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-clients", "0"}, &out); err == nil {
 		t.Fatal("expected error for zero clients")
 	}
-	if err := run([]string{"-clients", "0", "-concurrency", "-1"}, &out); err == nil {
-		t.Fatal("expected error for non-positive concurrency")
-	}
 }
 
-// TestConcurrencyFlag drives a live server with -concurrency, the parallel
-// client-goroutine knob that exercises the sharded page cache.
+// TestConcurrencyFlag drives a live server with 8 parallel clients, the
+// client-goroutine fan-out that exercises the sharded page cache.
 func TestConcurrencyFlag(t *testing.T) {
 	db := autowebcache.NewDB()
 	scale := rubis.Scale{Regions: 2, Categories: 3, Users: 10, Items: 20,
@@ -92,7 +89,7 @@ func TestConcurrencyFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := autowebcache.New(db, autowebcache.Config{PageCache: autowebcache.PageCacheConfig{Shards: 8}})
+	rt, err := autowebcache.New(db, autowebcache.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +103,8 @@ func TestConcurrencyFlag(t *testing.T) {
 
 	var out strings.Builder
 	err = run([]string{
-		"-target", srv.URL, "-app", "rubis", "-clients", "1",
-		"-concurrency", "8", "-duration", "300ms", "-think", "0s",
+		"-target", srv.URL, "-app", "rubis", "-clients", "8",
+		"-duration", "300ms", "-think", "0s",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)

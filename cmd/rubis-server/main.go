@@ -12,7 +12,6 @@
 //
 //	rubis-server -addr :8080 -listen-peer 127.0.0.1:9080 \
 //	    -peers 127.0.0.1:9081,127.0.0.1:9082
-//	rubis-server ... -invalidation async     # best-effort, time-lagged peers
 //
 // Observability (see docs/OPERATIONS.md and docs/METRICS.md):
 //

@@ -34,7 +34,7 @@ func TestRunBadFlags(t *testing.T) {
 }
 
 // TestClusterBoot covers the cluster flag plumbing through the facade:
-// disabled, misused and properly booted (strong and async modes).
+// disabled, misused and properly booted.
 func TestClusterBoot(t *testing.T) {
 	db := autowebcache.NewDB()
 	rt, err := autowebcache.New(db, autowebcache.Config{})
@@ -57,11 +57,6 @@ func TestClusterBoot(t *testing.T) {
 		Peers: []string{"127.0.0.1:9999"}}); err == nil {
 		t.Fatal("expected error for -peers without -listen-peer")
 	}
-	// Unknown invalidation mode.
-	if _, err := rt.Cluster(handler, autowebcache.ClusterConfig{
-		ListenPeer: "127.0.0.1:0", Invalidation: "bogus"}); err == nil {
-		t.Fatal("expected error for bad invalidation mode")
-	}
 	// A clustered baseline is contradictory.
 	baseline, err := autowebcache.New(autowebcache.NewDB(), autowebcache.Config{Disabled: true})
 	if err != nil {
@@ -73,7 +68,7 @@ func TestClusterBoot(t *testing.T) {
 	}
 	// Properly booted, local mode (no peers yet).
 	node, err := rt.Cluster(handler, autowebcache.ClusterConfig{
-		ListenPeer: "127.0.0.1:0", Invalidation: "async"})
+		ListenPeer: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestClusterBootTPCW(t *testing.T) {
 		t.Fatalf("disabled: node=%v err=%v", node, err)
 	}
 	node, err := rt.Cluster(handler, autowebcache.ClusterConfig{
-		ListenPeer: "127.0.0.1:0", Replication: 2})
+		ListenPeer: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,6 @@ func TestConfigGroupsWireBothTiers(t *testing.T) {
 			MaxEntries:  2,
 			MaxBytes:    1 << 20,
 			Replacement: autowebcache.LFU,
-			Shards:      4,
 		},
 		QueryResults: autowebcache.QueryCacheConfig{
 			Enabled:    true,
@@ -74,9 +73,8 @@ func TestConfigRejectsUnknownEncoding(t *testing.T) {
 func TestServeConfigEndToEnd(t *testing.T) {
 	rt, err := autowebcache.New(newDB(t), autowebcache.Config{
 		Serve: autowebcache.ServeConfig{
-			Encodings:    []string{"identity", "gzip"},
-			GzipMinBytes: 1,
-			ETags:        true,
+			Encodings: []string{"identity", "gzip"},
+			ETags:     true,
 		},
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
 // cluster demonstrates the peer tier: three autowebcache nodes joined into
 // one logical cache by a consistent-hash ring, with cross-node page fetch,
-// replication to owners, and cluster-wide strong invalidation — the
+// replication to the owner, and cluster-wide strong invalidation — the
 // multi-node web tier of the paper's own testbed, applied to the cache.
 //
 // The three nodes run in one process for convenience but talk over real

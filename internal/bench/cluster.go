@@ -98,7 +98,7 @@ func ClusterScalability(p Params) (*Table, error) {
 		Notes: []string{
 			"local-hit is the PR 2 zero-copy path with clustering enabled: the peer tier is never consulted on a local hit",
 			"remote-hit pays one length-prefixed TCP round trip to the key's owner; the fetched replica then serves locally",
-			"strong-invalidate is InvalidateWrite with the blocking 2-peer broadcast; async-invalidate returns before the peers apply it",
+			"strong-invalidate is InvalidateWrite with the blocking 2-peer broadcast",
 		},
 	}
 	add := func(name string, r testing.BenchmarkResult, note string) {

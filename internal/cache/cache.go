@@ -81,15 +81,13 @@ type Options struct {
 	// on every lookup... the performance difference to NoCache is
 	// negligible").
 	ForceMiss bool
-	// Gzip builds a gzip content-encoding variant for each inserted page at
-	// insert time — compressed exactly once per generation, byte-accounted
-	// with its entry, sharing the entry's deps/TTL/epoch lifecycle — for the
-	// serve layer to negotiate per request from Accept-Encoding. Variants
-	// that would not shrink the body are discarded (identity only).
+	// Gzip builds a gzip content-encoding variant for each inserted page of
+	// at least gzipMinBytes at insert time — compressed exactly once per
+	// generation, byte-accounted with its entry, sharing the entry's
+	// deps/TTL/epoch lifecycle — for the serve layer to negotiate per
+	// request from Accept-Encoding. Variants that would not shrink the body
+	// are discarded (identity only).
 	Gzip bool
-	// GzipMinBytes is the smallest body a gzip variant is built for; 0
-	// means defaultGzipMinBytes. Only meaningful with Gzip set.
-	GzipMinBytes int
 	// ETags precomputes a strong, content-derived validator per entry at
 	// insert so conditional requests (If-None-Match) on hits are answered
 	// 304 straight from the cache with zero body bytes.
@@ -120,7 +118,7 @@ type Page struct {
 	ContentType string
 	// Gzip is the entry's gzip content-encoding variant, compressed exactly
 	// once at insert; nil when absent (Options.Gzip off, the body below
-	// GzipMinBytes, or compression did not shrink it). Same shared
+	// gzipMinBytes, or compression did not shrink it). Same shared
 	// read-only contract as Body.
 	Gzip []byte
 	// ETag is the entry's strong validator, precomputed at insert
@@ -185,12 +183,10 @@ type View struct {
 }
 
 // RemoteInvalidator receives the cache's write-invalidation traffic for
-// fan-out to cluster peers (§3.2 applied cluster-wide). In strong mode the
-// implementation returns only after every reachable peer has applied the
-// invalidation, so InvalidateWrite keeps its contract — the writer's
-// response is released strictly after all dependent pages, anywhere in the
-// cluster, are gone. An async implementation returns immediately
-// (best-effort, time-lagged — the weak-consistency trade of §8).
+// fan-out to cluster peers (§3.2 applied cluster-wide). The implementation
+// returns only after every reachable peer has applied the invalidation, so
+// InvalidateWrite keeps its contract — the writer's response is released
+// strictly after all dependent pages, anywhere in the cluster, are gone.
 type RemoteInvalidator interface {
 	// BroadcastWrite forwards a locally applied write capture to peers.
 	// The cache ignores the returned error: by the time the broadcast runs

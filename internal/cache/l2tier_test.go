@@ -202,7 +202,7 @@ func TestL2FlushSweepsBothTiers(t *testing.T) {
 // that forgets to release its share shows up here as a residue.
 func TestL2DrainBalancesToZero(t *testing.T) {
 	store := newL2Store(t, t.TempDir(), 32<<10)
-	c := newTestCache(t, Options{MaxBytes: 24 << 10, Gzip: true, GzipMinBytes: 1, L2: store})
+	c := newTestCache(t, Options{MaxBytes: 24 << 10, Gzip: true, L2: store})
 	defer c.Close()
 
 	const keys = 40

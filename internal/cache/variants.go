@@ -30,10 +30,10 @@ import (
 	"sync"
 )
 
-// defaultGzipMinBytes is the smallest body a gzip variant is built for when
-// Options.GzipMinBytes is unset: below it the transfer saving cannot beat
-// the header overhead plus the per-entry bookkeeping.
-const defaultGzipMinBytes = 256
+// gzipMinBytes is the smallest body a gzip variant is built for: below it
+// the transfer saving cannot beat the header overhead plus the per-entry
+// bookkeeping.
+const gzipMinBytes = 256
 
 // variantOverhead approximates the fixed Go-side cost of an entry's variant
 // metadata (slice/string headers for the gzip body, ETag and length
@@ -107,11 +107,7 @@ func (c *Cache) buildVariants(p *Page) {
 	if c.opts.ETags {
 		p.ETag = strongETag(p.Body)
 	}
-	min := c.opts.GzipMinBytes
-	if min <= 0 {
-		min = defaultGzipMinBytes
-	}
-	if c.opts.Gzip && len(p.Body) >= min {
+	if c.opts.Gzip && len(p.Body) >= gzipMinBytes {
 		// Counted per compressor run, whether or not the result is kept:
 		// the exactly-once-per-insert contract is pinned on this counter.
 		c.gzipCompressions.Add(1)

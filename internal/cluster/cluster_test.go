@@ -465,33 +465,6 @@ func TestClusterLocalHitAllocFree(t *testing.T) {
 	}
 }
 
-// TestClusterAsyncMode: async invalidation is fire-and-forget — the write
-// returns immediately and peers converge shortly after (time-lagged
-// consistency, §8).
-func TestClusterAsyncMode(t *testing.T) {
-	nodes := newCluster(t, 2, Config{Async: true})
-	key := "/stock?product=p9"
-	for _, tn := range nodes {
-		tn.get(t, key)
-	}
-	if !nodes[1].cache.Contains(key) {
-		t.Fatal("page not cached on peer")
-	}
-	nodes[0].get(t, "/restock?product=p9&units=2")
-	// The origin invalidates synchronously…
-	if nodes[0].cache.Contains(key) {
-		t.Fatal("origin kept the stale page")
-	}
-	// …peers converge within the propagation delay.
-	deadline := time.Now().Add(5 * time.Second)
-	for nodes[1].cache.Contains(key) {
-		if time.Now().After(deadline) {
-			t.Fatal("async invalidation never reached the peer")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestClusterConcurrentChurn hammers a 3-node cluster with parallel reads
 // on every node and writes on one, under -race: the protocol, the flight
 // coalescing across the remote hop and the invalidation broadcasts must

@@ -47,7 +47,7 @@ func keyOwnedBy(t *testing.T, ring *Ring, owner string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		key := fmt.Sprintf("/page?x=%d", i)
-		if ring.Owners(key, 1)[0] == owner {
+		if ring.Owner(key) == owner {
 			return key
 		}
 	}

@@ -44,19 +44,6 @@ type Config struct {
 	Cache *cache.Cache
 	// QueryCache, when set, also receives peer invalidation broadcasts.
 	QueryCache *qrcache.Conn
-	// Async switches invalidation broadcasts to best-effort fire-and-forget:
-	// InvalidateWrite returns without waiting for peers, so remote replicas
-	// may serve stale pages for the propagation delay — the time-lagged
-	// consistency trade of §8, cluster-flavoured. An async write also closes
-	// as soon as its broadcast is launched, so the local cache may take a
-	// replica of a page the write changed from a peer that has not applied
-	// it yet: async mode keeps the §8 propagation lag on every node. Default
-	// false (strong: the write blocks until every reachable peer has
-	// invalidated, §3.2).
-	Async bool
-	// Replication is how many ring-successor nodes hold each key (0 = 1).
-	// Fetches try the owners in ring order; offers replicate to all of them.
-	Replication int
 	// DialTimeout and CallTimeout bound peer dials and round trips
 	// (default 2s each). A slow or dead peer costs at most one CallTimeout
 	// per operation, after which it is treated as a miss — and once the
@@ -125,7 +112,7 @@ type Stats struct {
 	RemoteMisses         uint64 // fetches no peer could serve
 	FetchAborts          uint64 // fetched pages discarded: a write intersecting the page raced the fetch or was still open
 	FetchErrors          uint64 // peer calls that failed mid-fetch
-	OffersSent           uint64 // pages replicated to owners
+	OffersSent           uint64 // pages replicated to their owner
 	OffersRejected       uint64 // offers an owner's byte budget refused
 	InvSent              uint64 // invalidation broadcasts sent (per peer)
 	InvBroadcastFailures uint64 // invalidation/flush sends a peer never applied (down, partitioned, timed out)
@@ -146,10 +133,10 @@ type Stats struct {
 	PeersDown            int    // gauge: peers currently down (breaker open)
 
 	// Latency distributions of the three peer operations, end to end: Fetch
-	// (owner walk after a local miss, successful or not — but only walks
-	// that dialed at least one peer; breaker-skipped walks are counted by
+	// (the owner round trip after a local miss, successful or not — but only
+	// fetches that dialed the owner; breaker-skipped fetches are counted by
 	// BreakerSkips and kept out of the distribution), Offer (replication
-	// to every owner) and invalidation broadcast (including its serializing
+	// to the key's owner) and invalidation broadcast (including its serializing
 	// bcastMu wait — queueing behind another broadcast IS write latency the
 	// operator needs to see).
 	FetchLatency     telemetry.HistSnapshot
@@ -231,9 +218,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.Listen == "" {
 		return nil, fmt.Errorf("cluster: Config.Listen is required")
-	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = 1
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
@@ -403,102 +387,92 @@ func (n *Node) peerFor(addr string) *peer {
 	return p
 }
 
-// owners returns the key's owner set under the current ring.
-func (n *Node) owners(key string) []string {
+// ownerPeer returns the client for key's owner under the current ring, or
+// nil when this node owns the key itself (or knows no ring yet).
+func (n *Node) ownerPeer(key string) *peer {
 	r := n.ring.Load()
 	if r == nil {
 		return nil
 	}
-	return r.Owners(key, n.cfg.Replication)
+	return n.peerFor(r.Owner(key))
 }
 
-// Fetch implements weave.Remote: after a local miss, ask the key's owners
-// (in ring order, skipping self) for the page. On success the page is
-// inserted into the local cache with its dependency information — a replica
-// that later local lookups hit directly and that invalidation broadcasts
-// keep consistent — and the stored view is returned. The insert goes
-// through the cache's epoch guard (cache.InsertSince) with the epoch read
-// before the round trip: a replica that a write it depends on raced, or
-// that overlaps a write still open on this node, is discarded
-// (FetchAborts). ok=false means no peer had the page, all were unreachable,
-// or the guard refused it: the caller falls back to executing the handler.
-func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
-	// start is taken lazily, before the first peer actually dialed: a walk
-	// that only meets open breakers must stay clock-free (the fail-fast
-	// guarantee) and must not pollute the fetch-latency distribution with
-	// ~0 observations — those walks are visible as BreakerSkips instead.
-	var start time.Time
+// Fetch implements weave.Remote: after a local miss, ask the key's owner
+// for the page. On success the page is inserted into the local cache with
+// its dependency information — a replica that later local lookups hit
+// directly and that invalidation broadcasts keep consistent — and the
+// stored view is returned. The insert goes through the cache's epoch guard
+// (cache.InsertSince) with the epoch read before the round trip: a replica
+// that a write it depends on raced, or that overlaps a write still open on
+// this node, is discarded (FetchAborts). ok=false means this node owns the
+// key, the owner did not have the page or was unreachable, or the guard
+// refused it: the caller falls back to executing the handler.
+func (n *Node) Fetch(ctx context.Context, key string) (pg cache.Page, ok bool) {
 	defer func() {
-		if !start.IsZero() {
-			n.fetchLat.Observe(time.Since(start))
+		if ok {
+			n.remoteHits.Add(1)
+		} else {
+			n.remoteMisses.Add(1)
 		}
 	}()
-	for _, owner := range n.owners(key) {
-		if owner == n.self {
-			continue // we already missed locally
-		}
-		p := n.peerFor(owner)
-		if p == nil {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			break
-		}
-		if !p.health.allow() {
-			// Down peer: the breaker already paid the cost (none).
-			n.breakerSkips.Add(1)
-			continue
-		}
-		if start.IsZero() {
-			start = time.Now()
-		}
-		epoch0 := n.cfg.Cache.Epoch()
-		var resp getRespMeta
-		body, err := p.call(msgGet, &getMeta{Key: key}, nil, &resp)
-		if err != nil {
-			if err == errBreakerOpen {
-				// The breaker opened between the pre-check above and the
-				// call's own check — still a skip, not a fetch error.
-				n.breakerSkips.Add(1)
-			} else {
-				n.fetchErrors.Add(1)
-			}
-			continue
-		}
-		if !resp.Found {
-			continue
-		}
-		if n.behindUs(resp.Applied) {
-			// The exporter has missed an invalidation this node already
-			// applied — its copy may predate that write. Treat as a miss.
-			n.staleFetchRejects.Add(1)
-			continue
-		}
-		// If the local byte budget refuses the replica, the returned view
-		// is still this fetch's servable copy — the page just stays
-		// remote-only and the next miss re-fetches. The wire carries the
-		// identity body only: variants (gzip, ETag) are derived state, so
-		// the insert recomputes them under the local cache's own Options
-		// rather than trusting the exporter's — nodes may disagree on
-		// -encodings/-etag without trading stale or mismatched variants.
-		pg, _, fresh := n.cfg.Cache.InsertSince(epoch0, key, body, resp.ContentType,
-			resp.Deps, ttlFromNanos(resp.TTLNanos))
-		if !fresh {
-			// The page may predate a write that already swept this cache or
-			// that peers are still applying. Discard and regenerate.
-			n.fetchAborts.Add(1)
-			break
-		}
-		n.remoteHits.Add(1)
-		return pg, true
+	p := n.ownerPeer(key)
+	if p == nil || ctx.Err() != nil {
+		// Self-owned (we already missed locally), no ring yet, or the
+		// request is gone.
+		return cache.Page{}, false
 	}
-	n.remoteMisses.Add(1)
-	return cache.Page{}, false
+	if !p.health.allow() {
+		// Down owner: the breaker already paid the cost (none). The fetch
+		// stays clock-free (the fail-fast guarantee) and out of the
+		// fetch-latency distribution — it is visible as a BreakerSkip.
+		n.breakerSkips.Add(1)
+		return cache.Page{}, false
+	}
+	start := time.Now()
+	defer func() { n.fetchLat.Observe(time.Since(start)) }()
+	epoch0 := n.cfg.Cache.Epoch()
+	var resp getRespMeta
+	body, err := p.call(msgGet, &getMeta{Key: key}, nil, &resp)
+	if err != nil {
+		if err == errBreakerOpen {
+			// The breaker opened between the pre-check above and the
+			// call's own check — still a skip, not a fetch error.
+			n.breakerSkips.Add(1)
+		} else {
+			n.fetchErrors.Add(1)
+		}
+		return cache.Page{}, false
+	}
+	if !resp.Found {
+		return cache.Page{}, false
+	}
+	if n.behindUs(resp.Applied) {
+		// The exporter has missed an invalidation this node already
+		// applied — its copy may predate that write. Treat as a miss.
+		n.staleFetchRejects.Add(1)
+		return cache.Page{}, false
+	}
+	// If the local byte budget refuses the replica, the returned view is
+	// still this fetch's servable copy — the page just stays remote-only
+	// and the next miss re-fetches. The wire carries the identity body
+	// only: variants (gzip, ETag) are derived state, so the insert
+	// recomputes them under the local cache's own Options rather than
+	// trusting the exporter's — nodes may disagree on -encodings/-etag
+	// without trading stale or mismatched variants.
+	pg, _, fresh := n.cfg.Cache.InsertSince(epoch0, key, body, resp.ContentType,
+		resp.Deps, ttlFromNanos(resp.TTLNanos))
+	if !fresh {
+		// The page may predate a write that already swept this cache or
+		// that peers are still applying. Discard and regenerate.
+		n.fetchAborts.Add(1)
+		return cache.Page{}, false
+	}
+	return pg, true
 }
 
 // Offer implements weave.Remote: replicate a locally generated page to the
-// key's owners so the next fetch from any node finds it there. It is
-// synchronous — each owner is written before Offer returns, so a write
+// key's owner so the next fetch from any node finds it there. It is
+// synchronous — the owner is written before Offer returns, so a write
 // issued after this page's response cannot broadcast past an in-flight
 // replica. (A write *concurrent* with the generating request can still
 // land between the page's reads and this replication; that is the same
@@ -509,49 +483,33 @@ func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
 func (n *Node) Offer(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) {
 	start := time.Now()
 	defer func() { n.offerLat.Observe(time.Since(start)) }()
-	var req *putMeta
-	for _, owner := range n.owners(key) {
-		if owner == n.self {
-			continue
-		}
-		p := n.peerFor(owner)
-		if p == nil {
-			continue
-		}
-		if req == nil {
-			req = &putMeta{Key: key, ContentType: contentType, TTLNanos: int64(ttl), Deps: deps, Applied: n.appliedVector()}
-		}
-		var resp putRespMeta
-		if _, err := p.call(msgPut, req, body, &resp); err == nil {
-			if resp.OK {
-				n.offersSent.Add(1)
-			} else {
-				// The owner's byte budget (or admission filter) refused the
-				// replica; the page stays a local-only copy.
-				n.offersRejected.Add(1)
-			}
+	p := n.ownerPeer(key)
+	if p == nil {
+		return
+	}
+	req := &putMeta{Key: key, ContentType: contentType, TTLNanos: int64(ttl), Deps: deps, Applied: n.appliedVector()}
+	var resp putRespMeta
+	if _, err := p.call(msgPut, req, body, &resp); err == nil {
+		if resp.OK {
+			n.offersSent.Add(1)
+		} else {
+			// The owner's byte budget (or admission filter) refused the
+			// replica; the page stays a local-only copy.
+			n.offersRejected.Add(1)
 		}
 	}
 }
 
 // BroadcastWrite implements cache.RemoteInvalidator: forward a locally
-// applied write capture to every peer. Strong mode waits for all peers
-// (bounded by CallTimeout each, in parallel) before returning, so the
-// caller's InvalidateWrite — and therefore the writer's HTTP response —
-// is released only after the invalidation has been applied cluster-wide.
-// Async mode returns immediately. The error is always nil: a peer that
-// missed the broadcast is counted (Stats.InvBroadcastFailures) and
-// quarantine-flushes on rejoin, so the writer has nothing to act on.
+// applied write capture to every peer and wait for all of them (bounded by
+// CallTimeout each, in parallel) before returning, so the caller's
+// InvalidateWrite — and therefore the writer's HTTP response — is released
+// only after the invalidation has been applied cluster-wide (§3.2). The
+// error is always nil: a peer that missed the broadcast is counted
+// (Stats.InvBroadcastFailures) and quarantine-flushes on rejoin, so the
+// writer has nothing to act on.
 func (n *Node) BroadcastWrite(w analysis.WriteCapture) error {
-	// w is encoded when each frame is sent — in Async mode after this
-	// returns — so it is shared, not copied: a capture is immutable once
-	// taken.
-	mk := func(seq uint64) meta { return &invMeta{Capture: w, Origin: n.self, Seq: seq} }
-	if n.cfg.Async {
-		go n.broadcast(msgInv, mk)
-	} else {
-		n.broadcast(msgInv, mk)
-	}
+	n.broadcast(msgInv, func(seq uint64) meta { return &invMeta{Capture: w, Origin: n.self, Seq: seq} })
 	return nil
 }
 
@@ -560,12 +518,7 @@ func (n *Node) BroadcastWrite(w analysis.WriteCapture) error {
 // cluster-wide too or peers would keep serving pages the origin dropped).
 // The error is always nil, as for BroadcastWrite.
 func (n *Node) BroadcastFlush() error {
-	mk := func(seq uint64) meta { return &flushMeta{Origin: n.self, Seq: seq} }
-	if n.cfg.Async {
-		go n.broadcast(msgFlush, mk)
-	} else {
-		n.broadcast(msgFlush, mk)
-	}
+	n.broadcast(msgFlush, func(seq uint64) meta { return &flushMeta{Origin: n.self, Seq: seq} })
 	return nil
 }
 
@@ -575,7 +528,7 @@ func (n *Node) BroadcastFlush() error {
 // receiver-side gap is proof of a missed message. A peer that cannot be
 // reached (down, timed out, breaker open) is counted; it cannot serve
 // stale state on rejoin because its sequence gap forces a quarantine
-// flush, so strong mode stays honest without failing the write.
+// flush, so the broadcast stays honest without failing the write.
 func (n *Node) broadcast(typ byte, mkMeta func(seq uint64) meta) {
 	start := time.Now()
 	defer func() { n.bcastLat.Observe(time.Since(start)) }()

@@ -143,7 +143,7 @@ func TestClusterPropertyConsistency(t *testing.T) {
 		deps[i] = ds
 	}
 	// insert stores a new generation of key i on node ci and, with offer,
-	// replicates it to the key's owners. A generation is settled only once
+	// replicates it to the key's owner. A generation is settled only once
 	// every copy has landed: an offer that lands after a write which began
 	// later is the applied-vector question of Node.Offer, not this harness's.
 	insert := func(ci, i int, offer bool) {

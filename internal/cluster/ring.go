@@ -1,5 +1,5 @@
 // Package cluster turns N autowebcache processes into one logical cache:
-// a consistent-hash ring routes each page key to its owner node(s), a small
+// a consistent-hash ring routes each page key to its one owner node, a small
 // length-prefixed TCP protocol fetches pages from owners and replicates
 // locally generated pages to them, and write invalidations are broadcast to
 // every peer so the paper's §3.2 strong-consistency contract holds
@@ -95,37 +95,19 @@ func (r *Ring) Nodes() []string { return r.nodes }
 func (r *Ring) Len() int { return len(r.nodes) }
 
 // Owner returns the node owning key: the first virtual node clockwise from
-// the key's hash. It returns "" on an empty ring.
+// the key's hash. It returns "" on an empty ring. The walk is a binary
+// search over the sorted points and allocates nothing — it runs on every
+// miss's Fetch and Offer.
 func (r *Ring) Owner(key string) string {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
+	if len(r.points) == 0 {
 		return ""
 	}
-	return owners[0]
-}
-
-// Owners returns up to n distinct nodes responsible for key, in ring order:
-// the key's owner followed by its replica holders (the replication factor's
-// candidate set).
-func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
 	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0 // past the last point: wrap clockwise to the first
 	}
-	return out
+	return r.points[i].node
 }
 
 // String renders the membership for logs.

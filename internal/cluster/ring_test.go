@@ -13,9 +13,6 @@ func TestRingEmpty(t *testing.T) {
 	if got := r.Owner("k"); got != "" {
 		t.Fatalf("Owner on empty ring = %q", got)
 	}
-	if got := r.Owners("k", 3); got != nil {
-		t.Fatalf("Owners on empty ring = %v", got)
-	}
 }
 
 func TestRingSingleNodeOwnsEverything(t *testing.T) {
@@ -34,24 +31,49 @@ func TestRingDeduplicatesAndIgnoresEmpty(t *testing.T) {
 	}
 }
 
-func TestRingOwnersDistinctAndOrdered(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 32)
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		owners := r.Owners(key, 2)
-		if len(owners) != 2 {
-			t.Fatalf("%s: owners = %v", key, owners)
-		}
-		if owners[0] == owners[1] {
-			t.Fatalf("%s: duplicate owner %v", key, owners)
-		}
-		if owners[0] != r.Owner(key) {
-			t.Fatalf("%s: Owners[0]=%s but Owner=%s", key, owners[0], r.Owner(key))
+// TestRingOwnerUnchanged pins key placement: the table was generated with
+// the N-owner ring walk this single-owner Owner replaced (its first owner),
+// so a key must land on exactly the node it always did — mixed-version
+// nodes must agree on ownership. The wrap-* keys hash past the ring's last
+// point (owned by 10.0.0.2) or before its first (10.0.0.1), covering the
+// clockwise wrap. Owner runs on every miss, so it must not allocate.
+func TestRingOwnerUnchanged(t *testing.T) {
+	r := NewRing([]string{"10.0.0.1:7000", "10.0.0.2:7000", "10.0.0.3:7000"}, 0)
+	for _, tc := range []struct{ key, owner string }{
+		{"", "10.0.0.1:7000"},
+		{"k", "10.0.0.2:7000"},
+		{"a", "10.0.0.2:7000"},
+		{"/", "10.0.0.1:7000"},
+		{"/viewItem?itemId=1", "10.0.0.1:7000"},
+		{"/viewItem?itemId=2", "10.0.0.3:7000"},
+		{"/viewItem?itemId=3", "10.0.0.1:7000"},
+		{"/viewUserInfo?userId=7", "10.0.0.1:7000"},
+		{"/browseCategories", "10.0.0.2:7000"},
+		{"/searchItemsByCategory?category=4&page=0", "10.0.0.1:7000"},
+		{"/stock?product=p0", "10.0.0.1:7000"},
+		{"/stock?product=p1", "10.0.0.1:7000"},
+		{"/page?x=0", "10.0.0.2:7000"},
+		{"/page?x=1", "10.0.0.1:7000"},
+		{"/page?x=2", "10.0.0.3:7000"},
+		{"/page?x=3", "10.0.0.1:7000"},
+		{"/page?x=42", "10.0.0.3:7000"},
+		{"/page?x=999", "10.0.0.1:7000"},
+		{"key-0", "10.0.0.2:7000"},
+		{"key-1", "10.0.0.1:7000"},
+		{"key-17", "10.0.0.1:7000"},
+		{"key-199", "10.0.0.2:7000"},
+		{"GET /about", "10.0.0.1:7000"},
+		{"\xff\xff\xff\xff", "10.0.0.3:7000"},
+		{"wrap-467", "10.0.0.1:7000"},
+		{"wrap-822", "10.0.0.1:7000"},
+		{"wrap-298", "10.0.0.1:7000"},
+	} {
+		if got := r.Owner(tc.key); got != tc.owner {
+			t.Errorf("Owner(%q) = %s, want %s", tc.key, got, tc.owner)
 		}
 	}
-	// Asking for more replicas than members caps at the member count.
-	if got := r.Owners("k", 10); len(got) != 3 {
-		t.Fatalf("Owners(10) = %v", got)
+	if allocs := testing.AllocsPerRun(100, func() { r.Owner("/viewItem?itemId=1") }); allocs != 0 {
+		t.Fatalf("Owner allocates %.1f times per call, want 0", allocs)
 	}
 }
 

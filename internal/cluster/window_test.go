@@ -35,7 +35,7 @@ func stockTargetOwnedBy(t *testing.T, ring *Ring, owner string) (target, key, pr
 		product = fmt.Sprintf("p%d", i)
 		target = "/stock?product=" + product
 		key = servlet.PageKey(httptest.NewRequest(http.MethodGet, target, nil))
-		if ring.Owners(key, 1)[0] == owner {
+		if ring.Owner(key) == owner {
 			return target, key, product
 		}
 	}

@@ -587,33 +587,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestLikeMatch(t *testing.T) {
-	cases := []struct {
-		pat, s string
-		want   bool
-	}{
-		{"%", "", true},
-		{"%", "anything", true},
-		{"a%", "abc", true},
-		{"a%", "bac", false},
-		{"%c", "abc", true},
-		{"a_c", "abc", true},
-		{"a_c", "ac", false},
-		{"%b%", "abc", true},
-		{"ABC", "abc", true}, // case-insensitive
-		{"a\\%b", "a%b", true},
-		{"a\\%b", "axb", false},
-		{"", "", true},
-		{"", "x", false},
-		{"%%", "x", true},
-	}
-	for _, c := range cases {
-		if got := likeMatch(c.pat, c.s); got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
-		}
-	}
-}
-
 func TestCompareMixedTypes(t *testing.T) {
 	cases := []struct {
 		a, b Value

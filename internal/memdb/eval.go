@@ -214,7 +214,7 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 		if left == nil || pat == nil {
 			return boolVal(v.Not), nil
 		}
-		return boolVal(likeMatch(ps, ls) != v.Not), nil
+		return boolVal(datasource.Like(ps, ls) != v.Not), nil
 	case *sqlparser.IsNullExpr:
 		left, err := e.eval(v.Left)
 		if err != nil {
@@ -399,9 +399,3 @@ func valueToString(v Value) string {
 		return fmt.Sprint(v)
 	}
 }
-
-// Like implements SQL LIKE: % matches any run, _ matches one byte.
-// Matching is case-insensitive, as in MySQL's default collation.
-func Like(pattern, s string) bool { return datasource.Like(pattern, s) }
-
-func likeMatch(pattern, s string) bool { return datasource.Like(pattern, s) }

@@ -45,10 +45,13 @@ type Flags struct {
 
 	ListenPeer       *string
 	Peers            *string
-	Invalidation     *string
-	Replication      *int
 	ProbeInterval    *time.Duration
 	FailureThreshold *int
+	// Invalidation and Replication only keep existing command lines
+	// parsing: the peer tier is strong and single-owner, so Config accepts
+	// "strong" and 1 and rejects everything else.
+	Invalidation *string
+	Replication  *int
 
 	MetricsListen *string
 }
@@ -69,10 +72,10 @@ func Register(fs *flag.FlagSet, defaultAddr string) *Flags {
 
 		ListenPeer:       fs.String("listen-peer", "", "cluster peer-protocol listen address (enables the peer tier)"),
 		Peers:            fs.String("peers", "", "comma-separated peer addresses of the other cluster nodes"),
-		Invalidation:     fs.String("invalidation", "strong", "cluster invalidation mode: strong or async"),
-		Replication:      fs.Int("replication", 1, "cluster ring replication factor (owner nodes per key)"),
 		ProbeInterval:    fs.Duration("probe-interval", 0, "cluster peer health-probe cadence (0 = 250ms, negative disables)"),
 		FailureThreshold: fs.Int("failure-threshold", 0, "consecutive peer-call failures before the circuit breaker opens (0 = 3)"),
+		Invalidation:     fs.String("invalidation", "strong", "cluster invalidation mode: only strong (async was removed)"),
+		Replication:      fs.Int("replication", 1, "owner nodes per key: only 1 (replication above 1 was removed)"),
 
 		MetricsListen: fs.String("metrics-listen", "", "admin listen address serving /metrics (Prometheus), /statsz, /healthz and /debug/pprof (empty disables)"),
 	}
@@ -91,6 +94,12 @@ func (f *Flags) Config() (autowebcache.Config, error) {
 	}
 	if *f.L2 == "" && *f.L2MaxBytes != "" {
 		return autowebcache.Config{}, fmt.Errorf("-l2-max-bytes requires -l2")
+	}
+	if *f.Invalidation != "strong" {
+		return autowebcache.Config{}, fmt.Errorf("-invalidation %s: only strong remains (async invalidation was removed)", *f.Invalidation)
+	}
+	if *f.Replication != 1 {
+		return autowebcache.Config{}, fmt.Errorf("-replication %d: only 1 remains (replication above 1 was removed)", *f.Replication)
 	}
 	return autowebcache.Config{
 		Disabled:  *f.NoCache,
@@ -112,8 +121,6 @@ func (f *Flags) ClusterConfig() autowebcache.ClusterConfig {
 	return autowebcache.ClusterConfig{
 		ListenPeer:       *f.ListenPeer,
 		Peers:            cluster.ParsePeerList(*f.Peers),
-		Invalidation:     *f.Invalidation,
-		Replication:      *f.Replication,
 		ProbeInterval:    *f.ProbeInterval,
 		FailureThreshold: *f.FailureThreshold,
 	}
@@ -156,8 +163,8 @@ func (f *Flags) Serve(rt *autowebcache.Runtime, handler *autowebcache.Woven, ban
 	}
 	if node != nil {
 		defer node.Close()
-		log.Printf("cluster peer tier on %s (%d-node ring, invalidation=%s)",
-			node.Addr(), node.Ring().Len(), *f.Invalidation)
+		log.Printf("cluster peer tier on %s (%d-node ring, strong invalidation)",
+			node.Addr(), node.Ring().Len())
 	}
 
 	if *f.MetricsListen != "" {

@@ -2,7 +2,11 @@ package serverutil
 
 import (
 	"flag"
+	"net/http"
+	"strings"
 	"testing"
+
+	"autowebcache"
 )
 
 func parse(t *testing.T, args ...string) *Flags {
@@ -49,9 +53,75 @@ func TestConfigBadByteSize(t *testing.T) {
 }
 
 func TestClusterConfigMapsFlags(t *testing.T) {
-	f := parse(t, "-listen-peer", "127.0.0.1:9080", "-peers", "a:1, b:2", "-invalidation", "async", "-replication", "2")
+	f := parse(t, "-listen-peer", "127.0.0.1:9080", "-peers", "a:1, b:2", "-failure-threshold", "5")
 	cc := f.ClusterConfig()
-	if cc.ListenPeer != "127.0.0.1:9080" || len(cc.Peers) != 2 || cc.Invalidation != "async" || cc.Replication != 2 {
+	if cc.ListenPeer != "127.0.0.1:9080" || len(cc.Peers) != 2 || cc.FailureThreshold != 5 {
 		t.Fatalf("ClusterConfig = %+v", cc)
+	}
+}
+
+// benchmarkLines are the rubis-server command lines of the end-to-end
+// benchmark's workloads (benchmark/workload.go: each workload's Flags after
+// the harness's -addr/-metrics-listen/-db prefix, plus the
+// -listen-peer/-peers pair it appends to clustered nodes). The harness
+// parses them with Register and feeds Config and ClusterConfig to the
+// facade, so a flag change that breaks one breaks the benchmark. {dir}
+// stands for the run's private directory.
+var benchmarkLines = map[string][]string{
+	"browse-warm": {"-addr", "127.0.0.1:0", "-metrics-listen", "127.0.0.1:0", "-db", "memdb",
+		"-encodings", "gzip", "-etag"},
+	"bid-mix": {"-addr", "127.0.0.1:0", "-metrics-listen", "127.0.0.1:0", "-db", "memdb"},
+	"bid-tiered": {"-addr", "127.0.0.1:0", "-metrics-listen", "127.0.0.1:0", "-db", "sqlite:{dir}/db",
+		"-max-bytes", "256k", "-admission", "-l2", "{dir}/l2-0", "-l2-max-bytes", "64m"},
+	"bid-cluster3": {"-addr", "127.0.0.1:0", "-metrics-listen", "127.0.0.1:0", "-db", "sqlite:{dir}/db",
+		"-invalidation", "strong", "-replication", "1",
+		"-listen-peer", "127.0.0.1:0", "-peers", "127.0.0.1:1,127.0.0.1:2"},
+}
+
+// TestBenchmarkFlagsBoot parses every benchmark command line and takes it
+// through Config, ClusterConfig and the facade boot Serve performs before
+// serving (Runtime, Weave, Cluster). The removed peer-tier modes must fail
+// at Config, naming the removal.
+func TestBenchmarkFlagsBoot(t *testing.T) {
+	for name, line := range benchmarkLines {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := make([]string, len(line))
+			for i, a := range line {
+				args[i] = strings.ReplaceAll(a, "{dir}", dir)
+			}
+			f := parse(t, args...)
+			cfg, err := f.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := autowebcache.New(autowebcache.NewDB(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			h, err := rt.Weave([]autowebcache.HandlerInfo{{
+				Name: "Home", Path: "/", Fn: func(http.ResponseWriter, *http.Request) {},
+			}}, autowebcache.Rules{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			node, err := rt.Cluster(h, f.ClusterConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if node != nil {
+				node.Close()
+			}
+		})
+	}
+	for _, removed := range [][]string{
+		{"-invalidation", "async"},
+		{"-replication", "2"},
+	} {
+		_, err := parse(t, removed...).Config()
+		if err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Fatalf("%v: err = %v, want a removed-mode error", removed, err)
+		}
 	}
 }

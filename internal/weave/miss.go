@@ -14,7 +14,7 @@ import (
 //
 //	capture epoch → elect a flight leader → re-check the cache →
 //	remote fetch → generate (Woven.run) → guarded insert
-//	(cache.InsertSince) → publish the flight → offer to the key's owners
+//	(cache.InsertSince) → publish the flight → offer to the key's owner
 //
 // The advice functions differ only in what they do with the resolution:
 // whole-page advice replays it through the serve choke point, fragment

@@ -23,7 +23,7 @@ func buildServeWoven(t *testing.T, db *memdb.DB, rules Rules) (*Woven, *cache.Ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cache.New(cache.Options{Engine: engine, Gzip: true, GzipMinBytes: 16, ETags: true})
+	c, err := cache.New(cache.Options{Engine: engine, Gzip: true, ETags: true})
 	if err != nil {
 		t.Fatal(err)
 	}

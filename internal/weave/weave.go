@@ -16,13 +16,13 @@ import (
 
 // Remote is the optional cluster peer tier consulted between a local cache
 // miss and handler execution (internal/cluster.Node implements it). Fetch
-// asks the key's owner nodes for the page; on success the implementation
+// asks the key's owner node for the page; on success the implementation
 // has inserted a local replica through the cache's epoch guard
 // (cache.InsertSince, with its dependency information, so local
 // invalidation covers it) and returns the stored immutable view. A replica
 // the guard refuses — a write it depends on raced the round trip or is
 // still open — is a miss, and the weave regenerates the page. Offer
-// replicates a freshly generated page to the key's owners; its deps slice
+// replicates a freshly generated page to the key's owner; its deps slice
 // is shared with the cache and must be treated read-only. Either side may
 // be byte-governed: a fetched replica the local budget refuses is still
 // served (just not retained), and an owner at its budget refuses offers —
@@ -85,7 +85,7 @@ type Woven struct {
 
 	// remote, when set, is the cluster peer tier: flight leaders try a
 	// remote fetch before executing the handler, and misses replicate the
-	// generated page to the key's owners.
+	// generated page to the key's owner.
 	remote Remote
 
 	// flights coalesces concurrent misses on one page or fragment key (see
