@@ -10,6 +10,9 @@ package conformance
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"autowebcache/internal/datasource"
@@ -28,6 +31,7 @@ func Run(t *testing.T, open Factory) {
 	t.Run("ErrorShapes", func(t *testing.T) { testErrorShapes(t, open(t)) })
 	t.Run("DDLIdempotence", func(t *testing.T) { testDDLIdempotence(t, open(t)) })
 	t.Run("QueryShapes", func(t *testing.T) { testQueryShapes(t, open(t)) })
+	t.Run("OrderedIndex", func(t *testing.T) { testOrderedIndex(t, open(t)) })
 	t.Run("SchemaReport", func(t *testing.T) { testSchemaReport(t, open(t)) })
 	t.Run("Bootstrap", func(t *testing.T) { testBootstrap(t, open(t)) })
 }
@@ -212,6 +216,62 @@ func testQueryShapes(t *testing.T, c datasource.Conn) {
 		"SELECT label FROM conf_cats WHERE id IN (SELECT category FROM conf_items WHERE price > ?) ORDER BY id", 8.0)
 	if sub.Len() != 1 || sub.Data[0][0] != "tools" {
 		t.Fatalf("IN-subquery: %+v", sub.Data)
+	}
+}
+
+// testOrderedIndex: a table under CREATE INDEX … (k, o) and an unindexed
+// twin take the same seeded inserts, updates of k and of o, and deletes
+// (later inserts reuse the freed slots); after each batch, every
+// `WHERE k = ? ORDER BY o … LIMIT ? OFFSET ?` page is the same on both.
+func testOrderedIndex(t *testing.T, c datasource.Conn) {
+	tables := []string{"conf_ordered", "conf_twin"}
+	for _, tbl := range tables {
+		mustExec(t, c, "CREATE TABLE IF NOT EXISTS "+tbl+" (id INTEGER PRIMARY KEY AUTO_INCREMENT, k INTEGER, o INTEGER, s TEXT)")
+	}
+	mustExec(t, c, "CREATE INDEX IF NOT EXISTS idx_conf_ordered_k_o ON conf_ordered (k, o)")
+	rng := rand.New(rand.NewSource(0x0dde7))
+	both := func(sql string, args ...any) {
+		t.Helper()
+		for _, tbl := range tables {
+			mustExec(t, c, fmt.Sprintf(sql, tbl), args...)
+		}
+	}
+	// Order values repeat and include NULLs, so the id tie-break matters.
+	order := func() any {
+		if rng.Intn(8) == 0 {
+			return nil
+		}
+		return rng.Intn(10)
+	}
+	inserted := 0
+	for batch := 0; batch < 8; batch++ {
+		for i := 0; i < 30; i++ {
+			id := 1 + rng.Intn(inserted+1)
+			switch rng.Intn(5) {
+			case 0, 1:
+				both("INSERT INTO %s (k, o, s) VALUES (?, ?, ?)", rng.Intn(4), order(), fmt.Sprintf("row-%d", inserted))
+				inserted++
+			case 2:
+				both("UPDATE %s SET k = ? WHERE id = ?", rng.Intn(4), id)
+			case 3:
+				both("UPDATE %s SET o = ? WHERE id = ?", order(), id)
+			default:
+				both("DELETE FROM %s WHERE id = ?", id)
+			}
+		}
+		for k := 0; k < 4; k++ {
+			for _, dir := range []string{"ASC", "DESC"} {
+				tie := []string{"ASC", "DESC"}[rng.Intn(2)]
+				limit, offset := rng.Intn(8), rng.Intn(4)
+				sql := "SELECT id, k, o, s FROM %s WHERE k = ? ORDER BY o " + dir + ", id " + tie + " LIMIT ? OFFSET ?"
+				got := mustQuery(t, c, fmt.Sprintf(sql, tables[0]), k, limit, offset)
+				want := mustQuery(t, c, fmt.Sprintf(sql, tables[1]), k, limit, offset)
+				if !reflect.DeepEqual(got.Data, want.Data) {
+					t.Fatalf("batch %d: %s with k=%d LIMIT %d OFFSET %d:\nordered index %v\n   unindexed %v",
+						batch, sql, k, limit, offset, got.Data, want.Data)
+				}
+			}
+		}
 	}
 }
 

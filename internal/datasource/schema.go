@@ -38,15 +38,19 @@ type Column struct {
 type TableSpec struct {
 	Name    string
 	Columns []Column
-	// Indexed lists column names to build secondary indexes on. Equality
-	// lookups on these columns avoid full scans.
+	// Indexed lists the secondary indexes to build. An entry "col" is a
+	// hash index: equality lookups on col avoid full scans. An entry
+	// "col,order" is an ordered index: the same lookups, whose rows come
+	// sorted by the INT or TEXT column order, so `WHERE col = ? ORDER BY
+	// order … LIMIT n` reads about n of them instead of all.
 	Indexed []string
 }
 
 // DDL renders the spec as executable statements: one CREATE TABLE IF NOT
-// EXISTS plus one CREATE INDEX IF NOT EXISTS per Indexed column. Both the
-// memdb and sqlite drivers execute this dialect, so applications bootstrap
-// their schema through a plain Conn without knowing the backend.
+// EXISTS plus one CREATE INDEX IF NOT EXISTS per Indexed entry, on its one
+// or two columns. Both the memdb and sqlite drivers execute this dialect, so
+// applications bootstrap their schema through a plain Conn without knowing
+// the backend.
 func (s TableSpec) DDL() []string {
 	var b strings.Builder
 	b.WriteString("CREATE TABLE IF NOT EXISTS ")
@@ -72,9 +76,10 @@ func (s TableSpec) DDL() []string {
 	}
 	b.WriteString(")")
 	out := []string{b.String()}
-	for _, col := range s.Indexed {
-		out = append(out,
-			"CREATE INDEX IF NOT EXISTS idx_"+s.Name+"_"+col+" ON "+s.Name+" ("+col+")")
+	for _, entry := range s.Indexed {
+		cols := strings.Split(entry, ",")
+		out = append(out, "CREATE INDEX IF NOT EXISTS idx_"+s.Name+"_"+strings.Join(cols, "_")+
+			" ON "+s.Name+" ("+strings.Join(cols, ", ")+")")
 	}
 	return out
 }

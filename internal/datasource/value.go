@@ -10,7 +10,17 @@ import (
 // Value is a database value: int64, float64, string or nil (SQL NULL).
 type Value = any
 
-func stringify(v any) string { return fmt.Sprint(v) }
+// stringify renders a value as fmt.Sprint does, without fmt's reflection
+// for the two numeric kinds that pages render most.
+func stringify(v any) string {
+	switch x := v.(type) {
+	case int64:
+		return strconv.FormatInt(x, 10)
+	case float64:
+		return strconv.FormatFloat(x, 'g', -1, 64)
+	}
+	return fmt.Sprint(v)
+}
 
 // Normalize converts convenient Go values (int, int32, uint, bool, float32…)
 // to the canonical Value representation. It returns an error for unsupported

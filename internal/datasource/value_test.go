@@ -1,9 +1,29 @@
 package datasource
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
+
+// TestStringifyMatchesSprint pins Rows.Str's rendering of numbers to
+// fmt.Sprint's, which it replaced, across magnitudes, signs and the
+// special floats.
+func TestStringifyMatchesSprint(t *testing.T) {
+	vals := []any{int64(0), int64(-7), int64(math.MaxInt64), int64(math.MinInt64), "x",
+		0.0, math.Copysign(0, -1), 2.5, 1e20, 1e21, 1e-4, 1e-5, 123456789.125, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, rng.Int63()>>rng.Intn(63), math.Float64frombits(rng.Uint64()), rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	for _, v := range vals {
+		if got, want := stringify(v), fmt.Sprint(v); got != want {
+			t.Errorf("stringify(%T %v) = %q, fmt.Sprint gives %q", v, v, got, want)
+		}
+	}
+}
 
 // TestKeyOfValuesRendering pins the composite-key format (length-prefixed
 // KeyString per value) across the buffer sizes the renderer switches on, and

@@ -3,6 +3,7 @@ package memdb
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -470,6 +471,56 @@ func TestCreateTableValidation(t *testing.T) {
 	}
 	if err := db.CreateTable(ok); err == nil {
 		t.Fatal("expected duplicate table error")
+	}
+}
+
+// TestOrderedIndexDDL pins the edges of CREATE INDEX … (key, order): the
+// order is one INT or TEXT column, a key keeps the order it was given, an
+// ordered index may replace a plain one, and repeating a statement changes
+// nothing.
+func TestOrderedIndexDDL(t *testing.T) {
+	ctx := context.Background()
+	db := New()
+	for _, sql := range []string{
+		"CREATE TABLE t (id INTEGER PRIMARY KEY AUTO_INCREMENT, k INTEGER, n INTEGER, s TEXT, f REAL)",
+		"INSERT INTO t (k, n, s, f) VALUES (1, 2, 'b', 0.5), (1, 1, 'a', 1.5), (2, 3, 'a', 2.5)",
+		"CREATE INDEX t_k_n ON t (k, n)",
+		"CREATE INDEX t_k_n ON t (k, n)",
+		"CREATE INDEX t_k ON t (k)",
+		"CREATE INDEX t_s ON t (s)",
+		"CREATE INDEX t_s_n ON t (s, n)",
+	} {
+		if _, err := db.Exec(ctx, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, c := range []struct{ sql, want string }{
+		{"CREATE INDEX t_n_f ON t (n, f)", "cannot order an index by FLOAT column f"},
+		{"CREATE INDEX t_k_n_s ON t (k, n, s)", "index on 3 columns"},
+		{"CREATE INDEX t_k_s ON t (k, s)", "k is already indexed in order of n, not s"},
+		{"CREATE INDEX t_s_id ON t (s, id)", "s is already indexed in order of n, not id"},
+		{"CREATE INDEX t_k_x ON t (k, x)", "unknown column x"},
+	} {
+		if _, err := db.Exec(ctx, c.sql); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got error %v, want one saying %q", c.sql, err, c.want)
+		}
+	}
+	if err := db.CreateTable(TableSpec{Name: "u", Columns: []Column{{Name: "k", Type: TypeInt}, {Name: "f", Type: TypeFloat}},
+		Indexed: []string{"k,f"}}); err == nil || !strings.Contains(err.Error(), "FLOAT") {
+		t.Errorf("a TableSpec ordering an index by a FLOAT column: got error %v", err)
+	}
+	tbl, err := db.lookupTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tbl.colIdx["n"]
+	if k, s := tbl.indexes[tbl.colIdx["k"]], tbl.indexes[tbl.colIdx["s"]]; k.order != n || s.order != n {
+		t.Fatalf("k is ordered by column %d and s by %d, want both by n (%d)", k.order, s.order, n)
+	}
+	checkIndexes(t, db, "t")
+	rows, err := db.Query(ctx, "SELECT n FROM t WHERE s = ? ORDER BY n DESC LIMIT 1", "a")
+	if err != nil || rows.Len() != 1 || rows.Int(0, 0) != 3 {
+		t.Fatalf("newest 'a' by n: %v %v", rows, err)
 	}
 }
 

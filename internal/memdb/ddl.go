@@ -1,10 +1,6 @@
 package memdb
 
-import (
-	"fmt"
-
-	"autowebcache/internal/sqlparser"
-)
+import "autowebcache/internal/sqlparser"
 
 // execCreateTable realises a parsed CREATE TABLE — the bootstrap path a
 // datasource-level seeder takes, as opposed to the programmatic CreateTable
@@ -32,10 +28,11 @@ func (db *DB) execCreateTable(s *sqlparser.CreateTableStmt) (Result, error) {
 	return Result{}, nil
 }
 
-// execCreateIndex builds a hash index on existing columns, back-filling it
-// over the rows already stored. Re-creating an index that exists is a no-op
-// (memdb indexes are keyed by column, so the statement's index name only
-// matters to name-aware backends).
+// execCreateIndex builds an index, back-filling it over the rows already
+// stored: a hash index on one column, or an ordered one on (key, order).
+// Re-creating an index that exists is a no-op (memdb indexes are keyed by
+// column, so the statement's index name only matters to name-aware
+// backends).
 func (db *DB) execCreateIndex(s *sqlparser.CreateIndexStmt) (Result, error) {
 	t, err := db.lookupTable(s.Table)
 	if err != nil {
@@ -43,21 +40,5 @@ func (db *DB) execCreateIndex(s *sqlparser.CreateIndexStmt) (Result, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, col := range s.Columns {
-		ci, ok := t.colIdx[col]
-		if !ok {
-			return Result{}, fmt.Errorf("memdb: table %s has no column %s to index", s.Table, col)
-		}
-		if _, exists := t.indexes[ci]; exists {
-			continue
-		}
-		ix := newHashIndex(t.spec.Columns[ci].Type)
-		for rowID, row := range t.rows {
-			if row != nil {
-				ix.add(row[ci], rowID)
-			}
-		}
-		t.indexes[ci] = ix
-	}
-	return Result{}, nil
+	return Result{}, t.addIndexLocked(s.Columns)
 }

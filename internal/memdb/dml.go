@@ -69,10 +69,11 @@ func (db *DB) matchRowsLocked(t *table, ref string, where sqlparser.Expr, ev *en
 		p.addCond(0, c)
 	}
 	defer func() { db.rowsScanned.Add(uint64(p.scanned)) }()
-	probed, skip, scan, err := p.candidates(0)
+	probed, pr, err := p.candidates(0)
 	if err != nil {
 		return nil, err
 	}
+	scan, skip := pr == nil, skipCond(pr)
 	n := len(probed)
 	if scan {
 		n = len(t.rows)

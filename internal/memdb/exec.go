@@ -71,6 +71,9 @@ type selectPlan struct {
 	out      *projection
 	// reverse visits the first table's candidates last to first.
 	reverse bool
+	// lead is the first table's column that the first ORDER BY key reads
+	// when top-k may stop walking a bucket ordered by it, or -1.
+	lead int
 	// first and sub are the arrival of the joined row being built: the
 	// forward position of its first-table row among that table's
 	// candidates, and how many joined rows that row produced before it.
@@ -85,6 +88,7 @@ func newPlan(ev *env) *selectPlan {
 		conds:    make([][]sqlparser.Expr, n),
 		probes:   make([][]indexProbe, n),
 		leftJoin: make([]bool, n),
+		lead:     -1,
 	}
 }
 
@@ -211,11 +215,16 @@ func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, e
 	defer unlockTablesRead(locked)
 
 	// Enumerate joined rows via recursive nested loops with index probes.
-	// When the projection keeps the first rows of a DESC ordering, the
-	// first table is visited last to first: rows stored oldest first then
-	// arrive newest first, and a later row rarely displaces a kept one.
+	// When the projection keeps the first rows of an ordering, the first
+	// table is visited in the direction of its first key: last to first for
+	// DESC, so rows stored oldest first arrive newest first and a later row
+	// rarely displaces a kept one, and a bucket ordered by that key is
+	// walked best first and left as soon as top-k is settled.
 	plan.out = out
-	plan.reverse = out.top != nil && out.groups == nil && sel.OrderBy[0].Desc
+	if out.top != nil && out.groups == nil {
+		plan.reverse = sel.OrderBy[0].Desc
+		plan.lead = out.leadColumn()
+	}
 	err = plan.joinLevel(0)
 	db.rowsScanned.Add(uint64(plan.scanned))
 	if err != nil {
@@ -282,21 +291,29 @@ func (p *selectPlan) bound(level int, e sqlparser.Expr) bool {
 }
 
 // candidates returns table k's candidate row ids from its first exact
-// probe, and that probe's conjunct, which those rows satisfy by
-// construction. scan is true when no probe is exact: the level then visits
-// every row and checks every conjunct.
-func (p *selectPlan) candidates(k int) (ids []int, skip int, scan bool, err error) {
+// probe, and that probe, whose conjunct those rows satisfy by construction.
+// The probe is nil when none is exact: the level then scans, visiting every
+// row and checking every conjunct.
+func (p *selectPlan) candidates(k int) (ids []int, pr *indexProbe, err error) {
 	for i := range p.probes[k] {
 		pr := &p.probes[k][i]
 		ids, ok, err := p.lookup(k, pr)
 		if err != nil {
-			return nil, -1, false, err
+			return nil, nil, err
 		}
 		if ok {
-			return ids, pr.cond, false, nil
+			return ids, pr, nil
 		}
 	}
-	return nil, -1, true, nil
+	return nil, nil, nil
+}
+
+// skipCond is the conjunct a probe answered, or -1 for a scan.
+func skipCond(pr *indexProbe) int {
+	if pr == nil {
+		return -1
+	}
+	return pr.cond
 }
 
 // lookup runs one probe of table k; ok is false when some value has no
@@ -404,13 +421,23 @@ func (p *selectPlan) joinLevel(k int) error {
 		return err
 	}
 	t := ev.tables[k].tbl
-	ids, skip, scan, err := p.candidates(k)
+	ids, pr, err := p.candidates(k)
 	if err != nil {
 		return err
 	}
+	scan, skip := pr == nil, skipCond(pr)
 	n := len(ids)
 	if scan {
 		n = len(t.rows)
+	}
+	// A probe of the first table tells top-k how many candidates to expect.
+	// An equality probe on a bucket ordered by the lead key walks it best
+	// first, so once top-k rejects a row's lead key it rejects every later
+	// row's too; the walk ends there, and the rows past it are not visited.
+	bounded := false
+	if k == 0 && !scan && p.out.top != nil && p.out.groups == nil {
+		p.out.top.reserve(n, len(ev.tables))
+		bounded = pr.in == nil && p.lead >= 0 && pr.ix.order == p.lead
 	}
 	matched := false
 	for i := 0; i < n; i++ {
@@ -421,6 +448,9 @@ func (p *selectPlan) joinLevel(k int) error {
 		id := pos
 		if !scan {
 			id = ids[pos]
+		}
+		if bounded && p.out.top.excludes(t.rows[id][p.lead]) {
+			break
 		}
 		ok, err := p.match(k, skip, t.rows[id])
 		if err != nil {
@@ -457,7 +487,7 @@ type outputColumn struct {
 
 // expandItems resolves the select list to concrete output columns.
 func expandItems(sel *sqlparser.SelectStmt, ev *env) ([]outputColumn, error) {
-	var out []outputColumn
+	out := make([]outputColumn, 0, len(sel.Items))
 	for i := range sel.Items {
 		item := &sel.Items[i]
 		if item.Star {
@@ -539,6 +569,24 @@ func newProjection(sel *sqlparser.SelectStmt, ev *env) (*projection, error) {
 		}
 	}
 	return p, nil
+}
+
+// leadColumn returns the column of the first table that the first ORDER BY
+// key reads as is, or -1 when that key is anything else.
+func (p *projection) leadColumn() int {
+	e := p.sel.OrderBy[0].Expr
+	if j := p.orderCol[0]; j >= 0 {
+		e = p.cols[j].expr
+	}
+	c, ok := e.(*sqlparser.ColumnRef)
+	if !ok {
+		return -1
+	}
+	ti, ci, err := p.ev.resolve(c)
+	if err != nil || ti != 0 {
+		return -1
+	}
+	return ci
 }
 
 // add consumes the joined row ev points at; first and sub are its arrival.
@@ -783,7 +831,7 @@ func compareKeys(order []sqlparser.OrderItem, a, b []Value) int {
 // whatever order they are offered in. It is a max-heap rooted at the last
 // survivor, so a candidate that does not displace the root costs one
 // comparison and no allocation. Storage grows with the survivors, never
-// beyond the candidates offered.
+// beyond the candidates offered or a probe's candidate count.
 type topK struct {
 	order   []sqlparser.OrderItem
 	k       int
@@ -861,6 +909,30 @@ func (t *topK) offer(first, sub int, rows [][]Value) {
 		t.heap[i], t.heap[last] = t.heap[last], t.heap[i]
 		i = last
 	}
+}
+
+// reserve sizes the survivors' storage for n candidates of the given
+// number of tables each, or for k when n is larger, so a probe whose
+// candidates are known fills the heap without growing it.
+func (t *topK) reserve(n, tables int) {
+	n = min(n, t.k)
+	t.heap = slices.Grow(t.heap, n)
+	t.keySlab = slices.Grow(t.keySlab, n*len(t.order))
+	t.rowSlab = slices.Grow(t.rowSlab, n*tables)
+}
+
+// excludes reports whether top-k rejects every candidate whose first key is
+// v or worse: it holds k survivors and v is strictly worse than the first
+// key of the last of them. Survivors only improve, so this stays true.
+func (t *topK) excludes(v Value) bool {
+	if n := len(t.heap); n == 0 || n < t.k {
+		return false
+	}
+	c := Compare(v, t.heap[0].keys[0])
+	if t.order[0].Desc {
+		c = -c
+	}
+	return c > 0
 }
 
 // sorted returns the survivors in (keys, arrival) order.

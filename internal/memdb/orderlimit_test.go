@@ -15,13 +15,14 @@ const aboutMeBids = "SELECT items.id, items.name, bids.bid, bids.qty, bids.date 
 // aboutMeBuyNow is AboutMe's buy-now list, which stays short.
 const aboutMeBuyNow = "SELECT buy_now.qty, buy_now.date, items.name FROM buy_now JOIN items ON buy_now.item_id = items.id WHERE buy_now.buyer_id = ? ORDER BY buy_now.date DESC, buy_now.id DESC LIMIT ?"
 
-// userBids is how many bids aboutMeDB gives user 1: a list that has grown
-// during a bidding run, as the ones that make AboutMe a slow miss do.
+// userBids is how many bids aboutMeDB usually gives user 1: a list that has
+// grown during a bidding run, as the ones that made AboutMe a slow miss did
+// before its indexes were ordered.
 const userBids = 1000
 
-// aboutMeDB loads the RUBiS dataset at its default scale plus userBids bids
-// by user 1.
-func aboutMeDB(tb testing.TB) *memdb.DB {
+// aboutMeDB loads the RUBiS dataset at its default scale plus the given
+// number of bids by user 1, each newer than the last.
+func aboutMeDB(tb testing.TB, bids int) *memdb.DB {
 	tb.Helper()
 	db := memdb.New()
 	last, err := rubis.Load(db, rubis.DefaultScale())
@@ -30,7 +31,7 @@ func aboutMeDB(tb testing.TB) *memdb.DB {
 	}
 	ctx := context.Background()
 	items := rubis.DefaultScale().Items
-	for i := 0; i < userBids; i++ {
+	for i := 0; i < bids; i++ {
 		bid := float64(10 + i%50)
 		if _, err := db.Exec(ctx, "INSERT INTO bids (user_id, item_id, qty, bid, max_bid, date) VALUES (?, ?, ?, ?, ?, ?)",
 			1, 1+i%items, 1, bid, bid, last+int64(i+1)); err != nil {
@@ -47,7 +48,7 @@ func aboutMeDB(tb testing.TB) *memdb.DB {
 // materialising rows the LIMIT drops would each cost at least one
 // allocation per matching row.
 func TestOrderLimitAllocsBounded(t *testing.T) {
-	db := aboutMeDB(t)
+	db := aboutMeDB(t, userBids)
 	ctx := context.Background()
 	rows, err := db.Query(ctx, aboutMeBids+" LIMIT ?", 1, 25)
 	if err != nil {
@@ -74,29 +75,60 @@ func TestOrderLimitAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestOrderedProbeVisitsBoundedRows pins what an ordered index buys: the
+// bid list AboutMe pages through is walked newest first through the
+// (user_id, date) bucket and left once 25 bids are kept, so the rows it
+// visits, and SetRowCost charges, do not grow with the user's history.
+func TestOrderedProbeVisitsBoundedRows(t *testing.T) {
+	ctx := context.Background()
+	visited := map[int]uint64{}
+	for _, bids := range []int{1000, 8000} {
+		db := aboutMeDB(t, bids)
+		before := db.Stats().RowsScanned
+		rows, err := db.Query(ctx, aboutMeBids+" LIMIT ?", 1, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visited[bids] = db.Stats().RowsScanned - before
+		if rows.Len() != 25 || rows.Int(0, 4) <= rows.Int(24, 4) {
+			t.Fatalf("%d bids: got %d rows from date %d to %d, want 25 newest first", bids, rows.Len(), rows.Int(0, 4), rows.Int(24, 4))
+		}
+	}
+	// Each kept bid visits its item too. aboutMeDB's dates are distinct,
+	// so the 25th bid has no tie group to finish.
+	if visited[1000] != visited[8000] || visited[8000] > 2*25 {
+		t.Fatalf("LIMIT 25 visited %d rows over 1000 bids and %d over 8000, want the same, at most %d",
+			visited[1000], visited[8000], 2*25)
+	}
+}
+
 var sinkRows *memdb.Rows
 
 // BenchmarkSelectOrderLimit runs AboutMe's bid-list query over userBids
-// matching rows: "limit" is the page the handler asks for (top-k), "full"
-// the same statement without LIMIT (the full stable sort), and "short"
-// AboutMe's buy-now list, which matches fewer rows than the LIMIT, so the
-// per-statement cost shows.
+// matching rows: "limit" is the page the handler asks for (top-k over the
+// ordered bucket), "full" the same statement without LIMIT (the full stable
+// sort), "short" AboutMe's buy-now list, which matches fewer rows than the
+// LIMIT, so the per-statement cost shows, and "limit-8000" the page over
+// 8000 matching rows, which costs what "limit" does.
 func BenchmarkSelectOrderLimit(b *testing.B) {
-	db := aboutMeDB(b)
+	db := aboutMeDB(b, userBids)
+	long := aboutMeDB(b, 8000)
 	ctx := context.Background()
 	for _, bc := range []struct {
 		name string
+		db   *memdb.DB
 		sql  string
 		args []any
 	}{
-		{"limit", aboutMeBids + " LIMIT ?", []any{1, 25}},
-		{"full", aboutMeBids, []any{1}},
-		{"short", aboutMeBuyNow, []any{1, 25}},
+		{"limit", db, aboutMeBids + " LIMIT ?", []any{1, 25}},
+		{"full", db, aboutMeBids, []any{1}},
+		{"short", db, aboutMeBuyNow, []any{1, 25}},
+		{"limit-8000", long, aboutMeBids + " LIMIT ?", []any{1, 25}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows, err := db.Query(ctx, bc.sql, bc.args...)
+				rows, err := bc.db.Query(ctx, bc.sql, bc.args...)
 				if err != nil {
 					b.Fatal(err)
 				}

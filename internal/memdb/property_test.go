@@ -22,9 +22,13 @@ type refRow struct {
 	score float64
 }
 
-// buildPropDB creates a table plus a parallel native slice of rows.
-func buildPropDB(t *testing.T, rng *rand.Rand, n int) (*DB, []refRow) {
+// buildPropDB creates a table plus a parallel native slice of rows. The
+// table's indexes are the given Indexed entries, or one on grp.
+func buildPropDB(t *testing.T, rng *rand.Rand, n int, indexed ...string) (*DB, []refRow) {
 	t.Helper()
+	if len(indexed) == 0 {
+		indexed = []string{"grp"}
+	}
 	db := New()
 	db.MustCreateTable(TableSpec{
 		Name: "rows",
@@ -34,7 +38,7 @@ func buildPropDB(t *testing.T, rng *rand.Rand, n int) (*DB, []refRow) {
 			{Name: "grp", Type: TypeInt},
 			{Name: "score", Type: TypeFloat},
 		},
-		Indexed: []string{"grp"},
+		Indexed: indexed,
 	})
 	ctx := context.Background()
 	ref := make([]refRow, 0, n)
@@ -296,47 +300,103 @@ func TestKeyStringInjective(t *testing.T) {
 }
 
 // TestRandomMutationsKeepIndexConsistent applies a random workload of
-// inserts, updates and deletes, then verifies every indexed query agrees
-// with a full-scan query.
+// inserts (some reusing deleted slots), updates of index keys and of order
+// columns, and deletes to plain and ordered indexes. After every statement
+// each bucket must hold exactly the live rows with its key, an ordered one
+// sorted by (order value, row id); at the end every indexed query must
+// agree with a full-scan query.
 func TestRandomMutationsKeepIndexConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	db, _ := buildPropDB(t, rng, 40)
-	ctx := context.Background()
-	for i := 0; i < 400; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			if _, err := db.Exec(ctx, "INSERT INTO rows (name, grp, score) VALUES (?, ?, ?)",
-				fmt.Sprintf("name-%d", rng.Intn(20)), rng.Intn(8), float64(rng.Intn(100))); err != nil {
-				t.Fatal(err)
+	for _, indexed := range [][]string{{"grp"}, {"grp,name"}, {"grp,id", "name,grp"}} {
+		t.Run(strings.Join(indexed, "+"), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			db, _ := buildPropDB(t, rng, 40, indexed...)
+			ctx := context.Background()
+			name := func() any {
+				if rng.Intn(8) == 0 {
+					return nil
+				}
+				return fmt.Sprintf("name-%d", rng.Intn(20))
 			}
-		case 1:
-			if _, err := db.Exec(ctx, "UPDATE rows SET grp = ? WHERE id = ?", rng.Intn(8), rng.Intn(80)+1); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 400; i++ {
+				var err error
+				switch rng.Intn(5) {
+				case 0:
+					_, err = db.Exec(ctx, "INSERT INTO rows (name, grp, score) VALUES (?, ?, ?)", name(), rng.Intn(8), float64(rng.Intn(100)))
+				case 1:
+					_, err = db.Exec(ctx, "UPDATE rows SET grp = ? WHERE id = ?", rng.Intn(8), rng.Intn(80)+1)
+				case 2:
+					_, err = db.Exec(ctx, "UPDATE rows SET name = ?, grp = ? WHERE id = ?", name(), rng.Intn(8), rng.Intn(80)+1)
+				case 3:
+					_, err = db.Exec(ctx, "UPDATE rows SET name = ? WHERE grp = ?", name(), rng.Intn(8))
+				default:
+					_, err = db.Exec(ctx, "DELETE FROM rows WHERE id = ?", rng.Intn(80)+1)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkIndexes(t, db, "rows")
 			}
-		default:
-			if _, err := db.Exec(ctx, "DELETE FROM rows WHERE id = ?", rng.Intn(80)+1); err != nil {
-				t.Fatal(err)
+			for g := 0; g < 8; g++ {
+				// The engine probes the index for `grp = ?`; OR-ing a false
+				// constant defeats the probe and forces a scan without
+				// changing the result.
+				idxRows, err := db.Query(ctx, "SELECT id FROM rows WHERE grp = ? ORDER BY id ASC", g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanRows, err := db.Query(ctx, "SELECT id FROM rows WHERE (grp = ? OR 1 = 0) ORDER BY id ASC", g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(idxRows.Data, scanRows.Data) {
+					t.Fatalf("grp %d: index %v, scan %v", g, idxRows.Data, scanRows.Data)
+				}
 			}
-		}
+		})
 	}
-	for g := 0; g < 8; g++ {
-		// The engine probes the index for `grp = ?`; adding a tautology on an
-		// unindexed column (score >= 0) with OR defeats the probe and forces
-		// a scan. Wrap in parens to keep semantics identical.
-		idxRows, err := db.Query(ctx, "SELECT id FROM rows WHERE grp = ? ORDER BY id ASC", g)
-		if err != nil {
-			t.Fatal(err)
+}
+
+// checkIndexes checks every index of the named table: its buckets together
+// hold each live row with a key exactly once, under that key, and an
+// ordered index keeps each bucket sorted by (order value, row id).
+func checkIndexes(t *testing.T, db *DB, name string) {
+	t.Helper()
+	tbl, err := db.lookupTable(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	for _, ix := range tbl.indexes {
+		seen := map[int]bool{}
+		check := func(key Value, ids []int) {
+			for i, id := range ids {
+				row := tbl.rows[id]
+				if row == nil || seen[id] || Compare(row[ix.col], key) != 0 {
+					t.Fatalf("index on column %d: bucket %v holds row %d %v twice, deleted or misfiled", ix.col, key, id, row)
+				}
+				seen[id] = true
+				if ix.order < 0 || i == 0 {
+					continue
+				}
+				prev := ids[i-1]
+				if c := Compare(tbl.rows[prev][ix.order], row[ix.order]); c > 0 || c == 0 && prev > id {
+					t.Fatalf("index on column %d by %d: bucket %v has row %d %v before row %d %v", ix.col, ix.order, key, prev, tbl.rows[prev], id, row)
+				}
+			}
 		}
-		scanRows, err := db.Query(ctx, "SELECT id FROM rows WHERE (grp = ? OR 1 = 0) ORDER BY id ASC", g)
-		if err != nil {
-			t.Fatal(err)
+		for k, ids := range ix.ints {
+			check(k, ids)
 		}
-		if idxRows.Len() != scanRows.Len() {
-			t.Fatalf("grp %d: index %d rows, scan %d rows", g, idxRows.Len(), scanRows.Len())
+		for k, ids := range ix.floats {
+			check(k, ids)
 		}
-		for i := range idxRows.Data {
-			if idxRows.Int(i, 0) != scanRows.Int(i, 0) {
-				t.Fatalf("grp %d row %d differs", g, i)
+		for k, ids := range ix.strs {
+			check(k, ids)
+		}
+		for id, row := range tbl.rows {
+			if row != nil && row[ix.col] != nil && !seen[id] {
+				t.Fatalf("index on column %d: live row %d %v is in no bucket", ix.col, id, row)
 			}
 		}
 	}
@@ -391,6 +451,47 @@ func buildSortDB(t *testing.T, rng *rand.Rand) *DB {
 			t.Fatal(err)
 		}
 	}
+	// c has a's shape under ordered indexes. Its order keys repeat and
+	// hold NULLs, and updates, deletes and reused slots leave its buckets
+	// in an order that is neither insertion nor id order.
+	db.MustCreateTable(TableSpec{Name: "c", Columns: []Column{
+		{Name: "id", Type: TypeInt, AutoIncrement: true},
+		{Name: "g", Type: TypeInt},
+		{Name: "k1", Type: TypeInt},
+		{Name: "k2", Type: TypeString},
+		{Name: "v", Type: TypeFloat},
+	}, Indexed: []string{"g,k1", "k2,id"}})
+	k1 := func() any {
+		if rng.Intn(10) == 0 {
+			return nil
+		}
+		return rng.Intn(6)
+	}
+	insertC := func() {
+		if _, err := db.Exec(ctx, "INSERT INTO c (g, k1, k2, v) VALUES (?, ?, ?, ?)",
+			rng.Intn(3), k1(), string(rune('x'+rng.Intn(3))), float64(rng.Intn(5))/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < rowsA; i++ {
+		insertC()
+	}
+	for i := 0; i < rowsA; i++ {
+		id := 1 + rng.Intn(rowsA)
+		var err error
+		switch rng.Intn(3) {
+		case 0:
+			_, err = db.Exec(ctx, "UPDATE c SET k1 = ? WHERE id = ?", k1(), id)
+		case 1:
+			_, err = db.Exec(ctx, "UPDATE c SET g = ? WHERE id = ?", rng.Intn(3), id)
+		default:
+			_, err = db.Exec(ctx, "DELETE FROM c WHERE id = ?", id)
+			insertC()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	return db
 }
 
@@ -399,7 +500,10 @@ func buildSortDB(t *testing.T, rng *rand.Rand) *DB {
 // ASC/DESC key lists with many ties: plain, aliased, non-selected and
 // qualified keys, joins, grouping with aggregate keys, HAVING, DISTINCT and
 // IN probes (lists and subqueries, on the first and on a joined table),
-// including k = 0 and offsets past the end.
+// including k = 0 and offsets past the end. Table c's probes walk ordered
+// buckets, which top-k leaves early when the first key is the bucket's
+// order, including through an inner join that drops rows and past an
+// alias that names the order column but reads another.
 func TestOrderLimitMatchesFullSort(t *testing.T) {
 	seed := propSeed(t)
 	t.Logf("seed %d (override with AWC_PROP_SEED)", seed)
@@ -433,6 +537,13 @@ func TestOrderLimitMatchesFullSort(t *testing.T) {
 			[]string{"b.w", "a.k1", "a.k2", "bid"}},
 		{"SELECT a.id, b.id AS bid, b.w FROM a JOIN b ON b.a_id IN (?, ?, ?) AND b.w = a.k1 WHERE a.g < ?", []any{3, 8, 8, 6},
 			[]string{"b.w", "a.k2", "bid", "a.id"}},
+		// Ordered buckets: (g, k1) and (k2, id).
+		{"SELECT id, k1, k2, v FROM c WHERE g = ?", []any{1},
+			[]string{"k1", "c.k1", "id", "k2", "v"}},
+		{"SELECT c.id, c.k1, b.w FROM c JOIN b ON b.a_id = c.id AND b.w > ? WHERE c.g = ?", []any{0, 2},
+			[]string{"c.k1", "b.w", "c.id"}},
+		{"SELECT id AS n, k1 AS id, g FROM c WHERE k2 = ?", []any{"y"},
+			[]string{"id", "n", "c.id", "g"}},
 	}
 	for iter := 0; iter < 400; iter++ {
 		st := statements[rng.Intn(len(statements))]
@@ -478,8 +589,10 @@ func TestOrderLimitMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestLimitVisitsSameRows pins the row-visit accounting SetRowCost charges:
-// a LIMIT changes which rows are returned, not which rows are visited.
+// TestLimitVisitsSameRows pins the row-visit accounting SetRowCost charges
+// for scans and plain hash indexes: a LIMIT changes which rows are
+// returned, not which rows are visited. (A probe of an ordered index stops
+// early; TestOrderedProbeVisitsBoundedRows pins that.)
 func TestLimitVisitsSameRows(t *testing.T) {
 	db := buildSortDB(t, rand.New(rand.NewSource(3)))
 	ctx := context.Background()

@@ -1,8 +1,10 @@
 package memdb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,7 +19,7 @@ type (
 	ColType = datasource.ColType
 	// Column describes one table column.
 	Column = datasource.Column
-	// TableSpec describes a table and its secondary hash indexes.
+	// TableSpec describes a table and its secondary indexes.
 	TableSpec = datasource.TableSpec
 )
 
@@ -48,7 +50,14 @@ type table struct {
 // is keyed by the column's own type (coerce guarantees every stored value
 // has it), so filing and probing a value never formats a key. NULLs are not
 // filed: no equality matches them.
+//
+// An ordered index, CREATE INDEX … (col, order), keeps every bucket sorted
+// by (the order column under datasource.Compare, row id), so a probe's
+// candidates arrive in that order and top-k can stop walking them early.
+// A plain index keeps a bucket in no particular order.
 type hashIndex struct {
+	col    int
+	order  int              // the column buckets are sorted by, or -1
 	ints   buckets[int64]   // INT columns
 	floats buckets[float64] // FLOAT columns, except NaN
 	strs   buckets[string]  // TEXT columns
@@ -58,44 +67,63 @@ type hashIndex struct {
 	nans int
 }
 
-func newHashIndex(typ ColType) *hashIndex {
+func newHashIndex(col int, typ ColType, order int) *hashIndex {
+	ix := &hashIndex{col: col, order: order}
 	switch typ {
 	case TypeInt:
-		return &hashIndex{ints: buckets[int64]{}}
+		ix.ints = buckets[int64]{}
 	case TypeFloat:
-		return &hashIndex{floats: buckets[float64]{}}
+		ix.floats = buckets[float64]{}
+	default:
+		ix.strs = buckets[string]{}
 	}
-	return &hashIndex{strs: buckets[string]{}}
+	return ix
 }
 
-func (ix *hashIndex) add(v Value, rowID int) {
-	switch x := v.(type) {
+// add files row rowID of rows. It reads the row's current values, so an
+// update removes a row before changing it and adds it after.
+func (ix *hashIndex) add(rows [][]Value, rowID int) {
+	switch x := rows[rowID][ix.col].(type) {
 	case int64:
-		ix.ints.add(x, rowID)
+		ix.ints.add(x, ix, rows, rowID)
 	case float64:
 		if math.IsNaN(x) {
 			ix.nans++
 			return
 		}
-		ix.floats.add(x, rowID)
+		ix.floats.add(x, ix, rows, rowID)
 	case string:
-		ix.strs.add(x, rowID)
+		ix.strs.add(x, ix, rows, rowID)
 	}
 }
 
-func (ix *hashIndex) remove(v Value, rowID int) {
-	switch x := v.(type) {
+// remove unfiles row rowID of rows, which must still hold the values it was
+// filed with.
+func (ix *hashIndex) remove(rows [][]Value, rowID int) {
+	switch x := rows[rowID][ix.col].(type) {
 	case int64:
-		ix.ints.remove(x, rowID)
+		ix.ints.remove(x, ix, rows, rowID)
 	case float64:
 		if math.IsNaN(x) {
 			ix.nans--
 			return
 		}
-		ix.floats.remove(x, rowID)
+		ix.floats.remove(x, ix, rows, rowID)
 	case string:
-		ix.strs.remove(x, rowID)
+		ix.strs.remove(x, ix, rows, rowID)
 	}
+}
+
+// search finds rowID's rank in an ordered bucket by (order value, row id),
+// and reports whether it is there.
+func (ix *hashIndex) search(rows [][]Value, ids []int, rowID int) (int, bool) {
+	o := rows[rowID][ix.order]
+	return slices.BinarySearchFunc(ids, rowID, func(id, _ int) int {
+		if c := Compare(rows[id][ix.order], o); c != 0 {
+			return c
+		}
+		return cmp.Compare(id, rowID)
+	})
 }
 
 // probe returns the ids of the rows whose value equals v under
@@ -134,18 +162,24 @@ func (ix *hashIndex) probe(v Value) ([]int, bool) {
 // buckets maps one key type to row ids.
 type buckets[K comparable] map[K][]int
 
-func (b buckets[K]) add(k K, rowID int) {
-	b[k] = append(b[k], rowID)
+func (b buckets[K]) add(k K, ix *hashIndex, rows [][]Value, rowID int) {
+	ids := b[k]
+	i := len(ids)
+	if ix.order >= 0 {
+		i, _ = ix.search(rows, ids, rowID)
+	}
+	b[k] = slices.Insert(ids, i, rowID)
 }
 
-func (b buckets[K]) remove(k K, rowID int) {
+func (b buckets[K]) remove(k K, ix *hashIndex, rows [][]Value, rowID int) {
 	ids := b[k]
-	for i, id := range ids {
-		if id == rowID {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			break
+	if ix.order >= 0 {
+		if i, ok := ix.search(rows, ids, rowID); ok {
+			ids = slices.Delete(ids, i, i+1)
 		}
+	} else if i := slices.Index(ids, rowID); i >= 0 {
+		ids[i] = ids[len(ids)-1]
+		ids = ids[:len(ids)-1]
 	}
 	if len(ids) == 0 {
 		delete(b, k)
@@ -185,19 +219,59 @@ func newTable(spec TableSpec) (*table, error) {
 			t.autoCol = i
 		}
 	}
-	for _, name := range spec.Indexed {
-		ci, ok := t.colIdx[name]
-		if !ok {
-			return nil, fmt.Errorf("memdb: table %s indexes unknown column %s", spec.Name, name)
+	for _, entry := range spec.Indexed {
+		if err := t.addIndexLocked(strings.Split(entry, ",")); err != nil {
+			return nil, err
 		}
-		t.indexes[ci] = newHashIndex(spec.Columns[ci].Type)
 	}
 	if t.autoCol >= 0 {
 		if _, ok := t.indexes[t.autoCol]; !ok {
-			t.indexes[t.autoCol] = newHashIndex(TypeInt)
+			t.indexes[t.autoCol] = newHashIndex(t.autoCol, TypeInt, -1)
 		}
 	}
 	return t, nil
+}
+
+// addIndexLocked indexes the rows on cols: one column for a plain index, or
+// (key, order) for an ordered one, whose order column must be INT or TEXT
+// (a NaN has no place in an order). An index the table already has on the
+// key column satisfies a plain request and the same ordered one; an ordered
+// request replaces a plain index, and one naming a different order fails.
+// The caller holds the table write lock.
+func (t *table) addIndexLocked(cols []string) error {
+	if len(cols) > 2 {
+		return fmt.Errorf("memdb: table %s index on %d columns: an index is one column or (key, order)", t.spec.Name, len(cols))
+	}
+	ci, ok := t.colIdx[cols[0]]
+	if !ok {
+		return fmt.Errorf("memdb: table %s indexes unknown column %s", t.spec.Name, cols[0])
+	}
+	order := -1
+	if len(cols) == 2 {
+		if order, ok = t.colIdx[cols[1]]; !ok {
+			return fmt.Errorf("memdb: table %s orders an index by unknown column %s", t.spec.Name, cols[1])
+		}
+		if typ := t.spec.Columns[order].Type; typ == TypeFloat {
+			return fmt.Errorf("memdb: table %s cannot order an index by %s column %s: want INT or TEXT", t.spec.Name, typ, cols[1])
+		}
+	}
+	if old, exists := t.indexes[ci]; exists {
+		switch {
+		case order < 0 || old.order == order:
+			return nil
+		case old.order >= 0:
+			return fmt.Errorf("memdb: table %s column %s is already indexed in order of %s, not %s",
+				t.spec.Name, cols[0], t.spec.Columns[old.order].Name, cols[1])
+		}
+	}
+	ix := newHashIndex(ci, t.spec.Columns[ci].Type, order)
+	for rowID, row := range t.rows {
+		if row != nil {
+			ix.add(t.rows, rowID)
+		}
+	}
+	t.indexes[ci] = ix
+	return nil
 }
 
 // coerce adapts a value to the column type. Integers widen to floats for
@@ -272,8 +346,8 @@ func (t *table) insertRowLocked(row []Value) (rowID int, lastID int64) {
 		t.rows = append(t.rows, row)
 	}
 	t.live++
-	for ci, ix := range t.indexes {
-		ix.add(row[ci], rowID)
+	for _, ix := range t.indexes {
+		ix.add(t.rows, rowID)
 	}
 	return rowID, lastID
 }
@@ -284,22 +358,26 @@ func (t *table) deleteRowLocked(rowID int) {
 	if row == nil {
 		return
 	}
-	for ci, ix := range t.indexes {
-		ix.remove(row[ci], rowID)
+	for _, ix := range t.indexes {
+		ix.remove(t.rows, rowID)
 	}
 	t.rows[rowID] = nil
 	t.free = append(t.free, rowID)
 	t.live--
 }
 
-// updateColLocked changes one column of a row, maintaining indexes. The
-// caller holds the table write lock.
+// updateColLocked changes one column of a row, refiling it in every index
+// keyed or ordered by that column. The caller holds the table write lock.
 func (t *table) updateColLocked(rowID, ci int, v Value) {
-	row := t.rows[rowID]
-	old := row[ci]
-	if ix, ok := t.indexes[ci]; ok {
-		ix.remove(old, rowID)
-		ix.add(v, rowID)
+	for _, ix := range t.indexes {
+		if ix.col == ci || ix.order == ci {
+			ix.remove(t.rows, rowID)
+		}
 	}
-	row[ci] = v
+	t.rows[rowID][ci] = v
+	for _, ix := range t.indexes {
+		if ix.col == ci || ix.order == ci {
+			ix.add(t.rows, rowID)
+		}
+	}
 }

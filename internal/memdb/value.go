@@ -29,18 +29,31 @@
 // ascending row id, the order a scan visits. UPDATE and DELETE locate their
 // rows by the same rule.
 //
+// An ordered index, CREATE INDEX … (k, o) with o an INT or TEXT column,
+// keeps each k bucket sorted by (o under datasource.Compare, row id) through
+// every INSERT, UPDATE and DELETE, so an equality probe on k yields its rows
+// in that order.
+//
 // With ORDER BY and a LIMIT whose count and offset are literals or
 // placeholders, and no DISTINCT, the executor keeps a max-heap of the
 // offset+count first candidates ordered by (sort keys, arrival), which
 // returns exactly the rows a stable sort of all candidates sliced by the
 // LIMIT would; it copies a joined row only when the heap keeps it, and the
-// select list is evaluated only for the rows returned. When the statement
-// is not grouped and its first ORDER BY item is DESC, the first table's
+// select list is evaluated only for the rows returned. Arrival is a
+// candidate's position among its first table's candidates: a probe's
+// bucket order, or row id for a scan or an IN probe. When the statement is
+// not grouped and its first ORDER BY item is DESC, the first table's
 // candidates are visited last to first, so rows stored oldest first arrive
-// newest first and rarely displace a kept row; arrival is still the forward
-// position, so ties break as before. A LIMIT never changes the rows
-// visited: every matching row is visited and counted in Stats.RowsScanned,
-// so the simulated service time of SetRowCost does not depend on it.
+// newest first and rarely displace a kept row.
+//
+// Every matching row is visited and counted in Stats.RowsScanned, which
+// the simulated service time of SetRowCost charges, with one exception: when
+// that non-grouped top-k probes the first table by equality on an ordered
+// index whose order column is its first ORDER BY item, the bucket is walked
+// best first and the walk ends at the first row whose order value is
+// strictly worse than the worst kept row's once offset+count rows are kept.
+// The rows past it are not visited or counted, so such a page costs about
+// offset+count first-table rows however many rows match.
 package memdb
 
 import "autowebcache/internal/datasource"

@@ -97,7 +97,7 @@ func Tables() []memdb.TableSpec {
 				{Name: "seller", Type: memdb.TypeInt},
 				{Name: "category", Type: memdb.TypeInt},
 			},
-			Indexed: []string{"seller", "category"},
+			Indexed: []string{"seller,end_date", "category,end_date"},
 		},
 		{
 			Name: "bids",
@@ -110,7 +110,7 @@ func Tables() []memdb.TableSpec {
 				{Name: "max_bid", Type: memdb.TypeFloat},
 				{Name: "date", Type: memdb.TypeInt},
 			},
-			Indexed: []string{"user_id", "item_id"},
+			Indexed: []string{"user_id,date", "item_id,date"},
 		},
 		{
 			Name: "comments",
@@ -123,7 +123,7 @@ func Tables() []memdb.TableSpec {
 				{Name: "date", Type: memdb.TypeInt},
 				{Name: "comment", Type: memdb.TypeString},
 			},
-			Indexed: []string{"to_user_id", "from_user_id"},
+			Indexed: []string{"to_user_id,date", "from_user_id"},
 		},
 		{
 			Name: "buy_now",
@@ -134,7 +134,7 @@ func Tables() []memdb.TableSpec {
 				{Name: "qty", Type: memdb.TypeInt},
 				{Name: "date", Type: memdb.TypeInt},
 			},
-			Indexed: []string{"buyer_id", "item_id"},
+			Indexed: []string{"buyer_id,date", "item_id"},
 		},
 	}
 }

@@ -41,6 +41,7 @@ func FuzzParse(f *testing.F) {
 		"CREATE TABLE IF NOT EXISTS awc_meta (k TEXT, v TEXT)",
 		"CREATE TABLE t (id INTEGER PRIMARY KEY AUTO_INCREMENT, name TEXT, price REAL)",
 		"CREATE INDEX IF NOT EXISTS idx_t_name ON t (name)",
+		"CREATE INDEX IF NOT EXISTS idx_t_grp_name ON t (grp, name)",
 		"SELECT a FROM t WHERE b IN (SELECT",
 	}
 	for _, s := range seeds {

@@ -293,6 +293,21 @@ func TestCacheBasics(t *testing.T) {
 	}
 }
 
+// TestParseCreateIndexTwoColumns checks the ordered-index DDL a
+// two-column TableSpec entry renders: both columns, in order, survive the
+// round trip through String.
+func TestParseCreateIndexTwoColumns(t *testing.T) {
+	const sql = "CREATE INDEX IF NOT EXISTS idx_bids_user_id_date ON bids (user_id, date)"
+	s := mustParse(t, sql).(*CreateIndexStmt)
+	want := &CreateIndexStmt{Name: "idx_bids_user_id_date", IfNotExists: true, Table: "bids", Columns: []string{"user_id", "date"}}
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("parsed %#v, want %#v", s, want)
+	}
+	if again := mustParse(t, s.String()); !reflect.DeepEqual(again, want) || again.String() != s.String() {
+		t.Fatalf("round trip of %q: %q parses to %#v", sql, s.String(), again)
+	}
+}
+
 // TestRoundTrip checks Parse(String(stmt)) == stmt for a corpus of
 // representative application queries.
 func TestRoundTrip(t *testing.T) {

@@ -94,7 +94,7 @@ func Tables() []memdb.TableSpec {
 				{Name: "i_cost", Type: memdb.TypeFloat},
 				{Name: "i_stock", Type: memdb.TypeInt},
 			},
-			Indexed: []string{"i_subject", "i_a_id"},
+			Indexed: []string{"i_subject,i_pub_date", "i_a_id"},
 		},
 		{
 			Name: "customer",
@@ -118,7 +118,7 @@ func Tables() []memdb.TableSpec {
 				{Name: "o_total", Type: memdb.TypeFloat},
 				{Name: "o_status", Type: memdb.TypeString},
 			},
-			Indexed: []string{"o_c_id"},
+			Indexed: []string{"o_c_id,o_date"},
 		},
 		{
 			Name: "order_line",
