@@ -7,7 +7,6 @@ import (
 
 	"autowebcache/internal/cache"
 	"autowebcache/internal/cluster"
-	"autowebcache/internal/qrcache"
 	"autowebcache/internal/telemetry"
 	"autowebcache/internal/weave"
 )
@@ -26,8 +25,6 @@ type (
 	// CacheStats are the page cache's counters, including the per-segment
 	// (probation/protected) occupancy and eviction splits.
 	CacheStats = cache.Stats
-	// QueryCacheStats are the result cache's counters.
-	QueryCacheStats = qrcache.Stats
 	// ClusterStats are the peer tier's counters and gauges, including
 	// PingFailures, BreakerSkips, GapFlushes and the peer-operation latency
 	// histograms.
@@ -41,13 +38,12 @@ type (
 
 // Snapshot is the unified cross-layer statistics view: everything the
 // process measures, in one struct, from one call (Admin.Snapshot). Nil
-// pointers mark layers that are not wired (no query cache, no cluster).
+// pointers mark layers that are not wired (no cache, no cluster).
 // This is also what GET /statsz on the admin mux serves as JSON.
 type Snapshot struct {
-	App        *AppStats        `json:"app,omitempty"`
-	Cache      *CacheStats      `json:"cache,omitempty"`
-	QueryCache *QueryCacheStats `json:"query_cache,omitempty"`
-	Cluster    *ClusterStats    `json:"cluster,omitempty"`
+	App     *AppStats     `json:"app,omitempty"`
+	Cache   *CacheStats   `json:"cache,omitempty"`
+	Cluster *ClusterStats `json:"cluster,omitempty"`
 	// Peers maps each peer address to its health state ("healthy",
 	// "suspect", "down").
 	Peers map[string]string `json:"peers,omitempty"`
@@ -61,19 +57,18 @@ type Snapshot struct {
 //	GET /healthz      — liveness (200 "ok")
 //	/debug/pprof/...  — the standard net/http/pprof profiles
 //
-// Wire it with Watch (or the per-layer WatchApp/WatchCache/
-// WatchQueryCache/WatchCluster) and serve Handler() on an admin listener —
-// both servers expose it behind -metrics-listen. Watching adds snapshot
-// collectors only: the watched layers keep their existing atomic counters
-// as the single source of truth, and the registry reads a Snapshot() at
-// scrape time, so instrumentation adds nothing to the request hot paths.
+// Wire it with Watch (or the per-layer WatchApp/WatchCache/WatchCluster)
+// and serve Handler() on an admin listener — both servers expose it behind
+// -metrics-listen. Watching adds snapshot collectors only: the watched
+// layers keep their existing atomic counters as the single source of truth,
+// and the registry reads a Snapshot() at scrape time, so instrumentation
+// adds nothing to the request hot paths.
 type Admin struct {
 	reg *telemetry.Registry
 	mux *http.ServeMux
 
 	woven  *Woven
 	pcache *PageCache
-	qcache *QueryResultCache
 	node   *ClusterNode
 }
 
@@ -110,20 +105,15 @@ func (a *Admin) Handler() http.Handler { return a.mux }
 func (a *Admin) Families() []MetricFamily { return a.reg.Families() }
 
 // Watch wires every layer the Runtime and its companions carry: the woven
-// app, the page cache, the query-result cache and the cluster node. Any
-// nil argument (and any layer the Runtime does not have) is skipped, so
-// servers can pass their values straight through.
+// app, the page cache and the cluster node. Any nil argument (and any layer
+// the Runtime does not have) is skipped, so servers can pass their values
+// straight through.
 func (a *Admin) Watch(rt *Runtime, w *Woven, node *ClusterNode) *Admin {
 	if w != nil {
 		a.WatchApp(w)
 	}
-	if rt != nil {
-		if rt.Cache() != nil {
-			a.WatchCache(rt.Cache())
-		}
-		if rt.QueryCache() != nil {
-			a.WatchQueryCache(rt.QueryCache())
-		}
+	if rt != nil && rt.Cache() != nil {
+		a.WatchCache(rt.Cache())
 	}
 	if node != nil {
 		a.WatchCluster(node)
@@ -141,10 +131,6 @@ func (a *Admin) Snapshot() Snapshot {
 	if a.pcache != nil {
 		st := a.pcache.Snapshot()
 		s.Cache = &st
-	}
-	if a.qcache != nil {
-		st := a.qcache.Snapshot()
-		s.QueryCache = &st
 	}
 	if a.node != nil {
 		st := a.node.Snapshot()

@@ -43,7 +43,7 @@ func scrapeAdmin(t *testing.T, admin *autowebcache.Admin) *telemetry.Scrape {
 // /statsz serves the same numbers as JSON, /healthz answers.
 func TestAdminEndpoints(t *testing.T) {
 	db := newDB(t)
-	rt, err := autowebcache.New(db, autowebcache.Config{QueryResults: autowebcache.QueryCacheConfig{Enabled: true}})
+	rt, err := autowebcache.New(db, autowebcache.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAdminEndpoints(t *testing.T) {
 		{"awc_response_bytes_total", []string{"handler=List"}, float64(list.BytesOut)},
 		{"awc_request_duration_seconds_count", []string{"handler=List", "outcome=hit"}, 2},
 		{"awc_cache_hits_total", []string{"cache=page"}, float64(rt.Cache().Snapshot().Hits)},
-		{"awc_cache_misses_total", []string{"cache=query"}, float64(rt.QueryCache().Snapshot().Misses)},
+		{"awc_cache_misses_total", []string{"cache=page"}, float64(rt.Cache().Snapshot().Misses)},
 	}
 	for _, c := range checks {
 		got, ok := sc.Value(c.series, c.labels...)
@@ -115,7 +115,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("/statsz not JSON: %v", err)
 	}
-	if snap.App == nil || snap.Cache == nil || snap.QueryCache == nil {
+	if snap.App == nil || snap.Cache == nil {
 		t.Fatalf("/statsz missing layers: %+v", snap)
 	}
 	if snap.Cluster != nil {

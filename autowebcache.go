@@ -50,7 +50,6 @@ import (
 	"autowebcache/internal/cluster"
 	"autowebcache/internal/datasource"
 	"autowebcache/internal/memdb"
-	"autowebcache/internal/qrcache"
 	"autowebcache/internal/servlet"
 	"autowebcache/internal/weave"
 
@@ -86,14 +85,10 @@ type (
 	Woven = weave.Woven
 	// Strategy selects the invalidation strategy.
 	Strategy = analysis.Strategy
-	// Replacement selects the eviction policy.
-	Replacement = cache.ReplacementPolicy
 	// PageCache is the page cache with its statistics.
 	PageCache = cache.Cache
 	// Engine is the query-analysis engine.
 	Engine = analysis.Engine
-	// QueryResultCache is the §9-extension back-end result cache.
-	QueryResultCache = qrcache.Conn
 	// ClusterNode is one member of the cache cluster's peer tier.
 	ClusterNode = cluster.Node
 )
@@ -111,13 +106,6 @@ const (
 	WhereMatch = analysis.StrategyWhereMatch
 	// ExtraQuery is the paper's default ("AC-extraQuery").
 	ExtraQuery = analysis.StrategyExtraQuery
-)
-
-// Replacement policies for bounded caches.
-const (
-	LRU  = cache.LRU
-	LFU  = cache.LFU
-	FIFO = cache.FIFO
 )
 
 // NewDB creates an empty embedded database.
@@ -165,19 +153,13 @@ func ParseByteSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// PageCacheConfig bounds and tunes the page-cache tier.
+// PageCacheConfig bounds the page-cache tier.
 type PageCacheConfig struct {
-	// MaxEntries bounds the page cache (0 = unbounded).
-	MaxEntries int
 	// MaxBytes bounds the page cache's accounted memory — body, key,
-	// dependency and variant overhead per page — independently of
-	// MaxEntries (0 = unbounded). Setting it enables segmented
-	// (probation/protected) eviction: pages with proven reuse are evicted
-	// only after one-hit pages are exhausted.
+	// dependency and variant overhead per page (0 = unbounded). Setting it
+	// enables segmented (probation/protected) eviction: pages with proven
+	// reuse are evicted only after one-hit pages are exhausted.
 	MaxBytes int64
-	// Replacement picks the eviction policy for bounded caches (default
-	// LRU).
-	Replacement Replacement
 	// L2Path enables the disk (SSD) tier: a directory where pages evicted
 	// from the in-memory tier are demoted instead of discarded, and from
 	// which a restart recovers its working set warm. Invalidations sweep
@@ -189,18 +171,6 @@ type PageCacheConfig struct {
 	// When the budget is exceeded the oldest segment file is dropped whole
 	// — disk-tier loss is only ever extra misses, never staleness.
 	L2MaxBytes int64
-}
-
-// QueryCacheConfig stacks the back-end query-result cache under the page
-// cache — the paper's §9 extension ("A database query-results cache is
-// complementary to webpage caching").
-type QueryCacheConfig struct {
-	// Enabled turns the query-result cache on.
-	Enabled bool
-	// MaxEntries bounds its entry count (0 = unbounded).
-	MaxEntries int
-	// MaxBytes bounds its accounted memory (0 = unbounded).
-	MaxBytes int64
 }
 
 // ServeConfig controls the HTTP representation of cached pages: which
@@ -223,17 +193,15 @@ type ServeConfig struct {
 	ETags bool
 }
 
-// Config configures a Runtime. Capacity, query-cache and serving knobs live
-// in the PageCache, QueryResults and Serve groups.
+// Config configures a Runtime. Capacity and serving knobs live in the
+// PageCache and Serve groups.
 type Config struct {
 	// Strategy is the invalidation strategy; defaults to ExtraQuery.
 	Strategy Strategy
 	// Admission gates inserts under byte-budget pressure with a TinyLFU
-	// filter: at the budget, an entry is cached only when its request
-	// frequency beats the eviction victim's. It applies to each cache tier
-	// that has a byte budget (PageCache.MaxBytes for the page cache,
-	// QueryResults.MaxBytes for the query-result cache); setting it with no
-	// budget anywhere is a configuration error.
+	// filter: at the budget, a page is cached only when its request
+	// frequency beats the eviction victim's. It requires
+	// PageCache.MaxBytes: the page cache rejects it without one.
 	Admission bool
 	// Disabled builds the baseline configuration: handlers still work and
 	// statistics are collected, but nothing is cached (the paper's
@@ -242,8 +210,6 @@ type Config struct {
 
 	// PageCache bounds and tunes the page-cache tier.
 	PageCache PageCacheConfig
-	// QueryResults configures the §9 back-end query-result cache.
-	QueryResults QueryCacheConfig
 	// Serve configures content-encoding variants and ETag validators.
 	Serve ServeConfig
 }
@@ -280,7 +246,6 @@ type Runtime struct {
 	engine *analysis.Engine
 	cache  *cache.Cache
 	l2     *l2.Store
-	qcache *qrcache.Conn
 	conn   Conn
 }
 
@@ -327,27 +292,12 @@ func NewFromConn(conn Conn, cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Admission && cfg.PageCache.MaxBytes <= 0 && cfg.QueryResults.MaxBytes <= 0 {
-		return nil, fmt.Errorf("autowebcache: Admission requires a byte budget (PageCache.MaxBytes or QueryResults.MaxBytes)")
-	}
 	rt := &Runtime{raw: conn, engine: engine}
 	if db, ok := conn.(*memdb.DB); ok {
 		rt.db = db
 	}
-	base := conn
-	if cfg.QueryResults.Enabled {
-		rt.qcache, err = qrcache.New(conn, engine, qrcache.Options{
-			MaxEntries: cfg.QueryResults.MaxEntries,
-			MaxBytes:   cfg.QueryResults.MaxBytes,
-			Admission:  cfg.Admission && cfg.QueryResults.MaxBytes > 0,
-		})
-		if err != nil {
-			return nil, err
-		}
-		base = rt.qcache
-	}
 	if cfg.Disabled {
-		rt.conn = base
+		rt.conn = conn
 		return rt, nil
 	}
 	if cfg.PageCache.L2Path != "" {
@@ -360,14 +310,12 @@ func NewFromConn(conn Conn, cfg Config) (*Runtime, error) {
 		}
 	}
 	rt.cache, err = cache.New(cache.Options{
-		Engine:      engine,
-		MaxEntries:  cfg.PageCache.MaxEntries,
-		MaxBytes:    cfg.PageCache.MaxBytes,
-		Admission:   cfg.Admission && cfg.PageCache.MaxBytes > 0,
-		Replacement: cfg.PageCache.Replacement,
-		Gzip:        cfg.Serve.gzipEnabled(),
-		ETags:       cfg.Serve.ETags,
-		L2:          rt.l2,
+		Engine:    engine,
+		MaxBytes:  cfg.PageCache.MaxBytes,
+		Admission: cfg.Admission,
+		Gzip:      cfg.Serve.gzipEnabled(),
+		ETags:     cfg.Serve.ETags,
+		L2:        rt.l2,
 	})
 	if err != nil {
 		if rt.l2 != nil {
@@ -375,7 +323,7 @@ func NewFromConn(conn Conn, cfg Config) (*Runtime, error) {
 		}
 		return nil, err
 	}
-	rt.conn = weave.NewConn(base, engine)
+	rt.conn = weave.NewConn(conn, engine)
 	return rt, nil
 }
 
@@ -413,9 +361,6 @@ func (rt *Runtime) Close() error {
 
 // Cache returns the page cache (nil when Disabled).
 func (rt *Runtime) Cache() *PageCache { return rt.cache }
-
-// QueryCache returns the back-end result cache (nil unless enabled).
-func (rt *Runtime) QueryCache() *QueryResultCache { return rt.qcache }
 
 // Engine returns the query-analysis engine.
 func (rt *Runtime) Engine() *Engine { return rt.engine }
@@ -475,7 +420,6 @@ func (rt *Runtime) Cluster(handler *Woven, cfg ClusterConfig) (*ClusterNode, err
 		Advertise:        cfg.Advertise,
 		Peers:            cfg.Peers,
 		Cache:            rt.cache,
-		QueryCache:       rt.qcache,
 		ProbeInterval:    cfg.ProbeInterval,
 		FailureThreshold: cfg.FailureThreshold,
 	}

@@ -111,40 +111,18 @@ func TestFacadeValidation(t *testing.T) {
 		t.Fatal("expected error for nil db")
 	}
 	db := newDB(t)
-	if _, err := autowebcache.New(db, autowebcache.Config{PageCache: autowebcache.PageCacheConfig{MaxEntries: -1}}); err == nil {
-		t.Fatal("expected error for negative capacity")
+	if _, err := autowebcache.New(db, autowebcache.Config{PageCache: autowebcache.PageCacheConfig{MaxBytes: -1}}); err == nil {
+		t.Fatal("expected error for a negative byte budget")
 	}
 }
 
-func TestFacadeQueryCache(t *testing.T) {
-	db := newDB(t)
-	rt, err := autowebcache.New(db, autowebcache.Config{QueryResults: autowebcache.QueryCacheConfig{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.QueryCache() == nil {
-		t.Fatal("query cache not built")
-	}
-	h, err := rt.Weave(buildApp(t, rt.Conn()), autowebcache.Rules{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get(t, h, "/add?note=a")
-	get(t, h, "/list")
-	get(t, h, "/add?note=b") // invalidates page AND result set
-	third := get(t, h, "/list")
-	if want := "1: a\n2: b\n"; third.Body.String() != want {
-		t.Fatalf("stale page through stacked caches: %q", third.Body.String())
-	}
-	qs := rt.QueryCache().Snapshot()
-	if qs.Misses == 0 {
-		t.Fatalf("query cache unused: %+v", qs)
-	}
-}
-
+// TestFacadeBoundedCache: PageCache.MaxBytes bounds the page cache by
+// eviction — without Admission every page is inserted and older ones make
+// room for it.
 func TestFacadeBoundedCache(t *testing.T) {
 	db := newDB(t)
-	rt, err := autowebcache.New(db, autowebcache.Config{PageCache: autowebcache.PageCacheConfig{MaxEntries: 2, Replacement: autowebcache.FIFO}})
+	const budget = 1024
+	rt, err := autowebcache.New(db, autowebcache.Config{PageCache: autowebcache.PageCacheConfig{MaxBytes: budget}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,20 +131,23 @@ func TestFacadeBoundedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Distinct query strings create distinct page keys.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 20; i++ {
 		get(t, h, fmt.Sprintf("/list?v=%d", i))
 	}
-	if n := rt.Cache().Len(); n > 2 {
-		t.Fatalf("cache exceeded capacity: %d", n)
+	st := rt.Cache().Snapshot()
+	if st.Bytes <= 0 || st.Bytes > budget {
+		t.Fatalf("cache bytes %d outside (0, %d]: %+v", st.Bytes, budget, st)
+	}
+	if st.Evictions == 0 || rt.Cache().Len() >= 20 {
+		t.Fatalf("20 pages over a %d-byte budget evicted nothing: %+v", budget, st)
 	}
 }
 
 func TestFacadeByteGovernance(t *testing.T) {
 	db := newDB(t)
 	rt, err := autowebcache.New(db, autowebcache.Config{
-		PageCache:    autowebcache.PageCacheConfig{MaxBytes: 4096},
-		QueryResults: autowebcache.QueryCacheConfig{Enabled: true, MaxBytes: 4096},
-		Admission:    true,
+		PageCache: autowebcache.PageCacheConfig{MaxBytes: 4096},
+		Admission: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,21 +164,10 @@ func TestFacadeByteGovernance(t *testing.T) {
 	if cs.Bytes <= 0 || cs.Bytes > 4096 {
 		t.Fatalf("page cache bytes %d outside (0, 4096]: %+v", cs.Bytes, cs)
 	}
-	qs := rt.QueryCache().Snapshot()
-	if qs.Bytes < 0 || qs.Bytes > 4096 {
-		t.Fatalf("query cache bytes %d outside [0, 4096]: %+v", qs.Bytes, qs)
-	}
-	// Admission without any byte budget is a configuration error, not a
+	// Admission without a byte budget is a configuration error, not a
 	// no-op.
 	if _, err := autowebcache.New(db, autowebcache.Config{Admission: true}); err == nil {
 		t.Fatal("Admission without a byte budget must be rejected")
-	}
-	// Admission scoped to the one governed tier is fine: here only the
-	// query cache has a budget.
-	if _, err := autowebcache.New(db, autowebcache.Config{
-		QueryResults: autowebcache.QueryCacheConfig{Enabled: true, MaxBytes: 4096}, Admission: true,
-	}); err != nil {
-		t.Fatalf("query-cache-only admission rejected: %v", err)
 	}
 }
 

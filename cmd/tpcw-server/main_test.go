@@ -19,7 +19,7 @@ func TestRunBadFlags(t *testing.T) {
 // TestClusterBootTPCW covers this binary's cluster wiring through the
 // shared facade entry point.
 func TestClusterBootTPCW(t *testing.T) {
-	rt, err := autowebcache.New(autowebcache.NewDB(), autowebcache.Config{QueryResults: autowebcache.QueryCacheConfig{Enabled: true}})
+	rt, err := autowebcache.New(autowebcache.NewDB(), autowebcache.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func (a *Admin) WatchApp(w *Woven) *Admin {
 			"Request latency by handler and outcome. Mirrors weave.InteractionStats.Latencies.",
 			"handler", "outcome")
 		g.Declare("awc_flight_aborts_total", telemetry.TypeCounter,
-			"Freshly generated pages discarded because an invalidation raced the generation (epoch guard). Mirrors weave.Woven.FlightAborts.")
+			"Freshly generated pages discarded because an invalidation raced the generation (epoch guard). Mirrors weave.AppStats.FlightAborts.")
 
 		app := w.Snapshot()
 		byName := make(map[string]*InteractionStats, len(app.Interactions))
@@ -126,52 +126,37 @@ func knownHandler(handlers []HandlerInfo, name string) bool {
 	return false
 }
 
-// cacheCounter maps one cache counter family to the cache.Stats /
-// qrcache.Stats field it mirrors. The two tiers share family names and are
-// told apart by the cache label ("page", "query"); fields only one tier
-// has emit only that tier's sample.
+// cacheCounter maps one cache counter family to the cache.Stats field it
+// mirrors. The families carry a cache label ("page") so dashboards keyed
+// on it keep working.
 type cacheCounter struct {
-	name  string
-	help  string
-	page  func(*CacheStats) (uint64, bool)
-	query func(*QueryCacheStats) (uint64, bool)
+	name string
+	help string
+	get  func(*CacheStats) uint64
 }
-
-func yes(v uint64) (uint64, bool) { return v, true }
-func no() (uint64, bool)          { return 0, false }
 
 var cacheCounters = []cacheCounter{
-	{"awc_cache_hits_total", "Cache lookups served. Mirrors cache.Stats.Hits / qrcache.Stats.Hits.",
-		func(s *CacheStats) (uint64, bool) { return yes(s.Hits) },
-		func(s *QueryCacheStats) (uint64, bool) { return yes(s.Hits) }},
-	{"awc_cache_misses_total", "Cache lookups missed. Mirrors cache.Stats.Misses / qrcache.Stats.Misses.",
-		func(s *CacheStats) (uint64, bool) { return yes(s.Misses) },
-		func(s *QueryCacheStats) (uint64, bool) { return yes(s.Misses) }},
+	{"awc_cache_hits_total", "Cache lookups served. Mirrors cache.Stats.Hits.",
+		func(s *CacheStats) uint64 { return s.Hits }},
+	{"awc_cache_misses_total", "Cache lookups missed. Mirrors cache.Stats.Misses.",
+		func(s *CacheStats) uint64 { return s.Misses }},
 	{"awc_cache_inserts_total", "Pages inserted. Mirrors cache.Stats.Inserts (page cache only).",
-		func(s *CacheStats) (uint64, bool) { return yes(s.Inserts) },
-		func(s *QueryCacheStats) (uint64, bool) { return no() }},
-	{"awc_cache_invalidations_total", "Entries removed by write invalidation. Mirrors cache.Stats.Invalidations / qrcache.Stats.Invalidations.",
-		func(s *CacheStats) (uint64, bool) { return yes(s.Invalidations) },
-		func(s *QueryCacheStats) (uint64, bool) { return yes(s.Invalidations) }},
+		func(s *CacheStats) uint64 { return s.Inserts }},
+	{"awc_cache_invalidations_total", "Entries removed by write invalidation. Mirrors cache.Stats.Invalidations.",
+		func(s *CacheStats) uint64 { return s.Invalidations }},
 	{"awc_cache_expirations_total", "Entries removed because their TTL passed. Mirrors cache.Stats.Expirations (page cache only).",
-		func(s *CacheStats) (uint64, bool) { return yes(s.Expirations) },
-		func(s *QueryCacheStats) (uint64, bool) { return no() }},
+		func(s *CacheStats) uint64 { return s.Expirations }},
 	{"awc_cache_writes_seen_total", "InvalidateWrite calls analysed. Mirrors cache.Stats.WritesSeen (page cache only).",
-		func(s *CacheStats) (uint64, bool) { return yes(s.WritesSeen) },
-		func(s *QueryCacheStats) (uint64, bool) { return no() }},
-	{"awc_cache_admission_rejects_total", "Inserts refused by the TinyLFU admission filter. Mirrors cache.Stats.AdmissionRejects / qrcache.Stats.AdmissionRejects.",
-		func(s *CacheStats) (uint64, bool) { return yes(s.AdmissionRejects) },
-		func(s *QueryCacheStats) (uint64, bool) { return yes(s.AdmissionRejects) }},
-	{"awc_cache_oversize_rejects_total", "Inserts refused because one entry exceeds MaxBytes. Mirrors cache.Stats.OversizeRejects / qrcache.Stats.OversizeRejects.",
-		func(s *CacheStats) (uint64, bool) { return yes(s.OversizeRejects) },
-		func(s *QueryCacheStats) (uint64, bool) { return yes(s.OversizeRejects) }},
+		func(s *CacheStats) uint64 { return s.WritesSeen }},
+	{"awc_cache_admission_rejects_total", "Inserts refused by the TinyLFU admission filter. Mirrors cache.Stats.AdmissionRejects.",
+		func(s *CacheStats) uint64 { return s.AdmissionRejects }},
+	{"awc_cache_oversize_rejects_total", "Inserts refused because one entry exceeds MaxBytes. Mirrors cache.Stats.OversizeRejects.",
+		func(s *CacheStats) uint64 { return s.OversizeRejects }},
 	{"awc_cache_gzip_compressions_total", "Gzip compressor runs — exactly one per insert of a compressible page, never on the serve path. Mirrors cache.Stats.GzipCompressions (page cache only).",
-		func(s *CacheStats) (uint64, bool) { return yes(s.GzipCompressions) },
-		func(s *QueryCacheStats) (uint64, bool) { return no() }},
+		func(s *CacheStats) uint64 { return s.GzipCompressions }},
 }
 
-// declareCacheFamilies declares the families shared by the page and query
-// tiers (safe to re-declare identically when both are watched).
+// declareCacheFamilies declares the page cache's families.
 func declareCacheFamilies(g *telemetry.Gatherer) {
 	for _, c := range cacheCounters {
 		g.Declare(c.name, telemetry.TypeCounter, c.help, "cache")
@@ -201,8 +186,7 @@ func declareCacheFamilies(g *telemetry.Gatherer) {
 
 // l2Counter maps one disk-tier counter family to the cache.Stats field
 // (tier-movement counters) or embedded l2.Stats field it mirrors. The
-// families exist only for the page cache — the query tier has no disk tier
-// — so they carry no cache label. They are declared and emitted on every
+// families carry no cache label; they are declared and emitted on every
 // scrape, zeros without an attached store, keeping the series set
 // deterministic from wiring.
 type l2Counter struct {
@@ -269,9 +253,7 @@ func (a *Admin) WatchCache(c *PageCache) *Admin {
 		g.Value("awc_cache_l2_bytes", float64(st.L2.Bytes))
 		g.Value("awc_cache_l2_file_bytes", float64(st.L2.FileBytes))
 		for _, cc := range cacheCounters {
-			if v, ok := cc.page(&st); ok {
-				g.Value(cc.name, float64(v), "page")
-			}
+			g.Value(cc.name, float64(cc.get(&st)), "page")
 		}
 		g.Value("awc_cache_evictions_total", float64(st.EvictionsProbation), "page", "probation")
 		g.Value("awc_cache_evictions_total", float64(st.EvictionsProtected), "page", "protected")
@@ -283,28 +265,6 @@ func (a *Admin) WatchCache(c *PageCache) *Admin {
 		g.Value("awc_cache_dep_templates", float64(st.DepTemplates), "page")
 		g.Value("awc_cache_dep_instances", float64(st.DepInstances), "page")
 		g.Value("awc_cache_variant_bytes", float64(st.VariantBytes), "page")
-	})
-	return a
-}
-
-// WatchQueryCache exports the back-end result cache under cache="query".
-func (a *Admin) WatchQueryCache(q *QueryResultCache) *Admin {
-	a.qcache = q
-	a.reg.Collect(func(g *telemetry.Gatherer) {
-		declareCacheFamilies(g)
-		st := q.Snapshot()
-		for _, cc := range cacheCounters {
-			if v, ok := cc.query(&st); ok {
-				g.Value(cc.name, float64(v), "query")
-			}
-		}
-		g.Value("awc_cache_evictions_total", float64(st.EvictionsProbation), "query", "probation")
-		g.Value("awc_cache_evictions_total", float64(st.EvictionsProtected), "query", "protected")
-		g.Value("awc_cache_entries", float64(st.ProbationEntries), "query", "probation")
-		g.Value("awc_cache_entries", float64(st.ProtectedEntries), "query", "protected")
-		g.Value("awc_cache_bytes", float64(st.ProbationBytes), "query", "probation")
-		g.Value("awc_cache_bytes", float64(st.ProtectedBytes), "query", "protected")
-		g.Value("awc_cache_accounted_bytes", float64(st.Bytes), "query")
 	})
 	return a
 }
@@ -356,8 +316,6 @@ var clusterCounters = []clusterCounter{
 		func(s *ClusterStats) uint64 { return s.FlushApplied }},
 	{"awc_cluster_pages_removed_total", "Pages removed by peer invalidations. Mirrors cluster.Stats.PagesRemoved.",
 		func(s *ClusterStats) uint64 { return s.PagesRemoved }},
-	{"awc_cluster_results_removed_total", "Result sets removed by peer invalidations. Mirrors cluster.Stats.ResultsRemoved.",
-		func(s *ClusterStats) uint64 { return s.ResultsRemoved }},
 }
 
 // peerStateNames are the one-hot dimensions of awc_cluster_peer_state.

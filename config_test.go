@@ -12,50 +12,47 @@ import (
 	"autowebcache"
 )
 
-// exercise drives a runtime through enough traffic to expose its capacity
-// and tier wiring: four distinct pages (so bounds bite), one revisit.
-func exercise(t *testing.T, rt *autowebcache.Runtime) {
-	t.Helper()
-	h, err := rt.Weave(buildApp(t, rt.Conn()), autowebcache.Rules{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, target := range []string{"/list", "/list?p=1", "/list?p=2", "/list?p=3", "/list"} {
-		if rr := get(t, h, target); rr.Code != http.StatusOK {
-			t.Fatalf("GET %s: %d", target, rr.Code)
-		}
-	}
-}
-
-// TestConfigGroupsWireBothTiers proves the grouped sub-structs reach the
-// tiers they name: the query-result cache is built, and the page cache's
-// bounds are enforced under traffic.
+// TestConfigGroupsWireBothTiers proves the PageCache group reaches both
+// tiers it names: MaxBytes bounds the memory tier under traffic, and the
+// pages it evicts land in the L2Path disk tier, from which a revisit is
+// served as a hit instead of being regenerated.
 func TestConfigGroupsWireBothTiers(t *testing.T) {
+	const budget = 1024
 	rt, err := autowebcache.New(newDB(t), autowebcache.Config{
 		PageCache: autowebcache.PageCacheConfig{
-			MaxEntries:  2,
-			MaxBytes:    1 << 20,
-			Replacement: autowebcache.LFU,
-		},
-		QueryResults: autowebcache.QueryCacheConfig{
-			Enabled:    true,
-			MaxEntries: 8,
-			MaxBytes:   1 << 16,
+			MaxBytes:   budget,
+			L2Path:     t.TempDir(),
+			L2MaxBytes: 1 << 20,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exercise(t, rt)
-	if rt.QueryCache() == nil {
-		t.Fatal("query-result cache missing")
+	defer rt.Close()
+	h, err := rt.Weave(buildApp(t, rt.Conn()), autowebcache.Rules{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := []string{"/list", "/list?p=1", "/list?p=2", "/list?p=3", "/list?p=4", "/list?p=5"}
+	for _, target := range targets {
+		if rr := get(t, h, target); rr.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", target, rr.Code)
+		}
 	}
 	st := rt.Cache().Snapshot()
-	if st.Entries > 2 {
-		t.Fatalf("MaxEntries=2 not enforced: %d entries", st.Entries)
+	if st.Bytes > budget {
+		t.Fatalf("MaxBytes=%d not enforced: %d bytes", budget, st.Bytes)
 	}
-	if st.Evictions == 0 {
-		t.Fatal("bounded cache saw 4 pages but evicted nothing")
+	if st.Demotions == 0 {
+		t.Fatalf("memory tier evicted nothing into the disk tier: %+v", st)
+	}
+	for _, target := range targets {
+		if got := get(t, h, target).Header().Get("X-Autowebcache"); got != "hit" {
+			t.Fatalf("revisit %s: outcome %q, want hit from one of the two tiers", target, got)
+		}
+	}
+	if st := rt.Cache().Snapshot(); st.Promotions == 0 {
+		t.Fatalf("no revisit came back from the disk tier: %+v", st)
 	}
 }
 

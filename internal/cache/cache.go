@@ -501,10 +501,6 @@ func (c *Cache) Len() int { return c.store.Len() }
 // every linked entry's cost plus in-flight insert reservations.
 func (c *Cache) Bytes() int64 { return c.store.Bytes() }
 
-// ShardBytes returns the per-shard accounted byte counters (see
-// Store.ShardBytes).
-func (c *Cache) ShardBytes() []int64 { return c.store.ShardBytes() }
-
 // Contains reports whether key is cached (without touching recency state or
 // hit/miss counters). Expired entries report false.
 func (c *Cache) Contains(key string) bool { return c.store.Contains(key) }

@@ -1092,18 +1092,6 @@ func (s *Store[V]) Len() int { return int(s.entries.Load()) }
 // every linked entry's cost plus in-flight insert reservations.
 func (s *Store[V]) Bytes() int64 { return s.bytesUsed.Load() }
 
-// ShardBytes returns the per-shard accounted byte counters — the summed
-// cost of the entries linked into each shard (in-flight reservations are
-// carried only by the store-wide counter, so the slice sums to at most
-// Bytes). Diagnostic: a skewed distribution means a hot key-space region.
-func (s *Store[V]) ShardBytes() []int64 {
-	out := make([]int64, len(s.shards))
-	for i := range s.shards {
-		out[i] = s.shards[i].bytes.Load()
-	}
-	return out
-}
-
 // StoreStats are a store's cumulative counters and current gauges.
 type StoreStats struct {
 	Hits             uint64

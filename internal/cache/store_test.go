@@ -47,8 +47,8 @@ func writeRow(k int) analysis.WriteCapture {
 
 func sumShards(s *Store[int]) int64 {
 	var sum int64
-	for _, b := range s.ShardBytes() {
-		sum += b
+	for i := range s.shards {
+		sum += s.shards[i].bytes.Load()
 	}
 	return sum
 }

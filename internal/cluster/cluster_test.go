@@ -13,19 +13,17 @@ import (
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
 	"autowebcache/internal/memdb"
-	"autowebcache/internal/qrcache"
 	"autowebcache/internal/servlet"
 	"autowebcache/internal/weave"
 )
 
 // tnode is one in-process cluster member: its own database, engine, page
-// cache, query-result cache, woven app and peer-tier Node — a full
+// cache, woven app and peer-tier Node — a full
 // autowebcache process in miniature, listening on a real loopback TCP port.
 type tnode struct {
 	name  string
 	db    *memdb.DB
 	cache *cache.Cache
-	qc    *qrcache.Conn
 	node  *Node
 	woven *weave.Woven
 }
@@ -59,11 +57,7 @@ func newTnode(t *testing.T, name string, cfg Config) *tnode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc, err := qrcache.New(db, eng, qrcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := weave.NewConn(qc, eng)
+	conn := weave.NewConn(db, eng)
 
 	handlers := []servlet.HandlerInfo{
 		{
@@ -103,7 +97,6 @@ func newTnode(t *testing.T, name string, cfg Config) *tnode {
 
 	cfg.Listen = "127.0.0.1:0"
 	cfg.Cache = c
-	cfg.QueryCache = qc
 	node, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +106,7 @@ func newTnode(t *testing.T, name string, cfg Config) *tnode {
 	}
 	t.Cleanup(func() { node.Close() })
 	woven.SetRemote(node)
-	return &tnode{name: name, db: db, cache: c, qc: qc, node: node, woven: woven}
+	return &tnode{name: name, db: db, cache: c, node: node, woven: woven}
 }
 
 // newCluster builds n nodes and joins them into one ring.
@@ -217,42 +210,22 @@ func TestClusterStrongInvalidation(t *testing.T) {
 	}
 }
 
-// TestClusterQueryCacheInvalidation: the invalidation broadcast also
-// reaches each peer's query-result cache, carrying the origin's extra-query
-// capture at full precision.
-func TestClusterQueryCacheInvalidation(t *testing.T) {
-	nodes := newCluster(t, 2, Config{})
-	// Prime node 1's query-result cache via its handler.
-	nodes[1].get(t, "/stock?product=p5")
-	before := nodes[1].qc.Snapshot()
-	if before.Entries == 0 {
-		t.Fatal("query-result cache not primed")
-	}
-	// Write on node 0: the broadcast must remove node 1's dependent result
-	// set, not just its page.
-	nodes[0].get(t, "/restock?product=p5&units=1")
-	after := nodes[1].qc.Snapshot()
-	if after.Invalidations <= before.Invalidations {
-		t.Fatalf("peer query-result cache untouched: before=%+v after=%+v", before, after)
-	}
-}
-
-// TestBroadcastFlush: a flush broadcast empties the peer's page and
-// query-result caches before it returns, and it is sequenced like an
+// TestBroadcastFlush: a flush broadcast empties the peer's page cache
+// before it returns, and it is sequenced like an
 // invalidation — the origin's next write applies on the peer as a targeted
 // sweep, not a gap flush.
 func TestBroadcastFlush(t *testing.T) {
 	nodes := newCluster(t, 2, Config{ProbeInterval: -1})
 	a, b := nodes[0], nodes[1]
 	b.get(t, "/stock?product=p5")
-	if b.cache.Len() == 0 || b.qc.Snapshot().Entries == 0 {
-		t.Fatal("peer caches not primed")
+	if b.cache.Len() == 0 {
+		t.Fatal("peer cache not primed")
 	}
 	if err := a.node.BroadcastFlush(); err != nil {
 		t.Fatal(err)
 	}
-	if n, qn := b.cache.Len(), b.qc.Snapshot().Entries; n != 0 || qn != 0 {
-		t.Fatalf("after the flush broadcast returned, the peer holds %d pages and %d result sets", n, qn)
+	if n := b.cache.Len(); n != 0 {
+		t.Fatalf("after the flush broadcast returned, the peer holds %d pages", n)
 	}
 
 	b.get(t, "/stock?product=p5")

@@ -51,7 +51,7 @@ func seedFrames(t testing.TB) [][]byte {
 		encodeFrame(t, msgPut, &putMeta{Key: "/k", ContentType: "text/html", Deps: deps, Applied: vector}, body),
 		encodeFrame(t, msgPutResp, &putRespMeta{OK: true}, nil),
 		encodeFrame(t, msgInv, &invMeta{Capture: capture, Origin: "10.0.0.1:9091", Seq: 18}, nil),
-		encodeFrame(t, msgInvResp, &invRespMeta{Pages: 3, Results: 2}, nil),
+		encodeFrame(t, msgInvResp, &invRespMeta{Pages: 3}, nil),
 		encodeFrame(t, msgFlush, &flushMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil),
 		encodeFrame(t, msgFlushResp, &flushRespMeta{OK: true}, nil),
 		encodeFrame(t, msgPing, &pingMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil),

@@ -48,7 +48,7 @@ func goldenFrames(t *testing.T) [][2]string {
 				Data: [][]memdb.Value{{int64(1), math.Copysign(0, -1)}, nil, {}}},
 			AutoID: 42, HasAutoID: true,
 		}}, nil},
-		{"inv-resp", msgInvResp, &invRespMeta{Pages: 3, Results: -2}, nil},
+		{"inv-resp", msgInvResp, &invRespMeta{Pages: 3}, nil},
 		{"flush", msgFlush, &flushMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil},
 		{"flush-resp", msgFlushResp, &flushRespMeta{OK: true}, nil},
 		{"ping", msgPing, &pingMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil},

@@ -11,7 +11,6 @@ import (
 
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
-	"autowebcache/internal/qrcache"
 	"autowebcache/internal/telemetry"
 )
 
@@ -42,8 +41,6 @@ type Config struct {
 	// Cache is the process's page cache the node serves and invalidates.
 	// Required.
 	Cache *cache.Cache
-	// QueryCache, when set, also receives peer invalidation broadcasts.
-	QueryCache *qrcache.Conn
 	// DialTimeout and CallTimeout bound peer dials and round trips
 	// (default 2s each). A slow or dead peer costs at most one CallTimeout
 	// per operation, after which it is treated as a miss — and once the
@@ -127,7 +124,6 @@ type Stats struct {
 	InvApplied           uint64 // peer invalidations this node applied
 	FlushApplied         uint64 // peer flushes this node applied
 	PagesRemoved         uint64 // pages removed by peer invalidations
-	ResultsRemoved       uint64 // result sets removed by peer invalidations
 	PeersHealthy         int    // gauge: peers currently healthy
 	PeersSuspect         int    // gauge: peers currently suspect
 	PeersDown            int    // gauge: peers currently down (breaker open)
@@ -204,7 +200,6 @@ type Node struct {
 	invApplied        atomic.Uint64
 	flushApplied      atomic.Uint64
 	pagesRemoved      atomic.Uint64
-	resultsRemoved    atomic.Uint64
 
 	fetchLat telemetry.DurationHist
 	offerLat telemetry.DurationHist
@@ -614,16 +609,13 @@ func (n *Node) markApplied(origin string, seq uint64) {
 	}
 }
 
-// quarantine drops every cached page and result set: a sequence gap from
-// origin means invalidations were missed, so any entry might be stale —
-// §3.2 permits serving nothing, never serving wrong. Returns the number of
-// pages dropped.
+// quarantine drops every cached page: a sequence gap from origin means
+// invalidations were missed, so any entry might be stale — §3.2 permits
+// serving nothing, never serving wrong. Returns the number of pages
+// dropped.
 func (n *Node) quarantine(origin string, seq uint64) int {
 	pages := n.cfg.Cache.Len()
 	n.cfg.Cache.FlushLocal()
-	if n.cfg.QueryCache != nil {
-		n.cfg.QueryCache.Flush()
-	}
 	n.gapFlushes.Add(1)
 	n.logf("cluster: %s: invalidation gap from %s (seq %d): quarantine flush (%d pages dropped)",
 		n.self, origin, seq, pages)
@@ -723,7 +715,7 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 		if err := decodeMeta(typ, raw, &m); err != nil {
 			return 0, nil, nil, err
 		}
-		pages, results := 0, 0
+		pages := 0
 		if n.startApplied(m.Origin, m.Seq, false) {
 			// The seq jumped past last+1: broadcasts were missed while this
 			// node was unreachable. The targeted sweep cannot undo the
@@ -739,15 +731,11 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 				pages = n.cfg.Cache.Len()
 				n.cfg.Cache.FlushLocal()
 			}
-			if n.cfg.QueryCache != nil {
-				results = n.cfg.QueryCache.InvalidateCapture(m.Capture)
-			}
 		}
 		n.markApplied(m.Origin, m.Seq)
 		n.invApplied.Add(1)
 		n.pagesRemoved.Add(uint64(pages))
-		n.resultsRemoved.Add(uint64(results))
-		return msgInvResp, &invRespMeta{Pages: pages, Results: results}, nil, nil
+		return msgInvResp, &invRespMeta{Pages: pages}, nil, nil
 
 	case msgFlush:
 		var m flushMeta
@@ -758,9 +746,6 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 		// advance the counter.
 		n.startApplied(m.Origin, m.Seq, false)
 		n.cfg.Cache.FlushLocal()
-		if n.cfg.QueryCache != nil {
-			n.cfg.QueryCache.Flush()
-		}
 		n.markApplied(m.Origin, m.Seq)
 		n.flushApplied.Add(1)
 		return msgFlushResp, &flushRespMeta{OK: true}, nil, nil
@@ -884,7 +869,6 @@ func (n *Node) Snapshot() Stats {
 		InvApplied:           n.invApplied.Load(),
 		FlushApplied:         n.flushApplied.Load(),
 		PagesRemoved:         n.pagesRemoved.Load(),
-		ResultsRemoved:       n.resultsRemoved.Load(),
 	}
 	for _, s := range n.PeerStates() {
 		switch s {

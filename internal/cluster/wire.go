@@ -37,7 +37,7 @@ const (
 	msgPutResp   byte = 0x14
 	msgInv       byte = 0x15 // apply a write invalidation; meta carries the capture
 	msgInvResp   byte = 0x16
-	msgFlush     byte = 0x17 // drop every cached page and result set
+	msgFlush     byte = 0x17 // drop every cached page
 	msgFlushResp byte = 0x18
 	msgPing      byte = 0x19 // health probe; meta carries the sender's broadcast watermark
 	msgPong      byte = 0x1a
@@ -188,21 +188,17 @@ func (m *invMeta) decode(d *codec.Decoder) {
 	m.Seq = d.Uvarint()
 }
 
-// invRespMeta reports how many pages and result sets the peer removed.
+// invRespMeta reports how many pages the peer removed. Nodes whose versions
+// encode it differently still interoperate only because the broadcaster
+// never decodes it: broadcast passes no response meta
+// (p.call(typ, req, nil, nil)), so only the frame type is checked. Keep it
+// that way, or version this meta, before reading it on the sending side.
 type invRespMeta struct {
-	Pages   int
-	Results int
+	Pages int
 }
 
-func (m *invRespMeta) appendTo(b []byte) []byte {
-	b = codec.AppendVarint(b, int64(m.Pages))
-	return codec.AppendVarint(b, int64(m.Results))
-}
-
-func (m *invRespMeta) decode(d *codec.Decoder) {
-	m.Pages = int(d.Varint())
-	m.Results = int(d.Varint())
-}
+func (m *invRespMeta) appendTo(b []byte) []byte { return codec.AppendVarint(b, int64(m.Pages)) }
+func (m *invRespMeta) decode(d *codec.Decoder)  { m.Pages = int(d.Varint()) }
 
 // flushMeta sequences a flush broadcast exactly like invMeta sequences a
 // write; a flush covers any gap by itself (the receiver drops everything).

@@ -162,7 +162,7 @@ func TestMetaRoundTrip(t *testing.T) {
 		{"inv/0-row affected", msgInv, &invMeta{Capture: capture("DELETE FROM t WHERE a = ?", []memdb.Value{int64(1)},
 			&memdb.Rows{Columns: []string{"a"}, Data: [][]memdb.Value{}})}},
 		{"inv/empty affected", msgInv, &invMeta{Capture: capture("DELETE FROM t", nil, &memdb.Rows{})}},
-		{"inv-resp", msgInvResp, &invRespMeta{Pages: math.MaxInt, Results: 2}},
+		{"inv-resp", msgInvResp, &invRespMeta{Pages: math.MaxInt}},
 		{"flush", msgFlush, &flushMeta{Origin: "10.0.0.1:9091", Seq: 19}},
 		{"flush-resp", msgFlushResp, &flushRespMeta{OK: true}},
 		{"ping", msgPing, &pingMeta{Origin: "10.0.0.1:9091", Seq: 19}},

@@ -9,6 +9,10 @@
 // It composes with the weave package: stack it under the RecordingConn
 // (weave.NewConn(qrcache.New(db, engine, opts), engine)) so pages that the
 // front-end cache cannot hold still skip the database on repeated queries.
+// That stack is the experiments harness's PageCache+QueryCache
+// configuration (internal/bench, -fig C), this package's only user: over
+// an in-process database the extra layer costs more than the queries it
+// saves, so the facade, the servers and the peer tier do not wire it.
 //
 // A cached result set is simply a page whose only dependency is itself, so
 // the cache is a thin instantiation of the governed store the page cache is
@@ -159,32 +163,16 @@ func (c *Conn) Exec(ctx context.Context, sql string, args ...any) (datasource.Re
 	if err != nil {
 		return res, err
 	}
-	if !captured {
-		c.store.Flush() // unanalysable write: never serve stale results
-		return res, nil
+	if captured {
+		_, err = c.store.InvalidateWrite(capture)
 	}
-	c.InvalidateCapture(capture)
-	return res, nil
-}
-
-// InvalidateCapture applies a write capture that was analysed elsewhere —
-// the remote-invalidation entry point for the cluster peer tier, whose
-// broadcasts carry the origin node's capture (including the pre-write
-// extra-query snapshot, so the strategy keeps its full precision on every
-// node). An unanalysable capture flushes the whole cache: over-invalidation
-// is always sound. It returns the number of result sets removed (the whole
-// cache's worth on a flush).
-func (c *Conn) InvalidateCapture(w analysis.WriteCapture) int {
-	n, err := c.store.InvalidateWrite(w)
-	if err != nil {
-		n = c.store.Len()
+	if !captured || err != nil {
+		// Unanalysable write: flush, so no stale result is ever served —
+		// over-invalidation is always sound.
 		c.store.Flush()
 	}
-	return n
+	return res, nil
 }
-
-// Flush drops every cached result set — the remote-flush entry point.
-func (c *Conn) Flush() { c.store.Flush() }
 
 // Snapshot returns a point-in-time copy of the counters — the canonical
 // stats accessor shared by every layer; the telemetry collectors consume

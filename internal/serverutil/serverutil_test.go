@@ -3,6 +3,7 @@ package serverutil
 import (
 	"flag"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -124,4 +125,52 @@ func TestBenchmarkFlagsBoot(t *testing.T) {
 			t.Fatalf("%v: err = %v, want a removed-mode error", removed, err)
 		}
 	}
+}
+
+// TestEveryConfigFieldHasAFlag is the knob gate: a facade Config field that
+// no server flag sets is a knob nothing deploys or measures. It parses every
+// shared flag away from its default, walks the Config that Flags.Config
+// returns and fails on any field left at its zero value. The one exemption
+// is Strategy, which cmd/rubis-server's own -strategy flag sets.
+func TestEveryConfigFieldHasAFlag(t *testing.T) {
+	exempt := map[string]bool{"Strategy": true}
+	line := []string{
+		"-addr", "127.0.0.1:1", "-db", "memdb:gate", "-nocache", "-fragments",
+		"-max-bytes", "64k", "-admission", "-l2", t.TempDir(), "-l2-max-bytes", "1m",
+		"-encodings", "gzip", "-etag", "-metrics-listen", "127.0.0.1:2",
+		"-listen-peer", "127.0.0.1:3", "-peers", "127.0.0.1:4",
+		"-probe-interval", "1s", "-failure-threshold", "5",
+		// These two accept only their defaults.
+		"-invalidation", "strong", "-replication", "1",
+	}
+	fs := flag.NewFlagSet("gate", flag.ContinueOnError)
+	f := Register(fs, ":0")
+	if err := fs.Parse(line); err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	fs.VisitAll(func(fl *flag.Flag) {
+		if !set[fl.Name] {
+			t.Errorf("shared flag -%s is missing from the gate's command line", fl.Name)
+		}
+	})
+	cfg, err := f.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(prefix string, v reflect.Value)
+	walk = func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			name, fv := prefix+v.Type().Field(i).Name, v.Field(i)
+			switch {
+			case exempt[name]:
+			case fv.Kind() == reflect.Struct:
+				walk(name+".", fv)
+			case fv.IsZero():
+				t.Errorf("Config.%s is left zero by every server flag: no deployment sets it", name)
+			}
+		}
+	}
+	walk("", reflect.ValueOf(cfg))
 }

@@ -448,7 +448,7 @@ func TestFragmentFollowerObservesInvalidation(t *testing.T) {
 	if got := <-followerBody; !strings.Contains(got, "price=99") {
 		t.Fatalf("follower served %q after InvalidateWrite returned, want price=99", got)
 	}
-	if woven.FlightAborts() == 0 {
+	if woven.Snapshot().FlightAborts == 0 {
 		t.Fatal("expected the epoch guard to discard the stale insert")
 	}
 	// The stale fragment must not be servable now.
@@ -515,7 +515,7 @@ func TestFragmentUnrelatedWriteDoesNotAbort(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	if woven.FlightAborts() != 0 {
+	if woven.Snapshot().FlightAborts != 0 {
 		t.Fatal("unrelated write aborted the flight; the stale guard should be precise")
 	}
 	if !c.Contains("/price#price?id=1") {
@@ -590,7 +590,7 @@ func TestPageFollowerObservesInvalidation(t *testing.T) {
 	if got := <-followerBody; !strings.Contains(got, "price=55") {
 		t.Fatalf("page follower served %q after InvalidateWrite returned, want price=55", got)
 	}
-	if woven.FlightAborts() == 0 {
+	if woven.Snapshot().FlightAborts == 0 {
 		t.Fatal("expected the epoch guard to discard the stale page insert")
 	}
 }

@@ -217,12 +217,6 @@ func (w *Woven) Snapshot() AppStats {
 	}
 }
 
-// FlightAborts reports how many flights discarded their freshly inserted
-// page (or fragment) because an invalidation sweep raced the generation —
-// the epoch guard that keeps single-flight followers on post-invalidation
-// state.
-func (w *Woven) FlightAborts() uint64 { return w.flightAborts.Load() }
-
 // Cache returns the page cache (nil for the baseline configuration).
 func (w *Woven) Cache() *cache.Cache { return w.cache }
 

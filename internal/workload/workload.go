@@ -33,10 +33,6 @@ type Config struct {
 	// distributed, truncated at 5x, as the TPC-W spec prescribes). Zero
 	// disables thinking.
 	ThinkTime time.Duration
-	// SessionLength is the number of requests per client session; a new
-	// session re-rolls the client's identity-independent state. Zero means
-	// one unbounded session.
-	SessionLength int
 	// WarmupRequests and MeasureRequests bound the two phases by total
 	// request count (deterministic; preferred in tests).
 	WarmupRequests  int
@@ -131,7 +127,6 @@ func runPhase(ctx context.Context, handler http.Handler, src Source, cfg Config,
 		go func(client int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(spec.seedBase + int64(client)*104729))
-			inSession := 0
 			for {
 				if phaseCtx.Err() != nil {
 					return
@@ -143,10 +138,6 @@ func runPhase(ctx context.Context, handler http.Handler, src Source, cfg Config,
 				name, target := src.Request(rng, client)
 				_ = name
 				issue(phaseCtx, handler, target)
-				inSession++
-				if cfg.SessionLength > 0 && inSession >= cfg.SessionLength {
-					inSession = 0 // new session; the mix derives state from client id
-				}
 				think(phaseCtx, rng, cfg.ThinkTime)
 			}
 		}(c)

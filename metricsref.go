@@ -10,7 +10,7 @@ import (
 // MetricsReference renders docs/METRICS.md: the full reference of every
 // series a fully-wired process exports, generated from the live registry so
 // the document cannot drift from the code. It boots a throwaway in-memory
-// stack — memdb runtime with the query cache, a woven two-handler app, and
+// stack — memdb runtime, a woven two-handler app, and
 // a loopback single-node cluster — watches it all from one Admin, and
 // tabulates Families().
 //
@@ -28,9 +28,8 @@ func MetricsReference() (string, error) {
 		return "", err
 	}
 	rt, err := New(db, Config{
-		PageCache:    PageCacheConfig{MaxBytes: 1 << 20},
-		QueryResults: QueryCacheConfig{Enabled: true, MaxBytes: 1 << 20},
-		Admission:    true,
+		PageCache: PageCacheConfig{MaxBytes: 1 << 20},
+		Admission: true,
 	})
 	if err != nil {
 		return "", err
@@ -79,19 +78,19 @@ func renderMetricsReference(fams []MetricFamily) string {
      Verified by `)
 	b.WriteString("`make docs-check` and `TestMetricsReferenceCurrent`. -->\n\n")
 	b.WriteString(`Every series below is exported on ` + "`GET /metrics`" + ` (Prometheus text
-format 0.0.4) by a fully-wired process: woven application, page cache,
-query-result cache and cluster node, all watched by one ` + "`Admin`" + `. A
-process without some layer (no query cache, no cluster) simply omits that
-layer's families. The help strings name the internal statistic each series
-mirrors — ` + "`/metrics`" + ` and ` + "`/statsz`" + ` read the same snapshots and can
-never disagree.
+format 0.0.4) by a fully-wired process: woven application, page cache
+and cluster node, all watched by one ` + "`Admin`" + `. A process without some
+layer (no cache, no cluster) simply omits that layer's families. The
+help strings name the internal statistic each series mirrors —
+` + "`/metrics`" + ` and ` + "`/statsz`" + ` read the same snapshots and can never
+disagree.
 
 Conventions: every cache-specific series is prefixed ` + "`awc_`" + `; counters
 end in ` + "`_total`" + `, histograms in ` + "`_duration_seconds`" + ` (exported as
 ` + "`_bucket`/`_sum`/`_count`" + ` with cumulative ` + "`le`" + ` buckets), gauges in
-neither. The ` + "`cache`" + ` label separates the page tier (` + "`page`" + `) from the
-back-end result tier (` + "`query`" + `); ` + "`segment`" + ` splits occupancy between the
-` + "`probation`" + ` and ` + "`protected`" + ` LRU segments.
+neither. The ` + "`cache`" + ` label names the page tier (` + "`page`" + `);
+` + "`segment`" + ` splits occupancy between the ` + "`probation`" + ` and
+` + "`protected`" + ` LRU segments.
 
 `)
 
