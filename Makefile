@@ -91,9 +91,10 @@ bench:
 
 benchsmoke:
 	$(GO) test -bench 'Cache|Parallel|Coalesced|Qrcache' -run '^$$' -benchtime 100x -benchmem .
-	$(GO) test -bench 'SelectOrderLimit|SelectIn' -run '^$$' -benchtime 100x -benchmem ./internal/memdb
+	$(GO) test -bench 'SelectOrderLimit|SelectIn|SelectPoint' -run '^$$' -benchtime 100x -benchmem ./internal/memdb
 	$(GO) test -bench 'PeerFrame' -run '^$$' -benchtime 100x -benchmem ./internal/cluster
 	$(GO) test -bench 'StatementLog' -run '^$$' -benchtime 100x -benchmem ./internal/datasource/sqlite
+	$(GO) test -bench 'RenderTable' -run '^$$' -benchtime 100x -benchmem ./internal/servlet
 
 # bench-gate re-runs the hit-path benchmarks and fails when any tracked
 # benchmark regresses >25% ns/op or allocates more per op than the
@@ -118,8 +119,9 @@ benchmark-tests:
 
 # fuzz runs every native fuzz target for $(FUZZTIME) each: the SQL-template
 # parser, the query analyzer's never-too-narrow soundness contract, the
-# cluster peer-protocol frame decoder, the disk tier's record decoders and
-# the shared-file statement log's replay. Seed corpora also run as plain
+# cluster peer-protocol frame decoder, the disk tier's record decoders, the
+# shared-file statement log's replay and the servlet's in-place query
+# parameter reader. Seed corpora also run as plain
 # tests on every `go test`.
 fuzz:
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -127,6 +129,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache/l2 -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/datasource/sqlite -run '^$$' -fuzz FuzzReplayLog -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/servlet -run '^$$' -fuzz FuzzParam -fuzztime $(FUZZTIME)
 
 experiments:
 	$(GO) run ./cmd/experiments -fast

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 
 	"autowebcache/internal/memdb"
@@ -126,27 +127,22 @@ func TestTriValueNegation(t *testing.T) {
 	}
 }
 
-func TestSubstArgsAllNodeKinds(t *testing.T) {
+func TestRebindArgsAllNodeKinds(t *testing.T) {
 	stmt, err := sqlparser.Parse(
 		"SELECT a FROM T WHERE (b IN (?, 2) OR c BETWEEN ? AND 9) AND NOT (d LIKE ?) AND e IS NULL AND -f < ? AND LENGTH(g) > ?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	where := stmt.(*sqlparser.SelectStmt).Where
-	out, err := substArgs(where, []memdb.Value{int64(1), int64(3), "p%", 2.5, int64(4)})
+	args := []memdb.Value{int64(1), int64(3), "p%", 2.5, int64(4)}
+	var bound []memdb.Value
+	out, err := rebindArgs(where, args, &bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every placeholder replaced; structure preserved.
-	n := 0
-	sqlparser.WalkExprs(out, func(e sqlparser.Expr) bool {
-		if _, ok := e.(*sqlparser.Placeholder); ok {
-			n++
-		}
-		return true
-	})
-	if n != 0 {
-		t.Fatalf("placeholders remain: %s", out.String())
+	// Structure preserved, and each placeholder binds what it bound before.
+	if out.String() != where.String() || !reflect.DeepEqual(bound, args) {
+		t.Fatalf("rebound %s with %v", out.String(), bound)
 	}
 }
 

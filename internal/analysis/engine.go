@@ -205,9 +205,10 @@ func (e *Engine) CaptureWrite(ctx context.Context, conn datasource.Conn, q Query
 	}
 	table := wi.Tables[0]
 	// The write's WHERE clause references placeholders numbered within the
-	// full write statement; substitute the resolved argument values as
-	// literals so the standalone SELECT is self-contained.
-	where, err := substArgs(wi.Where, q.Args)
+	// full write statement; renumber them for the standalone SELECT and bind
+	// the same argument values.
+	var args []datasource.Value
+	where, err := rebindArgs(wi.Where, q.Args, &args)
 	if err != nil {
 		return wc, fmt.Errorf("analysis: extra query for %q: %w", q.SQL, err)
 	}
@@ -216,7 +217,7 @@ func (e *Engine) CaptureWrite(ctx context.Context, conn datasource.Conn, q Query
 		From:  []sqlparser.TableRef{{Name: table}},
 		Where: where,
 	}
-	rows, err := conn.Query(ctx, sel.String())
+	rows, err := conn.Query(ctx, sel.String(), args...)
 	if err != nil {
 		return wc, fmt.Errorf("analysis: extra query for %q: %w", q.SQL, err)
 	}
@@ -495,9 +496,12 @@ func (e *Engine) autoIncrementColumn(table string) (string, bool) {
 	return ai.AutoIncrementColumn(table)
 }
 
-// substArgs returns a copy of e with every placeholder replaced by the
-// literal rendering of its bound argument value.
-func substArgs(e sqlparser.Expr, args []datasource.Value) (sqlparser.Expr, error) {
+// rebindArgs returns a copy of e whose placeholders are numbered afresh in
+// the order they render, appending the argument each one binds to bound.
+// The copy then stands alone as the WHERE of a statement template whose
+// arguments are bound, so every write of one template issues the same
+// extra-query text, which the database parses and plans once.
+func rebindArgs(e sqlparser.Expr, args []datasource.Value, bound *[]datasource.Value) (sqlparser.Expr, error) {
 	switch v := e.(type) {
 	case nil:
 		return nil, nil
@@ -505,38 +509,28 @@ func substArgs(e sqlparser.Expr, args []datasource.Value) (sqlparser.Expr, error
 		if v.Index < 0 || v.Index >= len(args) {
 			return nil, fmt.Errorf("placeholder %d out of range (%d args)", v.Index, len(args))
 		}
-		switch a := args[v.Index].(type) {
-		case nil:
-			return sqlparser.NullLit(), nil
-		case int64:
-			return sqlparser.IntLit(a), nil
-		case float64:
-			return sqlparser.FloatLit(a), nil
-		case string:
-			return sqlparser.StringLit(a), nil
-		default:
-			return nil, fmt.Errorf("cannot substitute value of type %T", a)
-		}
+		*bound = append(*bound, args[v.Index])
+		return &sqlparser.Placeholder{Index: len(*bound) - 1}, nil
 	case *sqlparser.Literal, *sqlparser.ColumnRef:
 		return e, nil
 	case *sqlparser.BinaryExpr:
-		l, err := substArgs(v.Left, args)
+		l, err := rebindArgs(v.Left, args, bound)
 		if err != nil {
 			return nil, err
 		}
-		r, err := substArgs(v.Right, args)
+		r, err := rebindArgs(v.Right, args, bound)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.BinaryExpr{Op: v.Op, Left: l, Right: r}, nil
 	case *sqlparser.NotExpr:
-		inner, err := substArgs(v.Expr, args)
+		inner, err := rebindArgs(v.Expr, args, bound)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.NotExpr{Expr: inner}, nil
 	case *sqlparser.NegExpr:
-		inner, err := substArgs(v.Expr, args)
+		inner, err := rebindArgs(v.Expr, args, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -548,13 +542,13 @@ func substArgs(e sqlparser.Expr, args []datasource.Value) (sqlparser.Expr, error
 			// (flush-everything, sound).
 			return nil, fmt.Errorf("cannot substitute into IN-subquery")
 		}
-		left, err := substArgs(v.Left, args)
+		left, err := rebindArgs(v.Left, args, bound)
 		if err != nil {
 			return nil, err
 		}
 		out := &sqlparser.InExpr{Left: left, Not: v.Not}
 		for _, item := range v.List {
-			x, err := substArgs(item, args)
+			x, err := rebindArgs(item, args, bound)
 			if err != nil {
 				return nil, err
 			}
@@ -562,31 +556,31 @@ func substArgs(e sqlparser.Expr, args []datasource.Value) (sqlparser.Expr, error
 		}
 		return out, nil
 	case *sqlparser.BetweenExpr:
-		left, err := substArgs(v.Left, args)
+		left, err := rebindArgs(v.Left, args, bound)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := substArgs(v.Lo, args)
+		lo, err := rebindArgs(v.Lo, args, bound)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := substArgs(v.Hi, args)
+		hi, err := rebindArgs(v.Hi, args, bound)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.BetweenExpr{Left: left, Lo: lo, Hi: hi, Not: v.Not}, nil
 	case *sqlparser.LikeExpr:
-		left, err := substArgs(v.Left, args)
+		left, err := rebindArgs(v.Left, args, bound)
 		if err != nil {
 			return nil, err
 		}
-		pat, err := substArgs(v.Pattern, args)
+		pat, err := rebindArgs(v.Pattern, args, bound)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.LikeExpr{Left: left, Pattern: pat, Not: v.Not}, nil
 	case *sqlparser.IsNullExpr:
-		left, err := substArgs(v.Left, args)
+		left, err := rebindArgs(v.Left, args, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -594,7 +588,7 @@ func substArgs(e sqlparser.Expr, args []datasource.Value) (sqlparser.Expr, error
 	case *sqlparser.FuncExpr:
 		out := &sqlparser.FuncExpr{Name: v.Name, Star: v.Star, Distinct: v.Distinct}
 		for _, a := range v.Args {
-			x, err := substArgs(a, args)
+			x, err := rebindArgs(a, args, bound)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -288,23 +289,33 @@ func TestProbeKeyNumericStrings(t *testing.T) {
 	}
 }
 
-// TestSubstArgs checks the literal substitution used by the extra query.
-func TestSubstArgs(t *testing.T) {
-	stmt, err := sqlparser.Parse("SELECT a FROM T WHERE b = ? AND name = ? AND f = ? AND z = ?")
+// TestRebindArgs checks the renumbering the extra query uses: the WHERE of
+// a write, whose placeholders follow the SET list's, becomes a standalone
+// fragment whose placeholders count from zero and bind the same values.
+func TestRebindArgs(t *testing.T) {
+	stmt, err := sqlparser.Parse("UPDATE T SET a = ? WHERE b = ? AND name = ? AND f = ? AND z = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	where := stmt.(*sqlparser.SelectStmt).Where
-	out, err := substArgs(where, []memdb.Value{int64(5), "x'y", 2.5, nil})
+	where := stmt.(*sqlparser.UpdateStmt).Where
+	var bound []memdb.Value
+	out, err := rebindArgs(where, []memdb.Value{int64(0), int64(5), "x'y", 2.5, nil}, &bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.String()
-	want := "b = 5 AND name = 'x''y' AND f = 2.5 AND z = NULL"
-	if got != want {
+	if got, want := out.String(), "b = ? AND name = ? AND f = ? AND z = ?"; got != want {
 		t.Fatalf("got %q, want %q", got, want)
 	}
-	if _, err := substArgs(where, []memdb.Value{int64(1)}); err == nil {
+	if want := []memdb.Value{int64(5), "x'y", 2.5, nil}; !reflect.DeepEqual(bound, want) {
+		t.Fatalf("bound %v, want %v", bound, want)
+	}
+	sqlparser.WalkExprs(out, func(e sqlparser.Expr) bool {
+		if p, ok := e.(*sqlparser.Placeholder); ok && (p.Index < 0 || p.Index >= len(bound)) {
+			t.Errorf("placeholder %d out of the bound range", p.Index)
+		}
+		return true
+	})
+	if _, err := rebindArgs(where, []memdb.Value{int64(1)}, &bound); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 }

@@ -37,7 +37,16 @@ type Stats struct {
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table
-	parse  sqlparser.Cache
+	// version counts schema changes (CREATE TABLE, CREATE INDEX); a plan is
+	// compiled for one version and recompiled once it moves.
+	version atomic.Uint64
+
+	// stmts caches each statement by its SQL text: its parse and its plan.
+	stmtMu     sync.RWMutex
+	stmts      map[string]*stmt
+	stmtHits   atomic.Uint64
+	stmtMisses atomic.Uint64
+
 	// bootMu serialises Bootstrap callbacks on a shared instance.
 	bootMu sync.Mutex
 
@@ -74,6 +83,7 @@ func (db *DB) CreateTable(spec TableSpec) error {
 		return fmt.Errorf("memdb: table %s already exists", spec.Name)
 	}
 	db.tables[spec.Name] = t
+	db.version.Add(1)
 	return nil
 }
 
@@ -199,20 +209,24 @@ func (db *DB) Query(ctx context.Context, sql string, args ...any) (*Rows, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	stmt, err := db.parse.Get(sql)
+	s, err := db.statement(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*sqlparser.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("memdb: Query requires SELECT, got %T", stmt)
+	if _, ok := s.parsed.(*sqlparser.SelectStmt); !ok {
+		return nil, fmt.Errorf("memdb: Query requires SELECT, got %T", s.parsed)
 	}
 	vals, err := NormalizeAll(args)
 	if err != nil {
 		return nil, err
 	}
 	db.queries.Add(1)
-	rows, scanned, execErr := db.execSelect(sel, vals)
+	var rows *Rows
+	var scanned int
+	pl, execErr := db.planFor(s)
+	if execErr == nil {
+		rows, scanned, execErr = db.execSelect(pl, vals)
+	}
 	if d := db.readLatency.Load() + db.rowCost.Load()*int64(scanned); d > 0 {
 		spinFor(time.Duration(d))
 	}
@@ -225,7 +239,7 @@ func (db *DB) Exec(ctx context.Context, sql string, args ...any) (Result, error)
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	stmt, err := db.parse.Get(sql)
+	s, err := db.statement(sql)
 	if err != nil {
 		return Result{}, err
 	}
@@ -236,19 +250,19 @@ func (db *DB) Exec(ctx context.Context, sql string, args ...any) (Result, error)
 	db.execs.Add(1)
 	var res Result
 	var execErr error
-	switch s := stmt.(type) {
+	switch x := s.parsed.(type) {
 	case *sqlparser.InsertStmt:
-		res, execErr = db.execInsert(s, vals)
+		res, execErr = db.execInsert(x, vals)
 	case *sqlparser.UpdateStmt:
-		res, execErr = db.execUpdate(s, vals)
+		res, execErr = db.execUpdate(s, x, vals)
 	case *sqlparser.DeleteStmt:
 		res, execErr = db.execDelete(s, vals)
 	case *sqlparser.CreateTableStmt:
-		return db.execCreateTable(s)
+		return db.execCreateTable(x)
 	case *sqlparser.CreateIndexStmt:
-		return db.execCreateIndex(s)
+		return db.execCreateIndex(x)
 	default:
-		return Result{}, fmt.Errorf("memdb: Exec requires INSERT/UPDATE/DELETE, got %T", stmt)
+		return Result{}, fmt.Errorf("memdb: Exec requires INSERT/UPDATE/DELETE, got %T", s.parsed)
 	}
 	if d := db.writeLatency.Load() + db.rowCost.Load()*res.RowsAffected; d > 0 {
 		spinFor(time.Duration(d))
@@ -324,8 +338,10 @@ func spinFor(d time.Duration) {
 	spinWork(uint64(us) * spinItersPerUS)
 }
 
-// ParseCacheStats exposes the SQL parse cache statistics.
+// ParseCacheStats reports the statement cache: the number of distinct
+// statements parsed, and how many lookups found or missed one.
 func (db *DB) ParseCacheStats() (templates int, hits, misses uint64) {
-	hits, misses = db.parse.Stats()
-	return db.parse.Len(), hits, misses
+	db.stmtMu.RLock()
+	defer db.stmtMu.RUnlock()
+	return len(db.stmts), db.stmtHits.Load(), db.stmtMisses.Load()
 }

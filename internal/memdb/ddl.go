@@ -32,7 +32,8 @@ func (db *DB) execCreateTable(s *sqlparser.CreateTableStmt) (Result, error) {
 // stored: a hash index on one column, or an ordered one on (key, order).
 // Re-creating an index that exists is a no-op (memdb indexes are keyed by
 // column, so the statement's index name only matters to name-aware
-// backends).
+// backends). The schema version moves, so the next execution of every
+// statement is planned with the index.
 func (db *DB) execCreateIndex(s *sqlparser.CreateIndexStmt) (Result, error) {
 	t, err := db.lookupTable(s.Table)
 	if err != nil {
@@ -40,5 +41,7 @@ func (db *DB) execCreateIndex(s *sqlparser.CreateIndexStmt) (Result, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return Result{}, t.addIndexLocked(s.Columns)
+	err = t.addIndexLocked(s.Columns)
+	db.version.Add(1)
+	return Result{}, err
 }

@@ -26,7 +26,7 @@ func (db *DB) execInsert(ins *sqlparser.InsertStmt, args []Value) (Result, error
 		}
 		colIdx[i] = ci
 	}
-	ev := &env{args: args}
+	ev := &env{pl: noTables, args: args}
 	// Pre-evaluate all rows before taking the lock.
 	prepared := make([][]Value, 0, len(ins.Rows))
 	for _, exprRow := range ins.Rows {
@@ -58,18 +58,13 @@ func (db *DB) execInsert(ins *sqlparser.InsertStmt, args []Value) (Result, error
 	return res, nil
 }
 
-// matchRowsLocked returns the row ids of t matching the WHERE clause, using
-// an exact index probe when one applies, as a SELECT's first table does.
-// The caller holds at least a read lock on t.
-func (db *DB) matchRowsLocked(t *table, ref string, where sqlparser.Expr, ev *env) ([]int, error) {
-	ev.tables = []boundTable{{ref: ref, tbl: t}}
-	ev.rows = make([][]Value, 1)
-	p := newPlan(ev)
-	for _, c := range splitConjuncts(where, nil) {
-		p.addCond(0, c)
-	}
-	defer func() { db.rowsScanned.Add(uint64(p.scanned)) }()
-	probed, pr, err := p.candidates(0)
+// matchRowsLocked returns the row ids of the run's table matching its
+// WHERE clause, using an exact index probe when one applies, as a SELECT's
+// first table does. The caller holds at least a read lock on the table.
+func (db *DB) matchRowsLocked(r *run) ([]int, error) {
+	defer func() { db.rowsScanned.Add(uint64(r.scanned)) }()
+	t := r.tables[0].tbl
+	probed, pr, err := r.candidates(0)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +79,7 @@ func (db *DB) matchRowsLocked(t *table, ref string, where sqlparser.Expr, ev *en
 		if !scan {
 			id = probed[i]
 		}
-		ok, err := p.match(0, skip, t.rows[id])
+		ok, err := r.match(0, skip, t.rows[id])
 		if err != nil {
 			return nil, err
 		}
@@ -95,11 +90,27 @@ func (db *DB) matchRowsLocked(t *table, ref string, where sqlparser.Expr, ev *en
 	return ids, nil
 }
 
-func (db *DB) execUpdate(up *sqlparser.UpdateStmt, args []Value) (Result, error) {
-	t, err := db.lookupTable(up.Table)
+// startWrite plans an UPDATE or DELETE and runs its IN-subqueries, before
+// the caller takes the table's write lock (they acquire their own read
+// locks; see resolveSubqueries).
+func (db *DB) startWrite(s *stmt, args []Value) (*run, error) {
+	pl, err := db.planFor(s)
+	if err != nil {
+		return nil, err
+	}
+	r := newRun(pl, args)
+	if _, err := db.resolveSubqueries(r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+func (db *DB) execUpdate(s *stmt, up *sqlparser.UpdateStmt, args []Value) (Result, error) {
+	r, err := db.startWrite(s, args)
 	if err != nil {
 		return Result{}, err
 	}
+	t := r.tables[0].tbl
 	setIdx := make([]int, len(up.Set))
 	for i := range up.Set {
 		ci, ok := t.colIdx[up.Set[i].Column]
@@ -108,25 +119,19 @@ func (db *DB) execUpdate(up *sqlparser.UpdateStmt, args []Value) (Result, error)
 		}
 		setIdx[i] = ci
 	}
-	ev := &env{args: args}
-	// IN-subqueries in the WHERE clause run before the write lock is taken
-	// (they acquire their own read locks; see resolveSubqueries).
-	if _, err := db.resolveSubqueries([]sqlparser.Expr{up.Where}, args, ev); err != nil {
-		return Result{}, err
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ids, err := db.matchRowsLocked(t, up.Table, up.Where, ev)
+	ids, err := db.matchRowsLocked(r)
 	if err != nil {
 		return Result{}, err
 	}
 	for _, id := range ids {
-		ev.rows[0] = t.rows[id]
+		r.ev.rows[0] = t.rows[id]
 		// Evaluate all SET expressions against the pre-update row, then
 		// apply (SQL semantics: SET a = b, b = a swaps).
 		newVals := make([]Value, len(up.Set))
 		for i := range up.Set {
-			v, err := ev.eval(up.Set[i].Value)
+			v, err := r.ev.eval(up.Set[i].Value)
 			if err != nil {
 				return Result{}, err
 			}
@@ -143,18 +148,15 @@ func (db *DB) execUpdate(up *sqlparser.UpdateStmt, args []Value) (Result, error)
 	return Result{RowsAffected: int64(len(ids))}, nil
 }
 
-func (db *DB) execDelete(del *sqlparser.DeleteStmt, args []Value) (Result, error) {
-	t, err := db.lookupTable(del.Table)
+func (db *DB) execDelete(s *stmt, args []Value) (Result, error) {
+	r, err := db.startWrite(s, args)
 	if err != nil {
 		return Result{}, err
 	}
-	ev := &env{args: args}
-	if _, err := db.resolveSubqueries([]sqlparser.Expr{del.Where}, args, ev); err != nil {
-		return Result{}, err
-	}
+	t := r.tables[0].tbl
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ids, err := db.matchRowsLocked(t, del.Table, del.Where, ev)
+	ids, err := db.matchRowsLocked(r)
 	if err != nil {
 		return Result{}, err
 	}

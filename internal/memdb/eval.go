@@ -15,20 +15,14 @@ type boundTable struct {
 }
 
 // env is the evaluation environment of one statement execution, pointed at
-// one (joined) row at a time.
+// one (joined) row at a time. Everything derived from the statement alone
+// — table bindings, column slots, aggregate slots — is read from its plan.
 type env struct {
-	tables []boundTable
-	rows   [][]Value // current row per table; nil for unmatched LEFT JOIN
-	args   []Value
-	// slots memoises column resolution. The tables are fixed once the env is
-	// set up, so each reference resolves once per execution, not per row.
-	// The AST is shared through the parse cache, so bindings live here and
-	// never in AST nodes.
-	slots map[*sqlparser.ColumnRef]colSlot
-	// aggSlot maps every aggregate call of a grouped SELECT to its index in
-	// aggValues, which holds the current group's results during projection
-	// and is nil outside it.
-	aggSlot   map[*sqlparser.FuncExpr]int
+	pl   *plan
+	rows [][]Value // current row per table; nil for unmatched LEFT JOIN
+	args []Value
+	// aggValues holds the current group's aggregate results, indexed by the
+	// plan's aggSlot, during projection, and is nil outside it.
 	aggValues []Value
 	// subq holds the pre-computed first-column value lists of uncorrelated
 	// IN-subqueries. Subqueries run before any outer table lock is taken
@@ -39,28 +33,12 @@ type env struct {
 // colSlot is a resolved column reference: table index, column index.
 type colSlot struct{ ti, ci int }
 
-// resolve finds the (table index, column index) for a column reference.
-func (e *env) resolve(c *sqlparser.ColumnRef) (int, int, error) {
-	if s, ok := e.slots[c]; ok {
-		return s.ti, s.ci, nil
-	}
-	ti, ci, err := e.lookup(c)
-	if err != nil {
-		return 0, 0, err
-	}
-	if e.slots == nil {
-		e.slots = make(map[*sqlparser.ColumnRef]colSlot)
-	}
-	e.slots[c] = colSlot{ti, ci}
-	return ti, ci, nil
-}
-
-// lookup resolves a column reference against the bound tables by name.
-func (e *env) lookup(c *sqlparser.ColumnRef) (int, int, error) {
+// lookupColumn resolves a column reference against bound tables by name.
+func lookupColumn(tables []boundTable, c *sqlparser.ColumnRef) (int, int, error) {
 	if c.Table != "" {
-		for ti := range e.tables {
-			if e.tables[ti].ref == c.Table {
-				ci, ok := e.tables[ti].tbl.colIdx[c.Name]
+		for ti := range tables {
+			if tables[ti].ref == c.Table {
+				ci, ok := tables[ti].tbl.colIdx[c.Name]
 				if !ok {
 					return 0, 0, fmt.Errorf("memdb: no column %s in table %s", c.Name, c.Table)
 				}
@@ -71,8 +49,8 @@ func (e *env) lookup(c *sqlparser.ColumnRef) (int, int, error) {
 	}
 	found := -1
 	foundCol := 0
-	for ti := range e.tables {
-		if ci, ok := e.tables[ti].tbl.colIdx[c.Name]; ok {
+	for ti := range tables {
+		if ci, ok := tables[ti].tbl.colIdx[c.Name]; ok {
 			if found >= 0 {
 				return 0, 0, fmt.Errorf("memdb: ambiguous column %s", c.Name)
 			}
@@ -115,7 +93,7 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 		}
 		return e.args[v.Index], nil
 	case *sqlparser.ColumnRef:
-		ti, ci, err := e.resolve(v)
+		ti, ci, err := e.pl.resolve(v)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +202,7 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 	case *sqlparser.FuncExpr:
 		if aggregateNames[v.Name] {
 			if e.aggValues != nil {
-				if i, ok := e.aggSlot[v]; ok {
+				if i, ok := e.pl.aggSlot[v]; ok {
 					return e.aggValues[i], nil
 				}
 			}

@@ -23,187 +23,85 @@ func splitConjuncts(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
 	return out
 }
 
-// maxTableIndex returns the highest table index referenced by e, or -1 when
-// the expression references no columns. An error is returned for unknown
-// references.
-func maxTableIndex(e sqlparser.Expr, ev *env) (int, error) {
-	maxIdx := -1
-	var walkErr error
-	sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
-		c, ok := x.(*sqlparser.ColumnRef)
-		if !ok {
-			return true
-		}
-		ti, _, err := ev.resolve(c)
-		if err != nil {
-			walkErr = err
-			return false
-		}
-		if ti > maxIdx {
-			maxIdx = ti
-		}
-		return true
-	})
-	return maxIdx, walkErr
-}
-
-// indexProbe is an index lookup that can stand in for one conjunct of a
-// join level: `col = eq` or `col IN (…)`, where col is an indexed column of
-// the level's table and the other side references only earlier tables.
-type indexProbe struct {
-	ix   *hashIndex
-	cond int            // the conjunct's position in its level's conds
-	eq   sqlparser.Expr // the value side of `col = eq`, or nil
-	in   *sqlparser.InExpr
-}
-
-// selectPlan is the per-level execution plan of a SELECT, or of the WHERE
-// clause of an UPDATE or DELETE (one level).
-type selectPlan struct {
-	ev *env
-	// conds[k] holds the conjuncts whose highest referenced table is k; they
-	// are checked as soon as table k is bound.
-	conds [][]sqlparser.Expr
-	// probes[k] holds the index probes that can replace a scan of table k.
-	probes   [][]indexProbe
-	leftJoin []bool  // is table k the right side of a LEFT JOIN
-	union    [][]int // per-level scratch for the row ids of IN probes, if any
-	out      *projection
-	// reverse visits the first table's candidates last to first.
+// run is one execution of a plan: the rows it binds, what it has found, and
+// its output so far.
+type run struct {
+	*plan
+	ev    env
+	out   projection
+	union [][]int // per-level scratch for the row ids of IN probes, if any
+	// reverse visits the first table's candidates last to first, and lead is
+	// the plan's lead column; both are set only when top-k runs.
 	reverse bool
-	// lead is the first table's column that the first ORDER BY key reads
-	// when top-k may stop walking a bucket ordered by it, or -1.
-	lead int
+	lead    int
 	// first and sub are the arrival of the joined row being built: the
 	// forward position of its first-table row among that table's
 	// candidates, and how many joined rows that row produced before it.
 	first, sub int
 	scanned    int // rows visited during execution
+	rowBuf     [4][]Value
 }
 
-func newPlan(ev *env) *selectPlan {
-	n := len(ev.tables)
-	return &selectPlan{
-		ev:       ev,
-		conds:    make([][]sqlparser.Expr, n),
-		probes:   make([][]indexProbe, n),
-		leftJoin: make([]bool, n),
-		lead:     -1,
+func newRun(pl *plan, args []Value) *run {
+	r := &run{plan: pl, lead: -1}
+	r.ev = env{pl: pl, args: args}
+	if n := len(pl.tables); n <= len(r.rowBuf) {
+		r.ev.rows = r.rowBuf[:n]
+	} else {
+		r.ev.rows = make([][]Value, n)
 	}
+	r.out.run = r
+	return r
 }
 
-// resolveSubqueries pre-executes every uncorrelated IN-subquery reachable
-// from the given clauses and stores the first-column value lists on ev.
-// It must run before any outer table lock is taken: each subquery is an
-// independent SELECT acquiring (and releasing) its own read locks in
-// canonical order, so nesting the evaluation inside an outer lock would
-// reintroduce the lock-ordering deadlock that canonical ordering prevents.
-// Correlated subqueries fail naturally inside the inner execSelect (their
-// outer column references are unknown there).
-func (db *DB) resolveSubqueries(clauses []sqlparser.Expr, args []Value, ev *env) (scanned int, err error) {
-	var subs []*sqlparser.InExpr
-	for _, e := range clauses {
-		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
-			if in, ok := x.(*sqlparser.InExpr); ok && in.Select != nil {
-				subs = append(subs, in)
-			}
-			return true
-		})
-	}
-	if len(subs) == 0 {
+// resolveSubqueries pre-executes the plan's IN-subqueries and stores their
+// first-column value lists on the run's env. It must run before any outer
+// table lock is taken: each subquery is an independent SELECT acquiring
+// (and releasing) its own read locks in canonical order, so nesting the
+// evaluation inside an outer lock would reintroduce the lock-ordering
+// deadlock that canonical ordering prevents.
+func (db *DB) resolveSubqueries(r *run) (scanned int, err error) {
+	if len(r.subs) == 0 {
 		return 0, nil
 	}
-	ev.subq = make(map[*sqlparser.InExpr][]Value, len(subs))
-	for _, in := range subs {
+	r.ev.subq = make(map[*sqlparser.InExpr][]Value, len(r.subs))
+	for _, s := range r.subs {
 		// Placeholder indices are global across the whole statement, so the
 		// inner select indexes the same args vector.
-		rows, n, err := db.execSelect(in.Select, args)
+		rows, n, err := db.execSelect(s.plan, r.ev.args)
 		scanned += n
 		if err != nil {
 			return scanned, err
 		}
 		vals := make([]Value, 0, rows.Len())
-		for _, r := range rows.Data {
-			if len(r) > 0 {
-				vals = append(vals, r[0])
+		for _, row := range rows.Data {
+			if len(row) > 0 {
+				vals = append(vals, row[0])
 			}
 		}
-		ev.subq[in] = vals
+		r.ev.subq[s.in] = vals
 	}
 	return scanned, nil
 }
 
-// execSelect runs a select and also reports the number of rows visited,
-// which drives the simulated per-row service time.
-func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, error) {
-	ev := &env{args: args}
-	for i := range sel.From {
-		t, err := db.lookupTable(sel.From[i].Name)
-		if err != nil {
-			return nil, 0, err
-		}
-		ev.tables = append(ev.tables, boundTable{ref: sel.From[i].RefName(), tbl: t})
-	}
-	onConds := make([]sqlparser.Expr, len(sel.From)) // nil for FROM tables
-	for i := range sel.Joins {
-		j := &sel.Joins[i]
-		t, err := db.lookupTable(j.Table.Name)
-		if err != nil {
-			return nil, 0, err
-		}
-		ev.tables = append(ev.tables, boundTable{ref: j.Table.RefName(), tbl: t})
-		onConds = append(onConds, j.On)
-	}
-	ev.rows = make([][]Value, len(ev.tables))
-
+// execSelect runs a compiled select and also reports the number of rows
+// visited, which drives the simulated per-row service time.
+func (db *DB) execSelect(pl *plan, args []Value) (*Rows, int, error) {
+	r := newRun(pl, args)
 	// IN-subqueries run first, before any outer lock is taken.
-	subClauses := append([]sqlparser.Expr{sel.Where, sel.Having}, onConds...)
-	subScanned, err := db.resolveSubqueries(subClauses, args, ev)
+	subScanned, err := db.resolveSubqueries(r)
 	if err != nil {
 		return nil, subScanned, err
 	}
-
-	plan := newPlan(ev)
-	for i := range sel.Joins {
-		plan.leftJoin[len(sel.From)+i] = sel.Joins[i].Kind == sqlparser.JoinLeft
-	}
-	// Distribute conjuncts from WHERE and JOIN ... ON clauses.
-	for k, on := range onConds {
-		for _, c := range splitConjuncts(on, nil) {
-			level, err := maxTableIndex(c, ev)
-			if err != nil {
-				return nil, 0, err
-			}
-			// ON conditions belong to their join level even if they only
-			// reference earlier tables.
-			plan.addCond(max(level, k), c)
-		}
-	}
-	var constConds []sqlparser.Expr
-	for _, c := range splitConjuncts(sel.Where, nil) {
-		level, err := maxTableIndex(c, ev)
-		if err != nil {
-			return nil, 0, err
-		}
-		if level < 0 {
-			constConds = append(constConds, c)
-			continue
-		}
-		plan.addCond(level, c)
-	}
-
-	out, err := newProjection(sel, ev)
-	if err != nil {
-		return nil, 0, err
-	}
+	r.out.start()
 	// Constant-only conjuncts (e.g. `WHERE 1 = 0`) gate the whole query.
-	for _, c := range constConds {
-		v, err := ev.eval(c)
+	for _, c := range pl.constConds {
+		v, err := r.ev.eval(c)
 		if err != nil {
 			return nil, 0, err
 		}
 		if !IsTruthy(v) {
-			rows, err := out.finish()
+			rows, err := r.out.finish()
 			return rows, subScanned, err
 		}
 	}
@@ -211,8 +109,8 @@ func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, e
 	// Lock all involved tables for read in a canonical order. Writers take a
 	// single table's write lock, so ordering readers by name prevents
 	// deadlock. The projection reads the rows it kept until it finishes.
-	locked := lockTablesRead(ev.tables)
-	defer unlockTablesRead(locked)
+	lockTablesRead(pl.locks)
+	defer unlockTablesRead(pl.locks)
 
 	// Enumerate joined rows via recursive nested loops with index probes.
 	// When the projection keeps the first rows of an ordering, the first
@@ -220,84 +118,27 @@ func (db *DB) execSelect(sel *sqlparser.SelectStmt, args []Value) (*Rows, int, e
 	// DESC, so rows stored oldest first arrive newest first and a later row
 	// rarely displaces a kept one, and a bucket ordered by that key is
 	// walked best first and left as soon as top-k is settled.
-	plan.out = out
-	if out.top != nil && out.groups == nil {
-		plan.reverse = sel.OrderBy[0].Desc
-		plan.lead = out.leadColumn()
+	if r.out.top != nil && r.out.groups == nil {
+		r.reverse = pl.sel.OrderBy[0].Desc
+		r.lead = pl.lead
 	}
-	err = plan.joinLevel(0)
-	db.rowsScanned.Add(uint64(plan.scanned))
+	err = r.joinLevel(0)
+	db.rowsScanned.Add(uint64(r.scanned))
 	if err != nil {
 		return nil, 0, err
 	}
-	rows, err := out.finish()
-	return rows, plan.scanned + subScanned, err
-}
-
-// addCond files conjunct c at the given level, and registers it as an index
-// probe when it is an equality or a positive IN on one of the level's
-// indexed columns whose other side references only earlier tables.
-func (p *selectPlan) addCond(level int, c sqlparser.Expr) {
-	p.conds[level] = append(p.conds[level], c)
-	pr := indexProbe{cond: len(p.conds[level]) - 1}
-	switch x := c.(type) {
-	case *sqlparser.BinaryExpr:
-		if x.Op != sqlparser.OpEq {
-			return
-		}
-		if pr.ix = p.index(level, x.Left); pr.ix != nil && p.bound(level, x.Right) {
-			pr.eq = x.Right
-		} else if pr.ix = p.index(level, x.Right); pr.ix != nil && p.bound(level, x.Left) {
-			pr.eq = x.Left
-		} else {
-			return
-		}
-	case *sqlparser.InExpr:
-		if x.Not {
-			return
-		}
-		if pr.ix = p.index(level, x.Left); pr.ix == nil {
-			return
-		}
-		for _, e := range x.List {
-			if !p.bound(level, e) {
-				return
-			}
-		}
-		pr.in = x
-	default:
-		return
-	}
-	p.probes[level] = append(p.probes[level], pr)
-}
-
-// index returns the index on e when e is an indexed column of table level.
-func (p *selectPlan) index(level int, e sqlparser.Expr) *hashIndex {
-	col, ok := e.(*sqlparser.ColumnRef)
-	if !ok {
-		return nil
-	}
-	ti, ci, err := p.ev.resolve(col)
-	if err != nil || ti != level {
-		return nil
-	}
-	return p.ev.tables[ti].tbl.indexes[ci]
-}
-
-// bound reports whether e references only tables bound before level.
-func (p *selectPlan) bound(level int, e sqlparser.Expr) bool {
-	l, err := maxTableIndex(e, p.ev)
-	return err == nil && l < level
+	rows, err := r.out.finish()
+	return rows, r.scanned + subScanned, err
 }
 
 // candidates returns table k's candidate row ids from its first exact
 // probe, and that probe, whose conjunct those rows satisfy by construction.
 // The probe is nil when none is exact: the level then scans, visiting every
 // row and checking every conjunct.
-func (p *selectPlan) candidates(k int) (ids []int, pr *indexProbe, err error) {
-	for i := range p.probes[k] {
-		pr := &p.probes[k][i]
-		ids, ok, err := p.lookup(k, pr)
+func (r *run) candidates(k int) (ids []int, pr *indexProbe, err error) {
+	for i := range r.probes[k] {
+		pr := &r.probes[k][i]
+		ids, ok, err := r.lookup(k, pr)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -319,8 +160,8 @@ func skipCond(pr *indexProbe) int {
 // lookup runs one probe of table k; ok is false when some value has no
 // exact bucket. An IN probe returns the union of its values' buckets in
 // ascending row id, the order a scan visits.
-func (p *selectPlan) lookup(k int, pr *indexProbe) (ids []int, ok bool, err error) {
-	ev := p.ev
+func (r *run) lookup(k int, pr *indexProbe) (ids []int, ok bool, err error) {
+	ev := &r.ev
 	if pr.in == nil {
 		v, err := ev.eval(pr.eq)
 		if err != nil {
@@ -329,10 +170,10 @@ func (p *selectPlan) lookup(k int, pr *indexProbe) (ids []int, ok bool, err erro
 		ids, ok := pr.ix.probe(v)
 		return ids, ok, nil
 	}
-	if p.union == nil {
-		p.union = make([][]int, len(p.conds))
+	if r.union == nil {
+		r.union = make([][]int, len(r.conds))
 	}
-	union := p.union[k][:0]
+	union := r.union[k][:0]
 	add := func(v Value) bool {
 		ids, ok := pr.ix.probe(v)
 		union = append(union, ids...)
@@ -361,24 +202,24 @@ func (p *selectPlan) lookup(k int, pr *indexProbe) (ids []int, ok bool, err erro
 	}
 	slices.Sort(union)
 	union = slices.Compact(union)
-	p.union[k] = union
+	r.union[k] = union
 	return union, true, nil
 }
 
 // match binds row to table k and reports whether it passes the level's
 // conjuncts other than skip. A deleted slot (nil) is not a row and is not
 // counted as visited.
-func (p *selectPlan) match(k, skip int, row []Value) (bool, error) {
+func (r *run) match(k, skip int, row []Value) (bool, error) {
 	if row == nil {
 		return false, nil
 	}
-	p.scanned++
-	p.ev.rows[k] = row
-	for i, c := range p.conds[k] {
+	r.scanned++
+	r.ev.rows[k] = row
+	for i, c := range r.conds[k] {
 		if i == skip {
 			continue
 		}
-		v, err := p.ev.eval(c)
+		v, err := r.ev.eval(c)
 		if err != nil || !IsTruthy(v) {
 			return false, err
 		}
@@ -386,22 +227,11 @@ func (p *selectPlan) match(k, skip int, row []Value) (bool, error) {
 	return true, nil
 }
 
-// lockTablesRead read-locks the distinct tables in name order and returns
-// the list to unlock.
-func lockTablesRead(bts []boundTable) []*table {
-	seen := make(map[*table]bool, len(bts))
-	var distinct []*table
-	for _, bt := range bts {
-		if !seen[bt.tbl] {
-			seen[bt.tbl] = true
-			distinct = append(distinct, bt.tbl)
-		}
-	}
-	sort.Slice(distinct, func(i, j int) bool { return distinct[i].spec.Name < distinct[j].spec.Name })
-	for _, t := range distinct {
+// lockTablesRead read-locks tables, which are distinct and in name order.
+func lockTablesRead(ts []*table) {
+	for _, t := range ts {
 		t.mu.RLock()
 	}
-	return distinct
 }
 
 func unlockTablesRead(ts []*table) {
@@ -413,15 +243,14 @@ func unlockTablesRead(ts []*table) {
 // joinLevel binds table k to each of its candidate rows and recurses. Past
 // the last table, ev.rows is one complete joined row, which goes straight
 // to the projection.
-func (p *selectPlan) joinLevel(k int) error {
-	ev := p.ev
-	if k == len(ev.tables) {
-		err := p.out.add(p.first, p.sub)
-		p.sub++
+func (r *run) joinLevel(k int) error {
+	if k == len(r.tables) {
+		err := r.out.add(r.first, r.sub)
+		r.sub++
 		return err
 	}
-	t := ev.tables[k].tbl
-	ids, pr, err := p.candidates(k)
+	t := r.tables[k].tbl
+	ids, pr, err := r.candidates(k)
 	if err != nil {
 		return err
 	}
@@ -434,25 +263,26 @@ func (p *selectPlan) joinLevel(k int) error {
 	// An equality probe on a bucket ordered by the lead key walks it best
 	// first, so once top-k rejects a row's lead key it rejects every later
 	// row's too; the walk ends there, and the rows past it are not visited.
+	top := r.out.top
 	bounded := false
-	if k == 0 && !scan && p.out.top != nil && p.out.groups == nil {
-		p.out.top.reserve(n, len(ev.tables))
-		bounded = pr.in == nil && p.lead >= 0 && pr.ix.order == p.lead
+	if k == 0 && !scan && top != nil && r.out.groups == nil {
+		top.reserve(n, len(r.tables))
+		bounded = pr.in == nil && r.lead >= 0 && pr.ix.order == r.lead
 	}
 	matched := false
 	for i := 0; i < n; i++ {
 		pos := i
-		if k == 0 && p.reverse {
+		if k == 0 && r.reverse {
 			pos = n - 1 - i
 		}
 		id := pos
 		if !scan {
 			id = ids[pos]
 		}
-		if bounded && p.out.top.excludes(t.rows[id][p.lead]) {
+		if bounded && top.excludes(t.rows[id][r.lead]) {
 			break
 		}
-		ok, err := p.match(k, skip, t.rows[id])
+		ok, err := r.match(k, skip, t.rows[id])
 		if err != nil {
 			return err
 		}
@@ -461,16 +291,16 @@ func (p *selectPlan) joinLevel(k int) error {
 		}
 		matched = true
 		if k == 0 {
-			p.first, p.sub = pos, 0
+			r.first, r.sub = pos, 0
 		}
-		if err := p.joinLevel(k + 1); err != nil {
+		if err := r.joinLevel(k + 1); err != nil {
 			return err
 		}
 	}
-	ev.rows[k] = nil
-	if !matched && p.leftJoin[k] {
+	r.ev.rows[k] = nil
+	if !matched && r.leftJoin[k] {
 		// LEFT JOIN with no match: continue with the NULL row.
-		return p.joinLevel(k + 1)
+		return r.joinLevel(k + 1)
 	}
 	return nil
 }
@@ -485,55 +315,15 @@ type outputColumn struct {
 	isStar bool
 }
 
-// expandItems resolves the select list to concrete output columns.
-func expandItems(sel *sqlparser.SelectStmt, ev *env) ([]outputColumn, error) {
-	out := make([]outputColumn, 0, len(sel.Items))
-	for i := range sel.Items {
-		item := &sel.Items[i]
-		if item.Star {
-			for ti := range ev.tables {
-				if item.Table != "" && ev.tables[ti].ref != item.Table {
-					continue
-				}
-				for ci, col := range ev.tables[ti].tbl.spec.Columns {
-					oc := outputColumn{name: col.Name, isStar: true}
-					oc.star.ti, oc.star.ci = ti, ci
-					out = append(out, oc)
-				}
-			}
-			continue
-		}
-		name := item.Alias
-		if name == "" {
-			if c, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-				name = c.Name
-			} else {
-				name = item.Expr.String()
-			}
-		}
-		out = append(out, outputColumn{name: name, expr: item.Expr})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("memdb: empty select list")
-	}
-	return out, nil
-}
-
-// projection is the output side of a SELECT, bound once per statement. It
-// consumes joined rows as the join produces them and applies aggregation,
-// HAVING, DISTINCT, ORDER BY and LIMIT.
+// projection is the output side of one execution of a SELECT. It consumes
+// joined rows as the join produces them and applies aggregation, HAVING,
+// DISTINCT, ORDER BY and LIMIT.
 type projection struct {
-	ev   *env
-	sel  *sqlparser.SelectStmt
-	cols []outputColumn
-	// orderCol[i] is the output column ORDER BY item i reads, or -1 when
-	// the item is evaluated against the row.
-	orderCol []int
-	groups   *grouping // nil unless the statement aggregates
-	// top keeps the offset+count first candidates when the statement has an
-	// ORDER BY, a LIMIT known before any row is read, and no DISTINCT
-	// (which needs every output row). Otherwise every candidate's output
-	// row is built into rows for a full stable sort.
+	*run
+	groups *grouping // nil unless the statement aggregates
+	// top keeps the offset+count first candidates when the plan allows
+	// top-k and the LIMIT is valid. Otherwise every candidate's output row
+	// is built into rows for a full stable sort.
 	top    *topK
 	offset int
 	rows   []sortableRow
@@ -544,55 +334,24 @@ type sortableRow struct {
 	keys []Value
 }
 
-func newProjection(sel *sqlparser.SelectStmt, ev *env) (*projection, error) {
-	cols, err := expandItems(sel, ev)
-	if err != nil {
-		return nil, err
+// start readies the projection for the run's arguments.
+func (p *projection) start() {
+	if p.grouped {
+		p.groups = newGrouping(p.plan)
 	}
-	p := &projection{ev: ev, sel: sel, cols: cols, orderCol: make([]int, len(sel.OrderBy))}
-	for i := range sel.OrderBy {
-		p.orderCol[i] = orderColumn(sel.OrderBy[i].Expr, cols)
-	}
-	grouped := len(sel.GroupBy) > 0 || sel.Having != nil && isAggregate(sel.Having)
-	for i := range cols {
-		grouped = grouped || cols[i].expr != nil && isAggregate(cols[i].expr)
-	}
-	if grouped {
-		p.groups = newGrouping(sel, ev)
-	}
-	if len(sel.OrderBy) > 0 && sel.Limit != nil && !sel.Distinct &&
-		rowFree(sel.Limit.Count) && rowFree(sel.Limit.Offset) {
+	if p.topK {
 		// A bad LIMIT takes the full path, which reports it.
-		count, off, err := evalLimit(sel.Limit, ev)
+		count, off, err := evalLimit(p.sel.Limit, &p.ev)
 		if err == nil && off <= math.MaxInt-count {
-			p.top, p.offset = newTopK(sel.OrderBy, off+count), off
+			p.top, p.offset = newTopK(p.sel.OrderBy, off+count), off
 		}
 	}
-	return p, nil
-}
-
-// leadColumn returns the column of the first table that the first ORDER BY
-// key reads as is, or -1 when that key is anything else.
-func (p *projection) leadColumn() int {
-	e := p.sel.OrderBy[0].Expr
-	if j := p.orderCol[0]; j >= 0 {
-		e = p.cols[j].expr
-	}
-	c, ok := e.(*sqlparser.ColumnRef)
-	if !ok {
-		return -1
-	}
-	ti, ci, err := p.ev.resolve(c)
-	if err != nil || ti != 0 {
-		return -1
-	}
-	return ci
 }
 
 // add consumes the joined row ev points at; first and sub are its arrival.
 func (p *projection) add(first, sub int) error {
 	if p.groups != nil {
-		return p.groups.add(p.ev)
+		return p.groups.add(&p.ev)
 	}
 	return p.candidate(first, sub, p.ev.rows)
 }
@@ -625,7 +384,7 @@ func (p *projection) candidate(first, sub int, rows [][]Value) error {
 
 // finish produces the result once every joined row has been added.
 func (p *projection) finish() (*Rows, error) {
-	ev, sel := p.ev, p.sel
+	ev, sel := &p.ev, p.sel
 	if g := p.groups; g != nil {
 		groups := g.done(ev)
 		for i, gs := range groups {
@@ -644,11 +403,8 @@ func (p *projection) finish() (*Rows, error) {
 			}
 		}
 	}
-	names := make([]string, len(p.cols))
-	for i := range p.cols {
-		names[i] = p.cols[i].name
-	}
-	res := &Rows{Columns: names}
+	// Result rows share nothing with the plan: a caller may modify them.
+	res := &Rows{Columns: slices.Clone(p.names)}
 
 	if p.top != nil {
 		best := p.top.sorted()
@@ -734,38 +490,6 @@ func limitInt(v Value, what string) (int, error) {
 	return int(f), nil
 }
 
-// rowFree reports whether e, if present, is a literal or a placeholder, so
-// its value is known before any row is read.
-func rowFree(e sqlparser.Expr) bool {
-	switch e.(type) {
-	case nil, *sqlparser.Literal, *sqlparser.Placeholder:
-		return true
-	}
-	return false
-}
-
-// orderColumn returns the output column an ORDER BY expression reads, or -1.
-func orderColumn(oe sqlparser.Expr, cols []outputColumn) int {
-	// An unqualified column naming an output alias/column uses the output
-	// value (SQL alias visibility in ORDER BY).
-	if c, ok := oe.(*sqlparser.ColumnRef); ok && c.Table == "" {
-		for j := range cols {
-			if cols[j].name == c.Name && !cols[j].isStar {
-				return j
-			}
-		}
-	}
-	// An expression textually matching a select item uses its value (covers
-	// ORDER BY MAX(x) with SELECT MAX(x)).
-	text := oe.String()
-	for j := range cols {
-		if cols[j].expr != nil && cols[j].expr.String() == text {
-			return j
-		}
-	}
-	return -1
-}
-
 // value evaluates the column for the row ev is pointed at.
 func (c *outputColumn) value(ev *env) (Value, error) {
 	if !c.isStar {
@@ -781,7 +505,7 @@ func (c *outputColumn) value(ev *env) (Value, error) {
 func (p *projection) row() ([]Value, error) {
 	out := make([]Value, len(p.cols))
 	for i := range p.cols {
-		v, err := p.cols[i].value(p.ev)
+		v, err := p.cols[i].value(&p.ev)
 		if err != nil {
 			return nil, err
 		}
@@ -803,7 +527,7 @@ func (p *projection) keys(dst, out []Value) error {
 		case out != nil:
 			v = out[j]
 		default:
-			v, err = p.cols[j].value(p.ev)
+			v, err = p.cols[j].value(&p.ev)
 		}
 		if err != nil {
 			return err
@@ -952,16 +676,12 @@ type grouping struct {
 	key   []byte
 }
 
-// newGrouping also binds the statement's aggregate calls to their result
-// slots on ev.
-func newGrouping(sel *sqlparser.SelectStmt, ev *env) *grouping {
-	aggs, slot := collectAggregates(sel)
-	ev.aggSlot = slot
+func newGrouping(pl *plan) *grouping {
 	return &grouping{
-		by:    sel.GroupBy,
-		aggs:  aggs,
+		by:    pl.sel.GroupBy,
+		aggs:  pl.aggs,
 		byKey: make(map[string]int),
-		kv:    make([]Value, len(sel.GroupBy)),
+		kv:    make([]Value, len(pl.sel.GroupBy)),
 	}
 }
 
@@ -996,7 +716,7 @@ func (g *grouping) add(ev *env) error {
 // MIN/MAX/SUM/AVG = NULL.
 func (g *grouping) done(ev *env) []*groupState {
 	if len(g.list) == 0 && len(g.by) == 0 {
-		g.list = append(g.list, newGroupState(make([][]Value, len(ev.tables)), len(g.aggs)))
+		g.list = append(g.list, newGroupState(make([][]Value, len(ev.pl.tables)), len(g.aggs)))
 	}
 	ev.aggValues = make([]Value, len(g.aggs))
 	return g.list
@@ -1008,43 +728,6 @@ func (g *grouping) bind(ev *env, gs *groupState) {
 	for j, ae := range g.aggs {
 		ev.aggValues[j] = gs.accs[j].resultFor(ae.Name)
 	}
-}
-
-// collectAggregates gathers the distinct aggregate expressions appearing in
-// the select list, HAVING and ORDER BY, and maps every occurrence to the
-// index of its distinct expression.
-func collectAggregates(sel *sqlparser.SelectStmt) ([]*sqlparser.FuncExpr, map[*sqlparser.FuncExpr]int) {
-	var out []*sqlparser.FuncExpr
-	slot := make(map[*sqlparser.FuncExpr]int)
-	byText := make(map[string]int)
-	add := func(e sqlparser.Expr) {
-		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
-			if f, ok := x.(*sqlparser.FuncExpr); ok && aggregateNames[f.Name] {
-				text := f.String()
-				i, seen := byText[text]
-				if !seen {
-					i = len(out)
-					byText[text] = i
-					out = append(out, f)
-				}
-				slot[f] = i
-				return false
-			}
-			return true
-		})
-	}
-	for i := range sel.Items {
-		if sel.Items[i].Expr != nil {
-			add(sel.Items[i].Expr)
-		}
-	}
-	if sel.Having != nil {
-		add(sel.Having)
-	}
-	for i := range sel.OrderBy {
-		add(sel.OrderBy[i].Expr)
-	}
-	return out, slot
 }
 
 type groupState struct {

@@ -236,8 +236,9 @@ func newTable(spec TableSpec) (*table, error) {
 // (key, order) for an ordered one, whose order column must be INT or TEXT
 // (a NaN has no place in an order). An index the table already has on the
 // key column satisfies a plain request and the same ordered one; an ordered
-// request replaces a plain index, and one naming a different order fails.
-// The caller holds the table write lock.
+// request replaces a plain index in place, so a plan holding it reads the
+// ordered one; one naming a different order fails. The caller holds the
+// table write lock.
 func (t *table) addIndexLocked(cols []string) error {
 	if len(cols) > 2 {
 		return fmt.Errorf("memdb: table %s index on %d columns: an index is one column or (key, order)", t.spec.Name, len(cols))
@@ -270,8 +271,21 @@ func (t *table) addIndexLocked(cols []string) error {
 			ix.add(t.rows, rowID)
 		}
 	}
-	t.indexes[ci] = ix
+	if old := t.indexes[ci]; old != nil {
+		*old = *ix
+	} else {
+		t.indexes[ci] = ix
+	}
 	return nil
+}
+
+// index returns the index on column ci, or nil. An index is never dropped
+// or replaced by another, so a plan may keep the pointer across schema
+// changes.
+func (t *table) index(ci int) *hashIndex {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.indexes[ci]
 }
 
 // coerce adapts a value to the column type. Integers widen to floats for

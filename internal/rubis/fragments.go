@@ -34,7 +34,7 @@ func (a *App) sessionHole() servlet.Segment {
 		}
 		p := servlet.NewPartial()
 		p.Text("Signed in as %s (rating %d).", u.Str(0, 0), u.Int(0, 1))
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 }
 
@@ -63,7 +63,7 @@ func (a *App) viewItemSegments() []servlet.Segment {
 		if seller.Len() > 0 {
 			p.Text("Sold by %s", seller.Str(0, 0))
 		}
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	bids := servlet.Segment{ID: "bids", Vary: []string{"itemId"}, Gen: func(w http.ResponseWriter, r *http.Request) {
 		itemID := servlet.ParamInt(r, "itemId", 0)
@@ -79,7 +79,7 @@ func (a *App) viewItemSegments() []servlet.Segment {
 		}
 		p := servlet.NewPartial()
 		p.Text("Bids: %d, best bid: %s", nBids.Int(0, 0), maxBid.Str(0, 0))
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	return []servlet.Segment{item, a.sessionHole(), bids, servlet.TailSegment()}
 }
@@ -99,7 +99,7 @@ func (a *App) searchByCategorySegments() []servlet.Segment {
 		}
 		p := servlet.NewPage(fmt.Sprintf("RUBiS — Items in category %d (page %d)", category, page))
 		p.Table([]string{"Id", "Name", "Initial", "Max bid", "Bids", "Ends"}, rows)
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	return []servlet.Segment{items, a.sessionHole(), servlet.TailSegment()}
 }
@@ -122,7 +122,7 @@ func (a *App) viewUserSegments() []servlet.Segment {
 		}
 		p := servlet.NewPage(fmt.Sprintf("RUBiS — User %s", user.Str(0, 0)))
 		p.Text("Rating %d, member since %d, region %d", user.Int(0, 1), user.Int(0, 2), user.Int(0, 3))
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	comments := servlet.Segment{ID: "comments", Vary: []string{"userId"}, Gen: func(w http.ResponseWriter, r *http.Request) {
 		userID := servlet.ParamInt(r, "userId", 0)
@@ -136,7 +136,7 @@ func (a *App) viewUserSegments() []servlet.Segment {
 		p := servlet.NewPartial()
 		p.H2("Comments")
 		p.Table([]string{"Rating", "Date", "Comment", "From"}, comments)
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	return []servlet.Segment{user, a.sessionHole(), comments, servlet.TailSegment()}
 }
@@ -155,7 +155,7 @@ func (a *App) viewBidsSegments() []servlet.Segment {
 		if item.Len() > 0 {
 			name = item.Str(0, 0)
 		}
-		servlet.WriteFragment(w, servlet.NewPage(fmt.Sprintf("RUBiS — Bid history for %s", name)).Partial())
+		servlet.NewPage(fmt.Sprintf("RUBiS — Bid history for %s", name)).WriteFragment(w)
 	}}
 	bids := servlet.Segment{ID: "bids", Vary: []string{"itemId"}, Gen: func(w http.ResponseWriter, r *http.Request) {
 		itemID := servlet.ParamInt(r, "itemId", 0)
@@ -168,7 +168,7 @@ func (a *App) viewBidsSegments() []servlet.Segment {
 		}
 		p := servlet.NewPartial()
 		p.Table([]string{"Qty", "Bid", "Date", "Bidder"}, bids)
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	return []servlet.Segment{head, a.sessionHole(), bids, servlet.TailSegment()}
 }

@@ -17,44 +17,44 @@ func (a *App) home(w http.ResponseWriter, r *http.Request) {
 	p.Link("/browse", "Browse")
 	p.Link("/sell", "Sell")
 	p.Link("/aboutMe?userId=1", "About me")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) browse(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage("RUBiS — Browse")
 	p.Link("/browseCategories", "Browse categories")
 	p.Link("/browseRegions", "Browse regions")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) sell(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage("RUBiS — Sell")
 	p.Link("/selectCategory", "Select a category to sell in")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) registerUserForm(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage("RUBiS — Register user")
 	p.Text("Fill in your details and submit to /storeRegisterUser.")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) putBidAuth(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage("RUBiS — Bid authentication")
 	p.Text("Provide nickname and password to bid on item %d.", servlet.ParamInt(r, "itemId", 0))
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) putCommentAuth(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage("RUBiS — Comment authentication")
 	p.Text("Provide nickname and password to comment on user %d.", servlet.ParamInt(r, "to", 0))
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) buyNowAuth(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage("RUBiS — Buy-now authentication")
 	p.Text("Provide nickname and password to buy item %d.", servlet.ParamInt(r, "itemId", 0))
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // --- browsing and searching -------------------------------------------------
@@ -67,7 +67,7 @@ func (a *App) browseCategories(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("RUBiS — Categories")
 	p.Table([]string{"Id", "Category"}, rows)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) browseRegions(w http.ResponseWriter, r *http.Request) {
@@ -78,7 +78,7 @@ func (a *App) browseRegions(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("RUBiS — Regions")
 	p.Table([]string{"Id", "Region"}, rows)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // browseCategoriesByRegion lists only the categories with at least one item
@@ -97,7 +97,7 @@ func (a *App) browseCategoriesByRegion(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage(fmt.Sprintf("RUBiS — Categories in region %d", region))
 	p.Table([]string{"Id", "Category"}, rows)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // regionStats summarises the auction activity of one region: per-category
@@ -115,7 +115,7 @@ func (a *App) regionStats(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage(fmt.Sprintf("RUBiS — Auction activity in region %d", region))
 	p.Table([]string{"Category", "Items", "Bids", "Avg price"}, rows)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // searchItemsByCategory, viewItem, viewUserInfo and viewBidHistory live in
@@ -135,7 +135,7 @@ func (a *App) searchItemsByRegion(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage(fmt.Sprintf("RUBiS — Items in category %d, region %d", category, region))
 	p.Table([]string{"Id", "Name", "Initial", "Max bid", "Bids", "Ends"}, rows)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // --- item and user views ----------------------------------------------------
@@ -190,7 +190,7 @@ func (a *App) aboutMe(w http.ResponseWriter, r *http.Request) {
 	p.Table([]string{"Rating", "Date", "Comment"}, myComments)
 	p.H2("My buy-now purchases")
 	p.Table([]string{"Qty", "Date", "Item"}, myBuys)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // --- query-backed forms -----------------------------------------------------
@@ -210,7 +210,7 @@ func (a *App) putBid(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage(fmt.Sprintf("RUBiS — Bid on %s", item.Str(0, 0)))
 	p.Text("Initial price %s, current max bid %s over %d bids.",
 		item.Str(0, 1), item.Str(0, 2), item.Int(0, 3))
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) buyNow(w http.ResponseWriter, r *http.Request) {
@@ -227,7 +227,7 @@ func (a *App) buyNow(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage(fmt.Sprintf("RUBiS — Buy %s now", item.Str(0, 0)))
 	p.Text("Buy-now price %s, %d available.", item.Str(0, 1), item.Int(0, 2))
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) putComment(w http.ResponseWriter, r *http.Request) {
@@ -249,7 +249,7 @@ func (a *App) putComment(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage(fmt.Sprintf("RUBiS — Comment on %s about %s", user.Str(0, 0), item.Str(0, 0)))
 	p.Text("Write your comment and submit to /storeComment.")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) selectCategoryToSellItem(w http.ResponseWriter, r *http.Request) {
@@ -260,7 +260,7 @@ func (a *App) selectCategoryToSellItem(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("RUBiS — Choose a category to sell in")
 	p.Table([]string{"Id", "Category"}, rows)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) sellItemForm(w http.ResponseWriter, r *http.Request) {
@@ -276,5 +276,5 @@ func (a *App) sellItemForm(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage(fmt.Sprintf("RUBiS — Sell an item in %s", cat.Str(0, 0)))
 	p.Text("Describe your item and submit to /storeRegisterItem.")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }

@@ -45,7 +45,7 @@ func (a *App) storeBid(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("RUBiS — Bid recorded")
 	p.Text("Your bid of %g on item %d was recorded.", bid, itemID)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // storeBuyNow performs an immediate purchase: decrement stock, record the
@@ -71,7 +71,7 @@ func (a *App) storeBuyNow(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("RUBiS — Purchase complete")
 	p.Text("You bought %d of item %d.", qty, itemID)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // storeComment records a comment and adjusts the target user's rating.
@@ -98,7 +98,7 @@ func (a *App) storeComment(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("RUBiS — Comment stored")
 	p.Text("Comment about user %d stored.", toID)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // storeRegisterUser creates a new user account.
@@ -119,7 +119,7 @@ func (a *App) storeRegisterUser(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("RUBiS — User registered")
 	p.Text("Welcome %s, your user id is %d.", nickname, res.LastInsertID)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // storeRegisterItem puts a new item up for auction.
@@ -144,5 +144,5 @@ func (a *App) storeRegisterItem(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("RUBiS — Item registered")
 	p.Text("Item %q listed with id %d in category %d.", name, res.LastInsertID, category)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }

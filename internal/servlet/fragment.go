@@ -1,6 +1,7 @@
 package servlet
 
 import (
+	"io"
 	"net/http"
 	"net/url"
 	"time"
@@ -118,11 +119,15 @@ func ComposeSegments(segs []Segment) http.HandlerFunc {
 // unset, but no status is written (segments concatenate; the first body
 // write implies 200).
 func WriteFragment(w http.ResponseWriter, body string) {
+	setFragmentType(w)
+	_, _ = io.WriteString(w, body)
+}
+
+func setFragmentType(w http.ResponseWriter) {
 	h := w.Header()
 	if h.Get("Content-Type") == "" {
 		h.Set("Content-Type", "text/html; charset=utf-8")
 	}
-	_, _ = w.Write([]byte(body))
 }
 
 // Fragmented builds a read interaction from its segment decomposition: the

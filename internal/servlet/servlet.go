@@ -6,13 +6,20 @@
 // It plays the role of the Tomcat servlet engine in the paper's testbed: the
 // well-known entry and exit points of request handlers (§4.1) that the weave
 // package interposes on.
+//
+// A page miss allocates little here. Param reads the raw query string in
+// place instead of building url.Values, and a Page renders into a pooled
+// buffer that Page.WriteHTML or Page.WriteFragment sends once and recycles,
+// so a Page is single-use.
 package servlet
 
 import (
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -146,9 +153,37 @@ func PageKeyWithCookies(r *http.Request, names []string) string {
 	return key
 }
 
-// Param returns a request parameter (query string or form).
+// Param returns a query-string parameter exactly as r.URL.Query().Get(name)
+// does: the first value wins, '+' and %XX are unescaped, and a pair holding
+// ';' or a bad escape is skipped. It scans RawQuery in place, so reading a
+// parameter that needs no unescaping allocates nothing.
 func Param(r *http.Request, name string) string {
-	return r.URL.Query().Get(name)
+	q := r.URL.RawQuery
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, ok := unescape(k); !ok || k != name {
+			continue
+		}
+		if v, ok := unescape(v); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// unescape is url.QueryUnescape, returning s itself when it holds nothing
+// to unescape.
+func unescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
 }
 
 // ParamInt returns an integer request parameter, or def when absent or
@@ -169,7 +204,7 @@ func ParamInt(r *http.Request, name string, def int64) int64 {
 func WriteHTML(w http.ResponseWriter, body string) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(body))
+	_, _ = io.WriteString(w, body)
 }
 
 // ClientError writes a 400 response; used by handlers for malformed input.

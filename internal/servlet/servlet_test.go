@@ -82,7 +82,9 @@ func TestPageBuilder(t *testing.T) {
 		Data:    [][]memdb.Value{{int64(1), "x<y"}, {int64(2), nil}},
 	}
 	p.Table([]string{"A", "B"}, rows)
-	out := p.String()
+	rr := httptest.NewRecorder()
+	p.WriteHTML(rr)
+	out := rr.Body.String()
 	for _, want := range []string{
 		"Title &amp; Co", "Sub&lt;script&gt;", "value 42",
 		"<td>x&lt;y</td>", "<table", "</html>",

@@ -268,31 +268,6 @@ func TestParameterizeKeepsExistingPlaceholders(t *testing.T) {
 	}
 }
 
-func TestCacheBasics(t *testing.T) {
-	var c Cache
-	s1, err := c.Get("SELECT a FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := c.Get("SELECT a FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s2 {
-		t.Fatal("cache did not return shared statement")
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits, %d misses", hits, misses)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	if _, err := c.Get("NOT SQL"); err == nil {
-		t.Fatal("expected error for bad sql")
-	}
-}
-
 // TestParseCreateIndexTwoColumns checks the ordered-index DDL a
 // two-column TableSpec entry renders: both columns, in order, survive the
 // round trip through String.

@@ -1,10 +1,5 @@
 package sqlparser
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Canonical parses sql and returns its canonical rendering. Two queries that
 // differ only in whitespace, keyword case or quoting canonicalise to the same
 // string.
@@ -114,53 +109,4 @@ func (pz *parameterizer) rewrite(e Expr) Expr {
 	default:
 		return e
 	}
-}
-
-// Cache is a concurrency-safe parse cache keyed by the raw SQL text. Query
-// templates in web applications form a small fixed set (§3.2: "In practice,
-// there are usually a small fixed number of different query templates"), so
-// caching parses eliminates almost all parsing work after warm-up.
-//
-// The zero value is ready to use.
-type Cache struct {
-	mu   sync.RWMutex
-	m    map[string]Statement
-	hits atomic.Uint64
-	miss atomic.Uint64
-}
-
-// Get parses sql, consulting the cache first. The returned statement is
-// shared: callers must treat it as immutable.
-func (c *Cache) Get(sql string) (Statement, error) {
-	c.mu.RLock()
-	stmt, ok := c.m[sql]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return stmt, nil
-	}
-	stmt, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[string]Statement)
-	}
-	c.m[sql] = stmt
-	c.mu.Unlock()
-	c.miss.Add(1)
-	return stmt, nil
-}
-
-// Stats returns cumulative cache hits and misses.
-func (c *Cache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.miss.Load()
-}
-
-// Len returns the number of cached statements.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
 }

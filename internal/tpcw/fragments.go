@@ -19,7 +19,7 @@ func (a *App) adHole() servlet.Segment {
 	return servlet.Segment{Gen: func(w http.ResponseWriter, r *http.Request) {
 		p := servlet.NewPartial()
 		p.Text("Advertisement banner #%d", a.adBanner())
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 }
 
@@ -28,7 +28,7 @@ func (a *App) adHole() servlet.Segment {
 // benchmark derives from the customer id).
 func (a *App) homeSegments() []servlet.Segment {
 	head := servlet.Segment{ID: "head", Gen: func(w http.ResponseWriter, r *http.Request) {
-		servlet.WriteFragment(w, servlet.NewPage("TPC-W — Home").Partial())
+		servlet.NewPage("TPC-W — Home").WriteFragment(w)
 	}}
 	welcome := servlet.Segment{ID: "welcome", Vary: []string{"c_id"}, Gen: func(w http.ResponseWriter, r *http.Request) {
 		custID := servlet.ParamInt(r, "c_id", 0)
@@ -46,7 +46,7 @@ func (a *App) homeSegments() []servlet.Segment {
 		}
 		p := servlet.NewPartial()
 		p.Text("Welcome back, %s %s.", cust.Str(0, 0), cust.Str(0, 1))
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	promos := servlet.Segment{ID: "promos", Vary: []string{"c_id"}, Gen: func(w http.ResponseWriter, r *http.Request) {
 		custID := servlet.ParamInt(r, "c_id", 0)
@@ -60,7 +60,7 @@ func (a *App) homeSegments() []servlet.Segment {
 		p := servlet.NewPartial()
 		p.H2("Promotions")
 		p.Table([]string{"Id", "Title", "Cost"}, promos)
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	return []servlet.Segment{head, a.adHole(), welcome, promos, servlet.TailSegment()}
 }
@@ -82,7 +82,7 @@ func (a *App) newProductsSegments() []servlet.Segment {
 		}
 		p := servlet.NewPage("TPC-W — New products in " + subject)
 		p.Table([]string{"Id", "Title", "Author first", "Author last", "Published", "Cost"}, rows)
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	return []servlet.Segment{list, servlet.TailSegment()}
 }
@@ -105,7 +105,7 @@ func (a *App) bestSellersSegments() []servlet.Segment {
 		}
 		p := servlet.NewPage("TPC-W — Best sellers in " + subject)
 		p.Table([]string{"Id", "Title", "Author first", "Author last", "Sold"}, rows)
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	return []servlet.Segment{list, servlet.TailSegment()}
 }
@@ -128,7 +128,7 @@ func (a *App) productDetailSegments() []servlet.Segment {
 		}
 		p := servlet.NewPage("TPC-W — " + item.Str(0, 1))
 		p.Table([]string{"Id", "Title", "Author id", "Published", "Subject", "Description", "Cost", "Stock"}, item)
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	author := servlet.Segment{ID: "author", Vary: []string{"i_id"}, Gen: func(w http.ResponseWriter, r *http.Request) {
 		itemID := servlet.ParamInt(r, "i_id", 0)
@@ -147,7 +147,7 @@ func (a *App) productDetailSegments() []servlet.Segment {
 		}
 		p := servlet.NewPartial()
 		p.Text("By %s %s", author.Str(0, 0), author.Str(0, 1))
-		servlet.WriteFragment(w, p.Partial())
+		p.WriteFragment(w)
 	}}
 	return []servlet.Segment{item, author, servlet.TailSegment()}
 }

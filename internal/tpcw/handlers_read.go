@@ -19,7 +19,7 @@ func (a *App) searchRequest(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage("TPC-W — Search")
 	p.Text("Advertisement banner #%d", a.adBanner())
 	p.Text("Search by author, title or subject via /executeSearch.")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) executeSearch(w http.ResponseWriter, r *http.Request) {
@@ -55,13 +55,13 @@ func (a *App) executeSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		p.Table([]string{"Id", "Title", "Cost"}, rows)
 	}
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) orderInquiry(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage("TPC-W — Order inquiry")
 	p.Text("Enter your username and password to display your last order.")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) orderDisplay(w http.ResponseWriter, r *http.Request) {
@@ -75,7 +75,7 @@ func (a *App) orderDisplay(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage(fmt.Sprintf("TPC-W — Last order of customer %d", custID))
 	if order.Len() == 0 {
 		p.Text("No orders on file.")
-		servlet.WriteHTML(w, p.String())
+		p.WriteHTML(w)
 		return
 	}
 	p.Table([]string{"Order", "Date", "Total", "Status"}, order)
@@ -88,7 +88,7 @@ func (a *App) orderDisplay(w http.ResponseWriter, r *http.Request) {
 	}
 	p.H2("Lines")
 	p.Table([]string{"Item", "Title", "Qty", "Cost"}, lines)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // relatedBooks lists the books bought together with the given one: every
@@ -106,7 +106,7 @@ func (a *App) relatedBooks(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage(fmt.Sprintf("TPC-W — Books bought together with item %d", itemID))
 	p.Table([]string{"Id", "Title", "Author first", "Author last", "Cost"}, rows)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 func (a *App) adminRequest(w http.ResponseWriter, r *http.Request) {
@@ -124,5 +124,5 @@ func (a *App) adminRequest(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage(fmt.Sprintf("TPC-W — Admin view of item %d", itemID))
 	p.Table([]string{"Id", "Title", "Subject", "Cost", "Stock"}, item)
 	p.Text("Submit changes to /adminConfirm.")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }

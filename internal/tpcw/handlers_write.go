@@ -60,7 +60,7 @@ func (a *App) shoppingCart(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage(fmt.Sprintf("TPC-W — Shopping cart %d", cartID))
 	p.Table([]string{"Item", "Title", "Qty", "Cost"}, lines)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // customerRegistration creates a new customer with an address — a write in
@@ -88,7 +88,7 @@ func (a *App) customerRegistration(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("TPC-W — Registered")
 	p.Text("Welcome %s, your customer id is %d.", uname, res.LastInsertID)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // buyRequest shows the order summary for a cart and updates the customer's
@@ -117,7 +117,7 @@ func (a *App) buyRequest(w http.ResponseWriter, r *http.Request) {
 	p := servlet.NewPage(fmt.Sprintf("TPC-W — Buy request for cart %d", cartID))
 	p.Table([]string{"Item", "Title", "Qty", "Cost"}, lines)
 	p.Text("Confirm your purchase at /buyConfirm.")
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // buyConfirm turns the cart into an order: insert orders/order_line/
@@ -176,7 +176,7 @@ func (a *App) buyConfirm(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("TPC-W — Order confirmed")
 	p.Text("Order %d placed for a total of %.2f.", order.LastInsertID, total)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }
 
 // adminConfirm updates an item's price and publication date — the
@@ -196,5 +196,5 @@ func (a *App) adminConfirm(w http.ResponseWriter, r *http.Request) {
 	}
 	p := servlet.NewPage("TPC-W — Item updated")
 	p.Text("Item %d now costs %.2f.", itemID, cost)
-	servlet.WriteHTML(w, p.String())
+	p.WriteHTML(w)
 }

@@ -33,9 +33,9 @@ func fragApp(t *testing.T, conn memdb.Conn) []servlet.HandlerInfo {
 			servlet.ServerError(w, err)
 			return
 		}
-		p := servlet.NewPartial()
-		p.Table([]string{"id", "name", "price"}, rows)
-		servlet.WriteFragment(w, "<div id=items>"+p.Partial()+"</div>")
+		servlet.WriteFragment(w, "<div id=items>")
+		servlet.NewPartial().Table([]string{"id", "name", "price"}, rows).WriteFragment(w)
+		servlet.WriteFragment(w, "</div>")
 	}}
 	hole := servlet.Segment{Gen: func(w http.ResponseWriter, r *http.Request) {
 		servlet.WriteFragment(w, fmt.Sprintf("<div id=session>%d</div>", servlet.ParamInt(r, "session", 0)))

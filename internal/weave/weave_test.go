@@ -29,7 +29,7 @@ func testApp(t *testing.T, conn memdb.Conn) []servlet.HandlerInfo {
 		}
 		p := servlet.NewPage(fmt.Sprintf("Category %d", cat))
 		p.Table([]string{"id", "name", "price"}, rows)
-		servlet.WriteHTML(w, p.String())
+		p.WriteHTML(w)
 	}
 	reprice := func(w http.ResponseWriter, r *http.Request) {
 		id := servlet.ParamInt(r, "id", 0)
@@ -38,13 +38,13 @@ func testApp(t *testing.T, conn memdb.Conn) []servlet.HandlerInfo {
 			servlet.ServerError(w, err)
 			return
 		}
-		servlet.WriteHTML(w, servlet.NewPage("OK").String())
+		servlet.NewPage("OK").WriteHTML(w)
 	}
 	badRead := func(w http.ResponseWriter, r *http.Request) {
 		if _, err := conn.Query(r.Context(), "SELECT nosuch FROM items"); err != nil {
 			// Swallow the error and render a page anyway: the weave must
 			// still refuse to cache it (aborted read query, §4.2).
-			servlet.WriteHTML(w, servlet.NewPage("partial").String())
+			servlet.NewPage("partial").WriteHTML(w)
 			return
 		}
 		servlet.WriteHTML(w, "ok")
