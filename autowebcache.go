@@ -12,7 +12,8 @@
 //   - analysis — the query-analysis engine with the paper's three
 //     invalidation strategies (ColumnOnly, WhereMatch, AC-extraQuery);
 //   - cache — the page cache: page table + dependency table, TTL and
-//     semantic windows, replacement policies;
+//     semantic windows, a byte budget with segmented LRU eviction and
+//     optional TinyLFU admission;
 //   - weave — the AOP substitute: handler advice (around/after) and the
 //     query-capturing connection;
 //   - rubis, tpcw — the paper's two benchmark applications;

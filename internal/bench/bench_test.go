@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -310,8 +311,15 @@ func TestAblationReplacementCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 9 { // 3 capacities x 3 policies
+	if len(tbl.Rows) != 6 { // 3 capacities x {SLRU, SLRU+TinyLFU}
 		t.Fatalf("rows: %d", len(tbl.Rows))
+	}
+	// The smallest budget must actually exercise eviction under both
+	// policies, or the table compares nothing.
+	for _, row := range tbl.Rows[:2] {
+		if n, err := strconv.Atoi(row[3]); err != nil || n == 0 {
+			t.Errorf("%s %s: evictions %q, want > 0", row[0], row[1], row[3])
+		}
 	}
 }
 
@@ -451,5 +459,27 @@ func TestHitPathFragmentRecord(t *testing.T) {
 	}
 	if r := byName["page-hit"]; r.AllocsPerOp != 0 {
 		t.Fatalf("page-hit regressed to %d allocs/op", r.AllocsPerOp)
+	}
+}
+
+// TestQrMissSqliteFixtureMissesEveryQuery pins what the qr-miss-sqlite
+// record measures: its byte budget holds one group's result but not both,
+// so alternating queries miss every time and each insert evicts the other.
+func TestQrMissSqliteFixtureMissesEveryQuery(t *testing.T) {
+	qr, sql, cleanup, err := newQrSqliteFixture(10 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	ctx := context.Background()
+	const n = 8
+	for i := 0; i < n; i++ {
+		// The fixture left group 0 resident; start with group 1.
+		if _, err := qr.Query(ctx, sql, (i+1)&1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := qr.Snapshot(); st.Hits != 0 || st.Entries != 1 || st.Evictions != n {
+		t.Fatalf("want every query a miss evicting the other group: %+v", st)
 	}
 }

@@ -91,10 +91,10 @@ type SystemConfig struct {
 	Strategy analysis.Strategy
 	// ForceMiss makes every lookup miss, to measure lookup overhead.
 	ForceMiss bool
-	// MaxEntries bounds the cache (0 = unbounded); Replacement picks the
-	// eviction policy.
-	MaxEntries  int
-	Replacement cache.ReplacementPolicy
+	// MaxBytes bounds the cache (0 = unbounded; bounded caches evict by
+	// segmented LRU); Admission adds the TinyLFU admission filter on top.
+	MaxBytes  int64
+	Admission bool
 	// BestSellerWindow grants TPC-W BestSellers its semantic TTL.
 	BestSellerWindow time.Duration
 	// QueryCache stacks the §9-extension back-end result cache under the
@@ -218,10 +218,10 @@ func (d *deployment) buildConn(cfg SystemConfig) (memdb.Conn, error) {
 	}
 	if cfg.Cached {
 		d.cache, err = cache.New(cache.Options{
-			Engine:      d.eng,
-			MaxEntries:  cfg.MaxEntries,
-			Replacement: cfg.Replacement,
-			ForceMiss:   cfg.ForceMiss,
+			Engine:    d.eng,
+			MaxBytes:  cfg.MaxBytes,
+			Admission: cfg.Admission,
+			ForceMiss: cfg.ForceMiss,
 		})
 		if err != nil {
 			return nil, err

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"autowebcache/internal/analysis"
-	"autowebcache/internal/cache"
 )
 
 // ms formats a duration in milliseconds with two decimals.
@@ -303,27 +302,30 @@ func AblationStrategies(p Params) (*Table, error) {
 	return t, nil
 }
 
-// AblationReplacement sweeps cache capacity across replacement policies
-// (the paper's §9 future work: "analyze the effect of varying cache size on
-// the hit rates ... and investigate different cache replacement
-// strategies").
+// AblationReplacement sweeps the byte budget across the eviction policies a
+// server deploys — segmented LRU, with and without TinyLFU admission (the
+// paper's §9 future work: "analyze the effect of varying cache size on the
+// hit rates ... and investigate different cache replacement strategies").
 func AblationReplacement(p Params) (*Table, error) {
 	t := &Table{
 		ID:      "tblB",
-		Title:   "Ablation: replacement policies under bounded capacity (RUBiS, bidding mix)",
-		Columns: []string{"Capacity(entries)", "Policy", "HitRate", "Evictions"},
+		Title:   "Ablation: segmented LRU with and without TinyLFU admission under a byte budget (RUBiS, bidding mix)",
+		Columns: []string{"Capacity(bytes)", "Policy", "HitRate", "Evictions", "AdmissionRejects"},
 	}
 	clients := p.RubisClients[len(p.RubisClients)-1]
-	capacities := []int{32, 128, 512}
-	for _, capEntries := range capacities {
-		for _, pol := range []cache.ReplacementPolicy{cache.LRU, cache.LFU, cache.FIFO} {
-			d, err := newRubis(p, SystemConfig{Cached: true, MaxEntries: capEntries, Replacement: pol})
+	for _, capBytes := range []int64{16 << 10, 64 << 10, 256 << 10} {
+		for _, admission := range []bool{false, true} {
+			d, err := newRubis(p, SystemConfig{Cached: true, MaxBytes: capBytes, Admission: admission})
 			if err != nil {
 				return nil, err
 			}
 			res := d.run(p, clients)
 			cst := d.cache.Snapshot()
-			t.AddRow(capEntries, pol.String(), pct(res.Totals.HitRate()), cst.Evictions)
+			policy := "SLRU"
+			if admission {
+				policy = "SLRU+TinyLFU"
+			}
+			t.AddRow(capBytes, policy, pct(res.Totals.HitRate()), cst.Evictions, cst.AdmissionRejects)
 		}
 	}
 	return t, nil

@@ -113,10 +113,11 @@ func newQrHitFixture() (*qrcache.Conn, string, error) {
 }
 
 // newQrSqliteFixture builds a query-result cache over the file-backed
-// sqlite driver: 100 rows in each of two groups, so alternating queries at
-// maxEntries=1 force a backend round trip (file lock + log replay check)
-// per miss, while a warm entry hits without touching the file at all.
-func newQrSqliteFixture(maxEntries int) (*qrcache.Conn, string, func(), error) {
+// sqlite driver, bounded by maxBytes (0 = unbounded): 100 rows in each of
+// two groups, so alternating queries under a budget that holds one group's
+// result but not both force a backend round trip (file lock + log replay
+// check) per miss, while a warm entry hits without touching the file at all.
+func newQrSqliteFixture(maxBytes int64) (*qrcache.Conn, string, func(), error) {
 	dir, err := os.MkdirTemp("", "awc-bench-sqlite")
 	if err != nil {
 		return nil, "", nil, err
@@ -155,7 +156,7 @@ func newQrSqliteFixture(maxEntries int) (*qrcache.Conn, string, func(), error) {
 		cleanup()
 		return nil, "", nil, err
 	}
-	qr, err := qrcache.New(conn, eng, qrcache.Options{MaxEntries: maxEntries})
+	qr, err := qrcache.New(conn, eng, qrcache.Options{MaxBytes: maxBytes})
 	if err != nil {
 		cleanup()
 		return nil, "", nil, err
@@ -562,10 +563,11 @@ func HitPathRecords() ([]HitPathRecord, error) {
 	out = append(out, record("qr-hit-sqlite", r, "warm result-cache hit over the file-backed sqlite driver (backend not touched)"))
 	qsClean()
 
-	// qr-miss-sqlite: alternating groups through a 1-entry cache evict each
-	// other, so every query is a miss that executes against the sqlite file
-	// (shared flock + replay-offset check) and re-inserts the result.
-	qm, qmSQL, qmClean, err := newQrSqliteFixture(1)
+	// qr-miss-sqlite: alternating groups through a 10 KiB cache, which holds
+	// one 100-row result (~6.7 KB accounted) but not two, evict each other,
+	// so every query is a miss that executes against the sqlite file (shared
+	// flock + replay-offset check) and re-inserts the result.
+	qm, qmSQL, qmClean, err := newQrSqliteFixture(10 << 10)
 	if err != nil {
 		return nil, err
 	}

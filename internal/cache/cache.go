@@ -10,9 +10,10 @@
 // pages depending on them are invalidated.
 //
 // Beyond the paper's core, the package implements the extensions its §9
-// lists as future work: bounded capacity with pluggable replacement policies
-// (LRU, LFU, FIFO) and time-lagged (TTL) weak consistency, which also
-// realises the TPC-W BestSellers 30-second semantic window of §4.3.
+// lists as future work: bounded capacity — a byte budget with segmented LRU
+// eviction and optional TinyLFU admission — and time-lagged (TTL) weak
+// consistency, which also realises the TPC-W BestSellers 30-second semantic
+// window of §4.3.
 //
 // The package has two layers. Store (store.go) is the payload-agnostic
 // governed store — both tables, the budgets, eviction, admission, expiry,
@@ -41,34 +42,25 @@ import (
 type Options struct {
 	// Engine decides read/write intersections. Required.
 	Engine *analysis.Engine
-	// MaxEntries bounds the number of cached pages; 0 means unbounded.
-	MaxEntries int
 	// MaxBytes bounds the accounted memory of cached pages — body, key and
 	// dependency overhead, charged at Insert and credited at removal; 0
-	// means unbounded. Unlike MaxEntries it tracks actual payload size, so a
-	// handful of multi-megabyte pages cannot blow the heap while the entry
-	// count reads as healthy. Both bounds may be set; an insert must satisfy
-	// both. A single page costing more than MaxBytes is served to its
-	// requester but never cached.
+	// means unbounded. It tracks actual payload size, so a handful of
+	// multi-megabyte pages cannot blow the heap. A single page costing more
+	// than MaxBytes is served to its requester but never cached.
 	//
-	// Setting MaxBytes also enables segmented (probation/protected)
-	// eviction: new pages start on probation and are promoted on their first
-	// hit; under pressure, probation pages are evicted before protected
-	// ones, so a burst of one-hit inserts cannot flush the proven working
-	// set. Within each segment the configured Replacement policy keeps its
-	// exact cross-shard victim order. (FIFO ignores segmentation: it has no
-	// notion of reuse to promote on.)
+	// A bounded cache evicts by segmented LRU: new pages start on probation
+	// and are promoted on their first hit; under pressure, probation pages
+	// are evicted before protected ones, each segment in exact cross-shard
+	// LRU order, so a burst of one-hit inserts cannot flush the proven
+	// working set.
 	MaxBytes int64
 	// Admission additionally gates inserts under byte-budget pressure with a
 	// TinyLFU filter: when the cache is at MaxBytes, a candidate page is
-	// admitted — evicting the replacement victim — only if its estimated
+	// admitted — evicting the LRU victim — only if its estimated
 	// request frequency strictly beats the victim's. One-hit wonders are
 	// rejected (still served, just not cached) instead of displacing hot
 	// pages. Requires MaxBytes > 0.
 	Admission bool
-	// Replacement selects the eviction policy when MaxEntries is exceeded.
-	// Defaults to LRU.
-	Replacement ReplacementPolicy
 	// Shards is the lock-stripe count for the page and dependency tables,
 	// rounded up to a power of two. 0 picks GOMAXPROCS rounded likewise.
 	Shards int
@@ -250,15 +242,13 @@ type Cache struct {
 func New(opts Options) (*Cache, error) {
 	store, err := NewStore[*pageVal](StoreOptions{
 		Governance: Governance{
-			MaxEntries: opts.MaxEntries,
-			MaxBytes:   opts.MaxBytes,
-			Admission:  opts.Admission,
-			Shards:     opts.Shards,
+			MaxBytes:  opts.MaxBytes,
+			Admission: opts.Admission,
+			Shards:    opts.Shards,
 		},
-		Engine:      opts.Engine,
-		Replacement: opts.Replacement,
-		Clock:       opts.Clock,
-		ForceMiss:   opts.ForceMiss,
+		Engine:    opts.Engine,
+		Clock:     opts.Clock,
+		ForceMiss: opts.ForceMiss,
 		// Assume a small page when only the byte bound is known.
 		AssumedEntryBytes: 4096,
 	})

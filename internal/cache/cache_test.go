@@ -242,8 +242,19 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// onePageBytes measures the accounted cost of one small page with no
+// dependencies, so capacity tests can size a byte budget in pages.
+func onePageBytes(t *testing.T, key string) int64 {
+	t.Helper()
+	c := newTestCache(t, Options{})
+	c.Insert(key, []byte("x"), "text/html", nil, 0)
+	return c.Snapshot().Bytes
+}
+
 func TestCapacityLRU(t *testing.T) {
-	c := newTestCache(t, Options{MaxEntries: 3, Replacement: LRU})
+	// Room for three equal-cost pages, not four.
+	one := onePageBytes(t, "/p0")
+	c := newTestCache(t, Options{MaxBytes: 3*one + one/2})
 	for i := 0; i < 3; i++ {
 		c.Insert(fmt.Sprintf("/p%d", i), []byte("x"), "text/html", nil, 0)
 	}
@@ -263,46 +274,28 @@ func TestCapacityLRU(t *testing.T) {
 	}
 }
 
-func TestCapacityFIFO(t *testing.T) {
-	c := newTestCache(t, Options{MaxEntries: 3, Replacement: FIFO})
-	for i := 0; i < 3; i++ {
-		c.Insert(fmt.Sprintf("/p%d", i), []byte("x"), "text/html", nil, 0)
-	}
-	// Touching p0 must NOT save it under FIFO.
-	c.Lookup("/p0")
-	c.Insert("/p3", []byte("x"), "text/html", nil, 0)
-	if c.Contains("/p0") {
-		t.Fatal("FIFO should evict the oldest insert regardless of access")
-	}
-}
-
-func TestCapacityLFU(t *testing.T) {
-	c := newTestCache(t, Options{MaxEntries: 3, Replacement: LFU})
-	c.Insert("/a", []byte("x"), "text/html", nil, 0)
-	c.Insert("/b", []byte("x"), "text/html", nil, 0)
-	c.Insert("/c", []byte("x"), "text/html", nil, 0)
-	c.Lookup("/a")
-	c.Lookup("/a")
-	c.Lookup("/b")
-	// /c has 0 hits -> victim.
-	c.Insert("/d", []byte("x"), "text/html", nil, 0)
-	if c.Contains("/c") {
-		t.Fatal("LFU should evict the least-frequently-used entry")
-	}
-	if !c.Contains("/a") || !c.Contains("/b") || !c.Contains("/d") {
-		t.Fatal("wrong LFU victim")
-	}
-}
-
+// TestCapacityNeverExceeded: cycling thirteen pages through room for five
+// never takes the cache past its byte budget, with or without admission.
 func TestCapacityNeverExceeded(t *testing.T) {
-	for _, pol := range []ReplacementPolicy{LRU, LFU, FIFO} {
-		c := newTestCache(t, Options{MaxEntries: 5, Replacement: pol})
-		for i := 0; i < 100; i++ {
-			c.Insert(fmt.Sprintf("/p%d", i%13), []byte("x"), "text/html", nil, 0)
-			if c.Len() > 5 {
-				t.Fatalf("%v: len %d exceeds capacity", pol, c.Len())
-			}
+	max := 5 * onePageBytes(t, "/p0")
+	for _, admission := range []bool{false, true} {
+		name := "SLRU"
+		if admission {
+			name = "SLRU+TinyLFU"
 		}
+		t.Run(name, func(t *testing.T) {
+			c := newTestCache(t, Options{MaxBytes: max, Admission: admission})
+			for i := 0; i < 100; i++ {
+				c.Insert(fmt.Sprintf("/p%d", i%13), []byte("x"), "text/html", nil, 0)
+				if n := c.Bytes(); n > max {
+					t.Fatalf("bytes %d exceed MaxBytes %d", n, max)
+				}
+			}
+			// Admission may hold the budget by refusing newcomers instead.
+			if st := c.Snapshot(); st.Evictions+st.AdmissionRejects == 0 || !admission && st.Evictions == 0 {
+				t.Fatalf("bound never exercised: %+v", st)
+			}
+		})
 	}
 }
 
@@ -314,25 +307,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("expected error for missing engine")
 	}
-	if _, err := New(Options{Engine: e, MaxEntries: -1}); err == nil {
+	if _, err := New(Options{Engine: e, MaxBytes: -1}); err == nil {
 		t.Error("expected error for negative capacity")
-	}
-	if _, err := New(Options{Engine: e, Replacement: ReplacementPolicy(99)}); err == nil {
-		t.Error("expected error for bad policy")
 	}
 	if _, err := New(Options{Engine: e, Admission: true}); err == nil {
 		t.Error("expected error for Admission without MaxBytes")
 	}
 }
 
-func TestPolicyStrings(t *testing.T) {
-	if LRU.String() != "LRU" || LFU.String() != "LFU" || FIFO.String() != "FIFO" || ReplacementPolicy(0).String() != "INVALID" {
-		t.Fatal("policy strings")
-	}
-}
-
 func TestConcurrentCacheAccess(t *testing.T) {
-	c := newTestCache(t, Options{MaxEntries: 64})
+	c := newTestCache(t, Options{MaxBytes: 8 << 10})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -91,7 +91,7 @@ func TestOversizeEntryServedNotCached(t *testing.T) {
 }
 
 func TestGovernedHitPathZeroAllocs(t *testing.T) {
-	c := governedCache(t, Options{MaxBytes: 1 << 20, Admission: true, Replacement: LRU})
+	c := governedCache(t, Options{MaxBytes: 1 << 20, Admission: true})
 	body := make([]byte, 1024)
 	keys := make([]string, 64)
 	for i := range keys {

@@ -315,12 +315,16 @@ func TestPropertyConsistencyUnbounded(t *testing.T) {
 	runPropertyHarness(t, Options{}, seed, propWriteCount(t))
 }
 
-func TestPropertyConsistencyEntryBounded(t *testing.T) {
+func TestPropertyConsistencySegmentedLRU(t *testing.T) {
 	seed := propSeed(t) + 1
 	t.Logf("seed %d (override with AWC_PROP_SEED)", seed)
-	// A bound below the key count forces eviction to interleave with
-	// invalidation; eviction may only cause extra misses, never stale hits.
-	runPropertyHarness(t, Options{MaxEntries: 16, Replacement: LFU}, seed, propWriteCount(t))
+	// A byte budget below the working set, without admission, forces plain
+	// segmented-LRU eviction to interleave with invalidation; eviction may
+	// only cause extra misses, never stale hits.
+	c, _ := runPropertyHarness(t, Options{MaxBytes: 8 << 10}, seed, propWriteCount(t))
+	if st := c.Snapshot(); st.Evictions == 0 {
+		t.Fatalf("budget never evicted: %+v", st)
+	}
 }
 
 func TestPropertyConsistencyByteGoverned(t *testing.T) {

@@ -5,10 +5,10 @@ package cache
 // read-query template and value vector (§3.1) — and its §9 query-result cache
 // is the same structure holding result sets instead of pages. Store[V] is that
 // structure, written once: the lock-striped key table, the template ->
-// instance -> probe-index dependency table, entry and byte budgets with CAS
-// reservation, probation/protected segments, the LRU/LFU/FIFO victim scan,
-// TinyLFU admission, TTL expiry, the write sweep, flush, and the epoch ring
-// that closes the read->insert window (§3.2). The page cache (Cache) and
+// instance -> probe-index dependency table, the byte budget with CAS
+// reservation, segmented (probation/protected) LRU eviction, TinyLFU
+// admission, TTL expiry, the write sweep, flush, and the epoch ring that
+// closes the read->insert window (§3.2). The page cache (Cache) and
 // internal/qrcache are thin instantiations; what V is never matters here.
 //
 // Lock order is always key shard -> dependency shard, never the reverse, and
@@ -28,48 +28,22 @@ import (
 	"autowebcache/internal/tinylfu"
 )
 
-// ReplacementPolicy selects the eviction order under bounded capacity.
-type ReplacementPolicy int
-
-// Replacement policies. Start at 1 so the zero value selects the default in
-// Options (LRU).
-const (
-	LRU ReplacementPolicy = iota + 1
-	LFU
-	FIFO
-)
-
-func (p ReplacementPolicy) String() string {
-	switch p {
-	case LRU:
-		return "LRU"
-	case LFU:
-		return "LFU"
-	case FIFO:
-		return "FIFO"
-	}
-	return "INVALID"
-}
-
 // Governance bounds a Store — the knobs every instantiation shares.
 type Governance struct {
-	// MaxEntries bounds the number of stored entries; 0 means unbounded.
-	MaxEntries int
 	// MaxBytes bounds the accounted memory — each entry's Cost, charged at
-	// insert and credited at removal; 0 means unbounded. Both bounds may be
-	// set; an insert must satisfy both. A single entry costing more than
-	// MaxBytes is refused (its owner still serves it, uncached).
+	// insert and credited at removal; 0 means unbounded, and an unbounded
+	// store never evicts. A single entry costing more than MaxBytes is
+	// refused (its owner still serves it, uncached).
 	//
-	// Setting MaxBytes also enables segmented (probation/protected)
-	// eviction: new entries start on probation and are promoted on their
-	// first hit; under pressure, probation entries are evicted before
-	// protected ones, so a burst of one-hit inserts cannot flush the proven
-	// working set. (FIFO ignores segmentation: it has no notion of reuse to
-	// promote on.)
+	// A bounded store evicts by segmented LRU: new entries start on
+	// probation and are promoted to the protected segment on their first
+	// hit; under pressure, the least recently used probation entry goes
+	// first and protected entries only once probation is empty, so a burst
+	// of one-hit inserts cannot flush the proven working set.
 	MaxBytes int64
 	// Admission additionally gates inserts under byte-budget pressure with a
 	// TinyLFU filter: at MaxBytes, a candidate is admitted — evicting the
-	// replacement victim — only if its estimated request frequency strictly
+	// LRU victim — only if its estimated request frequency strictly
 	// beats the victim's. Requires MaxBytes > 0.
 	Admission bool
 	// Shards is the lock-stripe count for the key and dependency tables,
@@ -82,8 +56,6 @@ type StoreOptions struct {
 	Governance
 	// Engine decides read/write intersections. Required.
 	Engine *analysis.Engine
-	// Replacement selects the eviction policy. Defaults to LRU.
-	Replacement ReplacementPolicy
 	// Clock supplies the current time for TTL expiry; defaults to time.Now.
 	Clock func() time.Time
 	// ForceMiss makes every Get miss while leaving inserts and invalidations
@@ -118,15 +90,14 @@ type Item[V any] struct {
 type node[V any] struct {
 	Item[V]
 	prev, next *node[V]
-	hits       uint64
-	// seq is the entry's position in the global replacement order: assigned
-	// from the store-wide sequence at insert and refreshed on every hit
-	// under LRU. The globally-minimal seq is the LRU/FIFO victim, and the LFU
-	// tie-break, even though each shard keeps its own lists.
+	// seq is the entry's position in the global recency order: assigned
+	// from the store-wide sequence at insert and refreshed on every hit of
+	// a bounded store. Within a segment the globally-minimal seq is the
+	// victim, even though each shard keeps its own lists.
 	seq uint64
-	// protected marks the segment under byte governance: false = probation
-	// (new insert, first eviction tier), true = protected (promoted on first
-	// hit, evicted only when probation is empty).
+	// protected marks the segment: false = probation (new insert, first
+	// eviction tier), true = protected (promoted on first hit, evicted only
+	// when probation is empty).
 	protected bool
 }
 
@@ -167,7 +138,7 @@ type shard[V any] struct {
 	mu    sync.Mutex
 	items map[string]*node[V]
 	order segment[V] // probation
-	// prot is the protected segment, populated only under byte governance.
+	// prot is the protected segment, populated only in a bounded store.
 	prot segment[V]
 	// bytes is the summed cost of the entries linked into the shard
 	// (in-flight insert reservations are carried by the store-wide counter
@@ -329,9 +300,8 @@ type Store[V any] struct {
 	// truth for both tiers. dropped are keys the tier pushed out to make room.
 	demote func(it *Item[V]) (kept bool, dropped []l2.Dropped)
 
-	// seq orders entries globally for replacement; entries counts them
-	// across all shards (including slots reserved by in-flight inserts), so
-	// the MaxEntries bound is never exceeded.
+	// seq orders entries globally by recency; entries counts them across all
+	// shards (including in-flight insert reservations).
 	seq     atomic.Uint64
 	entries atomic.Int64
 
@@ -387,17 +357,6 @@ func NewStore[V any](opts StoreOptions) (*Store[V], error) {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	if opts.Replacement == 0 {
-		opts.Replacement = LRU
-	}
-	switch opts.Replacement {
-	case LRU, LFU, FIFO:
-	default:
-		return nil, fmt.Errorf("cache: invalid replacement policy %d", int(opts.Replacement))
-	}
-	if opts.MaxEntries < 0 {
-		return nil, fmt.Errorf("cache: negative MaxEntries")
-	}
 	if opts.MaxBytes < 0 {
 		return nil, fmt.Errorf("cache: negative MaxBytes")
 	}
@@ -417,11 +376,7 @@ func NewStore[V any](opts StoreOptions) (*Store[V], error) {
 	}
 	if opts.Admission {
 		// Track roughly as many keys as the store can plausibly hold.
-		counters := opts.MaxEntries
-		if counters == 0 {
-			counters = int(min(opts.MaxBytes/max(opts.AssumedEntryBytes, 1), 1<<20))
-		}
-		s.admit = tinylfu.New(counters)
+		s.admit = tinylfu.New(int(min(opts.MaxBytes/max(opts.AssumedEntryBytes, 1), 1<<20)))
 	}
 	for i := range s.shards {
 		s.shards[i].items = make(map[string]*node[V])
@@ -430,12 +385,6 @@ func NewStore[V any](opts StoreOptions) (*Store[V], error) {
 		s.depShards[i].deps = make(map[string]*depTemplate)
 	}
 	return s, nil
-}
-
-// segmented reports whether probation/protected eviction is active: byte
-// governance is on and the policy has a notion of reuse to promote on.
-func (s *Store[V]) segmented() bool {
-	return s.opts.MaxBytes > 0 && s.opts.Replacement != FIFO
 }
 
 func (s *Store[V]) shard(key string) *shard[V] {
@@ -447,8 +396,8 @@ func (s *Store[V]) depShard(tmpl string) *depShard {
 }
 
 // Get returns the live entry for key: it expires the entry if its TTL
-// passed, bumps the hit count and recency, and maintains the counters. The
-// hit path performs no allocation.
+// passed, refreshes its recency, and maintains the counters. The hit path
+// performs no allocation.
 func (s *Store[V]) Get(key string) (*Item[V], bool) {
 	// Every lookup — hit or miss — feeds the admission filter's frequency
 	// estimate, so a key's popularity is known before it is ever inserted.
@@ -470,22 +419,17 @@ func (s *Store[V]) Get(key string) (*Item[V], bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	n.hits++
-	if s.segmented() && !n.protected {
-		// First reuse: promote out of probation.
-		sh.order.remove(n)
-		sh.prot.pushBack(n)
-		n.protected = true
-		sh.protBytes.Add(n.Cost)
-		if s.opts.Replacement == LRU {
-			n.seq = s.seq.Add(1)
+	if s.opts.MaxBytes > 0 {
+		// Recency only matters when eviction can happen; an unbounded store
+		// never consults the order, so it skips the sequence tick. A hit
+		// moves the entry to the back of the protected segment, promoting it
+		// out of probation on its first reuse.
+		sh.segment(n.protected).remove(n)
+		if !n.protected {
+			n.protected = true
+			sh.protBytes.Add(n.Cost)
 		}
-	} else if s.opts.Replacement == LRU && (s.opts.MaxEntries > 0 || s.opts.MaxBytes > 0) {
-		// Recency only matters when eviction can happen; on an unbounded
-		// store the order is never consulted, so skip the sequence tick.
-		seg := sh.segment(n.protected)
-		seg.remove(n)
-		seg.pushBack(n)
+		sh.prot.pushBack(n)
 		n.seq = s.seq.Add(1)
 	}
 	sh.mu.Unlock()
@@ -510,7 +454,7 @@ func (s *Store[V]) Contains(key string) bool {
 func (s *Store[V]) Insert(it Item[V]) bool {
 	sh := s.shard(it.Key)
 	// Replacing a resident key happens atomically under the shard lock,
-	// reusing the old entry's capacity slot AND its byte budget: only the
+	// reusing the old entry's count AND its byte budget: only the
 	// cost delta is charged (before the old entry is unlinked, so at no
 	// instant is the key's budget released for a concurrent reservation to
 	// steal), the key never transiently vanishes for concurrent lookups,
@@ -542,16 +486,16 @@ func (s *Store[V]) Insert(it Item[V]) bool {
 	return true
 }
 
-// Reserve claims the budget — bytes, then a capacity slot — for one entry
-// of the given cost, evicting as needed, before the entry touches any table.
-// It is the first half of a two-phase insert for callers that build the
-// value only once it is known to be admitted; true must be followed by
-// Commit. false holds no reservation.
+// Reserve claims the byte budget for one entry of the given cost, evicting
+// as needed, before the entry touches any table. It is the first half of a
+// two-phase insert for callers that build the value only once it is known
+// to be admitted; true must be followed by Commit. false holds no
+// reservation.
 func (s *Store[V]) Reserve(key string, cost int64) bool {
 	if !s.reserveBytes(cost, key) {
 		return false
 	}
-	s.reserveSlot()
+	s.entries.Add(1)
 	return true
 }
 
@@ -605,7 +549,7 @@ func (s *Store[V]) adopt(it Item[V], current func() bool) (serve *Item[V], linke
 	return nil, false
 }
 
-// link links a fresh entry (whose capacity slot and byte cost are already
+// link links a fresh entry (whose count and byte cost are already
 // accounted) and retires the lower tier's now-outdated copy of the key, so a
 // crash before the new entry is ever demoted cannot roll the key back to the
 // older value. That Remove is not synced: losing it in a crash merely
@@ -648,8 +592,8 @@ func (s *Store[V]) unlink(sh *shard[V], n *node[V], keepDeps bool) {
 	}
 }
 
-// remove is unlink plus the release of the entry's capacity slot and byte
-// cost. keepDeps is set when the lower tier took the entry over.
+// remove is unlink plus the release of the entry's count and byte cost.
+// keepDeps is set when the lower tier took the entry over.
 func (s *Store[V]) remove(sh *shard[V], n *node[V], keepDeps bool) {
 	s.unlink(sh, n, keepDeps)
 	s.bytesUsed.Add(-n.Cost)
@@ -677,31 +621,8 @@ func (s *Store[V]) chargeBytes(cost int64) bool {
 	}
 }
 
-// reserveSlot claims one unit of capacity, evicting until a slot is free.
-// The claimed unit is released by remove.
-func (s *Store[V]) reserveSlot() {
-	max := int64(s.opts.MaxEntries)
-	if max <= 0 {
-		s.entries.Add(1)
-		return
-	}
-	for {
-		n := s.entries.Load()
-		if n < max {
-			if s.entries.CompareAndSwap(n, n+1) {
-				return
-			}
-			continue
-		}
-		if v := s.pickVictim(); v.shard == nil || !s.evictPick(v) {
-			// Every slot is reserved by an in-flight insert; let them land.
-			runtime.Gosched()
-		}
-	}
-}
-
 // reserveBytes claims cost bytes of the MaxBytes budget for key's entry,
-// evicting replacement victims until the reservation fits. It returns false
+// evicting LRU victims until the reservation fits. It returns false
 // — and holds no reservation — when the entry can never fit (cost >
 // MaxBytes) or when the admission filter sides with a victim: the candidate
 // must beat every victim it would displace, so one-hit wonders cannot churn
@@ -1111,12 +1032,11 @@ type StoreStats struct {
 	// never exceeds the budget.
 	Bytes int64
 
-	// Per-segment occupancy and eviction splits. Under segmented eviction
-	// (byte governance with LRU/LFU) entries start in probation and move to
-	// protected on first reuse; an unsegmented store reports everything as
-	// probation. A growing EvictionsProtected with a cold probation segment
-	// is the operator's signal that MaxBytes is undersized for the working
-	// set (see docs/OPERATIONS.md).
+	// Per-segment occupancy and eviction splits. In a bounded store entries
+	// start in probation and move to protected on first reuse; an unbounded
+	// store reports everything as probation. A growing EvictionsProtected
+	// with a cold probation segment is the operator's signal that MaxBytes
+	// is undersized for the working set (see docs/OPERATIONS.md).
 	ProbationEntries   int
 	ProtectedEntries   int
 	ProbationBytes     int64 // linked entry cost only (reservations excluded)
@@ -1169,49 +1089,31 @@ func (s *Store[V]) Snapshot() StoreStats {
 type pick[V any] struct {
 	shard *shard[V]
 	key   string
-	hits  uint64
 	seq   uint64
 }
 
-// pickVictim scans for the globally-best victim under the replacement
-// policy, locking one shard at a time. Under segmented eviction the
-// probation segment is exhausted across all shards before any protected
-// entry is considered, so entries with proven reuse survive one-hit churn.
-// The zero pick means no linked entry exists anywhere.
+// pickVictim scans for the globally least recently used entry, locking one
+// shard at a time. The probation segment is exhausted across all shards
+// before any protected entry is considered, so entries with proven reuse
+// survive one-hit churn. The zero pick means no linked entry exists
+// anywhere.
 func (s *Store[V]) pickVictim() pick[V] {
-	if v := s.scanVictim(false); v.shard != nil || !s.segmented() {
+	if v := s.scanVictim(false); v.shard != nil {
 		return v
 	}
 	return s.scanVictim(true)
 }
 
-// scanVictim finds the best victim within one segment (probation or
-// protected) across all shards.
+// scanVictim finds the least recently used entry within one segment
+// (probation or protected) across all shards. Each shard keeps its segments
+// in recency order — a hit moves the entry to the back and refreshes its
+// seq — so only each shard's segment front is compared.
 func (s *Store[V]) scanVictim(protected bool) (best pick[V]) {
-	better := func(n *node[V]) bool {
-		if best.shard == nil {
-			return true
-		}
-		if s.opts.Replacement == LFU && n.hits != best.hits {
-			return n.hits < best.hits
-		}
-		return n.seq < best.seq
-	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n := sh.segment(protected).front
-		// LRU keeps each segment in recency order (a hit moves the entry to
-		// the back and refreshes seq) and FIFO never reorders or promotes,
-		// so for both the front carries the shard-minimal seq; LFU has to
-		// look at every entry.
-		for ; n != nil; n = n.next {
-			if better(n) {
-				best = pick[V]{shard: sh, key: n.Key, hits: n.hits, seq: n.seq}
-			}
-			if s.opts.Replacement != LFU {
-				break
-			}
+		if n := sh.segment(protected).front; n != nil && (best.shard == nil || n.seq < best.seq) {
+			best = pick[V]{shard: sh, key: n.Key, seq: n.seq}
 		}
 		sh.mu.Unlock()
 	}
@@ -1219,18 +1121,17 @@ func (s *Store[V]) scanVictim(protected bool) (best pick[V]) {
 }
 
 // evictPick re-locks the picked shard and evicts the victim — handing it to
-// the lower tier when one is attached. It reports whether an entry was
-// removed.
-func (s *Store[V]) evictPick(best pick[V]) bool {
+// the lower tier when one is attached.
+func (s *Store[V]) evictPick(best pick[V]) {
 	sh := best.shard
 	sh.mu.Lock()
-	// The victim may have been removed (or, for LRU, touched) since the
-	// scan; evicting whatever entry now holds the key is still sound — any
-	// resident entry is a valid victim — but a vanished key means retry.
+	// The victim may have been removed (or touched) since the scan; evicting
+	// whatever entry now holds the key is still sound — any resident entry
+	// is a valid victim — but a vanished key leaves the caller to rescan.
 	n, ok := sh.items[best.key]
 	if !ok {
 		sh.mu.Unlock()
-		return false
+		return
 	}
 	var kept bool
 	var dropped []l2.Dropped
@@ -1246,5 +1147,4 @@ func (s *Store[V]) evictPick(best pick[V]) bool {
 	// The dropped keys' dependency unlinking locks other shards, so it must
 	// happen after this shard's lock is released.
 	s.forget(dropped)
-	return true
 }

@@ -53,29 +53,25 @@ func sumShards(s *Store[int]) int64 {
 	return sum
 }
 
-// governed is the table the contract runs over: every bound, alone and
-// composed, under every replacement policy.
+// governed is the table the contract runs over: the byte budget alone, with
+// admission, on a single shard, and so tight (three 1 KiB entries) that
+// in-flight reservations can hold every byte.
 var governed = []struct {
 	name string
 	opts StoreOptions
 }{
 	{"bytes-lru", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 4}}},
-	{"bytes-lfu", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 4}, Replacement: LFU}},
-	{"bytes-fifo", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 4}, Replacement: FIFO}},
-	{"entries", StoreOptions{Governance: Governance{MaxEntries: 6, Shards: 4}}},
-	{"bytes+entries", StoreOptions{Governance: Governance{MaxEntries: 4, MaxBytes: 8 << 10, Shards: 4}}},
 	{"bytes+admission", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Admission: true, Shards: 4}, AssumedEntryBytes: 512}},
 	{"one-shard", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 1}}},
+	{"tight", StoreOptions{Governance: Governance{MaxBytes: 3 << 10, Shards: 4}}},
+	{"tight+admission", StoreOptions{Governance: Governance{MaxBytes: 3 << 10, Admission: true, Shards: 4}, AssumedEntryBytes: 512}},
 }
 
-// checkBounds fails when either budget is exceeded.
+// checkBounds fails when the byte budget is exceeded.
 func checkBounds(t *testing.T, s *Store[int], when string) {
 	t.Helper()
 	if max := s.opts.MaxBytes; max > 0 && s.Bytes() > max {
 		t.Fatalf("%s: bytes %d exceed MaxBytes %d", when, s.Bytes(), max)
-	}
-	if max := s.opts.MaxEntries; max > 0 && s.Len() > max {
-		t.Fatalf("%s: entries %d exceed MaxEntries %d", when, s.Len(), max)
 	}
 }
 
@@ -86,16 +82,15 @@ func TestStoreValidation(t *testing.T) {
 	}
 	for name, opts := range map[string]StoreOptions{
 		"no engine":                  {},
-		"negative MaxEntries":        {Engine: eng, Governance: Governance{MaxEntries: -1}},
 		"negative MaxBytes":          {Engine: eng, Governance: Governance{MaxBytes: -1}},
 		"negative Shards":            {Engine: eng, Governance: Governance{Shards: -1}},
 		"Admission without MaxBytes": {Engine: eng, Governance: Governance{Admission: true}},
-		"Admission with MaxEntries":  {Engine: eng, Governance: Governance{Admission: true, MaxEntries: 8}},
-		"unknown replacement policy": {Engine: eng, Replacement: ReplacementPolicy(99)},
 	} {
-		if _, err := NewStore[int](opts); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := NewStore[int](opts); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 	if _, err := NewStore[int](StoreOptions{Engine: eng}); err != nil {
 		t.Fatalf("zero governance rejected: %v", err)
@@ -147,7 +142,7 @@ func TestStoreAccounting(t *testing.T) {
 }
 
 // TestStoreBudgetNeverExceeded is the tentpole invariant, for every row of
-// the governance table: neither bound is exceeded at any observable instant
+// the governance table: the budget is not exceeded at any observable instant
 // — sequentially, through the two-phase Reserve/Commit path, and under
 // concurrent insert/lookup/sweep/remove churn — and when the dust settles
 // the books balance and a flush drains the store to zero.
@@ -189,10 +184,6 @@ func TestStoreBudgetNeverExceeded(t *testing.T) {
 					}
 					if max := s.opts.MaxBytes; max > 0 && s.Bytes() > max {
 						over.Store(s.Bytes())
-						return
-					}
-					if max := s.opts.MaxEntries; max > 0 && s.Len() > max {
-						over.Store(int64(s.Len()))
 						return
 					}
 				}
@@ -256,76 +247,116 @@ func TestStoreBudgetNeverExceeded(t *testing.T) {
 // TestStoreSegmentOrder: inserts land in probation, a first hit moves the
 // entry (and its bytes) to protected exactly once, eviction drains probation
 // across all shards before it touches a protected entry, and every eviction
-// is attributed to its segment. FIFO has no notion of reuse and must not
-// segment at all.
+// is attributed to its segment. TinyLFU admission on top changes none of
+// this: it may refuse the churn outright, but what it lets in still evicts
+// from probation only.
 func TestStoreSegmentOrder(t *testing.T) {
-	for _, policy := range []ReplacementPolicy{LRU, LFU} {
+	for _, admission := range []bool{false, true} {
+		name := "LRU"
+		if admission {
+			name = "LRU+TinyLFU"
+		}
 		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/%d-shards", policy, shards), func(t *testing.T) {
-				s := newStore(t, StoreOptions{
-					Governance:  Governance{MaxBytes: 8 * 1024, Shards: shards},
-					Replacement: policy,
+			t.Run(fmt.Sprintf("%s/%d-shards", name, shards), func(t *testing.T) {
+				segmentOrder(t, StoreOptions{
+					Governance:        Governance{MaxBytes: 8 * 1024, Admission: admission, Shards: shards},
+					AssumedEntryBytes: 1024,
 				})
-				put(s, "/hot?i=0", 1024, 0)
-				put(s, "/hot?i=1", 1024, 1)
-				st := s.Snapshot()
-				if st.ProbationEntries != 2 || st.ProtectedEntries != 0 || st.ProbationBytes != st.Bytes {
-					t.Fatalf("after inserts: %+v", st)
-				}
-				s.Get("/hot?i=0")
-				st = s.Snapshot()
-				if st.ProbationEntries != 1 || st.ProtectedEntries != 1 || st.ProtectedBytes != 1024 {
-					t.Fatalf("after first hit: %+v", st)
-				}
-				// Promotion is one-time: further hits move no bytes.
-				for i := 0; i < 3; i++ {
-					s.Get("/hot?i=0")
-					s.Get("/hot?i=1")
-				}
-				if st = s.Snapshot(); st.ProtectedEntries != 2 || st.ProtectedBytes != 2048 {
-					t.Fatalf("after re-hits: %+v", st)
-				}
-				// One-hit churn must be absorbed by probation.
-				for i := 0; i < 64; i++ {
-					put(s, fmt.Sprintf("/cold?i=%d", i), 1024, i+2)
-				}
-				st = s.Snapshot()
-				if st.Evictions == 0 || st.EvictionsProbation != st.Evictions || st.EvictionsProtected != 0 {
-					t.Fatalf("churn must evict from probation only: %+v", st)
-				}
-				for i := 0; i < 2; i++ {
-					if !s.Contains(fmt.Sprintf("/hot?i=%d", i)) {
-						t.Fatalf("protected entry %d evicted by one-hit churn", i)
-					}
-				}
-				// Removal from the protected segment credits its counter.
-				s.Remove("/hot?i=0")
-				s.Remove("/hot?i=1")
-				if st = s.Snapshot(); st.ProtectedEntries != 0 || st.ProtectedBytes != 0 {
-					t.Fatalf("after removal: %+v", st)
-				}
 			})
 		}
 	}
-	t.Run("FIFO", func(t *testing.T) {
-		s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: 3 * 512}, Replacement: FIFO})
-		for i := 0; i < 3; i++ {
-			put(s, fmt.Sprintf("/p?i=%d", i), 512, i)
+}
+
+func segmentOrder(t *testing.T, opts StoreOptions) {
+	s := newStore(t, opts)
+	put(s, "/hot?i=0", 1024, 0)
+	put(s, "/hot?i=1", 1024, 1)
+	st := s.Snapshot()
+	if st.ProbationEntries != 2 || st.ProtectedEntries != 0 || st.ProbationBytes != st.Bytes {
+		t.Fatalf("after inserts: %+v", st)
+	}
+	s.Get("/hot?i=0")
+	st = s.Snapshot()
+	if st.ProbationEntries != 1 || st.ProtectedEntries != 1 || st.ProtectedBytes != 1024 {
+		t.Fatalf("after first hit: %+v", st)
+	}
+	// Promotion is one-time: further hits move no bytes.
+	for i := 0; i < 3; i++ {
+		s.Get("/hot?i=0")
+		s.Get("/hot?i=1")
+	}
+	if st = s.Snapshot(); st.ProtectedEntries != 2 || st.ProtectedBytes != 2048 {
+		t.Fatalf("after re-hits: %+v", st)
+	}
+	// One-hit churn must be absorbed by probation (or, with admission,
+	// refused at the door).
+	for i := 0; i < 64; i++ {
+		put(s, fmt.Sprintf("/cold?i=%d", i), 1024, i+2)
+	}
+	st = s.Snapshot()
+	if st.Evictions+st.AdmissionRejects == 0 || st.EvictionsProbation != st.Evictions || st.EvictionsProtected != 0 {
+		t.Fatalf("churn must evict from probation only: %+v", st)
+	}
+	if !opts.Admission && st.Evictions == 0 {
+		t.Fatalf("plain SLRU churn evicted nothing: %+v", st)
+	}
+	for i := 0; i < 2; i++ {
+		if !s.Contains(fmt.Sprintf("/hot?i=%d", i)) {
+			t.Fatalf("protected entry %d evicted by one-hit churn", i)
 		}
-		// Hits must not shield the oldest entry under FIFO.
-		s.Get("/p?i=0")
-		s.Get("/p?i=0")
-		put(s, "/p?i=3", 512, 3)
-		if s.Contains("/p?i=0") {
-			t.Fatal("FIFO victim survived despite hits")
+	}
+	// Removal from the protected segment credits its counter.
+	s.Remove("/hot?i=0")
+	s.Remove("/hot?i=1")
+	if st = s.Snapshot(); st.ProtectedEntries != 0 || st.ProtectedBytes != 0 {
+		t.Fatalf("after removal: %+v", st)
+	}
+}
+
+// TestStoreProtectedLRU: once probation is empty, the protected segment
+// gives up its least recently hit entry across all shards — a re-hit moves
+// an entry behind the others.
+func TestStoreProtectedLRU(t *testing.T) {
+	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: 3 * 512, Shards: 4}})
+	for i := 0; i < 3; i++ {
+		put(s, fmt.Sprintf("/p?i=%d", i), 512, i)
+	}
+	for _, i := range []int{0, 1, 2, 0} {
+		s.Get(fmt.Sprintf("/p?i=%d", i))
+	}
+	put(s, "/p?i=3", 512, 3)
+	if s.Contains("/p?i=1") {
+		t.Fatal("least recently hit protected entry survived")
+	}
+	for _, i := range []int{0, 2, 3} {
+		if !s.Contains(fmt.Sprintf("/p?i=%d", i)) {
+			t.Fatalf("entry %d evicted instead of the LRU victim", i)
 		}
-		if !s.Contains("/p?i=1") {
-			t.Fatal("wrong FIFO victim")
-		}
-		if st := s.Snapshot(); st.ProtectedEntries != 0 {
-			t.Fatalf("FIFO promoted an entry: %+v", st)
-		}
-	})
+	}
+	if st := s.Snapshot(); st.EvictionsProtected != 1 {
+		t.Fatalf("eviction not taken from protected: %+v", st)
+	}
+}
+
+// TestStoreUnboundedKeepsNoOrder: an unbounded store never evicts, so it
+// keeps no recency order — hits neither promote an entry nor tick the
+// sequence, and every entry reports as probation.
+func TestStoreUnboundedKeepsNoOrder(t *testing.T) {
+	s := newStore(t, StoreOptions{Governance: Governance{Shards: 4}})
+	for i := 0; i < 64; i++ {
+		put(s, fmt.Sprintf("/p?i=%d", i), 1024, i)
+	}
+	seq := s.seq.Load()
+	for i := 0; i < 64; i++ {
+		s.Get(fmt.Sprintf("/p?i=%d", i))
+	}
+	st := s.Snapshot()
+	if st.Hits != 64 || st.Evictions != 0 || st.ProtectedEntries != 0 || st.ProbationEntries != 64 {
+		t.Fatalf("unbounded store reordered or evicted: %+v", st)
+	}
+	if s.seq.Load() != seq {
+		t.Fatalf("hits ticked the recency sequence %d -> %d", seq, s.seq.Load())
+	}
 }
 
 // TestStoreAdmissionDuel: at a full budget a never-seen key loses to hot

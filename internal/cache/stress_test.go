@@ -68,18 +68,23 @@ func TestStressStrongConsistency(t *testing.T) {
 }
 
 // TestStressBoundedCapacity hammers a bounded cache from parallel writers
-// and asserts the entries <= MaxEntries invariant continuously while
-// inserts, lookups, invalidations and evictions race across shards.
+// and asserts the Bytes <= MaxBytes invariant continuously while inserts,
+// lookups, invalidations and evictions race across shards, with and without
+// TinyLFU admission.
 func TestStressBoundedCapacity(t *testing.T) {
-	for _, pol := range []ReplacementPolicy{LRU, LFU, FIFO} {
-		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
+	for _, admission := range []bool{false, true} {
+		name := "SLRU"
+		if admission {
+			name = "SLRU+TinyLFU"
+		}
+		t.Run(name, func(t *testing.T) {
 			e, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			const max = 48
-			c, err := New(Options{Engine: e, MaxEntries: max, Replacement: pol, Shards: 8})
+			// Roughly 40 of the 160 keys fit.
+			const max = 12 << 10
+			c, err := New(Options{Engine: e, MaxBytes: max, Admission: admission, Shards: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,8 +102,8 @@ func TestStressBoundedCapacity(t *testing.T) {
 						return
 					default:
 					}
-					if n := c.Len(); n > max {
-						overflow.Store(int64(n))
+					if n := c.Bytes(); n > max {
+						overflow.Store(n)
 						return
 					}
 					runtime.Gosched()
@@ -121,8 +126,8 @@ func TestStressBoundedCapacity(t *testing.T) {
 								{SQL: "SELECT a FROM t WHERE b = ?", Args: []memdb.Value{int64(k % 7)}},
 							}, 0)
 						}
-						if n := c.Len(); n > max {
-							overflow.Store(int64(n))
+						if n := c.Bytes(); n > max {
+							overflow.Store(n)
 							return
 						}
 					}
@@ -146,15 +151,19 @@ func TestStressBoundedCapacity(t *testing.T) {
 			close(stop)
 			obsWg.Wait()
 			if n := overflow.Load(); n > 0 {
-				t.Fatalf("capacity bound violated: observed %d entries > MaxEntries %d", n, max)
+				t.Fatalf("capacity bound violated: observed %d bytes > MaxBytes %d", n, max)
 			}
-			if n := c.Len(); n > max {
-				t.Fatalf("final entries %d > MaxEntries %d", n, max)
+			st := c.Snapshot()
+			if st.Bytes > max {
+				t.Fatalf("final bytes %d > MaxBytes %d", st.Bytes, max)
+			}
+			if st.Evictions+st.AdmissionRejects == 0 {
+				t.Fatalf("bound never exercised: %+v", st)
 			}
 			// The dependency table must stay consistent with the page table:
 			// flushing through the removal path must leave both empty.
 			c.Flush()
-			st := c.Snapshot()
+			st = c.Snapshot()
 			if st.Entries != 0 || st.DepTemplates != 0 || st.DepInstances != 0 {
 				t.Fatalf("tables inconsistent after stress + flush: %+v", st)
 			}

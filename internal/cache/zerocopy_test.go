@@ -37,15 +37,17 @@ func TestAliasingStressSharedViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{Engine: e, Shards: 8, MaxEntries: 48})
+	// The budget holds roughly 40 of the 64 pages, so eviction churns too.
+	const (
+		readers  = 8
+		keys     = 64
+		iters    = 400
+		maxBytes = 32 << 10
+	)
+	c, err := New(Options{Engine: e, Shards: 8, MaxBytes: maxBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		readers = 8
-		keys    = 64
-		iters   = 400
-	)
 	// Each key's body encodes its key so its checksum is recomputable from
 	// any version: body k = repeated "pageNN|" filled to 512+k bytes.
 	mkBody := func(k int) []byte {
@@ -85,6 +87,10 @@ func TestAliasingStressSharedViews(t *testing.T) {
 					t.Errorf("key %d: view checksum %08x, want %08x", k, got, sums[k])
 					return
 				}
+				if n := c.Bytes(); n > maxBytes {
+					t.Errorf("capacity bound violated: observed %d bytes > MaxBytes %d", n, maxBytes)
+					return
+				}
 				if i%37 == 0 {
 					pinned = append(pinned, held{k: k, view: pg})
 				}
@@ -110,4 +116,7 @@ func TestAliasingStressSharedViews(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if st := c.Snapshot(); st.Evictions == 0 {
+		t.Fatal("no evictions; churn did not exercise the bound")
+	}
 }

@@ -34,8 +34,8 @@ import (
 // Stats are the result cache's counters: the store's own.
 type Stats = cache.StoreStats
 
-// Options bounds a Conn: the store's governance options (entry and byte
-// bounds, admission filtering, stripe count). Replacement is always LRU.
+// Options bounds a Conn: the store's governance options (byte budget,
+// admission filtering, stripe count). A bounded Conn evicts by segmented LRU.
 type Options = cache.Governance
 
 // entryOverhead approximates the bookkeeping cost of one cached result set

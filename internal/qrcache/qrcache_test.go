@@ -12,7 +12,7 @@ import (
 	"autowebcache/internal/memdb"
 )
 
-func newFixture(t *testing.T, maxEntries int) (*memdb.DB, *Conn) {
+func newFixture(t *testing.T, maxBytes int64) (*memdb.DB, *Conn) {
 	t.Helper()
 	db := memdb.New()
 	db.MustCreateTable(memdb.TableSpec{
@@ -36,7 +36,7 @@ func newFixture(t *testing.T, maxEntries int) (*memdb.DB, *Conn) {
 	}
 	// Pin 8 stripes so the cross-shard paths are exercised even when the
 	// test host has GOMAXPROCS=1.
-	c, err := New(db, engine, Options{MaxEntries: maxEntries, Shards: 8})
+	c, err := New(db, engine, Options{MaxBytes: maxBytes, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestValidation(t *testing.T) {
 		t.Error("expected error for nil engine")
 	}
 	// The governance rules are the store's; its error must surface here.
-	for _, opts := range []Options{{MaxEntries: -1}, {MaxBytes: -1}, {Shards: -1}, {Admission: true}} {
+	for _, opts := range []Options{{MaxBytes: -1}, {Shards: -1}, {Admission: true}} {
 		if _, err := New(db, engine, opts); err == nil {
 			t.Errorf("expected error for %+v", opts)
 		}
@@ -151,16 +151,25 @@ func TestWriteInvalidatesIntersecting(t *testing.T) {
 }
 
 func TestCapacityEviction(t *testing.T) {
-	_, c := newFixture(t, 3)
+	// Every group holds six rows, so every result costs the same; size the
+	// budget from one measured result to hold three but not four.
 	ctx := context.Background()
+	const sql = "SELECT val FROM t WHERE grp = ?"
+	_, probe := newFixture(t, 0)
+	if _, err := probe.Query(ctx, sql, 0); err != nil {
+		t.Fatal(err)
+	}
+	one := probe.Snapshot().Bytes
+	max := 3*one + one/2
+	_, c := newFixture(t, max)
 	for g := 0; g < 5; g++ {
-		if _, err := c.Query(ctx, "SELECT val FROM t WHERE grp = ?", g); err != nil {
+		if _, err := c.Query(ctx, sql, g); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := c.Snapshot()
-	if st.Entries > 3 {
-		t.Fatalf("capacity exceeded: %+v", st)
+	if st.Bytes > max || st.Entries != 3 {
+		t.Fatalf("capacity exceeded: bytes %d of %d: %+v", st.Bytes, max, st)
 	}
 	if st.Evictions != 2 {
 		t.Fatalf("evictions: %+v", st)

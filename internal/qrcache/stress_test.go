@@ -136,10 +136,11 @@ func TestStressParallelMixed(t *testing.T) {
 	}
 }
 
-// TestStressBoundedCapacity asserts the entries <= maxEntries invariant
-// under parallel cache-filling traffic with distinct value vectors.
+// TestStressBoundedCapacity asserts the Bytes <= MaxBytes invariant under
+// parallel cache-filling traffic with distinct value vectors.
 func TestStressBoundedCapacity(t *testing.T) {
-	_, c := newFixture(t, 16)
+	const max = 8 << 10
+	_, c := newFixture(t, max)
 	ctx := context.Background()
 	var overflow atomic.Int64
 	var wg sync.WaitGroup
@@ -153,8 +154,8 @@ func TestStressBoundedCapacity(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if n := c.Snapshot().Entries; n > 16 {
-					overflow.Store(int64(n))
+				if n := c.Snapshot().Bytes; n > max {
+					overflow.Store(n)
 					return
 				}
 			}
@@ -162,11 +163,11 @@ func TestStressBoundedCapacity(t *testing.T) {
 	}
 	wg.Wait()
 	if n := overflow.Load(); n > 0 {
-		t.Fatalf("capacity bound violated: %d entries > 16", n)
+		t.Fatalf("capacity bound violated: observed %d bytes > MaxBytes %d", n, max)
 	}
 	st := c.Snapshot()
-	if st.Entries > 16 {
-		t.Fatalf("final entries %d > 16", st.Entries)
+	if st.Bytes > max {
+		t.Fatalf("final bytes %d > MaxBytes %d", st.Bytes, max)
 	}
 	if st.Evictions == 0 {
 		t.Fatal("no evictions; bound not exercised")

@@ -73,10 +73,13 @@ func TestHitPathDoesNotScaleAllocations(t *testing.T) {
 // TestAliasingStressSharedSnapshots proves the qrcache no-mutation contract
 // under -race: concurrent readers hold returned snapshots and re-checksum
 // them while a writer churns the table through the caching connection.
-// Invalidation removes whole entries, so a held snapshot never changes —
-// even after the data it was computed from has been rewritten.
+// Invalidation and eviction remove whole entries, so a held snapshot never
+// changes — even after the data it was computed from has been rewritten.
 func TestAliasingStressSharedSnapshots(t *testing.T) {
-	_, c := newFixture(t, 16)
+	// The budget holds two or three of the five groups' results, so eviction
+	// churns alongside invalidation.
+	const maxBytes = 2 << 10
+	_, c := newFixture(t, maxBytes)
 	ctx := context.Background()
 	const (
 		readers = 8
@@ -108,6 +111,10 @@ func TestAliasingStressSharedSnapshots(t *testing.T) {
 					// though other goroutines are writing and invalidating.
 					if again := rowsChecksum(rows); again != sum {
 						t.Errorf("snapshot changed under a concurrent writer: %08x -> %08x", sum, again)
+						return
+					}
+					if n := c.Snapshot().Bytes; n > maxBytes {
+						t.Errorf("capacity bound violated: observed %d bytes > MaxBytes %d", n, maxBytes)
 						return
 					}
 				}

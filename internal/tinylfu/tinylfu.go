@@ -56,7 +56,7 @@ type Filter struct {
 // New creates a filter sized for roughly `counters` tracked keys (rounded up
 // to a power of two, minimum 1024). Size it to the number of entries the
 // governed cache can plausibly hold — e.g. MaxBytes divided by a typical
-// entry cost — or just to MaxEntries when that is the binding bound.
+// entry cost.
 func New(counters int) *Filter {
 	n := 1024
 	for n < counters && n < 1<<28 {
