@@ -63,7 +63,7 @@ flake:
 	  $(GO) test $$race -count=200 -run TestConcurrentUseWithScrapes ./internal/telemetry && \
 	  $(GO) test $$race -count=20 -run TestSnapshotRatiosNeverExceedOne ./internal/weave && \
 	  $(GO) test $$race -count=20 -run 'TestFetchWindow|TestOfferWindow|TestExportVouchesOnlyForAppliedWrites|TestClusterPropertyConsistency' ./internal/cluster && \
-	  $(GO) test $$race -count=5 ./internal/weave ./internal/cache/... ./internal/qrcache ./internal/datasource/... ./internal/cluster/... || exit 1; \
+	  $(GO) test $$race -count=5 ./internal/weave ./internal/cache/... ./internal/datasource/... ./internal/cluster/... || exit 1; \
 	done
 
 # cover writes cover.out for ./internal/... and fails when total statement
@@ -90,7 +90,7 @@ bench:
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 benchsmoke:
-	$(GO) test -bench 'Cache|Parallel|Coalesced|Qrcache' -run '^$$' -benchtime 100x -benchmem .
+	$(GO) test -bench 'Cache|Parallel|Coalesced' -run '^$$' -benchtime 100x -benchmem .
 	$(GO) test -bench 'SelectOrderLimit|SelectIn|SelectPoint' -run '^$$' -benchtime 100x -benchmem ./internal/memdb
 	$(GO) test -bench 'PeerFrame' -run '^$$' -benchtime 100x -benchmem ./internal/cluster
 	$(GO) test -bench 'StatementLog' -run '^$$' -benchtime 100x -benchmem ./internal/datasource/sqlite

@@ -13,7 +13,6 @@ import (
 	"autowebcache/internal/bench"
 	"autowebcache/internal/cache"
 	"autowebcache/internal/memdb"
-	"autowebcache/internal/qrcache"
 	"autowebcache/internal/sqlparser"
 )
 
@@ -56,8 +55,6 @@ func BenchmarkFig20CodeSize(b *testing.B) {
 func BenchmarkAblationStrategies(b *testing.B) { benchFigure(b, bench.AblationStrategies) }
 
 func BenchmarkAblationReplacement(b *testing.B) { benchFigure(b, bench.AblationReplacement) }
-
-func BenchmarkAblationComposition(b *testing.B) { benchFigure(b, bench.AblationComposition) }
 
 // Micro-benchmarks of the hot paths underlying the figures.
 
@@ -303,49 +300,6 @@ func BenchmarkWovenHitPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, req)
-	}
-}
-
-// BenchmarkQrcacheHit measures a warm query-result-cache hit of a 100-row
-// result set. Since the zero-copy rework the hit returns the stored
-// immutable snapshot by reference, so allocations no longer scale with the
-// number of rows (previously one per row plus the column slice).
-func BenchmarkQrcacheHit(b *testing.B) {
-	db := memdb.New()
-	db.MustCreateTable(memdb.TableSpec{
-		Name: "t",
-		Columns: []memdb.Column{
-			{Name: "id", Type: memdb.TypeInt, AutoIncrement: true},
-			{Name: "grp", Type: memdb.TypeInt},
-			{Name: "val", Type: memdb.TypeString},
-		},
-		Indexed: []string{"grp"},
-	})
-	ctx := context.Background()
-	for i := 0; i < 100; i++ {
-		if _, err := db.Exec(ctx, "INSERT INTO t (grp, val) VALUES (?, ?)", 0, "payload"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qc, err := qrcache.New(db, eng, qrcache.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const q = "SELECT id, val FROM t WHERE grp = ?"
-	if _, err := qc.Query(ctx, q, 0); err != nil {
-		b.Fatal(err) // prime
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := qc.Query(ctx, q, 0)
-		if err != nil || rows.Len() != 100 {
-			b.Fatalf("hit failed: %v", err)
-		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command benchjson runs the hit-path micro-benchmarks (page-cache hit,
-// miss+insert, query-result-cache hit, coalesced miss, mixed parallel) and
+// miss+insert, coalesced miss, mixed parallel, HTTP and disk-tier paths) and
 // writes the results — ns/op, allocs/op, B/op — as JSON, so each PR's perf
 // trajectory is recorded machine-readably (the BENCH_N.json convention used
 // by `make bench`; pass -out to pick the file).

@@ -27,7 +27,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "experiment to run: 4, 13, 14, 15, 16, 17, 18, 19, 20, A, B, C, P, H, CL, F or all")
+	fig := fs.String("fig", "all", "experiment to run: 4, 13, 14, 15, 16, 17, 18, 19, 20, A, B, P, H, CL, F or all")
 	fast := fs.Bool("fast", false, "use small parameters for a quick run")
 	root := fs.String("root", ".", "repository root (for the fig. 20 code-size scan)")
 	if err := fs.Parse(args); err != nil {
@@ -50,7 +50,6 @@ func run(args []string) error {
 		"20": func() (*bench.Table, error) { return bench.Fig20(*root) },
 		"A":  func() (*bench.Table, error) { return bench.AblationStrategies(p) },
 		"B":  func() (*bench.Table, error) { return bench.AblationReplacement(p) },
-		"C":  func() (*bench.Table, error) { return bench.AblationComposition(p) },
 		"P":  func() (*bench.Table, error) { return bench.ParallelScalability(p) },
 		"H":  func() (*bench.Table, error) { return bench.HitPath(p) },
 		"CL": func() (*bench.Table, error) { return bench.ClusterScalability(p) },
@@ -58,7 +57,7 @@ func run(args []string) error {
 	}
 	if strings.EqualFold(*fig, "all") {
 		// Render incrementally: full-effort experiments take minutes each.
-		for _, id := range []string{"4", "13", "14", "15", "16", "17", "18", "19", "20", "A", "B", "C", "P", "H", "CL", "F"} {
+		for _, id := range []string{"4", "13", "14", "15", "16", "17", "18", "19", "20", "A", "B", "P", "H", "CL", "F"} {
 			tbl, err := runners[id]()
 			if err != nil {
 				return fmt.Errorf("experiment %s: %w", id, err)

@@ -120,8 +120,8 @@ func (e *Engine) Strategy() Strategy { return e.strategy }
 
 // Canonical maps raw SQL to the canonical template text that keys the
 // dependency tables, so equivalent spellings share one template row. The
-// memo belongs to the engine, so every layer built on one engine — a page
-// cache stacked over a query-result cache — parses each statement once.
+// memo belongs to the engine, so every layer built on one engine parses
+// each statement once.
 func (e *Engine) Canonical(sql string) (string, error) {
 	if got, ok := e.canon.Load(sql); ok {
 		return got.(string), nil

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -323,36 +322,6 @@ func TestAblationReplacementCapacities(t *testing.T) {
 	}
 }
 
-func TestAblationComposition(t *testing.T) {
-	p := tiny(t)
-	tbl, err := AblationComposition(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows: %d", len(tbl.Rows))
-	}
-	dbq := func(row []string) int {
-		n, err := strconv.Atoi(row[4])
-		if err != nil {
-			t.Fatalf("parse %q: %v", row[4], err)
-		}
-		return n
-	}
-	// Each cache layer must reduce database query volume vs the baseline.
-	base := dbq(tbl.Rows[0])
-	for _, row := range tbl.Rows[1:] {
-		if dbq(row) >= base {
-			t.Errorf("%s: db queries %d not below baseline %d", row[0], dbq(row), base)
-		}
-	}
-	// The stacked configuration must not exceed the page-cache-only DB load.
-	if dbq(tbl.Rows[3]) > dbq(tbl.Rows[2]) {
-		t.Errorf("stacked caches issued more db queries (%d) than page cache alone (%d)",
-			dbq(tbl.Rows[3]), dbq(tbl.Rows[2]))
-	}
-}
-
 func TestCountLines(t *testing.T) {
 	n, err := CountLines(".", false)
 	if err != nil {
@@ -459,27 +428,5 @@ func TestHitPathFragmentRecord(t *testing.T) {
 	}
 	if r := byName["page-hit"]; r.AllocsPerOp != 0 {
 		t.Fatalf("page-hit regressed to %d allocs/op", r.AllocsPerOp)
-	}
-}
-
-// TestQrMissSqliteFixtureMissesEveryQuery pins what the qr-miss-sqlite
-// record measures: its byte budget holds one group's result but not both,
-// so alternating queries miss every time and each insert evicts the other.
-func TestQrMissSqliteFixtureMissesEveryQuery(t *testing.T) {
-	qr, sql, cleanup, err := newQrSqliteFixture(10 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	ctx := context.Background()
-	const n = 8
-	for i := 0; i < n; i++ {
-		// The fixture left group 0 resident; start with group 1.
-		if _, err := qr.Query(ctx, sql, (i+1)&1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := qr.Snapshot(); st.Hits != 0 || st.Entries != 1 || st.Evictions != n {
-		t.Fatalf("want every query a miss evicting the other group: %+v", st)
 	}
 }

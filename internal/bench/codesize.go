@@ -20,8 +20,7 @@ func roleOf(rel string) string {
 	case strings.HasPrefix(rel, "internal/tpcw"):
 		return "Web application: TPC-W"
 	case strings.HasPrefix(rel, "internal/cache"),
-		strings.HasPrefix(rel, "internal/analysis"),
-		strings.HasPrefix(rel, "internal/qrcache"):
+		strings.HasPrefix(rel, "internal/analysis"):
 		return "Caching library (JWebCaching analogue)"
 	case strings.HasPrefix(rel, "internal/weave"):
 		return "Weaving code (AspectJ analogue)"

@@ -8,7 +8,6 @@ import (
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
 	"autowebcache/internal/memdb"
-	"autowebcache/internal/qrcache"
 	"autowebcache/internal/rubis"
 	"autowebcache/internal/tpcw"
 	"autowebcache/internal/weave"
@@ -97,9 +96,6 @@ type SystemConfig struct {
 	Admission bool
 	// BestSellerWindow grants TPC-W BestSellers its semantic TTL.
 	BestSellerWindow time.Duration
-	// QueryCache stacks the §9-extension back-end result cache under the
-	// page cache (or alone, when Cached is false).
-	QueryCache bool
 	// Fragments enables fragment-granular caching for handlers declaring a
 	// segment decomposition.
 	Fragments bool
@@ -111,10 +107,6 @@ type SystemConfig struct {
 
 func (cfg SystemConfig) label() string {
 	switch {
-	case !cfg.Cached && cfg.QueryCache:
-		return "QueryCache"
-	case cfg.Cached && cfg.QueryCache:
-		return "PageCache+QueryCache"
 	case !cfg.Cached:
 		return "NoCache"
 	case cfg.ForceMiss:
@@ -133,7 +125,6 @@ type deployment struct {
 	db    *memdb.DB
 	eng   *analysis.Engine
 	cache *cache.Cache
-	qc    *qrcache.Conn
 	woven *weave.Woven
 	mix   workload.Source
 }
@@ -204,31 +195,23 @@ func newTpcw(p Params, cfg SystemConfig) (*deployment, error) {
 	return d, nil
 }
 
-// buildConn assembles the connection stack for one configuration:
-// db -> [query-result cache] -> [recording conn for the page cache].
+// buildConn returns the connection the application runs over: the database
+// itself, or, when the page cache is on, the recording connection feeding it.
 func (d *deployment) buildConn(cfg SystemConfig) (memdb.Conn, error) {
-	var conn memdb.Conn = d.db
+	if !cfg.Cached {
+		return d.db, nil
+	}
 	var err error
-	if cfg.QueryCache {
-		d.qc, err = qrcache.New(d.db, d.eng, qrcache.Options{})
-		if err != nil {
-			return nil, err
-		}
-		conn = d.qc
+	d.cache, err = cache.New(cache.Options{
+		Engine:    d.eng,
+		MaxBytes:  cfg.MaxBytes,
+		Admission: cfg.Admission,
+		ForceMiss: cfg.ForceMiss,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Cached {
-		d.cache, err = cache.New(cache.Options{
-			Engine:    d.eng,
-			MaxBytes:  cfg.MaxBytes,
-			Admission: cfg.Admission,
-			ForceMiss: cfg.ForceMiss,
-		})
-		if err != nil {
-			return nil, err
-		}
-		conn = weave.NewConn(conn, d.eng)
-	}
-	return conn, nil
+	return weave.NewConn(d.db, d.eng), nil
 }
 
 // run drives the deployment with the given client count and returns the

@@ -331,47 +331,6 @@ func AblationReplacement(p Params) (*Table, error) {
 	return t, nil
 }
 
-// AblationComposition evaluates the paper's §9 extension proposal: a
-// back-end query-result cache complementary to the front-end page cache,
-// alone and stacked.
-func AblationComposition(p Params) (*Table, error) {
-	t := &Table{
-		ID:    "tblC",
-		Title: "Extension: page cache vs query-result cache vs both (RUBiS, bidding mix)",
-		Columns: []string{"Configuration", "MeanResponse(ms)", "PageHitRate",
-			"QueryCacheHitRate", "DBQueries"},
-		Notes: []string{
-			"paper §9: 'A database query-results cache is complementary to webpage caching'",
-		},
-	}
-	clients := p.RubisClients[len(p.RubisClients)-1]
-	configs := []SystemConfig{
-		{},
-		{QueryCache: true},
-		{Cached: true},
-		{Cached: true, QueryCache: true},
-	}
-	for _, cfg := range configs {
-		d, err := newRubis(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		before := d.db.Stats()
-		res := d.run(p, clients)
-		after := d.db.Stats()
-		qcRate := "-"
-		if d.qc != nil {
-			st := d.qc.Snapshot()
-			if st.Hits+st.Misses > 0 {
-				qcRate = pct(float64(st.Hits) / float64(st.Hits+st.Misses))
-			}
-		}
-		t.AddRow(cfg.label(), ms(res.Totals.MeanResponse()), pct(res.Totals.HitRate()),
-			qcRate, after.Queries-before.Queries)
-	}
-	return t, nil
-}
-
 // All runs every experiment and returns the tables in paper order. root is
 // the repository root for the Fig. 20 code-size analysis.
 func All(p Params, root string) ([]*Table, error) {
@@ -391,7 +350,6 @@ func All(p Params, root string) ([]*Table, error) {
 		{"fig20", func() (*Table, error) { return Fig20(root) }},
 		{"tblA", func() (*Table, error) { return AblationStrategies(p) }},
 		{"tblB", func() (*Table, error) { return AblationReplacement(p) }},
-		{"tblC", func() (*Table, error) { return AblationComposition(p) }},
 	}
 	var out []*Table
 	for _, j := range jobs {

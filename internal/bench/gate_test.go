@@ -11,8 +11,8 @@ func rec(name string, ns float64, allocs int64) HitPathRecord {
 }
 
 func TestGatePasses(t *testing.T) {
-	base := []HitPathRecord{rec("page-hit", 100, 0), rec("qr-hit", 300, 5)}
-	fresh := []HitPathRecord{rec("page-hit", 120, 0), rec("qr-hit", 290, 5)}
+	base := []HitPathRecord{rec("page-hit", 100, 0), rec("page-miss-insert", 300, 5)}
+	fresh := []HitPathRecord{rec("page-hit", 120, 0), rec("page-miss-insert", 290, 5)}
 	results, ok := Gate(fresh, base, 0.25)
 	if !ok {
 		t.Fatalf("gate failed: %+v", results)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,10 +13,7 @@ import (
 
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
-	"autowebcache/internal/datasource"
-	_ "autowebcache/internal/datasource/sqlite" // registers the sqlite DSN
 	"autowebcache/internal/memdb"
-	"autowebcache/internal/qrcache"
 	"autowebcache/internal/servlet"
 	"autowebcache/internal/weave"
 )
@@ -74,99 +70,6 @@ func newHitPathCacheOpts(nKeys int, opts cache.Options) (*cache.Cache, []string,
 		c.Lookup(keys[i])
 	}
 	return c, keys, nil
-}
-
-// newQrHitFixture builds a query-result cache over a table whose hot SELECT
-// returns 100 rows, with the entry pre-warmed.
-func newQrHitFixture() (*qrcache.Conn, string, error) {
-	db := memdb.New()
-	if err := db.CreateTable(memdb.TableSpec{
-		Name: "t",
-		Columns: []memdb.Column{
-			{Name: "id", Type: memdb.TypeInt, AutoIncrement: true},
-			{Name: "grp", Type: memdb.TypeInt},
-			{Name: "val", Type: memdb.TypeString},
-		},
-		Indexed: []string{"grp"},
-	}); err != nil {
-		return nil, "", err
-	}
-	ctx := context.Background()
-	for i := 0; i < 100; i++ {
-		if _, err := db.Exec(ctx, "INSERT INTO t (grp, val) VALUES (?, ?)", 0, "payload"); err != nil {
-			return nil, "", err
-		}
-	}
-	eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, db)
-	if err != nil {
-		return nil, "", err
-	}
-	qr, err := qrcache.New(db, eng, qrcache.Options{})
-	if err != nil {
-		return nil, "", err
-	}
-	const sql = "SELECT id, val FROM t WHERE grp = ?"
-	if _, err := qr.Query(ctx, sql, 0); err != nil {
-		return nil, "", err
-	}
-	return qr, sql, nil
-}
-
-// newQrSqliteFixture builds a query-result cache over the file-backed
-// sqlite driver, bounded by maxBytes (0 = unbounded): 100 rows in each of
-// two groups, so alternating queries under a budget that holds one group's
-// result but not both force a backend round trip (file lock + log replay
-// check) per miss, while a warm entry hits without touching the file at all.
-func newQrSqliteFixture(maxBytes int64) (*qrcache.Conn, string, func(), error) {
-	dir, err := os.MkdirTemp("", "awc-bench-sqlite")
-	if err != nil {
-		return nil, "", nil, err
-	}
-	cleanup := func() { os.RemoveAll(dir) }
-	conn, err := datasource.Open("sqlite:" + dir + "/bench.db")
-	if err != nil {
-		cleanup()
-		return nil, "", nil, err
-	}
-	if cl, ok := conn.(datasource.Closer); ok {
-		prev := cleanup
-		cleanup = func() { cl.Close(); prev() }
-	}
-	ctx := context.Background()
-	boot := []string{
-		"CREATE TABLE t (id INTEGER PRIMARY KEY AUTO_INCREMENT, grp INTEGER, val TEXT)",
-		"CREATE INDEX idx_t_grp ON t (grp)",
-	}
-	for _, ddl := range boot {
-		if _, err := conn.Exec(ctx, ddl); err != nil {
-			cleanup()
-			return nil, "", nil, err
-		}
-	}
-	for grp := 0; grp < 2; grp++ {
-		for i := 0; i < 100; i++ {
-			if _, err := conn.Exec(ctx, "INSERT INTO t (grp, val) VALUES (?, ?)", grp, "payload"); err != nil {
-				cleanup()
-				return nil, "", nil, err
-			}
-		}
-	}
-	eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, conn.(analysis.Schema))
-	if err != nil {
-		cleanup()
-		return nil, "", nil, err
-	}
-	qr, err := qrcache.New(conn, eng, qrcache.Options{MaxBytes: maxBytes})
-	if err != nil {
-		cleanup()
-		return nil, "", nil, err
-	}
-	const sql = "SELECT id, val FROM t WHERE grp = ?"
-	if _, err := qr.Query(ctx, sql, 0); err != nil {
-		cleanup()
-		return nil, "", nil, err
-	}
-	return qr, sql, cleanup, nil
 }
 
 // coalescingWoven builds a one-handler woven app whose handler counts its
@@ -267,18 +170,12 @@ func httpWoven() (*weave.Woven, string, error) {
 //   - page-hit: warm page-cache Lookup (the zero-copy contract: 0 allocs/op);
 //   - page-miss-insert: Lookup miss followed by a 1 KiB Insert (the
 //     once-per-page copy);
-//   - qr-hit: warm query-result-cache hit of a 100-row result set (no
-//     longer scales allocations with rows);
 //   - coalesced-miss: 8 concurrent requests on one cold page key through
 //     the weave, per-request cost; the handler runs once per round;
 //   - mixed-parallel: the read-dominated page-cache mix (lookups with
 //     periodic re-inserts and write invalidations);
 //   - remote-down-peer: the cluster fetch fallback with the key's owner
 //     dead and the circuit breaker open (the fail-fast contract);
-//   - qr-hit-sqlite / qr-miss-sqlite: the query-result cache over the
-//     file-backed sqlite driver — warm hit (backend untouched) and forced
-//     miss (flock + replay check + scan per op). These run last so their
-//     allocation churn cannot skew the memdb records above.
 func HitPathRecords() ([]HitPathRecord, error) {
 	var out []HitPathRecord
 
@@ -360,23 +257,6 @@ func HitPathRecords() ([]HitPathRecord, error) {
 		}
 	})
 	out = append(out, record("page-miss-insert", r, "cold Lookup + 1 KiB Insert + removal"))
-
-	// qr-hit.
-	qr, qrSQL, err := newQrHitFixture()
-	if err != nil {
-		return nil, err
-	}
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		ctx := context.Background()
-		for n := 0; n < b.N; n++ {
-			rows, err := qr.Query(ctx, qrSQL, 0)
-			if err != nil || rows.Len() != 100 {
-				b.Fatalf("qr hit failed: %v", err)
-			}
-		}
-	})
-	out = append(out, record("qr-hit", r, "warm result-cache hit, 100-row snapshot shared by reference"))
 
 	// coalesced-miss: per round, 8 concurrent requests on one cold key.
 	const herd = 8
@@ -538,51 +418,6 @@ func HitPathRecords() ([]HitPathRecord, error) {
 		return nil, err
 	}
 	out = append(out, restartRec)
-
-	// The sqlite records run LAST on purpose: qr-miss-sqlite churns ~58 KiB
-	// per op, and on small machines the GC pressure it leaves behind would
-	// inflate any memdb record measured after it in the same process.
-
-	// qr-hit-sqlite: the same warm hit as qr-hit with the file-backed sqlite
-	// driver underneath — a hit is served from the result cache's snapshot,
-	// so the cost must not depend on the backend.
-	qs, qsSQL, qsClean, err := newQrSqliteFixture(0)
-	if err != nil {
-		return nil, err
-	}
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		ctx := context.Background()
-		for n := 0; n < b.N; n++ {
-			rows, err := qs.Query(ctx, qsSQL, 0)
-			if err != nil || rows.Len() != 100 {
-				b.Fatalf("qr sqlite hit failed: %v", err)
-			}
-		}
-	})
-	out = append(out, record("qr-hit-sqlite", r, "warm result-cache hit over the file-backed sqlite driver (backend not touched)"))
-	qsClean()
-
-	// qr-miss-sqlite: alternating groups through a 10 KiB cache, which holds
-	// one 100-row result (~6.7 KB accounted) but not two, evict each other,
-	// so every query is a miss that executes against the sqlite file (shared
-	// flock + replay-offset check) and re-inserts the result.
-	qm, qmSQL, qmClean, err := newQrSqliteFixture(10 << 10)
-	if err != nil {
-		return nil, err
-	}
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		ctx := context.Background()
-		for n := 0; n < b.N; n++ {
-			rows, err := qm.Query(ctx, qmSQL, n&1)
-			if err != nil || rows.Len() != 100 {
-				b.Fatalf("qr sqlite miss failed: %v", err)
-			}
-		}
-	})
-	out = append(out, record("qr-miss-sqlite", r, "result-cache miss against the sqlite file: flock, replay check, 100-row scan, insert"))
-	qmClean()
 
 	return out, nil
 }

@@ -17,12 +17,11 @@
 //
 // The package has two layers. Store (store.go) is the payload-agnostic
 // governed store — both tables, the budgets, eviction, admission, expiry,
-// the write sweep and the epoch ring — shared with the query-result cache
-// (internal/qrcache), which is a second instantiation of it. Cache, in this
-// file, is the page layer above one Store: the once-per-insert body copy,
-// the gzip/ETag variants (variants.go), the Page/View/Export views, the
-// RemoteInvalidator fan-out to cluster peers, and the disk tier (l2tier.go),
-// which reaches the store only through its lower-tier seam.
+// the write sweep and the epoch ring. Cache, in this file, is the page layer
+// above one Store: the once-per-insert body copy, the gzip/ETag variants
+// (variants.go), the Page/View/Export views, the RemoteInvalidator fan-out
+// to cluster peers, and the disk tier (l2tier.go), which reaches the store
+// only through its lower-tier seam.
 //
 // The paper's strong-consistency contract is preserved: InvalidateWrite
 // returns only after every dependent page fully inserted before the call has
@@ -240,18 +239,7 @@ type Cache struct {
 
 // New creates a cache. Options.Engine must be set.
 func New(opts Options) (*Cache, error) {
-	store, err := NewStore[*pageVal](StoreOptions{
-		Governance: Governance{
-			MaxBytes:  opts.MaxBytes,
-			Admission: opts.Admission,
-			Shards:    opts.Shards,
-		},
-		Engine:    opts.Engine,
-		Clock:     opts.Clock,
-		ForceMiss: opts.ForceMiss,
-		// Assume a small page when only the byte bound is known.
-		AssumedEntryBytes: 4096,
-	})
+	store, err := NewStore[*pageVal](opts)
 	if err != nil {
 		return nil, err
 	}
@@ -496,8 +484,8 @@ func (c *Cache) Bytes() int64 { return c.store.Bytes() }
 func (c *Cache) Contains(key string) bool { return c.store.Contains(key) }
 
 // Snapshot returns a point-in-time copy of the cache counters — the
-// canonical stats accessor shared by every layer (weave, cache, qrcache,
-// cluster all expose Snapshot()); the telemetry collectors consume it.
+// canonical stats accessor shared by every layer (weave, cache and cluster
+// all expose Snapshot()); the telemetry collectors consume it.
 func (c *Cache) Snapshot() Stats {
 	st := Stats{
 		StoreStats:       c.store.Snapshot(),

@@ -26,7 +26,7 @@
 // only makes the rejoin conservatively cold (gap ⇒ quarantine flush).
 //
 // Locking: one mutex guards index, segments, journal and watermarks. The
-// page cache calls Put/Remove/Contains/LSN while holding one of its page
+// page cache calls Put/Remove/Deps/LSN while holding one of its page
 // shard locks; the store never calls back into the cache, so the only lock
 // order is shard → store.
 package l2
@@ -315,13 +315,16 @@ func (s *Store) discardUnreadable(key string, lsn uint64, cause error) (Record, 
 	return Record{}, false
 }
 
-// Contains reports whether key has a live record in the index. Used by the
-// cache's promote-insert recheck.
-func (s *Store) Contains(key string) bool {
+// Deps returns the dependency instances of key's live record, and whether
+// the index holds one.
+func (s *Store) Deps(key string) ([]analysis.Query, bool) {
 	s.mu.Lock()
-	_, ok := s.index[key]
-	s.mu.Unlock()
-	return ok
+	defer s.mu.Unlock()
+	r, ok := s.index[key]
+	if !ok {
+		return nil, false
+	}
+	return r.deps, true
 }
 
 // LSN returns the index LSN for key, or 0 when absent. The cache uses it to

@@ -88,7 +88,7 @@ func TestSegmentTornAtEveryOffset(t *testing.T) {
 		}
 		// Appends are sequential, so the survivors must be a prefix.
 		for i := 0; i < restored; i++ {
-			if !s2.Contains(keyFor(i)) && cut > 0 {
+			if !hasRecord(s2, keyFor(i)) && cut > 0 {
 				t.Fatalf("cut=%d: non-prefix survivors (key %d missing, %d restored)", cut, i, restored)
 			}
 		}
@@ -132,8 +132,8 @@ func TestJournalTornAtEveryOffset(t *testing.T) {
 		}
 		// Tombstones apply in file order, so the surviving removals are a
 		// prefix of [k1, k3]: k3 gone implies k1 gone.
-		k1Gone := !s2.Contains(keyFor(1))
-		k3Gone := !s2.Contains(keyFor(3))
+		k1Gone := !hasRecord(s2, keyFor(1))
+		k3Gone := !hasRecord(s2, keyFor(3))
 		if k3Gone && !k1Gone {
 			t.Fatalf("cut=%d: tombstones applied out of order", cut)
 		}

@@ -1,15 +1,14 @@
 package cache
 
-// The governed store: the payload-agnostic core under both caches. The paper's
-// cache is one structure — a key table plus a dependency table keyed by
-// read-query template and value vector (§3.1) — and its §9 query-result cache
-// is the same structure holding result sets instead of pages. Store[V] is that
-// structure, written once: the lock-striped key table, the template ->
-// instance -> probe-index dependency table, the byte budget with CAS
-// reservation, segmented (probation/protected) LRU eviction, TinyLFU
-// admission, TTL expiry, the write sweep, flush, and the epoch ring that
-// closes the read->insert window (§3.2). The page cache (Cache) and
-// internal/qrcache are thin instantiations; what V is never matters here.
+// The governed store: the payload-agnostic core under the page cache. The
+// paper's cache is one structure — a key table plus a dependency table keyed
+// by read-query template and value vector (§3.1). Store[V] is that structure:
+// the lock-striped key table, the template -> instance -> probe-index
+// dependency table, the byte budget with CAS reservation, segmented
+// (probation/protected) LRU eviction, TinyLFU admission, TTL expiry, the
+// write sweep, flush, and the epoch ring that closes the read->insert window
+// (§3.2). The page cache (Cache) is its one instantiation; what V is never
+// matters here.
 //
 // Lock order is always key shard -> dependency shard, never the reverse, and
 // no two shards of the same stripe are held at once.
@@ -28,43 +27,10 @@ import (
 	"autowebcache/internal/tinylfu"
 )
 
-// Governance bounds a Store — the knobs every instantiation shares.
-type Governance struct {
-	// MaxBytes bounds the accounted memory — each entry's Cost, charged at
-	// insert and credited at removal; 0 means unbounded, and an unbounded
-	// store never evicts. A single entry costing more than MaxBytes is
-	// refused (its owner still serves it, uncached).
-	//
-	// A bounded store evicts by segmented LRU: new entries start on
-	// probation and are promoted to the protected segment on their first
-	// hit; under pressure, the least recently used probation entry goes
-	// first and protected entries only once probation is empty, so a burst
-	// of one-hit inserts cannot flush the proven working set.
-	MaxBytes int64
-	// Admission additionally gates inserts under byte-budget pressure with a
-	// TinyLFU filter: at MaxBytes, a candidate is admitted — evicting the
-	// LRU victim — only if its estimated request frequency strictly
-	// beats the victim's. Requires MaxBytes > 0.
-	Admission bool
-	// Shards is the lock-stripe count for the key and dependency tables,
-	// rounded up to a power of two. 0 picks GOMAXPROCS rounded likewise.
-	Shards int
-}
-
-// StoreOptions configures a Store.
-type StoreOptions struct {
-	Governance
-	// Engine decides read/write intersections. Required.
-	Engine *analysis.Engine
-	// Clock supplies the current time for TTL expiry; defaults to time.Now.
-	Clock func() time.Time
-	// ForceMiss makes every Get miss while leaving inserts and invalidations
-	// in place (the paper's cache-overhead measurement mode, §6).
-	ForceMiss bool
-	// AssumedEntryBytes sizes the admission filter when only the byte bound
-	// is known: it tracks roughly MaxBytes/AssumedEntryBytes keys.
-	AssumedEntryBytes int64
-}
+// assumedEntryBytes sizes the admission filter when only the byte bound is
+// known: it tracks roughly MaxBytes/assumedEntryBytes keys, a small page
+// each.
+const assumedEntryBytes = 4096
 
 // Item is the immutable part of one stored entry. Everything in it is fixed
 // at insert — entries are only ever removed whole, never rewritten — so an
@@ -156,9 +122,8 @@ func (sh *shard[V]) segment(protected bool) *segment[V] {
 
 // depInstance is one row of the dependency table's value-vector level: a
 // concrete read-query instance and the keys built from it. Most instances
-// back exactly one key — in the query-result cache every one does, the key
-// being the instance itself — so the first is held inline and the set is
-// only allocated for a second.
+// back exactly one key, so the first is held inline and the set is only
+// allocated for a second.
 type depInstance struct {
 	query analysis.Query
 	one   bool // key is linked
@@ -276,19 +241,17 @@ type depShard struct {
 // The lower-tier seam. A tier beneath the store (the page cache's disk tier)
 // takes part in the store's transitions through exactly four calls: demote
 // offers an eviction victim to the tier, tier.Remove drops the tier's copy of
-// a key during a sweep, tier.Contains backs the resident-in-neither-tier
-// check of forget, and tier.Sync makes every Remove so far durable before a
-// sweep returns, so a crash cannot resurrect what it removed. Every call but
-// Sync is made with the key's shard lock held, which is what orders a
-// promotion against a racing sweep (see Store.adopt). Both fields are
-// unexported and nil unless the page cache attaches them (attachL2): an
-// instantiation without a lower tier — the query-result cache — cannot set
-// them.
+// a key during a sweep, tier.Deps tells forget which links the tier's
+// current record still needs, and tier.Sync makes every Remove so far
+// durable before a sweep returns, so a crash cannot resurrect what it
+// removed. Every call but Sync is made with the key's shard lock held, which
+// is what orders a promotion against a racing sweep (see Store.adopt). Both
+// fields are nil unless the page cache attaches a disk tier (attachL2).
 
 // Store is the governed, dependency-indexed store. It is safe for concurrent
 // use.
 type Store[V any] struct {
-	opts StoreOptions
+	opts Options
 	mask uint32 // shard count - 1 (power of two)
 
 	shards    []shard[V]
@@ -348,9 +311,10 @@ type Store[V any] struct {
 	oversizeRejects  atomic.Uint64
 }
 
-// NewStore creates a store. It is the one place the governance composition
-// rules are checked; both caches return its error.
-func NewStore[V any](opts StoreOptions) (*Store[V], error) {
+// NewStore creates a store from the governance fields of opts: Engine,
+// MaxBytes, Admission, Shards, Clock and ForceMiss. It is the one place
+// their composition rules are checked; New returns its error.
+func NewStore[V any](opts Options) (*Store[V], error) {
 	if opts.Engine == nil {
 		return nil, fmt.Errorf("cache: Options.Engine is required")
 	}
@@ -376,7 +340,7 @@ func NewStore[V any](opts StoreOptions) (*Store[V], error) {
 	}
 	if opts.Admission {
 		// Track roughly as many keys as the store can plausibly hold.
-		s.admit = tinylfu.New(int(min(opts.MaxBytes/max(opts.AssumedEntryBytes, 1), 1<<20)))
+		s.admit = tinylfu.New(int(min(opts.MaxBytes/assumedEntryBytes, 1<<20)))
 	}
 	for i := range s.shards {
 		s.shards[i].items = make(map[string]*node[V])
@@ -479,19 +443,18 @@ func (s *Store[V]) Insert(it Item[V]) bool {
 		s.remove(sh, old, false)
 	}
 	sh.mu.Unlock()
-	if !s.Reserve(it.Key, it.Cost) {
+	if !s.reserve(it.Key, it.Cost) {
 		return false
 	}
-	s.Commit(it)
+	s.commit(it)
 	return true
 }
 
-// Reserve claims the byte budget for one entry of the given cost, evicting
-// as needed, before the entry touches any table. It is the first half of a
-// two-phase insert for callers that build the value only once it is known
-// to be admitted; true must be followed by Commit. false holds no
-// reservation.
-func (s *Store[V]) Reserve(key string, cost int64) bool {
+// reserve claims the byte budget for one entry of the given cost, evicting
+// as needed, before the entry touches any table: the first half of a
+// two-phase insert. true must be followed by commit (or a rollback of the
+// claimed bytes and count, as adopt does); false holds no reservation.
+func (s *Store[V]) reserve(key string, cost int64) bool {
 	if !s.reserveBytes(cost, key) {
 		return false
 	}
@@ -499,9 +462,9 @@ func (s *Store[V]) Reserve(key string, cost int64) bool {
 	return true
 }
 
-// Commit links an entry whose budget Reserve claimed, displacing whatever a
+// commit links an entry whose budget reserve claimed, displacing whatever a
 // concurrent insert of the same key linked meanwhile.
-func (s *Store[V]) Commit(it Item[V]) {
+func (s *Store[V]) commit(it Item[V]) {
 	sh := s.shard(it.Key)
 	sh.mu.Lock()
 	if cur, exists := sh.items[it.Key]; exists {
@@ -512,7 +475,7 @@ func (s *Store[V]) Commit(it Item[V]) {
 }
 
 // adopt links an entry read back from the lower tier — the promotion half of
-// the tier seam. Unlike Commit it never displaces a resident entry (which is
+// the tier seam. Unlike commit it never displaces a resident entry (which is
 // at least as fresh as the tier's copy), and it links only if current()
 // still holds once the key's shard lock is taken: every sweep removes a key
 // from both tiers under that lock, so a promotion racing one either linked
@@ -531,7 +494,7 @@ func (s *Store[V]) adopt(it Item[V], current func() bool) (serve *Item[V], linke
 		return &cur.Item, false
 	}
 	n := &node[V]{Item: it}
-	if !s.Reserve(it.Key, it.Cost) {
+	if !s.reserve(it.Key, it.Cost) {
 		return &n.Item, false
 	}
 	sh.mu.Lock()
@@ -553,13 +516,17 @@ func (s *Store[V]) adopt(it Item[V], current func() bool) (serve *Item[V], linke
 // accounted) and retires the lower tier's now-outdated copy of the key, so a
 // crash before the new entry is ever demoted cannot roll the key back to the
 // older value. That Remove is not synced: losing it in a crash merely
-// re-exposes a value that was never invalidated. The caller holds sh.mu.
+// re-exposes a value that was never invalidated. The retired copy's
+// dependency links go with it, before the new entry links its own, so the
+// instances the two generations share stay linked. The caller holds sh.mu.
 func (s *Store[V]) link(sh *shard[V], n *node[V]) {
+	if s.tier != nil {
+		if deps, was := s.tier.Remove(n.Key); was {
+			s.unlinkDeps(n.Key, deps)
+		}
+	}
 	s.linkNode(sh, n)
 	s.inserts.Add(1)
-	if s.tier != nil {
-		s.tier.Remove(n.Key)
-	}
 }
 
 // linkNode links n into the shard and the dependency table. New entries
@@ -873,19 +840,42 @@ func (s *Store[V]) clear(demote bool) {
 }
 
 // forget clears the dependency links of keys the lower tier let go of as a
-// side effect (a budget drop, an expiry, an unreadable record) — but only
-// when the key is resident in neither tier, re-checked under the key's
-// shard lock because it may have been re-inserted or re-demoted since. Must
-// be called without any shard lock held.
+// side effect (a budget drop, an expiry, an unreadable record). The key may
+// have been re-inserted or re-demoted since the tier dropped it, so under
+// the key's shard lock the links of its current generation — the L1 entry,
+// else the tier's newer record — stay. Must be called without any shard
+// lock held.
 func (s *Store[V]) forget(dropped []l2.Dropped) {
 	for _, d := range dropped {
 		sh := s.shard(d.Key)
 		sh.mu.Lock()
-		if _, resident := sh.items[d.Key]; !resident && !s.tier.Contains(d.Key) {
-			s.unlinkDeps(d.Key, d.Deps)
+		var live []analysis.Query
+		if n, resident := sh.items[d.Key]; resident {
+			live = n.Deps
+		} else {
+			live, _ = s.tier.Deps(d.Key)
 		}
+		s.unlinkDeps(d.Key, depsNotIn(d.Deps, live))
 		sh.mu.Unlock()
 	}
+}
+
+// depsNotIn returns the instances of deps that live does not hold.
+func depsNotIn(deps, live []analysis.Query) []analysis.Query {
+	if len(live) == 0 {
+		return deps
+	}
+	held := make(map[[2]string]bool, len(live))
+	for _, q := range live {
+		held[[2]string{q.SQL, datasource.KeyOfValues(q.Args)}] = true
+	}
+	var out []analysis.Query
+	for _, q := range deps {
+		if !held[[2]string{q.SQL, datasource.KeyOfValues(q.Args)}] {
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // Epoch returns the invalidation-event counter: it advances when every
@@ -939,7 +929,7 @@ func (s *Store[V]) closeEvent(epoch uint64) {
 	s.recentMu.Unlock()
 }
 
-// InsertSince runs insert — the caller's Insert, or Reserve+Commit, of key —
+// InsertSince runs insert — the caller's Insert of key —
 // under the §3.2 read→insert guard, for an entry built from reads that began
 // at epoch0 (read from Epoch before the first of them) and depend on deps.
 // It reports whether the entry may be served to others. Pre-insert: a sweep

@@ -1,10 +1,9 @@
 package cache
 
-// The governance contract, run once against the store both caches are built
-// on. The value type is a plain int: nothing here may depend on what is
-// stored. The page cache and the query-result cache keep only the tests of
-// what is their own (variants, tiers and views; canonicalisation and the
-// Conn interposition).
+// The governance contract, run against the store the page cache is built on.
+// The value type is a plain int: nothing here may depend on what is stored.
+// The page cache keeps only the tests of what is its own (variants, tiers
+// and views).
 
 import (
 	"fmt"
@@ -17,7 +16,7 @@ import (
 	"autowebcache/internal/memdb"
 )
 
-func newStore(t *testing.T, opts StoreOptions) *Store[int] {
+func newStore(t *testing.T, opts Options) *Store[int] {
 	t.Helper()
 	if opts.Engine == nil {
 		eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
@@ -58,13 +57,13 @@ func sumShards(s *Store[int]) int64 {
 // in-flight reservations can hold every byte.
 var governed = []struct {
 	name string
-	opts StoreOptions
+	opts Options
 }{
-	{"bytes-lru", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 4}}},
-	{"bytes+admission", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Admission: true, Shards: 4}, AssumedEntryBytes: 512}},
-	{"one-shard", StoreOptions{Governance: Governance{MaxBytes: 8 << 10, Shards: 1}}},
-	{"tight", StoreOptions{Governance: Governance{MaxBytes: 3 << 10, Shards: 4}}},
-	{"tight+admission", StoreOptions{Governance: Governance{MaxBytes: 3 << 10, Admission: true, Shards: 4}, AssumedEntryBytes: 512}},
+	{"bytes-lru", Options{MaxBytes: 8 << 10, Shards: 4}},
+	{"bytes+admission", Options{MaxBytes: 8 << 10, Admission: true, Shards: 4}},
+	{"one-shard", Options{MaxBytes: 8 << 10, Shards: 1}},
+	{"tight", Options{MaxBytes: 3 << 10, Shards: 4}},
+	{"tight+admission", Options{MaxBytes: 3 << 10, Admission: true, Shards: 4}},
 }
 
 // checkBounds fails when the byte budget is exceeded.
@@ -80,11 +79,11 @@ func TestStoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range map[string]StoreOptions{
+	for name, opts := range map[string]Options{
 		"no engine":                  {},
-		"negative MaxBytes":          {Engine: eng, Governance: Governance{MaxBytes: -1}},
-		"negative Shards":            {Engine: eng, Governance: Governance{Shards: -1}},
-		"Admission without MaxBytes": {Engine: eng, Governance: Governance{Admission: true}},
+		"negative MaxBytes":          {Engine: eng, MaxBytes: -1},
+		"negative Shards":            {Engine: eng, Shards: -1},
+		"Admission without MaxBytes": {Engine: eng, Admission: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := NewStore[int](opts); err == nil {
@@ -92,7 +91,7 @@ func TestStoreValidation(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NewStore[int](StoreOptions{Engine: eng}); err != nil {
+	if _, err := NewStore[int](Options{Engine: eng}); err != nil {
 		t.Fatalf("zero governance rejected: %v", err)
 	}
 }
@@ -101,7 +100,7 @@ func TestStoreValidation(t *testing.T) {
 // insert charges it, replacement swaps it, removal credits it — and the
 // per-shard books sum to the store-wide figure.
 func TestStoreAccounting(t *testing.T) {
-	s := newStore(t, StoreOptions{Governance: Governance{Shards: 4}})
+	s := newStore(t, Options{Shards: 4})
 	if s.Bytes() != 0 || s.Len() != 0 {
 		t.Fatalf("fresh store: bytes=%d len=%d", s.Bytes(), s.Len())
 	}
@@ -143,7 +142,7 @@ func TestStoreAccounting(t *testing.T) {
 
 // TestStoreBudgetNeverExceeded is the tentpole invariant, for every row of
 // the governance table: the budget is not exceeded at any observable instant
-// — sequentially, through the two-phase Reserve/Commit path, and under
+// — sequentially, through the two-phase reserve/commit path, and under
 // concurrent insert/lookup/sweep/remove churn — and when the dust settles
 // the books balance and a flush drains the store to zero.
 func TestStoreBudgetNeverExceeded(t *testing.T) {
@@ -156,9 +155,9 @@ func TestStoreBudgetNeverExceeded(t *testing.T) {
 			}
 			for i := 64; i < 128; i++ {
 				key := fmt.Sprintf("/p?i=%d", i)
-				if s.Reserve(key, 1024) {
+				if s.reserve(key, 1024) {
 					checkBounds(t, s, fmt.Sprintf("reserve %d", i))
-					s.Commit(Item[int]{Key: key, Cost: 1024, Deps: depOn(i)})
+					s.commit(Item[int]{Key: key, Cost: 1024, Deps: depOn(i)})
 				}
 				checkBounds(t, s, fmt.Sprintf("commit %d", i))
 			}
@@ -258,16 +257,13 @@ func TestStoreSegmentOrder(t *testing.T) {
 		}
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/%d-shards", name, shards), func(t *testing.T) {
-				segmentOrder(t, StoreOptions{
-					Governance:        Governance{MaxBytes: 8 * 1024, Admission: admission, Shards: shards},
-					AssumedEntryBytes: 1024,
-				})
+				segmentOrder(t, Options{MaxBytes: 8 * 1024, Admission: admission, Shards: shards})
 			})
 		}
 	}
 }
 
-func segmentOrder(t *testing.T, opts StoreOptions) {
+func segmentOrder(t *testing.T, opts Options) {
 	s := newStore(t, opts)
 	put(s, "/hot?i=0", 1024, 0)
 	put(s, "/hot?i=1", 1024, 1)
@@ -317,7 +313,7 @@ func segmentOrder(t *testing.T, opts StoreOptions) {
 // gives up its least recently hit entry across all shards — a re-hit moves
 // an entry behind the others.
 func TestStoreProtectedLRU(t *testing.T) {
-	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: 3 * 512, Shards: 4}})
+	s := newStore(t, Options{MaxBytes: 3 * 512, Shards: 4})
 	for i := 0; i < 3; i++ {
 		put(s, fmt.Sprintf("/p?i=%d", i), 512, i)
 	}
@@ -342,7 +338,7 @@ func TestStoreProtectedLRU(t *testing.T) {
 // keeps no recency order — hits neither promote an entry nor tick the
 // sequence, and every entry reports as probation.
 func TestStoreUnboundedKeepsNoOrder(t *testing.T) {
-	s := newStore(t, StoreOptions{Governance: Governance{Shards: 4}})
+	s := newStore(t, Options{Shards: 4})
 	for i := 0; i < 64; i++ {
 		put(s, fmt.Sprintf("/p?i=%d", i), 1024, i)
 	}
@@ -363,7 +359,7 @@ func TestStoreUnboundedKeepsNoOrder(t *testing.T) {
 // victims — refused, nothing displaced — until it has been requested often
 // enough to out-score one.
 func TestStoreAdmissionDuel(t *testing.T) {
-	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: 2 * 1024, Admission: true}})
+	s := newStore(t, Options{MaxBytes: 2 * 1024, Admission: true})
 	for i := 0; i < 2; i++ {
 		key := fmt.Sprintf("/hot?i=%d", i)
 		// Lookups — even misses — feed the filter's sketch.
@@ -377,7 +373,7 @@ func TestStoreAdmissionDuel(t *testing.T) {
 	if put(s, "/cold", 1024, 9) {
 		t.Fatal("one-hit wonder admitted over hot victims")
 	}
-	if s.Reserve("/cold", 1024) {
+	if s.reserve("/cold", 1024) {
 		t.Fatal("two-phase insert bypassed the admission duel")
 	}
 	st := s.Snapshot()
@@ -400,12 +396,12 @@ func TestStoreAdmissionDuel(t *testing.T) {
 // TestStoreOversizeReject: an entry that can never fit is refused by both
 // insert paths without evicting anything or leaking accounting.
 func TestStoreOversizeReject(t *testing.T) {
-	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: 1024}})
+	s := newStore(t, Options{MaxBytes: 1024})
 	put(s, "/small", 512, 1)
 	if put(s, "/big", 4096, 2) {
 		t.Fatal("oversize entry claimed stored")
 	}
-	if s.Reserve("/big", 1025) {
+	if s.reserve("/big", 1025) {
 		t.Fatal("oversize reservation granted")
 	}
 	st := s.Snapshot()
@@ -423,7 +419,7 @@ func TestStoreOversizeReject(t *testing.T) {
 // freed budget takes the eviction path, never past the budget.
 func TestStoreReplacement(t *testing.T) {
 	const n = 4
-	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: n * 1024, Admission: true}})
+	s := newStore(t, Options{MaxBytes: n * 1024, Admission: true})
 	for round := 0; round < 2; round++ {
 		for i := 0; i < n; i++ {
 			if !put(s, fmt.Sprintf("/p?i=%d", i), 1024, i) {
@@ -441,7 +437,7 @@ func TestStoreReplacement(t *testing.T) {
 		t.Fatalf("bytes after shrink = %d", s.Bytes())
 	}
 
-	g := newStore(t, StoreOptions{Governance: Governance{MaxBytes: n * 256}})
+	g := newStore(t, Options{MaxBytes: n * 256})
 	for i := 0; i < n; i++ {
 		put(g, fmt.Sprintf("/p?i=%d", i), 256, i)
 	}
@@ -458,7 +454,7 @@ func TestStoreReplacement(t *testing.T) {
 // entry without reserving, so no innocent victim is evicted at a full budget.
 func TestStoreAdoptResidentEvictsNothing(t *testing.T) {
 	const n = 4
-	s := newStore(t, StoreOptions{Governance: Governance{MaxBytes: n * 1024}})
+	s := newStore(t, Options{MaxBytes: n * 1024})
 	for i := 0; i < n; i++ {
 		put(s, fmt.Sprintf("/p?i=%d", i), 1024, i)
 	}
@@ -476,9 +472,9 @@ func TestStoreAdoptResidentEvictsNothing(t *testing.T) {
 // it expired removes it and credits its bytes.
 func TestStoreExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
-	s := newStore(t, StoreOptions{
-		Governance: Governance{MaxBytes: 1 << 20},
-		Clock:      func() time.Time { return now },
+	s := newStore(t, Options{
+		MaxBytes: 1 << 20,
+		Clock:    func() time.Time { return now },
 	})
 	s.Insert(Item[int]{Key: "/ttl", Cost: 128, ExpiresAt: now.Add(time.Second)})
 	if !s.Contains("/ttl") || s.Bytes() != 128 {
@@ -500,7 +496,7 @@ func TestStoreExpiry(t *testing.T) {
 // inserter's epoch read and its insert is visible to staleSince exactly when
 // it could have touched the entry's dependencies.
 func TestStoreEpochGuard(t *testing.T) {
-	s := newStore(t, StoreOptions{})
+	s := newStore(t, Options{})
 	e0 := s.Epoch()
 	if s.staleSince(e0, depOn(1)) {
 		t.Fatal("stale with no event")
@@ -539,7 +535,7 @@ func TestStoreEpochGuard(t *testing.T) {
 // read after the sweep; an unrelated insert is not. Closing the event lifts
 // the refusal. An open flush refuses every insert.
 func TestStoreOpenEvents(t *testing.T) {
-	s := newStore(t, StoreOptions{})
+	s := newStore(t, Options{})
 	insertSince := func(epoch0 uint64, key string, k int) bool {
 		return s.InsertSince(epoch0, key, depOn(k), func() { put(s, key, 64, k) })
 	}

@@ -7,7 +7,7 @@
 // testbed deploys, applied to the cache itself.
 //
 // The tier is embeddable: a Node wraps the process's existing page cache
-// (and optional query-result cache) and plugs into the weave as its Remote
+// and plugs into the weave as its Remote
 // and into the cache as its RemoteInvalidator. With an empty peer list the
 // Node degrades to pure local mode: every fetch misses without touching the
 // network, every broadcast is a no-op, and the single-node hot paths are

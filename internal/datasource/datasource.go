@@ -3,15 +3,14 @@
 // Result shapes it returns, and the canonical Value representation every
 // driver must normalise to.
 //
-// The caching layers above (weave's RecordingConn, the query-result cache,
-// the analysis engine) depend on exact semantics, not just an interface:
+// The caching layers above (weave's RecordingConn, the analysis engine)
+// depend on exact semantics, not just an interface:
 //
 //   - values are normalised to int64 / float64 / string / nil, so template
 //     argument vectors and probe keys compare identically across drivers;
-//   - Rows.Snapshot deep-copies once, after which the snapshot is immutable
-//     and may be shared by reference (the zero-copy qr-cache contract);
-//   - Rows.ByteSize is the deterministic accounting the byte-governed
-//     caches charge against their budgets;
+//   - result rows are owned by the caller and never alias driver storage, so
+//     a handler may mutate what a query returned without corrupting the
+//     database or a later query's result;
 //   - Result reports exact affected-row counts and the auto-increment key
 //     of single-row INSERTs, which the analysis engine feeds back into
 //     invalidation.
@@ -34,42 +33,6 @@ type Rows struct {
 
 // Len returns the number of rows.
 func (r *Rows) Len() int { return len(r.Data) }
-
-// Snapshot deep-copies the result set: fresh column and row slices sharing
-// nothing with r. Caching layers use it to take one immutable copy at
-// insert time, after which the snapshot can be shared by reference.
-func (r *Rows) Snapshot() *Rows {
-	out := &Rows{
-		Columns: append([]string(nil), r.Columns...),
-		Data:    make([][]Value, len(r.Data)),
-	}
-	for i, row := range r.Data {
-		out.Data[i] = append([]Value(nil), row...)
-	}
-	return out
-}
-
-// ByteSize is the accounted memory of the result set: column names, row
-// slice headers and the values themselves (strings by length, numbers by
-// word size). Byte-governed caches charge it against their budget.
-func (r *Rows) ByteSize() int64 {
-	const sliceHeader = 24
-	size := int64(sliceHeader)
-	for _, c := range r.Columns {
-		size += sliceHeader + int64(len(c))
-	}
-	for _, row := range r.Data {
-		size += sliceHeader
-		for _, v := range row {
-			// A Value is an interface word pair plus string payload, if any.
-			size += 16
-			if s, ok := v.(string); ok {
-				size += int64(len(s))
-			}
-		}
-	}
-	return size
-}
 
 // Int returns the value at (row, col) as int64 (0 when NULL or non-numeric).
 func (r *Rows) Int(row, col int) int64 {

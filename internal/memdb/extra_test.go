@@ -352,28 +352,3 @@ func TestMustCreateTablePanics(t *testing.T) {
 	}()
 	db.MustCreateTable(TableSpec{})
 }
-
-func TestRowsByteSize(t *testing.T) {
-	empty := &Rows{}
-	if got := empty.ByteSize(); got <= 0 {
-		t.Fatalf("empty ByteSize = %d, want > 0 (header overhead)", got)
-	}
-	small := &Rows{Columns: []string{"id"}, Data: [][]Value{{int64(1)}}}
-	big := &Rows{Columns: []string{"id", "val"}, Data: [][]Value{
-		{int64(1), "some-string-payload"},
-		{int64(2), "another-string-payload"},
-	}}
-	if small.ByteSize() >= big.ByteSize() {
-		t.Fatalf("sizes not monotone: small %d, big %d", small.ByteSize(), big.ByteSize())
-	}
-	// String payloads are charged by length.
-	withLong := &Rows{Columns: []string{"v"}, Data: [][]Value{{string(make([]byte, 1000))}}}
-	withShort := &Rows{Columns: []string{"v"}, Data: [][]Value{{"x"}}}
-	if diff := withLong.ByteSize() - withShort.ByteSize(); diff != 999 {
-		t.Fatalf("string payload charged %d, want 999", diff)
-	}
-	// A snapshot costs the same as its source.
-	if got := big.Snapshot().ByteSize(); got != big.ByteSize() {
-		t.Fatalf("snapshot size %d != source %d", got, big.ByteSize())
-	}
-}

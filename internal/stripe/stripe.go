@@ -1,5 +1,5 @@
-// Package stripe holds the lock-striping helpers shared by the page cache
-// and the query-result cache: a shard-count rounder and the key hash.
+// Package stripe holds the page cache's lock-striping helpers: a shard-count
+// rounder and the key hash.
 package stripe
 
 import "runtime"

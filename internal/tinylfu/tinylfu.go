@@ -5,7 +5,7 @@
 // fronted by a doorkeeper bloom filter that absorbs one-hit wonders before
 // they occupy sketch counters.
 //
-// The page and query-result caches consult it under byte-budget pressure:
+// The page cache consults it under byte-budget pressure:
 // a candidate entry is admitted — evicting the replacement policy's victim —
 // only when its estimated frequency beats the victim's, so a churn of
 // never-again-requested pages (a crawler, a load generator's long tail)
