@@ -146,7 +146,7 @@ var cacheCounters = []cacheCounter{
 		func(s *CacheStats) uint64 { return s.Invalidations }},
 	{"awc_cache_expirations_total", "Entries removed because their TTL passed. Mirrors cache.Stats.Expirations (page cache only).",
 		func(s *CacheStats) uint64 { return s.Expirations }},
-	{"awc_cache_writes_seen_total", "InvalidateWrite calls analysed. Mirrors cache.Stats.WritesSeen (page cache only).",
+	{"awc_cache_writes_seen_total", "Write captures InvalidateWrite analysed, one per write statement (a request's captures share one call). Mirrors cache.Stats.WritesSeen (page cache only).",
 		func(s *CacheStats) uint64 { return s.WritesSeen }},
 	{"awc_cache_admission_rejects_total", "Inserts refused by the TinyLFU admission filter. Mirrors cache.Stats.AdmissionRejects.",
 		func(s *CacheStats) uint64 { return s.AdmissionRejects }},
@@ -290,7 +290,7 @@ var clusterCounters = []clusterCounter{
 		func(s *ClusterStats) uint64 { return s.OffersSent }},
 	{"awc_cluster_offers_rejected_total", "Replica offers an owner's byte budget refused. Mirrors cluster.Stats.OffersRejected.",
 		func(s *ClusterStats) uint64 { return s.OffersRejected }},
-	{"awc_cluster_inv_sent_total", "Invalidation broadcasts delivered, counted per peer. Mirrors cluster.Stats.InvSent.",
+	{"awc_cluster_inv_sent_total", "Invalidation broadcasts delivered, counted per peer: one frame per write request, however many statements it wrote. Mirrors cluster.Stats.InvSent.",
 		func(s *ClusterStats) uint64 { return s.InvSent }},
 	{"awc_cluster_inv_broadcast_failures_total", "Invalidation/flush sends a peer never applied (down, partitioned, timed out). Mirrors cluster.Stats.InvBroadcastFailures.",
 		func(s *ClusterStats) uint64 { return s.InvBroadcastFailures }},
@@ -310,7 +310,7 @@ var clusterCounters = []clusterCounter{
 		func(s *ClusterStats) uint64 { return s.PutsApplied }},
 	{"awc_cluster_puts_rejected_total", "Replica pages this node refused (over budget or stale). Mirrors cluster.Stats.PutsRejected.",
 		func(s *ClusterStats) uint64 { return s.PutsRejected }},
-	{"awc_cluster_inv_applied_total", "Peer invalidations this node applied. Mirrors cluster.Stats.InvApplied.",
+	{"awc_cluster_inv_applied_total", "Peer invalidations this node applied, counted per write capture (statement), so a frame carrying an INSERT and an UPDATE adds two. Mirrors cluster.Stats.InvApplied.",
 		func(s *ClusterStats) uint64 { return s.InvApplied }},
 	{"awc_cluster_flush_applied_total", "Peer flushes this node applied. Mirrors cluster.Stats.FlushApplied.",
 		func(s *ClusterStats) uint64 { return s.FlushApplied }},
@@ -342,7 +342,7 @@ func (a *Admin) WatchCluster(n *ClusterNode) *Admin {
 		g.Declare("awc_cluster_offer_duration_seconds", telemetry.TypeHistogram,
 			"Latency of Offer (page replication to every owner). Mirrors cluster.Stats.OfferLatency.")
 		g.Declare("awc_cluster_broadcast_duration_seconds", telemetry.TypeHistogram,
-			"Latency of one invalidation/flush broadcast, including its serialization wait. Mirrors cluster.Stats.BroadcastLatency.")
+			"Latency of one invalidation/flush broadcast — one frame per write request — including its serialization wait. Mirrors cluster.Stats.BroadcastLatency.")
 
 		st := n.Snapshot()
 		for _, c := range clusterCounters {

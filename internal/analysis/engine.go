@@ -91,6 +91,9 @@ type Engine struct {
 	// canon memoises raw SQL -> canonical template text; a sync.Map keeps
 	// the per-query hot path lock-free once a statement has been seen.
 	canon sync.Map
+	// autoInc memoises table -> auto-increment column once the schema has
+	// reported one, so preparing an INSERT never asks the datasource again.
+	autoInc sync.Map
 
 	pairHits      atomic.Uint64
 	pairMisses    atomic.Uint64
@@ -487,13 +490,22 @@ type autoIncrementer interface {
 }
 
 // autoIncrementColumn returns the table's auto-increment column when the
-// schema can report it.
+// schema can report it. A reported column is memoised: tables are never
+// dropped and their key never changes. A "no" is asked again, since the
+// table may not exist yet or the schema may have failed to answer.
 func (e *Engine) autoIncrementColumn(table string) (string, bool) {
+	if col, ok := e.autoInc.Load(table); ok {
+		return col.(string), true
+	}
 	ai, ok := e.schema.(autoIncrementer)
 	if !ok {
 		return "", false
 	}
-	return ai.AutoIncrementColumn(table)
+	col, ok := ai.AutoIncrementColumn(table)
+	if ok {
+		e.autoInc.Store(table, col)
+	}
+	return col, ok
 }
 
 // rebindArgs returns a copy of e whose placeholders are numbered afresh in

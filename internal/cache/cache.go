@@ -178,6 +178,15 @@ type View struct {
 // returns only after every reachable peer has applied the invalidation, so
 // InvalidateWrite keeps its contract — the writer's response is released
 // strictly after all dependent pages, anywhere in the cluster, are gone.
+//
+// An implementation may also have the batch method
+//
+//	BroadcastWrites(ws []analysis.WriteCapture) error
+//
+// which forwards all of one request's captures as a single broadcast, with
+// BroadcastWrite's error contract; the cluster node has it. SetRemote looks
+// for it once. A remote without it gets one BroadcastWrite per capture, in
+// capture order.
 type RemoteInvalidator interface {
 	// BroadcastWrite forwards a locally applied write capture to peers.
 	// The cache ignores the returned error: by the time the broadcast runs
@@ -191,9 +200,30 @@ type RemoteInvalidator interface {
 	BroadcastFlush() error
 }
 
-// remoteBox wraps the interface for atomic.Value (which needs a consistent
-// concrete type).
-type remoteBox struct{ r RemoteInvalidator }
+// batchInvalidator is the optional batch method of a RemoteInvalidator.
+type batchInvalidator interface {
+	BroadcastWrites(ws []analysis.WriteCapture) error
+}
+
+// remoteBox wraps the attached remote for atomic.Value (which needs a
+// consistent concrete type), with its batch method when it has one.
+type remoteBox struct {
+	r     RemoteInvalidator
+	batch batchInvalidator
+}
+
+// broadcastWrites sends one request's captures to peers: one batch
+// broadcast when the remote has the method, else one per capture. Errors
+// are ignored, as RemoteInvalidator allows.
+func (b remoteBox) broadcastWrites(ws []analysis.WriteCapture) {
+	if b.batch != nil {
+		_ = b.batch.BroadcastWrites(ws)
+		return
+	}
+	for _, w := range ws {
+		_ = b.r.BroadcastWrite(w)
+	}
+}
 
 // Stats are cumulative cache counters: the store's, plus the page layer's.
 type Stats struct {
@@ -264,15 +294,15 @@ func (c *Cache) ForceMiss() bool { return c.opts.ForceMiss }
 // received broadcast must use InvalidateWriteLocal / FlushLocal, or the
 // invalidation would echo around the cluster forever.
 func (c *Cache) SetRemote(r RemoteInvalidator) {
-	c.remote.Store(remoteBox{r: r})
+	b := remoteBox{r: r}
+	b.batch, _ = r.(batchInvalidator)
+	c.remote.Store(b)
 }
 
-// loadRemote returns the attached peer tier, or nil.
-func (c *Cache) loadRemote() RemoteInvalidator {
-	if b, ok := c.remote.Load().(remoteBox); ok {
-		return b.r
-	}
-	return nil
+// loadRemote returns the attached peer tier; its r is nil when none is.
+func (c *Cache) loadRemote() remoteBox {
+	b, _ := c.remote.Load().(remoteBox)
+	return b
 }
 
 // Lookup returns the cached page for key, if present and not expired
@@ -373,22 +403,41 @@ func (c *Cache) item(key string, v *pageVal, deps []analysis.Query, expiresAt ti
 }
 
 // InvalidateWrite removes every cached page whose dependency set intersects
-// the write (§3.1 "cache invalidations"), then broadcasts the capture to
-// the attached cluster peers, if any (§3.2 cluster-wide: in strong mode the
-// call returns only after every reachable peer has also invalidated). The
+// one of the writes (§3.1 "cache invalidations") — all the captures of one
+// request, in one sweep — then broadcasts them to the attached cluster
+// peers, if any, as one broadcast (§3.2 cluster-wide: in strong mode the
+// call returns only after every reachable peer has also invalidated). Every
 // write stays open until the broadcast returns: until peers have applied
-// it, the cache refuses every insert it intersects — a generated page, a
-// replica fetched from a peer that has not applied it yet, or one offered by
-// such a peer. It returns the number of pages invalidated locally. The write
-// should have been captured with Engine.CaptureWrite before it executed.
-func (c *Cache) InvalidateWrite(w analysis.WriteCapture) (int, error) {
-	r := c.loadRemote()
-	if r == nil {
-		return c.store.InvalidateWrite(w)
+// them, the cache refuses every insert they intersect — a generated page, a
+// replica fetched from a peer that has not applied them yet, or one offered
+// by such a peer. It returns the number of pages invalidated locally. Each
+// write should have been captured with Engine.CaptureWrite before it
+// executed.
+//
+// A capture the engine cannot analyse (an empty one marks a write the
+// recorder could not capture), or a sweep that fails (an analysis error, a
+// disk tier that cannot make the removals durable), makes the call flush
+// the whole cache instead — over-invalidation is always sound — and
+// broadcast that one flush in place of the writes. The count then includes
+// the flushed pages, and err says why the call fell back; the cache is
+// consistent either way.
+func (c *Cache) InvalidateWrite(ws ...analysis.WriteCapture) (int, error) {
+	if len(ws) == 0 {
+		return 0, nil
 	}
-	// The local sweep runs first; the broadcast's error is ignored, as
-	// RemoteInvalidator allows.
-	return c.store.invalidateThen(w, func() { _ = r.BroadcastWrite(w) })
+	b := c.loadRemote()
+	var then func()
+	if b.r != nil {
+		// The local sweep runs first; the broadcast's error is ignored, as
+		// RemoteInvalidator allows.
+		then = func() { b.broadcastWrites(ws) }
+	}
+	n, err := c.store.invalidateThen(ws, then)
+	if err != nil {
+		n += c.Len()
+		c.flush(b.r)
+	}
+	return n, err
 }
 
 // InvalidateWriteLocal is InvalidateWrite restricted to this process's
@@ -409,7 +458,7 @@ func (c *Cache) InvalidateKey(key string) bool { return c.store.Remove(key) }
 // refusing every guarded insert until peers have applied it. Pages inserted
 // by unguarded calls concurrently with the flush may survive, as they would
 // had they been inserted just after it.
-func (c *Cache) Flush() { c.flush(c.loadRemote()) }
+func (c *Cache) Flush() { c.flush(c.loadRemote().r) }
 
 // FlushLocal empties this process's cache without broadcasting — the entry
 // point for flushes arriving from a peer.

@@ -23,7 +23,6 @@ import (
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache/l2"
 	"autowebcache/internal/datasource"
-	"autowebcache/internal/stripe"
 	"autowebcache/internal/tinylfu"
 )
 
@@ -330,7 +329,7 @@ func NewStore[V any](opts Options) (*Store[V], error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("cache: negative Shards")
 	}
-	n := stripe.Count(opts.Shards)
+	n := shardCount(opts.Shards)
 	s := &Store[V]{
 		opts:      opts,
 		mask:      uint32(n - 1),
@@ -351,12 +350,41 @@ func NewStore[V any](opts Options) (*Store[V], error) {
 	return s, nil
 }
 
+// maxShards caps the shard count; beyond this the per-shard maps stop
+// paying for themselves.
+const maxShards = 256
+
+// shardCount rounds requested up to a power of two in [1, maxShards]; 0
+// picks GOMAXPROCS rounded likewise, so caches built at server start get one
+// shard per P.
+func shardCount(requested int) int {
+	n := requested
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	p := 1
+	for p < n && p < maxShards {
+		p <<= 1
+	}
+	return p
+}
+
+// shardHash is FNV-1a over s, inlined so hot paths allocate nothing.
+func shardHash(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
 func (s *Store[V]) shard(key string) *shard[V] {
-	return &s.shards[stripe.Hash(key)&s.mask]
+	return &s.shards[shardHash(key)&s.mask]
 }
 
 func (s *Store[V]) depShard(tmpl string) *depShard {
-	return &s.depShards[stripe.Hash(tmpl)&s.mask]
+	return &s.depShards[shardHash(tmpl)&s.mask]
 }
 
 // Get returns the live entry for key: it expires the entry if its TTL
@@ -666,74 +694,88 @@ func (s *Store[V]) unlinkDeps(key string, deps []analysis.Query) {
 	}
 }
 
-// InvalidateWrite removes every entry whose dependency set intersects the
-// write (§3.1 "cache invalidations"), in this store and the tier beneath it,
-// and returns how many. It returns only after every dependent entry fully
-// inserted before the call is gone, so the writer's response is released
-// strictly after the invalidation (§3.2). The write should have been
-// captured with Engine.CaptureWrite before it executed.
-func (s *Store[V]) InvalidateWrite(w analysis.WriteCapture) (int, error) {
-	return s.invalidateThen(w, nil)
+// InvalidateWrite removes every entry whose dependency set intersects one
+// of the writes (§3.1 "cache invalidations"), in this store and the tier
+// beneath it, and returns how many. It returns only after every dependent
+// entry fully inserted before the call is gone, so the writer's response is
+// released strictly after the invalidation (§3.2). Each write should have
+// been captured with Engine.CaptureWrite before it executed.
+func (s *Store[V]) InvalidateWrite(ws ...analysis.WriteCapture) (int, error) {
+	return s.invalidateThen(ws, nil)
 }
 
 // invalidateThen is InvalidateWrite running then — the caller's peer
-// broadcast — after a successful sweep, with the write's event still open:
-// until then returns, staleSince refuses every insert the write intersects,
-// whenever its epoch was read.
-func (s *Store[V]) invalidateThen(w analysis.WriteCapture, then func()) (int, error) {
-	pw, err := s.opts.Engine.PrepareWrite(w)
-	if err != nil {
-		return 0, err
+// broadcast — once, after a successful sweep of every write, with every
+// write's event still open: until then returns, staleSince refuses every
+// insert any of the writes intersects, whenever its epoch was read. If a
+// write cannot be prepared, nothing is swept and no event opens; with no
+// writes, nothing happens at all.
+func (s *Store[V]) invalidateThen(ws []analysis.WriteCapture, then func()) (int, error) {
+	if len(ws) == 0 {
+		return 0, nil
 	}
-	s.writesSeen.Add(1)
-	// The epoch bump precedes the sweep (see the epoch field); the prepared
-	// write is retained so staleSince can test raced inserts precisely.
-	defer s.closeEvent(s.openEvent(pw))
+	pws := make([]*analysis.PreparedWrite, len(ws))
+	for i, w := range ws {
+		pw, err := s.opts.Engine.PrepareWrite(w)
+		if err != nil {
+			return 0, err
+		}
+		pws[i] = pw
+	}
+	s.writesSeen.Add(uint64(len(ws)))
+	// Each epoch bump precedes the sweep (see the epoch field); the prepared
+	// writes are retained so staleSince can test raced inserts precisely.
+	for _, pw := range pws {
+		defer s.closeEvent(s.openEvent(pw))
+	}
 	// ColumnOnly deliberately ignores bound values, so the value-based
 	// probe index must not narrow its candidate set.
 	useProbes := s.opts.Engine.Strategy() != analysis.StrategyColumnOnly
 
 	// Snapshot the dependency instances shard by shard, then run the
-	// (potentially extra-query-backed) intersection tests outside all locks
-	// so concurrent lookups are not serialised behind the analysis.
+	// intersection tests outside all locks so concurrent lookups are not
+	// serialised behind the analysis.
 	type candidate struct {
+		pw    *analysis.PreparedWrite
 		query analysis.Query
 		keys  []string
 	}
 	var candidates []candidate
-	collect := func(inst *depInstance) {
-		candidates = append(candidates, candidate{query: inst.query, keys: inst.keys()})
+	collect := func(pw *analysis.PreparedWrite, inst *depInstance) {
+		candidates = append(candidates, candidate{pw: pw, query: inst.query, keys: inst.keys()})
 	}
 	for i := range s.depShards {
 		ds := &s.depShards[i]
 		ds.mu.Lock()
 		for tmpl, dt := range ds.deps {
-			dep, derr := s.opts.Engine.PossiblyDependent(tmpl, w.SQL)
-			if derr != nil {
-				ds.mu.Unlock()
-				return 0, derr
-			}
-			if !dep {
-				continue
-			}
-			if useProbes && dt.info != nil {
-				if p, hasProbe := dt.info.Probes[pw.Table()]; hasProbe {
-					if probeKeys, bounded := pw.ProbeKeys(p.Col); bounded {
-						seen := make(map[*depInstance]bool)
-						for _, pk := range probeKeys {
-							for _, inst := range dt.probeIdx[pw.Table()][pk] {
-								if !seen[inst] {
-									seen[inst] = true
-									collect(inst)
+			for j, pw := range pws {
+				dep, derr := s.opts.Engine.PossiblyDependent(tmpl, ws[j].SQL)
+				if derr != nil {
+					ds.mu.Unlock()
+					return 0, derr
+				}
+				if !dep {
+					continue
+				}
+				if useProbes && dt.info != nil {
+					if p, hasProbe := dt.info.Probes[pw.Table()]; hasProbe {
+						if probeKeys, bounded := pw.ProbeKeys(p.Col); bounded {
+							seen := make(map[*depInstance]bool)
+							for _, pk := range probeKeys {
+								for _, inst := range dt.probeIdx[pw.Table()][pk] {
+									if !seen[inst] {
+										seen[inst] = true
+										collect(pw, inst)
+									}
 								}
 							}
+							continue
 						}
-						continue
 					}
 				}
-			}
-			for _, inst := range dt.instances {
-				collect(inst)
+				for _, inst := range dt.instances {
+					collect(pw, inst)
+				}
 			}
 		}
 		ds.mu.Unlock()
@@ -741,7 +783,7 @@ func (s *Store[V]) invalidateThen(w analysis.WriteCapture, then func()) (int, er
 
 	victims := make(map[string]bool)
 	for _, cand := range candidates {
-		hit, err := pw.Intersects(cand.query)
+		hit, err := cand.pw.Intersects(cand.query)
 		if err != nil {
 			return 0, err
 		}
@@ -760,7 +802,7 @@ func (s *Store[V]) invalidateThen(w analysis.WriteCapture, then func()) (int, er
 	s.invalidations.Add(uint64(n))
 	if s.tier != nil {
 		// §3.2 across restarts: the removals must be durable before the
-		// writer's response is released.
+		// writer's response is released — one sync for every write.
 		if err := s.tier.Sync(); err != nil {
 			return n, err
 		}
@@ -1011,7 +1053,7 @@ type StoreStats struct {
 	Invalidations    uint64 // entries removed by write invalidation
 	Evictions        uint64 // entries removed by capacity pressure
 	Expirations      uint64 // entries removed because their TTL passed
-	WritesSeen       uint64 // InvalidateWrite calls
+	WritesSeen       uint64 // write captures InvalidateWrite analysed (one per statement)
 	AdmissionRejects uint64 // inserts refused by the TinyLFU admission filter
 	OversizeRejects  uint64 // inserts refused because one entry exceeds MaxBytes
 	Entries          int    // current entry count

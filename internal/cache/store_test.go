@@ -16,6 +16,28 @@ import (
 	"autowebcache/internal/memdb"
 )
 
+func TestShardCount(t *testing.T) {
+	cases := map[int]int{1: 1, 2: 2, 3: 4, 5: 8, 8: 8, 9: 16, 250: 256, 1000: 256}
+	for in, want := range cases {
+		if got := shardCount(in); got != want {
+			t.Errorf("shardCount(%d) = %d, want %d", in, got, want)
+		}
+	}
+	n := shardCount(0) // GOMAXPROCS-derived: must still be a power of two in range
+	if n < 1 || n > maxShards || n&(n-1) != 0 {
+		t.Errorf("shardCount(0) = %d, not a power of two in [1,%d]", n, maxShards)
+	}
+}
+
+func TestShardHashSpreads(t *testing.T) {
+	if shardHash("") != 2166136261 {
+		t.Errorf("FNV-1a offset basis: got %d", shardHash(""))
+	}
+	if shardHash("/page?x=1") == shardHash("/page?x=2") {
+		t.Error("adjacent keys collide")
+	}
+}
+
 func newStore(t *testing.T, opts Options) *Store[int] {
 	t.Helper()
 	if opts.Engine == nil {
@@ -540,7 +562,7 @@ func TestStoreOpenEvents(t *testing.T) {
 		return s.InsertSince(epoch0, key, depOn(k), func() { put(s, key, 64, k) })
 	}
 	var during uint64
-	if _, err := s.invalidateThen(writeRow(2), func() {
+	if _, err := s.invalidateThen([]analysis.WriteCapture{writeRow(2)}, func() {
 		during = s.Epoch()
 		if insertSince(during, "/two", 2) {
 			t.Error("an insert overlapping the open write was accepted")

@@ -26,36 +26,67 @@ func realisticGetResp() (*getRespMeta, []byte) {
 	}, []byte(strings.Repeat("<tr><td>bid</td></tr>", 3072/21))
 }
 
-// BenchmarkPeerFrame measures one get-resp frame through the codec: encode
-// is writeFrame into a discarding writer, decode is readFrame plus the meta
-// decode a fetching node performs.
+// realisticInv is a RUBiS storeBid request's invalidation frame: the bid
+// INSERT and the item UPDATE it is followed by, as one broadcast.
+func realisticInv() *invMeta {
+	return &invMeta{
+		Captures: []analysis.WriteCapture{
+			{Query: analysis.Query{
+				SQL:  "INSERT INTO bids (user_id, item_id, qty, bid, max_bid, date) VALUES (?, ?, ?, ?, ?, ?)",
+				Args: []memdb.Value{int64(815), int64(4711), int64(1), 12.5, 15.0, "2026-01-02 03:04:05"},
+			}, AutoID: 90210, HasAutoID: true},
+			{Query: analysis.Query{
+				SQL:  "UPDATE items SET nb_of_bids = nb_of_bids + 1, max_bid = ? WHERE id = ?",
+				Args: []memdb.Value{12.5, int64(4711)},
+			}},
+		},
+		Origin: "127.0.0.1:19080",
+		Seq:    1290,
+	}
+}
+
+// BenchmarkPeerFrame measures peer frames through the codec: encode is
+// writeFrame into a discarding writer, decode is readFrame plus the meta
+// decode the receiving node performs. get-resp is a fetch answer, inv-two
+// a write request's two-capture invalidation.
 func BenchmarkPeerFrame(b *testing.B) {
 	m, body := realisticGetResp()
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := writeFrame(io.Discard, msgGetResp, m, body); err != nil {
-				b.Fatal(err)
+	frames := []struct {
+		name  string
+		typ   byte
+		m     meta
+		body  []byte
+		empty func() meta
+	}{
+		{"get-resp", msgGetResp, m, body, func() meta { return &getRespMeta{} }},
+		{"inv-two", msgInv, realisticInv(), nil, func() meta { return &invMeta{} }},
+	}
+	for _, f := range frames {
+		b.Run(f.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := writeFrame(io.Discard, f.typ, f.m, f.body); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		frame := encodeFrame(b, msgGetResp, m, body)
-		src := bytes.NewReader(frame)
-		r := frameReader(nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src.Reset(frame)
-			r.Reset(src)
-			typ, raw, _, err := readFrame(r)
-			if err != nil {
-				b.Fatal(err)
+		})
+		b.Run(f.name+"/decode", func(b *testing.B) {
+			frame := encodeFrame(b, f.typ, f.m, f.body)
+			src := bytes.NewReader(frame)
+			r := frameReader(nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Reset(frame)
+				r.Reset(src)
+				typ, raw, _, err := readFrame(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := decodeMeta(typ, raw, f.empty()); err != nil {
+					b.Fatal(err)
+				}
 			}
-			var got getRespMeta
-			if err := decodeMeta(typ, raw, &got); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

@@ -89,6 +89,25 @@ func newTnode(t *testing.T, name string, cfg Config) *tnode {
 				servlet.WriteHTML(w, "ok")
 			},
 		},
+		{
+			// Receive is a write request of two statements: a new stock row
+			// for product, and a recount of other.
+			Name: "Receive", Path: "/receive", Write: true,
+			Fn: func(w http.ResponseWriter, r *http.Request) {
+				units := servlet.ParamInt(r, "units", 0)
+				if _, err := conn.Exec(r.Context(), "INSERT INTO stock (product, units) VALUES (?, ?)",
+					servlet.Param(r, "product"), units); err != nil {
+					servlet.ServerError(w, err)
+					return
+				}
+				if _, err := conn.Exec(r.Context(), "UPDATE stock SET units = ? WHERE product = ?",
+					units, servlet.Param(r, "other")); err != nil {
+					servlet.ServerError(w, err)
+					return
+				}
+				servlet.WriteHTML(w, "ok")
+			},
+		},
 	}
 	woven, err := weave.New(handlers, c, weave.Rules{})
 	if err != nil {
@@ -207,6 +226,63 @@ func TestClusterStrongInvalidation(t *testing.T) {
 	body, _ := nodes[0].get(t, target)
 	if want := "5 units"; !strings.Contains(body, want) {
 		t.Fatalf("read-after-write body %q, want %q", body, want)
+	}
+}
+
+// appliedSeq is the last broadcast seq n has finished applying from origin.
+func appliedSeq(n *Node, origin string) uint64 {
+	n.seqMu.Lock()
+	defer n.seqMu.Unlock()
+	return n.applied[origin]
+}
+
+// TestWriteRequestIsOneBroadcast: a write request of two statements, an
+// INSERT and an UPDATE, reaches each peer as one invalidation frame — the
+// peer's applied seq for the origin advances by one and the origin counts
+// one send per peer — and every page depending on either statement is gone
+// on every node by the time the writer's response returns.
+func TestWriteRequestIsOneBroadcast(t *testing.T) {
+	nodes := newCluster(t, 3, Config{ProbeInterval: -1})
+	origin := nodes[0]
+	pages := []string{"/stock?product=p3", "/stock?product=p9", "/stock?product=p5"}
+	for _, tn := range nodes {
+		for _, pg := range pages {
+			tn.get(t, pg)
+			if !tn.cache.Contains(pg) {
+				t.Fatalf("%s: %s not cached after warm-up", tn.name, pg)
+			}
+		}
+	}
+	seq0 := make([]uint64, len(nodes))
+	for i, tn := range nodes {
+		seq0[i] = appliedSeq(tn.node, origin.node.Addr())
+	}
+	sent0 := origin.node.Snapshot().InvSent
+
+	if _, out := origin.get(t, "/receive?product=p3&other=p9&units=42"); out != string(weave.OutcomeWrite) {
+		t.Fatalf("write outcome %q", out)
+	}
+	for i, tn := range nodes {
+		for _, pg := range pages[:2] {
+			if tn.cache.Contains(pg) {
+				t.Errorf("%s: %s survived the write request", tn.name, pg)
+			}
+		}
+		if !tn.cache.Contains(pages[2]) {
+			t.Errorf("%s: the write request removed the unrelated %s", tn.name, pages[2])
+		}
+		if tn == origin {
+			continue
+		}
+		if got := appliedSeq(tn.node, origin.node.Addr()) - seq0[i]; got != 1 {
+			t.Errorf("%s applied %d frames from the origin, want 1", tn.name, got)
+		}
+		if st := tn.node.Snapshot(); st.GapFlushes != 0 {
+			t.Errorf("%s: %d gap flushes", tn.name, st.GapFlushes)
+		}
+	}
+	if got := origin.node.Snapshot().InvSent - sent0; got != 2 {
+		t.Errorf("origin sent %d invalidation frames to 2 peers, want 2", got)
 	}
 }
 

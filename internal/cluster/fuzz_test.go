@@ -50,7 +50,11 @@ func seedFrames(t testing.TB) [][]byte {
 		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, ContentType: "text/html", TTLNanos: int64(30 * time.Second), Deps: deps, Applied: vector}, body),
 		encodeFrame(t, msgPut, &putMeta{Key: "/k", ContentType: "text/html", Deps: deps, Applied: vector}, body),
 		encodeFrame(t, msgPutResp, &putRespMeta{OK: true}, nil),
-		encodeFrame(t, msgInv, &invMeta{Capture: capture, Origin: "10.0.0.1:9091", Seq: 18}, nil),
+		encodeFrame(t, msgInv, &invMeta{Captures: []analysis.WriteCapture{capture}, Origin: "10.0.0.1:9091", Seq: 18}, nil),
+		encodeFrame(t, msgInv, &invMeta{Captures: []analysis.WriteCapture{capture, {
+			Query:  analysis.Query{SQL: "INSERT INTO t (a, b) VALUES (?, ?)", Args: []memdb.Value{int64(2), "y"}},
+			AutoID: 43, HasAutoID: true,
+		}}, Origin: "10.0.0.1:9091", Seq: 19}, nil),
 		encodeFrame(t, msgInvResp, &invRespMeta{Pages: 3}, nil),
 		encodeFrame(t, msgFlush, &flushMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil),
 		encodeFrame(t, msgFlushResp, &flushRespMeta{OK: true}, nil),

@@ -29,6 +29,12 @@ func goldenFrames(t *testing.T) [][2]string {
 		{SQL: "", Args: []memdb.Value{}},
 	}
 	vector := map[string]uint64{"10.0.0.1:9091": 17}
+	update := analysis.WriteCapture{
+		Query: analysis.Query{SQL: "UPDATE t SET a = ? WHERE b = ?", Args: []memdb.Value{int64(math.MaxInt64), "x"}},
+		Affected: &memdb.Rows{Columns: []string{"a", "b"},
+			Data: [][]memdb.Value{{int64(1), math.Copysign(0, -1)}, nil, {}}},
+		AutoID: 42, HasAutoID: true,
+	}
 	body := []byte("<html>page body</html>")
 	frames := []struct {
 		name string
@@ -42,12 +48,11 @@ func goldenFrames(t *testing.T) [][2]string {
 		{"put", msgPut, &putMeta{Key: "/k", ContentType: "text/html", TTLNanos: 30e9,
 			Deps: deps, Applied: map[string]uint64{}}, body},
 		{"put-resp", msgPutResp, &putRespMeta{OK: true}, nil},
-		{"inv", msgInv, &invMeta{Origin: "10.0.0.1:9091", Seq: math.MaxUint64, Capture: analysis.WriteCapture{
-			Query: analysis.Query{SQL: "UPDATE t SET a = ? WHERE b = ?", Args: []memdb.Value{int64(math.MaxInt64), "x"}},
-			Affected: &memdb.Rows{Columns: []string{"a", "b"},
-				Data: [][]memdb.Value{{int64(1), math.Copysign(0, -1)}, nil, {}}},
-			AutoID: 42, HasAutoID: true,
-		}}, nil},
+		{"inv", msgInv, &invMeta{Origin: "10.0.0.1:9091", Seq: math.MaxUint64, Captures: []analysis.WriteCapture{update}}, nil},
+		{"inv-two", msgInv, &invMeta{Origin: "10.0.0.1:9091", Seq: 20, Captures: []analysis.WriteCapture{{
+			Query:  analysis.Query{SQL: "INSERT INTO t (a, b) VALUES (?, ?)", Args: []memdb.Value{int64(3), "y"}},
+			AutoID: 7, HasAutoID: true,
+		}, update}}, nil},
 		{"inv-resp", msgInvResp, &invRespMeta{Pages: 3}, nil},
 		{"flush", msgFlush, &flushMeta{Origin: "10.0.0.1:9091", Seq: 19}, nil},
 		{"flush-resp", msgFlushResp, &flushRespMeta{OK: true}, nil},

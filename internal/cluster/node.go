@@ -111,7 +111,7 @@ type Stats struct {
 	FetchErrors          uint64 // peer calls that failed mid-fetch
 	OffersSent           uint64 // pages replicated to their owner
 	OffersRejected       uint64 // offers an owner's byte budget refused
-	InvSent              uint64 // invalidation broadcasts sent (per peer)
+	InvSent              uint64 // invalidation broadcasts sent (per peer): one frame per write request
 	InvBroadcastFailures uint64 // invalidation/flush sends a peer never applied (down, partitioned, timed out)
 	PingFailures         uint64 // background health probes that failed
 	BreakerSkips         uint64 // peer calls short-circuited by an open breaker (no dial paid)
@@ -121,7 +121,7 @@ type Stats struct {
 	GetsServed           uint64 // peer fetches this node answered (found or not)
 	PutsApplied          uint64 // replica pages this node accepted
 	PutsRejected         uint64 // replica pages this node refused (over budget, stale, or overlapping an open write)
-	InvApplied           uint64 // peer invalidations this node applied
+	InvApplied           uint64 // peer write invalidations this node applied, one per capture (a frame may carry several)
 	FlushApplied         uint64 // peer flushes this node applied
 	PagesRemoved         uint64 // pages removed by peer invalidations
 	PeersHealthy         int    // gauge: peers currently healthy
@@ -142,9 +142,10 @@ type Stats struct {
 
 // Node is one member of the cache cluster. It implements the weave's
 // Remote (Fetch/Offer) and the cache's RemoteInvalidator
-// (BroadcastWrite/BroadcastFlush). Create with New, then Start; Start
-// registers the node on its cache, so every InvalidateWrite on the local
-// cache fans out cluster-wide from then on.
+// (BroadcastWrite/BroadcastFlush, with the batch method BroadcastWrites).
+// Create with New, then Start; Start registers the node on its cache, so
+// every InvalidateWrite on the local cache fans out cluster-wide from then
+// on.
 type Node struct {
 	cfg  Config
 	self string // resolved listen address = ring identity
@@ -495,17 +496,23 @@ func (n *Node) Offer(key string, body []byte, contentType string, deps []analysi
 	}
 }
 
-// BroadcastWrite implements cache.RemoteInvalidator: forward a locally
-// applied write capture to every peer and wait for all of them (bounded by
-// CallTimeout each, in parallel) before returning, so the caller's
-// InvalidateWrite — and therefore the writer's HTTP response — is released
-// only after the invalidation has been applied cluster-wide (§3.2). The
-// error is always nil: a peer that missed the broadcast is counted
-// (Stats.InvBroadcastFailures) and quarantine-flushes on rejoin, so the
-// writer has nothing to act on.
-func (n *Node) BroadcastWrite(w analysis.WriteCapture) error {
-	n.broadcast(msgInv, func(seq uint64) meta { return &invMeta{Capture: w, Origin: n.self, Seq: seq} })
+// BroadcastWrites is the cache.RemoteInvalidator batch method: forward one
+// write request's locally applied captures to every peer as one sequenced
+// frame and wait for all of them (bounded by CallTimeout each, in parallel)
+// before returning, so the caller's InvalidateWrite — and therefore the
+// writer's HTTP response — is released only after the invalidation has
+// been applied cluster-wide (§3.2). The error is always nil: a peer that
+// missed the broadcast is counted (Stats.InvBroadcastFailures) and
+// quarantine-flushes on rejoin, so the writer has nothing to act on.
+func (n *Node) BroadcastWrites(ws []analysis.WriteCapture) error {
+	n.broadcast(msgInv, func(seq uint64) meta { return &invMeta{Captures: ws, Origin: n.self, Seq: seq} })
 	return nil
+}
+
+// BroadcastWrite implements cache.RemoteInvalidator: BroadcastWrites of one
+// capture.
+func (n *Node) BroadcastWrite(w analysis.WriteCapture) error {
+	return n.BroadcastWrites([]analysis.WriteCapture{w})
 }
 
 // BroadcastFlush implements cache.RemoteInvalidator for full flushes
@@ -718,22 +725,27 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 		pages := 0
 		if n.startApplied(m.Origin, m.Seq, false) {
 			// The seq jumped past last+1: broadcasts were missed while this
-			// node was unreachable. The targeted sweep cannot undo the
+			// node was unreachable. The targeted sweeps cannot undo the
 			// missed ones, so quarantine — and the flush subsumes this
-			// capture's own sweep.
+			// frame's own captures.
 			pages = n.quarantine(m.Origin, m.Seq)
 		} else {
-			// Local-only application: re-broadcasting a received
-			// invalidation would echo around the cluster forever.
-			var err error
-			if pages, err = n.cfg.Cache.InvalidateWriteLocal(m.Capture); err != nil {
-				// Unanalysable here: flush, the always-sound fallback.
-				pages = n.cfg.Cache.Len()
-				n.cfg.Cache.FlushLocal()
+			// Local-only application, in the origin's order: re-broadcasting
+			// a received invalidation would echo around the cluster forever.
+			for _, w := range m.Captures {
+				k, err := n.cfg.Cache.InvalidateWriteLocal(w)
+				if err != nil {
+					// Unanalysable here: one flush, the always-sound
+					// fallback, covers this capture and the rest.
+					pages += n.cfg.Cache.Len()
+					n.cfg.Cache.FlushLocal()
+					break
+				}
+				pages += k
 			}
 		}
 		n.markApplied(m.Origin, m.Seq)
-		n.invApplied.Add(1)
+		n.invApplied.Add(uint64(len(m.Captures)))
 		n.pagesRemoved.Add(uint64(pages))
 		return msgInvResp, &invRespMeta{Pages: pages}, nil, nil
 

@@ -119,7 +119,7 @@ func (r *Ring) String() string {
 // weak avalanche on short, similar strings — the vnode labels "addr/0",
 // "addr/1", … land clustered on the ring, skewing ownership several-fold —
 // so the finalizer mixes the result to uniform. Allocation-free like
-// stripe.Hash.
+// the cache's shard hash.
 func hash64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -27,20 +27,21 @@ import (
 // encoding of package codec; a meta with trailing bytes is refused.
 //
 // The type codes start at 0x11. Codes 1–10 carried JSON metas in an earlier
-// encoding; a node of either encoding refuses the other's frames as an
-// unknown or unexpected type — the connection drops and the breaker counts
-// the failure — instead of misreading them.
+// encoding, and 0x15–0x16 an invalidation of exactly one capture in an
+// earlier layout; nodes that disagree on a message's encoding refuse each
+// other's frames as an unknown or unexpected type — the connection drops
+// and the breaker counts the failure — instead of misreading them.
 const (
 	msgGet       byte = 0x11 // fetch a page from its owner; body: none
 	msgGetResp   byte = 0x12 // body: the page body when found
 	msgPut       byte = 0x13 // replicate a page to an owner; body: the page body
 	msgPutResp   byte = 0x14
-	msgInv       byte = 0x15 // apply a write invalidation; meta carries the capture
-	msgInvResp   byte = 0x16
 	msgFlush     byte = 0x17 // drop every cached page
 	msgFlushResp byte = 0x18
 	msgPing      byte = 0x19 // health probe; meta carries the sender's broadcast watermark
 	msgPong      byte = 0x1a
+	msgInv       byte = 0x1b // apply a write request's invalidations; meta carries its captures
+	msgInvResp   byte = 0x1c
 )
 
 // maxFrame bounds a frame so a corrupt or hostile length prefix cannot make
@@ -129,20 +130,40 @@ type putRespMeta struct {
 func (m *putRespMeta) appendTo(b []byte) []byte { return codec.AppendBool(b, m.OK) }
 func (m *putRespMeta) decode(d *codec.Decoder)  { m.OK = d.Bool() }
 
-// invMeta carries a write capture for remote invalidation. Flush is the
-// dedicated msgFlush, not an empty capture. Origin/Seq sequence the
-// broadcast: Seq is the origin node's monotonically increasing broadcast
-// counter, and the origin serializes its broadcasts end to end, so a
-// receiver that sees seq jump past last+1 provably missed a broadcast
-// (it was down or partitioned) and must quarantine-flush.
+// invMeta carries one write request's captures for remote invalidation, in
+// the order the request executed them. Flush is the dedicated msgFlush, not
+// an empty capture. Origin/Seq sequence the broadcast: Seq is the origin
+// node's monotonically increasing broadcast counter, and the origin
+// serializes its broadcasts end to end, so a receiver that sees seq jump
+// past last+1 provably missed a broadcast (it was down or partitioned) and
+// must quarantine-flush.
 type invMeta struct {
-	Capture analysis.WriteCapture
-	Origin  string
-	Seq     uint64
+	Captures []analysis.WriteCapture
+	Origin   string
+	Seq      uint64
 }
 
 func (m *invMeta) appendTo(b []byte) []byte {
-	w := &m.Capture
+	b = codec.AppendList(b, len(m.Captures), m.Captures == nil)
+	for i := range m.Captures {
+		b = appendCapture(b, &m.Captures[i])
+	}
+	b = codec.AppendString(b, m.Origin)
+	return codec.AppendUvarint(b, m.Seq)
+}
+
+func (m *invMeta) decode(d *codec.Decoder) {
+	if n, ok := d.List(); ok {
+		m.Captures = make([]analysis.WriteCapture, n)
+		for i := range m.Captures {
+			decodeCapture(d, &m.Captures[i])
+		}
+	}
+	m.Origin = d.Str()
+	m.Seq = d.Uvarint()
+}
+
+func appendCapture(b []byte, w *analysis.WriteCapture) []byte {
 	b = codec.AppendString(b, w.SQL)
 	b = codec.AppendValues(b, w.Args)
 	b = codec.AppendBool(b, w.Affected != nil)
@@ -157,13 +178,10 @@ func (m *invMeta) appendTo(b []byte) []byte {
 		}
 	}
 	b = codec.AppendVarint(b, w.AutoID)
-	b = codec.AppendBool(b, w.HasAutoID)
-	b = codec.AppendString(b, m.Origin)
-	return codec.AppendUvarint(b, m.Seq)
+	return codec.AppendBool(b, w.HasAutoID)
 }
 
-func (m *invMeta) decode(d *codec.Decoder) {
-	w := &m.Capture
+func decodeCapture(d *codec.Decoder, w *analysis.WriteCapture) {
 	w.SQL = d.Str()
 	w.Args = d.Values()
 	if d.Bool() {
@@ -184,8 +202,6 @@ func (m *invMeta) decode(d *codec.Decoder) {
 	}
 	w.AutoID = d.Varint()
 	w.HasAutoID = d.Bool()
-	m.Origin = d.Str()
-	m.Seq = d.Uvarint()
 }
 
 // invRespMeta reports how many pages the peer removed. Nodes whose versions

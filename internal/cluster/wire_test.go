@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -87,8 +88,8 @@ func sameBits(a, b reflect.Value) bool {
 func TestWireCaptureRoundTrip(t *testing.T) {
 	capture := func(t *testing.T, w analysis.WriteCapture) analysis.WriteCapture {
 		t.Helper()
-		got, _ := roundTrip(t, msgInv, &invMeta{Capture: w}, nil)
-		return got.(*invMeta).Capture
+		got, _ := roundTrip(t, msgInv, &invMeta{Captures: []analysis.WriteCapture{w}}, nil)
+		return got.(*invMeta).Captures[0]
 	}
 	w := analysis.WriteCapture{
 		Query: analysis.Query{
@@ -152,16 +153,21 @@ func TestMetaRoundTrip(t *testing.T) {
 		{"put/nil deps and vector", msgPut, &putMeta{Key: "/k", ContentType: "text/html"}},
 		{"put-resp", msgPutResp, &putRespMeta{OK: true}},
 		{"put-resp/refused", msgPutResp, &putRespMeta{}},
-		{"inv", msgInv, &invMeta{Origin: "10.0.0.1:9091", Seq: math.MaxUint64, Capture: analysis.WriteCapture{
+		{"inv", msgInv, &invMeta{Origin: "10.0.0.1:9091", Seq: math.MaxUint64, Captures: []analysis.WriteCapture{{
 			Query:    analysis.Query{SQL: "UPDATE t SET a = ? WHERE b = ?", Args: edge},
 			Affected: &memdb.Rows{Columns: []string{"a", ""}, Data: [][]memdb.Value{edge, nil, {}}},
 			AutoID:   math.MinInt64, HasAutoID: true,
+		}}}},
+		{"inv/two captures", msgInv, &invMeta{Origin: "10.0.0.1:9091", Seq: 2, Captures: []analysis.WriteCapture{
+			capture("INSERT INTO t (a) VALUES (?)", []memdb.Value{int64(1)}, nil),
+			capture("UPDATE t SET a = ? WHERE b = ?", []memdb.Value{int64(2), "x"}, &memdb.Rows{Columns: []string{"a", "b"}}),
 		}}},
-		{"inv/nil args, nil affected", msgInv, &invMeta{Capture: capture("DELETE FROM t", nil, nil)}},
-		{"inv/empty args", msgInv, &invMeta{Capture: capture("DELETE FROM t", []memdb.Value{}, nil)}},
-		{"inv/0-row affected", msgInv, &invMeta{Capture: capture("DELETE FROM t WHERE a = ?", []memdb.Value{int64(1)},
-			&memdb.Rows{Columns: []string{"a"}, Data: [][]memdb.Value{}})}},
-		{"inv/empty affected", msgInv, &invMeta{Capture: capture("DELETE FROM t", nil, &memdb.Rows{})}},
+		{"inv/nil captures", msgInv, &invMeta{Origin: "10.0.0.1:9091", Seq: 3}},
+		{"inv/nil args, nil affected", msgInv, &invMeta{Captures: []analysis.WriteCapture{capture("DELETE FROM t", nil, nil)}}},
+		{"inv/empty args", msgInv, &invMeta{Captures: []analysis.WriteCapture{capture("DELETE FROM t", []memdb.Value{}, nil)}}},
+		{"inv/0-row affected", msgInv, &invMeta{Captures: []analysis.WriteCapture{capture("DELETE FROM t WHERE a = ?", []memdb.Value{int64(1)},
+			&memdb.Rows{Columns: []string{"a"}, Data: [][]memdb.Value{}})}}},
+		{"inv/empty affected", msgInv, &invMeta{Captures: []analysis.WriteCapture{capture("DELETE FROM t", nil, &memdb.Rows{})}}},
 		{"inv-resp", msgInvResp, &invRespMeta{Pages: math.MaxInt}},
 		{"flush", msgFlush, &flushMeta{Origin: "10.0.0.1:9091", Seq: 19}},
 		{"flush-resp", msgFlushResp, &flushRespMeta{OK: true}},
@@ -177,8 +183,8 @@ func TestMetaRoundTrip(t *testing.T) {
 			t.Errorf("%s:\n got %#v\nwant %#v", c.name, got, c.m)
 		}
 	}
-	for typ := msgGet; typ <= msgPong; typ++ {
-		if !covered[typ] {
+	for typ := msgGet; typ <= msgInvResp; typ++ {
+		if metaFor(typ) != nil && !covered[typ] { // 0x15–0x16 are retired
 			t.Errorf("message type %#x has no round-trip case", typ)
 		}
 	}
@@ -259,6 +265,9 @@ func TestDecodeMetaRefuses(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<62)
 	// A put meta up to its deps: key "k", empty content type, TTL 0.
 	putPrefix := append(codec.AppendString(nil, "k"), 0, 0)
+	// An inv meta up to its first capture: a list of one, capped so each
+	// case's append copies it.
+	oneCapture := slices.Clip(codec.AppendList(nil, 1, false))
 	cases := []struct {
 		name string
 		typ  byte
@@ -266,15 +275,16 @@ func TestDecodeMetaRefuses(t *testing.T) {
 		want string
 	}{
 		{"trailing bytes", msgGet, append(codec.AppendString(nil, "k"), 0), "trailing"},
-		{"unknown value tag", msgInv, append(codec.AppendString(nil, "DELETE FROM t WHERE a = ?"), 2, 0x7f), "tag"},
+		{"unknown value tag", msgInv, append(codec.AppendString(oneCapture, "DELETE FROM t WHERE a = ?"), 2, 0x7f), "tag"},
 		{"bad bool", msgPutResp, []byte{2}, "bool"},
 		{"truncated", msgPing, codec.AppendString(nil, "origin")[:3], "exceeds"},
-		{"truncated float", msgInv, append(append(codec.AppendString(nil, "x"), 2), codec.AppendValue(nil, 1.5)[:3]...), "truncated"},
+		{"truncated float", msgInv, append(append(codec.AppendString(oneCapture, "x"), 2), codec.AppendValue(nil, 1.5)[:3]...), "truncated"},
 		{"string length beyond bytes left", msgGet, append(huge, 'k'), "exceeds"},
 		{"deps count beyond bytes left", msgPut, append(putPrefix, huge...), "exceeds"},
-		{"args count beyond bytes left", msgInv, append(codec.AppendString(nil, "x"), huge...), "exceeds"},
+		{"args count beyond bytes left", msgInv, append(codec.AppendString(oneCapture, "x"), huge...), "exceeds"},
 		{"vector count beyond bytes left", msgGetResp, append([]byte{1, 0, 0, 0}, huge...), "exceeds"},
-		{"affected rows beyond bytes left", msgInv, append(append(codec.AppendString(nil, "x"), 0, 1, 0), huge...), "exceeds"},
+		{"affected rows beyond bytes left", msgInv, append(append(codec.AppendString(oneCapture, "x"), 0, 1, 0), huge...), "exceeds"},
+		{"captures count beyond bytes left", msgInv, huge, "exceeds"},
 	}
 	for _, c := range cases {
 		err := decodeMeta(c.typ, c.raw, metaFor(c.typ))
@@ -368,5 +378,36 @@ func TestRefusesJSONMetaFrames(t *testing.T) {
 	}
 	if len(p.idle) != 0 || p.health.snapshot() == StateHealthy {
 		t.Fatalf("refused response: %d pooled conns, peer %v", len(p.idle), p.health.snapshot())
+	}
+}
+
+// TestRefusesOneCaptureInvFrames: a node drops, without applying it, an
+// invalidation in the earlier one-capture layout (type 0x15), so a node of
+// that layout can never have its invalidation misread as a capture list.
+func TestRefusesOneCaptureInvFrames(t *testing.T) {
+	_, n := bareNode(t, Config{ProbeInterval: -1, Logf: func(string, ...any) {}})
+	m := codec.AppendString(nil, "DELETE FROM t")
+	m = append(m, 0, 0)          // nil args, no affected rows
+	m = codec.AppendVarint(m, 0) // auto id
+	m = append(m, 0)             // no auto id
+	m = codec.AppendString(m, "10.0.0.9:9091")
+	m = codec.AppendUvarint(m, 1)
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) // hang guard only
+	// The framing itself is unchanged, so jsonFrame builds the frame.
+	if _, err := conn.Write(jsonFrame(0x15, string(m), "")); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := readFrame(bufio.NewReader(conn)); err == nil {
+		t.Fatalf("a one-capture inv frame was answered with type %#x", typ)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("a one-capture inv frame left the connection open")
+	}
+	if st := n.Snapshot(); st.InvApplied != 0 || st.GapFlushes != 0 {
+		t.Fatalf("a one-capture inv frame was applied: %+v", st)
 	}
 }

@@ -374,24 +374,14 @@ func (w *Woven) run(fn http.HandlerFunc, rw http.ResponseWriter, r *http.Request
 	return rec, 0
 }
 
-// applyInvalidations processes the recorder's write captures against the
-// cache and returns how many entries they removed. A capture the engine could
-// not analyse, or a sweep that failed (analysis error, or a disk tier that
-// could not make the removals durable), flushes the whole cache instead —
-// over-invalidation is always sound.
+// applyInvalidations hands the recorder's write captures to the cache as one
+// invalidation — one sweep, one peer broadcast — and returns how many
+// entries they removed. A capture the engine could not analyse, or a sweep
+// that failed, makes the cache flush instead (see Cache.InvalidateWrite);
+// over-invalidation is always sound, so the error needs no handling here.
 func (w *Woven) applyInvalidations(rec *Recorder) int {
-	total := 0
-	for _, wc := range rec.Writes() {
-		if wc.SQL != "" {
-			if n, err := w.cache.InvalidateWrite(wc); err == nil {
-				total += n
-				continue
-			}
-		}
-		total += w.cache.Len()
-		w.cache.Flush()
-	}
-	return total
+	n, _ := w.cache.InvalidateWrite(rec.Writes()...)
+	return n
 }
 
 // uncacheable serves a read interaction directly, bypassing the cache — the
