@@ -51,8 +51,9 @@ race:
 # flake repeats the tests whose verdicts could depend on goroutine
 # interleaving — the TPC-W figure claims, the histogram scraped while
 # observed, the weave stats snapshotted while recorded, the cluster's
-# replica windows and its property harness (fetches and offers racing
-# strong writes), and the packages holding the miss protocol, the epoch
+# replica windows, its property harness (fetches, resolves and offers
+# racing strong writes), the resolve path's refusal windows and cross-node
+# single-flight, and the packages holding the miss protocol, the epoch
 # guard, the shared-file driver and the peer transport under the cluster's
 # chaos and property harnesses — plain and under the race detector.
 # `go test` judges counts, bytes, allocations and invariants, never timing,
@@ -62,7 +63,7 @@ flake:
 	  $(GO) test $$race -count=20 -run 'TestFig14CacheWins|TestFig15SemanticsHelps' ./internal/bench && \
 	  $(GO) test $$race -count=200 -run TestConcurrentUseWithScrapes ./internal/telemetry && \
 	  $(GO) test $$race -count=20 -run TestSnapshotRatiosNeverExceedOne ./internal/weave && \
-	  $(GO) test $$race -count=20 -run 'TestFetchWindow|TestOfferWindow|TestExportVouchesOnlyForAppliedWrites|TestClusterPropertyConsistency' ./internal/cluster && \
+	  $(GO) test $$race -count=20 -run 'TestFetchWindow|TestOfferWindow|TestExportVouchesOnlyForAppliedWrites|TestClusterPropertyConsistency|TestResolveRefusals|TestResolveCoalescesAcrossMembers|TestResolveWriteRemovesOwnerPage' ./internal/cluster && \
 	  $(GO) test $$race -count=5 ./internal/weave ./internal/cache/... ./internal/datasource/... ./internal/cluster/... || exit 1; \
 	done
 

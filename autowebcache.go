@@ -397,8 +397,10 @@ type ClusterConfig struct {
 }
 
 // Cluster boots the peer tier over the Runtime's caches and attaches it to
-// the woven handler: handler misses consult the key's owner nodes before
-// executing, and every cache invalidation fans out to the peers. The
+// the woven handler: a miss on a key another node owns is resolved at that
+// owner — which answers from its cache or runs the handler for the request,
+// so it holds every page its peers ask for — and every cache invalidation
+// fans out to the peers. The
 // returned node must be Closed on shutdown. Requires the cached
 // configuration (Config.Disabled unset).
 //
@@ -423,6 +425,7 @@ func (rt *Runtime) Cluster(handler *Woven, cfg ClusterConfig) (*ClusterNode, err
 		Cache:            rt.cache,
 		ProbeInterval:    cfg.ProbeInterval,
 		FailureThreshold: cfg.FailureThreshold,
+		Generate:         handler.ResolvePeer,
 	}
 	if rt.l2 != nil {
 		// The disk tier doubles as the invalidation-sequence journal, so a

@@ -278,15 +278,15 @@ type clusterCounter struct {
 }
 
 var clusterCounters = []clusterCounter{
-	{"awc_cluster_remote_hits_total", "Fetches served by a peer. Mirrors cluster.Stats.RemoteHits.",
+	{"awc_cluster_remote_hits_total", "Misses the key's owner answered, from its cache or by running the handler. Mirrors cluster.Stats.RemoteHits.",
 		func(s *ClusterStats) uint64 { return s.RemoteHits }},
-	{"awc_cluster_remote_misses_total", "Fetches no peer could serve. Mirrors cluster.Stats.RemoteMisses.",
+	{"awc_cluster_remote_misses_total", "Misses the key's owner did not answer: not held, refused, unreachable or discarded here. Mirrors cluster.Stats.RemoteMisses.",
 		func(s *ClusterStats) uint64 { return s.RemoteMisses }},
-	{"awc_cluster_fetch_aborts_total", "Fetched pages discarded because an invalidation raced the fetch. Mirrors cluster.Stats.FetchAborts.",
+	{"awc_cluster_fetch_aborts_total", "Owner answers discarded because an invalidation raced the round trip. Mirrors cluster.Stats.FetchAborts.",
 		func(s *ClusterStats) uint64 { return s.FetchAborts }},
 	{"awc_cluster_fetch_errors_total", "Peer calls that failed mid-fetch. Mirrors cluster.Stats.FetchErrors.",
 		func(s *ClusterStats) uint64 { return s.FetchErrors }},
-	{"awc_cluster_offers_sent_total", "Pages replicated to their owner nodes. Mirrors cluster.Stats.OffersSent.",
+	{"awc_cluster_offers_sent_total", "Pages replicated to their owner nodes; only a remote without Resolve offers. Mirrors cluster.Stats.OffersSent.",
 		func(s *ClusterStats) uint64 { return s.OffersSent }},
 	{"awc_cluster_offers_rejected_total", "Replica offers an owner's byte budget refused. Mirrors cluster.Stats.OffersRejected.",
 		func(s *ClusterStats) uint64 { return s.OffersRejected }},
@@ -300,12 +300,14 @@ var clusterCounters = []clusterCounter{
 		func(s *ClusterStats) uint64 { return s.BreakerSkips }},
 	{"awc_cluster_gap_flushes_total", "Quarantine flushes forced by a detected invalidation-sequence gap. Mirrors cluster.Stats.GapFlushes.",
 		func(s *ClusterStats) uint64 { return s.GapFlushes }},
-	{"awc_cluster_stale_fetch_rejects_total", "Fetched pages discarded because the exporter had missed invalidations. Mirrors cluster.Stats.StaleFetchRejects.",
+	{"awc_cluster_stale_fetch_rejects_total", "Owner answers discarded because the owner had missed invalidations the requester had started. Mirrors cluster.Stats.StaleFetchRejects.",
 		func(s *ClusterStats) uint64 { return s.StaleFetchRejects }},
 	{"awc_cluster_stale_put_rejects_total", "Replica offers refused because the offerer had missed invalidations. Mirrors cluster.Stats.StalePutRejects.",
 		func(s *ClusterStats) uint64 { return s.StalePutRejects }},
-	{"awc_cluster_gets_served_total", "Peer fetches this node answered. Mirrors cluster.Stats.GetsServed.",
+	{"awc_cluster_gets_served_total", "Peer gets (forwarded misses and fetches) this node answered, found or not. Mirrors cluster.Stats.GetsServed.",
 		func(s *ClusterStats) uint64 { return s.GetsServed }},
+	{"awc_cluster_gets_generated_total", "Peer misses this node answered by running the handler as the key's owner. Mirrors cluster.Stats.GetsGenerated.",
+		func(s *ClusterStats) uint64 { return s.GetsGenerated }},
 	{"awc_cluster_puts_applied_total", "Replica pages this node accepted. Mirrors cluster.Stats.PutsApplied.",
 		func(s *ClusterStats) uint64 { return s.PutsApplied }},
 	{"awc_cluster_puts_rejected_total", "Replica pages this node refused (over budget or stale). Mirrors cluster.Stats.PutsRejected.",
@@ -338,9 +340,9 @@ func (a *Admin) WatchCluster(n *ClusterNode) *Admin {
 			"Peers currently in each health state. Mirrors cluster.Stats.PeersHealthy/PeersSuspect/PeersDown.",
 			"state")
 		g.Declare("awc_cluster_fetch_duration_seconds", telemetry.TypeHistogram,
-			"Latency of Fetch (owner walk after a local miss, hit or not; walks that only met open breakers are excluded). Mirrors cluster.Stats.FetchLatency.")
+			"Latency of the owner round trip after a local miss (Resolve or Fetch, answered or not, including an owner's generation; calls that met an open breaker are excluded). Mirrors cluster.Stats.FetchLatency.")
 		g.Declare("awc_cluster_offer_duration_seconds", telemetry.TypeHistogram,
-			"Latency of Offer (page replication to every owner). Mirrors cluster.Stats.OfferLatency.")
+			"Latency of Offer (page replication to the key's owner; only a remote without Resolve offers). Mirrors cluster.Stats.OfferLatency.")
 		g.Declare("awc_cluster_broadcast_duration_seconds", telemetry.TypeHistogram,
 			"Latency of one invalidation/flush broadcast — one frame per write request — including its serialization wait. Mirrors cluster.Stats.BroadcastLatency.")
 

@@ -1,7 +1,8 @@
-// cluster demonstrates the peer tier: three autowebcache nodes joined into
-// one logical cache by a consistent-hash ring, with cross-node page fetch,
-// replication to the owner, and cluster-wide strong invalidation — the
-// multi-node web tier of the paper's own testbed, applied to the cache.
+// cluster demonstrates the peer tier: three autowebcache nodes over one
+// shared database, joined into one logical cache by a consistent-hash
+// ring, with misses resolved at the key's owner and cluster-wide strong
+// invalidation — the multi-node web tier of the paper's own testbed,
+// applied to the cache.
 //
 // The three nodes run in one process for convenience but talk over real
 // loopback TCP, exactly as three machines would.
@@ -20,8 +21,8 @@ import (
 	"autowebcache/internal/weave"
 )
 
-// node is one cluster member: its own database, runtime, woven app and
-// peer-tier endpoint.
+// node is one cluster member: its runtime over the shared database, woven
+// app and peer-tier endpoint.
 type node struct {
 	name    string
 	rt      *autowebcache.Runtime
@@ -29,7 +30,8 @@ type node struct {
 	peer    *autowebcache.ClusterNode
 }
 
-func buildNode(name string) *node {
+// newStockDB is the database every node queries.
+func newStockDB() *autowebcache.DB {
 	db := autowebcache.NewDB()
 	if err := db.CreateTable(autowebcache.TableSpec{
 		Name: "stock",
@@ -41,16 +43,20 @@ func buildNode(name string) *node {
 	}); err != nil {
 		log.Fatal(err)
 	}
+	for _, p := range []string{"anvil", "rocket", "magnet"} {
+		if _, err := db.Exec(context.Background(), "INSERT INTO stock (product, units) VALUES (?, ?)", p, 10); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return db
+}
+
+func buildNode(name string, db *autowebcache.DB) *node {
 	rt, err := autowebcache.New(db, autowebcache.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	conn := rt.Conn()
-	for _, p := range []string{"anvil", "rocket", "magnet"} {
-		if _, err := conn.Exec(context.Background(), "INSERT INTO stock (product, units) VALUES (?, ?)", p, 10); err != nil {
-			log.Fatal(err)
-		}
-	}
 	handlers := []autowebcache.HandlerInfo{
 		{
 			Name: "Stock", Path: "/stock",
@@ -95,8 +101,9 @@ func get(n *node, target string) (string, string) {
 }
 
 func main() {
-	// Boot three nodes, then join them into one ring.
-	nodes := []*node{buildNode("node-A"), buildNode("node-B"), buildNode("node-C")}
+	// Boot three nodes over one database, then join them into one ring.
+	db := newStockDB()
+	nodes := []*node{buildNode("node-A", db), buildNode("node-B", db), buildNode("node-C", db)}
 	addrs := make([]string, len(nodes))
 	for i, n := range nodes {
 		addrs[i] = n.peer.Addr()
@@ -115,18 +122,19 @@ func main() {
 	fmt.Printf("three nodes joined: %s\n", ring)
 	fmt.Printf("key %q is owned by %s\n\n", "/stock?product=anvil", ring.Owner("/stock?product=anvil"))
 
-	// 1. Cold request on node A: the handler runs (miss), and the page is
-	// replicated to its owner node.
+	// 1. Cold request on node A (miss): the miss is resolved at the key's
+	// owner, which runs the handler and keeps the page; A keeps a replica.
+	// (If A owns the key, the handler runs on A.)
 	body, outcome := get(nodes[0], "/stock?product=anvil")
 	fmt.Printf("node-A first read : %-10s %s", outcome, body)
 
 	// 2. The same page from node B: served by the cluster without running
-	// the handler — either fetched from the key's owner (remote-hit) or, if
-	// B owns the key, from the replica A offered it (hit).
+	// the handler — from the key's owner's cache (remote-hit) or, if B owns
+	// the key, from its own (hit).
 	body, outcome = get(nodes[1], "/stock?product=anvil")
 	fmt.Printf("node-B same page  : %-10s %s", outcome, body)
 
-	// 3. And again on B: the fetched replica is now local.
+	// 3. And again on B: the owner's page has a local replica now.
 	_, outcome = get(nodes[1], "/stock?product=anvil")
 	fmt.Printf("node-B again      : %-10s (replica is local now)\n\n", outcome)
 

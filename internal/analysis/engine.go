@@ -314,6 +314,31 @@ func (pw *PreparedWrite) Intersects(read Query) (bool, error) {
 	return true, nil
 }
 
+// ExcludesTemplate reports whether no instance of the read template can
+// intersect the write, whatever its arguments: the template is not
+// possibly dependent on the write, or the value-level test with every read
+// argument unknown is already False (an INSERT's fresh auto-increment key
+// joined on by the read, a WHERE binding the read's literals contradict).
+// Three-valued evaluation only moves from Unknown towards a verdict as
+// arguments become known, so then Intersects is false for every instance
+// and a sweep may skip the template's instances unseen. Under ColumnOnly
+// only the template-level test applies. It never counts an exoneration.
+func (pw *PreparedWrite) ExcludesTemplate(readSQL string) (bool, error) {
+	e := pw.e
+	dep, err := e.PossiblyDependent(readSQL, pw.w.SQL)
+	if err != nil || !dep {
+		return err == nil, err
+	}
+	if e.strategy == StrategyColumnOnly {
+		return false, nil
+	}
+	ri, err := e.Template(readSQL)
+	if err != nil {
+		return false, err
+	}
+	return pw.intersectTri(ri, nil) == False, nil
+}
+
 // insertBinding binds the inserted row's columns. Columns absent from the
 // INSERT get auto-increment or NULL values the analysis cannot know; they
 // bind as unknown — except the auto-increment key when the capture learned

@@ -170,3 +170,58 @@ func TestSweepAsksNoDatasource(t *testing.T) {
 		t.Fatalf("sweeps made datasource calls: %v", by)
 	}
 }
+
+// TestSweepSkipsExcludedTemplate: registering a user — an INSERT whose
+// fresh key no existing bid can reference — is tested against a cached
+// bid-history template once, not once per cached page, so the engine's
+// exoneration count stays flat however many such pages the cache holds.
+func TestSweepSkipsExcludedTemplate(t *testing.T) {
+	const (
+		history  = "SELECT bids.qty, bids.bid, bids.date, users.nickname FROM bids JOIN users ON bids.user_id = users.id WHERE bids.item_id = ? ORDER BY bids.date DESC, bids.id DESC LIMIT ?"
+		register = "INSERT INTO users (nickname, region) VALUES (?, ?)"
+	)
+	db := memdb.New()
+	db.MustCreateTable(memdb.TableSpec{Name: "users", Columns: []memdb.Column{
+		{Name: "id", Type: memdb.TypeInt, AutoIncrement: true},
+		{Name: "nickname", Type: memdb.TypeString},
+		{Name: "region", Type: memdb.TypeInt},
+	}})
+	db.MustCreateTable(memdb.TableSpec{Name: "bids", Columns: []memdb.Column{
+		{Name: "id", Type: memdb.TypeInt, AutoIncrement: true},
+		{Name: "user_id", Type: memdb.TypeInt},
+		{Name: "item_id", Type: memdb.TypeInt},
+		{Name: "qty", Type: memdb.TypeInt},
+		{Name: "bid", Type: memdb.TypeFloat},
+		{Name: "date", Type: memdb.TypeString},
+	}})
+	for _, strategy := range []analysis.Strategy{analysis.StrategyWhereMatch, analysis.StrategyExtraQuery} {
+		eng, err := analysis.NewEngine(strategy, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cache.New(cache.Options{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exonerated := func(pages int) uint64 {
+			t.Helper()
+			for item := int64(0); item < int64(pages); item++ {
+				c.Insert(fmt.Sprintf("/viewBids?itemId=%d", item), []byte("p"), "text/html",
+					[]analysis.Query{{SQL: history, Args: []memdb.Value{item, int64(25)}}}, 0)
+			}
+			before := eng.Stats().Exonerations
+			removed, err := c.InvalidateWrite(analysis.WriteCapture{
+				Query:  analysis.Query{SQL: register, Args: []memdb.Value{"new", int64(1)}},
+				AutoID: int64(1000 + pages), HasAutoID: true,
+			})
+			if err != nil || removed != 0 {
+				t.Fatalf("%v: registering a user removed %d pages, err %v; want 0", strategy, removed, err)
+			}
+			return eng.Stats().Exonerations - before
+		}
+		few, many := exonerated(4), exonerated(400)
+		if many != few {
+			t.Errorf("%v: a user registration exonerated %d instances with 4 history pages cached, %d with 400", strategy, few, many)
+		}
+	}
+}

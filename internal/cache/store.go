@@ -773,6 +773,19 @@ func (s *Store[V]) invalidateThen(ws []analysis.WriteCapture, then func()) (int,
 						}
 					}
 				}
+				// Every instance would be a candidate: one template-level
+				// verdict may rule them all out at once (an INSERT's fresh
+				// key joined on, say).
+				if len(dt.instances) > 1 {
+					excluded, derr := pw.ExcludesTemplate(tmpl)
+					if derr != nil {
+						ds.mu.Unlock()
+						return 0, derr
+					}
+					if excluded {
+						continue
+					}
+				}
 				for _, inst := range dt.instances {
 					collect(pw, inst)
 				}

@@ -10,11 +10,18 @@ import (
 	"autowebcache/internal/memdb"
 )
 
+// realisticResolve is a RUBiS viewItem miss forwarded to the key's owner.
+func realisticResolve() *getMeta {
+	return &getMeta{Key: "/viewItem?itemId=4711", URI: "/viewItem?itemId=4711"}
+}
+
 // realisticGetResp is a RUBiS viewItem page as a fetch returns it: four
 // dependencies, a 3-node applied vector and a 3 KB body.
 func realisticGetResp() (*getRespMeta, []byte) {
 	return &getRespMeta{
 		Found:       true,
+		Cacheable:   true,
+		Status:      200,
 		ContentType: "text/html; charset=utf-8",
 		Deps: []analysis.Query{
 			{SQL: "SELECT * FROM items WHERE id = ?", Args: []memdb.Value{int64(4711)}},
@@ -47,8 +54,9 @@ func realisticInv() *invMeta {
 
 // BenchmarkPeerFrame measures peer frames through the codec: encode is
 // writeFrame into a discarding writer, decode is readFrame plus the meta
-// decode the receiving node performs. get-resp is a fetch answer, inv-two
-// a write request's two-capture invalidation.
+// decode the receiving node performs. resolve is a miss forwarded to the
+// key's owner, get-resp the owner's answer, inv-two a write request's
+// two-capture invalidation.
 func BenchmarkPeerFrame(b *testing.B) {
 	m, body := realisticGetResp()
 	frames := []struct {
@@ -58,6 +66,7 @@ func BenchmarkPeerFrame(b *testing.B) {
 		body  []byte
 		empty func() meta
 	}{
+		{"resolve", msgGet, realisticResolve(), nil, func() meta { return &getMeta{} }},
 		{"get-resp", msgGetResp, m, body, func() meta { return &getRespMeta{} }},
 		{"inv-two", msgInv, realisticInv(), nil, func() meta { return &invMeta{} }},
 	}

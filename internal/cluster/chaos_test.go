@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
 	"autowebcache/internal/cluster/fault"
+	"autowebcache/internal/weave"
 )
 
 // Chaos twin of TestClusterPropertyConsistency: the same randomized
@@ -49,11 +51,29 @@ func TestClusterChaosConsistency(t *testing.T) {
 	t.Logf("seed %d (override with AWC_CHAOS_SEED)", seed)
 
 	inj := fault.NewInjector(seed)
+	const nKeys = 16
+	keys := make([]string, nKeys)
+	index := make(map[string]int, nKeys)
+	deps := make([][]cpDep, nKeys)
+	var gen, settled [nKeys]atomic.Int64
+	var mu [nKeys]sync.Mutex
+	queries := func(i int) []analysis.Query {
+		qs := make([]analysis.Query, len(deps[i]))
+		for j, d := range deps[i] {
+			qs[j] = d.query()
+		}
+		return qs
+	}
 	const nNodes = 3
 	caches := make([]*cache.Cache, nNodes)
 	nodes := make([]*Node, nNodes)
 	addrs := make([]string, nNodes)
 	quiet := func(string, ...any) {}
+	// Each member's Generate hook renders a new generation as the owner.
+	generate := func(ci int, key string) (weave.Answer, bool) {
+		i := index[key]
+		return harnessGenerate(caches[ci], i, key, queries(i), &gen[i])
+	}
 	for i := range caches {
 		eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
 		if err != nil {
@@ -68,6 +88,9 @@ func TestClusterChaosConsistency(t *testing.T) {
 		self := new(string)
 		node, err := New(Config{
 			Listen: "127.0.0.1:0", Cache: c, Logf: quiet,
+			Generate: func(_ context.Context, key string, _ weave.PeerRequest) (weave.Answer, bool) {
+				return generate(i, key)
+			},
 			Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 				return inj.Dialer(*self)(addr, timeout)
 			},
@@ -95,18 +118,14 @@ func TestClusterChaosConsistency(t *testing.T) {
 		node.SetPeers(peers)
 	}
 
-	const nKeys = 16
 	setupRng := rand.New(rand.NewSource(seed))
-	keys := make([]string, nKeys)
-	deps := make([][]cpDep, nKeys)
-	var gen, settled [nKeys]atomic.Int64
-	var mu [nKeys]sync.Mutex
 	for i := range keys {
 		if i%2 == 0 {
 			keys[i] = fmt.Sprintf("/p?x=%d", i)
 		} else {
 			keys[i] = fmt.Sprintf("/p#frag%d?x=%d", i%4, i)
 		}
+		index[keys[i]] = i
 		n := 1 + setupRng.Intn(2)
 		ds := make([]cpDep, n)
 		for j := range ds {
@@ -117,11 +136,7 @@ func TestClusterChaosConsistency(t *testing.T) {
 	insert := func(c *cache.Cache, i int) {
 		mu[i].Lock()
 		g := gen[i].Add(1)
-		qs := make([]analysis.Query, len(deps[i]))
-		for j, d := range deps[i] {
-			qs[j] = d.query()
-		}
-		c.Insert(keys[i], []byte(fmt.Sprintf("k=%d g=%d", i, g)), "text/html", qs, 0)
+		c.Insert(keys[i], []byte(fmt.Sprintf("k=%d g=%d", i, g)), "text/html", queries(i), 0)
 		settled[i].Store(g)
 		mu[i].Unlock()
 	}
@@ -151,12 +166,21 @@ func TestClusterChaosConsistency(t *testing.T) {
 					return
 				default:
 				}
-				i := rng.Intn(nKeys)
-				c := caches[rng.Intn(len(caches))]
-				if rng.Intn(10) < 6 {
-					c.Lookup(keys[i])
-				} else {
-					insert(c, i)
+				i, ci := rng.Intn(nKeys), rng.Intn(len(caches))
+				switch r := rng.Intn(10); {
+				case r < 5:
+					caches[ci].Lookup(keys[i])
+				case r < 7:
+					// A miss resolved at the key's owner, across whatever
+					// the injector is doing to the network; a generation
+					// is settled once the requester's replica has landed.
+					mu[i].Lock()
+					if a, ok := nodes[ci].Resolve(context.Background(), keys[i], weave.PeerRequest{URI: keys[i]}); ok && a.Generated {
+						settled[i].Store(parseGen(a.Body))
+					}
+					mu[i].Unlock()
+				default:
+					insert(caches[ci], i)
 				}
 			}
 		}(g)
@@ -314,13 +338,14 @@ func TestClusterChaosConsistency(t *testing.T) {
 	// Sanity: chaos ran — at least one fault was scheduled and traffic
 	// flowed.
 	hits := uint64(0)
-	var gapFlushes uint64
+	var gapFlushes, generated uint64
 	for i, c := range caches {
 		hits += c.Snapshot().Hits
 		gapFlushes += nodes[i].Snapshot().GapFlushes
+		generated += nodes[i].Snapshot().GetsGenerated
 	}
-	if hits == 0 {
-		t.Fatal("degenerate run: no hits anywhere")
+	if hits == 0 || generated == 0 {
+		t.Fatalf("degenerate run: %d hits, %d owner generations", hits, generated)
 	}
-	t.Logf("gap flushes across the cluster: %d", gapFlushes)
+	t.Logf("gap flushes across the cluster: %d; owner generations: %d", gapFlushes, generated)
 }

@@ -17,9 +17,9 @@ import (
 	"autowebcache/internal/weave"
 )
 
-// tnode is one in-process cluster member: its own database, engine, page
-// cache, woven app and peer-tier Node — a full
-// autowebcache process in miniature, listening on a real loopback TCP port.
+// tnode is one in-process cluster member: its engine, page cache, woven
+// app and peer-tier Node over a database — a full autowebcache process in
+// miniature, listening on a real loopback TCP port.
 type tnode struct {
 	name  string
 	db    *memdb.DB
@@ -28,7 +28,8 @@ type tnode struct {
 	woven *weave.Woven
 }
 
-func newTnode(t *testing.T, name string, cfg Config) *tnode {
+// newStockDB returns a database holding the stock table with 16 products.
+func newStockDB(t *testing.T) *memdb.DB {
 	t.Helper()
 	db := memdb.New()
 	if err := db.CreateTable(memdb.TableSpec{
@@ -48,6 +49,15 @@ func newTnode(t *testing.T, name string, cfg Config) *tnode {
 			fmt.Sprintf("p%d", i), 10+i); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return db
+}
+
+// newTnode builds a member over db; nil gives it a database of its own.
+func newTnode(t *testing.T, name string, cfg Config, db *memdb.DB) *tnode {
+	t.Helper()
+	if db == nil {
+		db = newStockDB(t)
 	}
 	eng, err := analysis.NewEngine(analysis.StrategyExtraQuery, db)
 	if err != nil {
@@ -116,6 +126,7 @@ func newTnode(t *testing.T, name string, cfg Config) *tnode {
 
 	cfg.Listen = "127.0.0.1:0"
 	cfg.Cache = c
+	cfg.Generate = woven.ResolvePeer
 	node, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,13 +139,15 @@ func newTnode(t *testing.T, name string, cfg Config) *tnode {
 	return &tnode{name: name, db: db, cache: c, node: node, woven: woven}
 }
 
-// newCluster builds n nodes and joins them into one ring.
+// newCluster builds n nodes over one shared database — the deployment the
+// paper assumes — and joins them into one ring.
 func newCluster(t *testing.T, n int, cfg Config) []*tnode {
 	t.Helper()
+	db := newStockDB(t)
 	nodes := make([]*tnode, n)
 	addrs := make([]string, n)
 	for i := range nodes {
-		nodes[i] = newTnode(t, fmt.Sprintf("node%d", i), cfg)
+		nodes[i] = newTnode(t, fmt.Sprintf("node%d", i), cfg, db)
 		addrs[i] = nodes[i].node.Addr()
 	}
 	for i, tn := range nodes {
@@ -465,9 +478,9 @@ func TestClusterUnreachablePeerDegrades(t *testing.T) {
 // unclustered weave — same outcome sequence, no network dependency — so
 // enabling the tier on a single node is free.
 func TestClusterLocalMode(t *testing.T) {
-	clustered := newTnode(t, "solo", Config{}) // node started, zero peers
-	plain := newTnode(t, "plain", Config{})    // reference...
-	plain.woven.SetRemote(nil)                 // ...with the tier detached
+	clustered := newTnode(t, "solo", Config{}, nil) // node started, zero peers
+	plain := newTnode(t, "plain", Config{}, nil)    // reference...
+	plain.woven.SetRemote(nil)                      // ...with the tier detached
 	plain.cache.SetRemote(nil)
 
 	targets := []string{"/stock?product=p1", "/stock?product=p2"}
@@ -498,7 +511,7 @@ func TestClusterLocalMode(t *testing.T) {
 // clustering enabled — a locally cached page is served without consulting
 // the peer tier and without allocating.
 func TestClusterLocalHitAllocFree(t *testing.T) {
-	tn := newTnode(t, "solo", Config{})
+	tn := newTnode(t, "solo", Config{}, nil)
 	key := "/stock?product=p4"
 	tn.get(t, key) // prime
 	if !tn.cache.Contains(key) {

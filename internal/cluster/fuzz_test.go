@@ -46,8 +46,11 @@ func seedFrames(t testing.TB) [][]byte {
 	return [][]byte{
 		encodeFrame(t, msgGet, &getMeta{Key: "/page?x=1"}, nil),
 		encodeFrame(t, msgGet, &getMeta{Key: "/page#frag?x=1"}, nil),
+		encodeFrame(t, msgGet, &getMeta{Key: "/page?x=1;sid=7", URI: "/page?x=1", Cookie: "sid=7; theme=dark"}, nil),
 		encodeFrame(t, msgGetResp, &getRespMeta{Found: false}, nil),
-		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, ContentType: "text/html", TTLNanos: int64(30 * time.Second), Deps: deps, Applied: vector}, body),
+		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, Cacheable: true, Status: 200, ContentType: "text/html", TTLNanos: int64(30 * time.Second), Deps: deps, Applied: vector}, body),
+		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, Generated: true, Cacheable: true, Status: 200, ContentType: "text/html", Deps: deps, Applied: vector}, body),
+		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, Generated: true, Status: 500, ContentType: "text/plain"}, []byte("boom")),
 		encodeFrame(t, msgPut, &putMeta{Key: "/k", ContentType: "text/html", Deps: deps, Applied: vector}, body),
 		encodeFrame(t, msgPutResp, &putRespMeta{OK: true}, nil),
 		encodeFrame(t, msgInv, &invMeta{Captures: []analysis.WriteCapture{capture}, Origin: "10.0.0.1:9091", Seq: 18}, nil),

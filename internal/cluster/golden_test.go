@@ -43,8 +43,13 @@ func goldenFrames(t *testing.T) [][2]string {
 		body []byte
 	}{
 		{"get", msgGet, &getMeta{Key: "/page?x=1"}, nil},
-		{"get-resp", msgGetResp, &getRespMeta{Found: true, ContentType: "text/html",
+		{"get-resolve", msgGet, &getMeta{Key: "/page?x=1;sid=7", URI: "/page?x=1", Cookie: "sid=7"}, nil},
+		{"get-resp", msgGetResp, &getRespMeta{Found: true, Cacheable: true, Status: 200, ContentType: "text/html",
 			TTLNanos: math.MinInt64, Deps: deps, Applied: vector}, body},
+		{"get-resp-generated", msgGetResp, &getRespMeta{Found: true, Generated: true, Cacheable: true, Status: 200,
+			ContentType: "text/html", Deps: deps, Applied: vector}, body},
+		{"get-resp-once", msgGetResp, &getRespMeta{Found: true, Generated: true, Status: 500,
+			ContentType: "text/plain; charset=utf-8"}, []byte("boom")},
 		{"put", msgPut, &putMeta{Key: "/k", ContentType: "text/html", TTLNanos: 30e9,
 			Deps: deps, Applied: map[string]uint64{}}, body},
 		{"put-resp", msgPutResp, &putRespMeta{OK: true}, nil},

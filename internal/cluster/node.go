@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
 	"autowebcache/internal/telemetry"
+	"autowebcache/internal/weave"
 )
 
 // Deployment note: the tier keeps the CACHES consistent — it assumes the
@@ -80,6 +82,15 @@ type Config struct {
 	// Logf receives peer state transitions — logged once per transition,
 	// never per failed call. nil = the standard library logger.
 	Logf func(format string, args ...any)
+	// Generate resolves a miss a peer forwarded to this node as the key's
+	// owner (see Resolve): weave.Woven.ResolvePeer, which answers from the
+	// cache or runs the handler here and never forwards. An answer that
+	// takes longer than half of CallTimeout is not waited for: the
+	// generation finishes here in the background and the requester,
+	// answered in time, generates locally, so a slow handler never reads
+	// as a failed peer. nil: this node answers forwarded misses from its
+	// cache only.
+	Generate func(ctx context.Context, key string, req weave.PeerRequest) (weave.Answer, bool)
 }
 
 // SeqJournal persists invalidation-sequencing watermarks across restarts.
@@ -105,9 +116,9 @@ const (
 
 // Stats are cumulative node counters (plus point-in-time peer gauges).
 type Stats struct {
-	RemoteHits           uint64 // fetches served by a peer
-	RemoteMisses         uint64 // fetches no peer could serve
-	FetchAborts          uint64 // fetched pages discarded: a write intersecting the page raced the fetch or was still open
+	RemoteHits           uint64 // misses the key's owner answered: from its cache, or by running the handler for this request
+	RemoteMisses         uint64 // misses the key's owner did not answer (not held, refused, unreachable, or discarded here)
+	FetchAborts          uint64 // owner answers discarded: a write intersecting the page raced the round trip or was still open
 	FetchErrors          uint64 // peer calls that failed mid-fetch
 	OffersSent           uint64 // pages replicated to their owner
 	OffersRejected       uint64 // offers an owner's byte budget refused
@@ -116,9 +127,10 @@ type Stats struct {
 	PingFailures         uint64 // background health probes that failed
 	BreakerSkips         uint64 // peer calls short-circuited by an open breaker (no dial paid)
 	GapFlushes           uint64 // quarantine flushes forced by a detected invalidation-sequence gap
-	StaleFetchRejects    uint64 // fetched pages discarded: the exporter had missed invalidations we applied
+	StaleFetchRejects    uint64 // owner answers discarded: the owner had missed invalidations we had started before the call
 	StalePutRejects      uint64 // replica offers refused: the offerer had missed invalidations we applied
-	GetsServed           uint64 // peer fetches this node answered (found or not)
+	GetsServed           uint64 // peer gets (forwarded misses and fetches) this node answered, found or not
+	GetsGenerated        uint64 // peer misses this node answered by running the handler
 	PutsApplied          uint64 // replica pages this node accepted
 	PutsRejected         uint64 // replica pages this node refused (over budget, stale, or overlapping an open write)
 	InvApplied           uint64 // peer write invalidations this node applied, one per capture (a frame may carry several)
@@ -129,8 +141,9 @@ type Stats struct {
 	PeersDown            int    // gauge: peers currently down (breaker open)
 
 	// Latency distributions of the three peer operations, end to end: Fetch
-	// (the owner round trip after a local miss, successful or not — but only
-	// fetches that dialed the owner; breaker-skipped fetches are counted by
+	// (the owner round trip after a local miss — Resolve or Fetch,
+	// successful or not, including an owner's generation — but only calls
+	// that dialed the owner; breaker-skipped ones are counted by
 	// BreakerSkips and kept out of the distribution), Offer (replication
 	// to the key's owner) and invalidation broadcast (including its serializing
 	// bcastMu wait — queueing behind another broadcast IS write latency the
@@ -141,7 +154,8 @@ type Stats struct {
 }
 
 // Node is one member of the cache cluster. It implements the weave's
-// Remote (Fetch/Offer) and the cache's RemoteInvalidator
+// Remote (Fetch/Offer, with the Resolver method Resolve) and the cache's
+// RemoteInvalidator
 // (BroadcastWrite/BroadcastFlush, with the batch method BroadcastWrites).
 // Create with New, then Start; Start registers the node on its cache, so
 // every InvalidateWrite on the local cache fans out cluster-wide from then
@@ -182,6 +196,12 @@ type Node struct {
 	probeWG   sync.WaitGroup
 	closeOnce sync.Once
 
+	// genCtx is the context of the generations this node runs for peers
+	// (Config.Generate); Close cancels it and waits for them on genWG.
+	genCtx    context.Context
+	genCancel context.CancelFunc
+	genWG     sync.WaitGroup
+
 	remoteHits        atomic.Uint64
 	remoteMisses      atomic.Uint64
 	fetchAborts       atomic.Uint64
@@ -196,6 +216,7 @@ type Node struct {
 	staleFetchRejects atomic.Uint64
 	stalePutRejects   atomic.Uint64
 	getsServed        atomic.Uint64
+	getsGenerated     atomic.Uint64
 	putsApplied       atomic.Uint64
 	putsRejected      atomic.Uint64
 	invApplied        atomic.Uint64
@@ -245,6 +266,7 @@ func New(cfg Config) (*Node, error) {
 		logf:      logf,
 		stopProbe: make(chan struct{}),
 	}
+	n.genCtx, n.genCancel = context.WithCancel(context.Background())
 	if cfg.SeqJournal != nil {
 		// Warm rejoin: resume the applied counters and own-broadcast
 		// watermark where the journal left them. A peer watermark ahead of
@@ -313,8 +335,9 @@ func ringIdentity(cfg Config, resolved string) (string, error) {
 	return resolved, nil
 }
 
-// Close detaches the node from its cache, stops the server and drops every
-// peer connection.
+// Close detaches the node from its cache, stops the server, cancels and
+// waits for the generations it runs for peers, and drops every peer
+// connection.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() { close(n.stopProbe) })
 	n.probeWG.Wait()
@@ -322,6 +345,8 @@ func (n *Node) Close() error {
 	if n.srv != nil {
 		n.srv.close()
 	}
+	n.genCancel()
+	n.genWG.Wait()
 	n.mu.Lock()
 	peers := n.peers
 	n.peers = make(map[string]*peer)
@@ -393,17 +418,24 @@ func (n *Node) ownerPeer(key string) *peer {
 	return n.peerFor(r.Owner(key))
 }
 
-// Fetch implements weave.Remote: after a local miss, ask the key's owner
-// for the page. On success the page is inserted into the local cache with
-// its dependency information — a replica that later local lookups hit
-// directly and that invalidation broadcasts keep consistent — and the
-// stored view is returned. The insert goes through the cache's epoch guard
-// (cache.InsertSince) with the epoch read before the round trip: a replica
-// that a write it depends on raced, or that overlaps a write still open on
-// this node, is discarded (FetchAborts). ok=false means this node owns the
-// key, the owner did not have the page or was unreachable, or the guard
-// refused it: the caller falls back to executing the handler.
-func (n *Node) Fetch(ctx context.Context, key string) (pg cache.Page, ok bool) {
+// Resolve implements weave.Resolver: after a local miss, send one get
+// frame carrying the request to the key's owner, which answers from its
+// cache or runs the handler for it (Config.Generate). A cacheable answer is
+// inserted into the local cache with its dependency information — a replica
+// that later local lookups hit directly and that invalidation broadcasts
+// keep consistent — and the stored view is returned. The insert goes
+// through the cache's epoch guard (cache.InsertSince) with the epoch read
+// before the round trip, after the applied-vector check: a replica that a
+// write it depends on raced, that overlaps a write still open on this
+// node, or that the owner read before applying an invalidation this node
+// had started before the call, is discarded (FetchAborts,
+// StaleFetchRejects). An answer the owner could not cache is returned to
+// be served once, never stored: its handler ran for this request and must
+// not run again. ok=false means this node owns the key, the request is
+// gone, the owner's breaker is open, or the owner failed, refused or
+// answered with a page discarded here: the caller generates the page
+// itself.
+func (n *Node) Resolve(ctx context.Context, key string, req weave.PeerRequest) (a weave.Answer, ok bool) {
 	defer func() {
 		if ok {
 			n.remoteHits.Add(1)
@@ -415,20 +447,27 @@ func (n *Node) Fetch(ctx context.Context, key string) (pg cache.Page, ok bool) {
 	if p == nil || ctx.Err() != nil {
 		// Self-owned (we already missed locally), no ring yet, or the
 		// request is gone.
-		return cache.Page{}, false
+		return a, false
 	}
 	if !p.health.allow() {
-		// Down owner: the breaker already paid the cost (none). The fetch
+		// Down owner: the breaker already paid the cost (none). The call
 		// stays clock-free (the fail-fast guarantee) and out of the
 		// fetch-latency distribution — it is visible as a BreakerSkip.
 		n.breakerSkips.Add(1)
-		return cache.Page{}, false
+		return a, false
 	}
 	start := time.Now()
 	defer func() { n.fetchLat.Observe(time.Since(start)) }()
 	epoch0 := n.cfg.Cache.Epoch()
+	// What the owner's vector must cover, snapshotted after epoch0: an
+	// invalidation this node starts later opens its event after epoch0, so
+	// the guarded insert below tests it against the page's dependencies
+	// itself. Judging the owner against invalidations started during the
+	// round trip — the owner's generation — would refuse pages no write
+	// touched.
+	mine := n.startedVector()
 	var resp getRespMeta
-	body, err := p.call(msgGet, &getMeta{Key: key}, nil, &resp)
+	body, err := p.call(msgGet, &getMeta{Key: key, URI: req.URI, Cookie: req.Cookie}, nil, &resp)
 	if err != nil {
 		if err == errBreakerOpen {
 			// The breaker opened between the pre-check above and the
@@ -437,23 +476,30 @@ func (n *Node) Fetch(ctx context.Context, key string) (pg cache.Page, ok bool) {
 		} else {
 			n.fetchErrors.Add(1)
 		}
-		return cache.Page{}, false
+		return a, false
 	}
 	if !resp.Found {
-		return cache.Page{}, false
+		return a, false
 	}
-	if n.behindUs(resp.Applied) {
-		// The exporter has missed an invalidation this node already
-		// applied — its copy may predate that write. Treat as a miss.
+	if !resp.Cacheable {
+		// body is this call's own frame buffer: the caller may keep it.
+		a.Page = cache.Page{Body: body, ContentType: resp.ContentType}
+		a.Status, a.Generated = int(resp.Status), resp.Generated
+		return a, true
+	}
+	if behind(resp.Applied, mine) {
+		// The owner had missed an invalidation this node had started to
+		// apply before the call — its copy may predate that write. Treat
+		// as a miss.
 		n.staleFetchRejects.Add(1)
-		return cache.Page{}, false
+		return a, false
 	}
 	// If the local byte budget refuses the replica, the returned view is
-	// still this fetch's servable copy — the page just stays remote-only
-	// and the next miss re-fetches. The wire carries the identity body
+	// still this call's servable copy — the page just stays remote-only
+	// and the next miss asks again. The wire carries the identity body
 	// only: variants (gzip, ETag) are derived state, so the insert
 	// recomputes them under the local cache's own Options rather than
-	// trusting the exporter's — nodes may disagree on -encodings/-etag
+	// trusting the owner's — nodes may disagree on -encodings/-etag
 	// without trading stale or mismatched variants.
 	pg, _, fresh := n.cfg.Cache.InsertSince(epoch0, key, body, resp.ContentType,
 		resp.Deps, ttlFromNanos(resp.TTLNanos))
@@ -461,21 +507,33 @@ func (n *Node) Fetch(ctx context.Context, key string) (pg cache.Page, ok bool) {
 		// The page may predate a write that already swept this cache or
 		// that peers are still applying. Discard and regenerate.
 		n.fetchAborts.Add(1)
-		return cache.Page{}, false
+		return a, false
 	}
-	return pg, true
+	a.Page, a.Status, a.Generated, a.Cacheable = pg, http.StatusOK, resp.Generated, true
+	return a, true
+}
+
+// Fetch implements weave.Remote: Resolve without the request, so the owner
+// only looks in its cache and never generates. The weave calls it only for
+// a Remote that hides Resolve (the benchmark's traced wrapper).
+func (n *Node) Fetch(ctx context.Context, key string) (cache.Page, bool) {
+	a, ok := n.Resolve(ctx, key, weave.PeerRequest{})
+	return a.Page, ok
 }
 
 // Offer implements weave.Remote: replicate a locally generated page to the
-// key's owner so the next fetch from any node finds it there. It is
-// synchronous — the owner is written before Offer returns, so a write
-// issued after this page's response cannot broadcast past an in-flight
-// replica. (A write *concurrent* with the generating request can still
-// land between the page's reads and this replication; that is the same
-// insert-after-read window the single-node weave has always had, and the
-// next write on the row clears it.) Errors are best-effort-ignored — a
-// lost replica only costs a future remote miss. Self-owned keys are
-// already stored locally; an empty peer set makes Offer a no-op.
+// key's owner so the next fetch from any node finds it there. The weave
+// calls it only for a Remote that hides Resolve (the benchmark's traced
+// wrapper): with Resolve, the owner generates the pages its peers miss and
+// nothing is offered. It is synchronous — the owner is written before Offer
+// returns, so a write issued after this page's response cannot broadcast
+// past an in-flight replica. (A write *concurrent* with the generating
+// request can still land between the page's reads and this replication;
+// that is the same insert-after-read window the single-node weave has
+// always had, and the next write on the row clears it.) Errors are
+// best-effort-ignored — a lost replica only costs a future remote miss.
+// Self-owned keys are already stored locally; an empty peer set makes Offer
+// a no-op.
 func (n *Node) Offer(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) {
 	start := time.Now()
 	defer func() { n.offerLat.Observe(time.Since(start)) }()
@@ -493,6 +551,40 @@ func (n *Node) Offer(key string, body []byte, contentType string, deps []analysi
 			// replica; the page stays a local-only copy.
 			n.offersRejected.Add(1)
 		}
+	}
+}
+
+// generate runs Config.Generate for a forwarded miss, waiting at most half
+// the call timeout so the answer reaches the requester inside its own: a
+// generation that takes longer finishes here in the background (its page is
+// cached for the next request) while the requester, answered "not found",
+// generates locally. A panicking handler is logged and refused, as net/http
+// would contain it for a local request.
+func (n *Node) generate(m *getMeta) (weave.Answer, bool) {
+	type result struct {
+		a  weave.Answer
+		ok bool
+	}
+	done := make(chan result, 1)
+	n.genWG.Add(1)
+	go func() {
+		defer n.genWG.Done()
+		defer func() {
+			if v := recover(); v != nil {
+				n.logf("cluster: %s: generating %q for a peer panicked: %v", n.self, m.Key, v)
+				done <- result{}
+			}
+		}()
+		a, ok := n.cfg.Generate(n.genCtx, m.Key, weave.PeerRequest{URI: m.URI, Cookie: m.Cookie})
+		done <- result{a, ok}
+	}()
+	t := time.NewTimer(n.cfg.CallTimeout / 2)
+	defer t.Stop()
+	select {
+	case r := <-done:
+		return r.a, r.ok
+	case <-t.C:
+		return weave.Answer{}, false
 	}
 }
 
@@ -645,21 +737,35 @@ func (n *Node) appliedVector() map[string]uint64 {
 	return v
 }
 
-// behindUs reports whether remote's vector is missing an invalidation this
-// node has already started to apply (some origin where our counter is
-// ahead; a missing entry counts as zero). A page from such a peer may
-// predate that invalidation, so transfer paths refuse it — the counterpart
-// to quarantine: a gapped peer can neither serve nor export stale state
-// into healthy nodes.
-func (n *Node) behindUs(remote map[string]uint64) bool {
+// startedVector snapshots the invalidations this node has started to
+// apply — origin -> started seq, plus its own completed-broadcast
+// watermark — for judging a peer's applied vector (behind).
+func (n *Node) startedVector() map[string]uint64 {
 	n.seqMu.Lock()
-	defer n.seqMu.Unlock()
+	v := make(map[string]uint64, len(n.started)+1)
 	for o, s := range n.started {
+		v[o] = s
+	}
+	n.seqMu.Unlock()
+	if s := n.seqDone.Load(); s > 0 {
+		v[n.self] = s
+	}
+	return v
+}
+
+// behind reports whether a peer's applied vector remote is missing an
+// invalidation in mine, a startedVector (some origin where mine is ahead;
+// a missing entry counts as zero). A page from such a peer may predate
+// that invalidation, so transfer paths refuse it — the counterpart to
+// quarantine: a gapped peer can neither serve nor export stale state into
+// healthy nodes.
+func behind(remote, mine map[string]uint64) bool {
+	for o, s := range mine {
 		if remote[o] < s {
 			return true
 		}
 	}
-	return remote[n.self] < n.seqDone.Load()
+	return false
 }
 
 // handleFrame serves one peer request (the server side of the protocol).
@@ -671,30 +777,51 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 			return 0, nil, nil, err
 		}
 		n.getsServed.Add(1)
-		// The vector is taken before the page: it may vouch only for
-		// invalidations whose sweep finished before the page was read.
+		// The vector is taken before the page is read or generated: it may
+		// vouch only for invalidations whose sweep finished before that.
 		applied := n.appliedVector()
-		v, ok := n.cfg.Cache.Export(m.Key)
+		if v, ok := n.cfg.Cache.Export(m.Key); ok {
+			// v.Body is the identity representation — the canonical page on
+			// the wire. Gzip variants and ETags are never shipped: the
+			// requester re-derives them at insert under its own serve
+			// configuration.
+			return msgGetResp, &getRespMeta{
+				Found:       true,
+				Cacheable:   true,
+				Status:      http.StatusOK,
+				ContentType: v.ContentType,
+				TTLNanos:    int64(v.TTL),
+				Deps:        v.Deps,
+				Applied:     applied,
+			}, v.Body, nil
+		}
+		if m.URI == "" || n.cfg.Generate == nil {
+			return msgGetResp, &getRespMeta{Found: false}, nil, nil
+		}
+		a, ok := n.generate(&m)
 		if !ok {
 			return msgGetResp, &getRespMeta{Found: false}, nil, nil
 		}
-		// v.Body is the identity representation — the canonical page on the
-		// wire. Gzip variants and ETags are never shipped: the requester
-		// re-derives them at insert under its own serve configuration.
+		if a.Generated {
+			n.getsGenerated.Add(1)
+		}
 		return msgGetResp, &getRespMeta{
 			Found:       true,
-			ContentType: v.ContentType,
-			TTLNanos:    int64(v.TTL),
-			Deps:        v.Deps,
+			Generated:   a.Generated,
+			Cacheable:   a.Cacheable,
+			Status:      int64(a.Status),
+			ContentType: a.ContentType,
+			TTLNanos:    int64(a.TTL),
+			Deps:        a.Deps,
 			Applied:     applied,
-		}, v.Body, nil
+		}, a.Body, nil
 
 	case msgPut:
 		var m putMeta
 		if err := decodeMeta(typ, raw, &m); err != nil {
 			return 0, nil, nil, err
 		}
-		if n.behindUs(m.Applied) {
+		if behind(m.Applied, n.startedVector()) {
 			// The offerer has missed an invalidation this node already
 			// applied; its page may be stale. Refuse the replica.
 			n.stalePutRejects.Add(1)
@@ -876,6 +1003,7 @@ func (n *Node) Snapshot() Stats {
 		StaleFetchRejects:    n.staleFetchRejects.Load(),
 		StalePutRejects:      n.stalePutRejects.Load(),
 		GetsServed:           n.getsServed.Load(),
+		GetsGenerated:        n.getsGenerated.Load(),
 		PutsApplied:          n.putsApplied.Load(),
 		PutsRejected:         n.putsRejected.Load(),
 		InvApplied:           n.invApplied.Load(),

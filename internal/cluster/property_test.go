@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"os"
 	"runtime"
 	"strconv"
@@ -15,6 +16,7 @@ import (
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
 	"autowebcache/internal/memdb"
+	"autowebcache/internal/weave"
 )
 
 // Cluster variant of the cache's property-based consistency harness
@@ -74,11 +76,27 @@ func cpOverlaps(d cpDep, w cpWrite) bool {
 	return d.table == w.table && (w.unbounded || d.b == w.b)
 }
 
+// harnessGenerate renders, on an owner's cache c, a new generation of the
+// harness's key i under the epoch guard — what weave.Woven.ResolvePeer does
+// for a real handler — as the members' Generate hook. The epoch is read
+// before the generation number is drawn, so a generation numbered before a
+// write began is also guarded against it.
+func harnessGenerate(c *cache.Cache, i int, key string, qs []analysis.Query, gen *atomic.Int64) (weave.Answer, bool) {
+	epoch0 := c.Epoch()
+	body := fmt.Sprintf("k=%d g=%d", i, gen.Add(1))
+	pg, _, fresh := c.InsertSince(epoch0, key, []byte(body), "text/html", qs, 0)
+	if !fresh {
+		return weave.Answer{}, false
+	}
+	return weave.Answer{View: cache.View{Page: pg, Deps: qs}, Status: http.StatusOK, Generated: true, Cacheable: true}, true
+}
+
 // newPropCluster builds n bare cache+Node members (no woven app — the
-// harness drives the caches and the nodes' Fetch and Offer directly; the
-// peer tier under test is the strong invalidation broadcast and the two
-// replica paths).
-func newPropCluster(t *testing.T, n int) ([]*cache.Cache, []*Node) {
+// harness drives the caches and the nodes' Fetch, Resolve and Offer
+// directly; the peer tier under test is the strong invalidation broadcast
+// and the three replica paths). generate(ci, key) is member ci's Generate
+// hook.
+func newPropCluster(t *testing.T, n int, generate func(ci int, key string) (weave.Answer, bool)) ([]*cache.Cache, []*Node) {
 	t.Helper()
 	caches := make([]*cache.Cache, n)
 	nodes := make([]*Node, n)
@@ -92,7 +110,10 @@ func newPropCluster(t *testing.T, n int) ([]*cache.Cache, []*Node) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := New(Config{Listen: "127.0.0.1:0", Cache: c})
+		node, err := New(Config{Listen: "127.0.0.1:0", Cache: c,
+			Generate: func(_ context.Context, key string, _ weave.PeerRequest) (weave.Answer, bool) {
+				return generate(i, key)
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +141,11 @@ func TestClusterPropertyConsistency(t *testing.T) {
 	}
 	seed := clusterPropSeed(t)
 	t.Logf("seed %d (override with AWC_PROP_SEED)", seed)
-	caches, nodes := newPropCluster(t, 3)
 
 	const nKeys = 16
 	setupRng := rand.New(rand.NewSource(seed))
 	keys := make([]string, nKeys)
+	index := make(map[string]int, nKeys)
 	deps := make([][]cpDep, nKeys)
 	var gen, settled [nKeys]atomic.Int64
 	var mu [nKeys]sync.Mutex
@@ -135,6 +156,7 @@ func TestClusterPropertyConsistency(t *testing.T) {
 			// Fragment-shaped keys ride the same wire messages unchanged.
 			keys[i] = fmt.Sprintf("/p#frag%d?x=%d", i%4, i)
 		}
+		index[keys[i]] = i
 		n := 1 + setupRng.Intn(2)
 		ds := make([]cpDep, n)
 		for j := range ds {
@@ -142,6 +164,18 @@ func TestClusterPropertyConsistency(t *testing.T) {
 		}
 		deps[i] = ds
 	}
+	queries := func(i int) []analysis.Query {
+		qs := make([]analysis.Query, len(deps[i]))
+		for j, d := range deps[i] {
+			qs[j] = d.query()
+		}
+		return qs
+	}
+	var caches []*cache.Cache
+	caches, nodes := newPropCluster(t, 3, func(ci int, key string) (weave.Answer, bool) {
+		i := index[key]
+		return harnessGenerate(caches[ci], i, key, queries(i), &gen[i])
+	})
 	// insert stores a new generation of key i on node ci and, with offer,
 	// replicates it to the key's owner. A generation is settled only once
 	// every copy has landed: an offer that lands after a write which began
@@ -149,10 +183,7 @@ func TestClusterPropertyConsistency(t *testing.T) {
 	insert := func(ci, i int, offer bool) {
 		mu[i].Lock()
 		g := gen[i].Add(1)
-		qs := make([]analysis.Query, len(deps[i]))
-		for j, d := range deps[i] {
-			qs[j] = d.query()
-		}
+		qs := queries(i)
 		body := []byte(fmt.Sprintf("k=%d g=%d", i, g))
 		caches[ci].Insert(keys[i], body, "text/html", qs, 0)
 		if offer {
@@ -193,10 +224,19 @@ func TestClusterPropertyConsistency(t *testing.T) {
 				switch r := rng.Intn(10); {
 				case r < 4:
 					caches[ci].Lookup(keys[i])
-				case r < 6:
+				case r < 5:
 					// A replica fetched from the key's owner, possibly in
 					// the middle of a write on this node or the owner.
 					nodes[ci].Fetch(context.Background(), keys[i])
+				case r < 6:
+					// A miss resolved at the key's owner, which generates
+					// the page when it does not hold it; a generation is
+					// settled once the requester's replica has landed.
+					mu[i].Lock()
+					if a, ok := nodes[ci].Resolve(context.Background(), keys[i], weave.PeerRequest{URI: keys[i]}); ok && a.Generated {
+						settled[i].Store(parseGen(a.Body))
+					}
+					mu[i].Unlock()
 				default:
 					insert(ci, i, r >= 8)
 				}
@@ -251,14 +291,16 @@ func TestClusterPropertyConsistency(t *testing.T) {
 	wg.Wait()
 
 	// Sanity: the run exercised real traffic.
-	var hits, remoteHits, puts uint64
+	var hits, remoteHits, puts, generated uint64
 	for i, c := range caches {
 		hits += c.Snapshot().Hits
 		st := nodes[i].Snapshot()
 		remoteHits += st.RemoteHits
 		puts += st.PutsApplied
+		generated += st.GetsGenerated
 	}
-	if hits == 0 || remoteHits == 0 || puts == 0 {
-		t.Fatalf("degenerate run: hits %d, remote hits %d, puts applied %d", hits, remoteHits, puts)
+	if hits == 0 || remoteHits == 0 || puts == 0 || generated == 0 {
+		t.Fatalf("degenerate run: hits %d, remote hits %d, puts applied %d, owner generations %d",
+			hits, remoteHits, puts, generated)
 	}
 }

@@ -97,7 +97,7 @@ func TestOfferWindow(t *testing.T) {
 	nodes := newCluster(t, 2, Config{})
 	n0, n1 := nodes[0], nodes[1]
 	target, key, product := stockTargetOwnedBy(t, n0.node.Ring(), n1.node.Addr())
-	body0, _ := n0.get(t, target) // miss on node0, offered to node1
+	body0, _ := n0.get(t, target) // miss on node0, generated by node1
 	v, ok := n0.cache.Export(key)
 	if !ok {
 		t.Fatal("node0 did not cache the page")

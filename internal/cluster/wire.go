@@ -26,14 +26,13 @@ import (
 // The meta is each message type's fields in a fixed order, in the binary
 // encoding of package codec; a meta with trailing bytes is refused.
 //
-// The type codes start at 0x11. Codes 1–10 carried JSON metas in an earlier
-// encoding, and 0x15–0x16 an invalidation of exactly one capture in an
-// earlier layout; nodes that disagree on a message's encoding refuse each
-// other's frames as an unknown or unexpected type — the connection drops
-// and the breaker counts the failure — instead of misreading them.
+// The type codes start at 0x13. Codes 1–10 carried JSON metas in an earlier
+// encoding, 0x11–0x12 a get that carried only the key, and 0x15–0x16 an
+// invalidation of exactly one capture in an earlier layout; nodes that
+// disagree on a message's encoding refuse each other's frames as an unknown
+// or unexpected type — the connection drops and the breaker counts the
+// failure — instead of misreading them.
 const (
-	msgGet       byte = 0x11 // fetch a page from its owner; body: none
-	msgGetResp   byte = 0x12 // body: the page body when found
 	msgPut       byte = 0x13 // replicate a page to an owner; body: the page body
 	msgPutResp   byte = 0x14
 	msgFlush     byte = 0x17 // drop every cached page
@@ -42,6 +41,8 @@ const (
 	msgPong      byte = 0x1a
 	msgInv       byte = 0x1b // apply a write request's invalidations; meta carries its captures
 	msgInvResp   byte = 0x1c
+	msgGet       byte = 0x1d // resolve a miss at the key's owner; meta carries the request; body: none
+	msgGetResp   byte = 0x1e // body: the page body when found
 )
 
 // maxFrame bounds a frame so a corrupt or hostile length prefix cannot make
@@ -55,32 +56,55 @@ type meta interface {
 	decode(d *codec.Decoder)
 }
 
-// getMeta asks for one page.
+// getMeta asks the key's owner for one page. URI and Cookie forward the
+// request that missed (weave.PeerRequest): with them the owner generates a
+// page it does not hold; without them (a plain fetch) it only looks.
 type getMeta struct {
-	Key string
+	Key    string
+	URI    string
+	Cookie string
 }
 
-func (m *getMeta) appendTo(b []byte) []byte { return codec.AppendString(b, m.Key) }
-func (m *getMeta) decode(d *codec.Decoder)  { m.Key = d.Str() }
+func (m *getMeta) appendTo(b []byte) []byte {
+	b = codec.AppendString(b, m.Key)
+	b = codec.AppendString(b, m.URI)
+	return codec.AppendString(b, m.Cookie)
+}
 
-// getRespMeta describes the fetched page; the body rides as frame body.
-// Deps carry the page's dependency information so the fetching node can
-// insert a locally-invalidatable replica, and TTLNanos the remaining
-// freshness window (0 = lives until invalidated).
+func (m *getMeta) decode(d *codec.Decoder) {
+	m.Key = d.Str()
+	m.URI = d.Str()
+	m.Cookie = d.Str()
+}
+
+// getRespMeta describes the owner's answer; the body rides as frame body.
+// Generated reports that the owner ran the handler for this request.
+// Cacheable is false for a response the owner could not cache (Status says
+// which), served once by the requester and never stored. Deps carry the
+// page's dependency information so the requesting node can insert a
+// locally-invalidatable replica, and TTLNanos the remaining freshness
+// window (0 = lives until invalidated).
 type getRespMeta struct {
 	Found       bool
+	Generated   bool
+	Cacheable   bool
+	Status      int64
 	ContentType string
 	TTLNanos    int64
 	Deps        []analysis.Query
-	// Applied is the exporter's invalidation vector (origin -> last applied
-	// broadcast seq, plus its own completed-broadcast watermark). A fetcher
-	// that has applied an invalidation the exporter missed discards the
-	// page: it may predate that invalidation.
+	// Applied is the owner's invalidation vector (origin -> last applied
+	// broadcast seq, plus its own completed-broadcast watermark), taken
+	// before it looked the page up or generated it. A requester that has
+	// applied an invalidation the owner missed discards the page: it may
+	// predate that invalidation.
 	Applied map[string]uint64
 }
 
 func (m *getRespMeta) appendTo(b []byte) []byte {
 	b = codec.AppendBool(b, m.Found)
+	b = codec.AppendBool(b, m.Generated)
+	b = codec.AppendBool(b, m.Cacheable)
+	b = codec.AppendVarint(b, m.Status)
 	b = codec.AppendString(b, m.ContentType)
 	b = codec.AppendVarint(b, m.TTLNanos)
 	b = codec.AppendQueries(b, m.Deps)
@@ -89,6 +113,9 @@ func (m *getRespMeta) appendTo(b []byte) []byte {
 
 func (m *getRespMeta) decode(d *codec.Decoder) {
 	m.Found = d.Bool()
+	m.Generated = d.Bool()
+	m.Cacheable = d.Bool()
+	m.Status = d.Varint()
 	m.ContentType = d.Str()
 	m.TTLNanos = d.Varint()
 	m.Deps = d.Queries()

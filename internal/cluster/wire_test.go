@@ -144,9 +144,14 @@ func TestMetaRoundTrip(t *testing.T) {
 	}{
 		{"get", msgGet, &getMeta{Key: "/page?x=1"}},
 		{"get/empty key", msgGet, &getMeta{}},
+		{"get/resolve", msgGet, &getMeta{Key: "/page?x=1;sid=é", URI: "/page?x=1", Cookie: "sid=é; a="}},
 		{"get-resp/not found", msgGetResp, &getRespMeta{}},
-		{"get-resp", msgGetResp, &getRespMeta{Found: true, ContentType: "text/html",
+		{"get-resp", msgGetResp, &getRespMeta{Found: true, Cacheable: true, Status: 200, ContentType: "text/html",
 			TTLNanos: math.MinInt64, Deps: deps, Applied: vector}},
+		{"get-resp/generated", msgGetResp, &getRespMeta{Found: true, Generated: true, Cacheable: true,
+			Status: math.MaxInt64, Deps: deps, Applied: vector}},
+		{"get-resp/once", msgGetResp, &getRespMeta{Found: true, Generated: true, Status: math.MinInt64,
+			ContentType: "text/plain"}},
 		{"get-resp/empty deps and vector", msgGetResp, &getRespMeta{Found: true,
 			TTLNanos: math.MaxInt64, Deps: []analysis.Query{}, Applied: map[string]uint64{}}},
 		{"put", msgPut, &putMeta{Key: "/k", TTLNanos: -1, Deps: deps, Applied: vector}},
@@ -183,7 +188,7 @@ func TestMetaRoundTrip(t *testing.T) {
 			t.Errorf("%s:\n got %#v\nwant %#v", c.name, got, c.m)
 		}
 	}
-	for typ := msgGet; typ <= msgInvResp; typ++ {
+	for typ := msgPut; typ <= msgGetResp; typ++ {
 		if metaFor(typ) != nil && !covered[typ] { // 0x15–0x16 are retired
 			t.Errorf("message type %#x has no round-trip case", typ)
 		}
@@ -192,7 +197,7 @@ func TestMetaRoundTrip(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	body := []byte("<html>page body</html>")
-	m := &getRespMeta{Found: true, ContentType: "text/html", TTLNanos: 123,
+	m := &getRespMeta{Found: true, Cacheable: true, Status: 200, ContentType: "text/html", TTLNanos: 123,
 		Deps: []analysis.Query{{SQL: "SELECT a FROM t WHERE b = ?", Args: []memdb.Value{int64(1)}}}}
 	got, gotBody := roundTrip(t, msgGetResp, m, body)
 	if !reflect.DeepEqual(got, m) {
@@ -265,6 +270,9 @@ func TestDecodeMetaRefuses(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<62)
 	// A put meta up to its deps: key "k", empty content type, TTL 0.
 	putPrefix := append(codec.AppendString(nil, "k"), 0, 0)
+	// A get-resp meta up to its vector: found, not generated, cacheable,
+	// status 0, empty content type, TTL 0, nil deps.
+	getRespPrefix := []byte{1, 0, 1, 0, 0, 0, 0}
 	// An inv meta up to its first capture: a list of one, capped so each
 	// case's append copies it.
 	oneCapture := slices.Clip(codec.AppendList(nil, 1, false))
@@ -274,7 +282,9 @@ func TestDecodeMetaRefuses(t *testing.T) {
 		raw  []byte
 		want string
 	}{
-		{"trailing bytes", msgGet, append(codec.AppendString(nil, "k"), 0), "trailing"},
+		{"trailing bytes", msgGet, append(codec.AppendString(codec.AppendString(codec.AppendString(nil, "k"), "/k"), ""), 0), "trailing"},
+		{"bad generated bool", msgGetResp, []byte{1, 2}, "bool"},
+		{"truncated request", msgGet, codec.AppendString(nil, "k"), "uvarint"},
 		{"unknown value tag", msgInv, append(codec.AppendString(oneCapture, "DELETE FROM t WHERE a = ?"), 2, 0x7f), "tag"},
 		{"bad bool", msgPutResp, []byte{2}, "bool"},
 		{"truncated", msgPing, codec.AppendString(nil, "origin")[:3], "exceeds"},
@@ -282,7 +292,7 @@ func TestDecodeMetaRefuses(t *testing.T) {
 		{"string length beyond bytes left", msgGet, append(huge, 'k'), "exceeds"},
 		{"deps count beyond bytes left", msgPut, append(putPrefix, huge...), "exceeds"},
 		{"args count beyond bytes left", msgInv, append(codec.AppendString(oneCapture, "x"), huge...), "exceeds"},
-		{"vector count beyond bytes left", msgGetResp, append([]byte{1, 0, 0, 0}, huge...), "exceeds"},
+		{"vector count beyond bytes left", msgGetResp, append(getRespPrefix, huge...), "exceeds"},
 		{"affected rows beyond bytes left", msgInv, append(append(codec.AppendString(oneCapture, "x"), 0, 1, 0), huge...), "exceeds"},
 		{"captures count beyond bytes left", msgInv, huge, "exceeds"},
 	}
@@ -409,5 +419,30 @@ func TestRefusesOneCaptureInvFrames(t *testing.T) {
 	}
 	if st := n.Snapshot(); st.InvApplied != 0 || st.GapFlushes != 0 {
 		t.Fatalf("a one-capture inv frame was applied: %+v", st)
+	}
+}
+
+// TestRefusesKeyOnlyGetFrames: a node drops, without answering it, a get in
+// the earlier key-only layout (type 0x11), so a node of that layout can
+// never have its fetch misread as a forwarded request.
+func TestRefusesKeyOnlyGetFrames(t *testing.T) {
+	c, n := bareNode(t, Config{ProbeInterval: -1, Logf: func(string, ...any) {}})
+	c.Insert("/page?x=1", []byte("page"), "text/html", nil, 0)
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) // hang guard only
+	if _, err := conn.Write(jsonFrame(0x11, string(codec.AppendString(nil, "/page?x=1")), "")); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := readFrame(bufio.NewReader(conn)); err == nil {
+		t.Fatalf("a key-only get frame was answered with type %#x", typ)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("a key-only get frame left the connection open")
+	}
+	if st := n.Snapshot(); st.GetsServed != 0 {
+		t.Fatalf("a key-only get frame was served: %+v", st)
 	}
 }

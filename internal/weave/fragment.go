@@ -88,25 +88,18 @@ func (a *assembly) vector() [][]byte {
 	return a.parts
 }
 
-// fragmentAdvice assembles a page from its segments: cacheable fragments
-// are looked up (and, missing, generated under the single-flight and
-// inserted with their own dependency sets); holes always run. The response
-// reports the page-level outcome (fragment-hit when every cacheable
-// fragment came from the cache, assembled for a mix, miss when none hit)
-// plus the fragment counts and cached-byte split.
-func (w *Woven) fragmentAdvice(h servlet.HandlerInfo) http.Handler {
-	// Rules.KeyCookies are part of EVERY page's identity (§4.3); under
-	// fragment caching that means every fragment's identity, or a cookie-
-	// keyed user's fragment would be served verbatim to another user. Merge
-	// them into each cacheable segment's VaryCookies (on a private copy —
-	// the declared slice is the application's).
-	segs := append([]servlet.Segment(nil), h.Fragments...)
-	cacheable := 0
+// keySegments returns a private copy of a handler's segments with the
+// rule-named key cookies merged into every cacheable segment's
+// VaryCookies: Rules.KeyCookies are part of EVERY page's identity (§4.3);
+// under fragment caching that means every fragment's identity, or a cookie-
+// keyed user's fragment would be served verbatim to another user. (The
+// declared slices are the application's.)
+func (w *Woven) keySegments(declared []servlet.Segment) []servlet.Segment {
+	segs := append([]servlet.Segment(nil), declared...)
 	for i := range segs {
 		if !segs[i].Cacheable() {
 			continue
 		}
-		cacheable++
 		for _, name := range w.keyCookies {
 			dup := false
 			for _, have := range segs[i].VaryCookies {
@@ -118,6 +111,22 @@ func (w *Woven) fragmentAdvice(h servlet.HandlerInfo) http.Handler {
 			if !dup {
 				segs[i].VaryCookies = append(append([]string(nil), segs[i].VaryCookies...), name)
 			}
+		}
+	}
+	return segs
+}
+
+// fragmentAdvice assembles a page from its segments: cacheable fragments
+// are looked up (and, missing, generated under the single-flight and
+// inserted with their own dependency sets); holes always run. The response
+// reports the page-level outcome (fragment-hit when every cacheable
+// fragment came from the cache, assembled for a mix, miss when none hit)
+// plus the fragment counts and cached-byte split.
+func (w *Woven) fragmentAdvice(h servlet.HandlerInfo, segs []servlet.Segment) http.Handler {
+	cacheable := 0
+	for i := range segs {
+		if segs[i].Cacheable() {
+			cacheable++
 		}
 	}
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
@@ -153,22 +162,25 @@ func (w *Woven) fragmentAdvice(h servlet.HandlerInfo) http.Handler {
 			if ttl == 0 {
 				ttl = h.TTL
 			}
-			m := w.resolveMiss(r, key, ttl, seg.Gen)
+			m := w.resolveMiss(r, key, ttl, seg.Gen, seg.VaryCookies, true)
 			if m.outcome == "" {
 				return // client gone mid-flight; nothing to write
 			}
 			if m.rb == nil {
 				// A local re-check hit, a coalesced flight share, or a cluster
-				// peer's copy: bytes from the cache.
-				page.addView(m.page.Body)
-				hits++
-				cachedBytes += len(m.page.Body)
+				// peer's copy: bytes from the cache — a hit unless the key's
+				// owner generated the fragment for this request.
+				page.addView(m.view.Body)
+				if m.outcome != OutcomeMiss {
+					hits++
+					cachedBytes += len(m.view.Body)
+				}
 				continue
 			}
 			// Generated this request: the stored view when the fragment was
 			// inserted, else a private copy — the capture buffer dies here.
-			body := m.page.Body
-			if body == nil {
+			body := m.view.Body
+			if !m.fresh {
 				body = append([]byte(nil), m.rb.body.Bytes()...)
 			}
 			page.addView(body)

@@ -15,9 +15,10 @@ import (
 )
 
 // Remote is the optional cluster peer tier consulted between a local cache
-// miss and handler execution (internal/cluster.Node implements it). Fetch
-// asks the key's owner node for the page; on success the implementation
-// has inserted a local replica through the cache's epoch guard
+// miss and handler execution (internal/cluster.Node implements it, with the
+// optional Resolver method the weave prefers when present). Fetch asks the
+// key's owner node for the page; on success the implementation has
+// inserted a local replica through the cache's epoch guard
 // (cache.InsertSince, with its dependency information, so local
 // invalidation covers it) and returns the stored immutable view. A replica
 // the guard refuses — a write it depends on raced the round trip or is
@@ -26,7 +27,8 @@ import (
 // is shared with the cache and must be treated read-only. Either side may
 // be byte-governed: a fetched replica the local budget refuses is still
 // served (just not retained), and an owner at its budget refuses offers —
-// both degrade to extra misses, never to unbounded memory.
+// both degrade to extra misses, never to unbounded memory. With Resolver,
+// Fetch and Offer are not called.
 type Remote interface {
 	Fetch(ctx context.Context, key string) (cache.Page, bool)
 	Offer(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration)
@@ -83,10 +85,14 @@ type Woven struct {
 	handlers   []servlet.HandlerInfo
 	keyCookies []string
 
-	// remote, when set, is the cluster peer tier: flight leaders try a
-	// remote fetch before executing the handler, and misses replicate the
-	// generated page to the key's owner.
-	remote Remote
+	// remote, when set, is the cluster peer tier; resolver is the same
+	// value when it implements Resolver (see resolveMiss).
+	remote   Remote
+	resolver Resolver
+
+	// routes maps each cacheable read handler's path to its route, for
+	// misses peers forward here (ResolvePeer).
+	routes map[string]route
 
 	// flights coalesces concurrent misses on one page or fragment key (see
 	// resolveMiss).
@@ -121,6 +127,7 @@ func New(handlers []servlet.HandlerInfo, c *cache.Cache, rules Rules) (*Woven, e
 		stats:      NewStats(),
 		keyCookies: append([]string(nil), rules.KeyCookies...),
 		flights:    make(map[string]*flight),
+		routes:     make(map[string]route),
 	}
 	seen := make(map[string]bool, len(handlers))
 	for _, h := range handlers {
@@ -150,10 +157,13 @@ func New(handlers []servlet.HandlerInfo, c *cache.Cache, rules Rules) (*Woven, e
 		case h.Write:
 			w.mux.Handle(h.Path, w.afterAdvice(h))
 		case rules.Fragments && len(h.Fragments) > 0:
-			w.mux.Handle(h.Path, w.fragmentAdvice(h))
+			segs := w.keySegments(h.Fragments)
+			w.routes[h.Path] = route{h: h, segs: segs}
+			w.mux.Handle(h.Path, w.fragmentAdvice(h, segs))
 		case h.Uncacheable:
 			w.mux.Handle(h.Path, w.uncacheable(h))
 		default:
+			w.routes[h.Path] = route{h: h}
 			w.mux.Handle(h.Path, w.aroundAdvice(h))
 		}
 	}
@@ -190,10 +200,15 @@ func (w *Woven) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 
 // SetRemote attaches the cluster peer tier (nil detaches). It must be
 // called before the Woven serves traffic; the field is read on every
-// request without synchronisation. The local-hit fast path is unaffected:
-// a page present in the local cache is served before the remote tier is
-// ever consulted, so clustering costs locally-owned hits nothing.
-func (w *Woven) SetRemote(r Remote) { w.remote = r }
+// request without synchronisation. A Remote that implements Resolver
+// resolves misses at the key's owner; one that does not keeps fetch +
+// offer. The local-hit fast path is unaffected: a page present in the
+// local cache is served before the remote tier is ever consulted, so
+// clustering costs locally-owned hits nothing.
+func (w *Woven) SetRemote(r Remote) {
+	w.remote = r
+	w.resolver, _ = r.(Resolver)
+}
 
 // Stats returns the per-interaction statistics collector.
 func (w *Woven) Stats() *Stats { return w.stats }
@@ -274,9 +289,9 @@ func (rb *responseBuffer) contentType() string {
 
 // aroundAdvice implements Fig. 10: surround a read interaction with a cache
 // check, bypassing the handler on a hit and inserting the page (with its
-// dependency information) on a miss. The miss itself — coalescing, remote
-// fetch, generation, guarded insert — is resolveMiss's; this advice only
-// decides how each resolution is served and accounted.
+// dependency information) on a miss. The miss itself — coalescing, the
+// owner's round trip, generation, guarded insert — is resolveMiss's; this
+// advice only decides how each resolution is served and accounted.
 func (w *Woven) aroundAdvice(h servlet.HandlerInfo) http.Handler {
 	hitOutcome := OutcomeHit
 	if h.TTL > 0 {
@@ -290,7 +305,14 @@ func (w *Woven) aroundAdvice(h servlet.HandlerInfo) http.Handler {
 			w.recordServe(h.Name, sv, time.Since(start), true)
 			return
 		}
-		m := w.resolveMiss(r, key, h.TTL, h.Fn)
+		m := w.resolveMiss(r, key, h.TTL, h.Fn, w.keyCookies, true)
+		if m.outcome == OutcomeMiss && m.rb == nil {
+			// The key's owner generated the page for this request: serve
+			// the local replica, a miss that ran no handler here.
+			sv := w.servePage(rw, r, m.view.Page, OutcomeMiss)
+			w.recordServe(h.Name, sv, time.Since(start), false)
+			return
+		}
 		switch m.outcome {
 		case "":
 			// The client went away while waiting on a flight.
@@ -298,10 +320,10 @@ func (w *Woven) aroundAdvice(h servlet.HandlerInfo) http.Handler {
 			if m.outcome == OutcomeHit {
 				m.outcome = hitOutcome
 			}
-			sv := w.servePage(rw, r, m.page, m.outcome)
+			sv := w.servePage(rw, r, m.view.Page, m.outcome)
 			w.recordServe(h.Name, sv, time.Since(start), true)
 		case OutcomeCoalesced:
-			sv := w.servePage(rw, r, m.page, OutcomeCoalesced)
+			sv := w.servePage(rw, r, m.view.Page, OutcomeCoalesced)
 			switch {
 			case sv.err != nil:
 				w.stats.RecordSendFailure(h.Name)
@@ -314,12 +336,12 @@ func (w *Woven) aroundAdvice(h servlet.HandlerInfo) http.Handler {
 			}
 		default:
 			// This request ran the handler: replay its captured response.
-			// m.page, when the generation was inserted and survived the epoch
+			// m.view, when the generation was inserted and survived the epoch
 			// guard, is the stored entry: the choke point serves the first
 			// response with the entry's validator and negotiated encoding, so
 			// clients can revalidate (and caches vary) from the very first
 			// transfer.
-			sv := w.serveCaptured(rw, r, m.rb, m.outcome, m.page)
+			sv := w.serveCaptured(rw, r, m.rb, m.outcome, m.view.Page)
 			m.rb.release()
 			if sv.err != nil {
 				w.stats.RecordSendFailure(h.Name)

@@ -16,7 +16,7 @@
 #   3. a write on node B removes that page from node A before the write's
 #      response returns (strong cluster-wide invalidation, §3.2);
 #   4. the regenerated page is visible from node C as a hit or remote-hit
-#      (ownership fetch / replica offer works).
+#      (the key's owner, which generated or was asked for it, holds it).
 #
 #   5. (SHARED_DB only) node 1's regenerated page shows the bid written on
 #      node 2 — read-your-write through the one shared database, the §3.2
@@ -49,7 +49,7 @@
 # KILL_RESTART (non-empty = run the kill/restart failure-domain phase).
 #
 # When setting MAX_BYTES, size it above the demo's working set (tens of
-# MiB): assertions 2-4 require inserts and replica offers to be accepted,
+# MiB): assertions 2-4 require inserts and owner replicas to be accepted,
 # and a node at a saturated budget legitimately refuses both (admission
 # duels, rejected offers) — that regime is exercised by the unit and -race
 # stress tests, not by this smoke script.
@@ -238,8 +238,9 @@ if [ "$AFTER" = "hit" ] || [ "$AFTER" = "semantic-hit" ]; then
 fi
 echo "cluster-demo: cross-node invalidation OK (node1 outcome after write: $AFTER)"
 
-# Assertion 4: node 1's regeneration re-populated the cluster (local insert
-# plus replica offer to the key's owner); node 3 must see it without
+# Assertion 4: node 1's re-read re-populated the cluster: it resolved the
+# miss at the key's owner, which generated the page and holds it (or node 1
+# owns the key and generated it itself); node 3 must see it without
 # executing the handler — a local hit (node 3 owns it) or a remote hit.
 VIA3=$(outcome "$N3$PAGE")
 case "$VIA3" in
