@@ -404,6 +404,13 @@ type ClusterConfig struct {
 // returned node must be Closed on shutdown. Requires the cached
 // configuration (Config.Disabled unset).
 //
+// The owner runs the handler on the request URI and the cookies the key
+// covers (Rules.KeyCookies, or a fragment's vary cookies) — no other
+// header or cookie reaches it. A cacheable route's response, errors and
+// redirects included, must therefore depend on nothing else of the
+// request, as its cache key already asserts; the headers the handler sets
+// travel back with a response the owner could not cache.
+//
 // An empty ListenPeer disables clustering and returns a nil node, so
 // callers can pass their flag values straight through; Peers without
 // ListenPeer is rejected as a misconfiguration rather than silently

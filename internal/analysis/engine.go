@@ -315,20 +315,17 @@ func (pw *PreparedWrite) Intersects(read Query) (bool, error) {
 }
 
 // ExcludesTemplate reports whether no instance of the read template can
-// intersect the write, whatever its arguments: the template is not
-// possibly dependent on the write, or the value-level test with every read
-// argument unknown is already False (an INSERT's fresh auto-increment key
-// joined on by the read, a WHERE binding the read's literals contradict).
-// Three-valued evaluation only moves from Unknown towards a verdict as
-// arguments become known, so then Intersects is false for every instance
-// and a sweep may skip the template's instances unseen. Under ColumnOnly
-// only the template-level test applies. It never counts an exoneration.
+// intersect the write, whatever its arguments. The caller has already found
+// the template possibly dependent on the write (Engine.PossiblyDependent);
+// this is the value-level test with every read argument unknown, which is
+// already False for an INSERT's fresh auto-increment key joined on by the
+// read, or a WHERE binding the read's literals contradict. Three-valued
+// evaluation only moves from Unknown towards a verdict as arguments become
+// known, so then Intersects is false for every instance and a sweep may
+// skip the template's instances unseen. Under ColumnOnly it is always
+// false. It never counts an exoneration.
 func (pw *PreparedWrite) ExcludesTemplate(readSQL string) (bool, error) {
 	e := pw.e
-	dep, err := e.PossiblyDependent(readSQL, pw.w.SQL)
-	if err != nil || !dep {
-		return err == nil, err
-	}
 	if e.strategy == StrategyColumnOnly {
 		return false, nil
 	}

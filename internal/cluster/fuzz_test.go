@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"net/http"
 	"testing"
 	"time"
 
@@ -51,6 +52,8 @@ func seedFrames(t testing.TB) [][]byte {
 		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, Cacheable: true, Status: 200, ContentType: "text/html", TTLNanos: int64(30 * time.Second), Deps: deps, Applied: vector}, body),
 		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, Generated: true, Cacheable: true, Status: 200, ContentType: "text/html", Deps: deps, Applied: vector}, body),
 		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, Generated: true, Status: 500, ContentType: "text/plain"}, []byte("boom")),
+		encodeFrame(t, msgGetResp, &getRespMeta{Found: true, Generated: true, Status: 302, ContentType: "text/html",
+			Header: http.Header{"Location": {"/login"}, "Set-Cookie": {"a=1", "b=2"}}}, nil),
 		encodeFrame(t, msgPut, &putMeta{Key: "/k", ContentType: "text/html", Deps: deps, Applied: vector}, body),
 		encodeFrame(t, msgPutResp, &putRespMeta{OK: true}, nil),
 		encodeFrame(t, msgInv, &invMeta{Captures: []analysis.WriteCapture{capture}, Origin: "10.0.0.1:9091", Seq: 18}, nil),

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"net/http"
 	"os"
 	"strings"
 	"testing"
@@ -50,6 +51,8 @@ func goldenFrames(t *testing.T) [][2]string {
 			ContentType: "text/html", Deps: deps, Applied: vector}, body},
 		{"get-resp-once", msgGetResp, &getRespMeta{Found: true, Generated: true, Status: 500,
 			ContentType: "text/plain; charset=utf-8"}, []byte("boom")},
+		{"get-resp-redirect", msgGetResp, &getRespMeta{Found: true, Generated: true, Status: 302,
+			ContentType: "text/html; charset=utf-8", Header: http.Header{"Location": {"/login"}, "Set-Cookie": {"sid=1", "seen=1"}}}, nil},
 		{"put", msgPut, &putMeta{Key: "/k", ContentType: "text/html", TTLNanos: 30e9,
 			Deps: deps, Applied: map[string]uint64{}}, body},
 		{"put-resp", msgPutResp, &putRespMeta{OK: true}, nil},

@@ -484,7 +484,7 @@ func (n *Node) Resolve(ctx context.Context, key string, req weave.PeerRequest) (
 	if !resp.Cacheable {
 		// body is this call's own frame buffer: the caller may keep it.
 		a.Page = cache.Page{Body: body, ContentType: resp.ContentType}
-		a.Status, a.Generated = int(resp.Status), resp.Generated
+		a.Header, a.Status, a.Generated = resp.Header, int(resp.Status), resp.Generated
 		return a, true
 	}
 	if behind(resp.Applied, mine) {
@@ -501,15 +501,19 @@ func (n *Node) Resolve(ctx context.Context, key string, req weave.PeerRequest) (
 	// recomputes them under the local cache's own Options rather than
 	// trusting the owner's — nodes may disagree on -encodings/-etag
 	// without trading stale or mismatched variants.
-	pg, _, fresh := n.cfg.Cache.InsertSince(epoch0, key, body, resp.ContentType,
-		resp.Deps, ttlFromNanos(resp.TTLNanos))
+	ttl := ttlFromNanos(resp.TTLNanos)
+	pg, _, fresh := n.cfg.Cache.InsertSince(epoch0, key, body, resp.ContentType, resp.Deps, ttl)
 	if !fresh {
 		// The page may predate a write that already swept this cache or
 		// that peers are still applying. Discard and regenerate.
 		n.fetchAborts.Add(1)
 		return a, false
 	}
-	a.Page, a.Status, a.Generated, a.Cacheable = pg, http.StatusOK, resp.Generated, true
+	// The answer carries the dependency set with the page: the weave
+	// shares it with its flight, and as the key's owner for a peer whose
+	// ring disagrees, it may ship it on (ResolvePeer).
+	a.View = cache.View{Page: pg, Deps: resp.Deps, TTL: ttl}
+	a.Status, a.Generated, a.Cacheable = http.StatusOK, resp.Generated, true
 	return a, true
 }
 
@@ -811,6 +815,7 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 			Cacheable:   a.Cacheable,
 			Status:      int64(a.Status),
 			ContentType: a.ContentType,
+			Header:      a.Header,
 			TTLNanos:    int64(a.TTL),
 			Deps:        a.Deps,
 			Applied:     applied,

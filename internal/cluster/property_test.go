@@ -201,6 +201,17 @@ func TestClusterPropertyConsistency(t *testing.T) {
 		return g
 	}
 
+	// resolve is a miss on key i at node ci resolved at the key's owner,
+	// which generates the page when it does not hold it; a generation is
+	// settled once the requester's replica has landed.
+	resolve := func(ci, i int) {
+		mu[i].Lock()
+		if a, ok := nodes[ci].Resolve(context.Background(), keys[i], weave.PeerRequest{URI: keys[i]}); ok && a.Generated {
+			settled[i].Store(parseGen(a.Body))
+		}
+		mu[i].Unlock()
+	}
+
 	// Seed every key on a random node.
 	for i := 0; i < nKeys; i++ {
 		insert(setupRng.Intn(len(caches)), i, false)
@@ -229,14 +240,7 @@ func TestClusterPropertyConsistency(t *testing.T) {
 					// the middle of a write on this node or the owner.
 					nodes[ci].Fetch(context.Background(), keys[i])
 				case r < 6:
-					// A miss resolved at the key's owner, which generates
-					// the page when it does not hold it; a generation is
-					// settled once the requester's replica has landed.
-					mu[i].Lock()
-					if a, ok := nodes[ci].Resolve(context.Background(), keys[i], weave.PeerRequest{URI: keys[i]}); ok && a.Generated {
-						settled[i].Store(parseGen(a.Body))
-					}
-					mu[i].Unlock()
+					resolve(ci, i)
 				default:
 					insert(ci, i, r >= 8)
 				}
@@ -266,6 +270,7 @@ func TestClusterPropertyConsistency(t *testing.T) {
 		if _, err := origin.InvalidateWrite(w.capture()); err != nil {
 			t.Fatalf("InvalidateWrite: %v", err)
 		}
+		var removed []int
 		for i := range keys {
 			dependent := false
 			for _, d := range deps[i] {
@@ -277,6 +282,7 @@ func TestClusterPropertyConsistency(t *testing.T) {
 			if !dependent {
 				continue
 			}
+			removed = append(removed, i)
 			for ci, c := range caches {
 				if pg, ok := c.Lookup(keys[i]); ok {
 					if g := parseGen(pg.Body); g <= g0[i] {
@@ -285,6 +291,19 @@ func TestClusterPropertyConsistency(t *testing.T) {
 					}
 				}
 			}
+		}
+		// A miss on a key the write just removed everywhere, from a node
+		// that does not own it: the owner generates the page while the
+		// readers race to re-insert it, so every run resolves misses by
+		// generation at the owner — the readers' own resolves mostly find
+		// the page offered back already.
+		if len(removed) > 0 {
+			i := removed[writerRng.Intn(len(removed))]
+			ci := writerRng.Intn(len(nodes))
+			if nodes[ci].Addr() == nodes[ci].Ring().Owner(keys[i]) {
+				ci = (ci + 1) % len(nodes)
+			}
+			resolve(ci, i)
 		}
 	}
 	close(stop)

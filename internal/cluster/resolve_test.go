@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,6 +70,28 @@ func totalRuns(nodes []*rnode, name string) int {
 	return n
 }
 
+// waitForFollowers waits until n forwarded misses are parked in this
+// process as followers of a flight — goroutines blocked in the select of
+// resolveMiss, called from ResolvePeer.
+func waitForFollowers(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, "(*Woven).ResolvePeer") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d forwarded misses joined a flight, want %d", parked, n)
+		}
+	}
+}
+
 // newResolveNode builds a member over db with the given rules; it joins no
 // ring yet.
 func newResolveNode(t *testing.T, name string, db *memdb.DB, cfg Config, rules weave.Rules) *rnode {
@@ -116,6 +140,12 @@ func newResolveNode(t *testing.T, name string, db *memdb.DB, cfg Config, rules w
 		{Name: "Broken", Path: "/broken", Fn: func(w http.ResponseWriter, r *http.Request) {
 			rn.ran("Broken")
 			servlet.ServerError(w, fmt.Errorf("broken %s", servlet.Param(r, "product")))
+		}},
+		{Name: "Moved", Path: "/moved", Fn: func(w http.ResponseWriter, r *http.Request) {
+			// A redirect whose headers are its meaning.
+			rn.ran("Moved")
+			http.SetCookie(w, &http.Cookie{Name: "seen", Value: servlet.Param(r, "product")})
+			http.Redirect(w, r, "/stock?product="+servlet.Param(r, "product"), http.StatusFound)
 		}},
 		{Name: "Visit", Path: "/visit", Fn: func(w http.ResponseWriter, r *http.Request) {
 			// A read interaction that writes: never cacheable, and running
@@ -191,9 +221,15 @@ func newResolveCluster(t *testing.T, cfg Config, rules ...weave.Rules) []*rnode 
 // serve issues one GET against a member and returns status, body and
 // outcome.
 func (rn *rnode) serve(target string) (int, string, string) {
+	rr := rn.record(target)
+	return rr.Code, rr.Body.String(), rr.Header().Get(weave.HeaderOutcome)
+}
+
+// record issues one GET against a member and returns the whole response.
+func (rn *rnode) record(target string) *httptest.ResponseRecorder {
 	rr := httptest.NewRecorder()
 	rn.woven.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, target, nil))
-	return rr.Code, rr.Body.String(), rr.Header().Get(weave.HeaderOutcome)
+	return rr
 }
 
 // get is serve for a request that must succeed.
@@ -297,12 +333,7 @@ func TestResolveCoalescesAcrossMembers(t *testing.T) {
 			<-gate.entered // the first miss leads the owner's flight
 		}
 	}
-	// Both misses have reached the owner before the leader finishes.
-	for deadline := time.Now().Add(10 * time.Second); owner.node.Snapshot().GetsServed < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the second miss never reached the owner")
-		}
-	}
+	waitForFollowers(t, 1) // the second miss waits on the owner's flight
 	close(gate.release)
 	wg.Wait()
 	if n := totalRuns(nodes, "Stock"); n != 1 {
@@ -335,6 +366,101 @@ func TestResolveWriteRemovesOwnerPage(t *testing.T) {
 	if body, _ := req.get(t, target); body != fmt.Sprintf("<p>%s: 777 units</p>", product) {
 		t.Fatalf("read after the write: %q", body)
 	}
+}
+
+// TestResolveDivergedRingsKeepDeps: while membership changes, two members'
+// rings may disagree on a key's owner. Here a believes b owns the key and b
+// believes c does; b's own miss leads a flight to c — resolved there, or,
+// through a Remote without Resolve, fetched from c's cache — and a's
+// forwarded miss coalesces onto that flight at b. The page a receives must
+// still carry its dependency set, so a write removes a's replica: a replica
+// stored without one would outlive every write (§3.2).
+func TestResolveDivergedRingsKeepDeps(t *testing.T) {
+	for _, fetchOnly := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fetch-only=%v", fetchOnly), func(t *testing.T) {
+			db := newStockDB(t)
+			cfg := Config{ProbeInterval: -1, CallTimeout: 10 * time.Second}
+			a := newResolveNode(t, "a", db, cfg, weave.Rules{})
+			b := newResolveNode(t, "b", db, cfg, weave.Rules{})
+			c := newResolveNode(t, "c", db, cfg, weave.Rules{})
+			a.node.SetPeers([]string{b.node.Addr()})
+			b.node.SetPeers([]string{a.node.Addr(), c.node.Addr()})
+			c.node.SetPeers([]string{a.node.Addr(), b.node.Addr()})
+			var product string
+			for i := 0; product == ""; i++ {
+				p := fmt.Sprintf("d%d", i)
+				if a.node.Ring().Owner(stockKey(p)) == b.node.Addr() && b.node.Ring().Owner(stockKey(p)) == c.node.Addr() {
+					product = p
+				}
+			}
+			if _, err := db.Exec(context.Background(), "INSERT INTO stock (product, units) VALUES (?, ?)", product, 50); err != nil {
+				t.Fatal(err)
+			}
+			key, target := stockKey(product), "/stock?product="+product
+			gate := &holdGate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+			want := []weave.Outcome{weave.OutcomeMiss, weave.OutcomeRemoteHit} // b, a
+			if fetchOnly {
+				c.get(t, target) // c holds the page b will fetch
+				b.woven.SetRemote(gatedFetch{b.node, gate})
+				want[0] = weave.OutcomeRemoteHit
+			} else {
+				c.hold = gate
+			}
+			outcomes := make([]string, 2)
+			var wg sync.WaitGroup
+			for i, rn := range []*rnode{b, a} {
+				wg.Add(1)
+				go func(i int, rn *rnode) {
+					defer wg.Done()
+					code, body, outcome := rn.serve(target)
+					if code != http.StatusOK {
+						t.Errorf("%s: status %d: %s", rn.name, code, body)
+					}
+					outcomes[i] = outcome
+				}(i, rn)
+				if i == 0 {
+					<-gate.entered // b's flight is waiting on c
+				}
+			}
+			waitForFollowers(t, 1) // a's miss waits on b's flight
+			close(gate.release)
+			wg.Wait()
+			if outcomes[0] != string(want[0]) || outcomes[1] != string(want[1]) {
+				t.Fatalf("b served %q and a %q, want %q and %q", outcomes[0], outcomes[1], want[0], want[1])
+			}
+			if n := totalRuns([]*rnode{a, b, c}, "Stock"); n != 1 || c.count("Stock") != 1 {
+				t.Fatalf("Stock ran %d times, want once, on c", n)
+			}
+			if v, ok := a.cache.Export(key); !ok || len(v.Deps) == 0 {
+				t.Fatalf("a's replica: held %v, deps %v; want it held with its dependency set", ok, v.Deps)
+			}
+			if _, outcome := a.get(t, "/restock?product="+product+"&units=5"); outcome != string(weave.OutcomeWrite) {
+				t.Fatalf("write outcome %q", outcome)
+			}
+			if a.cache.Contains(key) {
+				t.Fatal("a's replica survived a write it depends on")
+			}
+			if body, _ := a.get(t, target); body != fmt.Sprintf("<p>%s: 5 units</p>", product) {
+				t.Fatalf("read after the write: %q", body)
+			}
+		})
+	}
+}
+
+// gatedFetch is a Remote without Resolve whose fetches wait on a gate.
+type gatedFetch struct {
+	node *Node
+	gate *holdGate
+}
+
+func (g gatedFetch) Fetch(ctx context.Context, key string) (cache.Page, bool) {
+	g.gate.entered <- struct{}{}
+	<-g.gate.release
+	return g.node.Fetch(ctx, key)
+}
+
+func (g gatedFetch) Offer(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) {
+	g.node.Offer(key, body, contentType, deps, ttl)
 }
 
 // TestResolveRefusals: each way the owner's answer is refused — a write
@@ -410,23 +536,36 @@ func (m missThenBroadcast) BroadcastWrite(w analysis.WriteCapture) error {
 func (m missThenBroadcast) BroadcastFlush() error { return m.node.BroadcastFlush() }
 
 // TestResolveUncacheableAnswerRunsOnce: a response the owner cannot cache —
-// an error status, or a read that writes — is served by the requester as
-// the owner produced it, and the handler is never run again there.
+// an error status, a redirect, or a read that writes — is served by the
+// requester as the owner produced it, headers included, and the handler is
+// never run again there.
 func TestResolveUncacheableAnswerRunsOnce(t *testing.T) {
 	nodes := newResolveCluster(t, Config{ProbeInterval: -1})
 	for _, c := range []struct {
 		handler, path string
 		status        int
 		outcome       weave.Outcome
+		header        func(product string) http.Header
 	}{
-		{"Broken", "/broken", http.StatusInternalServerError, weave.OutcomeError},
-		{"Visit", "/visit", http.StatusOK, weave.OutcomeMiss},
+		{"Broken", "/broken", http.StatusInternalServerError, weave.OutcomeError, nil},
+		{"Moved", "/moved", http.StatusFound, weave.OutcomeError, func(product string) http.Header {
+			return http.Header{"Location": {"/stock?product=" + product}, "Set-Cookie": {"seen=" + product}}
+		}},
+		{"Visit", "/visit", http.StatusOK, weave.OutcomeMiss, nil},
 	} {
 		keyOf := func(product string) string { return c.path + "?product=" + product }
 		product, owner, req, _ := roles(t, nodes, keyOf)
-		code, body, outcome := req.serve(c.path + "?product=" + product)
+		rr := req.record(c.path + "?product=" + product)
+		code, body, outcome := rr.Code, rr.Body.String(), rr.Header().Get(weave.HeaderOutcome)
 		if code != c.status || outcome != string(c.outcome) {
 			t.Fatalf("%s: status %d outcome %q (%q), want %d %q", c.handler, code, outcome, body, c.status, c.outcome)
+		}
+		if c.header != nil {
+			for name, want := range c.header(product) {
+				if got := rr.Header().Values(name); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: %s = %q, want the owner's %q", c.handler, name, got, want)
+				}
+			}
 		}
 		if n, on := totalRuns(nodes, c.handler), owner.count(c.handler); n != 1 || on != 1 {
 			t.Fatalf("%s ran %d times across the cluster, %d on the owner; want once, on the owner", c.handler, n, on)

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
+	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -98,6 +101,9 @@ type getRespMeta struct {
 	// applied an invalidation the owner missed discards the page: it may
 	// predate that invalidation.
 	Applied map[string]uint64
+	// Header is every header the handler set, for an answer that is not
+	// Cacheable (nil otherwise): the requester replays it with the body.
+	Header http.Header
 }
 
 func (m *getRespMeta) appendTo(b []byte) []byte {
@@ -108,7 +114,8 @@ func (m *getRespMeta) appendTo(b []byte) []byte {
 	b = codec.AppendString(b, m.ContentType)
 	b = codec.AppendVarint(b, m.TTLNanos)
 	b = codec.AppendQueries(b, m.Deps)
-	return codec.AppendVector(b, m.Applied)
+	b = codec.AppendVector(b, m.Applied)
+	return appendHeader(b, m.Header)
 }
 
 func (m *getRespMeta) decode(d *codec.Decoder) {
@@ -120,6 +127,45 @@ func (m *getRespMeta) decode(d *codec.Decoder) {
 	m.TTLNanos = d.Varint()
 	m.Deps = d.Queries()
 	m.Applied = d.Vector()
+	m.Header = decodeHeader(d)
+}
+
+// appendHeader appends a header map that may be nil, names sorted so one
+// map always encodes to the same bytes: each name, then its value list
+// (which may be nil).
+func appendHeader(b []byte, h http.Header) []byte {
+	b = codec.AppendList(b, len(h), h == nil)
+	for _, name := range slices.Sorted(maps.Keys(h)) {
+		vs := h[name]
+		b = codec.AppendList(codec.AppendString(b, name), len(vs), vs == nil)
+		for _, v := range vs {
+			b = codec.AppendString(b, v)
+		}
+	}
+	return b
+}
+
+// decodeHeader reads a header map appendHeader wrote.
+func decodeHeader(d *codec.Decoder) http.Header {
+	n, ok := d.List()
+	if !ok {
+		return nil
+	}
+	h := make(http.Header, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		name := d.Str()
+		nv, ok := d.List()
+		if !ok {
+			h[name] = nil
+			continue
+		}
+		vs := make([]string, nv)
+		for j := range vs {
+			vs[j] = d.Str()
+		}
+		h[name] = vs
+	}
+	return h
 }
 
 // putMeta replicates a locally generated page to the key's owner.

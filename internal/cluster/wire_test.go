@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"net/http"
 	"os"
 	"reflect"
 	"slices"
@@ -152,8 +153,11 @@ func TestMetaRoundTrip(t *testing.T) {
 			Status: math.MaxInt64, Deps: deps, Applied: vector}},
 		{"get-resp/once", msgGetResp, &getRespMeta{Found: true, Generated: true, Status: math.MinInt64,
 			ContentType: "text/plain"}},
-		{"get-resp/empty deps and vector", msgGetResp, &getRespMeta{Found: true,
-			TTLNanos: math.MaxInt64, Deps: []analysis.Query{}, Applied: map[string]uint64{}}},
+		{"get-resp/once with headers", msgGetResp, &getRespMeta{Found: true, Generated: true, Status: 302,
+			ContentType: "text/html", Header: http.Header{"Location": {"/login?next=é"}, "Set-Cookie": {"a=1", "b=2; Path=/"},
+				"X-Empty": {}, "X-Nil": nil, "": {""}}}},
+		{"get-resp/empty deps, vector and header", msgGetResp, &getRespMeta{Found: true,
+			TTLNanos: math.MaxInt64, Deps: []analysis.Query{}, Applied: map[string]uint64{}, Header: http.Header{}}},
 		{"put", msgPut, &putMeta{Key: "/k", TTLNanos: -1, Deps: deps, Applied: vector}},
 		{"put/nil deps and vector", msgPut, &putMeta{Key: "/k", ContentType: "text/html"}},
 		{"put-resp", msgPutResp, &putRespMeta{OK: true}},
@@ -293,6 +297,8 @@ func TestDecodeMetaRefuses(t *testing.T) {
 		{"deps count beyond bytes left", msgPut, append(putPrefix, huge...), "exceeds"},
 		{"args count beyond bytes left", msgInv, append(codec.AppendString(oneCapture, "x"), huge...), "exceeds"},
 		{"vector count beyond bytes left", msgGetResp, append(getRespPrefix, huge...), "exceeds"},
+		{"header count beyond bytes left", msgGetResp, append(append(getRespPrefix, 0), huge...), "exceeds"},
+		{"header values beyond bytes left", msgGetResp, append(codec.AppendString(append(getRespPrefix, 0, 2), "Location"), huge...), "exceeds"},
 		{"affected rows beyond bytes left", msgInv, append(append(codec.AppendString(oneCapture, "x"), 0, 1, 0), huge...), "exceeds"},
 		{"captures count beyond bytes left", msgInv, huge, "exceeds"},
 	}

@@ -33,12 +33,13 @@ import (
 type flight struct {
 	done chan struct{}
 	// view is the immutable stored entry the leader resolved the miss to,
-	// with the dependency set and TTL an owner ships to a peer; shared is
-	// false when there is none to share (error status, failed read, an
-	// interleaved write, an invalidation sweep that raced the generation,
-	// an owner's one-off answer, or a panic), in which case followers
-	// re-check the cache and compete to lead a fresh flight — a failed
-	// flight never poisons the key.
+	// with its dependency set and TTL (the page alone when fetched through
+	// a Remote without Resolve); shared is false when there is none to
+	// share (error status, failed read, an interleaved write, an
+	// invalidation sweep that raced the generation, an owner's one-off
+	// answer, or a panic), in which case followers re-check the cache and
+	// compete to lead a fresh flight — a failed flight never poisons the
+	// key.
 	view   cache.View
 	shared bool
 	// epoch is the cache's invalidation epoch the shared page is valid
@@ -156,6 +157,8 @@ func (w *Woven) resolveMiss(r *http.Request, key string, ttl time.Duration, gen 
 				return ownerAnswer(f, a)
 			}
 		case w.remote != nil:
+			// Fetch returns the page alone: a peer asking this node is
+			// answered from the cache instead (ResolvePeer).
 			if pg, ok := w.remote.Fetch(r.Context(), key); ok {
 				f.view, f.shared = cache.View{Page: pg}, true
 				return miss{outcome: OutcomeRemoteHit, view: f.view}
@@ -203,15 +206,19 @@ func (w *Woven) resolveMiss(r *http.Request, key string, ttl time.Duration, gen 
 
 // ownerAnswer turns the key's owner's answer into the flight leader's
 // resolution. A cacheable answer is the local replica of the owner's page,
-// shared with the flight: a remote hit when the owner had it, a miss when
-// the owner generated it for this request. An answer the owner could not
-// cache comes from a handler run for this request too; it is served to this
-// request once, like a local generation that was not cached, and never run
+// with its dependency set, shared with the flight: a remote hit when the
+// owner had it, a miss when the owner generated it for this request. An
+// answer the owner could not cache comes from a handler run for this
+// request too; it is served to this request once, with the headers the
+// handler set, like a local generation that was not cached, and never run
 // again here.
 func ownerAnswer(f *flight, a Answer) miss {
 	if !a.Cacheable {
 		rb := newResponseBuffer()
 		rb.body.Write(a.Body)
+		for k, vs := range a.Header {
+			rb.header[k] = vs
+		}
 		rb.header.Set("Content-Type", a.ContentType)
 		rb.status = a.Status
 		if a.Status != http.StatusOK {
@@ -219,7 +226,7 @@ func ownerAnswer(f *flight, a Answer) miss {
 		}
 		return miss{outcome: OutcomeMiss, rb: rb}
 	}
-	f.view, f.shared = cache.View{Page: a.Page}, true
+	f.view, f.shared = a.View, true
 	if a.Generated {
 		return miss{outcome: OutcomeMiss, view: f.view}
 	}

@@ -20,6 +20,11 @@ import (
 // unreachable, refused, or answered with a page the guard refused: the
 // weave then generates the page locally. SetRemote detects the method once;
 // a Remote without it keeps fetch + offer.
+//
+// The owner runs the handler on the request URI and the cookies the key
+// covers, nothing else of the request: a cacheable route's response — an
+// error or a redirect included — must depend on no other header or cookie,
+// which the cache key already asserts for the pages it stores.
 type Resolver interface {
 	Resolve(ctx context.Context, key string, req PeerRequest) (Answer, bool)
 }
@@ -33,15 +38,18 @@ type PeerRequest struct {
 	Cookie string
 }
 
-// Answer is how the key's owner resolved a forwarded miss. Status is the
-// response status, 200 for every cacheable answer. Generated reports that
-// the owner ran the handler for this request (the requester serves it as a
-// miss, not a remote hit). Cacheable is false for a response the owner
+// Answer is how the key's owner resolved a forwarded miss. A cacheable
+// answer's View is the stored page with its dependency set and TTL. Status
+// is the response status, 200 for every cacheable answer. Generated reports
+// that the owner ran the handler for this request (the requester serves it
+// as a miss, not a remote hit). Cacheable is false for a response the owner
 // could not cache — an error status, an aborted read, a write — which the
 // requester serves once and does not store; View then carries only the
-// body and content type.
+// body and content type, and Header every header the handler set
+// (Location, Set-Cookie, ...), replayed with it.
 type Answer struct {
 	cache.View
+	Header    http.Header
 	Status    int
 	Generated bool
 	Cacheable bool
@@ -125,8 +133,17 @@ func (w *Woven) ResolvePeer(ctx context.Context, key string, req PeerRequest) (A
 	if m.rb == nil {
 		// A local re-check hit or a flight's share — or ctx ended while the
 		// request waited on a flight.
-		if m.outcome == "" {
+		switch m.outcome {
+		case "":
 			return Answer{}, false
+		case OutcomeCoalesced:
+			// The flight's leader may have fetched its page through a Remote
+			// without Resolve, which returns no dependency set: a peer gets
+			// the page only as this cache holds it, dependencies and
+			// remaining TTL included, or not at all.
+			if m.view, ok = w.cache.Export(key); !ok {
+				return Answer{}, false
+			}
 		}
 		return Answer{View: m.view, Status: http.StatusOK, Cacheable: true}, true
 	}
@@ -137,9 +154,9 @@ func (w *Woven) ResolvePeer(ctx context.Context, key string, req PeerRequest) (A
 	case m.fresh:
 		return Answer{View: m.view, Status: http.StatusOK, Generated: true, Cacheable: true}, true
 	}
-	// Run for this request and not cacheable: the body leaves the pooled
-	// buffer as a private copy.
-	a := Answer{Status: m.rb.status, Generated: true}
+	// Run for this request and not cacheable: the body and headers leave
+	// the pooled buffer as private copies.
+	a := Answer{Header: m.rb.header.Clone(), Status: m.rb.status, Generated: true}
 	a.Body = append([]byte(nil), m.rb.body.Bytes()...)
 	a.ContentType = m.rb.contentType()
 	return a, true
