@@ -200,8 +200,9 @@ type Config struct {
 	// Strategy is the invalidation strategy; defaults to ExtraQuery.
 	Strategy Strategy
 	// Admission gates inserts under byte-budget pressure with a TinyLFU
-	// filter: at the budget, a page is cached only when its request
-	// frequency beats the eviction victim's. It requires
+	// filter: at the budget, a page is held in memory only when its request
+	// frequency beats the eviction victim's; with PageCache.L2Path set a
+	// refused page goes to the disk tier instead. It requires
 	// PageCache.MaxBytes: the page cache rejects it without one.
 	Admission bool
 	// Disabled builds the baseline configuration: handlers still work and

@@ -148,9 +148,9 @@ var cacheCounters = []cacheCounter{
 		func(s *CacheStats) uint64 { return s.Expirations }},
 	{"awc_cache_writes_seen_total", "Write captures InvalidateWrite analysed, one per write statement (a request's captures share one call). Mirrors cache.Stats.WritesSeen (page cache only).",
 		func(s *CacheStats) uint64 { return s.WritesSeen }},
-	{"awc_cache_admission_rejects_total", "Inserts refused by the TinyLFU admission filter. Mirrors cache.Stats.AdmissionRejects.",
+	{"awc_cache_admission_rejects_total", "Pages the TinyLFU admission filter kept out of memory: with a disk tier attached a refused insert is spilled there (awc_cache_l2_spills_total) and a refused promotion stays there; without one the page is not cached. Mirrors cache.Stats.AdmissionRejects.",
 		func(s *CacheStats) uint64 { return s.AdmissionRejects }},
-	{"awc_cache_oversize_rejects_total", "Inserts refused because one entry exceeds MaxBytes. Mirrors cache.Stats.OversizeRejects.",
+	{"awc_cache_oversize_rejects_total", "Inserts kept out of memory because one entry exceeds MaxBytes (spilled to the disk tier when one is attached). Mirrors cache.Stats.OversizeRejects.",
 		func(s *CacheStats) uint64 { return s.OversizeRejects }},
 	{"awc_cache_gzip_compressions_total", "Gzip compressor runs — exactly one per insert of a compressible page, never on the serve path. Mirrors cache.Stats.GzipCompressions (page cache only).",
 		func(s *CacheStats) uint64 { return s.GzipCompressions }},
@@ -198,6 +198,8 @@ type l2Counter struct {
 var l2Counters = []l2Counter{
 	{"awc_cache_l2_demotions_total", "Evictions that landed in the disk tier instead of discarding. Mirrors cache.Stats.Demotions.",
 		func(s *CacheStats) uint64 { return s.Demotions }},
+	{"awc_cache_l2_spills_total", "Inserts the memory tier refused (admission or oversize) that landed in the disk tier as volatile records, never restored by a boot. Mirrors cache.Stats.Spills.",
+		func(s *CacheStats) uint64 { return s.Spills }},
 	{"awc_cache_l2_promotions_total", "Disk-tier hits admitted back into the memory tier. Mirrors cache.Stats.Promotions.",
 		func(s *CacheStats) uint64 { return s.Promotions }},
 	{"awc_cache_l2_promote_aborts_total", "Promotions abandoned because an invalidation or flush raced them. Mirrors cache.Stats.PromoteAborts.",
@@ -208,9 +210,9 @@ var l2Counters = []l2Counter{
 		func(s *CacheStats) uint64 { return s.L2.Misses }},
 	{"awc_cache_l2_expirations_total", "Disk records discarded on expiry, at read or boot. Mirrors cache.Stats.L2.Expirations.",
 		func(s *CacheStats) uint64 { return s.L2.Expirations }},
-	{"awc_cache_l2_puts_total", "Demotions appended to the disk tier. Mirrors cache.Stats.L2.Puts.",
+	{"awc_cache_l2_puts_total", "Records appended to the disk tier: demotions and spills. Mirrors cache.Stats.L2.Puts.",
 		func(s *CacheStats) uint64 { return s.L2.Puts }},
-	{"awc_cache_l2_removes_total", "Disk-tier keys tombstoned by invalidation. Mirrors cache.Stats.L2.Removes.",
+	{"awc_cache_l2_removes_total", "Disk-tier keys removed by invalidation, each tombstoned unless its record is volatile. Mirrors cache.Stats.L2.Removes.",
 		func(s *CacheStats) uint64 { return s.L2.Removes }},
 	{"awc_cache_l2_flushes_total", "Full disk-tier flushes. Mirrors cache.Stats.L2.Flushes.",
 		func(s *CacheStats) uint64 { return s.L2.Flushes }},

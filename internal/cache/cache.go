@@ -45,7 +45,8 @@ type Options struct {
 	// dependency overhead, charged at Insert and credited at removal; 0
 	// means unbounded. It tracks actual payload size, so a handful of
 	// multi-megabyte pages cannot blow the heap. A single page costing more
-	// than MaxBytes is served to its requester but never cached.
+	// than MaxBytes is served to its requester but never held in memory; with
+	// L2 set it goes to the disk tier instead.
 	//
 	// A bounded cache evicts by segmented LRU: new pages start on probation
 	// and are promoted on their first hit; under pressure, probation pages
@@ -57,8 +58,10 @@ type Options struct {
 	// TinyLFU filter: when the cache is at MaxBytes, a candidate page is
 	// admitted — evicting the LRU victim — only if its estimated
 	// request frequency strictly beats the victim's. One-hit wonders are
-	// rejected (still served, just not cached) instead of displacing hot
-	// pages. Requires MaxBytes > 0.
+	// rejected instead of displacing hot pages: with L2 set, a rejected page
+	// goes to the disk tier (a volatile record, never restored by a boot);
+	// without one it is still served, just not cached. Requires
+	// MaxBytes > 0.
 	Admission bool
 	// Shards is the lock-stripe count for the page and dependency tables,
 	// rounded up to a power of two. 0 picks GOMAXPROCS rounded likewise.
@@ -85,7 +88,8 @@ type Options struct {
 	ETags bool
 	// L2, when set, attaches a disk tier under the byte-budgeted L1:
 	// eviction demotes entries (body, deps, remaining TTL) into the store
-	// instead of discarding them, an L1 miss probes the store and promotes
+	// instead of discarding them, an insert the L1 budget refuses is spilled
+	// there as a volatile record, an L1 miss probes the store and promotes
 	// a hit back, and InvalidateWrite/Flush sweep both tiers before
 	// returning, so the §3.2 contract holds for disk-resident pages too.
 	// The dependency table stays the single source of truth across tiers.
@@ -239,6 +243,7 @@ type Stats struct {
 
 	// Tier-movement counters, non-zero only with an attached L2 store.
 	Demotions     uint64 // evictions that landed in the disk tier instead of discarding
+	Spills        uint64 // inserts the L1 budget refused that landed in the disk tier instead (volatile)
 	Promotions    uint64 // disk-tier hits admitted back into L1
 	PromoteAborts uint64 // promotions abandoned because an invalidation raced them
 	// L2 is the attached disk tier's own counters (zero without one).
@@ -254,6 +259,7 @@ type Cache struct {
 	// insert).
 	gzipCompressions atomic.Uint64
 	demotions        atomic.Uint64
+	spills           atomic.Uint64
 	promotions       atomic.Uint64
 	promoteAborts    atomic.Uint64
 	// flushing counts in-progress FlushLocal sweeps. While it is non-zero,
@@ -362,21 +368,23 @@ func (c *Cache) Export(key string) (View, bool) {
 // caller must not retain or mutate the slice (or its Args vectors) after
 // the call.
 //
-// Under byte governance the insert may be refused — the page is oversize,
-// or the admission filter sides with the eviction victim. The returned
-// view is still immutable and servable either way; callers that need to
-// know use TryInsert.
+// Under byte governance the memory tier may refuse the insert — the page is
+// oversize, or the admission filter sides with the eviction victim — and
+// the page then goes to the disk tier, if one is attached, or is not
+// cached. The returned view is still immutable and servable either way;
+// callers that need to know use TryInsert.
 func (c *Cache) Insert(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) Page {
 	pg, _ := c.TryInsert(key, body, contentType, deps, ttl)
 	return pg
 }
 
-// TryInsert is Insert reporting whether the page was actually stored.
-// stored=false means the byte budget refused it: the entry costs more than
-// MaxBytes, or the admission filter judged it colder than every eviction
-// victim it would displace. The returned Page wraps this call's private
-// immutable copy of body in that case, so it is servable and shareable
-// regardless — the page just will not be found by later lookups.
+// TryInsert is Insert reporting whether the page was actually stored, in
+// either tier. stored=false means the byte budget refused it — the entry
+// costs more than MaxBytes, or the admission filter judged it colder than
+// every eviction victim it would displace — and no disk tier took it
+// instead. The returned Page wraps this call's private immutable copy of
+// body in that case, so it is servable and shareable regardless — the page
+// just will not be found by later lookups.
 func (c *Cache) TryInsert(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) (Page, bool) {
 	v := &pageVal{Page: Page{Body: append([]byte(nil), body...), ContentType: contentType}}
 	var expiresAt time.Time
@@ -541,6 +549,7 @@ func (c *Cache) Snapshot() Stats {
 		GzipCompressions: c.gzipCompressions.Load(),
 		VariantBytes:     c.store.extra.Load(),
 		Demotions:        c.demotions.Load(),
+		Spills:           c.spills.Load(),
 		Promotions:       c.promotions.Load(),
 		PromoteAborts:    c.promoteAborts.Load(),
 	}

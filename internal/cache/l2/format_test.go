@@ -132,9 +132,11 @@ func seedPayloads(t testing.TB) [][]byte {
 	defer s.Abandon()
 	s.Put(keyFor(1), bodyFor(1), "text/html", depsFor(1), time.Unix(9e9, 0))
 	s.Put(keyFor(2), bodyFor(2), "text/html", nil, time.Time{})
+	s.PutVolatile(keyFor(3), bodyFor(3), "text/html", depsFor(3), time.Time{})
 	s.RecordApplied("10.0.0.1:9091", 17)
 	entry, _ := appendEntry(nil, nil, segRec{lsn: 1, key: keyFor(1), ct: "text/html", deps: depsFor(1)}, bodyFor(1))
-	stream := append(entry, s.journalBuf...)
+	volatile, _ := appendEntry(nil, nil, segRec{lsn: 3, expiresAt: volatileExpiry, key: keyFor(3), ct: "text/html", deps: depsFor(3)}, bodyFor(3))
+	stream := append(append(entry, volatile...), s.journalBuf...)
 	for _, r := range []journalRec{{typ: recTombstone, lsn: 3, key: keyFor(2)}, {typ: recFlush, lsn: 4}, {typ: recOwnSeq, seq: 5}} {
 		stream = codec.AppendFrame(stream, r.appendTo(nil))
 	}

@@ -19,16 +19,29 @@
 // invalidating write returns (Sync / FlushAll), so an acknowledged
 // invalidation can never resurrect after a crash. Demoted page bodies are
 // written without fsync — losing an unsynced demotion costs a cache miss,
-// never staleness. Cluster watermarks (applied vector, own broadcast seq)
-// ride the journal unsynced *after* the tombstones they describe; because a
-// torn tail is truncated at the first bad frame, a restored watermark can
-// never claim more than the durable tombstones prove, and a lost watermark
-// only makes the rejoin conservatively cold (gap ⇒ quarantine flush).
+// never staleness. A volatile record (PutVolatile: a page the memory tier's
+// admission refused, spilled here instead of dropped) is never restored by
+// any boot, after a crash or a clean Close: its on-disk expiry is written
+// as already lapsed, so boot drops it even as a key's newest record, and the
+// snapshot skips it. Removing one therefore journals no tombstone, and a
+// sweep that removed only volatile records has nothing to fsync. A volatile
+// record that supersedes a durable one journals the durable one's tombstone
+// as it is written, so a crash that loses the volatile append cannot bring
+// the older page back once any later Sync has run.
+//
+// Cluster watermarks (applied vector, own broadcast seq) ride the journal
+// unsynced *after* the tombstones they describe; because a torn tail is
+// truncated at the first bad frame, a restored watermark can never claim
+// more than the durable tombstones prove, and a lost watermark only makes
+// the rejoin conservatively cold (gap ⇒ quarantine flush).
 //
 // Locking: one mutex guards index, segments, journal and watermarks. The
 // page cache calls Put/Remove/Deps/LSN while holding one of its page
 // shard locks; the store never calls back into the cache, so the only lock
-// order is shard → store.
+// order is shard → store. Sync's fsync runs outside that mutex, under a
+// second one that only Sync, journal rotation and Close take (before the
+// first), so a Put waiting on the disk never holds a shard lock for an
+// fsync's duration.
 package l2
 
 import (
@@ -89,6 +102,8 @@ type Record struct {
 	Deps        []analysis.Query
 	ExpiresAt   time.Time // zero when the page lives until invalidated
 	LSN         uint64
+	// Volatile marks a record written by PutVolatile: no boot restores it.
+	Volatile bool
 }
 
 // Dropped identifies a key evicted from the disk tier as a side effect
@@ -109,8 +124,8 @@ type Stats struct {
 	Hits            uint64 // Get found a live record
 	Misses          uint64 // Get found nothing (or a corrupt record)
 	Expirations     uint64 // records discarded on expiry (Get or boot)
-	Puts            uint64 // demotions appended
-	Removes         uint64 // tombstoned keys
+	Puts            uint64 // records appended: durable demotions and volatile spills
+	Removes         uint64 // keys removed by invalidation (tombstoned unless volatile)
 	Flushes         uint64 // FlushAll calls
 	SegmentsDropped uint64 // sealed segments dropped for the byte budget
 	DroppedRecords  uint64 // live keys lost to segment drops
@@ -140,8 +155,9 @@ type irec struct {
 	seg       *segment
 	off       int64
 	size      int64
-	expiresAt int64
+	expiresAt int64 // the true expiry, also for a volatile record
 	deps      []analysis.Query
+	volatile  bool // written by PutVolatile
 }
 
 // Store is the disk tier. All methods are safe for concurrent use.
@@ -161,10 +177,17 @@ type Store struct {
 	scratch  []byte // reused payload-encoding buffer
 	framebuf []byte // reused frame-encoding buffer
 
-	journal      *os.File
-	journalGen   uint64
-	journalBuf   []byte // framed journal records not yet written to the file
-	journalDirty bool   // file bytes written since last fsync
+	journal    *os.File
+	journalGen uint64
+	journalBuf []byte // framed journal records not yet written to the file
+	// written counts journal writes to the file; synced is the count the
+	// last completed fsync covered. Both only grow, across rotations (a
+	// rotation syncs first).
+	written, synced uint64
+	// syncMu serialises the journal fsyncs Sync runs outside mu, and keeps
+	// a rotation or Close from closing the file under one. Lock order:
+	// syncMu, then mu.
+	syncMu sync.Mutex
 
 	applied map[string]uint64 // cluster origin → applied seq watermark
 	ownSeq  uint64            // own completed-broadcast watermark
@@ -270,7 +293,7 @@ func (s *Store) Get(key string) (Record, bool) {
 		s.misses.Add(1)
 		return Record{Deps: r.deps}, false
 	}
-	seg, off, size, lsn := r.seg, r.off, r.size, r.lsn
+	seg, off, size, lsn, exp, volatile := r.seg, r.off, r.size, r.lsn, r.expiresAt, r.volatile
 	s.mu.Unlock()
 
 	buf := make([]byte, size)
@@ -291,9 +314,11 @@ func (s *Store) Get(key string) (Record, bool) {
 		return s.discardUnreadable(key, lsn, err)
 	}
 	s.hits.Add(1)
-	out := Record{Body: body, ContentType: rec.ct, Deps: rec.deps, LSN: lsn}
-	if rec.expiresAt != 0 {
-		out.ExpiresAt = time.Unix(0, rec.expiresAt)
+	// The expiry comes from the index: a volatile record's on-disk one is
+	// the lapsed marker.
+	out := Record{Body: body, ContentType: rec.ct, Deps: rec.deps, LSN: lsn, Volatile: volatile}
+	if exp != 0 {
+		out.ExpiresAt = time.Unix(0, exp)
 	}
 	return out, true
 }
@@ -366,9 +391,29 @@ func (s *Store) Range(fn func(key string, deps []analysis.Query)) {
 // miss, never staleness. Returns ErrOversize when the record alone would
 // bust the budget.
 func (s *Store) Put(key string, body []byte, contentType string, deps []analysis.Query, expiresAt time.Time) ([]Dropped, error) {
+	return s.put(key, body, contentType, deps, expiresAt, false)
+}
+
+// PutVolatile is Put for a record no boot restores: Get serves it like any
+// other until it is removed, superseded or expires, and removing it costs
+// no journal write. Superseding a durable record of the key journals that
+// record's tombstone (see the package doc).
+func (s *Store) PutVolatile(key string, body []byte, contentType string, deps []analysis.Query, expiresAt time.Time) ([]Dropped, error) {
+	return s.put(key, body, contentType, deps, expiresAt, true)
+}
+
+// volatileExpiry is the on-disk expiry of a volatile record: one nanosecond
+// after the Unix epoch, lapsed for every boot.
+const volatileExpiry int64 = 1
+
+func (s *Store) put(key string, body []byte, contentType string, deps []analysis.Query, expiresAt time.Time, volatile bool) ([]Dropped, error) {
 	var exp int64
 	if !expiresAt.IsZero() {
 		exp = expiresAt.UnixNano()
+	}
+	diskExp := exp
+	if volatile {
+		diskExp = volatileExpiry
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -377,7 +422,7 @@ func (s *Store) Put(key string, body []byte, contentType string, deps []analysis
 	}
 	lsn := s.lsn + 1
 	s.framebuf, s.scratch = appendEntry(s.framebuf[:0], s.scratch,
-		segRec{lsn: lsn, expiresAt: exp, key: key, ct: contentType, deps: deps}, body)
+		segRec{lsn: lsn, expiresAt: diskExp, key: key, ct: contentType, deps: deps}, body)
 	size := int64(len(s.framebuf))
 	if size > codec.FrameOverhead+codec.MaxFrame || (s.maxBytes > 0 && size > s.maxBytes) {
 		s.mu.Unlock()
@@ -396,10 +441,15 @@ func (s *Store) Put(key string, body []byte, contentType string, deps []analysis
 	s.lsn = lsn
 	seg.size += size
 	s.fileBytes += size
+	r := &irec{lsn: lsn, seg: seg, off: off, size: size, expiresAt: exp, deps: deps, volatile: volatile}
 	if old, ok := s.index[key]; ok {
 		s.liveBytes -= old.size
+		if volatile && !old.volatile {
+			s.lsn++
+			s.journalAppendLocked(journalRec{typ: recTombstone, lsn: s.lsn, key: key})
+		}
 	}
-	s.index[key] = &irec{lsn: lsn, seg: seg, off: off, size: size, expiresAt: exp, deps: deps}
+	s.index[key] = r
 	s.liveBytes += size
 	if seg.size >= s.segTarget {
 		seg.w.Close()
@@ -492,7 +542,8 @@ func (s *Store) dropIndexLocked(key string, r *irec) {
 // Returns the entry's deps and whether it was resident. A non-resident key
 // needs no new journal record: whatever retired its last record (tombstone,
 // flush, segment drop after a snapshot) is already durable or rediscovered
-// at boot.
+// at boot. Neither does a volatile record: no boot restores it, and the
+// durable record it superseded, if any, was tombstoned when it was written.
 func (s *Store) Remove(key string) ([]analysis.Query, bool) {
 	s.mu.Lock()
 	if s.closed {
@@ -505,8 +556,10 @@ func (s *Store) Remove(key string) ([]analysis.Query, bool) {
 		return nil, false
 	}
 	s.dropIndexLocked(key, r)
-	s.lsn++
-	s.journalAppendLocked(journalRec{typ: recTombstone, lsn: s.lsn, key: key})
+	if !r.volatile {
+		s.lsn++
+		s.journalAppendLocked(journalRec{typ: recTombstone, lsn: s.lsn, key: key})
+	}
 	s.mu.Unlock()
 	s.removes.Add(1)
 	return r.deps, true
@@ -546,14 +599,43 @@ func (s *Store) FlushAll() ([]Dropped, error) {
 
 // Sync makes every buffered journal record (tombstones from Remove, cluster
 // watermarks) durable. Invalidation sweeps call it once, after the last
-// Remove and before the write is acknowledged.
+// Remove and before the write is acknowledged. The fsync runs outside mu:
+// a Put or Get — made under one of the cache's shard locks — never waits on
+// the disk behind it. One fsync covers every Sync whose records were written
+// before it began.
 func (s *Store) Sync() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return errClosed
 	}
-	return s.syncJournalLocked()
+	err := s.flushJournalLocked()
+	target := s.written
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	s.mu.Lock()
+	if s.synced >= target {
+		s.mu.Unlock()
+		return nil
+	}
+	if s.closed {
+		s.mu.Unlock()
+		return errClosed
+	}
+	j, upTo := s.journal, s.written
+	s.mu.Unlock()
+	if err := j.Sync(); err != nil {
+		return fmt.Errorf("l2: journal fsync: %w", err)
+	}
+	s.mu.Lock()
+	s.synced = max(s.synced, upTo)
+	s.mu.Unlock()
+	s.journalSyncs.Add(1)
+	return nil
 }
 
 // journalAppendLocked frames r into the in-memory journal buffer. Records
@@ -572,21 +654,23 @@ func (s *Store) flushJournalLocked() error {
 		return fmt.Errorf("l2: journal append: %w", err)
 	}
 	s.journalBuf = s.journalBuf[:0]
-	s.journalDirty = true
+	s.written++
 	return nil
 }
 
+// syncJournalLocked is Sync with the fsync under mu, for the rare callers
+// that must hold it throughout (FlushAll, rotation, Close).
 func (s *Store) syncJournalLocked() error {
 	if err := s.flushJournalLocked(); err != nil {
 		return err
 	}
-	if !s.journalDirty {
+	if s.synced == s.written {
 		return nil
 	}
 	if err := s.journal.Sync(); err != nil {
 		return fmt.Errorf("l2: journal fsync: %w", err)
 	}
-	s.journalDirty = false
+	s.synced = s.written
 	s.journalSyncs.Add(1)
 	return nil
 }
@@ -650,40 +734,22 @@ func (s *Store) Close() error {
 		<-done
 	}
 	err := s.WriteSnapshot()
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return err
 	}
 	s.closed = true
-	if serr := s.syncJournalCloseLocked(); err == nil {
+	if serr := s.syncJournalLocked(); err == nil {
 		err = serr
+	}
+	if cerr := s.journal.Close(); err == nil {
+		err = cerr
 	}
 	for _, seg := range s.segs {
 		s.closeSegment(seg, false)
-	}
-	return err
-}
-
-// syncJournalCloseLocked is syncJournalLocked plus the final close, without
-// the closed-store guard (we are the closer).
-func (s *Store) syncJournalCloseLocked() error {
-	var err error
-	if len(s.journalBuf) > 0 {
-		if _, werr := s.journal.Write(s.journalBuf); werr != nil && err == nil {
-			err = werr
-		}
-		s.journalBuf = s.journalBuf[:0]
-		s.journalDirty = true
-	}
-	if s.journalDirty {
-		if serr := s.journal.Sync(); serr != nil && err == nil {
-			err = serr
-		}
-		s.journalDirty = false
-	}
-	if cerr := s.journal.Close(); cerr != nil && err == nil {
-		err = cerr
 	}
 	return err
 }
@@ -693,11 +759,13 @@ func (s *Store) syncJournalCloseLocked() error {
 // fault injection. State that was not yet durable is lost, exactly as on a
 // real crash.
 func (s *Store) Abandon() {
+	s.syncMu.Lock()
 	s.mu.Lock()
 	stop, done := s.snapStop, s.snapDone
 	s.snapStop = nil
 	if s.closed {
 		s.mu.Unlock()
+		s.syncMu.Unlock()
 		return
 	}
 	s.closed = true
@@ -706,6 +774,7 @@ func (s *Store) Abandon() {
 		s.closeSegment(seg, false)
 	}
 	s.mu.Unlock()
+	s.syncMu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done

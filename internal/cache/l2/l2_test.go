@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -412,5 +413,53 @@ func TestExpiredAtBootDropped(t *testing.T) {
 	}
 	if !hasRecord(s2, "long") {
 		t.Fatal("fresh record dropped")
+	}
+}
+
+// TestSyncRacesRotationAndPuts: Syncs fsync outside the store mutex while
+// other goroutines put, remove and rotate the journal. No Sync fails, and a
+// crash after they return restores none of the keys they removed.
+func TestSyncRacesRotationAndPuts(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, 0)
+	const workers, perWorker = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				k := keyFor(w*perWorker + i)
+				s.Put(k, bodyFor(i), "text/html", depsFor(i), time.Time{})
+				if i%2 == 0 {
+					s.Remove(k)
+					if err := s.Sync(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if err := s.WriteSnapshot(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	s.Abandon()
+	s2 := openTest(t, dir, 0)
+	defer s2.Close()
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			if got := hasRecord(s2, keyFor(w*perWorker+i)); got != (i%2 == 1) {
+				t.Fatalf("key %d restored=%v after a crash, want %v", w*perWorker+i, got, i%2 == 1)
+			}
+		}
 	}
 }

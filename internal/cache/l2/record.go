@@ -116,8 +116,8 @@ func decodeJournal(payload []byte) (journalRec, error) {
 // --- snapshot sections ---------------------------------------------------
 
 // appendSnapshot encodes the snapshot of the index: the meta section, one
-// frame per live entry, and the trailer counting them. The caller holds
-// s.mu; newGen is the journal generation the snapshot hands over to.
+// frame per live durable entry, and the trailer counting them. The caller
+// holds s.mu; newGen is the journal generation the snapshot hands over to.
 func (s *Store) appendSnapshot(newGen uint64) []byte {
 	p := codec.AppendUvarint(append(s.scratch[:0], recSnapMeta), s.lsn)
 	p = codec.AppendUvarint(p, s.segNext)
@@ -129,7 +129,12 @@ func (s *Store) appendSnapshot(newGen uint64) []byte {
 		p = codec.AppendVarint(codec.AppendUvarint(p, seg.id), seg.size)
 	}
 	buf := codec.AppendFrame(nil, p)
+	var n uint64
 	for key, r := range s.index {
+		if r.volatile {
+			continue // never restored; the boot would drop it anyway
+		}
+		n++
 		p = codec.AppendString(append(p[:0], recSnapEntry), key)
 		p = codec.AppendUvarint(p, r.lsn)
 		p = codec.AppendUvarint(p, r.seg.id)
@@ -139,7 +144,7 @@ func (s *Store) appendSnapshot(newGen uint64) []byte {
 		p = codec.AppendQueries(p, r.deps)
 		buf = codec.AppendFrame(buf, p)
 	}
-	s.scratch = codec.AppendUvarint(append(p[:0], recSnapDone), uint64(len(s.index)))
+	s.scratch = codec.AppendUvarint(append(p[:0], recSnapDone), n)
 	return codec.AppendFrame(buf, s.scratch)
 }
 

@@ -4,9 +4,9 @@
 // snapshot (index as of snapshot time T0), segment records appended after
 // each segment's snapshotted offset, and every journal generation on disk.
 // A key is live iff its newest record outranks every tombstone for the key
-// and the newest flush marker, and its TTL has not lapsed. Any file may end
-// in a torn tail (crash mid-append); the tail is truncated and counted,
-// never trusted.
+// and the newest flush marker, is not volatile, and its TTL has not lapsed.
+// Any file may end in a torn tail (crash mid-append); the tail is truncated
+// and counted, never trusted.
 //
 // Snapshot protocol: the journal is rotated to a fresh generation *first*,
 // inside the same critical section that copies the index — so every
@@ -144,6 +144,9 @@ func (s *Store) recover() error {
 		seg, ok := segByID[c.segID]
 		if !ok || c.off+c.size > seg.size {
 			continue // segment dropped after the snapshot, or inside a torn tail
+		}
+		if c.expiresAt == volatileExpiry {
+			continue // a volatile record: never restored, even as the newest
 		}
 		if c.expiresAt != 0 && c.expiresAt <= now {
 			s.expirations.Add(1)
@@ -304,33 +307,39 @@ func (s *Store) listFiles() (segIDs, genIDs []uint64, haveSnap bool, err error) 
 // after the rename lands. Also runs periodically from the snapshot loop
 // and once at Close.
 func (s *Store) WriteSnapshot() error {
+	// syncMu is held until the old journal is closed: no Sync may fsync it
+	// after that.
+	s.syncMu.Lock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.syncMu.Unlock()
 		return errClosed
 	}
 	// Rotate first: every journal record after this critical section lands
 	// in a generation the next boot replays in full.
 	if err := s.syncJournalLocked(); err != nil {
 		s.mu.Unlock()
+		s.syncMu.Unlock()
 		return err
 	}
 	newGen := s.journalGen + 1
 	nj, err := os.OpenFile(s.journalPath(newGen), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		s.mu.Unlock()
+		s.syncMu.Unlock()
 		return fmt.Errorf("l2: rotate journal: %w", err)
 	}
 	oldJournal := s.journal
 	oldGen := s.journalGen
 	s.journal = nj
 	s.journalGen = newGen
-	s.journalDirty = false
 
 	buf := s.appendSnapshot(newGen) // the index as of this instant
 	s.mu.Unlock()
 
 	oldJournal.Close()
+	s.syncMu.Unlock()
 
 	tmp := s.snapPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)

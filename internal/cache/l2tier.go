@@ -1,8 +1,9 @@
-// Disk-tier (L2) movement for the page cache: demotion on eviction,
-// promotion on L1 miss, and the spill-on-shutdown path that makes a clean
-// restart warm. The tier reaches the governed store only through its
-// lower-tier seam (Store.tier/demote, Store.adopt, Store.forget — see store.go);
-// this file is the page-shaped half of that seam.
+// Disk-tier (L2) movement for the page cache: demotion on eviction, the
+// spill of an insert the L1 budget refused, promotion on L1 miss, and the
+// spill-on-shutdown path that makes a clean restart warm. The tier reaches
+// the governed store only through its lower-tier seam (Store.tier/demote,
+// Store.adopt, Store.forget — see store.go); this file is the page-shaped
+// half of that seam.
 //
 // Consistency across the tiers leans on two invariants, both kept by the
 // store:
@@ -45,10 +46,11 @@ func (c *Cache) attachL2() {
 }
 
 // demote moves an eviction victim into the disk tier instead of discarding
-// it. On any store refusal (oversize for the tier, store closed) it reports
-// kept=false and the store falls back to a plain removal. Called with the
-// key's shard lock held.
-func (c *Cache) demote(it *Item[*pageVal]) (kept bool, dropped []l2.Dropped) {
+// it — or, volatile, spills an insert the L1 budget refused there instead of
+// dropping it. On any store refusal (oversize for the tier, store closed) it
+// reports kept=false and the store falls back to a plain removal. Called
+// with the key's shard lock held.
+func (c *Cache) demote(it *Item[*pageVal], volatile bool) (kept bool, dropped []l2.Dropped) {
 	if c.flushing.Load() > 0 {
 		// A flush sweep is in progress: demoting now could land this page
 		// in the store after the flush has already emptied it, carrying a
@@ -56,16 +58,23 @@ func (c *Cache) demote(it *Item[*pageVal]) (kept bool, dropped []l2.Dropped) {
 		// every resident page gone anyway.
 		return false, nil
 	}
-	// When the record this entry was promoted from is still the store's
-	// newest for the key, no bytes need rewriting.
-	if it.Val.l2lsn == 0 || c.opts.L2.LSN(it.Key) != it.Val.l2lsn {
-		var err error
+	var err error
+	switch {
+	case volatile:
+		dropped, err = c.opts.L2.PutVolatile(it.Key, it.Val.Body, it.Val.ContentType, it.Deps, it.ExpiresAt)
+	case it.Val.l2lsn == 0 || c.opts.L2.LSN(it.Key) != it.Val.l2lsn:
+		// Unless the durable record this entry was promoted from is still
+		// the store's newest for the key: then no bytes need rewriting.
 		dropped, err = c.opts.L2.Put(it.Key, it.Val.Body, it.Val.ContentType, it.Deps, it.ExpiresAt)
-		if err != nil {
-			return false, nil
-		}
 	}
-	c.demotions.Add(1)
+	if err != nil {
+		return false, nil
+	}
+	if volatile {
+		c.spills.Add(1)
+	} else {
+		c.demotions.Add(1)
+	}
 	return true, dropped
 }
 
@@ -73,7 +82,10 @@ func (c *Cache) demote(it *Item[*pageVal]) (kept bool, dropped []l2.Dropped) {
 // the entry (variants are derived locally, exactly like a cluster replica
 // fetch), and admit it into L1 under the same budget rules as any insert.
 // The promoted record stays live in the store; if the entry is later
-// demoted unchanged, the existing disk record is reused (pageVal.l2lsn).
+// demoted unchanged, the existing disk record is reused (pageVal.l2lsn) —
+// unless it is volatile: an entry promoted from a spill is rewritten durably
+// when demoted, or spilled by Close, so a clean restart stays warm for
+// everything L1 held.
 func (c *Cache) promote(key string) (*Item[*pageVal], bool) {
 	rec, ok := c.opts.L2.Get(key)
 	if !ok {
@@ -85,7 +97,10 @@ func (c *Cache) promote(key string) (*Item[*pageVal], bool) {
 		}
 		return nil, false
 	}
-	v := &pageVal{Page: Page{Body: rec.Body, ContentType: rec.ContentType}, l2lsn: rec.LSN}
+	v := &pageVal{Page: Page{Body: rec.Body, ContentType: rec.ContentType}}
+	if !rec.Volatile {
+		v.l2lsn = rec.LSN
+	}
 	// The record Get read may stop being the store's current one for the key
 	// before the entry links — an invalidation, flush or segment drop retired
 	// it (LSN 0), or a fresh insert's demotion superseded it (newer LSN; a

@@ -343,14 +343,32 @@ func TestPropertyConsistencyByteGoverned(t *testing.T) {
 // serves each key's final settled generation or nothing; a superseded body
 // must never come back through promotion.
 func TestPropertyConsistencyTiered(t *testing.T) {
-	seed := propSeed(t) + 3
+	runTieredHarness(t, Options{MaxBytes: 8 << 10}, propSeed(t)+3)
+}
+
+// TestPropertyConsistencyTieredAdmission adds TinyLFU admission to the
+// tiered run: every insert admission refuses is spilled to the disk tier as
+// a volatile record, so spills interleave with the sweeps too, and the
+// restart epilogue must never bring one back.
+func TestPropertyConsistencyTieredAdmission(t *testing.T) {
+	st := runTieredHarness(t, Options{MaxBytes: 8 << 10, Admission: true}, propSeed(t)+4)
+	if st.Spills == 0 {
+		t.Fatalf("admission never spilled a page: %+v", st)
+	}
+}
+
+// runTieredHarness runs the harness over opts with a disk tier attached,
+// then the restart epilogue, and returns the run's stats.
+func runTieredHarness(t *testing.T, opts Options, seed int64) Stats {
+	t.Helper()
 	t.Logf("seed %d (override with AWC_PROP_SEED)", seed)
 	dir := t.TempDir()
 	store, err := l2.Open(l2.Options{Dir: dir, SnapshotInterval: -1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, u := runPropertyHarness(t, Options{MaxBytes: 8 << 10, L2: store}, seed, propWriteCount(t))
+	opts.L2 = store
+	c, u := runPropertyHarness(t, opts, seed, propWriteCount(t))
 	st := c.Snapshot()
 	if st.Demotions == 0 || st.L2.Hits == 0 {
 		t.Fatalf("tiered run never exercised the disk tier: %+v", st)
@@ -364,7 +382,8 @@ func TestPropertyConsistencyTiered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := New(Options{Engine: eng, MaxBytes: 8 << 10, L2: store})
+	opts.Engine, opts.L2 = eng, store
+	warm, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,6 +397,7 @@ func TestPropertyConsistencyTiered(t *testing.T) {
 			t.Errorf("restart resurrection: key %s served gen %d, final settled gen is %d", u.keys[i], g, want)
 		}
 	}
+	return st
 }
 
 // TestPropertyExactInvalidation pins the model-engine agreement the harness

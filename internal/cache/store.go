@@ -239,13 +239,14 @@ type depShard struct {
 
 // The lower-tier seam. A tier beneath the store (the page cache's disk tier)
 // takes part in the store's transitions through exactly four calls: demote
-// offers an eviction victim to the tier, tier.Remove drops the tier's copy of
-// a key during a sweep, tier.Deps tells forget which links the tier's
-// current record still needs, and tier.Sync makes every Remove so far
-// durable before a sweep returns, so a crash cannot resurrect what it
-// removed. Every call but Sync is made with the key's shard lock held, which
-// is what orders a promotion against a racing sweep (see Store.adopt). Both
-// fields are nil unless the page cache attaches a disk tier (attachL2).
+// offers an eviction victim — or, volatile, an insert the budget refused —
+// to the tier, tier.Remove drops the tier's copy of a key during a sweep,
+// tier.Deps tells forget and spill which links the tier's current record
+// still needs, and tier.Sync makes every Remove so far durable before a
+// sweep returns, so a crash cannot resurrect what it removed. Every call but
+// Sync is made with the key's shard lock held, which is what orders a
+// promotion against a racing sweep (see Store.adopt). Both fields are nil
+// unless the page cache attaches a disk tier (attachL2).
 
 // Store is the governed, dependency-indexed store. It is safe for concurrent
 // use.
@@ -256,11 +257,13 @@ type Store[V any] struct {
 	shards    []shard[V]
 	depShards []depShard
 	tier      *l2.Store
-	// demote writes an eviction victim into tier; only it knows what a V is.
-	// kept=true means the tier now holds the entry, so the store keeps its
-	// dependency links — the dependency table stays the single source of
-	// truth for both tiers. dropped are keys the tier pushed out to make room.
-	demote func(it *Item[V]) (kept bool, dropped []l2.Dropped)
+	// demote writes an entry into tier; only it knows what a V is. An
+	// eviction victim goes in durable; a spill (see spill) volatile, so no
+	// boot restores it. kept=true means the tier now holds the entry, so the
+	// store keeps its dependency links — the dependency table stays the
+	// single source of truth for both tiers. dropped are keys the tier
+	// pushed out to make room.
+	demote func(it *Item[V], volatile bool) (kept bool, dropped []l2.Dropped)
 
 	// seq orders entries globally by recency; entries counts them across all
 	// shards (including in-flight insert reservations).
@@ -440,9 +443,9 @@ func (s *Store[V]) Contains(key string) bool {
 }
 
 // Insert stores an entry, reporting whether it was actually stored.
-// false means the byte budget refused it: it costs more than MaxBytes, or
+// false means the byte budget refused it — it costs more than MaxBytes, or
 // the admission filter judged it colder than every eviction victim it would
-// displace.
+// displace — and no lower tier took it instead (see spill).
 func (s *Store[V]) Insert(it Item[V]) bool {
 	sh := s.shard(it.Key)
 	// Replacing a resident key happens atomically under the shard lock,
@@ -472,10 +475,43 @@ func (s *Store[V]) Insert(it Item[V]) bool {
 	}
 	sh.mu.Unlock()
 	if !s.reserve(it.Key, it.Cost) {
-		return false
+		return s.spill(it)
 	}
 	s.commit(it)
 	return true
+}
+
+// spill places an entry the budget refused in the lower tier instead of
+// dropping it: admission decides where a page lives, not whether it is
+// kept. The tier writes it volatile — no boot restores it, so removing it
+// costs the tier no journal write — and the entry's dependency links are
+// made exactly as a demotion keeps them, under the key's shard lock, so a
+// sweep finds it like any demoted page. The older tier record's links the
+// entry does not share go. A key a concurrent insert made resident is left
+// alone. It reports whether the tier took the entry.
+func (s *Store[V]) spill(it Item[V]) bool {
+	if s.tier == nil {
+		return false
+	}
+	sh := s.shard(it.Key)
+	sh.mu.Lock()
+	if _, resident := sh.items[it.Key]; resident {
+		sh.mu.Unlock()
+		return false
+	}
+	older, had := s.tier.Deps(it.Key)
+	kept, dropped := s.demote(&it, true)
+	if kept {
+		if had {
+			s.unlinkDeps(it.Key, depsNotIn(older, it.Deps))
+		}
+		for _, d := range it.Deps {
+			s.addDep(d, it.Key)
+		}
+	}
+	sh.mu.Unlock()
+	s.forget(dropped)
+	return kept
 }
 
 // reserve claims the byte budget for one entry of the given cost, evicting
@@ -883,7 +919,7 @@ func (s *Store[V]) clear(demote bool) {
 				kept := false
 				if demote {
 					var d []l2.Dropped
-					kept, d = s.demote(&n.Item)
+					kept, d = s.demote(&n.Item, false)
 					dropped = append(dropped, d...)
 				}
 				s.remove(sh, n, kept)
@@ -1181,7 +1217,7 @@ func (s *Store[V]) evictPick(best pick[V]) {
 	var kept bool
 	var dropped []l2.Dropped
 	if s.tier != nil {
-		kept, dropped = s.demote(&n.Item)
+		kept, dropped = s.demote(&n.Item, false)
 	}
 	s.remove(sh, n, kept)
 	s.evictions.Add(1)

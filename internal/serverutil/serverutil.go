@@ -63,9 +63,9 @@ func Register(fs *flag.FlagSet, defaultAddr string) *Flags {
 		DB:         fs.String("db", "memdb", "database backend DSN: memdb, memdb:<name>, or sqlite:<path> (file shared across processes)"),
 		NoCache:    fs.Bool("nocache", false, "serve the uncached baseline"),
 		MaxBytes:   fs.String("max-bytes", "", "page-cache memory budget (e.g. 64m, 1gib; empty = unbounded)"),
-		Admission:  fs.Bool("admission", false, "gate inserts with a TinyLFU admission filter under byte-budget pressure (requires -max-bytes)"),
+		Admission:  fs.Bool("admission", false, "gate inserts with a TinyLFU admission filter under byte-budget pressure; with -l2 a refused page goes to disk (requires -max-bytes)"),
 		Fragments:  fs.Bool("fragments", false, "fragment-granular (ESI-style) caching: assemble pages from per-fragment cache hits"),
-		L2:         fs.String("l2", "", "disk cache tier directory: evicted pages demote to disk and restarts boot warm (empty disables)"),
+		L2:         fs.String("l2", "", "disk cache tier directory: evicted pages demote to disk, pages memory refuses spill there, and restarts boot warm (empty disables)"),
 		L2MaxBytes: fs.String("l2-max-bytes", "", "disk tier file budget (e.g. 2gib; empty = unbounded); requires -l2"),
 		Encodings:  fs.String("encodings", "", "comma-separated content-encodings to cache and serve (e.g. gzip); empty = identity only"),
 		ETag:       fs.Bool("etag", false, "precompute strong ETags at insert and answer If-None-Match revalidations with 304"),
