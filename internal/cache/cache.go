@@ -15,13 +15,12 @@
 // consistency, which also realises the TPC-W BestSellers 30-second semantic
 // window of §4.3.
 //
-// The package has two layers. Store (store.go) is the payload-agnostic
-// governed store — both tables, the budgets, eviction, admission, expiry,
-// the write sweep and the epoch ring. Cache, in this file, is the page layer
-// above one Store: the once-per-insert body copy, the gzip/ETag variants
-// (variants.go), the Page/View/Export views, the RemoteInvalidator fan-out
-// to cluster peers, and the disk tier (l2tier.go), which reaches the store
-// only through its lower-tier seam.
+// Cache is one type over four files. store.go holds its tables and their
+// governance: the budgets, eviction, admission, expiry, the write sweep and
+// the epoch ring. This file holds its public surface: the once-per-insert
+// body copy, the Page, View and Export views, and the RemoteInvalidator
+// fan-out to cluster peers. variants.go builds the gzip/ETag variants, and
+// l2tier.go moves pages to and from the disk tier.
 //
 // The paper's strong-consistency contract is preserved: InvalidateWrite
 // returns only after every dependent page fully inserted before the call has
@@ -30,11 +29,14 @@
 package cache
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache/l2"
+	"autowebcache/internal/tinylfu"
 )
 
 // Options configures a Cache.
@@ -127,11 +129,22 @@ type Page struct {
 	GzipLen string
 }
 
-// pageVal is what the store holds per page: the caller-facing view itself
-// (so a hit hands it out without assembling anything) plus the disk-tier
-// bookkeeping.
-type pageVal struct {
+// entry is one stored page: the caller-facing view itself (so a hit hands it
+// out without assembling anything), its dependency information and its
+// accounting. Everything in it is fixed at insert — entries are only ever
+// removed whole, never rewritten — so an *entry returned by get stays valid
+// and self-consistent after a removal and may be read without any lock;
+// holders must treat it as read-only.
+type entry struct {
 	Page
+	Key string
+	// Deps are the read-query instances the page was built from (template +
+	// value vector, §3.1 "dependency info"). The cache takes ownership.
+	Deps []analysis.Query
+	// ExpiresAt, when non-zero, makes the entry invisible after this time.
+	ExpiresAt time.Time
+	// Cost is the accounted byte size charged against MaxBytes.
+	Cost int64
 	// l2lsn, when non-zero, is the LSN of the disk-tier record this entry
 	// was promoted from. If the record is still current at demotion time
 	// the body need not be rewritten to disk.
@@ -229,9 +242,37 @@ func (b remoteBox) broadcastWrites(ws []analysis.WriteCapture) {
 	}
 }
 
-// Stats are cumulative cache counters: the store's, plus the page layer's.
+// Stats are a cache's cumulative counters and current gauges.
 type Stats struct {
-	StoreStats
+	Hits             uint64
+	Misses           uint64
+	Inserts          uint64
+	Invalidations    uint64 // entries removed by write invalidation
+	Evictions        uint64 // entries removed by capacity pressure
+	Expirations      uint64 // entries removed because their TTL passed
+	WritesSeen       uint64 // write captures a sweep analysed (one per statement)
+	AdmissionRejects uint64 // inserts refused by the TinyLFU admission filter
+	OversizeRejects  uint64 // inserts refused because one entry exceeds MaxBytes
+	Entries          int    // current entry count
+	DepTemplates     int    // current dependency-table template count
+	DepInstances     int    // current dependency-table (template, vector) count
+	// Bytes is the accounted memory charged against MaxBytes: every linked
+	// entry's cost plus in-flight insert reservations. With MaxBytes set it
+	// never exceeds the budget.
+	Bytes int64
+
+	// Per-segment occupancy and eviction splits. In a bounded cache entries
+	// start in probation and move to protected on first reuse; an unbounded
+	// cache reports everything as probation. A growing EvictionsProtected
+	// with a cold probation segment is the operator's signal that MaxBytes
+	// is undersized for the working set (see docs/OPERATIONS.md).
+	ProbationEntries   int
+	ProtectedEntries   int
+	ProbationBytes     int64 // linked entry cost only (reservations excluded)
+	ProtectedBytes     int64
+	EvictionsProbation uint64
+	EvictionsProtected uint64
+
 	// GzipCompressions counts gzip compressor runs — exactly one per
 	// variant-building insert, never per request (the once-per-insert
 	// contract of Options.Gzip).
@@ -252,9 +293,59 @@ type Stats struct {
 
 // Cache is the page cache. It is safe for concurrent use.
 type Cache struct {
-	opts  Options
-	store *Store[*pageVal]
+	opts Options
+	mask uint32 // shard count - 1 (power of two)
 
+	shards    []shard
+	depShards []depShard
+
+	// seq orders entries globally by recency; entries counts them across all
+	// shards (including in-flight insert reservations).
+	seq     atomic.Uint64
+	entries atomic.Int64
+
+	// bytesUsed is the byte-budget authority: the summed cost of linked
+	// entries plus in-flight insert reservations, CAS-reserved before an
+	// entry is built into the tables so the MaxBytes bound is never
+	// exceeded, even transiently. variantBytes sums len(Gzip) over linked
+	// entries.
+	bytesUsed    atomic.Int64
+	variantBytes atomic.Int64
+
+	// epoch counts invalidation events (write sweeps and flushes, local or
+	// peer-applied). It is bumped BEFORE the sweep starts, so an inserter
+	// that observes an unchanged epoch across its generate+insert window
+	// knows no sweep it could have raced has run yet — any later sweep will
+	// see the inserted entry. An entry inserted while an invalidation swept
+	// is discarded instead of served (§3.2 across the insert-after-read
+	// window).
+	epoch atomic.Uint64
+
+	// recent retains the prepared write behind each recent epoch (nil for a
+	// flush) so staleSince can test an inserter's dependency set against
+	// exactly the sweeps that raced its window, instead of discarding on
+	// every concurrent write. open holds the events whose callers have not
+	// closed them yet (a write whose peer broadcast is still in flight),
+	// keyed by epoch; openN counts them for the lock-free fast path.
+	recentMu sync.Mutex
+	recent   [recentWriteWindow]recentWrite
+	open     map[uint64]*analysis.PreparedWrite
+	openN    atomic.Int64
+
+	// admit is the TinyLFU admission filter (nil unless Admission): touched
+	// on every lookup, consulted when a reservation needs to evict.
+	admit *tinylfu.Filter
+
+	hits             atomic.Uint64
+	misses           atomic.Uint64
+	inserts          atomic.Uint64
+	invalidations    atomic.Uint64
+	evictions        atomic.Uint64
+	evictionsProt    atomic.Uint64 // subset of evictions taken from the protected segment
+	expirations      atomic.Uint64
+	writesSeen       atomic.Uint64
+	admissionRejects atomic.Uint64
+	oversizeRejects  atomic.Uint64
 	// gzipCompressions counts compressor runs (once per variant-building
 	// insert).
 	gzipCompressions atomic.Uint64
@@ -265,7 +356,7 @@ type Cache struct {
 	// flushing counts in-progress FlushLocal sweeps. While it is non-zero,
 	// evictions discard instead of demoting and promotions abort instead of
 	// linking: either could otherwise carry a pre-flush page across the gap
-	// between the L1 sweep and the store flush and resurrect it after the
+	// between the L1 sweep and the disk-tier flush and resurrect it after the
 	// flush has returned.
 	flushing atomic.Int32
 
@@ -273,13 +364,42 @@ type Cache struct {
 	remote atomic.Value // remoteBox
 }
 
-// New creates a cache. Options.Engine must be set.
+// New creates a cache. Options.Engine must be set; New is the one place the
+// composition rules of the governance options are checked.
 func New(opts Options) (*Cache, error) {
-	store, err := NewStore[*pageVal](opts)
-	if err != nil {
-		return nil, err
+	if opts.Engine == nil {
+		return nil, fmt.Errorf("cache: Options.Engine is required")
 	}
-	c := &Cache{opts: opts, store: store}
+	if opts.Clock == nil {
+		opts.Clock = time.Now
+	}
+	if opts.MaxBytes < 0 {
+		return nil, fmt.Errorf("cache: negative MaxBytes")
+	}
+	if opts.Admission && opts.MaxBytes <= 0 {
+		return nil, fmt.Errorf("cache: Admission requires MaxBytes (the filter gates byte-budget pressure)")
+	}
+	if opts.Shards < 0 {
+		return nil, fmt.Errorf("cache: negative Shards")
+	}
+	n := shardCount(opts.Shards)
+	c := &Cache{
+		opts:      opts,
+		mask:      uint32(n - 1),
+		shards:    make([]shard, n),
+		depShards: make([]depShard, n),
+		open:      make(map[uint64]*analysis.PreparedWrite),
+	}
+	if opts.Admission {
+		// Track roughly as many keys as the cache can plausibly hold.
+		c.admit = tinylfu.New(int(min(opts.MaxBytes/assumedEntryBytes, 1<<20)))
+	}
+	for i := range c.shards {
+		c.shards[i].items = make(map[string]*node)
+	}
+	for i := range c.depShards {
+		c.depShards[i].deps = make(map[string]*depTemplate)
+	}
 	if opts.L2 != nil {
 		c.attachL2()
 	}
@@ -316,24 +436,24 @@ func (c *Cache) loadRemote() remoteBox {
 // stored entry: its body is shared and immutable (see Page), so the hit
 // path performs no allocation.
 func (c *Cache) Lookup(key string) (Page, bool) {
-	it, ok := c.lookup(key)
+	e, ok := c.lookup(key)
 	if !ok {
 		return Page{}, false
 	}
-	return it.Val.Page, true
+	return e.Page, true
 }
 
-// lookup is the store's Get extended with the disk tier: an L1 miss probes
-// L2 and promotes a hit back into L1 (see promote). The L1 hit path is
-// untouched — with or without a store attached it stays allocation-free.
-// A promoted serve still counts as an L1 miss; the store's own hit counter
-// records the tier that answered.
-func (c *Cache) lookup(key string) (*Item[*pageVal], bool) {
-	it, ok := c.store.Get(key)
+// lookup is get extended with the disk tier: an L1 miss probes L2 and
+// promotes a hit back into L1 (see promote). The L1 hit path is untouched —
+// with or without a disk tier attached it stays allocation-free. A promoted
+// serve still counts as an L1 miss; the disk tier's own hit counter records
+// the tier that answered.
+func (c *Cache) lookup(key string) (*entry, bool) {
+	e, ok := c.get(key)
 	if !ok && c.opts.L2 != nil && !c.opts.ForceMiss {
 		return c.promote(key)
 	}
-	return it, ok
+	return e, ok
 }
 
 // Export returns the full stored entry for key — page, dependency info and
@@ -342,15 +462,15 @@ func (c *Cache) lookup(key string) (*Item[*pageVal], bool) {
 // like Lookup. The returned View shares the stored immutable slices; see
 // View for the ownership contract.
 func (c *Cache) Export(key string) (View, bool) {
-	it, ok := c.lookup(key)
+	e, ok := c.lookup(key)
 	if !ok {
 		return View{}, false
 	}
-	v := View{Page: it.Val.Page, Deps: it.Deps}
-	if !it.ExpiresAt.IsZero() {
+	v := View{Page: e.Page, Deps: e.Deps}
+	if !e.ExpiresAt.IsZero() {
 		// At the expiry instant the entry is still visible, but a TTL of 0
 		// would read as "never expires" on the fetching node: report a miss.
-		if v.TTL = it.ExpiresAt.Sub(c.store.opts.Clock()); v.TTL <= 0 {
+		if v.TTL = e.ExpiresAt.Sub(c.opts.Clock()); v.TTL <= 0 {
 			return View{}, false
 		}
 	}
@@ -386,27 +506,25 @@ func (c *Cache) Insert(key string, body []byte, contentType string, deps []analy
 // body in that case, so it is servable and shareable regardless — the page
 // just will not be found by later lookups.
 func (c *Cache) TryInsert(key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) (Page, bool) {
-	v := &pageVal{Page: Page{Body: append([]byte(nil), body...), ContentType: contentType}}
 	var expiresAt time.Time
 	if ttl > 0 {
-		expiresAt = c.store.opts.Clock().Add(ttl)
+		expiresAt = c.opts.Clock().Add(ttl)
 	}
-	stored := c.store.Insert(c.item(key, v, deps, expiresAt))
-	return v.Page, stored
+	e := c.newEntry(key, Page{Body: append([]byte(nil), body...), ContentType: contentType}, deps, expiresAt)
+	return e.Page, c.insert(e)
 }
 
-// item builds the store entry for a page. Variants are built on the private
-// body copy before costing, so the gzip payload and validator strings are
-// charged against MaxBytes with the rest of the entry.
-func (c *Cache) item(key string, v *pageVal, deps []analysis.Query, expiresAt time.Time) Item[*pageVal] {
-	c.buildVariants(&v.Page)
-	return Item[*pageVal]{
+// newEntry builds the stored entry for a page. Variants are built on the
+// private body copy before costing, so the gzip payload and validator
+// strings are charged against MaxBytes with the rest of the entry.
+func (c *Cache) newEntry(key string, pg Page, deps []analysis.Query, expiresAt time.Time) entry {
+	c.buildVariants(&pg)
+	return entry{
+		Page:      pg,
 		Key:       key,
-		Val:       v,
 		Deps:      deps,
 		ExpiresAt: expiresAt,
-		Cost:      entryCost(key, v.Body, deps) + variantCost(&v.Page),
-		Extra:     int64(len(v.Gzip)),
+		Cost:      entryCost(key, pg.Body, deps) + variantCost(&pg),
 	}
 }
 
@@ -430,36 +548,35 @@ func (c *Cache) item(key string, v *pageVal, deps []analysis.Query, expiresAt ti
 // the flushed pages, and err says why the call fell back; the cache is
 // consistent either way.
 func (c *Cache) InvalidateWrite(ws ...analysis.WriteCapture) (int, error) {
-	if len(ws) == 0 {
-		return 0, nil
-	}
-	b := c.loadRemote()
+	return c.invalidate(ws, c.loadRemote())
+}
+
+// InvalidateWriteLocal is InvalidateWrite restricted to this process's
+// cache — no peer broadcast, and a fallback flush that stays local too. It
+// is the entry point for invalidations that arrive FROM a peer
+// (broadcasting those again would echo forever) and for callers that manage
+// fan-out themselves.
+func (c *Cache) InvalidateWriteLocal(ws ...analysis.WriteCapture) (int, error) {
+	return c.invalidate(ws, remoteBox{})
+}
+
+// invalidate sweeps ws in one pass, broadcasting them to b's remote, if any,
+// with their events open, and falls back to a flush (broadcast likewise)
+// when the sweep fails.
+func (c *Cache) invalidate(ws []analysis.WriteCapture, b remoteBox) (int, error) {
 	var then func()
 	if b.r != nil {
 		// The local sweep runs first; the broadcast's error is ignored, as
 		// RemoteInvalidator allows.
 		then = func() { b.broadcastWrites(ws) }
 	}
-	n, err := c.store.invalidateThen(ws, then)
+	n, err := c.invalidateThen(ws, then)
 	if err != nil {
 		n += c.Len()
 		c.flush(b.r)
 	}
 	return n, err
 }
-
-// InvalidateWriteLocal is InvalidateWrite restricted to this process's
-// cache — no peer broadcast. It is the entry point for invalidations that
-// arrive FROM a peer (broadcasting those again would echo forever) and for
-// callers that manage fan-out themselves.
-func (c *Cache) InvalidateWriteLocal(w analysis.WriteCapture) (int, error) {
-	return c.store.InvalidateWrite(w)
-}
-
-// InvalidateKey removes a single page, if present. It returns true when a
-// page was removed. This is the developer-facing escape hatch the paper's
-// §8 describes for externally-driven invalidation (e.g. database triggers).
-func (c *Cache) InvalidateKey(key string) bool { return c.store.Remove(key) }
 
 // Flush empties the cache, then broadcasts the flush to the attached
 // cluster peers, if any. The flush stays open until the broadcast returns,
@@ -477,22 +594,22 @@ func (c *Cache) FlushLocal() { c.flush(nil) }
 func (c *Cache) flush(r RemoteInvalidator) {
 	// The flushing flag closes the tier-crossing races for the duration of
 	// the two-phase sweep: an eviction demoting a pre-flush page after the
-	// store flush, or a promotion re-linking a disk copy into an
-	// already-swept shard, would carry that page past the flush. While the
-	// flag is up, demotions degrade to removals and promotions abort; the
-	// shard locks order every such transition against the sweep below, so
-	// a transition that ran before the flag was visible is cleaned up by
-	// whichever phase comes after it.
+	// L1 sweep, or a promotion re-linking a disk copy into an already-swept
+	// shard, would carry that page past the flush. While the flag is up,
+	// demotions degrade to removals and promotions abort; the shard locks
+	// order every such transition against the sweep below, so a transition
+	// that ran before the flag was visible is cleaned up by whichever phase
+	// comes after it.
 	c.flushing.Add(1)
 	defer c.flushing.Add(-1)
-	defer c.store.closeEvent(c.store.openEvent(nil))
-	c.store.clear(false)
+	defer c.closeEvent(c.openEvent(nil))
+	c.clear(false)
 	if c.opts.L2 != nil {
 		// Disk tier second: any demotion that slipped in ahead of the flag
 		// left its L1 entry removed above and its disk copy dies here, with
 		// the flush marker made durable before FlushAll returns.
 		if dropped, err := c.opts.L2.FlushAll(); err == nil {
-			c.store.forget(dropped)
+			c.forget(dropped)
 		}
 	}
 	if r != nil {
@@ -500,61 +617,36 @@ func (c *Cache) flush(r RemoteInvalidator) {
 	}
 }
 
-// Epoch returns the invalidation-event counter (see Store.Epoch). An inserter
-// reads it before generating a page (or fragment) and hands it to
-// InsertSince, so an entry generated or inserted while an invalidation swept
-// is discarded instead of shared.
-func (c *Cache) Epoch() uint64 { return c.store.Epoch() }
-
-// InsertSince is TryInsert under the §3.2 read→insert guard (see
-// Store.InsertSince) for a page whose generation — or, for a replica, whose
-// peer round trip — began at epoch0. It is the one freshness check for
-// every page the cache takes: generated pages and fragments, replicas
-// fetched from a peer and replicas a peer offers. fresh=false means an
-// invalidation the page depends on raced the generation or the insert, or is
-// still open: the page is not in the cache and must not be shared or
-// replicated, only served to the request that generated it (pg is zero when
-// the guard refused before inserting). stored reports that the page is in
-// the cache: fresh and not refused by the byte budget. Semantic-window pages
-// (ttl > 0) are exempt — they carry no dependencies and tolerate staleness
-// by contract.
+// InsertSince is TryInsert under the §3.2 read→insert guard for a page whose
+// generation — or, for a replica, whose peer round trip — began at epoch0
+// (read from Epoch before the first of its reads). It is the one freshness
+// check for every page the cache takes: generated pages and fragments,
+// replicas fetched from a peer and replicas a peer offers. fresh=false means
+// an invalidation the page depends on raced the generation or the insert, or
+// is still open: the page is not in the cache and must not be shared or
+// replicated, only served to the request that generated it — its read
+// preceded the write. stored reports that the page is in the cache: fresh
+// and not refused by the byte budget. Semantic-window pages (ttl > 0) are
+// exempt — they carry no dependencies and tolerate staleness by contract.
+//
+// Pre-insert: a sweep intersecting deps already ran during the reads, so the
+// page is known-stale and never inserted (pg is zero) — no reader sees it,
+// no eviction victim pays for it. Post-insert: a sweep racing the insert
+// itself may have scanned before the entry linked, so the key is removed
+// again (over-invalidation is sound; the removal is a no-op when the budget
+// refused the insert).
 func (c *Cache) InsertSince(epoch0 uint64, key string, body []byte, contentType string, deps []analysis.Query, ttl time.Duration) (pg Page, stored, fresh bool) {
 	if ttl > 0 {
 		pg, stored = c.TryInsert(key, body, contentType, deps, ttl)
 		return pg, stored, true
 	}
-	fresh = c.store.InsertSince(epoch0, key, deps, func() {
-		pg, stored = c.TryInsert(key, body, contentType, deps, ttl)
-	})
-	return pg, stored && fresh, fresh
-}
-
-// Len returns the current number of cached pages.
-func (c *Cache) Len() int { return c.store.Len() }
-
-// Bytes returns the accounted memory currently charged against MaxBytes:
-// every linked entry's cost plus in-flight insert reservations.
-func (c *Cache) Bytes() int64 { return c.store.Bytes() }
-
-// Contains reports whether key is cached (without touching recency state or
-// hit/miss counters). Expired entries report false.
-func (c *Cache) Contains(key string) bool { return c.store.Contains(key) }
-
-// Snapshot returns a point-in-time copy of the cache counters — the
-// canonical stats accessor shared by every layer (weave, cache and cluster
-// all expose Snapshot()); the telemetry collectors consume it.
-func (c *Cache) Snapshot() Stats {
-	st := Stats{
-		StoreStats:       c.store.Snapshot(),
-		GzipCompressions: c.gzipCompressions.Load(),
-		VariantBytes:     c.store.extra.Load(),
-		Demotions:        c.demotions.Load(),
-		Spills:           c.spills.Load(),
-		Promotions:       c.promotions.Load(),
-		PromoteAborts:    c.promoteAborts.Load(),
+	if c.staleSince(epoch0, deps) {
+		return Page{}, false, false
 	}
-	if c.opts.L2 != nil {
-		st.L2 = c.opts.L2.Snapshot()
+	pg, stored = c.TryInsert(key, body, contentType, deps, ttl)
+	if c.staleSince(epoch0, deps) {
+		c.InvalidateKey(key)
+		return pg, false, false
 	}
-	return st
+	return pg, stored, true
 }

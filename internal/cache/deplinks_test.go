@@ -26,8 +26,8 @@ func residentLinks(c *Cache) (templates, instances int) {
 			links[d.SQL][datasource.KeyOfValues(d.Args)] = true
 		}
 	}
-	for i := range c.store.shards {
-		sh := &c.store.shards[i]
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
 		for _, n := range sh.items {
 			add(n.Deps)
@@ -195,7 +195,7 @@ func TestForgetKeepsCurrentGenerationLinks(t *testing.T) {
 			if where == "l2" {
 				evictK()
 			}
-			c.store.forget([]l2.Dropped{{Key: "/k", Deps: dropped}})
+			c.forget([]l2.Dropped{{Key: "/k", Deps: dropped}})
 			wantT, wantI := residentLinks(c)
 			if st := c.Snapshot(); st.DepTemplates != wantT || st.DepInstances != wantI {
 				t.Fatalf("dependency table holds %d templates, %d instances; residents link %d, %d",

@@ -1,10 +1,14 @@
 package cache
 
-// The page cache's own governance tests. The budget, segment, admission and
-// drain contracts are the store's and run once, in store_test.go.
+// The page cache's governance as pages see it: what a page costs. The
+// budget, segment, admission and drain contracts run with explicit costs, in
+// store_test.go.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"autowebcache/internal/analysis"
@@ -107,5 +111,61 @@ func TestGovernedHitPathZeroAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Fatalf("governed hit path allocated %.2f/op, want 0", n)
+	}
+}
+
+// TestInsertInvalidateAllocs: storing a page costs the body copy and the
+// node that links it, nothing more, bounded or not — the entry is the node's
+// own payload, not a box beside it.
+func TestInsertInvalidateAllocs(t *testing.T) {
+	for _, maxBytes := range []int64{0, 1 << 20} {
+		c := governedCache(t, Options{MaxBytes: maxBytes})
+		body := make([]byte, 1024)
+		if n := testing.AllocsPerRun(200, func() {
+			if _, stored := c.TryInsert("/page", body, "text/html", nil, 0); !stored {
+				t.Fatal("insert refused")
+			}
+			if !c.InvalidateKey("/page") {
+				t.Fatal("nothing removed")
+			}
+		}); n != 2 {
+			t.Fatalf("MaxBytes=%d: insert+invalidate allocated %.2f/op, want 2", maxBytes, n)
+		}
+	}
+}
+
+// TestStatsJSONKeys: /statsz serves Stats as JSON, so its keys and their
+// order are operator-facing and must not move.
+func TestStatsJSONKeys(t *testing.T) {
+	b, err := json.Marshal(Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		"Hits", "Misses", "Inserts", "Invalidations", "Evictions", "Expirations",
+		"WritesSeen", "AdmissionRejects", "OversizeRejects", "Entries",
+		"DepTemplates", "DepInstances", "Bytes", "ProbationEntries",
+		"ProtectedEntries", "ProbationBytes", "ProtectedBytes",
+		"EvictionsProbation", "EvictionsProtected", "GzipCompressions",
+		"VariantBytes", "Demotions", "Spills", "Promotions", "PromoteAborts", "L2",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("Stats JSON keys:\n got %v\nwant %v", keys, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,18 +108,26 @@ func TestEntryMetaNeverPinsBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	rec, got, err := decodeEntry(payload)
-	runtime.ReadMemStats(&after)
 	if err != nil || !bytes.Equal(got, body) || rec.key != "/k" || !reflect.DeepEqual(rec.deps, depsFor(1)) {
 		t.Fatalf("decode: %+v body=%d bytes err=%v", rec, len(got), err)
 	}
 	if &got[0] != &payload[len(payload)-len(body)] {
 		t.Fatal("the decoded body is a copy, not the payload's tail")
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= uint64(len(body)) {
-		t.Fatalf("decoding a %d-byte body allocated %d bytes: the body was copied", len(body), n)
+	// TotalAlloc is process-wide: another goroutine allocating inside the
+	// window only adds bytes, so the smallest delta over several decodes
+	// bounds the decode's own.
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 10; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _ = decodeEntry(payload)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= uint64(len(body)) {
+		t.Fatalf("decoding a %d-byte body allocated %d bytes: the body was copied", len(body), least)
 	}
 }
 

@@ -1,12 +1,10 @@
 // Disk-tier (L2) movement for the page cache: demotion on eviction, the
 // spill of an insert the L1 budget refused, promotion on L1 miss, and the
-// spill-on-shutdown path that makes a clean restart warm. The tier reaches
-// the governed store only through its lower-tier seam (Store.tier/demote,
-// Store.adopt, Store.forget — see store.go); this file is the page-shaped
-// half of that seam.
+// spill-on-shutdown path that makes a clean restart warm. The key table's
+// own calls into the tier (link, drop, spill, forget, the sweep's Sync) are
+// in store.go.
 //
-// Consistency across the tiers leans on two invariants, both kept by the
-// store:
+// Consistency across the tiers leans on two invariants:
 //
 //  1. The dependency table is the single source of truth for both tiers.
 //     Demotion keeps the entry's dependency links; an invalidation sweep
@@ -32,15 +30,14 @@ import (
 	"autowebcache/internal/cache/l2"
 )
 
-// attachL2 hangs the disk tier under the store and rebuilds the dependency
-// links for the disk-resident pages restored by its warm boot, so a write
-// arriving before any promotion still finds and invalidates them. Called
-// from New only: single-threaded, so no key shard lock is needed.
+// attachL2 rebuilds the dependency links for the disk-resident pages the
+// tier's warm boot restored, so a write arriving before any promotion still
+// finds and invalidates them. Called from New only: single-threaded, so no
+// key shard lock is needed.
 func (c *Cache) attachL2() {
-	c.store.tier, c.store.demote = c.opts.L2, c.demote
 	c.opts.L2.Range(func(key string, deps []analysis.Query) {
 		for _, d := range deps {
-			c.store.addDep(d, key)
+			c.addDep(d, key)
 		}
 	})
 }
@@ -48,9 +45,12 @@ func (c *Cache) attachL2() {
 // demote moves an eviction victim into the disk tier instead of discarding
 // it — or, volatile, spills an insert the L1 budget refused there instead of
 // dropping it. On any store refusal (oversize for the tier, store closed) it
-// reports kept=false and the store falls back to a plain removal. Called
-// with the key's shard lock held.
-func (c *Cache) demote(it *Item[*pageVal], volatile bool) (kept bool, dropped []l2.Dropped) {
+// reports kept=false and the caller falls back to a plain removal. kept=true
+// means the tier now holds the entry, so its dependency links stay — the
+// dependency table stays the single source of truth for both tiers. dropped
+// are keys the tier pushed out to make room. Called with the key's shard
+// lock held.
+func (c *Cache) demote(e *entry, volatile bool) (kept bool, dropped []l2.Dropped) {
 	if c.flushing.Load() > 0 {
 		// A flush sweep is in progress: demoting now could land this page
 		// in the store after the flush has already emptied it, carrying a
@@ -61,11 +61,11 @@ func (c *Cache) demote(it *Item[*pageVal], volatile bool) (kept bool, dropped []
 	var err error
 	switch {
 	case volatile:
-		dropped, err = c.opts.L2.PutVolatile(it.Key, it.Val.Body, it.Val.ContentType, it.Deps, it.ExpiresAt)
-	case it.Val.l2lsn == 0 || c.opts.L2.LSN(it.Key) != it.Val.l2lsn:
+		dropped, err = c.opts.L2.PutVolatile(e.Key, e.Body, e.ContentType, e.Deps, e.ExpiresAt)
+	case e.l2lsn == 0 || c.opts.L2.LSN(e.Key) != e.l2lsn:
 		// Unless the durable record this entry was promoted from is still
 		// the store's newest for the key: then no bytes need rewriting.
-		dropped, err = c.opts.L2.Put(it.Key, it.Val.Body, it.Val.ContentType, it.Deps, it.ExpiresAt)
+		dropped, err = c.opts.L2.Put(e.Key, e.Body, e.ContentType, e.Deps, e.ExpiresAt)
 	}
 	if err != nil {
 		return false, nil
@@ -82,24 +82,24 @@ func (c *Cache) demote(it *Item[*pageVal], volatile bool) (kept bool, dropped []
 // the entry (variants are derived locally, exactly like a cluster replica
 // fetch), and admit it into L1 under the same budget rules as any insert.
 // The promoted record stays live in the store; if the entry is later
-// demoted unchanged, the existing disk record is reused (pageVal.l2lsn) —
+// demoted unchanged, the existing disk record is reused (entry.l2lsn) —
 // unless it is volatile: an entry promoted from a spill is rewritten durably
 // when demoted, or spilled by Close, so a clean restart stays warm for
 // everything L1 held.
-func (c *Cache) promote(key string) (*Item[*pageVal], bool) {
+func (c *Cache) promote(key string) (*entry, bool) {
 	rec, ok := c.opts.L2.Get(key)
 	if !ok {
 		if rec.Deps != nil {
 			// The probe itself retired a resident record (expired TTL or an
 			// unreadable body); clear its dependency links if the key is now
 			// resident in neither tier.
-			c.store.forget([]l2.Dropped{{Key: key, Deps: rec.Deps}})
+			c.forget([]l2.Dropped{{Key: key, Deps: rec.Deps}})
 		}
 		return nil, false
 	}
-	v := &pageVal{Page: Page{Body: rec.Body, ContentType: rec.ContentType}}
+	e := c.newEntry(key, Page{Body: rec.Body, ContentType: rec.ContentType}, rec.Deps, rec.ExpiresAt)
 	if !rec.Volatile {
-		v.l2lsn = rec.LSN
+		e.l2lsn = rec.LSN
 	}
 	// The record Get read may stop being the store's current one for the key
 	// before the entry links — an invalidation, flush or segment drop retired
@@ -108,7 +108,7 @@ func (c *Cache) promote(key string) (*Item[*pageVal], bool) {
 	// resurrect it behind a completed sweep, so the promotion aborts; the
 	// lookup reports a miss and the caller regenerates. A flush in progress
 	// aborts for the same reason: this shard may already have been swept.
-	serve, linked := c.store.adopt(c.item(key, v, rec.Deps, rec.ExpiresAt), func() bool {
+	serve, linked := c.adopt(e, func() bool {
 		return c.opts.L2.LSN(key) == rec.LSN && c.flushing.Load() == 0
 	})
 	switch {
@@ -129,6 +129,6 @@ func (c *Cache) Close() error {
 	if c.opts.L2 == nil {
 		return nil
 	}
-	c.store.clear(true)
+	c.clear(true)
 	return c.opts.L2.Close()
 }

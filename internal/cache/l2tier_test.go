@@ -253,8 +253,8 @@ func TestL2DrainBalancesToZero(t *testing.T) {
 	if st.ProbationBytes != 0 || st.ProtectedBytes != 0 {
 		t.Fatalf("segment byte counters leaked: %+v", st)
 	}
-	for i := range c.store.shards {
-		if b := c.store.shards[i].bytes.Load(); b != 0 {
+	for i := range c.shards {
+		if b := c.shards[i].bytes.Load(); b != 0 {
 			t.Fatalf("shard %d byte counter leaked: %d", i, b)
 		}
 	}

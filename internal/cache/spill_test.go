@@ -34,7 +34,7 @@ func newSpillCache(t *testing.T, store *l2.Store) *Cache {
 		}
 	}
 	if st := c.Snapshot(); st.Entries != spillHot || st.Evictions != 0 {
-		t.Fatalf("hot set does not fill L1 exactly: %+v", st.StoreStats)
+		t.Fatalf("hot set does not fill L1 exactly: %+v", st)
 	}
 	return c
 }

@@ -1,12 +1,14 @@
 package cache
 
-// The governance contract, run against the store the page cache is built on.
-// The value type is a plain int: nothing here may depend on what is stored.
-// The page cache keeps only the tests of what is its own (variants, tiers
-// and views).
+// The governance contract: the key and dependency tables, the byte budget,
+// the eviction segments, admission and the epoch ring. Entries are inserted
+// with explicit costs through the unexported insert/reserve/commit/adopt, so
+// nothing here depends on what a page costs; each carries its row number as
+// its content type, to tell which entry is served.
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,25 +40,14 @@ func TestShardHashSpreads(t *testing.T) {
 	}
 }
 
-func newStore(t *testing.T, opts Options) *Store[int] {
-	t.Helper()
-	if opts.Engine == nil {
-		eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Engine = eng
-	}
-	s, err := NewStore[int](opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+// put inserts key at the given cost, depending on row k of table t.
+func put(c *Cache, key string, cost int64, k int) bool {
+	return c.insert(rowEntry(key, cost, k))
 }
 
-// put inserts key at the given cost, depending on row k of table t.
-func put(s *Store[int], key string, cost int64, k int) bool {
-	return s.Insert(Item[int]{Key: key, Val: k, Cost: cost, Deps: depOn(k)})
+// rowEntry is the entry put inserts.
+func rowEntry(key string, cost int64, k int) entry {
+	return entry{Page: Page{ContentType: strconv.Itoa(k)}, Key: key, Cost: cost, Deps: depOn(k)}
 }
 
 func writeRow(k int) analysis.WriteCapture {
@@ -66,10 +57,10 @@ func writeRow(k int) analysis.WriteCapture {
 	}}
 }
 
-func sumShards(s *Store[int]) int64 {
+func sumShards(c *Cache) int64 {
 	var sum int64
-	for i := range s.shards {
-		sum += s.shards[i].bytes.Load()
+	for i := range c.shards {
+		sum += c.shards[i].bytes.Load()
 	}
 	return sum
 }
@@ -89,10 +80,10 @@ var governed = []struct {
 }
 
 // checkBounds fails when the byte budget is exceeded.
-func checkBounds(t *testing.T, s *Store[int], when string) {
+func checkBounds(t *testing.T, c *Cache, when string) {
 	t.Helper()
-	if max := s.opts.MaxBytes; max > 0 && s.Bytes() > max {
-		t.Fatalf("%s: bytes %d exceed MaxBytes %d", when, s.Bytes(), max)
+	if max := c.opts.MaxBytes; max > 0 && c.Bytes() > max {
+		t.Fatalf("%s: bytes %d exceed MaxBytes %d", when, c.Bytes(), max)
 	}
 }
 
@@ -108,54 +99,54 @@ func TestStoreValidation(t *testing.T) {
 		"Admission without MaxBytes": {Engine: eng, Admission: true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := NewStore[int](opts); err == nil {
+			if _, err := New(opts); err == nil {
 				t.Error("accepted")
 			}
 		})
 	}
-	if _, err := NewStore[int](Options{Engine: eng}); err != nil {
+	if _, err := New(Options{Engine: eng}); err != nil {
 		t.Fatalf("zero governance rejected: %v", err)
 	}
 }
 
 // TestStoreAccounting: every transition moves exactly the entry's cost —
 // insert charges it, replacement swaps it, removal credits it — and the
-// per-shard books sum to the store-wide figure.
+// per-shard books sum to the cache-wide figure.
 func TestStoreAccounting(t *testing.T) {
-	s := newStore(t, Options{Shards: 4})
-	if s.Bytes() != 0 || s.Len() != 0 {
-		t.Fatalf("fresh store: bytes=%d len=%d", s.Bytes(), s.Len())
+	c := governedCache(t, Options{Shards: 4})
+	if c.Bytes() != 0 || c.Len() != 0 {
+		t.Fatalf("fresh cache: bytes=%d len=%d", c.Bytes(), c.Len())
 	}
-	put(s, "/a", 1000, 1)
-	if st := s.Snapshot(); st.Bytes != 1000 || st.Entries != 1 || st.Inserts != 1 {
+	put(c, "/a", 1000, 1)
+	if st := c.Snapshot(); st.Bytes != 1000 || st.Entries != 1 || st.Inserts != 1 {
 		t.Fatalf("after insert: %+v", st)
 	}
 	// A hit charges nothing further.
-	if it, ok := s.Get("/a"); !ok || it.Val != 1 {
-		t.Fatalf("get = %+v, %v", it, ok)
+	if pg, ok := c.Lookup("/a"); !ok || pg.ContentType != "1" {
+		t.Fatalf("get = %+v, %v", pg, ok)
 	}
-	if s.Bytes() != 1000 {
-		t.Fatalf("hit changed accounted bytes to %d", s.Bytes())
+	if c.Bytes() != 1000 {
+		t.Fatalf("hit changed accounted bytes to %d", c.Bytes())
 	}
 	// Replacement swaps the accounted cost, not accumulates it.
-	put(s, "/a", 500, 1)
-	if s.Bytes() != 500 || s.Len() != 1 {
-		t.Fatalf("after replacement: bytes=%d len=%d", s.Bytes(), s.Len())
+	put(c, "/a", 500, 1)
+	if c.Bytes() != 500 || c.Len() != 1 {
+		t.Fatalf("after replacement: bytes=%d len=%d", c.Bytes(), c.Len())
 	}
-	put(s, "/b", 300, 2)
-	if sum := sumShards(s); sum != s.Bytes() {
-		t.Fatalf("shard bytes sum %d != total %d", sum, s.Bytes())
+	put(c, "/b", 300, 2)
+	if sum := sumShards(c); sum != c.Bytes() {
+		t.Fatalf("shard bytes sum %d != total %d", sum, c.Bytes())
 	}
 	// Removal — by key, by write — credits everything back.
-	if !s.Remove("/a") || s.Remove("/a") {
+	if !c.InvalidateKey("/a") || c.InvalidateKey("/a") {
 		t.Fatal("Remove must report exactly the first removal")
 	}
-	if n, err := s.InvalidateWrite(writeRow(2)); err != nil || n != 1 {
+	if n, err := c.InvalidateWriteLocal(writeRow(2)); err != nil || n != 1 {
 		t.Fatalf("sweep removed %d, %v; want 1", n, err)
 	}
-	st := s.Snapshot()
+	st := c.Snapshot()
 	if st.Bytes != 0 || st.Entries != 0 || st.DepTemplates != 0 || st.DepInstances != 0 {
-		t.Fatalf("store not drained: %+v", st)
+		t.Fatalf("cache not drained: %+v", st)
 	}
 	if st.Invalidations != 2 || st.WritesSeen != 1 {
 		t.Fatalf("counters: %+v", st)
@@ -166,29 +157,29 @@ func TestStoreAccounting(t *testing.T) {
 // the governance table: the budget is not exceeded at any observable instant
 // — sequentially, through the two-phase reserve/commit path, and under
 // concurrent insert/lookup/sweep/remove churn — and when the dust settles
-// the books balance and a flush drains the store to zero.
+// the books balance and a flush drains the cache to zero.
 func TestStoreBudgetNeverExceeded(t *testing.T) {
 	for _, g := range governed {
 		t.Run(g.name, func(t *testing.T) {
-			s := newStore(t, g.opts)
+			c := governedCache(t, g.opts)
 			for i := 0; i < 64; i++ {
-				put(s, fmt.Sprintf("/p?i=%d", i), 1024, i)
-				checkBounds(t, s, fmt.Sprintf("insert %d", i))
+				put(c, fmt.Sprintf("/p?i=%d", i), 1024, i)
+				checkBounds(t, c, fmt.Sprintf("insert %d", i))
 			}
 			for i := 64; i < 128; i++ {
 				key := fmt.Sprintf("/p?i=%d", i)
-				if s.reserve(key, 1024) {
-					checkBounds(t, s, fmt.Sprintf("reserve %d", i))
-					s.commit(Item[int]{Key: key, Cost: 1024, Deps: depOn(i)})
+				if c.reserve(key, 1024) {
+					checkBounds(t, c, fmt.Sprintf("reserve %d", i))
+					c.commit(rowEntry(key, 1024, i))
 				}
-				checkBounds(t, s, fmt.Sprintf("commit %d", i))
+				checkBounds(t, c, fmt.Sprintf("commit %d", i))
 			}
-			st := s.Snapshot()
+			st := c.Snapshot()
 			if st.Evictions+st.AdmissionRejects == 0 {
 				t.Fatal("no evictions or admission rejects under pressure")
 			}
 			if st.Entries == 0 {
-				t.Fatal("store emptied itself")
+				t.Fatal("cache emptied itself")
 			}
 
 			var over atomic.Int64
@@ -203,8 +194,8 @@ func TestStoreBudgetNeverExceeded(t *testing.T) {
 						return
 					default:
 					}
-					if max := s.opts.MaxBytes; max > 0 && s.Bytes() > max {
-						over.Store(s.Bytes())
+					if max := c.opts.MaxBytes; max > 0 && c.Bytes() > max {
+						over.Store(c.Bytes())
 						return
 					}
 				}
@@ -220,16 +211,16 @@ func TestStoreBudgetNeverExceeded(t *testing.T) {
 						key := fmt.Sprintf("/p?i=%d", k)
 						switch i % 5 {
 						case 0:
-							put(s, key, cost, k)
+							put(c, key, cost, k)
 						case 1:
-							if _, err := s.InvalidateWrite(writeRow(k)); err != nil {
+							if _, err := c.InvalidateWriteLocal(writeRow(k)); err != nil {
 								t.Error(err)
 								return
 							}
 						case 2:
-							s.Remove(key)
+							c.InvalidateKey(key)
 						default:
-							s.Get(key)
+							c.Lookup(key)
 						}
 					}
 				}(w)
@@ -240,26 +231,26 @@ func TestStoreBudgetNeverExceeded(t *testing.T) {
 			if v := over.Load(); v > 0 {
 				t.Fatalf("a bound was exceeded during churn (observed %d)", v)
 			}
-			checkBounds(t, s, "after churn")
+			checkBounds(t, c, "after churn")
 			// With no inserts in flight, every reservation either linked or
 			// was credited back.
-			if sum := sumShards(s); sum != s.Bytes() {
-				t.Fatalf("books out of balance: shards sum %d, global %d", sum, s.Bytes())
+			if sum := sumShards(c); sum != c.Bytes() {
+				t.Fatalf("books out of balance: shards sum %d, global %d", sum, c.Bytes())
 			}
-			st = s.Snapshot()
+			st = c.Snapshot()
 			if st.ProbationEntries+st.ProtectedEntries != st.Entries {
-				t.Fatalf("segments hold %d+%d entries, store %d", st.ProbationEntries, st.ProtectedEntries, st.Entries)
+				t.Fatalf("segments hold %d+%d entries, cache %d", st.ProbationEntries, st.ProtectedEntries, st.Entries)
 			}
 			if st.ProbationBytes+st.ProtectedBytes != st.Bytes {
-				t.Fatalf("segments hold %d+%d bytes, store %d", st.ProbationBytes, st.ProtectedBytes, st.Bytes)
+				t.Fatalf("segments hold %d+%d bytes, cache %d", st.ProbationBytes, st.ProtectedBytes, st.Bytes)
 			}
 			if st.EvictionsProbation+st.EvictionsProtected != st.Evictions {
 				t.Fatalf("eviction split %d+%d != total %d", st.EvictionsProbation, st.EvictionsProtected, st.Evictions)
 			}
-			s.Flush()
-			st = s.Snapshot()
-			if st.Bytes != 0 || st.Entries != 0 || st.DepTemplates != 0 || st.DepInstances != 0 || sumShards(s) != 0 {
-				t.Fatalf("flush did not drain the store: %+v", st)
+			c.Flush()
+			st = c.Snapshot()
+			if st.Bytes != 0 || st.Entries != 0 || st.DepTemplates != 0 || st.DepInstances != 0 || sumShards(c) != 0 {
+				t.Fatalf("flush did not drain the cache: %+v", st)
 			}
 		})
 	}
@@ -286,32 +277,32 @@ func TestStoreSegmentOrder(t *testing.T) {
 }
 
 func segmentOrder(t *testing.T, opts Options) {
-	s := newStore(t, opts)
-	put(s, "/hot?i=0", 1024, 0)
-	put(s, "/hot?i=1", 1024, 1)
-	st := s.Snapshot()
+	c := governedCache(t, opts)
+	put(c, "/hot?i=0", 1024, 0)
+	put(c, "/hot?i=1", 1024, 1)
+	st := c.Snapshot()
 	if st.ProbationEntries != 2 || st.ProtectedEntries != 0 || st.ProbationBytes != st.Bytes {
 		t.Fatalf("after inserts: %+v", st)
 	}
-	s.Get("/hot?i=0")
-	st = s.Snapshot()
+	c.Lookup("/hot?i=0")
+	st = c.Snapshot()
 	if st.ProbationEntries != 1 || st.ProtectedEntries != 1 || st.ProtectedBytes != 1024 {
 		t.Fatalf("after first hit: %+v", st)
 	}
 	// Promotion is one-time: further hits move no bytes.
 	for i := 0; i < 3; i++ {
-		s.Get("/hot?i=0")
-		s.Get("/hot?i=1")
+		c.Lookup("/hot?i=0")
+		c.Lookup("/hot?i=1")
 	}
-	if st = s.Snapshot(); st.ProtectedEntries != 2 || st.ProtectedBytes != 2048 {
+	if st = c.Snapshot(); st.ProtectedEntries != 2 || st.ProtectedBytes != 2048 {
 		t.Fatalf("after re-hits: %+v", st)
 	}
 	// One-hit churn must be absorbed by probation (or, with admission,
 	// refused at the door).
 	for i := 0; i < 64; i++ {
-		put(s, fmt.Sprintf("/cold?i=%d", i), 1024, i+2)
+		put(c, fmt.Sprintf("/cold?i=%d", i), 1024, i+2)
 	}
-	st = s.Snapshot()
+	st = c.Snapshot()
 	if st.Evictions+st.AdmissionRejects == 0 || st.EvictionsProbation != st.Evictions || st.EvictionsProtected != 0 {
 		t.Fatalf("churn must evict from probation only: %+v", st)
 	}
@@ -319,14 +310,14 @@ func segmentOrder(t *testing.T, opts Options) {
 		t.Fatalf("plain SLRU churn evicted nothing: %+v", st)
 	}
 	for i := 0; i < 2; i++ {
-		if !s.Contains(fmt.Sprintf("/hot?i=%d", i)) {
+		if !c.Contains(fmt.Sprintf("/hot?i=%d", i)) {
 			t.Fatalf("protected entry %d evicted by one-hit churn", i)
 		}
 	}
 	// Removal from the protected segment credits its counter.
-	s.Remove("/hot?i=0")
-	s.Remove("/hot?i=1")
-	if st = s.Snapshot(); st.ProtectedEntries != 0 || st.ProtectedBytes != 0 {
+	c.InvalidateKey("/hot?i=0")
+	c.InvalidateKey("/hot?i=1")
+	if st = c.Snapshot(); st.ProtectedEntries != 0 || st.ProtectedBytes != 0 {
 		t.Fatalf("after removal: %+v", st)
 	}
 }
@@ -335,45 +326,45 @@ func segmentOrder(t *testing.T, opts Options) {
 // gives up its least recently hit entry across all shards — a re-hit moves
 // an entry behind the others.
 func TestStoreProtectedLRU(t *testing.T) {
-	s := newStore(t, Options{MaxBytes: 3 * 512, Shards: 4})
+	c := governedCache(t, Options{MaxBytes: 3 * 512, Shards: 4})
 	for i := 0; i < 3; i++ {
-		put(s, fmt.Sprintf("/p?i=%d", i), 512, i)
+		put(c, fmt.Sprintf("/p?i=%d", i), 512, i)
 	}
 	for _, i := range []int{0, 1, 2, 0} {
-		s.Get(fmt.Sprintf("/p?i=%d", i))
+		c.Lookup(fmt.Sprintf("/p?i=%d", i))
 	}
-	put(s, "/p?i=3", 512, 3)
-	if s.Contains("/p?i=1") {
+	put(c, "/p?i=3", 512, 3)
+	if c.Contains("/p?i=1") {
 		t.Fatal("least recently hit protected entry survived")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if !s.Contains(fmt.Sprintf("/p?i=%d", i)) {
+		if !c.Contains(fmt.Sprintf("/p?i=%d", i)) {
 			t.Fatalf("entry %d evicted instead of the LRU victim", i)
 		}
 	}
-	if st := s.Snapshot(); st.EvictionsProtected != 1 {
+	if st := c.Snapshot(); st.EvictionsProtected != 1 {
 		t.Fatalf("eviction not taken from protected: %+v", st)
 	}
 }
 
-// TestStoreUnboundedKeepsNoOrder: an unbounded store never evicts, so it
+// TestStoreUnboundedKeepsNoOrder: an unbounded cache never evicts, so it
 // keeps no recency order — hits neither promote an entry nor tick the
 // sequence, and every entry reports as probation.
 func TestStoreUnboundedKeepsNoOrder(t *testing.T) {
-	s := newStore(t, Options{Shards: 4})
+	c := governedCache(t, Options{Shards: 4})
 	for i := 0; i < 64; i++ {
-		put(s, fmt.Sprintf("/p?i=%d", i), 1024, i)
+		put(c, fmt.Sprintf("/p?i=%d", i), 1024, i)
 	}
-	seq := s.seq.Load()
+	seq := c.seq.Load()
 	for i := 0; i < 64; i++ {
-		s.Get(fmt.Sprintf("/p?i=%d", i))
+		c.Lookup(fmt.Sprintf("/p?i=%d", i))
 	}
-	st := s.Snapshot()
+	st := c.Snapshot()
 	if st.Hits != 64 || st.Evictions != 0 || st.ProtectedEntries != 0 || st.ProbationEntries != 64 {
-		t.Fatalf("unbounded store reordered or evicted: %+v", st)
+		t.Fatalf("unbounded cache reordered or evicted: %+v", st)
 	}
-	if s.seq.Load() != seq {
-		t.Fatalf("hits ticked the recency sequence %d -> %d", seq, s.seq.Load())
+	if c.seq.Load() != seq {
+		t.Fatalf("hits ticked the recency sequence %d -> %d", seq, c.seq.Load())
 	}
 }
 
@@ -381,36 +372,36 @@ func TestStoreUnboundedKeepsNoOrder(t *testing.T) {
 // victims — refused, nothing displaced — until it has been requested often
 // enough to out-score one.
 func TestStoreAdmissionDuel(t *testing.T) {
-	s := newStore(t, Options{MaxBytes: 2 * 1024, Admission: true})
+	c := governedCache(t, Options{MaxBytes: 2 * 1024, Admission: true})
 	for i := 0; i < 2; i++ {
 		key := fmt.Sprintf("/hot?i=%d", i)
 		// Lookups — even misses — feed the filter's sketch.
 		for j := 0; j < 8; j++ {
-			s.Get(key)
+			c.Lookup(key)
 		}
-		if !put(s, key, 1024, i) {
+		if !put(c, key, 1024, i) {
 			t.Fatalf("hot key %s rejected", key)
 		}
 	}
-	if put(s, "/cold", 1024, 9) {
+	if put(c, "/cold", 1024, 9) {
 		t.Fatal("one-hit wonder admitted over hot victims")
 	}
-	if s.reserve("/cold", 1024) {
+	if c.reserve("/cold", 1024) {
 		t.Fatal("two-phase insert bypassed the admission duel")
 	}
-	st := s.Snapshot()
+	st := c.Snapshot()
 	if st.AdmissionRejects != 2 || st.Evictions != 0 || st.Bytes != 2*1024 {
 		t.Fatalf("after lost duels: %+v", st)
 	}
 	for i := 0; i < 2; i++ {
-		if !s.Contains(fmt.Sprintf("/hot?i=%d", i)) {
+		if !c.Contains(fmt.Sprintf("/hot?i=%d", i)) {
 			t.Fatalf("hot key %d displaced", i)
 		}
 	}
 	for j := 0; j < 32; j++ {
-		s.Get("/cold")
+		c.Lookup("/cold")
 	}
-	if !put(s, "/cold", 1024, 9) {
+	if !put(c, "/cold", 1024, 9) {
 		t.Fatal("now-hot key still rejected")
 	}
 }
@@ -418,20 +409,20 @@ func TestStoreAdmissionDuel(t *testing.T) {
 // TestStoreOversizeReject: an entry that can never fit is refused by both
 // insert paths without evicting anything or leaking accounting.
 func TestStoreOversizeReject(t *testing.T) {
-	s := newStore(t, Options{MaxBytes: 1024})
-	put(s, "/small", 512, 1)
-	if put(s, "/big", 4096, 2) {
+	c := governedCache(t, Options{MaxBytes: 1024})
+	put(c, "/small", 512, 1)
+	if put(c, "/big", 4096, 2) {
 		t.Fatal("oversize entry claimed stored")
 	}
-	if s.reserve("/big", 1025) {
+	if c.reserve("/big", 1025) {
 		t.Fatal("oversize reservation granted")
 	}
-	st := s.Snapshot()
+	st := c.Snapshot()
 	if st.OversizeRejects != 2 || st.Evictions != 0 || st.Bytes != 512 || st.Entries != 1 {
 		t.Fatalf("oversize rejects leaked: %+v", st)
 	}
-	if s.Contains("/big") || !s.Contains("/small") {
-		t.Fatal("oversize reject disturbed the store")
+	if c.Contains("/big") || !c.Contains("/small") {
+		t.Fatal("oversize reject disturbed the cache")
 	}
 }
 
@@ -441,25 +432,25 @@ func TestStoreOversizeReject(t *testing.T) {
 // freed budget takes the eviction path, never past the budget.
 func TestStoreReplacement(t *testing.T) {
 	const n = 4
-	s := newStore(t, Options{MaxBytes: n * 1024, Admission: true})
+	c := governedCache(t, Options{MaxBytes: n * 1024, Admission: true})
 	for round := 0; round < 2; round++ {
 		for i := 0; i < n; i++ {
-			if !put(s, fmt.Sprintf("/p?i=%d", i), 1024, i) {
+			if !put(c, fmt.Sprintf("/p?i=%d", i), 1024, i) {
 				t.Fatalf("round %d: insert %d rejected at full budget", round, i)
 			}
 		}
 	}
-	st := s.Snapshot()
+	st := c.Snapshot()
 	if st.Evictions != 0 || st.AdmissionRejects != 0 || st.Entries != n || st.Bytes != n*1024 {
-		t.Fatalf("same-size replacement disturbed the store: %+v", st)
+		t.Fatalf("same-size replacement disturbed the cache: %+v", st)
 	}
 	// Shrinking credits the difference.
-	put(s, "/p?i=0", 256, 0)
-	if s.Bytes() != (n-1)*1024+256 {
-		t.Fatalf("bytes after shrink = %d", s.Bytes())
+	put(c, "/p?i=0", 256, 0)
+	if c.Bytes() != (n-1)*1024+256 {
+		t.Fatalf("bytes after shrink = %d", c.Bytes())
 	}
 
-	g := newStore(t, Options{MaxBytes: n * 256})
+	g := governedCache(t, Options{MaxBytes: n * 256})
 	for i := 0; i < n; i++ {
 		put(g, fmt.Sprintf("/p?i=%d", i), 256, i)
 	}
@@ -476,17 +467,17 @@ func TestStoreReplacement(t *testing.T) {
 // entry without reserving, so no innocent victim is evicted at a full budget.
 func TestStoreAdoptResidentEvictsNothing(t *testing.T) {
 	const n = 4
-	s := newStore(t, Options{MaxBytes: n * 1024})
+	c := governedCache(t, Options{MaxBytes: n * 1024})
 	for i := 0; i < n; i++ {
-		put(s, fmt.Sprintf("/p?i=%d", i), 1024, i)
+		put(c, fmt.Sprintf("/p?i=%d", i), 1024, i)
 	}
-	serve, linked := s.adopt(Item[int]{Key: "/p?i=0", Val: -1, Cost: 1024, Deps: depOn(0)},
+	serve, linked := c.adopt(rowEntry("/p?i=0", 1024, -1),
 		func() bool { t.Fatal("current() consulted for a resident key"); return false })
-	if linked || serve == nil || serve.Val != 0 {
+	if linked || serve == nil || serve.ContentType != "0" {
 		t.Fatalf("adopt over a resident key: serve=%+v linked=%v", serve, linked)
 	}
-	if st := s.Snapshot(); st.Evictions != 0 || st.Entries != n || st.Bytes != n*1024 {
-		t.Fatalf("adopt over a resident key disturbed the store: %+v", st)
+	if st := c.Snapshot(); st.Evictions != 0 || st.Entries != n || st.Bytes != n*1024 {
+		t.Fatalf("adopt over a resident key disturbed the cache: %+v", st)
 	}
 }
 
@@ -494,22 +485,22 @@ func TestStoreAdoptResidentEvictsNothing(t *testing.T) {
 // it expired removes it and credits its bytes.
 func TestStoreExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
-	s := newStore(t, Options{
+	c := governedCache(t, Options{
 		MaxBytes: 1 << 20,
 		Clock:    func() time.Time { return now },
 	})
-	s.Insert(Item[int]{Key: "/ttl", Cost: 128, ExpiresAt: now.Add(time.Second)})
-	if !s.Contains("/ttl") || s.Bytes() != 128 {
+	c.insert(entry{Key: "/ttl", Cost: 128, ExpiresAt: now.Add(time.Second)})
+	if !c.Contains("/ttl") || c.Bytes() != 128 {
 		t.Fatal("fresh entry not visible")
 	}
 	now = now.Add(2 * time.Second)
-	if s.Contains("/ttl") {
+	if c.Contains("/ttl") {
 		t.Fatal("expired entry reported present")
 	}
-	if _, ok := s.Get("/ttl"); ok {
+	if _, ok := c.Lookup("/ttl"); ok {
 		t.Fatal("expired entry served")
 	}
-	if st := s.Snapshot(); st.Bytes != 0 || st.Entries != 0 || st.Expirations != 1 || st.Misses != 1 {
+	if st := c.Snapshot(); st.Bytes != 0 || st.Entries != 0 || st.Expirations != 1 || st.Misses != 1 {
 		t.Fatalf("after expiry: %+v", st)
 	}
 }
@@ -518,36 +509,36 @@ func TestStoreExpiry(t *testing.T) {
 // inserter's epoch read and its insert is visible to staleSince exactly when
 // it could have touched the entry's dependencies.
 func TestStoreEpochGuard(t *testing.T) {
-	s := newStore(t, Options{})
-	e0 := s.Epoch()
-	if s.staleSince(e0, depOn(1)) {
+	c := governedCache(t, Options{})
+	e0 := c.Epoch()
+	if c.staleSince(e0, depOn(1)) {
 		t.Fatal("stale with no event")
 	}
-	if _, err := s.InvalidateWrite(writeRow(2)); err != nil {
+	if _, err := c.InvalidateWriteLocal(writeRow(2)); err != nil {
 		t.Fatal(err)
 	}
-	if s.staleSince(e0, depOn(1)) {
+	if c.staleSince(e0, depOn(1)) {
 		t.Fatal("a write to another row made the entry stale")
 	}
-	if !s.staleSince(e0, depOn(2)) {
+	if !c.staleSince(e0, depOn(2)) {
 		t.Fatal("a write to the entry's row went unnoticed")
 	}
-	e1 := s.Epoch()
-	s.Remove("/nothing")
-	if s.Epoch() != e1 {
+	e1 := c.Epoch()
+	c.InvalidateKey("/nothing")
+	if c.Epoch() != e1 {
 		t.Fatal("a single-key removal opened an epoch")
 	}
-	s.Flush()
-	if !s.staleSince(e1, nil) {
+	c.Flush()
+	if !c.staleSince(e1, nil) {
 		t.Fatal("a flush must make every raced insert stale")
 	}
-	e2 := s.Epoch()
+	e2 := c.Epoch()
 	for i := 0; i <= recentWriteWindow; i++ {
-		if _, err := s.InvalidateWrite(writeRow(2)); err != nil {
+		if _, err := c.InvalidateWriteLocal(writeRow(2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !s.staleSince(e2, depOn(1)) {
+	if !c.staleSince(e2, depOn(1)) {
 		t.Fatal("a window that outlived the ring must be judged stale")
 	}
 }
@@ -557,13 +548,14 @@ func TestStoreEpochGuard(t *testing.T) {
 // read after the sweep; an unrelated insert is not. Closing the event lifts
 // the refusal. An open flush refuses every insert.
 func TestStoreOpenEvents(t *testing.T) {
-	s := newStore(t, Options{})
+	c := governedCache(t, Options{})
 	insertSince := func(epoch0 uint64, key string, k int) bool {
-		return s.InsertSince(epoch0, key, depOn(k), func() { put(s, key, 64, k) })
+		_, _, fresh := c.InsertSince(epoch0, key, nil, "", depOn(k), 0)
+		return fresh
 	}
 	var during uint64
-	if _, err := s.invalidateThen([]analysis.WriteCapture{writeRow(2)}, func() {
-		during = s.Epoch()
+	if _, err := c.invalidateThen([]analysis.WriteCapture{writeRow(2)}, func() {
+		during = c.Epoch()
 		if insertSince(during, "/two", 2) {
 			t.Error("an insert overlapping the open write was accepted")
 		}
@@ -577,15 +569,15 @@ func TestStoreOpenEvents(t *testing.T) {
 	if insertSince(during, "/two", 2) {
 		t.Fatal("an insert whose window saw the write open was accepted after it closed")
 	}
-	if !insertSince(s.Epoch(), "/two", 2) {
+	if !insertSince(c.Epoch(), "/two", 2) {
 		t.Fatal("the write stayed open after invalidateThen returned")
 	}
-	flush := s.openEvent(nil)
-	if insertSince(s.Epoch(), "/three", 3) {
+	flush := c.openEvent(nil)
+	if insertSince(c.Epoch(), "/three", 3) {
 		t.Error("an insert was accepted while a flush was open")
 	}
-	s.closeEvent(flush)
-	if !insertSince(s.Epoch(), "/three", 3) {
+	c.closeEvent(flush)
+	if !insertSince(c.Epoch(), "/three", 3) {
 		t.Fatal("the flush stayed open after it closed")
 	}
 }

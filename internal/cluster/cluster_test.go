@@ -12,6 +12,7 @@ import (
 
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
+	"autowebcache/internal/cache/l2"
 	"autowebcache/internal/memdb"
 	"autowebcache/internal/servlet"
 	"autowebcache/internal/weave"
@@ -296,6 +297,59 @@ func TestWriteRequestIsOneBroadcast(t *testing.T) {
 	}
 	if got := origin.node.Snapshot().InvSent - sent0; got != 2 {
 		t.Errorf("origin sent %d invalidation frames to 2 peers, want 2", got)
+	}
+}
+
+// TestInvFrameIsOneSweep: a peer with a disk tier applies a two-capture
+// invalidation frame as one sweep — both durable disk records it removes
+// cost one journal fsync, not one per capture.
+func TestInvFrameIsOneSweep(t *testing.T) {
+	eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := l2.Open(l2.Options{Dir: t.TempDir(), SnapshotInterval: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One page fits in memory, so each insert demotes the one before it.
+	cb, err := cache.New(cache.Options{Engine: eng, MaxBytes: 512, L2: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cb.Close() })
+	_, a := bareNode(t, Config{ProbeInterval: -1})
+	_, b := bareNode(t, Config{ProbeInterval: -1, Cache: cb})
+	join(a, b)
+
+	row := func(k int64) []analysis.Query {
+		return []analysis.Query{{SQL: "SELECT a FROM ct0 WHERE b = ?", Args: []memdb.Value{k}}}
+	}
+	write := func(k int64) analysis.WriteCapture {
+		return analysis.WriteCapture{Query: analysis.Query{
+			SQL: "UPDATE ct0 SET a = ? WHERE b = ?", Args: []memdb.Value{int64(9), k}}}
+	}
+	for k := int64(1); k <= 3; k++ {
+		cb.Insert(fmt.Sprintf("/row?k=%d", k), []byte("page"), "text/html", row(k), 0)
+	}
+	st := cb.Snapshot()
+	if st.Demotions != 2 || st.L2.Entries != 2 {
+		t.Fatalf("rows 1 and 2 not demoted to disk: %d demotions, %d disk entries", st.Demotions, st.L2.Entries)
+	}
+	syncs0 := st.L2.JournalSyncs
+	if err := a.BroadcastWrites([]analysis.WriteCapture{write(1), write(2)}); err != nil {
+		t.Fatal(err)
+	}
+	st = cb.Snapshot()
+	if st.L2.Entries != 0 || st.Invalidations != 2 || !cb.Contains("/row?k=3") {
+		t.Fatalf("after the frame: %d disk entries, %d invalidations; want both disk pages gone and row 3 kept",
+			st.L2.Entries, st.Invalidations)
+	}
+	if got := st.L2.JournalSyncs - syncs0; got != 1 {
+		t.Fatalf("the frame cost %d journal fsyncs, want 1", got)
+	}
+	if bs := b.Snapshot(); bs.InvApplied != 2 || bs.GapFlushes != 0 {
+		t.Fatalf("peer applied %d captures with %d gap flushes; want 2, 0", bs.InvApplied, bs.GapFlushes)
 	}
 }
 

@@ -87,22 +87,24 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 }
 
-// bareNode builds a cache+Node pair with the given config (Listen and
-// Cache filled in), for tests that drive the peer tier directly.
+// bareNode builds a cache+Node pair with the given config (Listen filled
+// in, and Cache when the config has none), for tests that drive the peer
+// tier directly.
 func bareNode(t *testing.T, cfg Config) (*cache.Cache, *Node) {
 	t.Helper()
-	eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cache.New(cache.Options{Engine: eng, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	if cfg.Cache == nil {
+		eng, err := analysis.NewEngine(analysis.StrategyWhereMatch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Cache, err = cache.New(cache.Options{Engine: eng, Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
-	cfg.Cache = c
+	c := cfg.Cache
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -862,19 +862,11 @@ func (n *Node) handleFrame(typ byte, raw, body []byte) (byte, meta, []byte, erro
 			// frame's own captures.
 			pages = n.quarantine(m.Origin, m.Seq)
 		} else {
-			// Local-only application, in the origin's order: re-broadcasting
-			// a received invalidation would echo around the cluster forever.
-			for _, w := range m.Captures {
-				k, err := n.cfg.Cache.InvalidateWriteLocal(w)
-				if err != nil {
-					// Unanalysable here: one flush, the always-sound
-					// fallback, covers this capture and the rest.
-					pages += n.cfg.Cache.Len()
-					n.cfg.Cache.FlushLocal()
-					break
-				}
-				pages += k
-			}
+			// Local-only application of the frame's captures as one sweep:
+			// re-broadcasting a received invalidation would echo around the
+			// cluster forever. A capture unanalysable here makes the sweep
+			// flush instead, the always-sound fallback.
+			pages, _ = n.cfg.Cache.InvalidateWriteLocal(m.Captures...)
 		}
 		n.markApplied(m.Origin, m.Seq)
 		n.invApplied.Add(uint64(len(m.Captures)))
