@@ -53,10 +53,12 @@ race:
 # observed, the weave stats snapshotted while recorded, the cluster's
 # replica windows, its property harness (fetches, resolves and offers
 # racing strong writes), a disk-tier spill racing an intersecting write,
-# the resolve path's refusal windows and cross-node single-flight, and the
-# packages holding the miss protocol, the epoch guard, the shared-file
-# driver and the peer transport under the cluster's chaos and property
-# harnesses — plain and under the race detector.
+# the resolve path's refusal windows and cross-node single-flight, memdb's
+# shared plans and recycled runs (results held while the same plans run
+# again, concurrently and with other arguments), and the packages holding
+# the miss protocol, the epoch guard, the shared-file driver and the peer
+# transport under the cluster's chaos and property harnesses — plain and
+# under the race detector.
 # `go test` judges counts, bytes, allocations and invariants, never timing,
 # so a failure here is a bug, not noise.
 flake:
@@ -65,6 +67,7 @@ flake:
 	  $(GO) test $$race -count=200 -run TestConcurrentUseWithScrapes ./internal/telemetry && \
 	  $(GO) test $$race -count=20 -run TestSnapshotRatiosNeverExceedOne ./internal/weave && \
 	  $(GO) test $$race -count=20 -run TestSpillRacesSweep ./internal/cache && \
+	  $(GO) test $$race -count=20 -run 'TestSharedPlanConcurrent|TestConcurrentAccess|TestRecycledScratchNeverLeaks' ./internal/memdb && \
 	  $(GO) test $$race -count=20 -run 'TestFetchWindow|TestOfferWindow|TestExportVouchesOnlyForAppliedWrites|TestClusterPropertyConsistency|TestResolveRefusals|TestResolveCoalescesAcrossMembers|TestResolveWriteRemovesOwnerPage|TestResolveDivergedRingsKeepDeps' ./internal/cluster && \
 	  $(GO) test $$race -count=5 ./internal/weave ./internal/cache/... ./internal/datasource/... ./internal/cluster/... || exit 1; \
 	done
@@ -94,7 +97,7 @@ bench:
 
 benchsmoke:
 	$(GO) test -bench 'Cache|Parallel|Coalesced' -run '^$$' -benchtime 100x -benchmem .
-	$(GO) test -bench 'SelectOrderLimit|SelectIn|SelectPoint' -run '^$$' -benchtime 100x -benchmem ./internal/memdb
+	$(GO) test -bench 'SelectOrderLimit|SelectIn|SelectPoint|SelectAggregate' -run '^$$' -benchtime 100x -benchmem ./internal/memdb
 	$(GO) test -bench 'PeerFrame' -run '^$$' -benchtime 100x -benchmem ./internal/cluster
 	$(GO) test -bench 'StatementLog' -run '^$$' -benchtime 100x -benchmem ./internal/datasource/sqlite
 	$(GO) test -bench 'RenderTable' -run '^$$' -benchtime 100x -benchmem ./internal/servlet

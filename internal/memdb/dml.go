@@ -60,7 +60,8 @@ func (db *DB) execInsert(ins *sqlparser.InsertStmt, args []Value) (Result, error
 
 // matchRowsLocked returns the row ids of the run's table matching its
 // WHERE clause, using an exact index probe when one applies, as a SELECT's
-// first table does. The caller holds at least a read lock on the table.
+// first table does. The ids are the run's scratch. The caller holds at
+// least a read lock on the table.
 func (db *DB) matchRowsLocked(r *run) ([]int, error) {
 	defer func() { db.rowsScanned.Add(uint64(r.scanned)) }()
 	t := r.tables[0].tbl
@@ -73,7 +74,7 @@ func (db *DB) matchRowsLocked(r *run) ([]int, error) {
 	if scan {
 		n = len(t.rows)
 	}
-	var ids []int
+	ids := r.ids[:0]
 	for i := 0; i < n; i++ {
 		id := i
 		if !scan {
@@ -87,19 +88,21 @@ func (db *DB) matchRowsLocked(r *run) ([]int, error) {
 			ids = append(ids, id)
 		}
 	}
+	r.ids = ids
 	return ids, nil
 }
 
 // startWrite plans an UPDATE or DELETE and runs its IN-subqueries, before
 // the caller takes the table's write lock (they acquire their own read
-// locks; see resolveSubqueries).
+// locks; see resolveSubqueries). The caller returns the run with plan.put.
 func (db *DB) startWrite(s *stmt, args []Value) (*run, error) {
 	pl, err := db.planFor(s)
 	if err != nil {
 		return nil, err
 	}
-	r := newRun(pl, args)
+	r := pl.get(args)
 	if _, err := db.resolveSubqueries(r); err != nil {
+		pl.put(r)
 		return nil, err
 	}
 	return r, nil
@@ -110,6 +113,7 @@ func (db *DB) execUpdate(s *stmt, up *sqlparser.UpdateStmt, args []Value) (Resul
 	if err != nil {
 		return Result{}, err
 	}
+	defer r.plan.put(r)
 	t := r.tables[0].tbl
 	setIdx := make([]int, len(up.Set))
 	for i := range up.Set {
@@ -125,11 +129,11 @@ func (db *DB) execUpdate(s *stmt, up *sqlparser.UpdateStmt, args []Value) (Resul
 	if err != nil {
 		return Result{}, err
 	}
+	// Evaluate all SET expressions against the pre-update row, then apply
+	// (SQL semantics: SET a = b, b = a swaps).
+	newVals := make([]Value, len(up.Set))
 	for _, id := range ids {
 		r.ev.rows[0] = t.rows[id]
-		// Evaluate all SET expressions against the pre-update row, then
-		// apply (SQL semantics: SET a = b, b = a swaps).
-		newVals := make([]Value, len(up.Set))
 		for i := range up.Set {
 			v, err := r.ev.eval(up.Set[i].Value)
 			if err != nil {
@@ -153,6 +157,7 @@ func (db *DB) execDelete(s *stmt, args []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer r.plan.put(r)
 	t := r.tables[0].tbl
 	t.mu.Lock()
 	defer t.mu.Unlock()

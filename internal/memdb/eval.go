@@ -25,9 +25,21 @@ type env struct {
 	// plan's aggSlot, during projection, and is nil outside it.
 	aggValues []Value
 	// subq holds the pre-computed first-column value lists of uncorrelated
-	// IN-subqueries. Subqueries run before any outer table lock is taken
-	// (see resolveSubqueries), so evaluation here is a pure membership test.
-	subq map[*sqlparser.InExpr][]Value
+	// IN-subqueries, indexed like the plan's subs, once they are resolved.
+	// Subqueries run before any outer table lock is taken (see
+	// resolveSubqueries), so evaluation here is a pure membership test.
+	subq [][]Value
+}
+
+// subquery returns the value list of the IN-subquery in, and false when it
+// has not been resolved.
+func (e *env) subquery(in *sqlparser.InExpr) ([]Value, bool) {
+	for i := range e.subq {
+		if e.pl.subs[i].in == in {
+			return e.subq[i], true
+		}
+	}
+	return nil, false
 }
 
 // colSlot is a resolved column reference: table index, column index.
@@ -131,7 +143,7 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 		}
 		match := false
 		if v.Select != nil {
-			vals, ok := e.subq[v]
+			vals, ok := e.subquery(v)
 			if !ok {
 				return nil, fmt.Errorf("memdb: IN-subquery was not pre-resolved")
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"autowebcache/internal/datasource"
 	"autowebcache/internal/sqlparser"
@@ -24,12 +23,17 @@ func splitConjuncts(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
 }
 
 // run is one execution of a plan: the rows it binds, what it has found, and
-// its output so far.
+// its output so far. A finished run goes back to its plan's pool with its
+// scratch — the buffers below and the projection's — kept for the next
+// execution, and every reference to a table row or value cleared (see
+// plan.get and plan.put).
 type run struct {
 	*plan
 	ev    env
 	out   projection
-	union [][]int // per-level scratch for the row ids of IN probes, if any
+	union [][]int   // per-level scratch for the row ids of IN probes, if any
+	subq  [][]Value // per-subquery scratch for their value lists, if any
+	ids   []int     // the row ids an UPDATE or DELETE matched
 	// reverse visits the first table's candidates last to first, and lead is
 	// the plan's lead column; both are set only when top-k runs.
 	reverse bool
@@ -39,19 +43,46 @@ type run struct {
 	// candidates, and how many joined rows that row produced before it.
 	first, sub int
 	scanned    int // rows visited during execution
-	rowBuf     [4][]Value
+	// own is ev.rows' storage, one slot per table; the projection points
+	// ev.rows at kept rows while it finishes.
+	own [][]Value
 }
 
-func newRun(pl *plan, args []Value) *run {
-	r := &run{plan: pl, lead: -1}
-	r.ev = env{pl: pl, args: args}
-	if n := len(pl.tables); n <= len(r.rowBuf) {
-		r.ev.rows = r.rowBuf[:n]
-	} else {
-		r.ev.rows = make([][]Value, n)
+// maxPooledValues bounds the scratch a pooled run keeps: a run whose
+// buffers outgrew it (a large result, subquery or write) is dropped rather
+// than kept pinned in its plan's pool.
+const maxPooledValues = 1 << 16
+
+// get returns a run of pl for args, recycled from an earlier execution when
+// the pool holds one.
+func (pl *plan) get(args []Value) *run {
+	r, _ := pl.runs.Get().(*run)
+	if r == nil {
+		r = &run{plan: pl, own: make([][]Value, len(pl.tables))}
+		r.out.run = r
 	}
-	r.out.run = r
+	r.ev = env{pl: pl, rows: r.own, args: args}
+	r.reverse, r.lead, r.first, r.sub, r.scanned = false, -1, 0, 0, 0
 	return r
+}
+
+// put clears every reference r holds to a table row or value and returns it
+// to pl's pool, unless its scratch has grown past maxPooledValues.
+func (pl *plan) put(r *run) {
+	p := &r.out
+	big := max(cap(p.outs), cap(p.topk.rowSlab), cap(p.grp.rows), cap(r.ids)) > maxPooledValues
+	for i := range r.subq {
+		clear(r.subq[i])
+		r.subq[i] = r.subq[i][:0]
+		big = big || cap(r.subq[i]) > maxPooledValues
+	}
+	if big {
+		return
+	}
+	clear(r.own)
+	r.ev = env{}
+	p.reset()
+	pl.runs.Put(r)
 }
 
 // resolveSubqueries pre-executes the plan's IN-subqueries and stores their
@@ -64,30 +95,58 @@ func (db *DB) resolveSubqueries(r *run) (scanned int, err error) {
 	if len(r.subs) == 0 {
 		return 0, nil
 	}
-	r.ev.subq = make(map[*sqlparser.InExpr][]Value, len(r.subs))
-	for _, s := range r.subs {
+	if len(r.subq) < len(r.subs) {
+		r.subq = make([][]Value, len(r.subs))
+	}
+	r.ev.subq = r.subq[:len(r.subs)]
+	for i, s := range r.subs {
 		// Placeholder indices are global across the whole statement, so the
 		// inner select indexes the same args vector.
-		rows, n, err := db.execSelect(s.plan, r.ev.args)
+		vals, n, err := db.subqueryValues(s.plan, r.ev.args, r.ev.subq[i][:0])
+		r.ev.subq[i] = vals
 		scanned += n
 		if err != nil {
 			return scanned, err
 		}
-		vals := make([]Value, 0, rows.Len())
-		for _, row := range rows.Data {
-			if len(row) > 0 {
-				vals = append(vals, row[0])
-			}
-		}
-		r.ev.subq[s.in] = vals
 	}
 	return scanned, nil
+}
+
+// subqueryValues appends the first column of subquery pl's rows to dst. A
+// value-list plan streams that column from its join into dst; any other
+// runs as a SELECT and is read off its result.
+func (db *DB) subqueryValues(pl *plan, args, dst []Value) ([]Value, int, error) {
+	if !pl.valueList {
+		rows, n, err := db.execSelect(pl, args)
+		if err != nil {
+			return dst, n, err
+		}
+		for _, row := range rows.Data {
+			if len(row) > 0 {
+				dst = append(dst, row[0])
+			}
+		}
+		return dst, n, nil
+	}
+	r := pl.get(args)
+	defer pl.put(r)
+	r.out.vals = dst
+	_, n, err := db.selectRun(r)
+	dst, r.out.vals = r.out.vals, nil
+	return dst, n, err
 }
 
 // execSelect runs a compiled select and also reports the number of rows
 // visited, which drives the simulated per-row service time.
 func (db *DB) execSelect(pl *plan, args []Value) (*Rows, int, error) {
-	r := newRun(pl, args)
+	r := pl.get(args)
+	defer pl.put(r)
+	return db.selectRun(r)
+}
+
+// selectRun executes r: its IN-subqueries, its join and its projection.
+func (db *DB) selectRun(r *run) (*Rows, int, error) {
+	pl := r.plan
 	// IN-subqueries run first, before any outer lock is taken.
 	subScanned, err := db.resolveSubqueries(r)
 	if err != nil {
@@ -180,7 +239,7 @@ func (r *run) lookup(k int, pr *indexProbe) (ids []int, ok bool, err error) {
 		return ok
 	}
 	if pr.in.Select != nil {
-		vals, resolved := ev.subq[pr.in]
+		vals, resolved := ev.subquery(pr.in)
 		if !resolved {
 			return nil, false, nil // the scan reports the error
 		}
@@ -323,33 +382,58 @@ type projection struct {
 	groups *grouping // nil unless the statement aggregates
 	// top keeps the offset+count first candidates when the plan allows
 	// top-k and the LIMIT is valid. Otherwise every candidate's output row
-	// is built into rows for a full stable sort.
-	top    *topK
-	offset int
-	rows   []sortableRow
-}
-
-type sortableRow struct {
-	out  []Value
-	keys []Value
+	// is built for a full stable sort: candidate i's row is
+	// outs[i*len(cols):] and its ORDER BY keys sortKeys[i*len(orderCol):],
+	// and order lists the candidates in result order.
+	top      *topK
+	offset   int
+	outs     []Value
+	sortKeys []Value
+	order    []int
+	// vals collects the first column of every candidate of a value-list
+	// plan, which builds no result.
+	vals []Value
+	// grp and topk are the storage groups and top point at.
+	grp  grouping
+	topk topK
 }
 
 // start readies the projection for the run's arguments.
 func (p *projection) start() {
 	if p.grouped {
-		p.groups = newGrouping(p.plan)
+		p.grp.start(p.plan)
+		p.groups = &p.grp
 	}
 	if p.topK {
 		// A bad LIMIT takes the full path, which reports it.
 		count, off, err := evalLimit(p.sel.Limit, &p.ev)
 		if err == nil && off <= math.MaxInt-count {
-			p.top, p.offset = newTopK(p.sel.OrderBy, off+count), off
+			p.topk.start(p.sel.OrderBy, off+count)
+			p.top, p.offset = &p.topk, off
 		}
 	}
 }
 
+// reset clears the projection's scratch for the next run.
+func (p *projection) reset() {
+	p.grp.reset()
+	p.topk.reset()
+	clear(p.outs)
+	clear(p.sortKeys)
+	p.outs, p.sortKeys, p.order = p.outs[:0], p.sortKeys[:0], p.order[:0]
+	p.groups, p.top, p.offset = nil, nil, 0
+}
+
 // add consumes the joined row ev points at; first and sub are its arrival.
 func (p *projection) add(first, sub int) error {
+	if p.valueList {
+		v, err := p.cols[0].value(&p.ev)
+		if err != nil {
+			return err
+		}
+		p.vals = append(p.vals, v)
+		return nil
+	}
 	if p.groups != nil {
 		return p.groups.add(&p.ev)
 	}
@@ -367,28 +451,36 @@ func (p *projection) candidate(first, sub int, rows [][]Value) error {
 		p.top.offer(first, sub, rows)
 		return nil
 	}
-	out, err := p.row()
-	if err != nil {
+	var out, keys []Value
+	p.outs, out = extend(p.outs, len(p.cols))
+	if err := p.row(out); err != nil {
 		return err
 	}
-	var keys []Value
-	if len(p.orderCol) > 0 {
-		keys = make([]Value, len(p.orderCol))
-		if err := p.keys(keys, out); err != nil {
-			return err
-		}
+	p.sortKeys, keys = extend(p.sortKeys, len(p.orderCol))
+	if err := p.keys(keys, out); err != nil {
+		return err
 	}
-	p.rows = append(p.rows, sortableRow{out: out, keys: keys})
+	p.order = append(p.order, len(p.order))
 	return nil
 }
 
-// finish produces the result once every joined row has been added.
+// extend grows s by n values and returns it and those values.
+func extend(s []Value, n int) ([]Value, []Value) {
+	s = slices.Grow(s, n)[:len(s)+n]
+	return s, s[len(s)-n:]
+}
+
+// finish produces the result once every joined row has been added. A
+// value-list plan has none.
 func (p *projection) finish() (*Rows, error) {
+	if p.valueList {
+		return nil, nil
+	}
 	ev, sel := &p.ev, p.sel
 	if g := p.groups; g != nil {
-		groups := g.done(ev)
-		for i, gs := range groups {
-			g.bind(ev, gs)
+		g.done(ev)
+		for i := range g.n {
+			g.bind(ev, i)
 			if sel.Having != nil {
 				v, err := ev.eval(sel.Having)
 				if err != nil {
@@ -403,63 +495,78 @@ func (p *projection) finish() (*Rows, error) {
 			}
 		}
 	}
-	// Result rows share nothing with the plan: a caller may modify them.
-	res := &Rows{Columns: slices.Clone(p.names)}
 
 	if p.top != nil {
 		best := p.top.sorted()
 		best = best[min(p.offset, len(best)):]
-		res.Data = make([][]Value, 0, len(best))
-		for _, r := range best {
+		res := p.result(len(best))
+		for i, r := range best {
 			if p.groups != nil {
-				p.groups.bind(ev, p.groups.list[r.first])
+				p.groups.bind(ev, r.first)
 			} else {
 				ev.rows = r.rows
 			}
-			out, err := p.row()
-			if err != nil {
+			if err := p.row(res.Data[i]); err != nil {
 				return nil, err
 			}
-			res.Data = append(res.Data, out)
 		}
 		return res, nil
 	}
 	ev.aggValues = nil
 
-	rows := p.rows
+	order := p.order
 	if sel.Distinct {
-		seen := make(map[string]bool, len(rows))
-		dst := rows[:0]
-		for _, r := range rows {
-			k := KeyOfValues(r.out)
-			if !seen[k] {
+		seen := make(map[string]bool, len(order))
+		kept := order[:0]
+		for _, c := range order {
+			if k := KeyOfValues(p.outOf(c)); !seen[k] {
 				seen[k] = true
-				dst = append(dst, r)
+				kept = append(kept, c)
 			}
 		}
-		rows = dst
+		order = kept
 	}
 
 	if len(sel.OrderBy) > 0 {
-		sort.SliceStable(rows, func(i, j int) bool {
-			return compareKeys(sel.OrderBy, rows[i].keys, rows[j].keys) < 0
+		w := len(p.orderCol)
+		slices.SortStableFunc(order, func(a, b int) int {
+			return compareKeys(sel.OrderBy, p.sortKeys[a*w:(a+1)*w], p.sortKeys[b*w:(b+1)*w])
 		})
 	}
 
-	lo, hi := 0, len(rows)
+	lo, hi := 0, len(order)
 	if sel.Limit != nil {
 		count, offset, err := evalLimit(sel.Limit, ev)
 		if err != nil {
 			return nil, err
 		}
-		lo = min(offset, len(rows))
-		hi = lo + min(count, len(rows)-lo)
+		lo = min(offset, len(order))
+		hi = lo + min(count, len(order)-lo)
 	}
-	res.Data = make([][]Value, 0, hi-lo)
-	for _, r := range rows[lo:hi] {
-		res.Data = append(res.Data, r.out)
+	res := p.result(hi - lo)
+	for i, c := range order[lo:hi] {
+		copy(res.Data[i], p.outOf(c))
 	}
 	return res, nil
+}
+
+// outOf returns the output row of full-path candidate c.
+func (p *projection) outOf(c int) []Value {
+	w := len(p.cols)
+	return p.outs[c*w : (c+1)*w]
+}
+
+// result returns a result of n rows to fill, each a capped window of one
+// slab: it shares nothing with the plan or the run, so a caller may modify
+// it, and appending to one row never reaches the next.
+func (p *projection) result(n int) *Rows {
+	w := len(p.cols)
+	res := &Rows{Columns: slices.Clone(p.names), Data: make([][]Value, n)}
+	slab := make([]Value, n*w)
+	for i := range res.Data {
+		res.Data[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return res
 }
 
 func evalLimit(l *sqlparser.Limit, ev *env) (count, offset int, err error) {
@@ -501,17 +608,16 @@ func (c *outputColumn) value(ev *env) (Value, error) {
 	return nil, nil // unmatched LEFT JOIN side
 }
 
-// row builds the output row of the candidate env is pointed at.
-func (p *projection) row() ([]Value, error) {
-	out := make([]Value, len(p.cols))
+// row fills out with the output row of the candidate env is pointed at.
+func (p *projection) row(out []Value) error {
 	for i := range p.cols {
 		v, err := p.cols[i].value(&p.ev)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 // keys fills dst with the ORDER BY keys of the candidate env is pointed at.
@@ -573,8 +679,19 @@ type ranked struct {
 	first, sub int
 }
 
-func newTopK(order []sqlparser.OrderItem, k int) *topK {
-	return &topK{order: order, k: k, next: make([]Value, len(order))}
+// start readies an empty topK to keep k candidates in the given order.
+func (t *topK) start(order []sqlparser.OrderItem, k int) {
+	t.order, t.k = order, k
+	t.next = slices.Grow(t.next[:0], len(order))[:len(order)]
+}
+
+// reset empties t, keeping its storage.
+func (t *topK) reset() {
+	clear(t.heap)
+	clear(t.keySlab)
+	clear(t.rowSlab)
+	clear(t.next)
+	t.heap, t.keySlab, t.rowSlab = t.heap[:0], t.keySlab[:0], t.rowSlab[:0]
 }
 
 // compare orders two candidates by keys, then by arrival.
@@ -666,77 +783,103 @@ func (t *topK) sorted() []ranked {
 }
 
 // grouping folds joined rows into groups, in order of first appearance,
-// feeding every aggregate of the statement.
+// feeding every aggregate of the statement. Group i's first joined row is
+// rows[i*tables:] and its accumulators are accs[i*len(aggs):].
 type grouping struct {
-	by    []sqlparser.Expr
-	aggs  []*sqlparser.FuncExpr
-	byKey map[string]int // group key -> index in list
-	list  []*groupState
-	kv    []Value
-	key   []byte
+	by      []sqlparser.Expr
+	aggs    []*sqlparser.FuncExpr
+	aggCols []colSlot
+	tables  int
+	byKey   map[string]int // group key -> group index
+	n       int            // groups found
+	rows    [][]Value
+	accs    []aggAcc
+	kv      []Value
+	key     []byte
+	results []Value // the bound group's aggregate results
 }
 
-func newGrouping(pl *plan) *grouping {
-	return &grouping{
-		by:    pl.sel.GroupBy,
-		aggs:  pl.aggs,
-		byKey: make(map[string]int),
-		kv:    make([]Value, len(pl.sel.GroupBy)),
+// start readies an empty grouping for pl.
+func (g *grouping) start(pl *plan) {
+	g.by, g.aggs, g.aggCols, g.tables = pl.sel.GroupBy, pl.aggs, pl.aggCols, len(pl.tables)
+	if g.byKey == nil {
+		g.byKey = make(map[string]int)
 	}
+	g.kv = slices.Grow(g.kv[:0], len(g.by))[:len(g.by)]
+	g.results = slices.Grow(g.results[:0], len(g.aggs))[:len(g.aggs)]
+}
+
+// reset empties g, keeping its storage.
+func (g *grouping) reset() {
+	clear(g.byKey)
+	clear(g.rows)
+	clear(g.accs)
+	clear(g.kv)
+	clear(g.results)
+	g.n, g.rows, g.accs = 0, g.rows[:0], g.accs[:0]
 }
 
 // add folds the joined row ev points at into its group; only a new group
-// copies the row.
+// copies the row. Without GROUP BY every row is in the one group.
 func (g *grouping) add(ev *env) error {
-	for i, e := range g.by {
-		v, err := ev.eval(e)
-		if err != nil {
-			return err
+	i := 0
+	if len(g.by) > 0 {
+		for j, e := range g.by {
+			v, err := ev.eval(e)
+			if err != nil {
+				return err
+			}
+			g.kv[j] = v
 		}
-		g.kv[i] = v
+		g.key = datasource.AppendKeyOfValues(g.key[:0], g.kv)
+		var ok bool
+		if i, ok = g.byKey[string(g.key)]; !ok {
+			i = g.n
+			g.byKey[string(g.key)] = i
+			g.open(ev.rows)
+		}
+	} else if g.n == 0 {
+		g.open(ev.rows)
 	}
-	g.key = datasource.AppendKeyOfValues(g.key[:0], g.kv)
-	i, ok := g.byKey[string(g.key)]
-	if !ok {
-		i = len(g.list)
-		g.byKey[string(g.key)] = i
-		g.list = append(g.list, newGroupState(slices.Clone(ev.rows), len(g.aggs)))
-	}
-	gs := g.list[i]
+	accs := g.accs[i*len(g.aggs):]
 	for j, ae := range g.aggs {
-		if err := gs.accs[j].observe(ev, ae); err != nil {
+		if err := accs[j].observe(ev, ae, g.aggCols[j]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// done returns the groups and readies ev for bind. An aggregate query with
-// no GROUP BY and no rows still yields one (empty-group) row: COUNT(*) = 0,
-// MIN/MAX/SUM/AVG = NULL.
-func (g *grouping) done(ev *env) []*groupState {
-	if len(g.list) == 0 && len(g.by) == 0 {
-		g.list = append(g.list, newGroupState(make([][]Value, len(ev.pl.tables)), len(g.aggs)))
+// open starts a group whose first joined row is rows, or the all-NULL row
+// when rows is nil. Its accumulators are zero: reset cleared them.
+func (g *grouping) open(rows [][]Value) {
+	if rows == nil {
+		for range g.tables {
+			g.rows = append(g.rows, nil)
+		}
+	} else {
+		g.rows = append(g.rows, rows...)
 	}
-	ev.aggValues = make([]Value, len(g.aggs))
-	return g.list
+	g.accs = slices.Grow(g.accs, len(g.aggs))[:len(g.accs)+len(g.aggs)]
+	g.n++
 }
 
-// bind points ev at a group: its first row and its aggregate results.
-func (g *grouping) bind(ev *env, gs *groupState) {
-	ev.rows = gs.firstRow
+// done readies ev for bind. An aggregate query with no GROUP BY and no rows
+// still yields one (empty-group) row: COUNT(*) = 0, MIN/MAX/SUM/AVG = NULL.
+func (g *grouping) done(ev *env) {
+	if g.n == 0 && len(g.by) == 0 {
+		g.open(nil)
+	}
+	ev.aggValues = g.results
+}
+
+// bind points ev at group i: its first row and its aggregate results.
+func (g *grouping) bind(ev *env, i int) {
+	ev.rows = g.rows[i*g.tables : (i+1)*g.tables]
+	accs := g.accs[i*len(g.aggs):]
 	for j, ae := range g.aggs {
-		ev.aggValues[j] = gs.accs[j].resultFor(ae.Name)
+		ev.aggValues[j] = accs[j].resultFor(ae.Name)
 	}
-}
-
-type groupState struct {
-	firstRow [][]Value
-	accs     []aggAcc
-}
-
-func newGroupState(firstRow [][]Value, aggs int) *groupState {
-	return &groupState{firstRow: firstRow, accs: make([]aggAcc, aggs)}
 }
 
 // aggAcc accumulates one aggregate over a group.
@@ -749,20 +892,48 @@ type aggAcc struct {
 	distinct map[string]bool
 }
 
-func (a *aggAcc) observe(ev *env, f *sqlparser.FuncExpr) error {
+// observe folds the value of f's argument for the row ev points at. col is
+// the argument's slot when it is a bare column, read without evaluating it,
+// or has ti < 0.
+func (a *aggAcc) observe(ev *env, f *sqlparser.FuncExpr, col colSlot) error {
 	if f.Star {
 		a.count++
 		return nil
 	}
-	if len(f.Args) != 1 {
-		return fmt.Errorf("memdb: aggregate %s wants 1 argument", f.Name)
-	}
-	v, err := ev.eval(f.Args[0])
-	if err != nil {
-		return err
+	var v Value
+	if col.ti >= 0 {
+		if row := ev.rows[col.ti]; row != nil {
+			v = row[col.ci]
+		}
+	} else {
+		if len(f.Args) != 1 {
+			return fmt.Errorf("memdb: aggregate %s wants 1 argument", f.Name)
+		}
+		var err error
+		if v, err = ev.eval(f.Args[0]); err != nil {
+			return err
+		}
 	}
 	if v == nil {
 		return nil // aggregates skip NULLs
+	}
+	// COUNT, MIN and MAX read only their own accumulator.
+	if !f.Distinct {
+		switch f.Name {
+		case "COUNT":
+			a.count++
+			return nil
+		case "MIN":
+			if a.min == nil || Compare(v, a.min) < 0 {
+				a.min = v
+			}
+			return nil
+		case "MAX":
+			if a.max == nil || Compare(v, a.max) > 0 {
+				a.max = v
+			}
+			return nil
+		}
 	}
 	if f.Distinct {
 		if a.distinct == nil {

@@ -3,6 +3,7 @@ package memdb
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"autowebcache/internal/sqlparser"
@@ -77,9 +78,11 @@ func (db *DB) planFor(s *stmt) (*plan, error) {
 // plan is a statement compiled against one schema version: everything an
 // execution derives from the statement and the schema alone. It is shared
 // by every concurrent execution and never written after compilation; what
-// one execution binds and finds lives in its run.
+// one execution binds and finds lives in its run, and runs holds the
+// finished runs whose scratch the next executions reuse.
 type plan struct {
 	version uint64
+	runs    sync.Pool
 	tables  []boundTable
 	// locks are the distinct tables in name order, the order a reader locks
 	// them in.
@@ -109,12 +112,20 @@ type plan struct {
 	// aggregate call to its index in aggs.
 	aggs    []*sqlparser.FuncExpr
 	aggSlot map[*sqlparser.FuncExpr]int
+	// aggCols[j] is the slot of aggs[j]'s argument when that is a bare
+	// column, or has ti = -1.
+	aggCols []colSlot
 	// topK is set when the statement has an ORDER BY, a LIMIT known before
 	// any row is read, and no DISTINCT (which needs every output row).
 	topK bool
 	// lead is the first table's column that the first ORDER BY key reads,
 	// when top-k applies without grouping, or -1.
 	lead int
+	// valueList is set on an IN-subquery's plan that needs only its first
+	// column's values: one column, no grouping, no LIMIT and no ORDER BY
+	// key of its own. Its run streams that column into the outer run's value
+	// list and builds no result.
+	valueList bool
 }
 
 // subquery is an uncorrelated IN-subquery and its own plan.
@@ -157,6 +168,7 @@ func (db *DB) compileSubqueries(pl *plan, clauses ...sqlparser.Expr) error {
 			if in, ok := x.(*sqlparser.InExpr); ok && in.Select != nil && err == nil {
 				var sub *plan
 				if sub, err = db.compileSelect(in.Select); err == nil {
+					sub.valueList = sub.streamsValues()
 					pl.subs = append(pl.subs, subquery{in: in, plan: sub})
 				}
 			}
@@ -289,6 +301,18 @@ func (pl *plan) compileOutput() error {
 	}
 	if pl.grouped {
 		pl.aggs, pl.aggSlot = collectAggregates(sel)
+		pl.aggCols = make([]colSlot, len(pl.aggs))
+		for j, f := range pl.aggs {
+			pl.aggCols[j] = colSlot{-1, -1}
+			if f.Star || len(f.Args) != 1 {
+				continue
+			}
+			if c, ok := f.Args[0].(*sqlparser.ColumnRef); ok {
+				if s, ok := pl.slots[c]; ok {
+					pl.aggCols[j] = s
+				}
+			}
+		}
 	}
 	pl.topK = len(sel.OrderBy) > 0 && sel.Limit != nil && !sel.Distinct &&
 		rowFree(sel.Limit.Count) && rowFree(sel.Limit.Offset)
@@ -297,6 +321,21 @@ func (pl *plan) compileOutput() error {
 		pl.lead = pl.leadColumn()
 	}
 	return nil
+}
+
+// streamsValues reports whether an IN-subquery over pl can stream its
+// value list: a result row would hold only that value, every row counts,
+// and nothing else it evaluates per row could fail.
+func (pl *plan) streamsValues() bool {
+	if pl.grouped || pl.sel.Limit != nil || len(pl.cols) != 1 {
+		return false
+	}
+	for _, j := range pl.orderCol {
+		if j != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // expandItems resolves the select list to concrete output columns.

@@ -18,7 +18,17 @@
 //
 // The join is a nested loop that streams each complete joined row straight
 // into the projection; nothing is materialised per row except what the
-// projection keeps. A join level reads its table through a hash index when
+// projection keeps, and that lives in scratch the statement's plan
+// recycles: each plan keeps a sync.Pool of finished runs, and a run keeps
+// its env rows, top-k heap and slabs, full-sort candidate slabs, grouping
+// map, group rows and accumulators, IN-probe unions and subquery value
+// lists for the next execution, cleared of every table row and value in
+// between. A result is written once, into one exact-size value slab cut
+// into capped rows, so it shares nothing with the plan or the scratch and
+// appending to one row never reaches the next. An uncorrelated
+// IN-subquery with one column and no LIMIT or grouping streams that column
+// into the outer run's value list instead of building a result, and an
+// aggregate of a bare column reads the bound slot directly. A join level reads its table through a hash index when
 // one of its conjuncts is `col = v` or `col IN (…)` (a value list or an
 // uncorrelated subquery) on an indexed column, and only when the index
 // answers exactly: the bucket must hold precisely the rows datasource.Equal
