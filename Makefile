@@ -49,7 +49,7 @@ race:
 	$(GO) test -race -count=1 ./...
 
 # flake repeats the tests whose verdicts could depend on goroutine
-# interleaving — the TPC-W figure claims, the histogram scraped while
+# interleaving — the RUBiS and TPC-W figure claims, the histogram scraped while
 # observed, the weave stats snapshotted while recorded, the cluster's
 # replica windows, its property harness (fetches, resolves and offers
 # racing strong writes), a disk-tier spill racing an intersecting write,
@@ -63,7 +63,7 @@ race:
 # so a failure here is a bug, not noise.
 flake:
 	for race in "" -race; do \
-	  $(GO) test $$race -count=20 -run 'TestFig14CacheWins|TestFig15SemanticsHelps' ./internal/bench && \
+	  $(GO) test $$race -count=20 -run 'TestFig13CacheWins|TestFig14CacheWins|TestFig15SemanticsHelps' ./internal/bench && \
 	  $(GO) test $$race -count=200 -run TestConcurrentUseWithScrapes ./internal/telemetry && \
 	  $(GO) test $$race -count=20 -run TestSnapshotRatiosNeverExceedOne ./internal/weave && \
 	  $(GO) test $$race -count=20 -run TestSpillRacesSweep ./internal/cache && \

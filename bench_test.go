@@ -3,8 +3,11 @@ package autowebcache_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,7 +16,9 @@ import (
 	"autowebcache/internal/bench"
 	"autowebcache/internal/cache"
 	"autowebcache/internal/memdb"
+	"autowebcache/internal/rubis"
 	"autowebcache/internal/sqlparser"
+	"autowebcache/internal/weave"
 )
 
 // Experiment benchmarks: one per paper table/figure, each regenerating the
@@ -356,5 +361,168 @@ func BenchmarkCoalescedMiss(b *testing.B) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// sweepFixture is a page cache holding RUBiS-shaped pages under their real
+// read templates, with the write captures of one StoreBid request (INSERT
+// INTO bids, then UPDATE items), for timing the write sweep on a populated
+// dependency table.
+type sweepFixture struct {
+	cache *cache.Cache
+	// pages maps a page key to the read instances its handler issued.
+	pages map[string][]analysis.Query
+	// storeBid holds the request's captures, each with the rows it touched.
+	storeBid []analysis.WriteCapture
+}
+
+// newSweepFixture serves the bidding mix through a woven RUBiS whose cache
+// misses every lookup, recording each read page's dependency set and the
+// captures of one StoreBid, then inserts every recorded page into a fresh
+// cache sharing the engine.
+func newSweepFixture(tb testing.TB) *sweepFixture {
+	tb.Helper()
+	scale := rubis.Scale{Regions: 5, Categories: 10, Users: 100, Items: 300,
+		BidsPerItem: 3, CommentsPerUser: 2, BuyNows: 20, Seed: 5}
+	db := memdb.New()
+	last, err := rubis.Load(db, scale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := analysis.NewEngine(analysis.StrategyExtraQuery, db)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := &sweepFixture{pages: make(map[string][]analysis.Query)}
+	handlers := rubis.New(weave.NewConn(db, eng), scale, last).Handlers()
+	for i, h := range handlers {
+		fn, name, write := h.Fn, h.Name, h.Write
+		handlers[i].Fn = func(w http.ResponseWriter, r *http.Request) {
+			fn(w, r)
+			rec, _ := weave.RecorderFrom(r.Context())
+			switch {
+			case !write && len(rec.Reads()) > 0:
+				f.pages[r.URL.RequestURI()] = rec.Reads()
+			case name == "StoreBid" && f.storeBid == nil:
+				f.storeBid = rec.Writes()
+			}
+		}
+	}
+	miss, err := cache.New(cache.Options{Engine: eng, ForceMiss: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	woven, err := weave.New(handlers, miss, weave.Rules{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mix := rubis.BiddingMix(scale)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 3000 || f.storeBid == nil; i++ {
+		_, target := mix.Request(rng, i%16)
+		woven.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, target, nil))
+	}
+	if len(f.storeBid) != 2 {
+		tb.Fatalf("StoreBid captured %d writes, want 2", len(f.storeBid))
+	}
+	if f.cache, err = cache.New(cache.Options{Engine: eng}); err != nil {
+		tb.Fatal(err)
+	}
+	for key := range f.pages {
+		f.insert(key)
+	}
+	return f
+}
+
+func (f *sweepFixture) insert(key string) {
+	f.cache.Insert(key, []byte("<html>page</html>"), "text/html", slices.Clone(f.pages[key]), 0)
+}
+
+// victims sweeps ws once and returns the keys it removed, re-inserted.
+func (f *sweepFixture) victims(tb testing.TB, ws []analysis.WriteCapture) []string {
+	tb.Helper()
+	if _, err := f.cache.InvalidateWrite(ws...); err != nil {
+		tb.Fatal(err)
+	}
+	var gone []string
+	for key := range f.pages {
+		if !f.cache.Contains(key) {
+			gone = append(gone, key)
+			f.insert(key)
+		}
+	}
+	if len(gone) == 0 {
+		tb.Fatal("the write removed no page: the fixture times an empty sweep")
+	}
+	return gone
+}
+
+// sweepCases are the timed sweeps: the request's first capture alone, and
+// the whole two-capture request.
+func (f *sweepFixture) sweepCases() []struct {
+	name string
+	ws   []analysis.WriteCapture
+} {
+	return []struct {
+		name string
+		ws   []analysis.WriteCapture
+	}{{"OneCapture", f.storeBid[:1]}, {"StoreBid", f.storeBid}}
+}
+
+// BenchmarkCacheSweep times InvalidateWrite on a cache of RUBiS pages; each
+// iteration's victims are re-inserted with the timer stopped, so every
+// sweep removes the same pages.
+func BenchmarkCacheSweep(b *testing.B) {
+	f := newSweepFixture(b)
+	for _, tc := range f.sweepCases() {
+		b.Run(tc.name, func(b *testing.B) {
+			gone := f.victims(b, tc.ws)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n, err := f.cache.InvalidateWrite(tc.ws...)
+				if err != nil || n != len(gone) {
+					b.Fatalf("sweep removed %d pages (%v), want %d", n, err, len(gone))
+				}
+				b.StopTimer()
+				for _, key := range gone {
+					f.insert(key)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// TestCacheSweepAllocs pins what BenchmarkCacheSweep measures: the
+// allocations of one sweep on the populated cache, re-inserts excluded. A
+// sweep allocates for preparing each write, its open events and what its
+// intersection tests build, not per template or per linked key. The least
+// count over the runs is judged, since the race detector makes sync.Pool
+// drop the recycled scratch at random.
+func TestCacheSweepAllocs(t *testing.T) {
+	want := map[string]uint64{"OneCapture": 6, "StoreBid": 32}
+	f := newSweepFixture(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range f.sweepCases() {
+		gone := f.victims(t, tc.ws)
+		const runs = 50
+		least := ^uint64(0)
+		var before, after runtime.MemStats
+		for i := 0; i < runs; i++ {
+			runtime.ReadMemStats(&before)
+			n, err := f.cache.InvalidateWrite(tc.ws...)
+			runtime.ReadMemStats(&after)
+			if err != nil || n != len(gone) {
+				t.Fatalf("%s: sweep removed %d pages (%v), want %d", tc.name, n, err, len(gone))
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+			for _, key := range gone {
+				f.insert(key)
+			}
+		}
+		if least > want[tc.name] {
+			t.Errorf("%s: a sweep allocates %d times, want at most %d", tc.name, least, want[tc.name])
+		}
 	}
 }

@@ -148,14 +148,14 @@ func TestRebindArgsAllNodeKinds(t *testing.T) {
 
 func TestEqValuesQualifiedAndReversed(t *testing.T) {
 	wi := mustTemplate(t, "UPDATE T SET a = ? WHERE ? = b AND T.c = ? AND other.d = ?")
-	vals := eqValues(wi, []memdb.Value{int64(0), int64(1), int64(2), int64(3)}, "T")
-	if vals["b"] != int64(1) {
-		t.Fatalf("reversed equality not extracted: %+v", vals)
+	pw := &PreparedWrite{wi: wi, whereVals: eqValues(wi, []memdb.Value{int64(0), int64(1), int64(2), int64(3)})}
+	if v, _ := pw.whereBinding("b"); v != int64(1) {
+		t.Fatalf("reversed equality not extracted: %+v", pw.whereVals)
 	}
-	if vals["c"] != int64(2) {
-		t.Fatalf("qualified equality not extracted: %+v", vals)
+	if v, _ := pw.whereBinding("c"); v != int64(2) {
+		t.Fatalf("qualified equality not extracted: %+v", pw.whereVals)
 	}
-	if _, ok := vals["d"]; ok {
-		t.Fatalf("other-table qualifier leaked: %+v", vals)
+	if _, ok := pw.whereBinding("d"); ok {
+		t.Fatalf("other-table qualifier leaked: %+v", pw.whereVals)
 	}
 }

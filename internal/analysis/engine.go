@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -249,10 +250,15 @@ type PreparedWrite struct {
 	wi    *TemplateInfo
 	table string
 
-	colIdx    map[string]int              // Affected row column index
-	whereVals map[string]datasource.Value // write WHERE equality bindings
-	autoCol   string                      // fresh auto-increment column ("" if none)
+	whereVals []colValue // write WHERE equality bindings
+	autoCol   string     // fresh auto-increment column ("" if none)
 	fresh     map[string]bool
+}
+
+// colValue is one column bound to a value.
+type colValue struct {
+	col string
+	v   datasource.Value
 }
 
 // PrepareWrite analyses the write once so repeated Intersects calls are
@@ -266,22 +272,21 @@ func (e *Engine) PrepareWrite(w WriteCapture) (*PreparedWrite, error) {
 		return nil, fmt.Errorf("analysis: PrepareWrite on a SELECT")
 	}
 	pw := &PreparedWrite{e: e, w: w, wi: wi, table: wi.Tables[0]}
-	if w.Affected != nil {
-		pw.colIdx = make(map[string]int, len(w.Affected.Columns))
-		for i, c := range w.Affected.Columns {
-			pw.colIdx[c] = i
-		}
-	}
-	pw.whereVals = eqValues(wi, w.Args, pw.table)
+	pw.whereVals = eqValues(wi, w.Args)
 	if wi.Kind == KindInsert && w.HasAutoID {
-		if name, ok := e.autoIncrementColumn(pw.table); ok {
-			if _, explicit := wi.InsertVals[name]; !explicit {
-				pw.autoCol = name
-				pw.fresh = map[string]bool{name: true}
+		if ai, ok := e.autoIncrementColumn(pw.table); ok {
+			if _, explicit := wi.InsertVals[ai.name]; !explicit {
+				pw.autoCol, pw.fresh = ai.name, ai.fresh
 			}
 		}
 	}
 	return pw, nil
+}
+
+// colIndex locates col among the captured rows' columns.
+func (pw *PreparedWrite) colIndex(col string) (int, bool) {
+	i := slices.Index(pw.w.Affected.Columns, col)
+	return i, i >= 0
 }
 
 // Table returns the table the write modifies.
@@ -298,20 +303,25 @@ func (pw *PreparedWrite) Intersects(read Query) (bool, error) {
 		e.exonerations.Add(1)
 		return false, nil
 	}
-	if e.strategy == StrategyColumnOnly {
-		e.intersections.Add(1)
-		return true, nil
-	}
 	ri, err := e.Template(read.SQL)
 	if err != nil {
 		return false, err
 	}
-	if pw.intersectTri(ri, read.Args) == False {
+	return pw.IntersectsDependent(ri, read.Args), nil
+}
+
+// IntersectsDependent is Intersects for an instance (args) of read template
+// ri that PossiblyDependent already found dependent on the write — the case
+// of a sweep, whose candidates come from the write template's list
+// (Reach) — so no template is looked up by its text.
+func (pw *PreparedWrite) IntersectsDependent(ri *TemplateInfo, args []datasource.Value) bool {
+	e := pw.e
+	if e.strategy != StrategyColumnOnly && pw.intersectTri(ri, args) == False {
 		e.exonerations.Add(1)
-		return false, nil
+		return false
 	}
 	e.intersections.Add(1)
-	return true, nil
+	return true
 }
 
 // ExcludesTemplate reports whether no instance of the read template can
@@ -324,16 +334,8 @@ func (pw *PreparedWrite) Intersects(read Query) (bool, error) {
 // known, so then Intersects is false for every instance and a sweep may
 // skip the template's instances unseen. Under ColumnOnly it is always
 // false. It never counts an exoneration.
-func (pw *PreparedWrite) ExcludesTemplate(readSQL string) (bool, error) {
-	e := pw.e
-	if e.strategy == StrategyColumnOnly {
-		return false, nil
-	}
-	ri, err := e.Template(readSQL)
-	if err != nil {
-		return false, err
-	}
-	return pw.intersectTri(ri, nil) == False, nil
+func (pw *PreparedWrite) ExcludesTemplate(ri *TemplateInfo) bool {
+	return pw.e.strategy != StrategyColumnOnly && pw.intersectTri(ri, nil) == False
 }
 
 // insertBinding binds the inserted row's columns. Columns absent from the
@@ -355,8 +357,12 @@ func (pw *PreparedWrite) insertBinding(col string) (datasource.Value, bool) {
 // equality predicates: rows touched by the write carry these values
 // (pre-write).
 func (pw *PreparedWrite) whereBinding(col string) (datasource.Value, bool) {
-	v, ok := pw.whereVals[col]
-	return v, ok
+	for _, cv := range pw.whereVals {
+		if cv.col == col {
+			return cv.v, true
+		}
+	}
+	return nil, false
 }
 
 // overlaySet wraps a binding so SET columns reflect their post-update
@@ -390,7 +396,7 @@ func (pw *PreparedWrite) intersectTri(ri *TemplateInfo, readArgs []datasource.Va
 			for _, row := range pw.w.Affected.Data {
 				row := row
 				oldBinding := func(col string) (datasource.Value, bool) {
-					ci, ok := pw.colIdx[col]
+					ci, ok := pw.colIndex(col)
 					if !ok {
 						return nil, false
 					}
@@ -433,7 +439,7 @@ func (pw *PreparedWrite) ProbeKeys(col string) (keys []string, ok bool) {
 	case KindUpdate, KindDelete:
 		var out []string
 		if pw.w.Affected != nil {
-			ci, present := pw.colIdx[col]
+			ci, present := pw.colIndex(col)
 			if !present {
 				return nil, false
 			}
@@ -445,7 +451,7 @@ func (pw *PreparedWrite) ProbeKeys(col string) (keys []string, ok bool) {
 					out = append(out, k)
 				}
 			}
-		} else if v, known := pw.whereVals[col]; known {
+		} else if v, known := pw.whereBinding(col); known {
 			out = append(out, ProbeKey(v))
 		} else {
 			return nil, false
@@ -476,11 +482,32 @@ func ProbeKey(v datasource.Value) string {
 	return datasource.KeyString(v)
 }
 
-// eqValues extracts the values guaranteed by a write statement's top-level
-// WHERE equality predicates.
-func eqValues(wi *TemplateInfo, args []datasource.Value, table string) map[string]datasource.Value {
-	vals := make(map[string]datasource.Value)
-	for _, c := range conjunctsOf(wi.Where) {
+// eqValues binds a write template's WHERE equality conjuncts to the
+// write's arguments; a later conjunct on the same column wins.
+func eqValues(wi *TemplateInfo, args []datasource.Value) []colValue {
+	var vals []colValue
+next:
+	for _, eq := range wi.whereEq {
+		v, known := eq.ref.Resolve(args)
+		if !known {
+			continue
+		}
+		for i := range vals {
+			if vals[i].col == eq.col {
+				vals[i].v = v
+				continue next
+			}
+		}
+		vals = append(vals, colValue{col: eq.col, v: v})
+	}
+	return vals
+}
+
+// whereEqRefs extracts a write statement's top-level WHERE equality
+// conjuncts on columns of table.
+func whereEqRefs(where sqlparser.Expr, table string) []eqRef {
+	var refs []eqRef
+	for _, c := range conjunctsOf(where) {
 		b, ok := c.(*sqlparser.BinaryExpr)
 		if !ok || b.Op != sqlparser.OpEq {
 			continue
@@ -497,12 +524,9 @@ func eqValues(wi *TemplateInfo, args []datasource.Value, table string) map[strin
 		if cr.Table != "" && cr.Table != table {
 			continue
 		}
-		ref := valueRefOf(valSide)
-		if v, known := ref.Resolve(args); known {
-			vals[cr.Name] = v
-		}
+		refs = append(refs, eqRef{col: cr.Name, ref: valueRefOf(valSide)})
 	}
-	return vals
+	return refs
 }
 
 // autoIncrementer is the optional schema capability exposing auto-increment
@@ -511,23 +535,32 @@ type autoIncrementer interface {
 	AutoIncrementColumn(table string) (string, bool)
 }
 
+// autoIncCol is a table's auto-increment column, with the fresh-column set
+// a learned key of it binds.
+type autoIncCol struct {
+	name  string
+	fresh map[string]bool // shared, read-only
+}
+
 // autoIncrementColumn returns the table's auto-increment column when the
 // schema can report it. A reported column is memoised: tables are never
 // dropped and their key never changes. A "no" is asked again, since the
 // table may not exist yet or the schema may have failed to answer.
-func (e *Engine) autoIncrementColumn(table string) (string, bool) {
-	if col, ok := e.autoInc.Load(table); ok {
-		return col.(string), true
+func (e *Engine) autoIncrementColumn(table string) (autoIncCol, bool) {
+	if ai, ok := e.autoInc.Load(table); ok {
+		return ai.(autoIncCol), true
 	}
-	ai, ok := e.schema.(autoIncrementer)
+	schema, ok := e.schema.(autoIncrementer)
 	if !ok {
-		return "", false
+		return autoIncCol{}, false
 	}
-	col, ok := ai.AutoIncrementColumn(table)
-	if ok {
-		e.autoInc.Store(table, col)
+	col, ok := schema.AutoIncrementColumn(table)
+	if !ok {
+		return autoIncCol{}, false
 	}
-	return col, ok
+	ai := autoIncCol{name: col, fresh: map[string]bool{col: true}}
+	e.autoInc.Store(table, ai)
+	return ai, true
 }
 
 // rebindArgs returns a copy of e whose placeholders are numbered afresh in

@@ -139,6 +139,17 @@ type TemplateInfo struct {
 	// dependency table index instances by that value and skip, soundly,
 	// every instance whose probe value a write cannot touch.
 	Probes map[string]Probe
+
+	// whereEq lists, for UPDATE and DELETE templates, the top-level WHERE
+	// equality conjuncts binding a column of the target table to a value
+	// source, in order: what every row the write touches carries.
+	whereEq []eqRef
+}
+
+// eqRef is one `col = value` conjunct of a write's WHERE clause.
+type eqRef struct {
+	col string
+	ref ValueRef
 }
 
 // Probe identifies a template's indexable equality predicate on one table.
@@ -231,11 +242,13 @@ func AnalyzeTemplate(sql string, schema Schema) (*TemplateInfo, error) {
 			info.SetVals[s.Set[i].Column] = valueRefOf(s.Set[i].Value)
 		}
 		info.WriteCols[s.Table] = wc
+		info.whereEq = whereEqRefs(s.Where, s.Table)
 	case *sqlparser.DeleteStmt:
 		info.Kind = KindDelete
 		info.Tables = []string{s.Table}
 		info.Where = s.Where
 		info.WriteCols[s.Table] = map[string]bool{"*": true}
+		info.whereEq = whereEqRefs(s.Where, s.Table)
 	default:
 		return nil, fmt.Errorf("analysis: unsupported statement %T", stmt)
 	}

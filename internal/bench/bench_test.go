@@ -75,11 +75,13 @@ func TestFig4Stabilises(t *testing.T) {
 // the uncached one pays, measured in executed queries rather than
 // wall-clock response time. (The earlier latency comparison flaked under
 // the race detector on loaded single-core runners, where scheduling noise
-// overwhelmed the simulated service times; query counts are scheduling-
-// independent for a fixed request volume.)
+// overwhelmed the simulated service times.) One sequential client issues
+// the fixed request volume, so which request misses, and which write
+// removes which page before it is read again, is the same on every run:
+// with concurrent clients the interleaving moved the counts.
 func TestFig13CacheWins(t *testing.T) {
 	p := tiny(t)
-	const clients = 8
+	const clients = 1
 	dbQueries := func(cfg SystemConfig) uint64 {
 		d, err := newRubis(p, cfg)
 		if err != nil {
@@ -101,6 +103,7 @@ func TestFig13CacheWins(t *testing.T) {
 	if cached >= noCache-noCache/4 {
 		t.Errorf("caching saved too little db load: %d queries cached vs %d uncached", cached, noCache)
 	}
+	t.Logf("%d queries cached vs %d uncached", cached, noCache)
 	// The figure itself must still render.
 	tbl, err := Fig13(p)
 	renders(t, tbl, err, 2)

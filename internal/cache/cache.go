@@ -30,6 +30,7 @@ package cache
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -298,6 +299,11 @@ type Cache struct {
 
 	shards    []shard
 	depShards []depShard
+	// depSeed hashes template text to its dependency shard.
+	depSeed maphash.Seed
+	// reach lists, per write template, the dependency table's read
+	// templates it can touch.
+	reach *analysis.Reach[*depTemplate]
 
 	// seq orders entries globally by recency; entries counts them across all
 	// shards (including in-flight insert reservations).
@@ -388,6 +394,8 @@ func New(opts Options) (*Cache, error) {
 		mask:      uint32(n - 1),
 		shards:    make([]shard, n),
 		depShards: make([]depShard, n),
+		depSeed:   maphash.MakeSeed(),
+		reach:     analysis.NewReach[*depTemplate](opts.Engine),
 		open:      make(map[uint64]*analysis.PreparedWrite),
 	}
 	if opts.Admission {
@@ -396,6 +404,7 @@ func New(opts Options) (*Cache, error) {
 	}
 	for i := range c.shards {
 		c.shards[i].items = make(map[string]*node)
+		c.shards[i].links = make(map[string][]*depInstance)
 	}
 	for i := range c.depShards {
 		c.depShards[i].deps = make(map[string]*depTemplate)

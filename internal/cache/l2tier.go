@@ -36,9 +36,7 @@ import (
 // key shard lock is needed.
 func (c *Cache) attachL2() {
 	c.opts.L2.Range(func(key string, deps []analysis.Query) {
-		for _, d := range deps {
-			c.addDep(d, key)
-		}
+		c.linkDeps(c.shard(key), key, deps)
 	})
 }
 

@@ -8,11 +8,22 @@ package cache
 // TinyLFU admission, TTL expiry, the write sweep, and the epoch ring that
 // closes the read->insert window (§3.2).
 //
-// Lock order is always key shard -> dependency shard, never the reverse, and
-// no two shards of the same stripe are held at once.
+// Link, unlink and sweep cost what they touch. An instance computes its
+// argument key and probe keys once, when it is created; a linked key holds
+// pointers to its instances (shard.links), so unlinking it — a removal, a
+// sweep's drop, the disk tier's forget and spill links — hashes no SQL text
+// and renders no key. Each capture's sweep starts from the read templates
+// its write template can touch (analysis.Reach, kept current as templates
+// appear and are withdrawn), narrows each by its probe buckets or the
+// template-level exclusion, and tests the rest with Intersects.
+//
+// Lock order is always key shard -> dependency shard -> c.reach, never the
+// reverse, and no two shards of the same stripe are held at once.
 
 import (
+	"hash/maphash"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,6 +98,10 @@ type shard struct {
 	// only); protBytes is the subset linked into the protected segment.
 	bytes     atomic.Int64
 	protBytes atomic.Int64
+	// links: key -> the dependency instances it is linked to, for its copy
+	// in either tier — the exact mirror of the instances' key sets, so a key
+	// reaches its instances by pointer.
+	links map[string][]*depInstance
 }
 
 func (sh *shard) segment(protected bool) *segment {
@@ -97,29 +112,45 @@ func (sh *shard) segment(protected bool) *segment {
 }
 
 // depInstance is one row of the dependency table's value-vector level: a
-// concrete read-query instance and the keys built from e. Most instances
-// back exactly one key, so the first is held inline and the set is only
-// allocated for a second.
+// concrete read-query instance and the keys built from it. Its argument key
+// and probe keys are computed once, when it is created, and every key linked
+// to it holds a pointer to it (shard.links), so unlinking hashes no SQL text
+// and formats no value. Most instances back exactly one key, so the first is
+// held inline and the set is only allocated for a second.
 type depInstance struct {
-	query analysis.Query
+	tmpl    *depTemplate
+	query   analysis.Query
+	argsKey string
+	// probe holds, for each of the template's probes, the instance's bucket
+	// (nil when it binds no value at the probed argument) and its position
+	// in it.
+	probe []instProbe
 	one   bool // key is linked
 	key   string
 	more  map[string]bool // further keys
 }
 
-func (inst *depInstance) add(key string) {
+type instProbe struct {
+	bucket *probeBucket
+	pos    int
+}
+
+// add links key, reporting whether it was not linked yet.
+func (inst *depInstance) add(key string) bool {
 	switch {
-	case inst.one && inst.key == key:
-	case !inst.one && len(inst.more) == 0:
+	case inst.one && inst.key == key, inst.more[key]:
+		return false
+	case !inst.one:
 		inst.one, inst.key = true, key
 	case inst.more == nil:
 		inst.more = map[string]bool{key: true}
 	default:
 		inst.more[key] = true
 	}
+	return true
 }
 
-// remove unlinks key, reporting whether the instance is now empty.
+// remove unlinks a linked key, reporting whether the instance is now empty.
 func (inst *depInstance) remove(key string) (empty bool) {
 	if inst.one && inst.key == key {
 		inst.one = false
@@ -129,80 +160,121 @@ func (inst *depInstance) remove(key string) (empty bool) {
 	return !inst.one && len(inst.more) == 0
 }
 
-// keys lists the linked keys.
-func (inst *depInstance) keys() []string {
-	out := make([]string, 0, 1+len(inst.more))
+// appendKeys appends the linked keys to dst.
+func (inst *depInstance) appendKeys(dst []string) []string {
 	if inst.one {
-		out = append(out, inst.key)
+		dst = append(dst, inst.key)
 	}
 	for key := range inst.more {
-		out = append(out, key)
+		dst = append(dst, key)
 	}
-	return out
+	return dst
+}
+
+// sameInstance reports whether a and b are one dependency instance: the
+// same template text and argument vectors with the same key.
+func sameInstance(a, b analysis.Query) bool {
+	return a.SQL == b.SQL && datasource.SameKey(a.Args, b.Args)
 }
 
 // depTemplate groups the instances of one read-query template, with a probe
-// index per table: instances keyed by the value their `table.col = ?`
-// predicate binds. A write whose effect on that column is bounded only
-// needs to test the matching instances — the result-caching optimisation
-// the paper relies on for near-zero run-time analysis overhead (§7).
+// index per probed table: the instances keyed by the value their
+// `table.col = ?` predicate binds. A write whose effect on that column is
+// bounded only needs to test the matching instances — the result-caching
+// optimisation the paper relies on for near-zero run-time analysis overhead
+// (§7). The template is registered in the cache's analysis.Reach while it
+// holds instances, so the writes that can touch it find it without a scan.
 type depTemplate struct {
-	info      *analysis.TemplateInfo // nil when the template is unparseable
+	shard *depShard // the stripe whose lock guards it
+	sql   string
+	info  *analysis.TemplateInfo // nil when the template is unparseable
+	err   error                  // why info is nil
+	// instances: argument key -> instance.
 	instances map[string]*depInstance
-	// probeIdx: table -> probe key -> argsKey -> instance.
-	probeIdx map[string]map[string]map[string]*depInstance
+	probes    []depProbe
+	// dead marks a template withdrawn once empty; a sweep holding an older
+	// list skips it.
+	dead bool
 }
 
-// probeKeyFor returns the probe key of an instance for one table's probe,
-// or ok=false when the instance has no value at the probed argument.
-func probeKeyFor(p analysis.Probe, args []datasource.Value) (string, bool) {
-	if p.ArgIndex < 0 || p.ArgIndex >= len(args) {
-		return "", false
+// depProbe is one probed table's index: probe key -> the bucket of
+// instances binding it.
+type depProbe struct {
+	table   string
+	col     string
+	arg     int
+	buckets map[string]*probeBucket
+}
+
+// probeBucket is the instances binding one probe key; each instance knows
+// its bucket and position (instProbe), so leaving hashes nothing until the
+// bucket empties.
+type probeBucket struct {
+	key   string
+	insts []*depInstance
+}
+
+func newDepTemplate(ds *depShard, sql string, info *analysis.TemplateInfo, err error) *depTemplate {
+	dt := &depTemplate{shard: ds, sql: sql, info: info, err: err, instances: make(map[string]*depInstance)}
+	if info != nil {
+		for table, p := range info.Probes {
+			dt.probes = append(dt.probes, depProbe{table: table, col: p.Col, arg: p.ArgIndex,
+				buckets: make(map[string]*probeBucket)})
+		}
 	}
-	return analysis.ProbeKey(args[p.ArgIndex]), true
+	return dt
 }
 
-// addInstance registers an instance in the probe indexes.
-func (dt *depTemplate) addInstance(argsKey string, inst *depInstance) {
+// probeOn returns the template's probe on table, or nil.
+func (dt *depTemplate) probeOn(table string) *depProbe {
+	for i := range dt.probes {
+		if dt.probes[i].table == table {
+			return &dt.probes[i]
+		}
+	}
+	return nil
+}
+
+// addInstance creates the instance for q, whose argument key is argsKey,
+// computing its probe keys and filing it in each probe's bucket.
+func (dt *depTemplate) addInstance(argsKey string, q analysis.Query) *depInstance {
+	inst := &depInstance{tmpl: dt, query: q, argsKey: argsKey}
+	if len(dt.probes) > 0 {
+		inst.probe = make([]instProbe, len(dt.probes))
+	}
+	for i := range dt.probes {
+		p := &dt.probes[i]
+		if p.arg < 0 || p.arg >= len(q.Args) {
+			continue
+		}
+		key := analysis.ProbeKey(q.Args[p.arg])
+		b := p.buckets[key]
+		if b == nil {
+			b = &probeBucket{key: key}
+			p.buckets[key] = b
+		}
+		inst.probe[i] = instProbe{bucket: b, pos: len(b.insts)}
+		b.insts = append(b.insts, inst)
+	}
 	dt.instances[argsKey] = inst
-	if dt.info == nil {
-		return
-	}
-	for table, p := range dt.info.Probes {
-		key, ok := probeKeyFor(p, inst.query.Args)
-		if !ok {
-			continue
-		}
-		byKey := dt.probeIdx[table]
-		if byKey == nil {
-			byKey = make(map[string]map[string]*depInstance)
-			dt.probeIdx[table] = byKey
-		}
-		byArgs := byKey[key]
-		if byArgs == nil {
-			byArgs = make(map[string]*depInstance)
-			byKey[key] = byArgs
-		}
-		byArgs[argsKey] = inst
-	}
+	return inst
 }
 
-// removeInstance unregisters an instance from the probe indexes.
-func (dt *depTemplate) removeInstance(argsKey string, inst *depInstance) {
-	delete(dt.instances, argsKey)
-	if dt.info == nil {
-		return
-	}
-	for table, p := range dt.info.Probes {
-		key, ok := probeKeyFor(p, inst.query.Args)
-		if !ok {
+// removeInstance drops an empty instance from the template and its probe
+// buckets, moving each bucket's last instance into the hole.
+func (dt *depTemplate) removeInstance(inst *depInstance) {
+	delete(dt.instances, inst.argsKey)
+	for i, ip := range inst.probe {
+		b := ip.bucket
+		if b == nil {
 			continue
 		}
-		if byArgs := dt.probeIdx[table][key]; byArgs != nil {
-			delete(byArgs, argsKey)
-			if len(byArgs) == 0 {
-				delete(dt.probeIdx[table], key)
-			}
+		last := len(b.insts) - 1
+		moved := b.insts[last]
+		b.insts[ip.pos], moved.probe[i].pos = moved, ip.pos
+		b.insts[last] = nil
+		if b.insts = b.insts[:last]; last == 0 {
+			delete(dt.probes[i].buckets, b.key)
 		}
 	}
 }
@@ -257,7 +329,7 @@ func (c *Cache) shard(key string) *shard {
 }
 
 func (c *Cache) depShard(tmpl string) *depShard {
-	return &c.depShards[shardHash(tmpl)&c.mask]
+	return &c.depShards[maphash.String(c.depSeed, tmpl)&uint64(c.mask)]
 }
 
 // get returns the live L1 entry for key: it expires the entry if its TTL
@@ -329,11 +401,11 @@ func (c *Cache) insert(e entry) bool {
 	if old, exists := sh.items[e.Key]; exists {
 		delta := e.Cost - old.Cost
 		if delta <= 0 || c.chargeBytes(delta) {
-			c.unlink(sh, old, false)
+			c.unlink(sh, old, true)
 			if delta < 0 {
 				c.bytesUsed.Add(delta)
 			}
-			c.link(sh, &node{entry: e})
+			c.link(sh, &node{entry: e}, old.Deps)
 			sh.mu.Unlock()
 			return true
 		}
@@ -373,11 +445,9 @@ func (c *Cache) spill(e entry) bool {
 	kept, dropped := c.demote(&e, true)
 	if kept {
 		if had {
-			c.unlinkDeps(e.Key, depsNotIn(older, e.Deps))
+			c.unlinkDeps(sh, e.Key, older, e.Deps)
 		}
-		for _, d := range e.Deps {
-			c.addDep(d, e.Key)
-		}
+		c.linkDeps(sh, e.Key, e.Deps)
 	}
 	sh.mu.Unlock()
 	c.forget(dropped)
@@ -401,10 +471,12 @@ func (c *Cache) reserve(key string, cost int64) bool {
 func (c *Cache) commit(e entry) {
 	sh := c.shard(e.Key)
 	sh.mu.Lock()
+	var replaced []analysis.Query
 	if cur, exists := sh.items[e.Key]; exists {
-		c.remove(sh, cur, false)
+		c.remove(sh, cur, true)
+		replaced = cur.Deps
 	}
-	c.link(sh, &node{entry: e})
+	c.link(sh, &node{entry: e}, replaced)
 	sh.mu.Unlock()
 }
 
@@ -450,16 +522,19 @@ func (c *Cache) adopt(e entry, current func() bool) (serve *entry, linked bool) 
 // accounted) and retires the disk tier's now-outdated copy of the key, so a
 // crash before the new entry is ever demoted cannot roll the key back to the
 // older value. That Remove is not synced: losing it in a crash merely
-// re-exposes a value that was never invalidated. The retired copy's
-// dependency links go with it, before the new entry links its own, so the
-// instances the two generations share stay linked. The caller holds sh.mu.
-func (c *Cache) link(sh *shard, n *node) {
+// re-exposes a value that was never invalidated. replaced are the
+// dependencies of the L1 entry the new one replaces, whose links the caller
+// kept. The new entry links its own first; then the links of the replaced
+// and retired generations that it does not share go, so an instance the
+// generations share is never dropped and rebuilt. The caller holds sh.mu.
+func (c *Cache) link(sh *shard, n *node, replaced []analysis.Query) {
+	var retired []analysis.Query
 	if c.opts.L2 != nil {
-		if deps, was := c.opts.L2.Remove(n.Key); was {
-			c.unlinkDeps(n.Key, deps)
-		}
+		retired, _ = c.opts.L2.Remove(n.Key)
 	}
 	c.linkNode(sh, n)
+	c.unlinkDeps(sh, n.Key, replaced, n.Deps)
+	c.unlinkDeps(sh, n.Key, retired, n.Deps)
 	c.inserts.Add(1)
 }
 
@@ -471,9 +546,7 @@ func (c *Cache) linkNode(sh *shard, n *node) {
 	sh.order.pushBack(n)
 	sh.bytes.Add(n.Cost)
 	c.variantBytes.Add(int64(len(n.Gzip)))
-	for _, d := range n.Deps {
-		c.addDep(d, n.Key)
-	}
+	c.linkDeps(sh, n.Key, n.Deps)
 }
 
 // unlink removes n from its shard's table and segments — and, unless
@@ -489,12 +562,13 @@ func (c *Cache) unlink(sh *shard, n *node, keepDeps bool) {
 	c.variantBytes.Add(-int64(len(n.Gzip)))
 	delete(sh.items, n.Key)
 	if !keepDeps {
-		c.unlinkDeps(n.Key, n.Deps)
+		c.unlinkDeps(sh, n.Key, n.Deps, nil)
 	}
 }
 
 // remove is unlink plus the release of the entry's count and byte cost.
-// keepDeps is set when the disk tier took the entry over.
+// keepDeps is set when the disk tier took the entry over, or when the caller
+// clears the key's links itself.
 func (c *Cache) remove(sh *shard, n *node, keepDeps bool) {
 	c.unlink(sh, n, keepDeps)
 	c.bytesUsed.Add(-n.Cost)
@@ -550,54 +624,203 @@ func (c *Cache) reserveBytes(cost int64, key string) bool {
 	return true
 }
 
-// addDep registers one (template, vector) -> key link. The caller holds the
-// key's shard lock (or is single-threaded); the dependency shard lock nests
-// inside it.
-func (c *Cache) addDep(d analysis.Query, key string) {
-	ds := c.depShard(d.SQL)
-	ds.mu.Lock()
-	dt := ds.deps[d.SQL]
-	if dt == nil {
-		// The template info (and its probe predicates) is memoised in the
-		// engine; an unparseable template degrades to unindexed (nil info).
-		info, _ := c.opts.Engine.Template(d.SQL)
-		dt = &depTemplate{
-			info:      info,
-			instances: make(map[string]*depInstance),
-			probeIdx:  make(map[string]map[string]map[string]*depInstance),
-		}
-		ds.deps[d.SQL] = dt
+// linkDeps links key to the instances of deps, creating each missing
+// instance — and, on its first instance, the template, registered in
+// c.reach — with its argument and probe keys. The caller holds the key's
+// shard lock (or is single-threaded); dependency shard locks nest inside it.
+func (c *Cache) linkDeps(sh *shard, key string, deps []analysis.Query) {
+	if len(deps) == 0 {
+		return
 	}
-	ak := datasource.KeyOfValues(d.Args)
-	inst := dt.instances[ak]
-	if inst == nil {
-		inst = &depInstance{query: d}
-		dt.addInstance(ak, inst)
+	links := sh.links[key]
+	if links == nil {
+		links = make([]*depInstance, 0, len(deps))
 	}
-	inst.add(key)
-	ds.mu.Unlock()
-}
-
-// unlinkDeps clears key's links from the given dependency instances,
-// dropping instances (and templates) that no longer back any key. Called
-// with the key's shard lock held; dependency shard locks nest inside.
-func (c *Cache) unlinkDeps(key string, deps []analysis.Query) {
+	var buf [64]byte
 	for _, d := range deps {
 		ds := c.depShard(d.SQL)
 		ds.mu.Lock()
-		if dt := ds.deps[d.SQL]; dt != nil {
-			ak := datasource.KeyOfValues(d.Args)
-			if inst := dt.instances[ak]; inst != nil {
-				if inst.remove(key) {
-					dt.removeInstance(ak, inst)
-				}
-				if len(dt.instances) == 0 {
-					delete(ds.deps, d.SQL)
-				}
-			}
+		dt := ds.deps[d.SQL]
+		if dt == nil {
+			// The template info (and its probe predicates) is memoised in the
+			// engine; an unparseable template degrades to unindexed (nil info)
+			// and fails every sweep that reaches it.
+			info, err := c.opts.Engine.Template(d.SQL)
+			dt = newDepTemplate(ds, d.SQL, info, err)
+			ds.deps[d.SQL] = dt
+			c.reach.Add(d.SQL, dt)
+		}
+		ak := datasource.AppendKeyOfValues(buf[:0], d.Args)
+		inst := dt.instances[string(ak)]
+		if inst == nil {
+			inst = dt.addInstance(string(ak), d)
+		}
+		if inst.add(key) {
+			links = append(links, inst)
 		}
 		ds.mu.Unlock()
 	}
+	sh.links[key] = links
+}
+
+// unlinkDeps clears key's links to the instances of deps that keep does not
+// also hold, dropping instances (and templates) that no longer back any key.
+// It finds them among the key's links by pointer, comparing template text
+// and argument values, so it hashes no SQL and renders no key. The caller
+// holds the key's shard lock; dependency shard locks nest inside it.
+func (c *Cache) unlinkDeps(sh *shard, key string, deps, keep []analysis.Query) {
+	links := sh.links[key]
+	if len(links) == 0 {
+		return
+	}
+next:
+	for _, d := range deps {
+		for _, k := range keep {
+			if sameInstance(k, d) {
+				continue next
+			}
+		}
+		for i, inst := range links {
+			if sameInstance(inst.query, d) {
+				c.unlinkInstance(inst, key)
+				last := len(links) - 1
+				links[i], links[last] = links[last], nil
+				links = links[:last]
+				break
+			}
+		}
+	}
+	if len(links) == 0 {
+		delete(sh.links, key)
+	} else {
+		sh.links[key] = links
+	}
+}
+
+// unlinkInstance clears key's link to inst. An instance left empty leaves
+// its template, and a template left empty leaves its shard and c.reach —
+// the only times an unlink hashes the template text.
+func (c *Cache) unlinkInstance(inst *depInstance, key string) {
+	dt := inst.tmpl
+	ds := dt.shard
+	ds.mu.Lock()
+	if inst.remove(key) {
+		dt.removeInstance(inst)
+		if len(dt.instances) == 0 {
+			dt.dead = true
+			delete(ds.deps, dt.sql)
+			c.reach.Remove(dt)
+		}
+	}
+	ds.mu.Unlock()
+}
+
+// sweep is one write sweep's scratch, recycled across sweeps.
+type sweep struct {
+	pws []*analysis.PreparedWrite
+	// epochs are the writes' open events.
+	epochs []uint64
+	cands  []candidate
+	// keys holds every candidate's linked keys, copied under its template's
+	// lock; after the intersection tests its prefix holds the victims.
+	keys []string
+	// probed memoises PreparedWrite.ProbeKeys per (write, column), deduped.
+	probed []probeMemo
+}
+
+// candidate is one (write, instance) pair the intersection test decides;
+// keys[lo:hi] are the instance's keys when it was collected.
+type candidate struct {
+	pw     *analysis.PreparedWrite
+	inst   *depInstance
+	lo, hi int
+}
+
+type probeMemo struct {
+	pw      *analysis.PreparedWrite
+	col     string
+	keys    []string
+	bounded bool
+}
+
+// maxRecycledKeys bounds the key scratch a sweep returns to the pool, so one
+// sweep that matched most of a large cache does not pin its buffers.
+const maxRecycledKeys = 1 << 14
+
+var sweepPool = sync.Pool{New: func() any { return new(sweep) }}
+
+func (sc *sweep) release() {
+	if cap(sc.keys) > maxRecycledKeys || cap(sc.cands) > maxRecycledKeys {
+		return
+	}
+	clear(sc.pws)
+	clear(sc.cands)
+	clear(sc.keys)
+	clear(sc.probed)
+	sc.pws, sc.epochs, sc.cands, sc.keys, sc.probed = sc.pws[:0], sc.epochs[:0], sc.cands[:0], sc.keys[:0], sc.probed[:0]
+	sweepPool.Put(sc)
+}
+
+// probeKeys returns pw.ProbeKeys(col) without duplicates, computed once per
+// sweep.
+func (sc *sweep) probeKeys(pw *analysis.PreparedWrite, col string) ([]string, bool) {
+	for _, p := range sc.probed {
+		if p.pw == pw && p.col == col {
+			return p.keys, p.bounded
+		}
+	}
+	keys, bounded := pw.ProbeKeys(col)
+	if len(keys) > 1 {
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+	}
+	sc.probed = append(sc.probed, probeMemo{pw: pw, col: col, keys: keys, bounded: bounded})
+	return keys, bounded
+}
+
+func (sc *sweep) collect(pw *analysis.PreparedWrite, inst *depInstance) {
+	lo := len(sc.keys)
+	sc.keys = inst.appendKeys(sc.keys)
+	sc.cands = append(sc.cands, candidate{pw: pw, inst: inst, lo: lo, hi: len(sc.keys)})
+}
+
+// collectTemplate gathers the instances of dt that pw may intersect: the
+// probe index's matching buckets when pw bounds the probed column, none when
+// the template-level verdict excludes them all, else every instance. dt is
+// on pw's list in c.reach, so PossiblyDependent already holds or failed.
+func (c *Cache) collectTemplate(sc *sweep, pw *analysis.PreparedWrite, dt *depTemplate, useProbes bool) error {
+	ds := dt.shard
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if dt.dead {
+		return nil // withdrawn empty since the list was read
+	}
+	if dt.info == nil {
+		return dt.err
+	}
+	if useProbes {
+		if p := dt.probeOn(pw.Table()); p != nil {
+			if keys, bounded := sc.probeKeys(pw, p.col); bounded {
+				for _, k := range keys {
+					if b := p.buckets[k]; b != nil {
+						for _, inst := range b.insts {
+							sc.collect(pw, inst)
+						}
+					}
+				}
+				return nil
+			}
+		}
+	}
+	// Every instance would be a candidate: one template-level verdict may
+	// rule them all out at once (an INSERT's fresh key joined on, say).
+	if len(dt.instances) > 1 && pw.ExcludesTemplate(dt.info) {
+		return nil
+	}
+	for _, inst := range dt.instances {
+		sc.collect(pw, inst)
+	}
+	return nil
 }
 
 // invalidateThen removes every entry whose dependency set intersects one of
@@ -610,105 +833,58 @@ func (c *Cache) unlinkDeps(key string, deps []analysis.Query) {
 // writes intersects, whenever its epoch was read. If a write cannot be
 // prepared, nothing is swept and no event opens; with no writes, nothing
 // happens at all.
+//
+// Each write reaches only the read templates its write template can touch
+// (c.reach), and within each only the candidates its probe keys select.
 func (c *Cache) invalidateThen(ws []analysis.WriteCapture, then func()) (int, error) {
 	if len(ws) == 0 {
 		return 0, nil
 	}
-	pws := make([]*analysis.PreparedWrite, len(ws))
-	for i, w := range ws {
+	sc := sweepPool.Get().(*sweep)
+	defer sc.release()
+	for _, w := range ws {
 		pw, err := c.opts.Engine.PrepareWrite(w)
 		if err != nil {
 			return 0, err
 		}
-		pws[i] = pw
+		sc.pws = append(sc.pws, pw)
 	}
 	c.writesSeen.Add(uint64(len(ws)))
 	// Each epoch bump precedes the sweep (see the epoch field); the prepared
 	// writes are retained so staleSince can test raced inserts precisely.
-	for _, pw := range pws {
-		defer c.closeEvent(c.openEvent(pw))
+	for _, pw := range sc.pws {
+		sc.epochs = append(sc.epochs, c.openEvent(pw))
 	}
+	defer func() {
+		for i := len(sc.epochs) - 1; i >= 0; i-- {
+			c.closeEvent(sc.epochs[i])
+		}
+	}()
 	// ColumnOnly deliberately ignores bound values, so the value-based
 	// probe index must not narrow its candidate set.
 	useProbes := c.opts.Engine.Strategy() != analysis.StrategyColumnOnly
 
-	// Snapshot the dependency instances shard by shard, then run the
+	// Snapshot the candidates template by template, then run the
 	// intersection tests outside all locks so concurrent lookups are not
 	// serialised behind the analysis.
-	type candidate struct {
-		pw    *analysis.PreparedWrite
-		query analysis.Query
-		keys  []string
-	}
-	var candidates []candidate
-	collect := func(pw *analysis.PreparedWrite, inst *depInstance) {
-		candidates = append(candidates, candidate{pw: pw, query: inst.query, keys: inst.keys()})
-	}
-	for i := range c.depShards {
-		ds := &c.depShards[i]
-		ds.mu.Lock()
-		for tmpl, dt := range ds.deps {
-			for j, pw := range pws {
-				dep, derr := c.opts.Engine.PossiblyDependent(tmpl, ws[j].SQL)
-				if derr != nil {
-					ds.mu.Unlock()
-					return 0, derr
-				}
-				if !dep {
-					continue
-				}
-				if useProbes && dt.info != nil {
-					if p, hasProbe := dt.info.Probes[pw.Table()]; hasProbe {
-						if probeKeys, bounded := pw.ProbeKeys(p.Col); bounded {
-							seen := make(map[*depInstance]bool)
-							for _, pk := range probeKeys {
-								for _, inst := range dt.probeIdx[pw.Table()][pk] {
-									if !seen[inst] {
-										seen[inst] = true
-										collect(pw, inst)
-									}
-								}
-							}
-							continue
-						}
-					}
-				}
-				// Every instance would be a candidate: one template-level
-				// verdict may rule them all out at once (an INSERT's fresh
-				// key joined on, say).
-				if len(dt.instances) > 1 {
-					excluded, derr := pw.ExcludesTemplate(tmpl)
-					if derr != nil {
-						ds.mu.Unlock()
-						return 0, derr
-					}
-					if excluded {
-						continue
-					}
-				}
-				for _, inst := range dt.instances {
-					collect(pw, inst)
-				}
-			}
-		}
-		ds.mu.Unlock()
-	}
-
-	victims := make(map[string]bool)
-	for _, cand := range candidates {
-		hit, err := cand.pw.Intersects(cand.query)
-		if err != nil {
-			return 0, err
-		}
-		if hit {
-			for _, key := range cand.keys {
-				victims[key] = true
+	for _, pw := range sc.pws {
+		for _, dt := range c.reach.Touched(pw) {
+			if err := c.collectTemplate(sc, pw, dt, useProbes); err != nil {
+				return 0, err
 			}
 		}
 	}
+	victims := 0
+	for _, cand := range sc.cands {
+		if cand.pw.IntersectsDependent(cand.inst.tmpl.info, cand.inst.query.Args) {
+			victims += copy(sc.keys[victims:], sc.keys[cand.lo:cand.hi])
+		}
+	}
+	keys := sc.keys[:victims]
+	slices.Sort(keys)
 	n := 0
-	for key := range victims {
-		if c.drop(key) {
+	for i, key := range keys {
+		if (i == 0 || key != keys[i-1]) && c.drop(key) {
 			n++
 		}
 	}
@@ -729,24 +905,25 @@ func (c *Cache) invalidateThen(ws []analysis.WriteCapture, then func()) (int, er
 // drop removes key from L1 and from the disk tier in one critical section of
 // the key's shard lock — so a racing promotion's locked recheck cannot slip a
 // stale value back in between the two removals — and reports whether either
-// held it.
+// held it. The key is then in neither tier, so every link it has goes.
 func (c *Cache) drop(key string) bool {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	n, resident := sh.items[key]
-	if resident {
-		c.remove(sh, n, false)
+	n, held := sh.items[key]
+	if held {
+		c.remove(sh, n, true)
 	}
 	if c.opts.L2 != nil {
-		if deps, was := c.opts.L2.Remove(key); was {
-			if !resident {
-				c.unlinkDeps(key, deps)
-			}
-			return true
+		if _, was := c.opts.L2.Remove(key); was {
+			held = true
 		}
 	}
-	return resident
+	for _, inst := range sh.links[key] {
+		c.unlinkInstance(inst, key)
+	}
+	delete(sh.links, key)
+	return held
 }
 
 // InvalidateKey removes a single page, if present. It returns true when a
@@ -803,27 +980,9 @@ func (c *Cache) forget(dropped []l2.Dropped) {
 		} else {
 			live, _ = c.opts.L2.Deps(d.Key)
 		}
-		c.unlinkDeps(d.Key, depsNotIn(d.Deps, live))
+		c.unlinkDeps(sh, d.Key, d.Deps, live)
 		sh.mu.Unlock()
 	}
-}
-
-// depsNotIn returns the instances of deps that live does not hold.
-func depsNotIn(deps, live []analysis.Query) []analysis.Query {
-	if len(live) == 0 {
-		return deps
-	}
-	held := make(map[[2]string]bool, len(live))
-	for _, q := range live {
-		held[[2]string{q.SQL, datasource.KeyOfValues(q.Args)}] = true
-	}
-	var out []analysis.Query
-	for _, q := range deps {
-		if !held[[2]string{q.SQL, datasource.KeyOfValues(q.Args)}] {
-			out = append(out, q)
-		}
-	}
-	return out
 }
 
 // Epoch returns the invalidation-event counter: it advances when every

@@ -203,6 +203,44 @@ func AppendKeyOfValues(dst []byte, vs []Value) []byte {
 	return dst
 }
 
+// SameKey reports whether KeyOfValues(a) == KeyOfValues(b) without
+// rendering either key for the types a statement binds (int64, float64,
+// string, NULL); only a pair of other or mixed types is rendered.
+func SameKey(a, b []Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameKey(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameKey(a, b Value) bool {
+	switch x := a.(type) {
+	case int64:
+		if y, ok := b.(int64); ok {
+			return x == y
+		}
+	case string:
+		if y, ok := b.(string); ok {
+			return x == y
+		}
+	case float64:
+		// Equal floats render alike, and every NaN renders "NaN".
+		if y, ok := b.(float64); ok {
+			return x == y || x != x && y != y
+		}
+	case nil:
+		if b == nil {
+			return true
+		}
+	}
+	return KeyString(a) == KeyString(b)
+}
+
 // IsTruthy reports whether a value counts as true in a WHERE context.
 func IsTruthy(v Value) bool {
 	switch x := v.(type) {

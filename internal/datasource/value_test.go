@@ -43,6 +43,26 @@ func TestKeyOfValuesRendering(t *testing.T) {
 	}
 }
 
+// TestSameKeyAgreesWithKeyOfValues: SameKey must decide exactly the equality
+// of the rendered keys, across types that collide (5 and 5.0, "5" and 5),
+// the special floats and the magnitudes where an integral float stops
+// rendering as an integer.
+func TestSameKeyAgreesWithKeyOfValues(t *testing.T) {
+	vals := []Value{nil, int64(0), int64(5), int64(-5), int64(1e15), 0.0, math.Copysign(0, -1),
+		5.0, -5.0, 2.5, 1e15, 1e15 - 1, math.Inf(1), math.Inf(-1), math.NaN(), math.NaN(),
+		"", "5", "i5", true, []byte("5")}
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, pair := range [][2][]Value{{{a}, {b}}, {{a, b}, {b, a}}, {{a}, {a, b}}} {
+				want := KeyOfValues(pair[0]) == KeyOfValues(pair[1])
+				if got := SameKey(pair[0], pair[1]); got != want {
+					t.Errorf("SameKey(%#v, %#v) = %v, keys equal: %v", pair[0], pair[1], got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestLikeMatch(t *testing.T) {
 	cases := []struct {
 		pat, s string

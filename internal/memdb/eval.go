@@ -225,50 +225,84 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 	return nil, fmt.Errorf("memdb: cannot evaluate %T", x)
 }
 
-func (e *env) evalBinary(v *sqlparser.BinaryExpr) (Value, error) {
-	switch v.Op {
-	case sqlparser.OpAnd:
-		l, err := e.eval(v.Left)
-		if err != nil {
-			return nil, err
+// bound is an expression compiled against its plan (plan.bind): a column
+// reference the plan resolved reads its slot directly, and a binary
+// operation evaluates its bound operands. Any other node — and a reference
+// the plan could not resolve, which fails when evaluated — is evaluated
+// from its source expression.
+type bound struct {
+	src  sqlparser.Expr
+	col  bool // a resolved column reference, read at slot
+	slot colSlot
+	op   sqlparser.BinaryOp
+	l, r *bound // the operands of a binary operation, else nil
+}
+
+// evalBound evaluates a bound expression.
+func (e *env) evalBound(b *bound) (Value, error) {
+	switch {
+	case b.col:
+		row := e.rows[b.slot.ti]
+		if row == nil { // unmatched LEFT JOIN side
+			return nil, nil
 		}
-		if !IsTruthy(l) {
-			return boolVal(false), nil
-		}
-		r, err := e.eval(v.Right)
-		if err != nil {
-			return nil, err
-		}
-		return boolVal(IsTruthy(r)), nil
-	case sqlparser.OpOr:
-		l, err := e.eval(v.Left)
-		if err != nil {
-			return nil, err
-		}
-		if IsTruthy(l) {
-			return boolVal(true), nil
-		}
-		r, err := e.eval(v.Right)
-		if err != nil {
-			return nil, err
-		}
-		return boolVal(IsTruthy(r)), nil
+		return row[b.slot.ci], nil
+	case b.l == nil:
+		return e.eval(b.src)
 	}
+	l, err := e.evalBound(b.l)
+	if err != nil {
+		return nil, err
+	}
+	if logic, decided := shortCircuit(b.op, l); decided {
+		return logic, nil
+	}
+	r, err := e.evalBound(b.r)
+	if err != nil {
+		return nil, err
+	}
+	return applyBinary(b.op, l, r)
+}
+
+func (e *env) evalBinary(v *sqlparser.BinaryExpr) (Value, error) {
 	l, err := e.eval(v.Left)
 	if err != nil {
 		return nil, err
+	}
+	if logic, decided := shortCircuit(v.Op, l); decided {
+		return logic, nil
 	}
 	r, err := e.eval(v.Right)
 	if err != nil {
 		return nil, err
 	}
-	if v.Op.IsComparison() {
+	return applyBinary(v.Op, l, r)
+}
+
+// shortCircuit decides AND and OR from their left operand when it can.
+func shortCircuit(op sqlparser.BinaryOp, l Value) (Value, bool) {
+	switch {
+	case op == sqlparser.OpAnd && !IsTruthy(l):
+		return boolVal(false), true
+	case op == sqlparser.OpOr && IsTruthy(l):
+		return boolVal(true), true
+	}
+	return nil, false
+}
+
+// applyBinary applies op to evaluated operands.
+func applyBinary(op sqlparser.BinaryOp, l, r Value) (Value, error) {
+	switch op {
+	case sqlparser.OpAnd, sqlparser.OpOr:
+		return boolVal(IsTruthy(r)), nil
+	}
+	if op.IsComparison() {
 		// SQL NULL: any comparison with NULL is false.
 		if l == nil || r == nil {
 			return boolVal(false), nil
 		}
 		c := Compare(l, r)
-		switch v.Op {
+		switch op {
 		case sqlparser.OpEq:
 			return boolVal(c == 0), nil
 		case sqlparser.OpNe:
@@ -283,7 +317,7 @@ func (e *env) evalBinary(v *sqlparser.BinaryExpr) (Value, error) {
 			return boolVal(c >= 0), nil
 		}
 	}
-	return arith(v.Op, l, r)
+	return arith(op, l, r)
 }
 
 func arith(op sqlparser.BinaryOp, l, r Value) (Value, error) {

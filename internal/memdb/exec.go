@@ -155,7 +155,7 @@ func (db *DB) selectRun(r *run) (*Rows, int, error) {
 	r.out.start()
 	// Constant-only conjuncts (e.g. `WHERE 1 = 0`) gate the whole query.
 	for _, c := range pl.constConds {
-		v, err := r.ev.eval(c)
+		v, err := r.ev.evalBound(c)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -170,6 +170,18 @@ func (db *DB) selectRun(r *run) (*Rows, int, error) {
 	// deadlock. The projection reads the rows it kept until it finishes.
 	lockTablesRead(pl.locks)
 	defer unlockTablesRead(pl.locks)
+
+	if pl.countProbe {
+		ids, exact, err := r.lookup(0, &pl.probes[0][0])
+		if err != nil {
+			return nil, 0, err
+		}
+		if exact {
+			res := r.out.result(1)
+			res.Data[0][0] = int64(len(ids))
+			return res, subScanned, nil
+		}
+	}
 
 	// Enumerate joined rows via recursive nested loops with index probes.
 	// When the projection keeps the first rows of an ordering, the first
@@ -278,7 +290,7 @@ func (r *run) match(k, skip int, row []Value) (bool, error) {
 		if i == skip {
 			continue
 		}
-		v, err := r.ev.eval(c)
+		v, err := r.ev.evalBound(c)
 		if err != nil || !IsTruthy(v) {
 			return false, err
 		}
@@ -366,9 +378,10 @@ func (r *run) joinLevel(k int) error {
 
 // outputColumn describes one projected column.
 type outputColumn struct {
-	name string
-	expr sqlparser.Expr // nil for star columns
-	star struct {
+	name  string
+	expr  sqlparser.Expr // nil for star columns
+	bound *bound         // expr bound to the plan
+	star  struct {
 		ti, ci int
 	}
 	isStar bool
@@ -600,7 +613,7 @@ func limitInt(v Value, what string) (int, error) {
 // value evaluates the column for the row ev is pointed at.
 func (c *outputColumn) value(ev *env) (Value, error) {
 	if !c.isStar {
-		return ev.eval(c.expr)
+		return ev.evalBound(c.bound)
 	}
 	if r := ev.rows[c.star.ti]; r != nil {
 		return r[c.star.ci], nil
@@ -629,7 +642,7 @@ func (p *projection) keys(dst, out []Value) error {
 		var err error
 		switch {
 		case j < 0:
-			v, err = p.ev.eval(p.sel.OrderBy[i].Expr)
+			v, err = p.ev.evalBound(p.orderKeys[i])
 		case out != nil:
 			v = out[j]
 		default:

@@ -93,13 +93,13 @@ type plan struct {
 	slots map[*sqlparser.ColumnRef]colSlot
 	// conds[k] holds the conjuncts whose highest referenced table is k; they
 	// are checked as soon as table k is bound.
-	conds [][]sqlparser.Expr
+	conds [][]*bound
 	// probes[k] holds the index probes that can replace a scan of table k.
 	probes   [][]indexProbe
 	leftJoin []bool // is table k the right side of a LEFT JOIN
 	// constConds are WHERE conjuncts that read no table (e.g. `WHERE 1 = 0`);
 	// they gate the whole query.
-	constConds []sqlparser.Expr
+	constConds []*bound
 	subs       []subquery
 
 	// The output side of a SELECT.
@@ -107,7 +107,10 @@ type plan struct {
 	cols     []outputColumn
 	names    []string
 	orderCol []int // per ORDER BY item, the output column it reads, or -1
-	grouped  bool
+	// orderKeys[i] is ORDER BY item i bound to the plan when it reads no
+	// output column, else nil.
+	orderKeys []*bound
+	grouped   bool
 	// aggs are the statement's distinct aggregate calls; aggSlot maps every
 	// aggregate call to its index in aggs.
 	aggs    []*sqlparser.FuncExpr
@@ -121,6 +124,10 @@ type plan struct {
 	// lead is the first table's column that the first ORDER BY key reads,
 	// when top-k applies without grouping, or -1.
 	lead int
+	// countProbe is set on a one-table SELECT COUNT(*) whose only conjunct
+	// is an equality its index can answer: the count is that bucket's length
+	// when the probe is exact.
+	countProbe bool
 	// valueList is set on an IN-subquery's plan that needs only its first
 	// column's values: one column, no grouping, no LIMIT and no ORDER BY
 	// key of its own. Its run streams that column into the outer run's value
@@ -196,7 +203,7 @@ func (pl *plan) bindColumns(s sqlparser.Statement) {
 		})
 	})
 	n := len(pl.tables)
-	pl.conds = make([][]sqlparser.Expr, n)
+	pl.conds = make([][]*bound, n)
 	pl.probes = make([][]indexProbe, n)
 	pl.leftJoin = make([]bool, n)
 }
@@ -260,7 +267,7 @@ func (db *DB) compileSelect(sel *sqlparser.SelectStmt) (*plan, error) {
 			return nil, err
 		}
 		if level < 0 {
-			pl.constConds = append(pl.constConds, c)
+			pl.constConds = append(pl.constConds, pl.bind(c))
 			continue
 		}
 		pl.addCond(level, c)
@@ -268,6 +275,10 @@ func (db *DB) compileSelect(sel *sqlparser.SelectStmt) (*plan, error) {
 	if err := pl.compileOutput(); err != nil {
 		return nil, err
 	}
+	pl.countProbe = len(pl.tables) == 1 && len(pl.subs) == 0 && len(pl.constConds) == 0 &&
+		len(pl.conds[0]) == 1 && len(pl.probes[0]) == 1 && pl.probes[0][0].eq != nil &&
+		len(pl.cols) == 1 && isCountStar(pl.cols[0].expr) && len(sel.GroupBy) == 0 &&
+		sel.Having == nil && !sel.Distinct && len(sel.OrderBy) == 0 && sel.Limit == nil
 	seen := make(map[*table]bool, len(pl.tables))
 	for _, bt := range pl.tables {
 		if !seen[bt.tbl] {
@@ -290,10 +301,16 @@ func (pl *plan) compileOutput() error {
 	pl.names = make([]string, len(pl.cols))
 	for i := range pl.cols {
 		pl.names[i] = pl.cols[i].name
+		if !pl.cols[i].isStar {
+			pl.cols[i].bound = pl.bind(pl.cols[i].expr)
+		}
 	}
 	pl.orderCol = make([]int, len(sel.OrderBy))
+	pl.orderKeys = make([]*bound, len(sel.OrderBy))
 	for i := range sel.OrderBy {
-		pl.orderCol[i] = orderColumn(sel.OrderBy[i].Expr, pl.cols)
+		if pl.orderCol[i] = orderColumn(sel.OrderBy[i].Expr, pl.cols); pl.orderCol[i] < 0 {
+			pl.orderKeys[i] = pl.bind(sel.OrderBy[i].Expr)
+		}
 	}
 	pl.grouped = len(sel.GroupBy) > 0 || sel.Having != nil && isAggregate(sel.Having)
 	for i := range pl.cols {
@@ -390,6 +407,18 @@ func (pl *plan) leadColumn() int {
 	return ci
 }
 
+// bind compiles x against the plan's column slots.
+func (pl *plan) bind(x sqlparser.Expr) *bound {
+	b := &bound{src: x}
+	switch v := x.(type) {
+	case *sqlparser.ColumnRef:
+		b.slot, b.col = pl.slots[v]
+	case *sqlparser.BinaryExpr:
+		b.op, b.l, b.r = v.Op, pl.bind(v.Left), pl.bind(v.Right)
+	}
+	return b
+}
+
 // resolve finds the (table index, column index) of a column reference.
 func (pl *plan) resolve(c *sqlparser.ColumnRef) (int, int, error) {
 	if s, ok := pl.slots[c]; ok {
@@ -424,7 +453,7 @@ func (pl *plan) maxTableIndex(e sqlparser.Expr) (int, error) {
 // probe when it is an equality or a positive IN on one of the level's
 // indexed columns whose other side references only earlier tables.
 func (pl *plan) addCond(level int, c sqlparser.Expr) {
-	pl.conds[level] = append(pl.conds[level], c)
+	pl.conds[level] = append(pl.conds[level], pl.bind(c))
 	pr := indexProbe{cond: len(pl.conds[level]) - 1}
 	switch x := c.(type) {
 	case *sqlparser.BinaryExpr:
@@ -511,6 +540,12 @@ func collectAggregates(sel *sqlparser.SelectStmt) ([]*sqlparser.FuncExpr, map[*s
 		add(sel.OrderBy[i].Expr)
 	}
 	return out, slot
+}
+
+// isCountStar reports whether e is COUNT(*).
+func isCountStar(e sqlparser.Expr) bool {
+	f, ok := e.(*sqlparser.FuncExpr)
+	return ok && f.Name == "COUNT" && f.Star && !f.Distinct
 }
 
 // rowFree reports whether e, if present, is a literal or a placeholder, so

@@ -224,3 +224,24 @@ func BenchmarkSelectPoint(b *testing.B) {
 		sinkPoint = rows
 	}
 }
+
+// TestUnresolvedReferenceFailsWhenEvaluated: column references are bound
+// when a plan is compiled, but one that names no column of the statement's
+// tables still fails only when it is evaluated — in the select list, in an
+// ORDER BY key — so a query that reads no row succeeds.
+func TestUnresolvedReferenceFailsWhenEvaluated(t *testing.T) {
+	db := testDB(t)
+	ctx := context.Background()
+	for _, sql := range []string{
+		"SELECT nosuch FROM users",
+		"SELECT name FROM users ORDER BY nosuch",
+		"SELECT name FROM users ORDER BY nosuch + 1 LIMIT 2",
+	} {
+		if _, err := db.Query(ctx, sql); err == nil {
+			t.Errorf("%s: evaluated an unknown column without error", sql)
+		}
+	}
+	if _, err := db.Query(ctx, "SELECT nosuch FROM users WHERE id = ?", -1); err != nil {
+		t.Errorf("a query that reads no row failed: %v", err)
+	}
+}

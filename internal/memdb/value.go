@@ -11,10 +11,12 @@
 // is deliberate — it reproduces the contention profile that makes dynamic
 // page generation expensive under load and caching effective.
 //
-// A SELECT does its per-statement work once per execution, never per row:
-// each column reference resolves to its (table, column) slot on first use,
-// each ORDER BY item is bound to the output column it reads or else to its
-// own expression, and each aggregate call to its result slot.
+// A SELECT does its per-statement work when its plan is compiled, never per
+// row: each column reference of its conjuncts, output columns and ORDER BY
+// keys is bound to its (table, column) slot, each ORDER BY item to the
+// output column it reads or else to its own bound expression, and each
+// aggregate call to its result slot. A reference naming no column of the
+// statement's tables is left unbound and fails when it is evaluated.
 //
 // The join is a nested loop that streams each complete joined row straight
 // into the projection; nothing is materialised per row except what the
@@ -57,13 +59,16 @@
 // newest first and rarely displace a kept row.
 //
 // Every matching row is visited and counted in Stats.RowsScanned, which
-// the simulated service time of SetRowCost charges, with one exception: when
-// that non-grouped top-k probes the first table by equality on an ordered
-// index whose order column is its first ORDER BY item, the bucket is walked
-// best first and the walk ends at the first row whose order value is
-// strictly worse than the worst kept row's once offset+count rows are kept.
-// The rows past it are not visited or counted, so such a page costs about
-// offset+count first-table rows however many rows match.
+// the simulated service time of SetRowCost charges, with two exceptions.
+// When that non-grouped top-k probes the first table by equality on an
+// ordered index whose order column is its first ORDER BY item, the bucket
+// is walked best first and the walk ends at the first row whose order value
+// is strictly worse than the worst kept row's once offset+count rows are
+// kept. The rows past it are not visited or counted, so such a page costs
+// about offset+count first-table rows however many rows match. And a
+// one-table SELECT COUNT(*) whose only conjunct is an equality its index
+// answers exactly — no grouping, HAVING, DISTINCT, ORDER BY or LIMIT — is
+// answered from the bucket's length, visiting no row.
 package memdb
 
 import "autowebcache/internal/datasource"
