@@ -52,10 +52,11 @@ race:
 # interleaving — the RUBiS and TPC-W figure claims, the histogram scraped while
 # observed, the weave stats snapshotted while recorded, the cluster's
 # replica windows, its property harness (fetches, resolves and offers
-# racing strong writes), a disk-tier spill racing an intersecting write,
-# the resolve path's refusal windows and cross-node single-flight, memdb's
-# shared plans and recycled runs (results held while the same plans run
-# again, concurrently and with other arguments), and the packages holding
+# racing strong writes), a disk-tier spill racing an intersecting write, a
+# dependency template emptying and refilling during one, the resolve path's
+# refusal windows and cross-node single-flight, memdb's shared plans and
+# recycled runs (results held while the same plans run again, concurrently
+# and with other arguments), and the packages holding
 # the miss protocol, the epoch guard, the shared-file driver and the peer
 # transport under the cluster's chaos and property harnesses — plain and
 # under the race detector.
@@ -66,7 +67,7 @@ flake:
 	  $(GO) test $$race -count=20 -run 'TestFig13CacheWins|TestFig14CacheWins|TestFig15SemanticsHelps' ./internal/bench && \
 	  $(GO) test $$race -count=200 -run TestConcurrentUseWithScrapes ./internal/telemetry && \
 	  $(GO) test $$race -count=20 -run TestSnapshotRatiosNeverExceedOne ./internal/weave && \
-	  $(GO) test $$race -count=20 -run TestSpillRacesSweep ./internal/cache && \
+	  $(GO) test $$race -count=20 -run 'TestSpillRacesSweep|TestRefillRacesSweep' ./internal/cache && \
 	  $(GO) test $$race -count=20 -run 'TestSharedPlanConcurrent|TestConcurrentAccess|TestRecycledScratchNeverLeaks' ./internal/memdb && \
 	  $(GO) test $$race -count=20 -run 'TestFetchWindow|TestOfferWindow|TestExportVouchesOnlyForAppliedWrites|TestClusterPropertyConsistency|TestResolveRefusals|TestResolveCoalescesAcrossMembers|TestResolveWriteRemovesOwnerPage|TestResolveDivergedRingsKeepDeps' ./internal/cluster && \
 	  $(GO) test $$race -count=5 ./internal/weave ./internal/cache/... ./internal/datasource/... ./internal/cluster/... || exit 1; \

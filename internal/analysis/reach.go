@@ -1,17 +1,15 @@
 package analysis
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // Reach memoises, per write template, which registered read templates it
 // can touch: those PossiblyDependent finds dependent on it, plus those it
 // cannot decide (an unparseable read template, whose error the caller
-// reports when it reaches one). Each (write template, read template) pair is
-// decided once — when the later of the two first meets the other — and every
-// write template's list is kept current as read templates are registered and
-// withdrawn, so a write sweep reads its list instead of asking
+// reports when it reaches one). A read template stays registered for the
+// life of the memo, as the engine's own template memos do, so each (write
+// template, read template) pair is decided once — when the later of the two
+// first meets the other — and every write template's list grows as read
+// templates are registered; a write sweep reads its list instead of asking
 // PossiblyDependent of every read template it holds. T is the caller's
 // handle for a read template; lists hold handles. Safe for concurrent use.
 type Reach[T comparable] struct {
@@ -19,8 +17,9 @@ type Reach[T comparable] struct {
 	mu sync.Mutex
 	// reads are the registered read templates, in registration order.
 	reads []reachRead[T]
-	// writes maps a write template to its list. A list is never modified in
-	// place — a change publishes a new slice — so Touched hands it out.
+	// writes maps a write template to its list. A list only grows: an append
+	// writes past the end of every slice already handed out, never into it,
+	// so Touched hands it out.
 	writes map[*TemplateInfo]*reachWrite[T]
 }
 
@@ -47,26 +46,14 @@ func (r *Reach[T]) touches(readSQL, writeSQL string) bool {
 
 // Add registers read template sql under handle h, appending h to the list
 // of every write template already known that it can touch. A handle is
-// registered at most once until Remove.
+// registered at most once.
 func (r *Reach[T]) Add(sql string, h T) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.reads = append(r.reads, reachRead[T]{sql: sql, h: h})
 	for _, w := range r.writes {
 		if r.touches(sql, w.sql) {
-			w.reads = append(w.reads[:len(w.reads):len(w.reads)], h)
-		}
-	}
-}
-
-// Remove withdraws handle h from the registry and from every list.
-func (r *Reach[T]) Remove(h T) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reads = slices.DeleteFunc(r.reads, func(rr reachRead[T]) bool { return rr.h == h })
-	for _, w := range r.writes {
-		if i := slices.Index(w.reads, h); i >= 0 {
-			w.reads = slices.Delete(slices.Clone(w.reads), i, i+1)
+			w.reads = append(w.reads, h)
 		}
 	}
 }

@@ -113,13 +113,15 @@ func TestFig13CacheWins(t *testing.T) {
 // returns the database queries it executed and its outcome totals — the
 // scheduling-independent quantities the Fig. 14/15 claims are judged on
 // (timing is awcbench's and the micro gate's to judge, never go test's).
+// As in TestFig13CacheWins, one sequential client issues the volume, so the
+// counts are the same on every run.
 func tpcwLoad(t *testing.T, p Params, cfg SystemConfig) (uint64, weave.InteractionStats) {
 	t.Helper()
 	d, err := newTpcw(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := d.run(p, 8)
+	res := d.run(p, 1)
 	if res.Totals.Requests == 0 {
 		t.Fatal("no requests measured")
 	}
@@ -164,6 +166,7 @@ func TestFig14CacheWins(t *testing.T) {
 		t.Errorf("forced-miss served from the cache: %d hits, %d queries vs %d uncached",
 			forcedTotals.Hits, forced, noCache)
 	}
+	t.Logf("%d queries uncached, %d forced-miss, %d cached with %d hits", noCache, forced, cached, cachedTotals.Hits)
 	tbl, err := Fig14(p)
 	if err == nil && len(tbl.Columns) != 6 {
 		t.Fatalf("columns: %v", tbl.Columns)
@@ -184,11 +187,13 @@ func TestFig15SemanticsHelps(t *testing.T) {
 	if semTotals.SemanticHits == 0 {
 		t.Errorf("the BestSellers window produced no semantic hits: %+v", semTotals)
 	}
-	// Which pages a run caches varies a little with client interleaving;
-	// 5% covers that without admitting a window that costs queries.
+	// With one sequential client both counts are the same on every run, so
+	// no interleaving noise is left for the 5% to cover: the window saves
+	// queries outright, and the slack is a margin kept as it was.
 	if sem > plain+plain/20 {
 		t.Errorf("the BestSellers window raised db load: %d queries vs %d plain", sem, plain)
 	}
+	t.Logf("%d queries plain, %d with the window and %d semantic hits", plain, sem, semTotals.SemanticHits)
 	tbl, err := Fig15(p)
 	renders(t, tbl, err, 3)
 }

@@ -17,10 +17,11 @@ import (
 // list of read templates, the probe buckets, the template-level exclusion).
 // RUBiS's read instances and write captures come from the dependency-matrix
 // drive. Pages are inserted and writes swept in a seeded interleaving under
-// each strategy, in two phases: the first inserts pages of half the read
+// each strategy, in three phases: the first inserts pages of half the read
 // templates only and sweeps every write template, so the second phase's
 // read templates appear after the write templates that can touch them were
-// already swept.
+// already swept; then every page is dropped, so every template empties, and
+// the third phase fills them again under the lists the first two built.
 func TestSweepMatchesBruteForce(t *testing.T) {
 	a := rubisMatrixApp(t)
 	m := driveMatrix(t, a)
@@ -78,7 +79,8 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 				}
 				return dep && hit
 			}
-			lateRemovals := 0
+			lateRemovals, refillRemovals := 0, 0
+			refilling := false
 			sweep := func(w analysis.WriteCapture) {
 				if strategy != analysis.StrategyExtraQuery {
 					w.Affected = nil // only ExtraQuery captures the pre-write rows
@@ -90,6 +92,9 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 							want[key] = true
 							if late[d.SQL] {
 								lateRemovals++
+							}
+							if refilling {
+								refillRemovals++
 							}
 							break
 						}
@@ -122,14 +127,29 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 			for _, sql := range writeSQL {
 				sweep(m.writes[sql][0])
 			}
-			for step := 0; step < 400; step++ {
-				insert(readSQL)
-				insert(readSQL)
-				samples := m.writes[writeSQL[rng.Intn(len(writeSQL))]]
-				sweep(samples[rng.Intn(len(samples))])
+			mixed := func(steps int) {
+				for step := 0; step < steps; step++ {
+					insert(readSQL)
+					insert(readSQL)
+					samples := m.writes[writeSQL[rng.Intn(len(writeSQL))]]
+					sweep(samples[rng.Intn(len(samples))])
+				}
 			}
+			mixed(400)
 			if lateRemovals == 0 {
 				t.Fatal("no page of a read template first seen after its write template was swept was removed: the test lost its coverage")
+			}
+			for key := range resident {
+				c.InvalidateKey(key)
+				delete(resident, key)
+			}
+			if st := c.Snapshot(); st.Entries != 0 || st.DepTemplates != 0 || st.DepInstances != 0 {
+				t.Fatalf("dropping every page left %d entries, %d templates, %d instances", st.Entries, st.DepTemplates, st.DepInstances)
+			}
+			refilling = true
+			mixed(400)
+			if refillRemovals == 0 {
+				t.Fatal("no page inserted after every template emptied was removed: the test lost its coverage")
 			}
 		})
 	}

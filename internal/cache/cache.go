@@ -255,8 +255,11 @@ type Stats struct {
 	AdmissionRejects uint64 // inserts refused by the TinyLFU admission filter
 	OversizeRejects  uint64 // inserts refused because one entry exceeds MaxBytes
 	Entries          int    // current entry count
-	DepTemplates     int    // current dependency-table template count
-	DepInstances     int    // current dependency-table (template, vector) count
+	// DepTemplates counts the dependency-table templates holding at least
+	// one instance; a template whose last page went stays registered, but
+	// uncounted.
+	DepTemplates int
+	DepInstances int // current dependency-table (template, vector) count
 	// Bytes is the accounted memory charged against MaxBytes: every linked
 	// entry's cost plus in-flight insert reservations. With MaxBytes set it
 	// never exceeds the budget.

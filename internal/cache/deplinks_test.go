@@ -207,3 +207,129 @@ func TestForgetKeepsCurrentGenerationLinks(t *testing.T) {
 		})
 	}
 }
+
+// TestTemplateOutlivesItsPages: a read template stays in the dependency
+// table and on its write templates' lists after its last page goes, and its
+// next page refills the same template — registered once, its pairs decided
+// once — while DepTemplates counts only templates holding a page.
+func TestTemplateOutlivesItsPages(t *testing.T) {
+	c := newTestCache(t, Options{})
+	const tmpl = "SELECT a FROM T WHERE b = ?"
+	w := wcap("UPDATE T SET a = ? WHERE b = ?", int64(0), int64(2))
+	pw, err := c.opts.Engine.PrepareWrite(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	templates := func(want int) {
+		t.Helper()
+		if st := c.Snapshot(); st.DepTemplates != want {
+			t.Fatalf("DepTemplates = %d, want %d: %+v", st.DepTemplates, want, st)
+		}
+	}
+	ds := c.depShard(tmpl)
+	c.Insert("/p1", []byte("v"), "text/html", []analysis.Query{dep(tmpl, int64(1))}, 0)
+	templates(1)
+	// The write misses /p1 but builds its template's list, which reaches T.
+	if n, err := c.InvalidateWrite(w); err != nil || n != 0 {
+		t.Fatalf("setup sweep removed %d pages, err %v", n, err)
+	}
+	first := ds.deps[tmpl]
+	if !c.InvalidateKey("/p1") {
+		t.Fatal("setup: /p1 was not resident")
+	}
+	templates(0)
+	c.Insert("/p2", []byte("v"), "text/html", []analysis.Query{dep(tmpl, int64(3))}, 0)
+	templates(1)
+	if again := ds.deps[tmpl]; first == nil || again != first {
+		t.Fatalf("template %p was replaced by %p when it emptied and filled again", first, again)
+	}
+	on := 0
+	for _, dt := range c.reach.Touched(pw) {
+		if dt == first {
+			on++
+		}
+	}
+	if on != 1 {
+		t.Fatalf("the write's list holds the template %d times, want once", on)
+	}
+}
+
+// TestEmptiedUnparseableTemplateFailsNoSweep: a sweep that reaches an
+// unparseable read template fails while the template holds a page — it
+// cannot tell which pages the write touches — and succeeds once the page
+// is gone, although the template stays on the write's list.
+func TestEmptiedUnparseableTemplateFailsNoSweep(t *testing.T) {
+	c := newTestCache(t, Options{})
+	w := wcap("UPDATE T SET a = ? WHERE b = ?", int64(0), int64(1))
+	c.Insert("/bad", []byte("v"), "text/html", []analysis.Query{dep("SELECT FROM WHERE")}, 0)
+	if _, err := c.InvalidateWrite(w); err == nil {
+		t.Fatal("a sweep reaching an unparseable template's page succeeded")
+	}
+	c.InvalidateKey("/bad")
+	if _, err := c.InvalidateWrite(w); err != nil {
+		t.Fatalf("a sweep reaching the emptied unparseable template failed: %v", err)
+	}
+}
+
+// TestRefillRacesSweep races a template emptying and filling again against
+// an intersecting write: one goroutine removes the template's only page and
+// re-inserts it with InsertSince from an epoch read before the write began,
+// the other sweeps. Whichever order they take — the sweep reading the
+// template's list before, between or after the removal and the refill — the
+// write raced the insert, so the page must not outlive it, and the table
+// must end holding exactly the residents' links with the template on the
+// write's list once.
+func TestRefillRacesSweep(t *testing.T) {
+	c := newTestCache(t, Options{})
+	const (
+		tmpl   = "SELECT a FROM T WHERE b = ?"
+		key    = "/refill"
+		rounds = 200
+	)
+	deps := []analysis.Query{dep(tmpl, int64(1))}
+	w := wcap("UPDATE T SET a = ? WHERE b = ?", int64(0), int64(1))
+	for r := 0; r < rounds; r++ {
+		c.Insert(key, []byte("v"), "text/html", deps, 0)
+		epoch0 := c.Epoch()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		refill := func() {
+			defer wg.Done()
+			<-start
+			c.InvalidateKey(key)
+			c.InsertSince(epoch0, key, []byte("v"), "text/html", deps, 0)
+		}
+		write := func() {
+			defer wg.Done()
+			<-start
+			if _, err := c.InvalidateWrite(w); err != nil {
+				t.Error(err)
+			}
+		}
+		wg.Add(2)
+		if r%2 == 0 {
+			go refill()
+			go write()
+		} else {
+			go write()
+			go refill()
+		}
+		close(start)
+		wg.Wait()
+		if c.Contains(key) {
+			t.Fatalf("round %d: page outlived the write that raced its refill", r)
+		}
+		wantT, wantI := residentLinks(c)
+		if st := c.Snapshot(); st.DepTemplates != wantT || st.DepInstances != wantI {
+			t.Fatalf("round %d: dependency table holds %d templates, %d instances; residents link %d, %d",
+				r, st.DepTemplates, st.DepInstances, wantT, wantI)
+		}
+	}
+	pw, err := c.opts.Engine.PrepareWrite(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list := c.reach.Touched(pw); len(list) != 1 || list[0] != c.depShard(tmpl).deps[tmpl] {
+		t.Fatalf("after %d refills the write's list is %v, want the one template", rounds, list)
+	}
+}

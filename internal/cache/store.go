@@ -13,9 +13,13 @@ package cache
 // pointers to its instances (shard.links), so unlinking it — a removal, a
 // sweep's drop, the disk tier's forget and spill links — hashes no SQL text
 // and renders no key. Each capture's sweep starts from the read templates
-// its write template can touch (analysis.Reach, kept current as templates
-// appear and are withdrawn), narrows each by its probe buckets or the
-// template-level exclusion, and tests the rest with Intersects.
+// its write template can touch (analysis.Reach), narrows each by its probe
+// buckets or the template-level exclusion, and tests the rest with
+// Intersects. A template, once registered, stays in the table and in
+// c.reach for the life of the cache — an application's templates are a fixed
+// set, which the engine memoises for as long anyway — so each (write
+// template, read template) pair is decided once, however often the read
+// template's pages come and go.
 //
 // Lock order is always key shard -> dependency shard -> c.reach, never the
 // reverse, and no two shards of the same stripe are held at once.
@@ -182,8 +186,10 @@ func sameInstance(a, b analysis.Query) bool {
 // `table.col = ?` predicate binds. A write whose effect on that column is
 // bounded only needs to test the matching instances — the result-caching
 // optimisation the paper relies on for near-zero run-time analysis overhead
-// (§7). The template is registered in the cache's analysis.Reach while it
-// holds instances, so the writes that can touch it find it without a scan.
+// (§7). The template is registered in the cache's analysis.Reach with its
+// first instance and stays registered, empty or not, for the life of the
+// cache, so the writes that can touch it find it without a scan and its
+// maps are reused when it fills again.
 type depTemplate struct {
 	shard *depShard // the stripe whose lock guards it
 	sql   string
@@ -192,9 +198,6 @@ type depTemplate struct {
 	// instances: argument key -> instance.
 	instances map[string]*depInstance
 	probes    []depProbe
-	// dead marks a template withdrawn once empty; a sweep holding an older
-	// list skips it.
-	dead bool
 }
 
 // depProbe is one probed table's index: probe key -> the bucket of
@@ -625,9 +628,10 @@ func (c *Cache) reserveBytes(cost int64, key string) bool {
 }
 
 // linkDeps links key to the instances of deps, creating each missing
-// instance — and, on its first instance, the template, registered in
-// c.reach — with its argument and probe keys. The caller holds the key's
-// shard lock (or is single-threaded); dependency shard locks nest inside it.
+// instance — and, on the template's first instance ever, the template,
+// registered in c.reach for good — with its argument and probe keys. The
+// caller holds the key's shard lock (or is single-threaded); dependency
+// shard locks nest inside it.
 func (c *Cache) linkDeps(sh *shard, key string, deps []analysis.Query) {
 	if len(deps) == 0 {
 		return
@@ -698,19 +702,13 @@ next:
 }
 
 // unlinkInstance clears key's link to inst. An instance left empty leaves
-// its template, and a template left empty leaves its shard and c.reach —
-// the only times an unlink hashes the template text.
+// its template; a template left empty stays in its shard and in c.reach.
+// An unlink never hashes the template text.
 func (c *Cache) unlinkInstance(inst *depInstance, key string) {
-	dt := inst.tmpl
-	ds := dt.shard
+	ds := inst.tmpl.shard
 	ds.mu.Lock()
 	if inst.remove(key) {
-		dt.removeInstance(inst)
-		if len(dt.instances) == 0 {
-			dt.dead = true
-			delete(ds.deps, dt.sql)
-			c.reach.Remove(dt)
-		}
+		inst.tmpl.removeInstance(inst)
 	}
 	ds.mu.Unlock()
 }
@@ -787,13 +785,15 @@ func (sc *sweep) collect(pw *analysis.PreparedWrite, inst *depInstance) {
 // collectTemplate gathers the instances of dt that pw may intersect: the
 // probe index's matching buckets when pw bounds the probed column, none when
 // the template-level verdict excludes them all, else every instance. dt is
-// on pw's list in c.reach, so PossiblyDependent already holds or failed.
+// on pw's list in c.reach, so PossiblyDependent already holds or failed. An
+// empty template has nothing to sweep, so even an unparseable one fails no
+// sweep once its last page is gone.
 func (c *Cache) collectTemplate(sc *sweep, pw *analysis.PreparedWrite, dt *depTemplate, useProbes bool) error {
 	ds := dt.shard
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if dt.dead {
-		return nil // withdrawn empty since the list was read
+	if len(dt.instances) == 0 {
+		return nil
 	}
 	if dt.info == nil {
 		return dt.err
@@ -1128,8 +1128,10 @@ func (c *Cache) Snapshot() Stats {
 	for i := range c.depShards {
 		ds := &c.depShards[i]
 		ds.mu.Lock()
-		st.DepTemplates += len(ds.deps)
 		for _, dt := range ds.deps {
+			if len(dt.instances) > 0 {
+				st.DepTemplates++
+			}
 			st.DepInstances += len(dt.instances)
 		}
 		ds.mu.Unlock()
