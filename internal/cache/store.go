@@ -191,8 +191,7 @@ func sameInstance(a, b analysis.Query) bool {
 // cache, so the writes that can touch it find it without a scan and its
 // maps are reused when it fills again.
 type depTemplate struct {
-	shard *depShard // the stripe whose lock guards it
-	sql   string
+	shard *depShard              // the stripe whose lock guards it
 	info  *analysis.TemplateInfo // nil when the template is unparseable
 	err   error                  // why info is nil
 	// instances: argument key -> instance.
@@ -217,8 +216,8 @@ type probeBucket struct {
 	insts []*depInstance
 }
 
-func newDepTemplate(ds *depShard, sql string, info *analysis.TemplateInfo, err error) *depTemplate {
-	dt := &depTemplate{shard: ds, sql: sql, info: info, err: err, instances: make(map[string]*depInstance)}
+func newDepTemplate(ds *depShard, info *analysis.TemplateInfo, err error) *depTemplate {
+	dt := &depTemplate{shard: ds, info: info, err: err, instances: make(map[string]*depInstance)}
 	if info != nil {
 		for table, p := range info.Probes {
 			dt.probes = append(dt.probes, depProbe{table: table, col: p.Col, arg: p.ArgIndex,
@@ -650,7 +649,7 @@ func (c *Cache) linkDeps(sh *shard, key string, deps []analysis.Query) {
 			// engine; an unparseable template degrades to unindexed (nil info)
 			// and fails every sweep that reaches it.
 			info, err := c.opts.Engine.Template(d.SQL)
-			dt = newDepTemplate(ds, d.SQL, info, err)
+			dt = newDepTemplate(ds, info, err)
 			ds.deps[d.SQL] = dt
 			c.reach.Add(d.SQL, dt)
 		}
