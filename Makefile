@@ -20,7 +20,7 @@ COVER_FLOOR ?= 75
 FUZZTIME ?= 15s
 
 .PHONY: check ci fmtcheck build vet test race bench benchsmoke bench-gate \
-	experiments cluster-demo cover staticcheck govulncheck lint fuzz \
+	experiments cluster-demo cover staticcheck govulncheck lint fuzz fuzz-serving \
 	docs-check metricsdoc api-check apidoc bench-e2e benchmark-tests flake
 
 check: build vet race
@@ -102,6 +102,7 @@ benchsmoke:
 	$(GO) test -bench 'PeerFrame' -run '^$$' -benchtime 100x -benchmem ./internal/cluster
 	$(GO) test -bench 'StatementLog' -run '^$$' -benchtime 100x -benchmem ./internal/datasource/sqlite
 	$(GO) test -bench 'RenderTable' -run '^$$' -benchtime 100x -benchmem ./internal/servlet
+	$(GO) test -bench 'LoopbackHit' -run '^$$' -benchtime 100x -benchmem ./internal/serverutil
 
 # bench-gate re-runs the hit-path benchmarks and fails when any tracked
 # benchmark regresses >25% ns/op or allocates more per op than the
@@ -124,12 +125,12 @@ bench-e2e:
 benchmark-tests:
 	cd benchmark && $(GO) test ./...
 
-# fuzz runs every native fuzz target for $(FUZZTIME) each: the SQL-template
+# fuzz runs the native fuzz targets for $(FUZZTIME) each: the SQL-template
 # parser, the query analyzer's never-too-narrow soundness contract, the
 # cluster peer-protocol frame decoder, the disk tier's record decoders, the
 # shared-file statement log's replay and the servlet's in-place query
-# parameter reader. Seed corpora also run as plain
-# tests on every `go test`.
+# parameter reader (fuzz-serving has the other two). Seed corpora also run
+# as plain tests on every `go test`.
 fuzz:
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis -run '^$$' -fuzz FuzzAnalyze -fuzztime $(FUZZTIME)
@@ -137,6 +138,15 @@ fuzz:
 	$(GO) test ./internal/cache/l2 -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/datasource/sqlite -run '^$$' -fuzz FuzzReplayLog -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/servlet -run '^$$' -fuzz FuzzParam -fuzztime $(FUZZTIME)
+
+# fuzz-serving runs the serving path's fuzz targets for 10 s each: the
+# in-place page key against url.ParseQuery, and the data listener's
+# HTTP/1.1 loop against net/http's server on the same bytes (two loopback
+# connections per input, so far fewer inputs per second than the decoders
+# above). CI's fuzz-smoke job runs it after `make fuzz`.
+fuzz-serving:
+	$(GO) test ./internal/servlet -run '^$$' -fuzz FuzzPageKeyMatchesQuery -fuzztime 10s
+	$(GO) test ./internal/serverutil -run '^$$' -fuzz FuzzHTTP1Request -fuzztime 10s
 
 experiments:
 	$(GO) run ./cmd/experiments -fast

@@ -10,6 +10,16 @@
 // bench-gate:
 //
 //	benchjson -out BENCH_CI.json -baseline BENCH_2.json
+//
+// With -e2e it runs no benchmark: it folds the alternating end-to-end
+// pairs scripts/e2e-pairs.sh recorded into the end-to-end section of a
+// record — per workload and metric, both sides' median, quartiles and
+// sample count and the pairs the change won and lost, with the box
+// fingerprint and both commits. It takes the metric names from
+// BENCHMARK.json, so it runs from the repository root:
+//
+//	scripts/e2e-pairs.sh ../parent 10 3 browse-warm bid-mix
+//	benchjson -e2e e2e-pairs.jsonl -out BENCH_54.json
 package main
 
 import (
@@ -33,8 +43,12 @@ func run(args []string, out *os.File) error {
 	baseline := fs.String("baseline", "", "baseline BENCH_*.json to gate against (empty = no gate)")
 	maxRegress := fs.Float64("max-regress", bench.DefaultMaxRegress,
 		"allowed fractional ns/op regression vs the baseline before the gate fails")
+	e2e := fs.String("e2e", "", "fold this scripts/e2e-pairs.sh output into -out instead of running benchmarks")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *e2e != "" {
+		return writeE2E(*e2e, "BENCHMARK.json", *outPath, out)
 	}
 	recs, err := bench.WriteHitPathJSON(*outPath)
 	if err != nil {

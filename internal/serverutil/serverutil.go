@@ -1,9 +1,10 @@
 // Package serverutil is the shared boot wiring of the benchmark servers
 // (cmd/rubis-server, cmd/tpcw-server): the common flag set, the translation
-// from flags to facade configuration, and the serve loop with cluster
-// attachment, admin surface, signal handling and exit statistics. Each
-// server keeps only its application-specific pieces — seeding, weave rules
-// and any extra flags (rubis: -strategy, tpcw: -bestseller-window).
+// from flags to facade configuration, the serve loop with cluster
+// attachment, admin surface, signal handling and exit statistics, and the
+// data listener's HTTP/1.1 server (http1.go). Each server keeps only its
+// application-specific pieces — seeding, weave rules and any extra flags
+// (rubis: -strategy, tpcw: -bestseller-window).
 package serverutil
 
 import (
@@ -12,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -153,9 +155,11 @@ func ParseStrategy(s string) (autowebcache.Strategy, error) {
 }
 
 // Serve runs the woven handler to completion: attaches the cluster peer
-// tier and the admin surface per the flags, serves HTTP until SIGINT or a
-// listener error, then logs cache and cluster statistics. banner is logged
-// once serving starts.
+// tier and the admin surface per the flags, serves HTTP on the data
+// listener with the package's HTTP/1.1 loop (http1.go) until SIGINT,
+// SIGTERM or a listener error, then logs cache and cluster statistics.
+// banner is logged once serving starts. The admin listener stays on
+// net/http.
 func (f *Flags) Serve(rt *autowebcache.Runtime, handler *autowebcache.Woven, banner string) error {
 	node, err := rt.Cluster(handler, f.ClusterConfig())
 	if err != nil {
@@ -179,7 +183,11 @@ func (f *Flags) Serve(rt *autowebcache.Runtime, handler *autowebcache.Woven, ban
 		log.Printf("admin surface on %s (/metrics, /statsz, /healthz, /debug/pprof)", *f.MetricsListen)
 	}
 
-	srv := &http.Server{Addr: *f.Addr, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	ln, err := net.Listen("tcp", *f.Addr)
+	if err != nil {
+		return err
+	}
+	srv := newServer(handler)
 	// SIGTERM (the process supervisor's stop signal) must take the same
 	// graceful path as Ctrl-C: with a disk cache tier attached, only a
 	// graceful exit spills the in-memory tier and closes the journal, which
@@ -187,7 +195,7 @@ func (f *Flags) Serve(rt *autowebcache.Runtime, handler *autowebcache.Woven, ban
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.serve(ln) }()
 	log.Print(banner)
 
 	select {
@@ -198,7 +206,7 @@ func (f *Flags) Serve(rt *autowebcache.Runtime, handler *autowebcache.Woven, ban
 	case <-ctx.Done():
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
+		if err := srv.shutdownGracefully(shutdownCtx); err != nil {
 			return err
 		}
 	}

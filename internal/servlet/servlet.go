@@ -17,7 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,75 +56,106 @@ type HandlerInfo struct {
 }
 
 // PageKey returns the canonical cache identity of a request: path plus the
-// query parameters sorted by name (§3.3: pages are "indexed by the URI of
-// the client requests including the request arguments").
+// query parameters sorted by (name, value) (§3.3: pages are "indexed by the
+// URI of the client requests including the request arguments"). It walks
+// RawQuery in place with url.ParseQuery's rules — pairs holding ';' or a
+// bad escape are skipped, '+' and %XX are unescaped — and writes each pair
+// back url.QueryEscape'd, so the key is the same whatever the parameter
+// order or spelling, and building it allocates only the key itself.
 func PageKey(r *http.Request) string {
-	// url.Query() allocates an empty map even for a bare path; parameterless
-	// pages are common enough (and hit often enough) to skip the parse.
 	if r.URL.RawQuery == "" {
 		return r.URL.Path
 	}
-	return PageKeyOf(r.URL.Path, r.URL.Query())
+	kb := keyBufPool.Get().(*keyBuf)
+	pairs := kb.pairs[:0]
+	for q := r.URL.RawQuery; q != ""; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, ok := unescape(k)
+		if !ok {
+			continue
+		}
+		if v, ok = unescape(v); ok {
+			pairs = append(pairs, param{k, v})
+		}
+	}
+	key := r.URL.Path
+	if len(pairs) > 0 {
+		slices.SortFunc(pairs, func(a, b param) int {
+			if c := strings.Compare(a.name, b.name); c != 0 {
+				return c
+			}
+			return strings.Compare(a.value, b.value)
+		})
+		b := append(kb.buf[:0], key...)
+		sep := byte('?')
+		for _, p := range pairs {
+			b = append(b, sep)
+			sep = '&'
+			b = appendQueryEscape(b, p.name)
+			b = append(b, '=')
+			b = appendQueryEscape(b, p.value)
+		}
+		key = string(b)
+		kb.buf = b
+	}
+	clear(pairs) // the pool must not keep this request's strings alive
+	kb.pairs = pairs[:0]
+	keyBufPool.Put(kb)
+	return key
+}
+
+// param is one decoded query pair.
+type param struct{ name, value string }
+
+// appendQueryEscape appends url.QueryEscape(s) to b.
+func appendQueryEscape(b []byte, s string) []byte {
+	const hex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '_', c == '.', c == '~':
+			b = append(b, c)
+		case c == ' ':
+			b = append(b, '+')
+		default:
+			b = append(b, '%', hex[c>>4], hex[c&15])
+		}
+	}
+	return b
 }
 
 // SetHeader sets h[key] = [value] like http.Header.Set, but reuses the
-// existing value slice when the key is already present with a single value.
-// On a reused header map (steady-state benchmark writers, custom keep-alive
-// writers) that makes repeated serving allocation-free; under net/http each
-// request gets a fresh map, where the first set allocates as usual. key
-// must already be in textproto canonical form (e.g. "Content-Type",
-// "Etag") — no canonicalisation is performed.
+// existing value slice's backing array when it has room — including a
+// slice a keep-alive writer truncated to length 0 between requests, as the
+// data listener's loop (internal/serverutil) does. On such a reused header
+// map repeated serving is allocation-free; on a fresh map the first set
+// allocates as usual. key must already be in textproto canonical form
+// (e.g. "Content-Type", "Etag") — no canonicalisation is performed.
 func SetHeader(h http.Header, key, value string) {
-	if vs := h[key]; len(vs) == 1 {
+	if vs := h[key]; cap(vs) > 0 {
+		vs = vs[:1]
 		vs[0] = value
+		h[key] = vs
 		return
 	}
 	h[key] = []string{value}
 }
 
 // keyBuf is a pooled scratch buffer for page-key construction: the builder
-// bytes (and the small sort scratch) are reused across requests, so building
-// a key costs a single allocation — the final string itself.
+// bytes and the pair sort scratch are reused across requests, so building a
+// key costs a single allocation — the final string itself.
 type keyBuf struct {
-	buf  []byte
-	keys []string
+	buf   []byte
+	pairs []param
 }
 
 var keyBufPool = sync.Pool{
 	New: func() any { return &keyBuf{buf: make([]byte, 0, 128)} },
-}
-
-// PageKeyOf builds a canonical page key from a path and parameter set.
-func PageKeyOf(path string, params url.Values) string {
-	if len(params) == 0 {
-		return path
-	}
-	kb := keyBufPool.Get().(*keyBuf)
-	kb.keys = kb.keys[:0]
-	for k := range params {
-		kb.keys = append(kb.keys, k)
-	}
-	sort.Strings(kb.keys)
-	b := append(kb.buf[:0], path...)
-	sep := byte('?')
-	for _, k := range kb.keys {
-		vals := params[k]
-		if len(vals) > 1 {
-			vals = append([]string(nil), vals...)
-			sort.Strings(vals)
-		}
-		for _, v := range vals {
-			b = append(b, sep)
-			sep = '&'
-			b = append(b, url.QueryEscape(k)...)
-			b = append(b, '=')
-			b = append(b, url.QueryEscape(v)...)
-		}
-	}
-	key := string(b)
-	kb.buf = b
-	keyBufPool.Put(kb)
-	return key
 }
 
 // PageKeyWithCookies extends PageKey with the values of the named cookies.
@@ -141,10 +172,10 @@ func PageKeyWithCookies(r *http.Request, names []string) string {
 	b := append(kb.buf[:0], key...)
 	for _, name := range names {
 		b = append(b, ';')
-		b = append(b, url.QueryEscape(name)...)
+		b = appendQueryEscape(b, name)
 		b = append(b, '=')
 		if c, err := r.Cookie(name); err == nil {
-			b = append(b, url.QueryEscape(c.Value)...)
+			b = appendQueryEscape(b, c.Value)
 		}
 	}
 	key = string(b)

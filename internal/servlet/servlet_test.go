@@ -3,6 +3,7 @@ package servlet
 import (
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,21 +11,68 @@ import (
 )
 
 func TestPageKeyOrdering(t *testing.T) {
-	a := PageKeyOf("/p", url.Values{"z": {"1"}, "a": {"2"}})
+	a := PageKey(httptest.NewRequest("GET", "/p?z=1&a=2", nil))
 	if a != "/p?a=2&z=1" {
 		t.Fatalf("key: %q", a)
 	}
-	multi := PageKeyOf("/p", url.Values{"a": {"2", "1"}})
+	multi := PageKey(httptest.NewRequest("GET", "/p?a=2&a=1", nil))
 	if multi != "/p?a=1&a=2" {
 		t.Fatalf("multi-value key: %q", multi)
 	}
 }
 
 func TestPageKeyEscapes(t *testing.T) {
-	k := PageKeyOf("/p", url.Values{"q": {"a b&c"}})
+	k := PageKey(httptest.NewRequest("GET", "/p?q=a%20b%26c", nil))
 	if !strings.Contains(k, "a+b%26c") {
 		t.Fatalf("key not escaped: %q", k)
 	}
+}
+
+// pageKeyOf is the reference page key: the path, then the pairs
+// url.ParseQuery yields, sorted by name and then value, QueryEscape'd.
+func pageKeyOf(path string, params url.Values) string {
+	if len(params) == 0 {
+		return path
+	}
+	var pairs [][2]string
+	for k, vs := range params {
+		for _, v := range vs {
+			pairs = append(pairs, [2]string{k, v})
+		}
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i][0] != pairs[j][0] {
+			return pairs[i][0] < pairs[j][0]
+		}
+		return pairs[i][1] < pairs[j][1]
+	})
+	var b strings.Builder
+	b.WriteString(path)
+	for i, p := range pairs {
+		b.WriteByte("?&"[min(i, 1)])
+		b.WriteString(url.QueryEscape(p[0]) + "=" + url.QueryEscape(p[1]))
+	}
+	return b.String()
+}
+
+// FuzzPageKeyMatchesQuery: PageKey, which walks RawQuery in place, builds
+// the key the url.ParseQuery reading of the same query gives.
+func FuzzPageKeyMatchesQuery(f *testing.F) {
+	for _, seed := range []string{
+		"itemId=7", "b=2&a=1", "a=2&a=1&a=2", "q=a+b%20c", "a%3Db=c", "=v&x=1",
+		"&&a&a=&a=1", "a=1;b=2&c=3", "x=%zz&y=1", "%zz=1", "k=%E2%82%AC", "k=%e9",
+		"a=1&a=1", "~._-=~._-", "z&y&x", "a=b=c",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		r := httptest.NewRequest("GET", "/p", nil)
+		r.URL.RawQuery = raw
+		params, _ := url.ParseQuery(raw) // pairs it cannot parse are skipped, as PageKey skips them
+		if got, want := PageKey(r), pageKeyOf("/p", params); got != want {
+			t.Fatalf("PageKey(%q) = %q, want %q", raw, got, want)
+		}
+	})
 }
 
 func TestPageKeyFromRequest(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,7 +80,10 @@ func (r Rules) apply(h servlet.HandlerInfo) servlet.HandlerInfo {
 // Woven is a cache-enabled web application: every handler wrapped with the
 // appropriate advice, sharing one page cache and one statistics collector.
 type Woven struct {
-	mux        *http.ServeMux
+	mux *http.ServeMux
+	// exact maps each registered plain path to its advice, so a request
+	// for one skips the mux's pattern matching (see ServeHTTP).
+	exact      map[string]http.Handler
 	cache      *cache.Cache
 	stats      *Stats
 	handlers   []servlet.HandlerInfo
@@ -123,6 +127,7 @@ func (w *Woven) pageKey(r *http.Request) string {
 func New(handlers []servlet.HandlerInfo, c *cache.Cache, rules Rules) (*Woven, error) {
 	w := &Woven{
 		mux:        http.NewServeMux(),
+		exact:      make(map[string]http.Handler, len(handlers)),
 		cache:      c,
 		stats:      NewStats(),
 		keyCookies: append([]string(nil), rules.KeyCookies...),
@@ -151,20 +156,28 @@ func New(handlers []servlet.HandlerInfo, c *cache.Cache, rules Rules) (*Woven, e
 		}
 		seen[h.Path] = true
 		w.handlers = append(w.handlers, h)
+		var advice http.Handler
 		switch {
 		case c == nil:
-			w.mux.Handle(h.Path, w.passthrough(h))
+			advice = w.passthrough(h)
 		case h.Write:
-			w.mux.Handle(h.Path, w.afterAdvice(h))
+			advice = w.afterAdvice(h)
 		case rules.Fragments && len(h.Fragments) > 0:
 			segs := w.keySegments(h.Fragments)
 			w.routes[h.Path] = route{h: h, segs: segs}
-			w.mux.Handle(h.Path, w.fragmentAdvice(h, segs))
+			advice = w.fragmentAdvice(h, segs)
 		case h.Uncacheable:
-			w.mux.Handle(h.Path, w.uncacheable(h))
+			advice = w.uncacheable(h)
 		default:
 			w.routes[h.Path] = route{h: h}
-			w.mux.Handle(h.Path, w.aroundAdvice(h))
+			advice = w.aroundAdvice(h)
+		}
+		w.mux.Handle(h.Path, advice)
+		// A plain path is the most specific pattern matching itself, so
+		// the mux would pick this advice for it too. Patterns with a
+		// method, host or wildcard stay with the mux.
+		if strings.HasPrefix(h.Path, "/") && !strings.ContainsAny(h.Path, " {") {
+			w.exact[h.Path] = advice
 		}
 	}
 	return w, nil
@@ -193,8 +206,16 @@ func validateFragments(h servlet.HandlerInfo) error {
 	return nil
 }
 
-// ServeHTTP dispatches to the woven handlers.
+// ServeHTTP dispatches to the woven handlers: a request for a registered
+// path goes straight to its advice; anything else — an unregistered path
+// falling to a catch-all such as RUBiS's "/", a path the mux cleans and
+// redirects, a 404 — goes through the ServeMux, as every request once did.
 func (w *Woven) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	if h, ok := w.exact[r.URL.Path]; ok {
+		r.Pattern = r.URL.Path
+		h.ServeHTTP(rw, r)
+		return
+	}
 	w.mux.ServeHTTP(rw, r)
 }
 
