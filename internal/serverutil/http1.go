@@ -692,8 +692,10 @@ func (c *conn) newContext() {
 // when the connection closes. A connection reuses it for its next request
 // while nobody has asked it Done or Err; one that was asked may be held
 // past its request, so it stays done and the next request gets a new one.
-// Its Done channel is made only when asked for, so a request nobody waits
-// on (a hit) costs no channel and no context.
+// (One held unasked and first asked once the next request has begun reads
+// that request's state; the woven handlers keep no context past their
+// return.) Its Done channel is made only when asked for, so a request
+// nobody waits on (a hit) costs no channel and no context.
 type requestContext struct {
 	mu    sync.Mutex
 	done  chan struct{}
