@@ -22,8 +22,8 @@ import (
 )
 
 // Experiment benchmarks: one per paper table/figure, each regenerating the
-// experiment at the Fast effort. Run `cmd/experiments` for the full-effort
-// tables recorded in EXPERIMENTS.md.
+// experiment at the Fast effort. `go run ./cmd/experiments` prints the
+// full-effort tables.
 
 func benchFigure(b *testing.B, fn func(bench.Params) (*bench.Table, error)) {
 	b.Helper()

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments                # run everything at full effort
-//	experiments -fig 13        # run one experiment (4, 13..20, A, B)
+//	experiments -fig 13        # run one experiment (4, 13..20, A, B, P, H, CL, F)
 //	experiments -fast          # small parameters (quick smoke run)
 //	experiments -root DIR      # repository root for the fig. 20 LoC scan
 package main

@@ -279,7 +279,7 @@ func TestProbeKeysWithAffectedRows(t *testing.T) {
 
 func TestProbeKeyNumericStrings(t *testing.T) {
 	if ProbeKey(int64(5)) != ProbeKey("5") {
-		t.Fatal("numeric string must share the int key (memdb.Compare equality)")
+		t.Fatal("numeric string must share the int key (datasource.Compare equality)")
 	}
 	if ProbeKey(5.0) != ProbeKey(int64(5)) {
 		t.Fatal("float and int keys must match for integral values")

@@ -30,7 +30,7 @@ func roleOf(rel string) string {
 		return "Substrate (database engine, SQL parser, servlet layer)"
 	case strings.HasPrefix(rel, "internal/workload"),
 		strings.HasPrefix(rel, "internal/bench"),
-		strings.HasPrefix(rel, "cmd/"), strings.HasPrefix(rel, "examples/"):
+		strings.HasPrefix(rel, "cmd/"):
 		return "Harness (client emulator, experiments, tools)"
 	default:
 		return ""
@@ -105,7 +105,7 @@ func countFileLines(path string) (int, error) {
 // paper's maintainability argument.
 func Fig20(root string) (*Table, error) {
 	byRole := make(map[string]int)
-	for _, sub := range []string{"internal", "cmd", "examples"} {
+	for _, sub := range []string{"internal", "cmd"} {
 		base := filepath.Join(root, sub)
 		entries, err := os.ReadDir(base)
 		if err != nil {

@@ -38,8 +38,8 @@ type Params struct {
 	Seed int64
 }
 
-// Full returns the experiment parameters used for EXPERIMENTS.md: the
-// paper's client axes with scaled think time and dataset.
+// Full returns the experiment parameters `go run ./cmd/experiments` uses by
+// default: the paper's client axes with scaled think time and dataset.
 func Full() Params {
 	return Params{
 		RubisClients: []int{100, 250, 500, 750, 1000},

@@ -24,7 +24,7 @@ func TestValueRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, vals) {
 		t.Fatalf("round trip: %#v != %#v", got, vals)
 	}
-	// int64 must stay int64 (memdb.Equal(int64, float64) holds, but
+	// int64 must stay int64 (datasource.Equal(int64, float64) holds, but
 	// KeyOfValues keys and probe indexes depend on canonical types).
 	if _, ok := got[1].(int64); !ok {
 		t.Fatalf("int64 decayed to %T", got[1])

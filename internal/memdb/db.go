@@ -216,7 +216,7 @@ func (db *DB) Query(ctx context.Context, sql string, args ...any) (*Rows, error)
 	if _, ok := s.parsed.(*sqlparser.SelectStmt); !ok {
 		return nil, fmt.Errorf("memdb: Query requires SELECT, got %T", s.parsed)
 	}
-	vals, err := NormalizeAll(args)
+	vals, err := datasource.NormalizeAll(args)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +243,7 @@ func (db *DB) Exec(ctx context.Context, sql string, args ...any) (Result, error)
 	if err != nil {
 		return Result{}, err
 	}
-	vals, err := NormalizeAll(args)
+	vals, err := datasource.NormalizeAll(args)
 	if err != nil {
 		return Result{}, err
 	}

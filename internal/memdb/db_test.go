@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"autowebcache/internal/datasource"
 )
 
 func testDB(t *testing.T) *DB {
@@ -623,17 +625,17 @@ func TestRowsHelpers(t *testing.T) {
 func TestNormalize(t *testing.T) {
 	good := []any{nil, 5, int64(5), int32(5), uint(5), float32(1.5), 1.5, true, "s"}
 	for _, v := range good {
-		if _, err := Normalize(v); err != nil {
+		if _, err := datasource.Normalize(v); err != nil {
 			t.Errorf("Normalize(%v): %v", v, err)
 		}
 	}
-	if v, _ := Normalize(true); v != int64(1) {
+	if v, _ := datasource.Normalize(true); v != int64(1) {
 		t.Errorf("true -> %v", v)
 	}
-	if _, err := Normalize(struct{}{}); err == nil {
+	if _, err := datasource.Normalize(struct{}{}); err == nil {
 		t.Error("expected error for struct")
 	}
-	if _, err := Normalize(uint64(1 << 63)); err == nil {
+	if _, err := datasource.Normalize(uint64(1 << 63)); err == nil {
 		t.Error("expected overflow error")
 	}
 }
@@ -655,20 +657,20 @@ func TestCompareMixedTypes(t *testing.T) {
 		{"10", int64(9), 1},
 	}
 	for _, c := range cases {
-		if got := Compare(c.a, c.b); got != c.want {
+		if got := datasource.Compare(c.a, c.b); got != c.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestKeyStringUnifiesIntFloat(t *testing.T) {
-	if KeyString(int64(5)) != KeyString(5.0) {
+	if datasource.KeyString(int64(5)) != datasource.KeyString(5.0) {
 		t.Fatal("int/float keys differ for equal values")
 	}
-	if KeyString("5") == KeyString(int64(5)) {
+	if datasource.KeyString("5") == datasource.KeyString(int64(5)) {
 		t.Fatal("string '5' must not collide with int 5")
 	}
-	if KeyString(nil) == KeyString("") {
+	if datasource.KeyString(nil) == datasource.KeyString("") {
 		t.Fatal("nil must not collide with empty string")
 	}
 }

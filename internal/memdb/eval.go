@@ -121,7 +121,7 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return boolVal(!IsTruthy(inner)), nil
+		return boolVal(!datasource.IsTruthy(inner)), nil
 	case *sqlparser.NegExpr:
 		inner, err := e.eval(v.Expr)
 		if err != nil {
@@ -148,7 +148,7 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 				return nil, fmt.Errorf("memdb: IN-subquery was not pre-resolved")
 			}
 			for _, iv := range vals {
-				if Equal(left, iv) {
+				if datasource.Equal(left, iv) {
 					match = true
 					break
 				}
@@ -160,7 +160,7 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			if Equal(left, iv) {
+			if datasource.Equal(left, iv) {
 				match = true
 				break
 			}
@@ -182,7 +182,7 @@ func (e *env) eval(x sqlparser.Expr) (Value, error) {
 		if left == nil || lo == nil || hi == nil {
 			return boolVal(v.Not), nil
 		}
-		in := Compare(left, lo) >= 0 && Compare(left, hi) <= 0
+		in := datasource.Compare(left, lo) >= 0 && datasource.Compare(left, hi) <= 0
 		return boolVal(in != v.Not), nil
 	case *sqlparser.LikeExpr:
 		left, err := e.eval(v.Left)
@@ -282,9 +282,9 @@ func (e *env) evalBinary(v *sqlparser.BinaryExpr) (Value, error) {
 // shortCircuit decides AND and OR from their left operand when it can.
 func shortCircuit(op sqlparser.BinaryOp, l Value) (Value, bool) {
 	switch {
-	case op == sqlparser.OpAnd && !IsTruthy(l):
+	case op == sqlparser.OpAnd && !datasource.IsTruthy(l):
 		return boolVal(false), true
-	case op == sqlparser.OpOr && IsTruthy(l):
+	case op == sqlparser.OpOr && datasource.IsTruthy(l):
 		return boolVal(true), true
 	}
 	return nil, false
@@ -294,14 +294,14 @@ func shortCircuit(op sqlparser.BinaryOp, l Value) (Value, bool) {
 func applyBinary(op sqlparser.BinaryOp, l, r Value) (Value, error) {
 	switch op {
 	case sqlparser.OpAnd, sqlparser.OpOr:
-		return boolVal(IsTruthy(r)), nil
+		return boolVal(datasource.IsTruthy(r)), nil
 	}
 	if op.IsComparison() {
 		// SQL NULL: any comparison with NULL is false.
 		if l == nil || r == nil {
 			return boolVal(false), nil
 		}
-		c := Compare(l, r)
+		c := datasource.Compare(l, r)
 		switch op {
 		case sqlparser.OpEq:
 			return boolVal(c == 0), nil
@@ -336,8 +336,8 @@ func arith(op sqlparser.BinaryOp, l, r Value) (Value, error) {
 			return li * ri, nil
 		}
 	}
-	lf, ok1 := ToFloat(l)
-	rf, ok2 := ToFloat(r)
+	lf, ok1 := datasource.ToFloat(l)
+	rf, ok2 := datasource.ToFloat(r)
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("memdb: non-numeric operand for %v", op)
 	}

@@ -159,7 +159,7 @@ func (db *DB) selectRun(r *run) (*Rows, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if !IsTruthy(v) {
+		if !datasource.IsTruthy(v) {
 			rows, err := r.out.finish()
 			return rows, subScanned, err
 		}
@@ -291,7 +291,7 @@ func (r *run) match(k, skip int, row []Value) (bool, error) {
 			continue
 		}
 		v, err := r.ev.evalBound(c)
-		if err != nil || !IsTruthy(v) {
+		if err != nil || !datasource.IsTruthy(v) {
 			return false, err
 		}
 	}
@@ -499,7 +499,7 @@ func (p *projection) finish() (*Rows, error) {
 				if err != nil {
 					return nil, err
 				}
-				if !IsTruthy(v) {
+				if !datasource.IsTruthy(v) {
 					continue
 				}
 			}
@@ -532,7 +532,7 @@ func (p *projection) finish() (*Rows, error) {
 		seen := make(map[string]bool, len(order))
 		kept := order[:0]
 		for _, c := range order {
-			if k := KeyOfValues(p.outOf(c)); !seen[k] {
+			if k := datasource.KeyOfValues(p.outOf(c)); !seen[k] {
 				seen[k] = true
 				kept = append(kept, c)
 			}
@@ -600,7 +600,7 @@ func evalLimit(l *sqlparser.Limit, ev *env) (count, offset int, err error) {
 
 // limitInt converts a LIMIT count or offset, saturating at math.MaxInt.
 func limitInt(v Value, what string) (int, error) {
-	f, ok := ToFloat(v)
+	f, ok := datasource.ToFloat(v)
 	if !ok || !(f >= 0) {
 		return 0, fmt.Errorf("memdb: bad LIMIT %s %v", what, v)
 	}
@@ -659,7 +659,7 @@ func (p *projection) keys(dst, out []Value) error {
 // compareKeys orders two ORDER BY key tuples.
 func compareKeys(order []sqlparser.OrderItem, a, b []Value) int {
 	for i := range order {
-		if c := Compare(a[i], b[i]); c != 0 {
+		if c := datasource.Compare(a[i], b[i]); c != 0 {
 			if order[i].Desc {
 				return -c
 			}
@@ -782,7 +782,7 @@ func (t *topK) excludes(v Value) bool {
 	if n := len(t.heap); n == 0 || n < t.k {
 		return false
 	}
-	c := Compare(v, t.heap[0].keys[0])
+	c := datasource.Compare(v, t.heap[0].keys[0])
 	if t.order[0].Desc {
 		c = -c
 	}
@@ -937,12 +937,12 @@ func (a *aggAcc) observe(ev *env, f *sqlparser.FuncExpr, col colSlot) error {
 			a.count++
 			return nil
 		case "MIN":
-			if a.min == nil || Compare(v, a.min) < 0 {
+			if a.min == nil || datasource.Compare(v, a.min) < 0 {
 				a.min = v
 			}
 			return nil
 		case "MAX":
-			if a.max == nil || Compare(v, a.max) > 0 {
+			if a.max == nil || datasource.Compare(v, a.max) > 0 {
 				a.max = v
 			}
 			return nil
@@ -952,14 +952,14 @@ func (a *aggAcc) observe(ev *env, f *sqlparser.FuncExpr, col colSlot) error {
 		if a.distinct == nil {
 			a.distinct = make(map[string]bool)
 		}
-		k := KeyString(v)
+		k := datasource.KeyString(v)
 		if a.distinct[k] {
 			return nil
 		}
 		a.distinct[k] = true
 	}
 	a.count++
-	if fv, ok := ToFloat(v); ok {
+	if fv, ok := datasource.ToFloat(v); ok {
 		a.sumF += fv
 		if iv, isInt := v.(int64); isInt {
 			if a.count == 1 {
@@ -970,10 +970,10 @@ func (a *aggAcc) observe(ev *env, f *sqlparser.FuncExpr, col colSlot) error {
 			a.sumInt = false
 		}
 	}
-	if a.min == nil || Compare(v, a.min) < 0 {
+	if a.min == nil || datasource.Compare(v, a.min) < 0 {
 		a.min = v
 	}
-	if a.max == nil || Compare(v, a.max) > 0 {
+	if a.max == nil || datasource.Compare(v, a.max) > 0 {
 		a.max = v
 	}
 	return nil

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"autowebcache/internal/datasource"
 )
 
 func TestCoerceStringNumerics(t *testing.T) {
@@ -332,12 +334,12 @@ func TestIsTruthyValues(t *testing.T) {
 	truthy := []Value{int64(1), int64(-1), 0.5, "x"}
 	falsy := []Value{nil, int64(0), 0.0, ""}
 	for _, v := range truthy {
-		if !IsTruthy(v) {
+		if !datasource.IsTruthy(v) {
 			t.Errorf("IsTruthy(%v) = false", v)
 		}
 	}
 	for _, v := range falsy {
-		if IsTruthy(v) {
+		if datasource.IsTruthy(v) {
 			t.Errorf("IsTruthy(%v) = true", v)
 		}
 	}

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"autowebcache/internal/datasource"
 )
 
 // refRow mirrors a row natively so expected results can be computed without
@@ -243,19 +245,19 @@ func TestIndexScanEquivalence(t *testing.T) {
 // TestCompareProperties checks ordering laws with testing/quick.
 func TestCompareProperties(t *testing.T) {
 	antisym := func(a, b int64) bool {
-		return Compare(a, b) == -Compare(b, a)
+		return datasource.Compare(a, b) == -datasource.Compare(b, a)
 	}
 	if err := quick.Check(antisym, nil); err != nil {
 		t.Error(err)
 	}
 	reflexive := func(a float64) bool {
-		return Compare(a, a) == 0
+		return datasource.Compare(a, a) == 0
 	}
 	if err := quick.Check(reflexive, nil); err != nil {
 		t.Error(err)
 	}
 	stringsOrdered := func(a, b string) bool {
-		c := Compare(a, b)
+		c := datasource.Compare(a, b)
 		switch {
 		case a < b:
 			return c == -1
@@ -269,7 +271,7 @@ func TestCompareProperties(t *testing.T) {
 		t.Error(err)
 	}
 	crossNumeric := func(a int64, b float64) bool {
-		return Compare(a, b) == -Compare(b, a)
+		return datasource.Compare(a, b) == -datasource.Compare(b, a)
 	}
 	if err := quick.Check(crossNumeric, nil); err != nil {
 		t.Error(err)
@@ -281,18 +283,18 @@ func TestCompareProperties(t *testing.T) {
 func TestKeyStringInjective(t *testing.T) {
 	ints := func(a, b int64) bool {
 		if a == b {
-			return KeyString(a) == KeyString(b)
+			return datasource.KeyString(a) == datasource.KeyString(b)
 		}
-		return KeyString(a) != KeyString(b)
+		return datasource.KeyString(a) != datasource.KeyString(b)
 	}
 	if err := quick.Check(ints, nil); err != nil {
 		t.Error(err)
 	}
 	strs := func(a, b string) bool {
 		if a == b {
-			return KeyString(a) == KeyString(b)
+			return datasource.KeyString(a) == datasource.KeyString(b)
 		}
-		return KeyString(a) != KeyString(b)
+		return datasource.KeyString(a) != datasource.KeyString(b)
 	}
 	if err := quick.Check(strs, nil); err != nil {
 		t.Error(err)
@@ -372,7 +374,7 @@ func checkIndexes(t *testing.T, db *DB, name string) {
 		check := func(key Value, ids []int) {
 			for i, id := range ids {
 				row := tbl.rows[id]
-				if row == nil || seen[id] || Compare(row[ix.col], key) != 0 {
+				if row == nil || seen[id] || datasource.Compare(row[ix.col], key) != 0 {
 					t.Fatalf("index on column %d: bucket %v holds row %d %v twice, deleted or misfiled", ix.col, key, id, row)
 				}
 				seen[id] = true
@@ -380,7 +382,7 @@ func checkIndexes(t *testing.T, db *DB, name string) {
 					continue
 				}
 				prev := ids[i-1]
-				if c := Compare(tbl.rows[prev][ix.order], row[ix.order]); c > 0 || c == 0 && prev > id {
+				if c := datasource.Compare(tbl.rows[prev][ix.order], row[ix.order]); c > 0 || c == 0 && prev > id {
 					t.Fatalf("index on column %d by %d: bucket %v has row %d %v before row %d %v", ix.col, ix.order, key, prev, tbl.rows[prev], id, row)
 				}
 			}

@@ -119,7 +119,7 @@ func (ix *hashIndex) remove(rows [][]Value, rowID int) {
 func (ix *hashIndex) search(rows [][]Value, ids []int, rowID int) (int, bool) {
 	o := rows[rowID][ix.order]
 	return slices.BinarySearchFunc(ids, rowID, func(id, _ int) int {
-		if c := Compare(rows[id][ix.order], o); c != 0 {
+		if c := datasource.Compare(rows[id][ix.order], o); c != 0 {
 			return c
 		}
 		return cmp.Compare(id, rowID)
@@ -145,13 +145,13 @@ func (ix *hashIndex) probe(v Value) ([]int, bool) {
 		}
 		// Integers compare with a float as float64(i) does, which is
 		// one-to-one only below 2^53.
-		f, ok := ToFloat(v)
+		f, ok := datasource.ToFloat(v)
 		if !ok || f != math.Trunc(f) || math.Abs(f) >= 1<<53 {
 			return nil, false
 		}
 		return ix.ints[int64(f)], true
 	default:
-		f, ok := ToFloat(v)
+		f, ok := datasource.ToFloat(v)
 		if !ok || math.IsNaN(f) || ix.nans > 0 {
 			return nil, false
 		}

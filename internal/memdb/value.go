@@ -74,31 +74,7 @@ package memdb
 import "autowebcache/internal/datasource"
 
 // Value is a database value: int64, float64, string or nil (SQL NULL).
-// It is the canonical datasource representation; the helpers below forward
-// to the datasource package so existing memdb callers keep compiling.
+// It is the canonical datasource representation, aliased so memdb's code
+// names it unqualified; its helpers (Normalize, Compare, Equal, KeyString,
+// IsTruthy, ToFloat …) live in package datasource.
 type Value = datasource.Value
-
-// Normalize converts convenient Go values (int, int32, uint, bool, float32…)
-// to the canonical Value representation.
-func Normalize(v any) (Value, error) { return datasource.Normalize(v) }
-
-// NormalizeAll normalises a slice of arguments.
-func NormalizeAll(args []any) ([]Value, error) { return datasource.NormalizeAll(args) }
-
-// Compare orders two values with datasource semantics.
-func Compare(a, b Value) int { return datasource.Compare(a, b) }
-
-// Equal reports whether two values are equal (NULL equals nothing).
-func Equal(a, b Value) bool { return datasource.Equal(a, b) }
-
-// KeyString renders a value as a map key.
-func KeyString(v Value) string { return datasource.KeyString(v) }
-
-// KeyOfValues renders a composite key for a value tuple.
-func KeyOfValues(vs []Value) string { return datasource.KeyOfValues(vs) }
-
-// IsTruthy reports whether a value counts as true in a WHERE context.
-func IsTruthy(v Value) bool { return datasource.IsTruthy(v) }
-
-// ToFloat converts a numeric value to float64.
-func ToFloat(v Value) (f float64, ok bool) { return datasource.ToFloat(v) }

@@ -6,8 +6,9 @@
 #   2. docs/METRICS.md matches the live telemetry registry
 #      (cmd/metricsdoc -check).
 #   3. Every Go code block in the quickstart-bearing docs still refers to
-#      identifiers the package exports (spot-checked by building the repo,
-#      which includes examples/ and the doc-driven tests).
+#      identifiers the package exports (spot-checked by building the repo;
+#      the runnable examples are the Example functions in example_test.go,
+#      which go test runs and checks against their // Output: lines).
 #
 # Run via `make docs-check`; CI runs it as the docs-check job.
 set -euo pipefail
@@ -39,8 +40,8 @@ if ! go run ./cmd/metricsdoc -check docs/METRICS.md; then
   fail=1
 fi
 
-# --- 3. documented commands/examples still build -------------------------
-echo "docs-check: building the repo (examples included)"
+# --- 3. documented commands still build ----------------------------------
+echo "docs-check: building the repo"
 if ! go build ./...; then
   fail=1
 fi
