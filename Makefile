@@ -61,11 +61,19 @@ race:
 # and with other arguments), and the packages holding
 # the miss protocol, the epoch guard, the shared-file driver and the peer
 # transport under the cluster's chaos and property harnesses — plain and
-# under the race detector.
+# under the race detector. The root package's Examples (the three-node
+# cluster's ring follows its ephemeral ports, the semantic window races the
+# clock) run from a compiled test binary 20 times, since `go test -count`
+# runs an Example only once.
 # `go test` judges counts, bytes, allocations and invariants, never timing,
 # so a failure here is a bug, not noise.
 flake:
+	@mkdir -p bin
 	for race in "" -race; do \
+	  $(GO) test $$race -c -o bin/examples$$race.test . && \
+	  for i in $$(seq 20); do \
+	    ./bin/examples$$race.test -test.run '^Example' > bin/examples.out || { cat bin/examples.out; exit 1; }; \
+	  done && \
 	  $(GO) test $$race -count=20 -run 'TestFig13CacheWins|TestFig14CacheWins|TestFig15SemanticsHelps' ./internal/bench && \
 	  $(GO) test $$race -count=200 -run TestConcurrentUseWithScrapes ./internal/telemetry && \
 	  $(GO) test $$race -count=20 -run TestSnapshotRatiosNeverExceedOne ./internal/weave && \

@@ -501,7 +501,7 @@ func BenchmarkCacheSweep(b *testing.B) {
 // count over the runs is judged, since the race detector makes sync.Pool
 // drop the recycled scratch at random.
 func TestCacheSweepAllocs(t *testing.T) {
-	want := map[string]uint64{"OneCapture": 6, "StoreBid": 32}
+	want := map[string]uint64{"OneCapture": 6, "StoreBid": 31}
 	f := newSweepFixture(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range f.sweepCases() {

@@ -49,6 +49,10 @@ func (s Strategy) String() string {
 type Query struct {
 	SQL  string
 	Args []datasource.Value
+	// Window is what the run showed, for a template with a window
+	// (TemplateInfo.WindowOf); nil otherwise, or when it is not known — a
+	// dependency that crossed the peer wire or the disk tier carries none.
+	Window *Window
 }
 
 // WriteCapture is a write query enriched with the consistency information
@@ -61,6 +65,9 @@ type WriteCapture struct {
 	// Affected holds the pre-write values of the rows the write touches
 	// (full rows, column names in Cols). nil when not captured.
 	Affected *datasource.Rows
+	// joined holds, for an INSERT under StrategyExtraQuery, the rows of
+	// other tables its new row references by key (see CaptureJoined).
+	joined []joinedRows
 	// AutoID is the auto-increment key assigned to a single-row INSERT,
 	// learned after execution. It lets the analysis bind the otherwise
 	// unknowable key column — and, because the value is fresh, exonerate
@@ -89,6 +96,9 @@ type Engine struct {
 	mu        sync.RWMutex
 	templates map[string]*TemplateInfo
 	pairs     map[[2]string]bool // template-level possible-dependency results, keyed by {read, write}
+	// joins maps a table to the join references analysed reads make on its
+	// columns (see CaptureJoined).
+	joins map[string][]joinRef
 	// canon memoises raw SQL -> canonical template text; a sync.Map keeps
 	// the per-query hot path lock-free once a statement has been seen.
 	canon sync.Map
@@ -116,6 +126,7 @@ func NewEngine(strategy Strategy, schema Schema) (*Engine, error) {
 		schema:    schema,
 		templates: make(map[string]*TemplateInfo),
 		pairs:     make(map[[2]string]bool),
+		joins:     make(map[string][]joinRef),
 	}, nil
 }
 
@@ -152,6 +163,9 @@ func (e *Engine) Template(sql string) (*TemplateInfo, error) {
 		return nil, err
 	}
 	e.mu.Lock()
+	if _, seen := e.templates[info.SQL]; !seen {
+		e.registerJoins(info)
+	}
 	// Keep the canonical text as an additional key so repeated analyses of
 	// equivalent spellings hit the cache.
 	e.templates[sql] = info
@@ -253,6 +267,13 @@ type PreparedWrite struct {
 	whereVals []colValue // write WHERE equality bindings
 	autoCol   string     // fresh auto-increment column ("" if none)
 	fresh     map[string]bool
+
+	// An UPDATE's written keys on its table's key column keyCol, when
+	// keysKnown (see prepareKeys); keyBuf holds one without allocating.
+	keyCol    string
+	keys      []int64
+	keyBuf    [1]int64
+	keysKnown bool
 }
 
 // colValue is one column bound to a value.
@@ -278,6 +299,11 @@ func (e *Engine) PrepareWrite(w WriteCapture) (*PreparedWrite, error) {
 			if _, explicit := wi.InsertVals[ai.name]; !explicit {
 				pw.autoCol, pw.fresh = ai.name, ai.fresh
 			}
+		}
+	}
+	if wi.Kind == KindUpdate {
+		if ai, ok := e.autoIncrementColumn(pw.table); ok {
+			pw.prepareKeys(ai.name)
 		}
 	}
 	return pw, nil
@@ -307,21 +333,32 @@ func (pw *PreparedWrite) Intersects(read Query) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return pw.IntersectsDependent(ri, read.Args), nil
+	hit, _ := pw.IntersectsDependent(ri, read.Args, read.Window)
+	return hit, nil
 }
 
-// IntersectsDependent is Intersects for an instance (args) of read template
-// ri that PossiblyDependent already found dependent on the write — the case
-// of a sweep, whose candidates come from the write template's list
-// (Reach) — so no template is looked up by its text.
-func (pw *PreparedWrite) IntersectsDependent(ri *TemplateInfo, args []datasource.Value) bool {
+// IntersectsDependent is Intersects for an instance (args, and the window
+// win a run of it showed, or nil) of read template ri that
+// PossiblyDependent already found dependent on the write — the case of a
+// sweep, whose candidates come from the write template's list (Reach) — so
+// no template is looked up by its text. spared reports an instance the
+// value test alone would have intersected but whose window the write
+// provably leaves as it is (see window.go). ColumnOnly ignores windows, as
+// it ignores values.
+func (pw *PreparedWrite) IntersectsDependent(ri *TemplateInfo, args []datasource.Value, win *Window) (hit, spared bool) {
 	e := pw.e
-	if e.strategy != StrategyColumnOnly && pw.intersectTri(ri, args) == False {
-		e.exonerations.Add(1)
-		return false
+	if e.strategy != StrategyColumnOnly {
+		if pw.intersectTri(ri, args) == False {
+			e.exonerations.Add(1)
+			return false, false
+		}
+		if win != nil && ri.window != nil && pw.windowSpares(ri.window, win) {
+			e.exonerations.Add(1)
+			return false, true
+		}
 	}
 	e.intersections.Add(1)
-	return true
+	return true, false
 }
 
 // ExcludesTemplate reports whether no instance of the read template can
@@ -384,8 +421,14 @@ func (pw *PreparedWrite) intersectTri(ri *TemplateInfo, readArgs []datasource.Va
 	case KindInsert:
 		// The inserted row's values are known from the template + args; a
 		// learned auto-increment key additionally counts as fresh
-		// (unreferenced by existing rows of other tables).
-		return EvalReadPredFresh(ri, pw.table, readArgs, pw.insertBinding, pw.fresh, e.schema)
+		// (unreferenced by existing rows of other tables), and the rows it
+		// joins by key were read after it (CaptureJoined).
+		if ri.ReadPred == nil {
+			return True
+		}
+		pe := &predEvaluator{read: ri, target: pw.table, args: readArgs, binding: pw.insertBinding,
+			fresh: pw.fresh, schema: e.schema, insert: pw}
+		return pe.tri(ri.ReadPred)
 
 	case KindUpdate, KindDelete:
 		// Precise path: test the read predicate against each captured row.

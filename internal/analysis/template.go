@@ -140,6 +140,14 @@ type TemplateInfo struct {
 	// every instance whose probe value a write cannot touch.
 	Probes map[string]Probe
 
+	// joinRefs are, for a SELECT, its top-level joins to another table's
+	// key that an INSERT's capture resolves (see joinRef).
+	joinRefs []joinRef
+
+	// window is, for a SELECT with ORDER BY … LIMIT whose result shows its
+	// window, where it shows it (see collectWindow); nil otherwise.
+	window *windowSpec
+
 	// whereEq lists, for UPDATE and DELETE templates, the top-level WHERE
 	// equality conjuncts binding a column of the target table to a value
 	// source, in order: what every row the write touches carries.
@@ -208,6 +216,8 @@ func AnalyzeTemplate(sql string, schema Schema) (*TemplateInfo, error) {
 			}
 		}
 		info.collectProbes(schema)
+		info.collectWindow(s, schema)
+		info.collectJoinRefs(schema)
 		if err := info.mergeSubqueryDeps(s, schema); err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"autowebcache/internal/datasource"
 	"autowebcache/internal/sqlparser"
 )
@@ -85,6 +87,9 @@ type predEvaluator struct {
 	// INSERT's auto-increment key): no existing row of any other table can
 	// reference them, so cross-table equality on a fresh column is False.
 	fresh map[string]bool
+	// insert, when set, is the INSERT whose new row the binding holds: the
+	// columns of a table it joins by key bind to its joined row.
+	insert *PreparedWrite
 }
 
 // EvalReadPred evaluates the read template's effective row predicate (WHERE
@@ -153,8 +158,22 @@ func (pe *predEvaluator) value(e sqlparser.Expr) (datasource.Value, bool) {
 		return pe.args[v.Index], true
 	case *sqlparser.ColumnRef:
 		owner, ok := pe.read.resolveColumn(v, pe.schema)
-		if !ok || owner != pe.target {
+		if !ok {
 			return nil, false
+		}
+		if owner != pe.target {
+			if pe.insert == nil {
+				return nil, false
+			}
+			rows, joined := pe.insert.joinedRow(pe.read, owner)
+			if !joined {
+				return nil, false
+			}
+			ci := slices.Index(rows.Columns, v.Name)
+			if ci < 0 {
+				return nil, false
+			}
+			return rows.Data[0][ci], true
 		}
 		return pe.binding(v.Name)
 	case *sqlparser.NegExpr:

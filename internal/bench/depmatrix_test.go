@@ -39,8 +39,10 @@ const matrixSamples = 12
 
 // matrixApp is one application wired for the matrix drive.
 type matrixApp struct {
-	name     string
-	golden   string
+	name   string
+	golden string
+	// fresh loads a new database seeded as db was.
+	fresh    func() (*memdb.DB, error)
 	db       *memdb.DB
 	eng      *analysis.Engine
 	handlers []servlet.HandlerInfo
@@ -58,6 +60,11 @@ type matrixApp struct {
 func rubisMatrixApp(t *testing.T) *matrixApp {
 	scale := rubis.Scale{Regions: 3, Categories: 5, Users: 20, Items: 40,
 		BidsPerItem: 3, CommentsPerUser: 2, BuyNows: 10, Seed: 7}
+	fresh := func() (*memdb.DB, error) {
+		db := memdb.New()
+		_, err := rubis.Load(db, scale)
+		return db, err
+	}
 	db := memdb.New()
 	last, err := rubis.Load(db, scale)
 	if err != nil {
@@ -70,7 +77,7 @@ func rubisMatrixApp(t *testing.T) *matrixApp {
 	mix := rubis.BiddingMix(scale)
 	a := &matrixApp{
 		name: "RUBiS", golden: "../rubis/testdata/dependency_matrix.txt",
-		db: db, eng: eng,
+		fresh: fresh, db: db, eng: eng,
 		handlers: rubis.New(weave.NewConn(db, eng), scale, last).Handlers(),
 		request:  mix.Request,
 		queryFree: map[string]bool{"Home": true, "Browse": true, "Sell": true, "RegisterUserForm": true,
@@ -85,6 +92,11 @@ func rubisMatrixApp(t *testing.T) *matrixApp {
 func tpcwMatrixApp(t *testing.T) *matrixApp {
 	scale := tpcw.Scale{Items: 60, Authors: 15, Customers: 20, Orders: 30,
 		LinesPerOrder: 3, Countries: 5, Seed: 3}
+	fresh := func() (*memdb.DB, error) {
+		db := memdb.New()
+		_, err := tpcw.Load(db, scale)
+		return db, err
+	}
 	db := memdb.New()
 	last, err := tpcw.Load(db, scale)
 	if err != nil {
@@ -97,7 +109,7 @@ func tpcwMatrixApp(t *testing.T) *matrixApp {
 	mix := tpcw.ShoppingMix(scale)
 	a := &matrixApp{
 		name: "TPC-W", golden: "../tpcw/testdata/dependency_matrix.txt",
-		db: db, eng: eng,
+		fresh: fresh, db: db, eng: eng,
 		handlers:  tpcw.New(weave.NewConn(db, eng), scale, last).Handlers(),
 		rules:     tpcw.WeaveRules(0),
 		request:   mix.Request,
@@ -310,7 +322,7 @@ func renderMatrix(t *testing.T, a *matrixApp, m *depMatrix) string {
 	b.WriteString("# Each write template lists the read handlers whose pages it can remove,\n")
 	b.WriteString("# tagged with what spares a page on the sampled instances: wm = WhereMatch's\n")
 	b.WriteString("# bound values, eq = only ExtraQuery's pre-write rows, col = nothing (the page\n")
-	b.WriteString("# always goes).\n")
+	b.WriteString("# always goes). Each sampled read carries the window its run showed.\n")
 	touched := make(map[string]bool)
 	for _, wsql := range sortedKeys(m.writes) {
 		tags := make(map[string]string)

@@ -8,6 +8,7 @@ import (
 
 	"autowebcache/internal/analysis"
 	"autowebcache/internal/cache"
+	"autowebcache/internal/datasource"
 )
 
 // TestSweepMatchesBruteForce: a write sweep must remove exactly the pages a
@@ -22,6 +23,12 @@ import (
 // read templates appear after the write templates that can touch them were
 // already swept; then every page is dropped, so every template empties, and
 // the third phase fills them again under the lists the first two built.
+//
+// The sampled read instances carry the windows their runs showed, and a
+// quarter of the dependencies are inserted without one, as a page from a
+// peer or the disk tier arrives: an instance judges its pages by its
+// window only while every page linked to it showed that window, and the
+// sweep's count of window-spared instances must match the brute force's.
 func TestSweepMatchesBruteForce(t *testing.T) {
 	a := rubisMatrixApp(t)
 	m := driveMatrix(t, a)
@@ -55,40 +62,88 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(strategy)*1009 + 11))
 			resident := make(map[string][]analysis.Query)
+			// windows models each dependency instance's window: the one its
+			// first page showed, nil once a page showing another linked.
+			type instance struct {
+				win   *analysis.Window
+				pages int
+			}
+			windows := make(map[string]*instance)
+			instKey := func(d analysis.Query) string { return d.SQL + "\x00" + datasource.KeyOfValues(d.Args) }
 			next := 0
 			insert := func(pool []string) {
 				deps := make([]analysis.Query, 1+rng.Intn(3))
 				for i := range deps {
 					samples := m.reads[pool[rng.Intn(len(pool))]]
 					deps[i] = samples[rng.Intn(len(samples))]
+					if rng.Intn(4) == 0 {
+						deps[i].Window = nil
+					}
 				}
+				deps = analysis.DedupQueries(deps)
 				key := fmt.Sprintf("/page?n=%d", next)
 				next++
 				c.Insert(key, []byte("x"), "text/html", deps, 0)
 				resident[key] = deps
+				for _, d := range deps {
+					in := windows[instKey(d)]
+					if in == nil {
+						in = &instance{win: d.Window}
+						windows[instKey(d)] = in
+					} else if !in.win.Same(d.Window) {
+						in.win = nil
+					}
+					in.pages++
+				}
 			}
-			// intersects is the brute-force verdict for one dependency.
-			intersects := func(d analysis.Query, w analysis.WriteCapture) bool {
+			drop := func(key string) {
+				for _, d := range resident[key] {
+					in := windows[instKey(d)]
+					if in.pages--; in.pages == 0 {
+						delete(windows, instKey(d))
+					}
+				}
+				delete(resident, key)
+			}
+			// verdict is the brute-force verdict for one dependency, judged
+			// by its instance's window: hit, and spared by the window alone.
+			verdict := func(d analysis.Query, w analysis.WriteCapture) (hit, spared bool) {
 				dep, err := eng.PossiblyDependent(d.SQL, w.SQL)
 				if err != nil {
 					t.Fatal(err)
 				}
-				hit, err := eng.Intersects(d, w)
+				if !dep {
+					return false, false
+				}
+				hit, err = eng.Intersects(analysis.Query{SQL: d.SQL, Args: d.Args, Window: windows[instKey(d)].win}, w)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return dep && hit
+				plain, err := eng.Intersects(analysis.Query{SQL: d.SQL, Args: d.Args}, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return hit, plain && !hit
 			}
-			lateRemovals, refillRemovals := 0, 0
+			lateRemovals, refillRemovals, windowSpared := 0, 0, 0
 			refilling := false
 			sweep := func(w analysis.WriteCapture) {
 				if strategy != analysis.StrategyExtraQuery {
 					w.Affected = nil // only ExtraQuery captures the pre-write rows
 				}
 				want := make(map[string]bool)
+				spared := make(map[string]bool)
+				for _, deps := range resident {
+					for _, d := range deps {
+						if _, byWindow := verdict(d, w); byWindow {
+							spared[instKey(d)] = true
+						}
+					}
+				}
+				sparedBefore := c.Snapshot().WindowSpared
 				for key, deps := range resident {
 					for _, d := range deps {
-						if intersects(d, w) {
+						if hit, _ := verdict(d, w); hit {
 							want[key] = true
 							if late[d.SQL] {
 								lateRemovals++
@@ -117,8 +172,13 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 					t.Fatalf("%s %v: removed %d pages, brute force wants %d; kept %v, removed beyond %v",
 						w.SQL, w.Args, n, len(want), missed, extra)
 				}
+				if got := c.Snapshot().WindowSpared - sparedBefore; got != uint64(len(spared)) {
+					t.Fatalf("%s %v: the sweep spared %d instances by their windows, brute force %d",
+						w.SQL, w.Args, got, len(spared))
+				}
+				windowSpared += len(spared)
 				for key := range want {
-					delete(resident, key)
+					drop(key)
 				}
 			}
 			for i := 0; i < 100; i++ {
@@ -141,7 +201,7 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 			}
 			for key := range resident {
 				c.InvalidateKey(key)
-				delete(resident, key)
+				drop(key)
 			}
 			if st := c.Snapshot(); st.Entries != 0 || st.DepTemplates != 0 || st.DepInstances != 0 {
 				t.Fatalf("dropping every page left %d entries, %d templates, %d instances", st.Entries, st.DepTemplates, st.DepInstances)
@@ -150,6 +210,9 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 			mixed(400)
 			if refillRemovals == 0 {
 				t.Fatal("no page inserted after every template emptied was removed: the test lost its coverage")
+			}
+			if (windowSpared == 0) != (strategy == analysis.StrategyColumnOnly) {
+				t.Fatalf("%d instances spared by their windows under %s", windowSpared, strategy)
 			}
 		})
 	}

@@ -293,6 +293,11 @@ type Stats struct {
 	PromoteAborts uint64 // promotions abandoned because an invalidation raced them
 	// L2 is the attached disk tier's own counters (zero without one).
 	L2 l2.Stats
+
+	// WindowSpared counts the dependency instances a sweep kept because the
+	// write, though its values may match the read, cannot change the rows
+	// the read's ORDER BY … LIMIT window shows (analysis.Window).
+	WindowSpared uint64
 }
 
 // Cache is the page cache. It is safe for concurrent use.
@@ -353,6 +358,7 @@ type Cache struct {
 	evictionsProt    atomic.Uint64 // subset of evictions taken from the protected segment
 	expirations      atomic.Uint64
 	writesSeen       atomic.Uint64
+	windowSpared     atomic.Uint64
 	admissionRejects atomic.Uint64
 	oversizeRejects  atomic.Uint64
 	// gzipCompressions counts compressor runs (once per variant-building

@@ -164,6 +164,7 @@ func TestStatsJSONKeys(t *testing.T) {
 		"ProtectedEntries", "ProbationBytes", "ProtectedBytes",
 		"EvictionsProbation", "EvictionsProtected", "GzipCompressions",
 		"VariantBytes", "Demotions", "Spills", "Promotions", "PromoteAborts", "L2",
+		"WindowSpared",
 	}
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("Stats JSON keys:\n got %v\nwant %v", keys, want)

@@ -123,8 +123,12 @@ func (sh *shard) segment(protected bool) *segment {
 // held inline and the set is only allocated for a second.
 type depInstance struct {
 	tmpl    *depTemplate
-	query   analysis.Query
+	query   analysis.Query // without its window, which is win
 	argsKey string
+	// win is the window every key linked to the instance showed, or nil
+	// when one showed none or another (see linkDeps). Guarded by the
+	// template's shard lock.
+	win *analysis.Window
 	// probe holds, for each of the template's probes, the instance's bucket
 	// (nil when it binds no value at the probed argument) and its position
 	// in it.
@@ -240,7 +244,7 @@ func (dt *depTemplate) probeOn(table string) *depProbe {
 // addInstance creates the instance for q, whose argument key is argsKey,
 // computing its probe keys and filing it in each probe's bucket.
 func (dt *depTemplate) addInstance(argsKey string, q analysis.Query) *depInstance {
-	inst := &depInstance{tmpl: dt, query: q, argsKey: argsKey}
+	inst := &depInstance{tmpl: dt, query: analysis.Query{SQL: q.SQL, Args: q.Args}, argsKey: argsKey, win: q.Window}
 	if len(dt.probes) > 0 {
 		inst.probe = make([]instProbe, len(dt.probes))
 	}
@@ -657,6 +661,11 @@ func (c *Cache) linkDeps(sh *shard, key string, deps []analysis.Query) {
 		inst := dt.instances[string(ak)]
 		if inst == nil {
 			inst = dt.addInstance(string(ak), d)
+		} else if inst.win != nil && !inst.win.Same(d.Window) {
+			// A key that showed no window, or another one, shares the
+			// instance: a sweep can no longer judge every linked page by
+			// one window, so it judges them by none.
+			inst.win = nil
 		}
 		if inst.add(key) {
 			links = append(links, inst)
@@ -726,10 +735,12 @@ type sweep struct {
 }
 
 // candidate is one (write, instance) pair the intersection test decides;
-// keys[lo:hi] are the instance's keys when it was collected.
+// keys[lo:hi] are the instance's keys and win its window when it was
+// collected.
 type candidate struct {
 	pw     *analysis.PreparedWrite
 	inst   *depInstance
+	win    *analysis.Window
 	lo, hi int
 }
 
@@ -778,7 +789,7 @@ func (sc *sweep) probeKeys(pw *analysis.PreparedWrite, col string) ([]string, bo
 func (sc *sweep) collect(pw *analysis.PreparedWrite, inst *depInstance) {
 	lo := len(sc.keys)
 	sc.keys = inst.appendKeys(sc.keys)
-	sc.cands = append(sc.cands, candidate{pw: pw, inst: inst, lo: lo, hi: len(sc.keys)})
+	sc.cands = append(sc.cands, candidate{pw: pw, inst: inst, win: inst.win, lo: lo, hi: len(sc.keys)})
 }
 
 // collectTemplate gathers the instances of dt that pw may intersect: the
@@ -873,12 +884,16 @@ func (c *Cache) invalidateThen(ws []analysis.WriteCapture, then func()) (int, er
 			}
 		}
 	}
-	victims := 0
+	victims, spared := 0, 0
 	for _, cand := range sc.cands {
-		if cand.pw.IntersectsDependent(cand.inst.tmpl.info, cand.inst.query.Args) {
+		hit, byWindow := cand.pw.IntersectsDependent(cand.inst.tmpl.info, cand.inst.query.Args, cand.win)
+		if hit {
 			victims += copy(sc.keys[victims:], sc.keys[cand.lo:cand.hi])
+		} else if byWindow {
+			spared++
 		}
 	}
+	c.windowSpared.Add(uint64(spared))
 	keys := sc.keys[:victims]
 	slices.Sort(keys)
 	n := 0
@@ -1099,6 +1114,7 @@ func (c *Cache) Snapshot() Stats {
 		EvictionsProtected: c.evictionsProt.Load(),
 		Expirations:        c.expirations.Load(),
 		WritesSeen:         c.writesSeen.Load(),
+		WindowSpared:       c.windowSpared.Load(),
 		AdmissionRejects:   c.admissionRejects.Load(),
 		OversizeRejects:    c.oversizeRejects.Load(),
 		Entries:            int(c.entries.Load()),

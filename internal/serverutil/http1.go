@@ -169,6 +169,34 @@ func (s *server) shutdownGracefully(ctx context.Context) error {
 	return nil
 }
 
+// closeAll closes every remaining connection, idle or in the middle of a
+// request — what a shutdown does once its grace period is over, so a
+// client that stopped reading cannot hold a response write open — and
+// waits until their goroutines have let go of them, or ctx ends.
+func (s *server) closeAll(ctx context.Context) {
+	s.mu.Lock()
+	for c := range s.conns {
+		c.state.Store(stateClosed)
+		c.rwc.Close()
+	}
+	s.mu.Unlock()
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		s.mu.Lock()
+		n := len(s.conns)
+		s.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+		}
+	}
+}
+
 // closeIdle closes the connections waiting for a request and reports
 // whether none remains.
 func (s *server) closeIdle() bool {

@@ -196,6 +196,7 @@ func (f *Flags) Serve(rt *autowebcache.Runtime, handler *autowebcache.Woven, ban
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.serve(ln) }()
+	var shutdownErr error
 	log.Print(banner)
 
 	select {
@@ -204,10 +205,17 @@ func (f *Flags) Serve(rt *autowebcache.Runtime, handler *autowebcache.Woven, ban
 			return err
 		}
 	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := srv.shutdownGracefully(shutdownCtx); err != nil {
-			return err
+			// The grace period is over with requests still open — a client
+			// that stopped reading holds its response write. Close every
+			// connection and still detach the peer tier and spill the
+			// cache below, then report the overrun.
+			drainCtx, cancel := context.WithTimeout(context.Background(), drainGrace)
+			defer cancel()
+			srv.closeAll(drainCtx)
+			shutdownErr = err
 		}
 	}
 	if c := rt.Cache(); c != nil {
@@ -227,7 +235,15 @@ func (f *Flags) Serve(rt *autowebcache.Runtime, handler *autowebcache.Woven, ban
 	// next boot warm.
 	if err := rt.Close(); err != nil {
 		log.Printf("runtime close: %v", err)
-		return err
+		return errors.Join(shutdownErr, err)
 	}
-	return nil
+	return shutdownErr
 }
+
+// shutdownGrace bounds how long a signalled server waits for in-flight
+// requests before it closes their connections; drainGrace bounds the wait
+// for their goroutines after that.
+var (
+	shutdownGrace = 5 * time.Second
+	drainGrace    = time.Second
+)

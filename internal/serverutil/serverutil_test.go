@@ -1,11 +1,19 @@
 package serverutil
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"flag"
+	"io"
+	"net"
 	"net/http"
+	"os"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"autowebcache"
 )
@@ -173,4 +181,89 @@ func TestEveryConfigFieldHasAFlag(t *testing.T) {
 		}
 	}
 	walk("", reflect.ValueOf(cfg))
+}
+
+// TestShutdownClosesStalledClients: a client that pipelines requests for
+// large pages and never reads holds a response write open past the
+// shutdown grace period.
+// Serve must then close its connection, still run Runtime.Close — which
+// spills the cache into the disk tier, emptying memory — and return the
+// overrun within the grace period plus a bounded margin.
+func TestShutdownClosesStalledClients(t *testing.T) {
+	defer func(g time.Duration) { shutdownGrace = g }(shutdownGrace)
+	shutdownGrace = 300 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	f := parse(t, "-addr", addr, "-l2", t.TempDir())
+	cfg, err := f.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := autowebcache.New(autowebcache.NewDB(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("x"), 1<<20)
+	serving := make(chan struct{}, 1)
+	h, err := rt.Weave([]autowebcache.HandlerInfo{
+		{Name: "Small", Path: "/small", Fn: func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte("small")) }},
+		{Name: "Big", Path: "/big", Uncacheable: true, Fn: func(w http.ResponseWriter, _ *http.Request) {
+			select {
+			case serving <- struct{}{}:
+			default:
+			}
+			for i := 0; i < 64; i++ { // far more than the socket buffers hold
+				w.Write(big)
+			}
+		}},
+	}, autowebcache.Rules{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Serve(rt, h, "serving") }()
+	var resp *http.Response
+	for i := 0; ; i++ {
+		if resp, err = http.Get("http://" + addr + "/small"); err == nil {
+			break
+		}
+		if i == 200 {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if n := rt.Cache().Len(); n != 1 {
+		t.Fatalf("%d pages cached, want 1", n)
+	}
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	go stalled.Write(bytes.Repeat([]byte("GET /big HTTP/1.1\r\nHost: x\r\n\r\n"), 4))
+	<-serving // the signal handler is installed before the first request is served
+	begin := time.Now()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err = <-done:
+	case <-time.After(shutdownGrace + 10*time.Second):
+		t.Fatal("Serve did not return")
+	}
+	if elapsed, bound := time.Since(begin), shutdownGrace+drainGrace+2*time.Second; elapsed > bound {
+		t.Errorf("shutdown took %v, want at most %v", elapsed, bound)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Serve returned %v, want the grace period's overrun", err)
+	}
+	if n := rt.Cache().Len(); n != 0 {
+		t.Errorf("%d pages still in memory: Runtime.Close never spilled the cache", n)
+	}
 }

@@ -137,7 +137,13 @@ func (c *RecordingConn) Query(ctx context.Context, sql string, args ...any) (*da
 		rec.markReadError()
 		return rows, nil
 	}
-	rec.addRead(analysis.Query{SQL: tmpl, Args: vals})
+	q := analysis.Query{SQL: tmpl, Args: vals}
+	if info, terr := c.engine.Template(tmpl); terr == nil {
+		// An ORDER BY … LIMIT read keeps the window its rows show, so a
+		// write that cannot change them leaves the page alone.
+		q.Window = info.WindowOf(vals, rows)
+	}
+	rec.addRead(q)
 	return rows, nil
 }
 
@@ -177,6 +183,10 @@ func (c *RecordingConn) Exec(ctx context.Context, sql string, args ...any) (data
 				}
 			}
 		}
+		// An INSERT's joined rows are read after it, so a concurrent write
+		// to them is either seen here or sweeps its own pages. An error
+		// leaves the capture without them, which is sound.
+		_ = c.engine.CaptureJoined(ctx, c.base, &capture)
 		rec.addWrite(capture)
 	} else {
 		// We executed a write we could not analyse: record a conservative
