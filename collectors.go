@@ -148,7 +148,7 @@ var cacheCounters = []cacheCounter{
 		func(s *CacheStats) uint64 { return s.Expirations }},
 	{"awc_cache_writes_seen_total", "Write captures InvalidateWrite analysed, one per write statement (a request's captures share one call). Mirrors cache.Stats.WritesSeen (page cache only).",
 		func(s *CacheStats) uint64 { return s.WritesSeen }},
-	{"awc_cache_window_spared_total", "Dependency instances a write sweep kept although the write's values may match the read, because it cannot change the rows the read's ORDER BY … LIMIT window shows. Mirrors cache.Stats.WindowSpared (page cache only).",
+	{"awc_cache_window_spared_total", "Dependency instances a write sweep kept because the write cannot change the rows the read's ORDER BY … LIMIT window shows (tested before the values, so some the values would also have kept). Mirrors cache.Stats.WindowSpared (page cache only).",
 		func(s *CacheStats) uint64 { return s.WindowSpared }},
 	{"awc_cache_admission_rejects_total", "Pages the TinyLFU admission filter kept out of memory: with a disk tier attached a refused insert is spilled there (awc_cache_l2_spills_total) and a refused promotion stays there; without one the page is not cached. Mirrors cache.Stats.AdmissionRejects.",
 		func(s *CacheStats) uint64 { return s.AdmissionRejects }},

@@ -342,19 +342,20 @@ func (pw *PreparedWrite) Intersects(read Query) (bool, error) {
 // PossiblyDependent already found dependent on the write — the case of a
 // sweep, whose candidates come from the write template's list (Reach) — so
 // no template is looked up by its text. spared reports an instance the
-// value test alone would have intersected but whose window the write
-// provably leaves as it is (see window.go). ColumnOnly ignores windows, as
-// it ignores values.
+// write provably leaves as its window shows it (see window.go). That test
+// is a key lookup or one tuple comparison, so it runs before the value
+// test, whose verdict it makes moot. ColumnOnly ignores windows, as it
+// ignores values.
 func (pw *PreparedWrite) IntersectsDependent(ri *TemplateInfo, args []datasource.Value, win *Window) (hit, spared bool) {
 	e := pw.e
 	if e.strategy != StrategyColumnOnly {
-		if pw.intersectTri(ri, args) == False {
-			e.exonerations.Add(1)
-			return false, false
-		}
 		if win != nil && ri.window != nil && pw.windowSpares(ri.window, win) {
 			e.exonerations.Add(1)
 			return false, true
+		}
+		if pw.intersectTri(ri, args) == False {
+			e.exonerations.Add(1)
+			return false, false
 		}
 	}
 	e.intersections.Add(1)

@@ -148,6 +148,9 @@ type TemplateInfo struct {
 	// window, where it shows it (see collectWindow); nil otherwise.
 	window *windowSpec
 
+	// setCols lists an UPDATE's SET columns, WriteCols' keys in order.
+	setCols []string
+
 	// whereEq lists, for UPDATE and DELETE templates, the top-level WHERE
 	// equality conjuncts binding a column of the target table to a value
 	// source, in order: what every row the write touches carries.
@@ -248,6 +251,9 @@ func AnalyzeTemplate(sql string, schema Schema) (*TemplateInfo, error) {
 		wc := make(map[string]bool, len(s.Set))
 		info.SetVals = make(map[string]ValueRef, len(s.Set))
 		for i := range s.Set {
+			if !wc[s.Set[i].Column] {
+				info.setCols = append(info.setCols, s.Set[i].Column)
+			}
 			wc[s.Set[i].Column] = true
 			info.SetVals[s.Set[i].Column] = valueRefOf(s.Set[i].Value)
 		}

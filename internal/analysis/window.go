@@ -293,7 +293,7 @@ func (pw *PreparedWrite) updateSpares(ws *windowSpec, win *Window) bool {
 		return false
 	}
 	pred := ws.predCols[pw.table]
-	for col := range pw.wi.WriteCols[pw.table] {
+	for _, col := range pw.wi.setCols {
 		if pred[col] {
 			return false
 		}

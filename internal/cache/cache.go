@@ -295,8 +295,9 @@ type Stats struct {
 	L2 l2.Stats
 
 	// WindowSpared counts the dependency instances a sweep kept because the
-	// write, though its values may match the read, cannot change the rows
-	// the read's ORDER BY … LIMIT window shows (analysis.Window).
+	// write cannot change the rows the read's ORDER BY … LIMIT window shows
+	// (analysis.Window). The window is tested first, so the count includes
+	// instances whose values the write could not match either.
 	WindowSpared uint64
 }
 
