@@ -145,7 +145,6 @@ func (o *windowOracle) jobs(m *depMatrix) []oracleJob {
 
 // readShape is what edgeWrites needs of a windowed read's statement.
 type readShape struct {
-	sel        *sqlparser.SelectStmt
 	table      string // the table of the leading ORDER BY column
 	orderCol   string
 	orderPos   int // its output position
@@ -185,7 +184,7 @@ func (o *windowOracle) shapeOf(db *memdb.DB, rsql string) (readShape, bool) {
 	if !ok || owner(lead) == "" {
 		return readShape{}, false
 	}
-	s := readShape{sel: sel, table: owner(lead), orderCol: lead.Name, orderPos: -1, keyPos: -1,
+	s := readShape{table: owner(lead), orderCol: lead.Name, orderPos: -1, keyPos: -1,
 		limitArg: -1, offsetArg: -1, boundByArg: make(map[string]int)}
 	s.key, _ = db.AutoIncrementColumn(s.table)
 	for i, it := range sel.Items {
